@@ -22,7 +22,7 @@ use rede_core::exec::{ExecutorConfig, JobRunner};
 use rede_core::gate::{GateConfig, HarborGate, QueryOptions};
 use rede_core::job::Job;
 use rede_core::scheduler::{HarborScheduler, SchedulerConfig, SubmitOptions};
-use rede_storage::{CachePlacement, CostModel, FaultPlan, IoModel, SimCluster};
+use rede_storage::{CostModel, FaultPlan, IoModel, SimCluster};
 use rede_tpch::{load_tpch, LoadOptions, Q5Params, Q6Params, TpchGenerator};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -51,8 +51,6 @@ pub struct Fig7Config {
     /// (heaps + indexes) *and* the record cache (`None` = unbounded, the
     /// everything-resident configuration).
     pub memory_budget: Option<usize>,
-    /// Where the record cache lives when one is configured.
-    pub cache_placement: CachePlacement,
     /// Deterministic fault plan for chaos runs (`None` or an inert plan =
     /// the regular fault-free cluster, with zero recovery-path overhead).
     pub faults: Option<FaultPlan>,
@@ -73,7 +71,6 @@ impl Default for Fig7Config {
             seed: 42,
             record_cache: None,
             memory_budget: None,
-            cache_placement: CachePlacement::default(),
             faults: None,
             shuffle: ShuffleLocality::default(),
         }
@@ -97,8 +94,7 @@ impl Fig7Fixture {
     pub fn build(config: Fig7Config) -> Result<Fig7Fixture> {
         let mut builder = SimCluster::builder()
             .nodes(config.nodes)
-            .io_model(IoModel::hdd_like(config.io_scale))
-            .cache_placement(config.cache_placement);
+            .io_model(IoModel::hdd_like(config.io_scale));
         if let Some(capacity) = config.record_cache {
             builder = builder.record_cache(capacity);
         }

@@ -271,16 +271,16 @@ impl Metrics {
         self.inner.batches_issued.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one network round-trip actually slept (remote accesses pay
-    /// exactly one each on the scalar path; a remote batch pays one for
+    /// Count one network round trip owed by a remote device group (a
+    /// scalar remote access is a group of one; a remote batch pays one for
     /// the whole group — the amortization this counter makes visible).
     #[inline]
     pub fn record_remote_rtt(&self) {
         self.inner.remote_rtts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one remote batch delivered back through the event-driven
-    /// fabric (zero on the synchronous path).
+    /// Count one dispatch delivered back through the event-driven fabric
+    /// (a dispatch that owed no round trip never flies).
     #[inline]
     pub fn record_fabric_completion(&self) {
         self.inner
@@ -874,19 +874,19 @@ pub struct ExecProfile {
     pub batched_reads: u64,
     /// Batches this job issued (one IOPS acquisition + ≤1 RTT each).
     pub batches_issued: u64,
-    /// Network round-trips this job actually slept. On the scalar path
-    /// this equals the remote accesses; batching drives it down by
-    /// roughly the mean batch size.
+    /// Network round trips this job owed, one per remote device group.
+    /// Unbatched this equals the remote accesses; batching drives it down
+    /// by roughly the mean batch size.
     pub remote_rtts: u64,
-    /// Remote batches of this job delivered through the event-driven
-    /// fabric instead of a pool-thread sleep.
+    /// Dispatches of this job whose owed round trip was delivered through
+    /// the event-driven fabric.
     pub fabric_completions: u64,
     /// Fabric submissions of this job that queued behind a full per-node
     /// in-flight window.
     pub window_stalls: u64,
-    /// High-water mark of this job's concurrent remote flights. On the
-    /// synchronous path it is bounded by the pool size (each flight parks
-    /// a thread); through the fabric it is bounded by nodes × window.
+    /// High-water mark of this job's outstanding remote flights (armed
+    /// or window-queued). A synchronous `SimCluster` access counts its
+    /// inline wait as one flight.
     pub inflight_peak: u64,
     /// Buffer-pool pages this job's accesses faulted back in (zero under
     /// an unbounded memory budget).

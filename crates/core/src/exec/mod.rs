@@ -93,7 +93,7 @@ impl RoutingPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Batching {
     /// Largest number of pointers coalesced into one batch. `1` disables
-    /// coalescing entirely (bit-identical to the per-pointer path).
+    /// coalescing entirely (every batch is a batch of one).
     pub max_batch: usize,
     /// How long an under-full batch may wait for company when the node's
     /// queues are otherwise empty. A batch never lingers while other work
@@ -112,7 +112,8 @@ impl Default for Batching {
 }
 
 impl Batching {
-    /// Batching disabled: every pointer executes on the scalar path.
+    /// Coalescing disabled: every pointer is dereferenced as a batch of
+    /// one.
     pub fn off() -> Batching {
         Batching {
             max_batch: 1,
@@ -126,11 +127,6 @@ impl Batching {
             max_batch: max_batch.max(1),
             ..Batching::default()
         }
-    }
-
-    /// True when coalescing can ever group two pointers.
-    pub fn is_enabled(&self) -> bool {
-        self.max_batch > 1
     }
 }
 
@@ -155,13 +151,12 @@ pub struct ExecutorConfig {
     pub routing: RoutingPolicy,
     /// Dispatcher-side pointer coalescing (default on; see [`Batching`]).
     pub batching: Batching,
-    /// Event-driven completion layer for remote round trips. `None` (the
-    /// default) keeps the synchronous model: a pool thread sleeps the RTT
-    /// of every remote batch inline. `Some(fabric)` submits remote batches
-    /// to a per-node in-flight window instead, freeing the pool thread as
-    /// soon as the charged (device-time) half of the access completes —
-    /// see `rede_storage::fabric` and the smpe module docs.
-    pub fabric: Option<FabricConfig>,
+    /// Per-node in-flight window of the event-driven completion layer
+    /// that carries every remote round trip: a dereference that owes one
+    /// is submitted to the window and frees its pool thread as soon as the
+    /// charged (device-time) half of the access completes — see
+    /// `rede_storage::fabric` and the smpe module docs.
+    pub fabric: FabricConfig,
 }
 
 impl Default for ExecutorConfig {
@@ -173,7 +168,7 @@ impl Default for ExecutorConfig {
             collect_outputs: false,
             routing: RoutingPolicy::default(),
             batching: Batching::default(),
-            fabric: None,
+            fabric: FabricConfig::default(),
         }
     }
 }
@@ -208,17 +203,16 @@ impl ExecutorConfig {
         self
     }
 
-    /// Use specific pointer-batching knobs ([`Batching::off`] restores the
-    /// strict per-pointer execution model).
+    /// Use specific pointer-batching knobs ([`Batching::off`] dereferences
+    /// strictly one pointer per storage call).
     pub fn with_batching(mut self, batching: Batching) -> ExecutorConfig {
         self.batching = batching;
         self
     }
 
-    /// Run remote round trips through the event-driven fabric with the
-    /// given per-node in-flight window.
+    /// Use a specific per-node in-flight window for remote round trips.
     pub fn with_fabric(mut self, fabric: FabricConfig) -> ExecutorConfig {
-        self.fabric = Some(fabric);
+        self.fabric = fabric;
         self
     }
 }

@@ -41,18 +41,21 @@
 //! job's permit count reaches zero as soon as its last in-flight task
 //! retires.
 //!
-//! **Async fabric.** With a [`FabricConfig`], the batched dereference path
-//! is split into a *submit* half and a *complete* half. The submit half
-//! runs on a pool thread and performs every charged access synchronously —
-//! fault injection, IOPS admission, device time, all counters — but
-//! instead of sleeping the remote round-trip inline it hands the batch's
-//! buffered outputs to the [`SimFabric`] with a computed completion
-//! deadline and returns, freeing the pool thread. Each node owns a window
-//! of at most `window` batches in flight; the fabric's timer thread fires
+//! **One dereference path.** Every dispatch — a lone task or a coalesced
+//! batch of point dereferences — runs through [`run_stage`], which has a
+//! *submit* half and a *complete* half. The submit half runs on the
+//! dispatch's thread and performs every charged access synchronously —
+//! fault injection, IOPS admission, device time, all counters — buffering
+//! the outputs and returning the network round trip the dereference still
+//! owes. Zero owed (everything was local — what owner routing makes of
+//! nearly every dereference) routes the outputs at once. Otherwise the
+//! outputs ride a [`SimFabric`] flight with a computed completion deadline
+//! and the pool thread is freed. Each node owns a window of at most
+//! `window` flights ([`FabricConfig`]); the fabric's timer thread fires
 //! due completions, which re-enqueue a `FlightDone` continuation on the
 //! submitting node's weighted queue. The dispatcher routes the buffered
 //! outputs inline (pure CPU work), so pool threads never block on
-//! simulated network latency. The continuation carries the batch's
+//! simulated network latency. The continuation carries the dispatch's
 //! in-flight tokens; a job therefore cannot finish — and cancellation
 //! cannot complete — until every one of its flights has landed and
 //! returned its tokens.
@@ -82,9 +85,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Bounded-retry envelope for transient storage faults. Only consulted
-/// when the cluster carries a fault injector; a perfect cluster never
-/// enters the retry path at all. The bound is generous because the
+/// Bounded-retry envelope for transient storage faults (a perfect cluster
+/// never produces one). The bound is generous because the
 /// injector fails each access site at most once: a stage invocation
 /// touching `k` fault-prone sites recovers after at most `k` retries, and
 /// no invocation in the workloads touches more than a handful of sites.
@@ -119,13 +121,16 @@ enum TaskItem {
     Deref(DerefInput),
     /// Input for a reference stage.
     Record(Record),
-    /// Continuation of a fabric flight: the batch's buffered outputs,
+    /// Continuation of a fabric flight: the dispatch's buffered outputs,
     /// ready to route now the simulated round trip has landed. Carries
-    /// the `tokens` in-flight tokens of the submitted batch (lead +
+    /// the `tokens` in-flight tokens of the submitted dispatch (lead +
     /// batchmates), released only after the outputs are routed — the
     /// dispatcher handles it inline (it is pure CPU work) and it is
     /// always dispatch-eligible (it holds no pool thread).
-    FlightDone { outputs: Vec<Record>, tokens: u64 },
+    FlightDone {
+        outputs: Vec<StageOutput>,
+        tokens: u64,
+    },
 }
 
 impl Task {
@@ -320,9 +325,8 @@ struct Shared {
     /// inline referencers never reach the pool at all), so the catch
     /// site feeds this counter directly.
     panics: Arc<AtomicU64>,
-    /// Event-driven completion layer for remote round trips; `None` keeps
-    /// the synchronous sleep-inline model.
-    fabric: Option<Arc<SimFabric>>,
+    /// Event-driven completion layer carrying every owed round trip.
+    fabric: SimFabric,
 }
 
 impl Shared {
@@ -692,9 +696,9 @@ impl JobState {
     }
 
     /// Fabric completion handler, called on the fabric's timer thread when
-    /// a submitted batch's simulated round trip lands: re-enqueue the
+    /// a submitted dispatch's simulated round trip lands: re-enqueue the
     /// continuation on the submitting node's weighted queue so the
-    /// dispatcher routes the buffered outputs. The batch's in-flight
+    /// dispatcher routes the buffered outputs. The dispatch's in-flight
     /// tokens transfer into the queued task; if the job was cancelled (or
     /// the substrate is shutting down) the outputs are dropped and the
     /// tokens released here, which is what lets a cancelled job's last
@@ -703,13 +707,12 @@ impl JobState {
     /// Deliberately *not* routed through [`JobState::enqueue`]: the
     /// continuation is the second half of an already-counted dispatch, so
     /// it must not count a queue hop or a node enqueue of its own — the
-    /// fabric path's executor counters stay comparable with the
-    /// synchronous path's.
+    /// executor counters are the same whether or not a dispatch flew.
     fn complete_flight(
         self: &Arc<Self>,
         node: usize,
         stage: usize,
-        outputs: Vec<Record>,
+        outputs: Vec<StageOutput>,
         tokens: u64,
     ) {
         self.tally(|m| {
@@ -965,34 +968,6 @@ enum StageOutput {
     Pointer(Pointer),
 }
 
-/// Execute one task body (on whatever thread the dispatcher chose).
-///
-/// The stage body runs under `catch_unwind`: a panicking referencer or
-/// dereferencer becomes a job error instead of killing the thread with the
-/// in-flight count still held — which would leave the job hanging forever
-/// (the counter could never reach zero). Cancelled and already-failed jobs
-/// skip the body so their backlog drains at queue speed.
-fn process_task(task: Task, node: usize) {
-    let job = task.job.clone();
-    if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
-        job.prof.stage_tasks[task.stage].fetch_add(1, Ordering::Relaxed);
-        let result = catch_unwind(AssertUnwindSafe(|| run_stage_guarded(&job, node, &task)))
-            .unwrap_or_else(|payload| {
-                job.shared.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = panic_message(payload.as_ref());
-                Err(RedeError::Exec(format!(
-                    "stage {} ('{}') panicked: {msg}",
-                    task.stage,
-                    job.job.stages()[task.stage].label()
-                )))
-            });
-        if let Err(e) = result {
-            job.fail(e);
-        }
-    }
-    job.task_done();
-}
-
 /// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1004,158 +979,37 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Run the stage body with transient-fault recovery.
+/// Execute one dispatch — a lone task, or a coalesced batch of
+/// same-(job, stage, owner) point dereferences — on whatever thread the
+/// dispatcher chose.
 ///
-/// The fault-free path streams every output straight into
-/// `handle_output`, exactly as without an injector: no buffering, no
-/// retry bookkeeping — a cluster built without a fault plan pays nothing
-/// for this layer. Under a fault plan, outputs are buffered per attempt
-/// and flushed only once the body succeeds, so a retried invocation never
-/// double-emits (emit counters live in `handle_output` and are likewise
-/// only bumped at flush time). Transient errors are retried up to
-/// [`MAX_RETRIES`] times with exponential backoff; because the injector
-/// fails each access site at most once, the first retry of any given site
-/// always passes. Retries stop early when the job was cancelled or
-/// already failed elsewhere — recovering work nobody will collect just
-/// delays the drain.
-fn run_stage_guarded(job: &Arc<JobState>, node: usize, task: &Task) -> Result<()> {
-    if job.cluster.fault_injector().is_none() {
-        return run_stage_body(job, node, task, &mut |out| {
-            job.handle_output(node, task.stage, out)
-        });
-    }
-    let mut attempt: u32 = 0;
-    loop {
-        let mut buffered: Vec<StageOutput> = Vec::new();
-        match run_stage_body(job, node, task, &mut |out| buffered.push(out)) {
-            Ok(()) => {
-                for out in buffered {
-                    job.handle_output(node, task.stage, out);
-                }
-                return Ok(());
-            }
-            Err(e)
-                if e.is_transient()
-                    && attempt < MAX_RETRIES
-                    && !job.cancelled.load(Ordering::SeqCst)
-                    && !job.failed.load(Ordering::SeqCst) =>
-            {
-                attempt += 1;
-                job.tally(|m| m.record_retry());
-                std::thread::sleep(backoff(attempt));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// The actual stage body (separated so `run_stage_guarded` can retry it).
-/// All outputs go through `out`, which either streams into routing or
-/// buffers for a retryable attempt.
-fn run_stage_body(
-    job: &Arc<JobState>,
-    node: usize,
-    task: &Task,
-    out: &mut dyn FnMut(StageOutput),
-) -> Result<()> {
-    let ctx = StageCtx {
-        cluster: job.cluster.clone(),
-        node,
-        local_only: task.local_only,
-    };
-    let stage = &job.job.stages()[task.stage];
-    match (&task.item, stage) {
-        (TaskItem::Deref(input), Stage::Dereference { func, filter, .. }) => {
-            let mut err = None;
-            let mut emit = |record: Record| {
-                let keep = match filter {
-                    Some(f) => match f.matches(&record) {
-                        Ok(keep) => keep,
-                        Err(e) => {
-                            err.get_or_insert(e);
-                            false
-                        }
-                    },
-                    None => true,
-                };
-                if keep {
-                    out(StageOutput::Record(record));
-                }
-            };
-            let r = func.dereference(input, &ctx, &mut emit);
-            // `emit` borrows `err`; end the borrow before inspecting it.
-            #[allow(clippy::drop_non_drop)]
-            drop(emit);
-            match (r, err) {
-                (Err(e), _) | (Ok(()), Some(e)) => Err(e),
-                (Ok(()), None) => Ok(()),
-            }
-        }
-        (TaskItem::Record(record), Stage::Reference { func, .. }) => {
-            let mut emit = |ptr: Pointer| {
-                out(StageOutput::Pointer(ptr));
-            };
-            func.reference(record, &ctx, &mut emit)
-        }
-        _ => Err(RedeError::Exec(format!(
-            "stage {} ('{}') received mismatched input",
-            task.stage,
-            stage.label()
-        ))),
-    }
-}
-
-/// Route a landed flight's buffered outputs. Runs inline on the
-/// dispatcher — by the time a flight lands, all that remains is pure CPU
-/// routing work. Releases the batch's in-flight tokens exactly once;
-/// cancelled and failed jobs skip the routing so their backlog drains.
-fn process_flight_done(task: Task, node: usize) {
-    let job = task.job.clone();
-    let TaskItem::FlightDone { outputs, tokens } = task.item else {
-        unreachable!("caller matched FlightDone");
-    };
-    if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
-        for record in outputs {
-            job.handle_output(node, task.stage, StageOutput::Record(record));
-        }
-    }
-    job.tasks_done(tokens);
-}
-
-/// Execute a coalesced batch of same-(job, stage, owner) point-dereference
-/// tasks on one pool thread. Mirrors [`process_task`]'s contract per item:
-/// every task's in-flight token is released exactly once, panics become
-/// job errors, and cancelled/failed jobs skip the bodies.
+/// The stage bodies run under `catch_unwind`: a panicking referencer or
+/// dereferencer becomes a job error instead of killing the thread with the
+/// in-flight tokens still held — which would leave the job hanging forever
+/// (the counter could never reach zero). Cancelled and already-failed jobs
+/// skip the bodies so their backlog drains at queue speed.
 ///
-/// With a fabric configured, the batch runs its *submit* half here — all
-/// charged accesses, outputs buffered — and, when any remote round trip
-/// was deferred, arms a flight instead of releasing the tokens: they
-/// travel with the flight and return through
+/// [`run_stage`] is the *submit* half: all charged accesses, outputs
+/// buffered. When it owes no round trip the outputs are routed right here
+/// and every task's token released. Otherwise a flight is armed instead:
+/// the tokens travel with it and return through
 /// [`JobState::complete_flight`] when it lands.
-fn process_batch(tasks: Vec<Task>, node: usize) {
+fn process_tasks(tasks: Vec<Task>, node: usize) {
     let job = tasks[0].job.clone();
     let stage = tasks[0].stage;
-    if job.failed.load(Ordering::SeqCst) || job.cancelled.load(Ordering::SeqCst) {
-        job.tasks_done(tasks.len() as u64);
-        return;
-    }
-    job.prof.stage_tasks[stage].fetch_add(tasks.len() as u64, Ordering::Relaxed);
-    if let Some(fabric) = job.shared.fabric.clone() {
-        match catch_unwind(AssertUnwindSafe(|| {
-            run_stage_batch_submit(&job, node, stage, &tasks)
-        })) {
+    let tokens = tasks.len() as u64;
+    if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
+        job.prof.stage_tasks[stage].fetch_add(tokens, Ordering::Relaxed);
+        match catch_unwind(AssertUnwindSafe(|| run_stage(&job, node, &tasks))) {
             Ok((outputs, delay)) if !delay.is_zero() => {
                 // Remote work is in the air: arm the flight and keep the
-                // batch's tokens until the completion lands.
-                let tokens = tasks.len() as u64;
+                // dispatch's tokens until the completion lands.
                 job.tally(|m| m.record_flight_begin());
                 let flight_job = job.clone();
-                let stalled = fabric.submit(
+                let stalled = job.shared.fabric.submit(
                     node,
                     delay,
-                    Box::new(move || {
-                        flight_job.complete_flight(node, stage, outputs, tokens);
-                    }),
+                    Box::new(move || flight_job.complete_flight(node, stage, outputs, tokens)),
                 );
                 if stalled {
                     job.tally(|m| m.record_window_stall());
@@ -1163,142 +1017,110 @@ fn process_batch(tasks: Vec<Task>, node: usize) {
                 return;
             }
             Ok((outputs, _)) => {
-                // Entirely local (or cache-served): nothing in the air,
-                // route immediately, exactly like the synchronous path.
-                for record in outputs {
-                    job.handle_output(node, stage, StageOutput::Record(record));
+                for out in outputs {
+                    job.handle_output(node, stage, out);
                 }
             }
             Err(payload) => {
                 job.shared.panics.fetch_add(1, Ordering::Relaxed);
                 let msg = panic_message(payload.as_ref());
                 job.fail(RedeError::Exec(format!(
-                    "stage {} ('{}') panicked in a batched invocation: {msg}",
+                    "stage {} ('{}') panicked: {msg}",
                     stage,
                     job.job.stages()[stage].label()
                 )));
             }
         }
-        job.tasks_done(tasks.len() as u64);
-        return;
     }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-        run_stage_batch(&job, node, stage, &tasks)
-    })) {
-        job.shared.panics.fetch_add(1, Ordering::Relaxed);
-        let msg = panic_message(payload.as_ref());
-        job.fail(RedeError::Exec(format!(
-            "stage {} ('{}') panicked in a batched invocation: {msg}",
-            stage,
-            job.job.stages()[stage].label()
-        )));
-    }
-    job.tasks_done(tasks.len() as u64);
+    job.tasks_done(tokens);
 }
 
-/// Run one batched dereference with per-item fault recovery.
-///
-/// Fault-free clusters stream every record straight into routing, exactly
-/// like the scalar fast path. Under a fault plan, each item's outputs are
-/// buffered (post-filter, like the scalar retry path) and flushed exactly
-/// once when that item succeeds; only the transient-failed subset is
-/// re-executed, so batchmates of a faulty site are never re-read and never
-/// double-emit. Item errors fail the job individually, matching what the
-/// same tasks would have done unbatched.
-fn run_stage_batch(job: &Arc<JobState>, node: usize, stage_idx: usize, tasks: &[Task]) {
-    let stage = &job.job.stages()[stage_idx];
-    let Stage::Dereference { func, filter, .. } = stage else {
-        job.fail(RedeError::Exec(format!(
-            "stage {} ('{}') received mismatched input",
-            stage_idx,
-            stage.label()
-        )));
-        return;
+/// Route a landed flight's buffered outputs. Runs inline on the
+/// dispatcher — by the time a flight lands, all that remains is pure CPU
+/// routing work. Releases the dispatch's in-flight tokens exactly once;
+/// cancelled and failed jobs skip the routing so their backlog drains.
+fn process_flight_done(task: Task, node: usize) {
+    let job = task.job.clone();
+    let TaskItem::FlightDone { outputs, tokens } = task.item else {
+        unreachable!("caller matched FlightDone");
     };
+    if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
+        for out in outputs {
+            job.handle_output(node, task.stage, out);
+        }
+    }
+    job.tasks_done(tokens);
+}
+
+/// The *submit* half of a dispatch: run the stage over every task with
+/// per-item transient-fault recovery, buffering the outputs instead of
+/// routing them, and return them together with the round trip the caller
+/// must observe before routing.
+///
+/// Every charged access happens here, synchronously, in input order — so
+/// seeded chaos runs take identical fault decisions however tasks were
+/// coalesced. Each item's outputs are kept only once that item succeeds,
+/// and only the transient-failed subset is re-executed (up to
+/// [`MAX_RETRIES`] times each, with exponential backoff slept inline), so
+/// a retried item never double-emits — emit counters live in
+/// `handle_output`, at routing time — and its batchmates are never
+/// re-read. Because the injector fails each access site at most once, the
+/// first retry of any given site always passes. Retries stop early when
+/// the job was cancelled or already failed elsewhere — recovering work
+/// nobody will collect just delays the drain. Every other item error
+/// fails the job. Retry rounds model sequential round trips, so the owed
+/// delay is their sum; outputs of items that succeeded in an early round
+/// are held until the whole dispatch routes.
+fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutput>, Duration) {
+    let stage = &job.job.stages()[tasks[0].stage];
     let ctx = StageCtx {
         cluster: job.cluster.clone(),
         node,
-        local_only: false,
+        local_only: tasks[0].local_only,
     };
-    let inputs: Vec<DerefInput> = tasks
-        .iter()
-        .map(|t| match &t.item {
-            TaskItem::Deref(input) => input.clone(),
-            _ => unreachable!("only point dereferences are coalesced"),
-        })
-        .collect();
-    // Filter application identical to the scalar body: the first filter
-    // error poisons its item, records keep streaming past it unemitted.
-    let apply_filter = |record: &Record, slot: &mut Option<RedeError>| -> bool {
-        match filter {
-            Some(f) => match f.matches(record) {
-                Ok(keep) => keep,
-                Err(e) => {
-                    slot.get_or_insert(e);
-                    false
-                }
-            },
-            None => true,
-        }
-    };
-
-    if job.cluster.fault_injector().is_none() {
-        let mut filter_errs: Vec<Option<RedeError>> = (0..inputs.len()).map(|_| None).collect();
-        let results = func.dereference_batch(&inputs, &ctx, &mut |idx, record| {
-            if apply_filter(&record, &mut filter_errs[idx]) {
-                job.handle_output(node, stage_idx, StageOutput::Record(record));
-            }
-        });
-        for (result, ferr) in results.into_iter().zip(filter_errs) {
-            match (result, ferr) {
-                (Err(e), _) | (Ok(()), Some(e)) => job.fail(e),
-                (Ok(()), None) => {}
-            }
-        }
-        return;
-    }
-
-    let mut pending: Vec<usize> = (0..inputs.len()).collect();
-    let mut attempts: Vec<u32> = vec![0; inputs.len()];
+    let mut outputs: Vec<StageOutput> = Vec::new();
+    let mut owed = Duration::ZERO;
+    let mut pending: Vec<usize> = (0..tasks.len()).collect();
+    // Every pending item is re-executed every round, so the round number
+    // is also each pending item's retry count.
     let mut round: u32 = 0;
-    while !pending.is_empty() {
-        let sub_inputs: Vec<DerefInput> = pending.iter().map(|&i| inputs[i].clone()).collect();
-        let mut buffers: Vec<Vec<Record>> = (0..pending.len()).map(|_| Vec::new()).collect();
-        let mut filter_errs: Vec<Option<RedeError>> = (0..pending.len()).map(|_| None).collect();
-        let results = func.dereference_batch(&sub_inputs, &ctx, &mut |pos, record| {
-            if apply_filter(&record, &mut filter_errs[pos]) {
-                buffers[pos].push(record);
-            }
+    loop {
+        let items: Vec<&TaskItem> = pending.iter().map(|&i| &tasks[i].item).collect();
+        // (position in `pending`, output), in emission order.
+        let mut buffered: Vec<(usize, StageOutput)> = Vec::new();
+        let (results, delay) = run_attempt(tasks[0].stage, stage, &ctx, &items, &mut |pos, out| {
+            buffered.push((pos, out))
         });
+        owed += delay;
         let mut retry: Vec<usize> = Vec::new();
-        for ((pos, result), (buffer, ferr)) in results
+        let succeeded: Vec<bool> = results
             .into_iter()
-            .enumerate()
-            .zip(buffers.into_iter().zip(filter_errs))
-        {
-            let idx = pending[pos];
-            match (result, ferr) {
-                (Ok(()), None) => {
-                    // Success: flush this item's outputs exactly once.
-                    for record in buffer {
-                        job.handle_output(node, stage_idx, StageOutput::Record(record));
-                    }
-                }
-                (Err(e), _)
+            .zip(&pending)
+            .map(|(result, &idx)| match result {
+                Ok(()) => true,
+                Err(e)
                     if e.is_transient()
-                        && attempts[idx] < MAX_RETRIES
+                        && round < MAX_RETRIES
                         && !job.cancelled.load(Ordering::SeqCst)
                         && !job.failed.load(Ordering::SeqCst) =>
                 {
-                    attempts[idx] += 1;
                     job.tally(|m| m.record_retry());
                     retry.push(idx);
+                    false
                 }
-                (Err(e), _) | (Ok(()), Some(e)) => job.fail(e),
-            }
-        }
+                Err(e) => {
+                    job.fail(e);
+                    false
+                }
+            })
+            .collect();
+        outputs.extend(
+            buffered
+                .into_iter()
+                .filter_map(|(pos, out)| succeeded[pos].then_some(out)),
+        );
         if retry.is_empty() {
-            return;
+            return (outputs, owed);
         }
         round += 1;
         std::thread::sleep(backoff(round));
@@ -1306,139 +1128,83 @@ fn run_stage_batch(job: &Arc<JobState>, node: usize, stage_idx: usize, tasks: &[
     }
 }
 
-/// The *submit* half of the fabric path: run one batched dereference with
-/// per-item fault recovery, buffering every post-filter output instead of
-/// routing it, and return the buffered outputs together with the deferred
-/// remote delay the caller must observe before routing them.
-///
-/// Every charged access happens here, synchronously, in input order —
-/// fault injection fires at submit time exactly as on the synchronous
-/// path, so seeded chaos runs take identical fault decisions; IOPS
-/// admission, device time, and all counters are likewise identical. Only
-/// the round-trip *wait* is returned instead of slept. Under faults, each
-/// retry round's deferred delay accumulates into the total: retry rounds
-/// model sequential round trips, so the flight's completion deadline is
-/// their sum (backoffs are slept inline before the flight is armed,
-/// exactly like the synchronous retry path). One deliberate deviation:
-/// items that succeed in an early round have their outputs held until the
-/// whole batch's flight lands, where the synchronous path flushes them
-/// per-round — results are identical, only the modeled latency of the
-/// lucky items is slightly pessimistic. Item errors fail the job at
-/// submit, matching the synchronous path.
-fn run_stage_batch_submit(
-    job: &Arc<JobState>,
-    node: usize,
+/// One attempt at a stage over `items`: each item's outputs go to `emit`
+/// tagged with the item's position, and each item gets its own result.
+/// Dereference stages make one batched call (a lone input is a batch of
+/// one) and apply the stage filter — the first filter error poisons its
+/// item, records keep streaming past it unemitted; reference stages owe
+/// no round trip.
+fn run_attempt(
     stage_idx: usize,
-    tasks: &[Task],
-) -> (Vec<Record>, Duration) {
-    let stage = &job.job.stages()[stage_idx];
-    let Stage::Dereference { func, filter, .. } = stage else {
-        job.fail(RedeError::Exec(format!(
+    stage: &Stage,
+    ctx: &StageCtx,
+    items: &[&TaskItem],
+    emit: &mut dyn FnMut(usize, StageOutput),
+) -> (Vec<Result<()>>, Duration) {
+    let mismatched = || {
+        Err(RedeError::Exec(format!(
             "stage {} ('{}') received mismatched input",
             stage_idx,
             stage.label()
-        )));
-        return (Vec::new(), Duration::ZERO);
+        )))
     };
-    let ctx = StageCtx {
-        cluster: job.cluster.clone(),
-        node,
-        local_only: false,
-    };
-    let inputs: Vec<DerefInput> = tasks
-        .iter()
-        .map(|t| match &t.item {
-            TaskItem::Deref(input) => input.clone(),
-            _ => unreachable!("only point dereferences are coalesced"),
-        })
-        .collect();
-    let apply_filter = |record: &Record, slot: &mut Option<RedeError>| -> bool {
-        match filter {
-            Some(f) => match f.matches(record) {
-                Ok(keep) => keep,
-                Err(e) => {
-                    slot.get_or_insert(e);
-                    false
-                }
-            },
-            None => true,
-        }
-    };
-
-    if job.cluster.fault_injector().is_none() {
-        let mut outputs: Vec<Record> = Vec::new();
-        let mut filter_errs: Vec<Option<RedeError>> = (0..inputs.len()).map(|_| None).collect();
-        let (results, deferred) =
-            func.dereference_batch_split(&inputs, &ctx, &mut |idx, record| {
-                if apply_filter(&record, &mut filter_errs[idx]) {
-                    outputs.push(record);
+    match stage {
+        Stage::Dereference { func, filter, .. } => {
+            let inputs: Option<Vec<DerefInput>> = items
+                .iter()
+                .map(|item| match item {
+                    TaskItem::Deref(input) => Some(input.clone()),
+                    _ => None,
+                })
+                .collect();
+            let Some(inputs) = inputs else {
+                return (items.iter().map(|_| mismatched()).collect(), Duration::ZERO);
+            };
+            let mut filter_errs: Vec<Option<RedeError>> = vec![None; inputs.len()];
+            let (results, delay) = func.dereference_batch(&inputs, ctx, &mut |pos, record| {
+                let keep = match filter {
+                    Some(f) => f.matches(&record).unwrap_or_else(|e| {
+                        filter_errs[pos].get_or_insert(e);
+                        false
+                    }),
+                    None => true,
+                };
+                if keep {
+                    emit(pos, StageOutput::Record(record));
                 }
             });
-        for (result, ferr) in results.into_iter().zip(filter_errs) {
-            match (result, ferr) {
-                (Err(e), _) | (Ok(()), Some(e)) => job.fail(e),
-                (Ok(()), None) => {}
-            }
+            let results = results
+                .into_iter()
+                .zip(filter_errs)
+                .map(|(result, filter_err)| result.and(filter_err.map_or(Ok(()), Err)))
+                .collect();
+            (results, delay)
         }
-        return (outputs, deferred);
+        Stage::Reference { func, .. } => {
+            let results = items
+                .iter()
+                .enumerate()
+                .map(|(pos, item)| match item {
+                    TaskItem::Record(record) => {
+                        func.reference(record, ctx, &mut |ptr| emit(pos, StageOutput::Pointer(ptr)))
+                    }
+                    _ => mismatched(),
+                })
+                .collect();
+            (results, Duration::ZERO)
+        }
     }
-
-    let mut outputs: Vec<Record> = Vec::new();
-    let mut total_delay = Duration::ZERO;
-    let mut pending: Vec<usize> = (0..inputs.len()).collect();
-    let mut attempts: Vec<u32> = vec![0; inputs.len()];
-    let mut round: u32 = 0;
-    while !pending.is_empty() {
-        let sub_inputs: Vec<DerefInput> = pending.iter().map(|&i| inputs[i].clone()).collect();
-        let mut buffers: Vec<Vec<Record>> = (0..pending.len()).map(|_| Vec::new()).collect();
-        let mut filter_errs: Vec<Option<RedeError>> = (0..pending.len()).map(|_| None).collect();
-        let (results, deferred) =
-            func.dereference_batch_split(&sub_inputs, &ctx, &mut |pos, record| {
-                if apply_filter(&record, &mut filter_errs[pos]) {
-                    buffers[pos].push(record);
-                }
-            });
-        total_delay += deferred;
-        let mut retry: Vec<usize> = Vec::new();
-        for ((pos, result), (buffer, ferr)) in results
-            .into_iter()
-            .enumerate()
-            .zip(buffers.into_iter().zip(filter_errs))
-        {
-            let idx = pending[pos];
-            match (result, ferr) {
-                (Ok(()), None) => outputs.extend(buffer),
-                (Err(e), _)
-                    if e.is_transient()
-                        && attempts[idx] < MAX_RETRIES
-                        && !job.cancelled.load(Ordering::SeqCst)
-                        && !job.failed.load(Ordering::SeqCst) =>
-                {
-                    attempts[idx] += 1;
-                    job.tally(|m| m.record_retry());
-                    retry.push(idx);
-                }
-                (Err(e), _) | (Ok(()), Some(e)) => job.fail(e),
-            }
-        }
-        if retry.is_empty() {
-            break;
-        }
-        round += 1;
-        std::thread::sleep(backoff(round));
-        pending = retry;
-    }
-    (outputs, total_delay)
 }
 
 /// Per-node dispatcher: serve the weighted multi-queue, spawning
 /// dereference invocations onto the pool and (by default) running
 /// reference invocations inline. Lives for the substrate's lifetime.
 ///
-/// **Coalescing.** When the popped task is a batchable point dereference
-/// (known owner, job batching enabled), the dispatcher pulls up to
-/// `max_batch - 1` same-(stage, owner) batchmates out of the same job
-/// slot. The extras ride the WRR credit and pool slot the lead task
+/// **Coalescing.** When the popped task is a point dereference with a
+/// known owner, the dispatcher pulls up to `max_batch - 1`
+/// same-(stage, owner) batchmates out of the same job slot
+/// ([`Batching::off`] is simply `max_batch = 1`: every batch is a batch of
+/// one). The extras ride the WRR credit and pool slot the lead task
 /// already paid for — a batch is *one* dispatch and one pooled thread, so
 /// fairness (measured in dispatches) and the pool-share cap are
 /// unaffected. If the queue is otherwise empty and the batch is under
@@ -1455,8 +1221,8 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
             let mut waited = false;
             let task = loop {
                 if let Some((key, task)) = state.pop_where(|t| shared.eligible(t)) {
-                    let limit = if task.owner.is_some() && task.job.batching.is_enabled() {
-                        task.job.batching.max_batch - 1
+                    let limit = if task.owner.is_some() {
+                        task.job.batching.max_batch.saturating_sub(1)
                     } else {
                         0
                     };
@@ -1523,48 +1289,23 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
             process_flight_done(task, node);
             continue;
         }
-        // With a fabric configured, a *singleton* pointer dereference also
-        // rides the batch-submit path: scalar dereference sleeps its RTT
-        // inline on the pool thread, which is exactly what the fabric
-        // exists to avoid. A one-task batch is counter-identical to the
-        // scalar path (the substrate only tallies batch counters for
-        // multi-pointer calls), so this changes scheduling, not numbers.
-        let fabric_single = batch.is_empty()
-            && shared.fabric.is_some()
-            && task.owner.is_some()
-            && task.job.batching.is_enabled();
-        if !batch.is_empty() || fabric_single {
-            // Batched point dereferences always run pooled (they do I/O),
-            // occupying a single pool slot for the whole batch.
-            job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
-            job.pool_inflight.fetch_add(1, Ordering::SeqCst);
-            job.tally(|m| m.record_task_spawn());
-            let shared = shared.clone();
-            let mut tasks = Vec::with_capacity(1 + batch.len());
-            tasks.push(task);
-            tasks.append(&mut batch);
-            pool.execute(move || {
-                let job = tasks[0].job.clone();
-                process_batch(tasks, node);
-                let prev = job.pool_inflight.fetch_sub(1, Ordering::SeqCst);
-                if prev >= shared.pool_cap(&job) {
-                    shared.wake_all_dispatchers();
-                }
-            });
-            continue;
-        }
-        let inline = job.referencer_inline && matches!(task.item, TaskItem::Record(_));
+        let mut tasks = Vec::with_capacity(1 + batch.len());
+        tasks.push(task);
+        tasks.append(&mut batch);
+        let inline = job.referencer_inline && matches!(tasks[0].item, TaskItem::Record(_));
         if inline {
             job.prof.inline_runs.fetch_add(1, Ordering::Relaxed);
-            process_task(task, node);
+            process_tasks(tasks, node);
         } else {
+            // Everything else runs pooled (dereferences do I/O); a
+            // coalesced batch occupies a single pool slot for the whole
+            // batch.
             job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
             job.pool_inflight.fetch_add(1, Ordering::SeqCst);
             job.tally(|m| m.record_task_spawn());
             let shared = shared.clone();
             pool.execute(move || {
-                let job = task.job.clone();
-                process_task(task, node);
+                process_tasks(tasks, node);
                 let prev = job.pool_inflight.fetch_sub(1, Ordering::SeqCst);
                 // Wake dispatchers only when this job was actually at its
                 // cap — work elsewhere can only have been blocked on *this*
@@ -1590,15 +1331,10 @@ pub(crate) struct Substrate {
 }
 
 impl Substrate {
-    /// Spawn the pool and the per-node dispatchers eagerly so job timings
-    /// exclude thread creation. A fabric config additionally spawns the
-    /// completion-timer thread and routes batched remote round trips
-    /// through per-node in-flight windows instead of inline sleeps.
-    pub(crate) fn new(
-        cluster: SimCluster,
-        pool_threads: usize,
-        fabric: Option<FabricConfig>,
-    ) -> Substrate {
+    /// Spawn the pool, the per-node dispatchers and the fabric's
+    /// completion-timer thread eagerly so job timings exclude thread
+    /// creation.
+    pub(crate) fn new(cluster: SimCluster, pool_threads: usize, fabric: FabricConfig) -> Substrate {
         let nodes = cluster.nodes();
         let pool = Arc::new(ThreadPool::new(pool_threads, "rede-smpe"));
         let shared = Arc::new(Shared {
@@ -1614,7 +1350,7 @@ impl Substrate {
             pool_threads: pool_threads.max(1),
             shutdown: AtomicBool::new(false),
             panics: pool.panic_counter(),
-            fabric: fabric.map(|cfg| Arc::new(SimFabric::new(cfg))),
+            fabric: SimFabric::new(fabric),
         });
         let dispatchers = (0..nodes)
             .map(|node| {
@@ -1654,10 +1390,9 @@ impl Substrate {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Flights currently armed or window-queued in the fabric; always 0
-    /// without a fabric (and, at rest, with one).
+    /// Flights currently armed or window-queued in the fabric; 0 at rest.
     pub(crate) fn fabric_in_flight(&self) -> usize {
-        self.shared.fabric.as_ref().map_or(0, |f| f.in_flight())
+        self.shared.fabric.in_flight()
     }
 
     /// Admit a job: seed stage 0 on every node and return its state (the
@@ -1728,9 +1463,7 @@ impl Drop for Substrate {
         // fabric shutdown fires all completions, whose continuations (or
         // token releases) must still find live queues so no job is left
         // holding tokens a dead fabric can never return.
-        if let Some(fabric) = &self.shared.fabric {
-            fabric.shutdown();
-        }
+        self.shared.fabric.shutdown();
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_all_dispatchers();
         for d in self.dispatchers.drain(..) {
@@ -1791,8 +1524,8 @@ mod tests {
 
     #[test]
     fn batching_knobs() {
-        assert!(Batching::default().is_enabled());
-        assert!(!Batching::off().is_enabled());
+        assert!(Batching::default().max_batch > 1);
+        assert_eq!(Batching::off().max_batch, 1, "off is a batch of one");
         assert_eq!(Batching::max(0).max_batch, 1, "max clamps to at least 1");
         assert_eq!(Batching::max(7).max_batch, 7);
     }

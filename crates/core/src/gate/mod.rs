@@ -479,7 +479,17 @@ impl HarborGate {
         let max_rows = max_rows.max(1);
         let deadline = Instant::now() + self.config.fetch_timeout;
         loop {
+            // Observe completion *before* draining: emission strictly
+            // precedes completion, so a drain that comes back empty after
+            // a finished observation is exactly "exhausted". Checked the
+            // other way round, records emitted between the empty drain
+            // and the job finishing would be lost behind a done page.
+            let finished = inner.handle.is_finished();
             let records = inner.handle.drain_output(max_rows);
+            #[cfg(test)]
+            if records.is_empty() {
+                tests::after_empty_drain();
+            }
             if !records.is_empty() {
                 let offset = *delivered;
                 *delivered += records.len() as u64;
@@ -502,7 +512,7 @@ impl HarborGate {
                     done,
                 });
             }
-            if inner.handle.is_finished() {
+            if finished {
                 // Nothing buffered and nothing coming. Either a clean
                 // empty tail (done page) or the job's error. `wait`, not
                 // `try_result`: the finished flag is raised before the

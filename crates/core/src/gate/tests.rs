@@ -59,6 +59,21 @@ fn range_job(lo: i64, hi: i64) -> Job {
         .unwrap()
 }
 
+thread_local! {
+    /// Test seam in `HarborGate::fetch`: runs on the fetching thread right
+    /// after a drain came back empty, before anything else is observed.
+    static AFTER_EMPTY_DRAIN: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+pub(super) fn after_empty_drain() {
+    AFTER_EMPTY_DRAIN.with(|hook| {
+        if let Some(hook) = hook.borrow_mut().as_mut() {
+            hook();
+        }
+    });
+}
+
 fn gate_over(c: &SimCluster, config: GateConfig) -> HarborGate {
     HarborGate::with_config(HarborScheduler::with_defaults(c.clone()), config)
 }
@@ -101,6 +116,65 @@ fn session_cap_rejects_with_overloaded_and_frees_on_close() {
     gate.close_session(s1).unwrap();
     assert!(gate.open_session("acme").is_ok());
     assert_eq!(c.metrics().sessions_active(), 3);
+}
+
+/// Regression: `fetch` used to drain the sink, find it empty, and only
+/// then look at `is_finished()` — a job that emitted its last records and
+/// finished between the two got a done page without them.
+#[test]
+fn records_emitted_between_an_empty_drain_and_completion_are_not_lost() {
+    let c = cluster(40);
+    let gate = gate_over(&c, GateConfig::default());
+    let s = gate.open_session("acme").unwrap();
+    // Every final record waits in the filter until the latch opens, so
+    // the job can neither emit nor finish before the test says so.
+    let latch = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
+    let held = latch.clone();
+    let job = Job::builder("latched")
+        .seed(SeedInput::Range {
+            file: "base.weight".into(),
+            lo: Value::Int(0),
+            hi: Value::Int(1000),
+        })
+        .dereference(
+            "probe",
+            Arc::new(BtreeRangeDereferencer::new("base.weight")),
+        )
+        .reference("to-ptr", Arc::new(IndexEntryReferencer::new("base")))
+        .dereference_filtered(
+            "fetch",
+            Arc::new(LookupDereferencer::new("base")),
+            Arc::new(crate::traits::FnFilter(move |_: &Record| {
+                let mut open = held.0.lock();
+                while !*open {
+                    held.1.wait(&mut open);
+                }
+                Ok(true)
+            })),
+        )
+        .build()
+        .unwrap();
+    let cursor = gate.open_cursor(s, &job).unwrap();
+    let handle = gate.state.lock().cursors[&cursor.0].handle.clone();
+    // Force the interleaving: right after fetch's first (empty) drain,
+    // let the job emit everything and run to completion.
+    AFTER_EMPTY_DRAIN.with(|hook| {
+        *hook.borrow_mut() = Some(Box::new(move || {
+            *latch.0.lock() = true;
+            latch.1.notify_all();
+            eventually("latched job finishes", || handle.is_finished());
+        }));
+    });
+    let mut rows = 0;
+    loop {
+        let page = gate.fetch(cursor, 16).unwrap();
+        rows += page.records.len();
+        if page.done {
+            break;
+        }
+    }
+    AFTER_EMPTY_DRAIN.with(|hook| *hook.borrow_mut() = None);
+    assert_eq!(rows, 40, "the tail emitted after the empty drain was lost");
 }
 
 #[test]

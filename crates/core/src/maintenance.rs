@@ -184,25 +184,9 @@ impl IndexBuilder {
         Ok(inserted)
     }
 
-    /// Build on a detached background thread.
-    ///
-    /// The thread is panic-safe — a panicking interpreter surfaces as
-    /// `RedeError::Exec` through the join handle instead of poisoning the
-    /// handle with an opaque panic payload — but the handle itself is the
-    /// caller's problem: drop it unjoined and the build becomes a fire--
-    /// and-forget thread nobody supervises. Prefer
-    /// `HarborScheduler::ensure_index`, which coordinates duplicate
-    /// requests build-once, tracks the thread, and joins it on shutdown.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use HarborScheduler::ensure_index, which coordinates and supervises builds"
-    )]
-    pub fn build_background(self) -> std::thread::JoinHandle<Result<IndexBuildReport>> {
-        self.spawn_build()
-    }
-
-    /// Spawn the build on a named thread with panic containment. Shared by
-    /// the deprecated `build_background` and the advisor's `apply`.
+    /// Spawn the build on a named thread with panic containment — a
+    /// panicking interpreter surfaces as `RedeError::Exec` through the join
+    /// handle instead of an opaque panic payload (the advisor's `apply`).
     pub(crate) fn spawn_build(self) -> std::thread::JoinHandle<Result<IndexBuildReport>> {
         std::thread::Builder::new()
             .name(format!("rede-ixbuild-{}", self.spec.name))
@@ -319,13 +303,12 @@ mod tests {
     #[test]
     fn background_build_completes() {
         let c = cluster_with_base();
-        #[allow(deprecated)]
         let handle = IndexBuilder::new(
             c.clone(),
             IndexSpec::global("bg", "base", 4),
             Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
         )
-        .build_background();
+        .spawn_build();
         let report = handle.join().unwrap().unwrap();
         assert_eq!(report.entries, 200);
         assert!(c.index("bg").is_ok());
@@ -342,9 +325,8 @@ mod tests {
             }
         }
         let c = cluster_with_base();
-        #[allow(deprecated)]
         let handle = IndexBuilder::new(c, IndexSpec::global("boom", "base", 4), Arc::new(Bomb))
-            .build_background();
+            .spawn_build();
         let result = handle.join().expect("thread must not die of the panic");
         match result {
             Err(RedeError::Exec(msg)) => assert!(

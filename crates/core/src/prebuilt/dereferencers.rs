@@ -3,6 +3,7 @@
 use crate::traits::{DerefInput, Dereferencer, StageCtx};
 use rede_common::{RedeError, Result};
 use rede_storage::Record;
+use std::time::Duration;
 
 /// Range-probes a B-tree file — the paper's `Dereferencer-0` ("takes a
 /// range of Part.p_retailprice values as arguments and uses the B-tree
@@ -121,54 +122,11 @@ impl Dereferencer for IndexLookupDereferencer {
         inputs: &[DerefInput],
         ctx: &StageCtx,
         emit: &mut dyn FnMut(usize, Record),
-    ) -> Vec<Result<()>> {
+    ) -> (Vec<Result<()>>, Duration) {
         // Local-only probes are already restricted to node-held partitions
-        // and gain nothing from coalescing; keep the scalar loop. Same if
-        // the index is missing — each scalar call reports the error.
-        let ix = match (ctx.local_only, ctx.cluster.index(&self.index)) {
-            (false, Ok(ix)) => ix,
-            _ => {
-                return inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, input)| self.dereference(input, ctx, &mut |r| emit(idx, r)))
-                    .collect();
-            }
-        };
-        let mut out: Vec<Option<Result<()>>> = (0..inputs.len()).map(|_| None).collect();
-        let mut probes = Vec::with_capacity(inputs.len());
-        for (idx, input) in inputs.iter().enumerate() {
-            match input.as_point().and_then(|p| p.logical_key()) {
-                Some(key) => probes.push((idx, key.clone())),
-                None => {
-                    out[idx] = Some(Err(RedeError::InvalidJob(format!(
-                        "{}: expected a logical point input",
-                        self.label
-                    ))));
-                }
-            }
-        }
-        let keys: Vec<rede_common::Value> = probes.iter().map(|(_, key)| key.clone()).collect();
-        for (&(idx, _), result) in probes.iter().zip(ix.lookup_batch(&keys, ctx.node)) {
-            out[idx] = Some(result.map(|entries| {
-                for entry in entries {
-                    emit(idx, entry);
-                }
-            }));
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every input validated or probed"))
-            .collect()
-    }
-
-    fn dereference_batch_split(
-        &self,
-        inputs: &[DerefInput],
-        ctx: &StageCtx,
-        emit: &mut dyn FnMut(usize, Record),
-    ) -> (Vec<Result<()>>, std::time::Duration) {
-        // Same fallbacks as `dereference_batch`: local-only probes and a
-        // missing index take the scalar loop, which has no deferred RTT.
+        // and gain nothing from coalescing; keep the scalar loop, which
+        // owes no round trip. Same if the index is missing — each scalar
+        // call reports the error.
         let ix = match (ctx.local_only, ctx.cluster.index(&self.index)) {
             (false, Ok(ix)) => ix,
             _ => {
@@ -177,7 +135,7 @@ impl Dereferencer for IndexLookupDereferencer {
                     .enumerate()
                     .map(|(idx, input)| self.dereference(input, ctx, &mut |r| emit(idx, r)))
                     .collect();
-                return (results, std::time::Duration::ZERO);
+                return (results, Duration::ZERO);
             }
         };
         let mut out: Vec<Option<Result<()>>> = (0..inputs.len()).map(|_| None).collect();
@@ -259,41 +217,7 @@ impl Dereferencer for LookupDereferencer {
         inputs: &[DerefInput],
         ctx: &StageCtx,
         emit: &mut dyn FnMut(usize, Record),
-    ) -> Vec<Result<()>> {
-        let mut out: Vec<Option<Result<()>>> = (0..inputs.len()).map(|_| None).collect();
-        let mut ptrs = Vec::with_capacity(inputs.len());
-        for (idx, input) in inputs.iter().enumerate() {
-            match input.as_point() {
-                Some(ptr) if *ptr.file == self.file => ptrs.push((idx, ptr)),
-                Some(ptr) => {
-                    out[idx] = Some(Err(RedeError::InvalidJob(format!(
-                        "{}: pointer targets '{}'",
-                        self.label, ptr.file
-                    ))));
-                }
-                None => {
-                    out[idx] = Some(Err(RedeError::InvalidJob(format!(
-                        "{}: expected a point input",
-                        self.label
-                    ))));
-                }
-            }
-        }
-        let refs: Vec<&rede_storage::Pointer> = ptrs.iter().map(|&(_, ptr)| ptr).collect();
-        for (&(idx, _), result) in ptrs.iter().zip(ctx.cluster.resolve_batch(&refs, ctx.node)) {
-            out[idx] = Some(result.map(|record| emit(idx, record)));
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every input validated or resolved"))
-            .collect()
-    }
-
-    fn dereference_batch_split(
-        &self,
-        inputs: &[DerefInput],
-        ctx: &StageCtx,
-        emit: &mut dyn FnMut(usize, Record),
-    ) -> (Vec<Result<()>>, std::time::Duration) {
+    ) -> (Vec<Result<()>>, Duration) {
         let mut out: Vec<Option<Result<()>>> = (0..inputs.len()).map(|_| None).collect();
         let mut ptrs = Vec::with_capacity(inputs.len());
         for (idx, input) in inputs.iter().enumerate() {
@@ -441,7 +365,7 @@ mod tests {
             .map(|i| DerefInput::Point(Pointer::logical("base", Value::Int(i), Value::Int(i))))
             .collect();
         let mut tagged: Vec<(usize, Record)> = Vec::new();
-        let results = d.dereference_batch(&inputs, &ctx, &mut |idx, r| tagged.push((idx, r)));
+        let (results, _) = d.dereference_batch(&inputs, &ctx, &mut |idx, r| tagged.push((idx, r)));
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(tagged.len(), 20);
         for (idx, record) in &tagged {
@@ -451,7 +375,7 @@ mod tests {
         let mut inputs = inputs;
         inputs[3] = DerefInput::Point(Pointer::logical("other", Value::Int(3), Value::Int(3)));
         let mut count = 0;
-        let results = d.dereference_batch(&inputs, &ctx, &mut |_, _| count += 1);
+        let (results, _) = d.dereference_batch(&inputs, &ctx, &mut |_, _| count += 1);
         assert!(results[3].is_err());
         assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 19);
         assert_eq!(count, 19);
@@ -466,7 +390,7 @@ mod tests {
             .map(|i| DerefInput::Point(Pointer::logical("mod10", Value::Int(i), Value::Int(i))))
             .collect();
         let mut batched: Vec<Vec<Record>> = vec![Vec::new(); inputs.len()];
-        let results = d.dereference_batch(&inputs, &ctx, &mut |idx, r| batched[idx].push(r));
+        let (results, _) = d.dereference_batch(&inputs, &ctx, &mut |idx, r| batched[idx].push(r));
         assert!(results.iter().all(|r| r.is_ok()));
         for (input, got) in inputs.iter().zip(&batched) {
             assert_eq!(got, &run_deref(&d, input.clone(), &ctx), "postings differ");

@@ -64,12 +64,10 @@ pub struct SchedulerConfig {
     /// queued — fair-share weights keep admitted jobs honest, this keeps
     /// the *backlog* honest. `None` (the default) admits everything.
     pub max_tenant_queue_depth: Option<usize>,
-    /// Event-driven completion layer for remote round trips, shared by
-    /// all jobs. `None` (the default) keeps the synchronous model where a
-    /// pool thread sleeps each remote batch's RTT inline; `Some(fabric)`
-    /// submits remote batches to per-node in-flight windows instead (see
+    /// Per-node in-flight window of the event-driven completion layer
+    /// that carries every remote round trip, shared by all jobs (see
     /// `rede_storage::fabric`).
-    pub fabric: Option<FabricConfig>,
+    pub fabric: FabricConfig,
 }
 
 impl Default for SchedulerConfig {
@@ -80,7 +78,7 @@ impl Default for SchedulerConfig {
             routing: RoutingPolicy::default(),
             batching: Batching::default(),
             max_tenant_queue_depth: None,
-            fabric: None,
+            fabric: FabricConfig::default(),
         }
     }
 }
@@ -246,8 +244,8 @@ pub struct SchedulerStats {
     pub deadline_aborts: u64,
     /// Submissions refused by per-tenant admission control.
     pub rejected_jobs: u64,
-    /// Fabric flights currently armed or window-queued; always 0 without
-    /// a configured fabric, and 0 at rest with one (every flight lands).
+    /// Fabric flights currently armed or window-queued; 0 at rest (every
+    /// flight lands).
     pub fabric_in_flight: usize,
 }
 

@@ -14,6 +14,7 @@
 
 use rede_common::{Result, Value};
 use rede_storage::{Pointer, Record, SimCluster};
+use std::time::Duration;
 
 /// Execution context handed to every function invocation.
 #[derive(Clone)]
@@ -105,13 +106,21 @@ pub trait Dereferencer: Send + Sync {
         emit: &mut dyn FnMut(Record),
     ) -> Result<()>;
 
-    /// Resolve a batch of inputs in one call. Each located record is
-    /// passed to `emit` tagged with the index of the input that produced
-    /// it; the returned vector holds one result per input, in input order,
-    /// so items succeed or fail independently.
+    /// Resolve a batch of inputs in one call — the entry point the
+    /// executor drives (a lone input is a batch of one). Each located
+    /// record is passed to `emit` tagged with the index of the input that
+    /// produced it; the returned vector holds one result per input, in
+    /// input order, so items succeed or fail independently.
     ///
-    /// The default implementation loops the scalar path and is exactly
-    /// equivalent to per-input dereferencing. Implementations backed by
+    /// The returned delay is the network round trip the batch still owes:
+    /// all charged work — fault injection, IOPS admission, device time,
+    /// counters — happens inside this call, in input order, but the wait
+    /// for remote groups is handed to the caller, which either arms a
+    /// fabric flight for it or (when zero: everything was local) treats
+    /// the results as final at once.
+    ///
+    /// The default implementation loops the scalar path, which waits any
+    /// round trip inline, and owes nothing. Implementations backed by
     /// charged storage override it to amortize fixed per-request costs
     /// (IOPS admission, network RTT, root-to-leaf descents) across the
     /// batch — see `LookupDereferencer` and `IndexLookupDereferencer`.
@@ -120,40 +129,13 @@ pub trait Dereferencer: Send + Sync {
         inputs: &[DerefInput],
         ctx: &StageCtx,
         emit: &mut dyn FnMut(usize, Record),
-    ) -> Vec<Result<()>> {
-        inputs
+    ) -> (Vec<Result<()>>, Duration) {
+        let results = inputs
             .iter()
             .enumerate()
             .map(|(idx, input)| self.dereference(input, ctx, &mut |r| emit(idx, r)))
-            .collect()
-    }
-
-    /// Resolve a batch of inputs with the remote round-trip *deferred*.
-    ///
-    /// Identical to [`Dereferencer::dereference_batch`] except that instead
-    /// of sleeping the network RTT inline, the implementation returns the
-    /// delay the caller must observe before treating the batch as complete.
-    /// The async fabric uses this to submit the batch, park the delay on a
-    /// completion queue, and free the pool thread; `Duration::ZERO` means
-    /// the batch was entirely local (or the dereferencer has no charged
-    /// remote path) and the results are immediately final.
-    ///
-    /// All charged accounting — fault injection, IOPS admission, device
-    /// time, counters — still happens synchronously inside this call, in
-    /// input order; only the RTT wait moves to the caller. The default
-    /// implementation delegates to `dereference_batch` (which sleeps any
-    /// RTT inline) and returns zero, so custom dereferencers are
-    /// fabric-compatible without changes.
-    fn dereference_batch_split(
-        &self,
-        inputs: &[DerefInput],
-        ctx: &StageCtx,
-        emit: &mut dyn FnMut(usize, Record),
-    ) -> (Vec<Result<()>>, std::time::Duration) {
-        (
-            self.dereference_batch(inputs, ctx, emit),
-            std::time::Duration::ZERO,
-        )
+            .collect();
+        (results, Duration::ZERO)
     }
 
     /// Human-readable name for diagnostics.

@@ -42,7 +42,7 @@ use parking_lot::Mutex;
 use rede_common::{Metrics, RedeError, Result, Value};
 use rede_storage::{
     FileSpec, IndexEntry, IndexLocality, IndexMaintainer, Partitioning, Record, SimCluster, WalOp,
-    WriteAheadLog,
+    WeakCluster, WriteAheadLog,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -181,7 +181,7 @@ impl TxnManager {
         let base = handle.raw().base().to_string();
         let horizon = self.cluster.file(&base)?.raw().events_len();
         let catchup = Arc::new(IndexCatchUp {
-            cluster: self.cluster.clone(),
+            cluster: self.cluster.downgrade(),
             index: index.to_string(),
             base,
             index_key,
@@ -348,7 +348,9 @@ impl IngestSession {
 /// its existing entry and the snapshot filter on the probe side picks
 /// the visible version.
 struct IndexCatchUp {
-    cluster: SimCluster,
+    /// Held weakly: the cluster's catalog owns the index that owns this
+    /// maintainer, so a strong handle would keep the cluster alive forever.
+    cluster: WeakCluster,
     index: String,
     base: String,
     index_key: Arc<dyn Interpreter>,
@@ -361,15 +363,15 @@ struct IndexCatchUp {
 }
 
 impl IndexCatchUp {
-    fn run(&self) -> Result<()> {
-        let heap = self.cluster.file(&self.base)?;
+    fn run(&self, cluster: &SimCluster) -> Result<()> {
+        let heap = cluster.file(&self.base)?;
         let _pass = self.pass_lock.lock();
         let from = self.applied.load(Ordering::Acquire);
         let events = heap.raw().events_since(from);
         if events.is_empty() {
             return Ok(());
         }
-        let index = self.cluster.index(&self.index)?;
+        let index = cluster.index(&self.index)?;
         for ev in &events {
             if !ev.first {
                 continue;
@@ -397,19 +399,23 @@ impl IndexCatchUp {
             }
         }
         self.applied.store(from + events.len(), Ordering::Release);
-        self.cluster.metrics().record_catchup_build();
+        cluster.metrics().record_catchup_build();
         Ok(())
     }
 }
 
 impl IndexMaintainer for IndexCatchUp {
     fn ensure_fresh(&self) -> Result<()> {
+        // A dropped cluster has nothing left to serve.
+        let Some(cluster) = self.cluster.upgrade() else {
+            return Ok(());
+        };
         // Fast path: one acquire load against the heap's event horizon.
-        let heap = self.cluster.file(&self.base)?;
+        let heap = cluster.file(&self.base)?;
         if self.applied.load(Ordering::Acquire) >= heap.raw().events_len() {
             return Ok(());
         }
-        self.run()
+        self.run(&cluster)
     }
 }
 
@@ -546,6 +552,35 @@ mod tests {
         s.write("base", Value::Int(12), row(12));
         s.commit().unwrap();
         assert_eq!(ix.lookup(&Value::Int(12 * 7), 0).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn maintained_cluster_is_freed_with_its_last_outside_handle() {
+        let c = cluster();
+        let mgr = TxnManager::new(c.clone());
+        let mut s = mgr.begin();
+        s.create_file("base", Partitioning::hash(4));
+        s.write("base", Value::Int(1), row(1));
+        s.commit().unwrap();
+        let interp = || Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int));
+        IndexBuilder::new(c.clone(), IndexSpec::global("base.v", "base", 4), interp())
+            .build()
+            .unwrap();
+        mgr.maintain_index("base.v", interp(), None).unwrap();
+
+        // The index (and the maintainer it holds) outlives the cluster
+        // here only because the test keeps it; the maintainer must not
+        // keep the cluster alive in turn.
+        let index = c.index("base.v").unwrap().raw().clone();
+        let weak = c.downgrade();
+        drop(mgr);
+        drop(c);
+        assert!(
+            weak.upgrade().is_none(),
+            "cluster -> index -> maintainer -> cluster cycle leaks the cluster"
+        );
+        // A catch-up pass on the dropped cluster is a clean no-op.
+        index.ensure_fresh().unwrap();
     }
 
     #[test]

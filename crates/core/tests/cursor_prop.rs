@@ -35,12 +35,14 @@ use std::time::Duration;
 /// over `base.weight` ∈ [0, 2(m-1)] yields exactly `m` records.
 const ROWS: i64 = 64;
 
-/// One shared gate for every generated case (cases run sequentially).
+/// One gate per property, shared by that property's generated cases
+/// (which run sequentially). The two properties run on parallel test
+/// threads and both assert gate-wide state (zero cursors after close,
+/// exactly one cursor reaped by a sweep), so they must not share one.
 /// Tiny cursor buffer so pagination exercises sink backpressure, tiny
 /// cursor idle timeout so the `Expire` op can trip it with a short sleep.
-fn gate() -> &'static HarborGate {
-    static GATE: OnceLock<HarborGate> = OnceLock::new();
-    GATE.get_or_init(|| {
+fn gate(cell: &'static OnceLock<HarborGate>) -> &'static HarborGate {
+    cell.get_or_init(|| {
         let c = SimCluster::builder()
             .nodes(4)
             .io_model(IoModel::zero())
@@ -111,13 +113,13 @@ fn sorted_bytes(records: &[Record]) -> Vec<Vec<u8>> {
 }
 
 /// One-shot collected reference for `matches`, memoized across cases.
-fn reference(matches: usize) -> Vec<Vec<u8>> {
+fn reference(gate: &HarborGate, matches: usize) -> Vec<Vec<u8>> {
     static REFS: OnceLock<Mutex<HashMap<usize, Vec<Vec<u8>>>>> = OnceLock::new();
     let refs = REFS.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(cached) = refs.lock().unwrap().get(&matches) {
         return cached.clone();
     }
-    let result = gate()
+    let result = gate
         .scheduler()
         .submit_with(&job_matching(matches), SubmitOptions::new().collecting())
         .unwrap()
@@ -178,8 +180,9 @@ proptest! {
         matches in 0usize..=ROWS as usize,
         sizes in proptest::collection::vec(1usize..=17, 1..=8),
     ) {
-        let gate = gate();
-        let expect = reference(matches);
+        static GATE: OnceLock<HarborGate> = OnceLock::new();
+        let gate = gate(&GATE);
+        let expect = reference(gate, matches);
         let session = gate.open_session("prop").unwrap();
         let cursor = gate.open_cursor(session, &job_matching(matches)).unwrap();
         let mut all: Vec<Record> = Vec::new();
@@ -218,8 +221,9 @@ proptest! {
         matches in 0usize..=ROWS as usize,
         ops in ops_strategy(),
     ) {
-        let gate = gate();
-        let expect = reference(matches);
+        static GATE: OnceLock<HarborGate> = OnceLock::new();
+        let gate = gate(&GATE);
+        let expect = reference(gate, matches);
         let session = gate.open_session("prop").unwrap();
         let cursor = gate.open_cursor(session, &job_matching(matches)).unwrap();
         let mut delivered: Vec<Record> = Vec::new();

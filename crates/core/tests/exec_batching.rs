@@ -1,19 +1,18 @@
 //! Batched-dereference equivalence: coalescing same-(job, stage, owner)
 //! point dereferences into vectorized storage calls is a pure performance
-//! transformation. Across every routing policy × cache placement × fault
-//! plan × batch bound, the batched run must produce byte-identical output
-//! to the strict per-pointer run, and the conservation invariant
-//! `local + remote + cache hits == logical point reads` must hold exactly,
-//! per job and per node.
+//! transformation. Across every routing policy × record cache on/off ×
+//! fault plan × batch bound, the batched run must produce byte-identical
+//! output to the strict per-pointer run (`Batching::off()`, every batch a
+//! batch of one) and move the same conservation counters, and the
+//! invariant `local + remote + cache hits == logical point reads` must hold
+//! exactly, per job and per node.
 
 use rede_common::Value;
 use rede_core::exec::{Batching, ExecutorConfig, JobRunner, RoutingPolicy};
 use rede_core::job::{Job, SeedInput};
 use rede_core::maintenance::IndexBuilder;
 use rede_core::prebuilt::*;
-use rede_storage::{
-    CachePlacement, FaultPlan, FileSpec, IndexSpec, Partitioning, Record, SimCluster,
-};
+use rede_storage::{FaultPlan, FileSpec, IndexSpec, Partitioning, Record, SimCluster};
 use std::sync::Arc;
 
 const PARTS: i64 = 120;
@@ -22,15 +21,10 @@ const LINES_PER_PART: i64 = 3;
 /// Same shape as the routing fixture: `part` (local retailprice index)
 /// joined to `lineitem` (global FK index), with the FK hop crossing
 /// partitions — the access pattern batching is built for.
-fn fixture(
-    nodes: usize,
-    partitions: usize,
-    cache: Option<CachePlacement>,
-    faults: bool,
-) -> SimCluster {
+fn fixture(nodes: usize, partitions: usize, cache: bool, faults: bool) -> SimCluster {
     let mut b = SimCluster::builder().nodes(nodes);
-    if let Some(placement) = cache {
-        b = b.record_cache(64 * 1024).cache_placement(placement);
+    if cache {
+        b = b.record_cache(64 * 1024);
     }
     if faults {
         b = b.faults(FaultPlan::transient(7, 0.25));
@@ -163,16 +157,11 @@ fn batching_is_invisible_across_routing_cache_and_fault_grid() {
         RoutingPolicy::Producer,
         RoutingPolicy::hybrid(),
     ];
-    let caches = [
-        None,
-        Some(CachePlacement::PerNode),
-        Some(CachePlacement::Shared),
-    ];
     let job = join_job();
     for faults in [false, true] {
-        for cache in caches {
+        for cache in [false, true] {
             for routing in routings {
-                let tag = format!("faults={faults} cache={cache:?} routing={routing:?}");
+                let tag = format!("faults={faults} cache={cache} routing={routing:?}");
                 // Every run gets a fresh fixture: cold caches and untouched
                 // fault sites, so the batched runs face exactly the faults
                 // the baseline faced.
@@ -197,14 +186,23 @@ fn batching_is_invisible_across_routing_cache_and_fault_grid() {
                     );
                     assert_eq!(off.count, b.count);
                     assert_conservation(&b, &format!("{tag} batch={max_batch}"));
+                    // Coalescing moves no conservation counter: the same
+                    // logical reads, the same probes, the same fault sites
+                    // met once each and retried once each.
+                    assert_eq!(
+                        b.metrics.point_reads() + b.metrics.cache_hits,
+                        off.metrics.point_reads() + off.metrics.cache_hits,
+                        "[{tag}] batch={max_batch} changed the logical read count"
+                    );
+                    assert_eq!(b.metrics.index_lookups, off.metrics.index_lookups);
+                    assert_eq!(b.metrics.faults_injected, off.metrics.faults_injected);
+                    assert_eq!(b.metrics.retries, b.metrics.faults_injected);
+                    assert_eq!(off.metrics.retries, off.metrics.faults_injected);
                     // RTT counts are only run-to-run comparable when the
                     // remote population is deterministic: hybrid's split
                     // shifts with load, cache hits depend on LRU timing,
                     // and retried faults re-pay RTTs.
-                    if !matches!(routing, RoutingPolicy::Hybrid { .. })
-                        && cache.is_none()
-                        && !faults
-                    {
+                    if !matches!(routing, RoutingPolicy::Hybrid { .. }) && !cache && !faults {
                         assert!(
                             b.profile.remote_rtts <= off.profile.remote_rtts,
                             "[{tag}] batching may only amortize RTTs, got {} > {}",
@@ -219,8 +217,8 @@ fn batching_is_invisible_across_routing_cache_and_fault_grid() {
 }
 
 #[test]
-fn batch_of_one_degenerates_to_the_scalar_path() {
-    let c = fixture(3, 6, None, false);
+fn batch_of_one_is_batching_off() {
+    let c = fixture(3, 6, false, false);
     let job = join_job();
     let off = run_with(&c, &job, RoutingPolicy::Owner, Batching::off());
     // max_batch == 1 via `max` clamping must behave exactly like `off`.
@@ -236,7 +234,7 @@ fn batch_of_one_degenerates_to_the_scalar_path() {
 
 #[test]
 fn producer_routing_batches_amortize_remote_rtts() {
-    let c = fixture(3, 6, None, false);
+    let c = fixture(3, 6, false, false);
     let job = join_job();
     // Producer routing leaves the FK hop remote, so every dereference pays
     // an RTT unbatched; coalescing must collapse them to one per batch.

@@ -215,24 +215,6 @@ impl Shard {
     }
 }
 
-/// Where the record cache lives relative to the cluster's nodes.
-///
-/// The paper's § V-C storage layer is *node-local*: each node caches the
-/// records it dereferences, which is what a real deployment can build (a
-/// node cannot hit on a record another node's memory holds). The
-/// cluster-wide variant — one pool shared by every node — is kept purely
-/// for ablation: it is physically unrealizable but shows how much of the
-/// hit rate comes from locality versus sheer capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePlacement {
-    /// One cache per node, keyed off the node issuing the resolve; the
-    /// configured byte budget is split evenly across nodes (exact total).
-    #[default]
-    PerNode,
-    /// A single pool shared by all nodes (ablation baseline).
-    Shared,
-}
-
 /// Sharded exact-LRU record cache with a byte budget.
 pub struct RecordCache {
     shards: Vec<Mutex<Shard>>,

@@ -16,7 +16,7 @@ use crate::btree_file::{BtreeFile, IndexEntry, IndexSpec};
 use crate::buffer::{
     BufferPool, ByteBudget, PageStats, PoolStats, ShrinkBytes, DEFAULT_PAGE_BYTES,
 };
-use crate::cache::{CacheKey, CachePlacement, RecordCache};
+use crate::cache::{CacheKey, RecordCache};
 use crate::catalog::{Catalog, StorageObject};
 use crate::faults::{AccessClass, FaultDecision, FaultInjector, FaultPlan};
 use crate::heap_file::HeapFile;
@@ -26,7 +26,7 @@ use crate::pointer::{Pointer, PointerKey};
 use crate::record::Record;
 use rede_common::{AccessKind, FxHasher, IoScope, Metrics, RedeError, Result, Value};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Deterministic identity of a point-read access for fault decisions:
@@ -52,15 +52,6 @@ fn probe_site(index: &str, partition: usize, lo: &Value, hi: &Value) -> u64 {
     h.finish()
 }
 
-/// Resolution of the fault gate for one charged access: which node's
-/// device serves it and how slowly.
-enum Gate {
-    /// Healthy (or browned-out) owner serves the access.
-    Pass { latency_mult: u32 },
-    /// The owner is down; a replica on `node` serves the access.
-    Replica { node: usize },
-}
-
 /// Declarative description of a heap file.
 #[derive(Debug, Clone)]
 pub struct FileSpec {
@@ -80,75 +71,53 @@ impl FileSpec {
     }
 }
 
-/// The record cache in its configured placement. Every access names the
-/// node issuing the resolve so per-node caches stay node-private.
-enum CacheLayer {
-    /// One pool shared by all nodes (ablation baseline).
-    Shared(RecordCache),
-    /// One cache per node, indexed by the issuing node.
-    PerNode(Vec<RecordCache>),
-}
+/// The record cache: one node-private cache per node (§ V-C — a node can
+/// only hit on records its own memory holds), indexed by the node issuing
+/// the resolve.
+struct CacheLayer(Vec<RecordCache>);
 
 impl CacheLayer {
     fn get(&self, node: usize, key: &CacheKey) -> Option<Record> {
-        match self {
-            CacheLayer::Shared(cache) => cache.get(key),
-            CacheLayer::PerNode(caches) => caches[node].get(key),
-        }
+        self.0[node].get(key)
     }
 
     fn insert(&self, node: usize, key: CacheKey, value: Record) {
-        match self {
-            CacheLayer::Shared(cache) => cache.insert(key, value),
-            CacheLayer::PerNode(caches) => caches[node].insert(key, value),
-        }
+        self.0[node].insert(key, value)
     }
 
     /// Drop a key from every cache that might hold it. Writers cannot know
-    /// which nodes dereferenced the record, so per-node placement purges
-    /// all nodes (misses are O(1) per shard probe).
+    /// which nodes dereferenced the record, so all nodes are purged
+    /// (misses are O(1) per shard probe).
     fn purge(&self, key: &CacheKey) {
-        match self {
-            CacheLayer::Shared(cache) => {
-                cache.remove(key);
-            }
-            CacheLayer::PerNode(caches) => {
-                for cache in caches {
-                    cache.remove(key);
-                }
-            }
+        for cache in &self.0 {
+            cache.remove(key);
         }
     }
 }
 
 impl ShrinkBytes for CacheLayer {
     /// Give bytes back to the shared budget when the buffer pool cannot
-    /// evict its own pages. Per-node caches are drained round-robin so
+    /// evict its own pages. The caches are drained round-robin so
     /// pressure lands evenly instead of emptying node 0 first.
     fn shrink_bytes(&self, want: usize) -> usize {
-        match self {
-            CacheLayer::Shared(cache) => cache.shrink_bytes(want),
-            CacheLayer::PerNode(caches) => {
-                let mut freed = 0;
-                while freed < want {
-                    let mut progress = false;
-                    for cache in caches {
-                        if freed >= want {
-                            break;
-                        }
-                        let f = cache.shrink_bytes(1);
-                        if f > 0 {
-                            freed += f;
-                            progress = true;
-                        }
-                    }
-                    if !progress {
-                        break;
-                    }
+        let mut freed = 0;
+        while freed < want {
+            let mut progress = false;
+            for cache in &self.0 {
+                if freed >= want {
+                    break;
                 }
-                freed
+                let f = cache.shrink_bytes(1);
+                if f > 0 {
+                    freed += f;
+                    progress = true;
+                }
+            }
+            if !progress {
+                break;
             }
         }
+        freed
     }
 }
 
@@ -207,6 +176,24 @@ pub struct SimCluster {
     snapshot: Option<u64>,
 }
 
+/// A handle that does not keep the cluster alive, for structures the
+/// cluster itself owns (an index's maintainer must not hold its own
+/// catalog in memory). Upgrades to an unscoped, unpinned [`SimCluster`]
+/// while any owning handle survives.
+#[derive(Clone)]
+pub struct WeakCluster(Weak<ClusterInner>);
+
+impl WeakCluster {
+    /// A full handle, or `None` once the cluster has been dropped.
+    pub fn upgrade(&self) -> Option<SimCluster> {
+        self.0.upgrade().map(|inner| SimCluster {
+            inner,
+            scope: None,
+            snapshot: None,
+        })
+    }
+}
+
 /// Builder for [`SimCluster`].
 pub struct SimClusterBuilder {
     nodes: usize,
@@ -214,7 +201,6 @@ pub struct SimClusterBuilder {
     metrics: Option<Metrics>,
     memory_budget: Option<usize>,
     cache_capacity: Option<usize>,
-    cache_placement: CachePlacement,
     faults: Option<FaultPlan>,
 }
 
@@ -240,9 +226,9 @@ impl SimClusterBuilder {
 
     /// Enable the record cache (§ V-C) holding up to `capacity` **bytes**
     /// of records *in total across the cluster* (each entry costs its
-    /// record bytes plus [`crate::cache::CACHE_ENTRY_OVERHEAD`]). Under
-    /// the default [`CachePlacement::PerNode`] the budget is split evenly
-    /// across nodes, each node caching only what it resolves itself.
+    /// record bytes plus [`crate::cache::CACHE_ENTRY_OVERHEAD`]). The
+    /// budget is split evenly across nodes, each node caching only what it
+    /// resolves itself.
     /// Cache hits skip the point-read latency and are counted as
     /// `cache_hits` (aggregate and per issuing node) instead of storage
     /// accesses, so leave the cache off for experiments that compare
@@ -265,14 +251,6 @@ impl SimClusterBuilder {
     /// reads into errors instead of evictions.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Choose where the record cache lives (default:
-    /// [`CachePlacement::PerNode`]). Only meaningful together with
-    /// [`SimClusterBuilder::record_cache`].
-    pub fn cache_placement(mut self, placement: CachePlacement) -> Self {
-        self.cache_placement = placement;
         self
     }
 
@@ -309,11 +287,11 @@ impl SimClusterBuilder {
         // The cache charges the shared budget only when one is actually
         // bounded: an unbounded cluster keeps the cache's own byte
         // capacity as the sole limit, exactly as before this knob existed.
-        let new_cache = |capacity: usize, shards: usize| {
+        let new_cache = |capacity: usize| {
             if budget.is_unbounded() {
-                RecordCache::with_byte_capacity(capacity, shards)
+                RecordCache::with_byte_capacity(capacity, 4)
             } else {
-                RecordCache::with_shared_budget(capacity, shards, budget.clone())
+                RecordCache::with_shared_budget(capacity, 4, budget.clone())
             }
         };
         let cache = match self.cache_capacity {
@@ -324,29 +302,23 @@ impl SimClusterBuilder {
                         .into(),
                 ));
             }
-            Some(capacity) => match self.cache_placement {
-                CachePlacement::Shared => Some(CacheLayer::Shared(new_cache(
-                    capacity,
-                    (self.nodes * 4).max(4),
-                ))),
-                CachePlacement::PerNode => {
-                    if capacity < self.nodes {
-                        return Err(RedeError::Config(format!(
-                            "per-node record cache needs capacity >= nodes \
-                             (capacity {capacity} B, nodes {})",
-                            self.nodes
-                        )));
-                    }
-                    // Exact split of the total budget: node i gets the base
-                    // share plus one of the remainder bytes.
-                    let (base, extra) = (capacity / self.nodes, capacity % self.nodes);
-                    Some(CacheLayer::PerNode(
-                        (0..self.nodes)
-                            .map(|i| new_cache(base + usize::from(i < extra), 4))
-                            .collect(),
-                    ))
-                }
-            },
+            Some(capacity) if capacity < self.nodes => {
+                return Err(RedeError::Config(format!(
+                    "per-node record cache needs capacity >= nodes \
+                     (capacity {capacity} B, nodes {})",
+                    self.nodes
+                )));
+            }
+            Some(capacity) => {
+                // Exact split of the total budget: node i gets the base
+                // share plus one of the remainder bytes.
+                let (base, extra) = (capacity / self.nodes, capacity % self.nodes);
+                Some(CacheLayer(
+                    (0..self.nodes)
+                        .map(|i| new_cache(base + usize::from(i < extra)))
+                        .collect(),
+                ))
+            }
         };
         let cache = cache.map(Arc::new);
         if let Some(cache) = &cache {
@@ -383,7 +355,6 @@ impl SimCluster {
             metrics: None,
             memory_budget: None,
             cache_capacity: None,
-            cache_placement: CachePlacement::default(),
             faults: None,
         }
     }
@@ -427,6 +398,11 @@ impl SimCluster {
             scope: self.scope.clone(),
             snapshot: Some(ts),
         }
+    }
+
+    /// A non-owning handle to this cluster (see [`WeakCluster`]).
+    pub fn downgrade(&self) -> WeakCluster {
+        WeakCluster(Arc::downgrade(&self.inner))
     }
 
     /// The snapshot timestamp pinned on this handle, if any.
@@ -518,16 +494,18 @@ impl SimCluster {
     }
 
     /// Consult the fault injector (when present) about one charged access
-    /// of `class` against a partition owned by `owner`. Failed accesses
+    /// of `class` against a partition owned by `owner`: which node's
+    /// device serves it (the owner, or a live replica when the owner is
+    /// down) and at what brown-out latency multiplier. Failed accesses
     /// count only `faults_injected` — the conservation counters
     /// (`local`/`remote`/`cache_*`) never see an access that did not
     /// complete — and replica-served accesses count `rerouted_reads`.
-    fn fault_gate(&self, class: AccessClass, owner: usize, site: u64) -> Result<Gate> {
+    fn fault_gate(&self, class: AccessClass, owner: usize, site: u64) -> Result<(usize, u32)> {
         let Some(inj) = &self.inner.faults else {
-            return Ok(Gate::Pass { latency_mult: 1 });
+            return Ok((owner, 1));
         };
         match inj.consult(class, owner, site) {
-            FaultDecision::Pass { latency_mult } => Ok(Gate::Pass { latency_mult }),
+            FaultDecision::Pass { latency_mult } => Ok((owner, latency_mult)),
             FaultDecision::Transient => {
                 self.tally(|m| m.record_fault_injected());
                 Err(RedeError::Transient(format!(
@@ -537,7 +515,7 @@ impl SimCluster {
             FaultDecision::OwnerDown => match inj.live_replica(owner, self.inner.nodes) {
                 Some(node) => {
                     self.tally(|m| m.record_rerouted_read());
-                    Ok(Gate::Replica { node })
+                    Ok((node, 1))
                 }
                 None => {
                     self.tally(|m| m.record_fault_injected());
@@ -549,83 +527,101 @@ impl SimCluster {
         }
     }
 
-    /// Pay for one point read of a record in `partition`, issued from
-    /// `from_node`. Returns after the (possibly zero) injected latency.
+    /// The one place an access is charged: every point read and index
+    /// probe, scalar or batched, pays here. `sites` are the accesses as
+    /// `(partition, fault site)` pairs issued from `from_node`.
     ///
-    /// The owner's IOPS permit is held only for the *device* portion of
-    /// the latency; a remote read pays the network RTT after releasing it.
-    /// Wire time must not occupy a disk-queue slot, or one slow remote
-    /// reader would falsely throttle the owner's local readers.
+    /// The fault gate runs once per site in input order — injection
+    /// decisions depend only on *what* is read, so they are the same
+    /// however the accesses were grouped — and an injected failure yields
+    /// that site's `Err(Transient)` before any counter or permit moves for
+    /// it. Survivors are grouped by the device that serves them (the
+    /// owner, or its replica), and each group holds one IOPS permit for
+    /// one summed device sleep. Wire time must not occupy a disk-queue
+    /// slot, so a group served by another node only *counts* its network
+    /// round trip here; the returned delay is the round trip the caller
+    /// still owes — all remote groups are in the air at once, so it is one
+    /// RTT however many groups were remote, and zero when all were local.
     ///
-    /// The fault gate runs first: an injected failure returns
-    /// `Err(Transient)` before any counter or permit moves, and a down
-    /// owner hands the device work to its replica node (whose limiter is
-    /// then the one charged).
-    fn charge_point_read(&self, partition: usize, from_node: usize, site: u64) -> Result<()> {
+    /// `batched` marks a multi-access request: its groups additionally
+    /// move `batched_reads` / `batches_issued`, which a scalar access
+    /// never touches.
+    fn charge(
+        &self,
+        class: AccessClass,
+        from_node: usize,
+        sites: &[(usize, u64)],
+        batched: bool,
+    ) -> (Vec<Result<()>>, Duration) {
         let inner = &*self.inner;
-        let owner = inner.node_of_partition(partition);
-        let (device, mult) = match self.fault_gate(AccessClass::PointRead, owner, site)? {
-            Gate::Pass { latency_mult } => (owner, latency_mult),
-            Gate::Replica { node } => (node, 1),
-        };
-        let local = device == from_node;
-        self.tally(|m| m.record_point_read_at(from_node, local));
-        {
-            let _permit = inner.limiters[device].acquire();
-            let _held = self.scope.as_deref().map(IoScope::hold_permit);
-            self.tally(|m| {
-                m.record_access(if local {
-                    AccessKind::LocalPointRead
-                } else {
-                    AccessKind::RemotePointRead
-                })
-            });
-            // Both kinds spend the same time on the serving device; the
-            // remote surcharge is pure network and is paid below.
-            inner.io.pay_local_read_times(mult);
-        }
-        if !local {
-            self.tally(|m| m.record_remote_rtt());
-            let rtt = inner.rtt();
-            if !rtt.is_zero() {
-                // A synchronous RTT sleep is one flight in the air: the
-                // gauge makes the pool-bound concurrency of this path
-                // directly comparable to the fabric's in-flight peak.
-                self.tally(|m| m.record_flight_begin());
-                std::thread::sleep(rtt);
-                self.tally(|m| m.record_flight_end());
+        // Insertion-ordered Vec keeps grouping deterministic; device
+        // counts are tiny.
+        let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
+        let admitted = sites
+            .iter()
+            .map(|&(partition, site)| {
+                let owner = inner.node_of_partition(partition);
+                let (device, mult) = self.fault_gate(class, owner, site)?;
+                match groups.iter_mut().find(|(d, _)| *d == device) {
+                    Some((_, mults)) => mults.push(mult),
+                    None => groups.push((device, vec![mult])),
+                }
+                Ok(())
+            })
+            .collect();
+        let mut rtt = Duration::ZERO;
+        for (device, mults) in groups {
+            let local = device == from_node;
+            let n = mults.len() as u64;
+            let kind = match class {
+                AccessClass::IndexProbe => AccessKind::IndexLookup,
+                AccessClass::PointRead => {
+                    self.tally(|m| {
+                        for _ in &mults {
+                            m.record_point_read_at(from_node, local);
+                        }
+                    });
+                    if local {
+                        AccessKind::LocalPointRead
+                    } else {
+                        AccessKind::RemotePointRead
+                    }
+                }
+            };
+            {
+                let _permit = inner.limiters[device].acquire();
+                let _held = self.scope.as_deref().map(IoScope::hold_permit);
+                self.tally(|m| m.record_accesses(kind, n));
+                match class {
+                    AccessClass::PointRead => inner.io.pay_read_batch(&mults),
+                    AccessClass::IndexProbe => inner.io.pay_index_batch(&mults),
+                }
+            }
+            if batched {
+                self.tally(|m| {
+                    m.record_batched_reads(n);
+                    m.record_batch_issued();
+                });
+            }
+            if !local {
+                self.tally(|m| m.record_remote_rtt());
+                rtt = inner.rtt();
             }
         }
-        Ok(())
+        (admitted, rtt)
     }
 
-    /// Pay for one index traversal in `partition` issued from `from_node`.
-    /// A remote traversal additionally pays the network component, again
-    /// *outside* the owner's IOPS permit. Subject to the same fault gate
-    /// as point reads.
-    fn charge_index_probe(&self, partition: usize, from_node: usize, site: u64) -> Result<()> {
-        let inner = &*self.inner;
-        let owner = inner.node_of_partition(partition);
-        let (device, mult) = match self.fault_gate(AccessClass::IndexProbe, owner, site)? {
-            Gate::Pass { latency_mult } => (owner, latency_mult),
-            Gate::Replica { node } => (node, 1),
-        };
-        self.tally(|m| m.record_access(AccessKind::IndexLookup));
-        {
-            let _permit = inner.limiters[device].acquire();
-            let _held = self.scope.as_deref().map(IoScope::hold_permit);
-            inner.io.pay_index_lookup_times(mult);
+    /// The complete half of a synchronous access: wait out the round trip
+    /// a submit returned, on the calling thread. The sleep is one flight
+    /// in the air, so the in-flight gauge makes the caller-bound
+    /// concurrency of synchronous access directly comparable to the
+    /// fabric's in-flight peak.
+    fn wait_inline(&self, rtt: Duration) {
+        if !rtt.is_zero() {
+            self.tally(|m| m.record_flight_begin());
+            std::thread::sleep(rtt);
+            self.tally(|m| m.record_flight_end());
         }
-        if device != from_node {
-            self.tally(|m| m.record_remote_rtt());
-            let rtt = inner.rtt();
-            if !rtt.is_zero() {
-                self.tally(|m| m.record_flight_begin());
-                std::thread::sleep(rtt);
-                self.tally(|m| m.record_flight_end());
-            }
-        }
-        Ok(())
     }
 
     /// The configured I/O model.
@@ -765,48 +761,17 @@ impl SimCluster {
             .map(|p| self.inner.node_of_partition(p))
     }
 
-    /// Resolve a pointer to its record — a charged point read.
+    /// Resolve a pointer to its record — a charged point read, and
+    /// exactly a [`SimCluster::resolve_batch`] of one.
     ///
     /// `from_node` is the node issuing the access; reads of partitions
     /// placed elsewhere pay the remote latency. Broadcast pointers cannot
     /// be resolved directly (the executor materializes them per partition
     /// first).
     pub fn resolve(&self, ptr: &Pointer, from_node: usize) -> Result<Record> {
-        let (heap, partition) = self.route_resolve(ptr)?;
-        // Snapshot pin: redirect the read to the physical slot of the
-        // newest version visible at the cut. `None` on every unpinned
-        // handle and every never-written heap — the read below is then
-        // byte-identical to the unversioned path (one relaxed bool load).
-        let visible = self.visible_read_key(&heap, partition, &ptr.key)?;
-        let read_key = visible.as_ref().unwrap_or(&ptr.key);
-        // The fault site keys off the *original* pointer so injection
-        // decisions never depend on which version a snapshot selects.
-        let site = read_site(&ptr.file, partition, &ptr.key);
-        if let Some(cache) = &self.inner.cache {
-            let cache_key = Self::cache_key_for(&heap, partition, &ptr.file, read_key);
-            if let Some(record) = cache.get(from_node, &cache_key) {
-                // A hit is still a logical access by `from_node`: count it
-                // there so per-node totals always sum to the resolves
-                // issued, even when the cache absorbs all the I/O. Hits
-                // never consult the fault injector — they touch no storage.
-                self.tally(|m| m.record_cache_hit_at(from_node));
-                return Ok(record);
-            }
-            // Charge before counting the miss: an injected failure must
-            // leave the conservation counters untouched, so every recorded
-            // miss pairs with exactly one recorded storage read even under
-            // faults.
-            self.charge_point_read(partition, from_node, site)?;
-            self.tally(|m| m.record_cache_miss_at(from_node));
-            let (record, pages) = heap.get_traced(partition, read_key)?;
-            self.charge_page_stats(pages);
-            cache.insert(from_node, cache_key, record.clone());
-            return Ok(record);
-        }
-        self.charge_point_read(partition, from_node, site)?;
-        let (record, pages) = heap.get_traced(partition, read_key)?;
-        self.charge_page_stats(pages);
-        Ok(record)
+        self.resolve_batch(&[ptr], from_node)
+            .pop()
+            .expect("one result per pointer")
     }
 
     /// Visibility half of a snapshot-pinned resolve: the physical slot of
@@ -878,221 +843,127 @@ impl SimCluster {
         Ok((heap, partition))
     }
 
-    /// Resolve a batch of pointers issued from `from_node`, amortizing the
-    /// fixed per-request costs that [`SimCluster::resolve`] pays per
-    /// pointer. Results come back in input order; each item succeeds or
-    /// fails independently (a transient fault on one site never poisons its
-    /// batchmates).
-    ///
-    /// Semantics relative to the scalar path, per item:
-    ///
-    /// * the per-node record cache is probed up front for the whole batch
-    ///   (hits counted per item, exactly as scalar resolves would);
-    /// * the fault gate is consulted once per *site*, in input order, so
-    ///   injection decisions are identical to scalar execution;
-    /// * surviving misses are grouped by *serving device* (post
-    ///   replica-redirect) and each group pays one IOPS permit, one summed
-    ///   device sleep ([`IoModel::pay_read_batch`]), and — when the device
-    ///   is not `from_node` — a single network RTT for the whole group.
-    ///
-    /// Every conservation counter moves exactly as under scalar execution
-    /// (`local + remote + cache_hits == logical point reads`, per job and
-    /// per node); the amortization is visible only in wall time and in the
-    /// `remote_rtts` / `batched_reads` / `batches_issued` counters. One
-    /// divergence: duplicate pointers inside a batch each charge a storage
-    /// read (the up-front cache probe runs before any insert), where a
-    /// scalar loop would serve the repeat from cache — conservation still
-    /// holds, the split just shifts from `cache_hits` to reads.
-    ///
-    /// A single-pointer batch delegates to [`SimCluster::resolve`] and is
-    /// bit-identical to it, batch counters included (none move).
+    /// Resolve a batch of pointers issued from `from_node` synchronously:
+    /// [`SimCluster::resolve_batch_submit`], then the returned round trip
+    /// waited inline on the calling thread (under the in-flight gauge).
+    /// Remote groups share that one wait — they are in the air together.
     pub fn resolve_batch(&self, ptrs: &[&Pointer], from_node: usize) -> Vec<Result<Record>> {
-        if let [ptr] = ptrs {
-            return vec![self.resolve(ptr, from_node)];
-        }
-        self.resolve_batch_impl(ptrs, from_node, false).0
+        let (results, rtt) = self.resolve_batch_submit(ptrs, from_node);
+        self.wait_inline(rtt);
+        results
     }
 
-    /// Submit half of [`SimCluster::resolve_batch`] for the event-driven
-    /// fabric: the entire charged path runs synchronously on the calling
-    /// thread — cache probes, fault gating in input order, per-group IOPS
-    /// permit and device sleep, heap reads, cache inserts — **except** the
-    /// network round trip, whose modeled delay is returned instead of
-    /// slept. A zero return means every group was local (or the model has
-    /// no RTT) and there is nothing to put in the air.
+    /// The dereference path for point reads: resolve `ptrs` issued from
+    /// `from_node`, doing everything that is charged on the calling thread
+    /// and returning the network round trip still owed instead of sleeping
+    /// it. Results come back in input order; each item succeeds or fails
+    /// independently (a transient fault on one site never poisons its
+    /// batchmates). Per item, in order:
     ///
-    /// Every counter moves exactly as [`SimCluster::resolve_batch`] would
-    /// move it (`remote_rtts` included — one per remote group, charged at
-    /// submit), so a fabric run is counter-identical to a synchronous one.
-    /// Remote groups of one submission share a single returned delay
-    /// rather than summing: they are all in the air at once, which is
-    /// precisely the overlap an event-driven fabric models (the
-    /// synchronous path sleeps them back-to-back only because one thread
-    /// holds them all). Cache inserts land at submit time — before the
-    /// modeled round trip completes — a visible anachronism only to
-    /// wall-clock observers, never to any counter or output byte.
+    /// * route the pointer and apply the handle's snapshot pin (the read
+    ///   is redirected to the physical slot of the newest version visible
+    ///   at the cut; unpinned handles and never-written heaps pay one
+    ///   relaxed bool load and read through the pointer's own key);
+    /// * probe `from_node`'s record cache — up front for the whole call,
+    ///   so a hit is counted (at `from_node`, keeping per-node totals equal
+    ///   to the resolves issued) and never consults the fault injector;
+    /// * charge the surviving misses through `charge`: fault gate per
+    ///   site in input order, keyed off the *original* pointer so
+    ///   injection never depends on which version a snapshot selects, then
+    ///   one IOPS permit and one summed device sleep per serving device;
+    /// * count the cache miss only after the charge succeeded (an injected
+    ///   failure leaves the conservation counters untouched, so every
+    ///   recorded miss pairs with exactly one recorded storage read), read
+    ///   the heap, pay any page faults, and insert into the cache.
     ///
-    /// Unlike `resolve_batch`, a single-pointer submission takes the
-    /// grouped path (its RTT must still be deferred); batch counters stay
-    /// untouched for it, keeping scalar-counter equality.
+    /// Every conservation counter moves identically however the same
+    /// pointers are split into calls (`local + remote + cache_hits ==
+    /// logical point reads`, per job and per node); grouping is visible
+    /// only in wall time and in `remote_rtts` / `batched_reads` /
+    /// `batches_issued` (the last two untouched by a one-pointer call).
+    /// One divergence: duplicate pointers inside a call each charge a
+    /// storage read (the cache probe runs before any insert), where
+    /// separate calls would serve the repeat from cache — conservation
+    /// still holds, the split just shifts from `cache_hits` to reads.
+    ///
+    /// A zero return means every group was local (or the model has no
+    /// RTT). Cache inserts land at submit time — before the modeled round
+    /// trip completes — an anachronism visible only to wall-clock
+    /// observers, never to any counter or output byte.
     pub fn resolve_batch_submit(
         &self,
         ptrs: &[&Pointer],
         from_node: usize,
     ) -> (Vec<Result<Record>>, Duration) {
-        self.resolve_batch_impl(ptrs, from_node, true)
-    }
-
-    fn resolve_batch_impl(
-        &self,
-        ptrs: &[&Pointer],
-        from_node: usize,
-        defer_rtt: bool,
-    ) -> (Vec<Result<Record>>, Duration) {
-        let inner = &*self.inner;
-        let count_batch = ptrs.len() > 1;
-        let mut deferred = Duration::ZERO;
+        let cache = self.inner.cache.as_deref();
         let mut out: Vec<Option<Result<Record>>> = (0..ptrs.len()).map(|_| None).collect();
 
-        // Route everything and probe the cache up front; survivors are the
-        // storage misses the batch actually pays for.
         struct Miss {
             idx: usize,
             heap: Arc<HeapFile>,
             partition: usize,
-            site: u64,
-            /// Snapshot redirect: the physical slot of the visible version
-            /// when this handle is pinned and the heap is versioned;
-            /// `None` reads through the pointer's own key.
+            /// Snapshot redirect; `None` reads through the pointer's own key.
             read_key: Option<PointerKey>,
-            /// Normalized cache key (computed once at probe time), present
-            /// only when the cluster has a cache.
+            /// Normalized cache key, present only when the cluster caches.
             cache_key: Option<CacheKey>,
         }
         let mut misses: Vec<Miss> = Vec::new();
+        let mut sites: Vec<(usize, u64)> = Vec::new();
         for (idx, ptr) in ptrs.iter().enumerate() {
-            match self.route_resolve(ptr) {
-                Err(e) => out[idx] = Some(Err(e)),
-                Ok((heap, partition)) => {
-                    let read_key = match self.visible_read_key(&heap, partition, &ptr.key) {
-                        Ok(k) => k,
-                        Err(e) => {
-                            out[idx] = Some(Err(e));
-                            continue;
-                        }
-                    };
-                    let mut cache_key = None;
-                    if let Some(cache) = &inner.cache {
-                        let key = read_key.as_ref().unwrap_or(&ptr.key);
-                        let ck = Self::cache_key_for(&heap, partition, &ptr.file, key);
-                        if let Some(record) = cache.get(from_node, &ck) {
-                            self.tally(|m| m.record_cache_hit_at(from_node));
-                            out[idx] = Some(Ok(record));
-                            continue;
-                        }
-                        cache_key = Some(ck);
-                    }
-                    let site = read_site(&ptr.file, partition, &ptr.key);
-                    misses.push(Miss {
-                        idx,
-                        heap,
-                        partition,
-                        site,
-                        read_key,
-                        cache_key,
-                    });
-                }
-            }
-        }
-
-        // Fault-gate each site in input order (injection decisions match
-        // scalar execution exactly), then group the survivors by the device
-        // that serves them. Insertion-ordered Vec keeps grouping
-        // deterministic; device counts are tiny.
-        let mut groups: Vec<(usize, Vec<(Miss, u32)>)> = Vec::new();
-        for miss in misses {
-            let owner = inner.node_of_partition(miss.partition);
-            match self.fault_gate(AccessClass::PointRead, owner, miss.site) {
-                Err(e) => out[miss.idx] = Some(Err(e)),
-                Ok(gate) => {
-                    let (device, mult) = match gate {
-                        Gate::Pass { latency_mult } => (owner, latency_mult),
-                        Gate::Replica { node } => (node, 1),
-                    };
-                    match groups.iter_mut().find(|(d, _)| *d == device) {
-                        Some((_, items)) => items.push((miss, mult)),
-                        None => groups.push((device, vec![(miss, mult)])),
-                    }
-                }
-            }
-        }
-
-        for (device, items) in groups {
-            let local = device == from_node;
-            let n = items.len() as u64;
-            self.tally(|m| {
-                for _ in &items {
-                    m.record_point_read_at(from_node, local);
-                }
+            let routed = self.route_resolve(ptr).and_then(|(heap, partition)| {
+                let read_key = self.visible_read_key(&heap, partition, &ptr.key)?;
+                Ok((heap, partition, read_key))
             });
-            let mults: Vec<u32> = items.iter().map(|&(_, mult)| mult).collect();
-            {
-                let _permit = inner.limiters[device].acquire();
-                let _held = self.scope.as_deref().map(IoScope::hold_permit);
-                self.tally(|m| {
-                    m.record_accesses(
-                        if local {
-                            AccessKind::LocalPointRead
-                        } else {
-                            AccessKind::RemotePointRead
-                        },
-                        n,
-                    )
-                });
-                inner.io.pay_read_batch(&mults);
-            }
-            if !local {
-                // The whole group rides one round trip: this is the
-                // amortization the batch path exists for.
-                self.tally(|m| m.record_remote_rtt());
-                let rtt = inner.rtt();
-                if defer_rtt {
-                    deferred = deferred.max(rtt);
-                } else if !rtt.is_zero() {
-                    self.tally(|m| m.record_flight_begin());
-                    std::thread::sleep(rtt);
-                    self.tally(|m| m.record_flight_end());
+            let (heap, partition, read_key) = match routed {
+                Ok(routed) => routed,
+                Err(e) => {
+                    out[idx] = Some(Err(e));
+                    continue;
                 }
+            };
+            let mut cache_key = None;
+            if let Some(cache) = cache {
+                let key = read_key.as_ref().unwrap_or(&ptr.key);
+                let ck = Self::cache_key_for(&heap, partition, &ptr.file, key);
+                if let Some(record) = cache.get(from_node, &ck) {
+                    self.tally(|m| m.record_cache_hit_at(from_node));
+                    out[idx] = Some(Ok(record));
+                    continue;
+                }
+                cache_key = Some(ck);
             }
-            if count_batch {
-                self.tally(|m| {
-                    m.record_batched_reads(n);
-                    m.record_batch_issued();
-                });
-            }
-            for (miss, _) in items {
-                let ptr = ptrs[miss.idx];
-                if inner.cache.is_some() {
+            sites.push((partition, read_site(&ptr.file, partition, &ptr.key)));
+            misses.push(Miss {
+                idx,
+                heap,
+                partition,
+                read_key,
+                cache_key,
+            });
+        }
+
+        let (admitted, rtt) =
+            self.charge(AccessClass::PointRead, from_node, &sites, ptrs.len() > 1);
+        for (miss, admitted) in misses.into_iter().zip(admitted) {
+            let read = admitted.and_then(|()| {
+                if cache.is_some() {
                     self.tally(|m| m.record_cache_miss_at(from_node));
                 }
-                let read_key = miss.read_key.as_ref().unwrap_or(&ptr.key);
-                match miss.heap.get_traced(miss.partition, read_key) {
-                    Ok((record, pages)) => {
-                        self.charge_page_stats(pages);
-                        if let (Some(cache), Some(ck)) = (&inner.cache, miss.cache_key) {
-                            cache.insert(from_node, ck, record.clone());
-                        }
-                        out[miss.idx] = Some(Ok(record));
-                    }
-                    Err(e) => out[miss.idx] = Some(Err(e)),
+                let read_key = miss.read_key.as_ref().unwrap_or(&ptrs[miss.idx].key);
+                let (record, pages) = miss.heap.get_traced(miss.partition, read_key)?;
+                self.charge_page_stats(pages);
+                if let (Some(cache), Some(ck)) = (cache, miss.cache_key) {
+                    cache.insert(from_node, ck, record.clone());
                 }
-            }
+                Ok(record)
+            });
+            out[miss.idx] = Some(read);
         }
         let results = out
             .into_iter()
             .map(|slot| slot.expect("every batch item resolved or failed"))
             .collect();
-        (results, deferred)
+        (results, rtt)
     }
 }
 
@@ -1347,22 +1218,73 @@ impl IndexHandle {
         self.index.insert_at_hinted(partition, key, entry)
     }
 
-    /// Charged exact-key probe: consults the partitions the placement
-    /// requires (one for global, all for local) and returns the matching
-    /// entry records. Fails only under injected faults.
+    /// Charged exact-key probe — exactly a [`IndexHandle::lookup_batch`]
+    /// of one: consults the partitions the placement requires (one for
+    /// global, all for local) and returns the matching entry records.
+    /// Fails only under injected faults.
     pub fn lookup(&self, key: &Value, from_node: usize) -> Result<Vec<Record>> {
+        self.lookup_batch(std::slice::from_ref(key), from_node)
+            .pop()
+            .expect("one result per key")
+    }
+
+    /// The one probe loop behind every multi-partition probe: an exact-key
+    /// (`hi == None`) or inclusive-range probe of the partitions the
+    /// placement requires — restricted to those placed on `on_node`, when
+    /// given — charged one partition at a time from `from_node`. The first
+    /// failed partition fails the probe (its successors are not consulted,
+    /// so a retry meets each remaining fault site exactly once). The
+    /// round trip still owed is folded into `rtt`: the partitions' probes
+    /// are in the air together.
+    fn probe(
+        &self,
+        lo: &Value,
+        hi: Option<&Value>,
+        from_node: usize,
+        on_node: Option<usize>,
+        rtt: &mut Duration,
+    ) -> Result<Vec<Record>> {
         self.index.ensure_fresh()?;
+        let partitions = match hi {
+            None => self.index.probe_partitions_for_key(lo),
+            Some(hi) => self.index.probe_partitions_for_range(lo, hi),
+        };
         let mut out = Vec::new();
-        for p in self.index.probe_partitions_for_key(key) {
-            let site = probe_site(self.index.name(), p, key, key);
-            self.cluster.charge_index_probe(p, from_node, site)?;
-            let (hits, pages) = self.index.lookup_in_traced(p, key)?;
+        for p in partitions {
+            if on_node.is_some_and(|node| self.cluster.node_of_partition(p) != node) {
+                continue;
+            }
+            let site = probe_site(self.index.name(), p, lo, hi.unwrap_or(lo));
+            let (mut admitted, owed) =
+                self.cluster
+                    .charge(AccessClass::IndexProbe, from_node, &[(p, site)], false);
+            *rtt = (*rtt).max(owed);
+            admitted.pop().expect("one result per site")?;
+            let (hits, pages) = match hi {
+                None => self.index.lookup_in_traced(p, lo)?,
+                Some(hi) => self.index.range_in_traced(p, lo, hi)?,
+            };
             self.cluster.charge_page_stats(pages);
             out.extend(hits);
         }
         let out = self.filter_visible(out);
         self.count_entries(out.len());
         Ok(out)
+    }
+
+    /// A synchronous [`IndexHandle::probe`]: the owed round trip is waited
+    /// inline on the calling thread.
+    fn probe_sync(
+        &self,
+        lo: &Value,
+        hi: Option<&Value>,
+        from_node: usize,
+        on_node: Option<usize>,
+    ) -> Result<Vec<Record>> {
+        let mut rtt = Duration::ZERO;
+        let result = self.probe(lo, hi, from_node, on_node, &mut rtt);
+        self.cluster.wait_inline(rtt);
+        result
     }
 
     /// Snapshot filter for postings: drop entries whose base record has no
@@ -1398,144 +1320,84 @@ impl IndexHandle {
             .collect()
     }
 
-    /// Charged vectorized exact-key probe of a batch of keys issued from
-    /// `from_node`, returning each key's postings in input order.
-    ///
-    /// Keys whose placement pins them to a single partition (global
-    /// indexes, hinted local keys) are batched: the fault gate still runs
-    /// once per probe site in input order, survivors are grouped by serving
-    /// device, and each group pays one IOPS permit, a summed device sleep
-    /// ([`IoModel::pay_index_batch`]), and at most one network RTT —
-    /// while the trees underneath are probed with the shared-descent
-    /// [`BtreeFile::lookup_batch`]. Keys that must consult every partition
-    /// (unhinted local indexes) fall back to the scalar path per key.
-    ///
-    /// Charged `index_lookups` stay one per probe, exactly as scalar
-    /// lookups would record them; the batch shows up only in wall time and
-    /// the `remote_rtts` / `batched_reads` / `batches_issued` counters. A
-    /// single-key batch delegates to [`IndexHandle::lookup`] outright.
+    /// Charged exact-key probes of a batch of keys issued from `from_node`
+    /// synchronously: [`IndexHandle::lookup_batch_submit`], then the
+    /// returned round trip waited inline on the calling thread.
     pub fn lookup_batch(&self, keys: &[Value], from_node: usize) -> Vec<Result<Vec<Record>>> {
-        if let [key] = keys {
-            return vec![self.lookup(key, from_node)];
-        }
-        self.lookup_batch_impl(keys, from_node, false).0
+        let (results, rtt) = self.lookup_batch_submit(keys, from_node);
+        self.cluster.wait_inline(rtt);
+        results
     }
 
-    /// Submit half of [`IndexHandle::lookup_batch`] for the event-driven
-    /// fabric: identical charged path and counters, but remote groups'
-    /// round trips are returned as one deferred delay instead of slept
-    /// (see [`SimCluster::resolve_batch_submit`] for the exact contract).
-    /// Keys that must consult every partition (unhinted local indexes)
-    /// still take the scalar path inline, synchronous RTT included — they
-    /// have no single serving device to put in the air.
+    /// The dereference path for index probes: probe `keys` issued from
+    /// `from_node`, returning each key's postings in input order together
+    /// with the network round trip still owed (see
+    /// [`SimCluster::resolve_batch_submit`] for the contract).
+    ///
+    /// Keys whose placement pins them to a single partition (global
+    /// indexes) are charged together through `charge` — fault gate once
+    /// per probe site in input order, one IOPS permit and one summed
+    /// device sleep per serving device — and the trees underneath are
+    /// probed with the shared-descent [`BtreeFile::lookup_batch`], one pass
+    /// per partition. Keys that must consult every partition (local
+    /// indexes) take the per-partition probe loop. Charged `index_lookups`
+    /// stay one per partition probed however keys are grouped into calls.
     pub fn lookup_batch_submit(
         &self,
         keys: &[Value],
         from_node: usize,
     ) -> (Vec<Result<Vec<Record>>>, Duration) {
-        self.lookup_batch_impl(keys, from_node, true)
-    }
-
-    fn lookup_batch_impl(
-        &self,
-        keys: &[Value],
-        from_node: usize,
-        defer_rtt: bool,
-    ) -> (Vec<Result<Vec<Record>>>, Duration) {
         if let Err(e) = self.index.ensure_fresh() {
             let results = keys.iter().map(|_| Err(e.clone())).collect();
             return (results, Duration::ZERO);
         }
-        let inner = &*self.cluster.inner;
-        let count_batch = keys.len() > 1;
-        let mut deferred = Duration::ZERO;
+        let mut rtt = Duration::ZERO;
         let mut out: Vec<Option<Result<Vec<Record>>>> = (0..keys.len()).map(|_| None).collect();
+        // (input index, partition) of every single-partition key.
         let mut singles: Vec<(usize, usize)> = Vec::new();
+        let mut sites: Vec<(usize, u64)> = Vec::new();
         for (idx, key) in keys.iter().enumerate() {
             match self.index.probe_partitions_for_key(key)[..] {
-                [p] => singles.push((idx, p)),
-                _ => out[idx] = Some(self.lookup(key, from_node)),
+                [p] => {
+                    singles.push((idx, p));
+                    sites.push((p, probe_site(self.index.name(), p, key, key)));
+                }
+                _ => {
+                    out[idx] = Some(self.probe(key, None, from_node, None, &mut rtt));
+                }
             }
         }
-        // Fault-gate each probe site in input order (decisions identical to
-        // scalar execution), grouping survivors by serving device.
-        // (device, [(input index, partition, brown-out multiplier)]) per group.
-        type ProbeGroup = (usize, Vec<(usize, usize, u32)>);
-        let mut groups: Vec<ProbeGroup> = Vec::new();
-        for (idx, partition) in singles {
-            let key = &keys[idx];
-            let site = probe_site(self.index.name(), partition, key, key);
-            let owner = inner.node_of_partition(partition);
-            match self
-                .cluster
-                .fault_gate(AccessClass::IndexProbe, owner, site)
-            {
+        let (admitted, owed) =
+            self.cluster
+                .charge(AccessClass::IndexProbe, from_node, &sites, keys.len() > 1);
+        rtt = rtt.max(owed);
+        // One shared-descent pass per partition over the admitted probes.
+        let mut by_partition: Vec<(usize, Vec<usize>)> = Vec::new();
+        for ((idx, partition), admitted) in singles.into_iter().zip(admitted) {
+            match admitted {
                 Err(e) => out[idx] = Some(Err(e)),
-                Ok(gate) => {
-                    let (device, mult) = match gate {
-                        Gate::Pass { latency_mult } => (owner, latency_mult),
-                        Gate::Replica { node } => (node, 1),
-                    };
-                    match groups.iter_mut().find(|(d, _)| *d == device) {
-                        Some((_, items)) => items.push((idx, partition, mult)),
-                        None => groups.push((device, vec![(idx, partition, mult)])),
-                    }
-                }
-            }
-        }
-        for (device, items) in groups {
-            let local = device == from_node;
-            let n = items.len() as u64;
-            let mults: Vec<u32> = items.iter().map(|&(_, _, mult)| mult).collect();
-            {
-                let _permit = inner.limiters[device].acquire();
-                let _held = self.cluster.scope.as_deref().map(IoScope::hold_permit);
-                self.cluster
-                    .tally(|m| m.record_accesses(AccessKind::IndexLookup, n));
-                inner.io.pay_index_batch(&mults);
-            }
-            if !local {
-                self.cluster.tally(|m| m.record_remote_rtt());
-                let rtt = inner.rtt();
-                if defer_rtt {
-                    deferred = deferred.max(rtt);
-                } else if !rtt.is_zero() {
-                    self.cluster.tally(|m| m.record_flight_begin());
-                    std::thread::sleep(rtt);
-                    self.cluster.tally(|m| m.record_flight_end());
-                }
-            }
-            if count_batch {
-                self.cluster.tally(|m| {
-                    m.record_batched_reads(n);
-                    m.record_batch_issued();
-                });
-            }
-            // One shared-descent pass per partition this device serves.
-            let mut by_partition: Vec<(usize, Vec<usize>)> = Vec::new();
-            for &(idx, partition, _) in &items {
-                match by_partition.iter_mut().find(|(p, _)| *p == partition) {
+                Ok(()) => match by_partition.iter_mut().find(|(p, _)| *p == partition) {
                     Some((_, idxs)) => idxs.push(idx),
                     None => by_partition.push((partition, vec![idx])),
-                }
+                },
             }
-            for (partition, idxs) in by_partition {
-                let probe_keys: Vec<Value> = idxs.iter().map(|&i| keys[i].clone()).collect();
-                match self.index.lookup_batch_traced(partition, &probe_keys) {
-                    Ok((postings, _descents, pages)) => {
-                        self.cluster.charge_page_stats(pages);
-                        for (i, hits) in idxs.into_iter().zip(postings) {
-                            let hits = self.filter_visible(hits);
-                            self.count_entries(hits.len());
-                            out[i] = Some(Ok(hits));
-                        }
+        }
+        for (partition, idxs) in by_partition {
+            let probe_keys: Vec<Value> = idxs.iter().map(|&i| keys[i].clone()).collect();
+            match self.index.lookup_batch_traced(partition, &probe_keys) {
+                Ok((postings, _descents, pages)) => {
+                    self.cluster.charge_page_stats(pages);
+                    for (i, hits) in idxs.into_iter().zip(postings) {
+                        let hits = self.filter_visible(hits);
+                        self.count_entries(hits.len());
+                        out[i] = Some(Ok(hits));
                     }
-                    // A page-budget failure poisons every probe of this
-                    // partition alike (they share the exhausted pool).
-                    Err(e) => {
-                        for i in idxs {
-                            out[i] = Some(Err(e.clone()));
-                        }
+                }
+                // A page-budget failure poisons every probe of this
+                // partition alike (they share the exhausted pool).
+                Err(e) => {
+                    for i in idxs {
+                        out[i] = Some(Err(e.clone()));
                     }
                 }
             }
@@ -1544,23 +1406,12 @@ impl IndexHandle {
             .into_iter()
             .map(|slot| slot.expect("every batch key probed or failed"))
             .collect();
-        (results, deferred)
+        (results, rtt)
     }
 
     /// Charged inclusive range probe across the placement's partitions.
     pub fn range(&self, lo: &Value, hi: &Value, from_node: usize) -> Result<Vec<Record>> {
-        self.index.ensure_fresh()?;
-        let mut out = Vec::new();
-        for p in self.index.probe_partitions_for_range(lo, hi) {
-            let site = probe_site(self.index.name(), p, lo, hi);
-            self.cluster.charge_index_probe(p, from_node, site)?;
-            let (hits, pages) = self.index.range_in_traced(p, lo, hi)?;
-            self.cluster.charge_page_stats(pages);
-            out.extend(hits);
-        }
-        let out = self.filter_visible(out);
-        self.count_entries(out.len());
-        Ok(out)
+        self.probe_sync(lo, Some(hi), from_node, None)
     }
 
     /// Charged exact-key probe restricted to the partitions placed on
@@ -1568,21 +1419,7 @@ impl IndexHandle {
     /// local partitions so the union over nodes probes the index exactly
     /// once (the paper's `SETPARTITION(input, LOCAL)`).
     pub fn lookup_on_node(&self, node: usize, key: &Value) -> Result<Vec<Record>> {
-        self.index.ensure_fresh()?;
-        let mut out = Vec::new();
-        for p in self.index.probe_partitions_for_key(key) {
-            if self.cluster.node_of_partition(p) != node {
-                continue;
-            }
-            let site = probe_site(self.index.name(), p, key, key);
-            self.cluster.charge_index_probe(p, node, site)?;
-            let (hits, pages) = self.index.lookup_in_traced(p, key)?;
-            self.cluster.charge_page_stats(pages);
-            out.extend(hits);
-        }
-        let out = self.filter_visible(out);
-        self.count_entries(out.len());
-        Ok(out)
+        self.probe_sync(key, None, node, Some(node))
     }
 
     /// Charged range probe restricted to the partitions placed on `node`.
@@ -1591,21 +1428,7 @@ impl IndexHandle {
     /// and each node probes only its locally held index partitions, so the
     /// union over nodes covers the whole index with no duplicate work.
     pub fn range_on_node(&self, node: usize, lo: &Value, hi: &Value) -> Result<Vec<Record>> {
-        self.index.ensure_fresh()?;
-        let mut out = Vec::new();
-        for p in self.index.probe_partitions_for_range(lo, hi) {
-            if self.cluster.node_of_partition(p) != node {
-                continue;
-            }
-            let site = probe_site(self.index.name(), p, lo, hi);
-            self.cluster.charge_index_probe(p, node, site)?;
-            let (hits, pages) = self.index.range_in_traced(p, lo, hi)?;
-            self.cluster.charge_page_stats(pages);
-            out.extend(hits);
-        }
-        let out = self.filter_visible(out);
-        self.count_entries(out.len());
-        Ok(out)
+        self.probe_sync(lo, Some(hi), node, Some(node))
     }
 
     /// Estimate how many entries fall in `[lo, hi]` by sampling up to
@@ -1857,11 +1680,10 @@ mod tests {
         assert_eq!(per_node[other].remote, 1);
     }
 
-    fn cached_cluster(placement: CachePlacement) -> SimCluster {
+    fn cached_cluster() -> SimCluster {
         let c = SimCluster::builder()
             .nodes(2)
             .record_cache(64 * 1024)
-            .cache_placement(placement)
             .build()
             .unwrap();
         let f = c
@@ -1876,7 +1698,7 @@ mod tests {
 
     #[test]
     fn per_node_cache_serves_repeats_on_the_same_node_only() {
-        let c = cached_cluster(CachePlacement::PerNode);
+        let c = cached_cluster();
         let ptr = Pointer::logical("part", Value::Int(5), Value::Int(5));
         c.metrics().reset();
         assert_eq!(c.resolve(&ptr, 0).unwrap().text().unwrap(), "r5");
@@ -1900,41 +1722,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_serves_repeats_across_nodes() {
-        let c = cached_cluster(CachePlacement::Shared);
-        let ptr = Pointer::logical("part", Value::Int(5), Value::Int(5));
-        c.metrics().reset();
-        assert_eq!(c.resolve(&ptr, 0).unwrap().text().unwrap(), "r5");
-        assert_eq!(c.resolve(&ptr, 0).unwrap().text().unwrap(), "r5");
-        assert_eq!(c.resolve(&ptr, 1).unwrap().text().unwrap(), "r5");
-        let s = c.metrics().snapshot();
-        assert_eq!(s.point_reads(), 1, "only the first resolve touches storage");
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.cache_hits, 2);
-        // Hits are still attributed to the issuing node.
-        let per_node = c.metrics().node_point_reads();
-        assert_eq!(per_node[0].cache_hits, 1);
-        assert_eq!(per_node[1].cache_hits, 1);
-    }
-
-    #[test]
     fn cache_misconfigurations_are_rejected() {
         assert!(matches!(
             SimCluster::builder().nodes(2).record_cache(0).build(),
             Err(RedeError::Config(_))
         ));
-        // Per-node placement cannot split 3 bytes across 4 nodes.
+        // The per-node split cannot share 3 bytes across 4 nodes.
         assert!(matches!(
             SimCluster::builder().nodes(4).record_cache(3).build(),
             Err(RedeError::Config(_))
         ));
-        // The same budget is fine shared.
-        assert!(SimCluster::builder()
-            .nodes(4)
-            .record_cache(3)
-            .cache_placement(CachePlacement::Shared)
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -2238,23 +2035,86 @@ mod tests {
         );
     }
 
+    /// A model whose only non-zero latency is the network round trip.
+    fn rtt_only(rtt: Duration) -> IoModel {
+        IoModel {
+            remote_point_read: rtt,
+            ..IoModel::zero()
+        }
+    }
+
     #[test]
-    fn resolve_batch_of_one_is_the_scalar_path() {
-        let c = cluster();
-        loaded(&c, 8);
-        let ptr = Pointer::logical("part", Value::Int(3), Value::Int(3));
-        let got = c.resolve_batch(&[&ptr], 0);
-        assert_eq!(got.len(), 1);
-        got[0].as_ref().unwrap();
+    fn scalar_batch_of_one_and_submit_then_wait_move_the_same_counters() {
+        // One remote and one local pointer through each of the three entry
+        // points, on identical clusters: every counter must agree —
+        // `inflight_peak` included (the inline wait is one flight).
+        let run = |entry: &dyn Fn(&SimCluster, &Pointer)| {
+            let c = SimCluster::builder()
+                .nodes(4)
+                .io_model(rtt_only(Duration::from_micros(200)))
+                .build()
+                .unwrap();
+            loaded(&c, 16);
+            for key in [3i64, 4] {
+                entry(
+                    &c,
+                    &Pointer::logical("part", Value::Int(key), Value::Int(key)),
+                );
+            }
+            assert_eq!(c.metrics().flights_in_flight(), 0);
+            c.metrics().snapshot()
+        };
+        let scalar = run(&|c, p| {
+            c.resolve(p, 0).unwrap();
+        });
+        let batch_of_one = run(&|c, p| {
+            c.resolve_batch(&[p], 0).pop().unwrap().unwrap();
+        });
+        let submit_then_wait = run(&|c, p| {
+            let (mut results, rtt) = c.resolve_batch_submit(&[p], 0);
+            c.wait_inline(rtt);
+            results.pop().unwrap().unwrap();
+        });
+        assert!(scalar.remote_point_reads > 0, "fixture must go remote");
+        assert_eq!(scalar.remote_rtts, scalar.remote_point_reads);
+        assert_eq!(scalar.inflight_peak, 1);
+        assert_eq!(scalar.batched_reads, 0, "no batch counters at n = 1");
+        assert_eq!(scalar.batches_issued, 0);
+        assert_eq!(scalar, batch_of_one);
+        assert_eq!(scalar, submit_then_wait);
+    }
+
+    #[test]
+    fn synchronous_batch_waits_one_round_trip_for_all_remote_groups() {
+        let rtt = Duration::from_millis(40);
+        let c = SimCluster::builder()
+            .nodes(4)
+            .io_model(rtt_only(rtt))
+            .build()
+            .unwrap();
+        loaded(&c, 64);
+        let ptrs: Vec<Pointer> = (0..32i64)
+            .map(|i| Pointer::logical("part", Value::Int(i), Value::Int(i)))
+            .collect();
+        let refs: Vec<&Pointer> = ptrs.iter().collect();
+        let start = std::time::Instant::now();
+        for r in c.resolve_batch(&refs, 1) {
+            r.unwrap();
+        }
+        let wall = start.elapsed();
         let s = c.metrics().snapshot();
-        assert_eq!(s.point_reads(), 1);
-        assert_eq!(s.batched_reads, 0, "no batch counters on the n=1 path");
-        assert_eq!(s.batches_issued, 0);
+        assert_eq!(s.remote_rtts, 3, "one RTT counted per remote device group");
+        assert_eq!(s.inflight_peak, 1, "one inline wait covers them all");
+        assert!(wall >= rtt, "the round trip is waited: {wall:?}");
+        assert!(
+            wall < rtt * 3,
+            "three remote groups share one round trip, not their sum: {wall:?}"
+        );
     }
 
     #[test]
     fn resolve_batch_cache_probe_runs_up_front() {
-        let c = cached_cluster(CachePlacement::PerNode);
+        let c = cached_cluster();
         let ptrs: Vec<Pointer> = (0..8i64)
             .map(|i| Pointer::logical("part", Value::Int(i), Value::Int(i)))
             .collect();
@@ -2382,7 +2242,7 @@ mod tests {
         let s = c.metrics().snapshot();
         assert_eq!(
             s.batched_reads, 0,
-            "unhinted local keys take the scalar path"
+            "local-index keys take the per-partition probe loop"
         );
     }
 

@@ -1,13 +1,14 @@
 //! Event-driven network-completion layer: `SimFabric`.
 //!
-//! The batched dereference path (DESIGN.md § 7) amortizes the remote round
-//! trip to one RTT per batch, but that RTT is still *slept* on the pool
-//! thread that issued the batch, so cross-node concurrency stays capped by
-//! the pool size instead of by the fabric. `SimFabric` removes the sleep:
-//! a remote batch is **submitted** with its computed completion delay, the
-//! issuing thread returns to CPU work immediately, and one fabric thread
-//! services a min-heap of completion deadlines, firing each batch's
-//! continuation when its round trip "lands".
+//! The dereference path (DESIGN.md § 7) amortizes the remote round trip to
+//! one RTT per submission and hands it back to the caller instead of
+//! sleeping it. Slept on the issuing pool thread, that RTT would cap
+//! cross-node concurrency by the pool size instead of by the fabric;
+//! `SimFabric` is where the executor puts it instead: a remote batch is
+//! **submitted** with its computed completion delay, the issuing thread
+//! returns to CPU work immediately, and one fabric thread services a
+//! min-heap of completion deadlines, firing each batch's continuation
+//! when its round trip "lands".
 //!
 //! Two properties make this a pure scheduling transformation:
 //!
@@ -21,8 +22,8 @@
 //!   accounting, device-time sleeps, and cache updates happen on the
 //!   submitting thread *before* the flight is armed, in input order — so a
 //!   seeded chaos run issues exactly the same injector consults in exactly
-//!   the same order as the synchronous path, and completions carry only
-//!   CPU work (output routing).
+//!   the same order whatever the window, and completions carry only CPU
+//!   work (output routing).
 //!
 //! Completions always run outside the fabric lock, and shutdown fires every
 //! remaining completion immediately (a dropped completion would strand its

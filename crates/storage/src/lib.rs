@@ -44,9 +44,10 @@ pub use buffer::{
     BufferPool, ByteBudget, PageGuard, PageId, PageStats, PoolStats, SlottedPage,
     DEFAULT_PAGE_BYTES,
 };
-pub use cache::{CacheKey, CachePlacement, RecordCache};
+pub use cache::{CacheKey, RecordCache};
 pub use cluster::{
-    FileHandle, FileSpec, IndexHandle, SimCluster, SimClusterBuilder, MIN_MEMORY_BUDGET,
+    FileHandle, FileSpec, IndexHandle, SimCluster, SimClusterBuilder, WeakCluster,
+    MIN_MEMORY_BUDGET,
 };
 pub use cost::{CostModel, CostReport};
 pub use fabric::{FabricConfig, SimFabric};

@@ -1,24 +1,24 @@
-//! Property-based equivalence of the batched dereference path.
+//! Property-based equivalence of the dereference path under grouping.
 //!
-//! `SimCluster::resolve_batch` is a pure performance transformation over
-//! per-pointer `resolve`: across random issuing nodes × cache placements ×
-//! fault seeds × batch bounds, the batched side must return byte-identical
-//! records, keep the conservation invariant `local + remote + cache hits ==
-//! logical point reads` exact on every node, and — for batch size 1 —
-//! degenerate to *exactly* the scalar path, counter for counter.
+//! Splitting the same pointers into `resolve_batch_submit` calls of any size
+//! is a pure performance transformation over per-pointer `resolve`: across
+//! random issuing nodes × record cache on/off × fault seeds × batch bounds,
+//! the batched side must return byte-identical records and keep the
+//! conservation invariant `local + remote + cache hits == logical point
+//! reads` exact on every node. At batch size 1 the synchronous scalar entry
+//! point and a one-element submit must move *every* counter identically.
 
 use proptest::prelude::*;
 use rede_common::Value;
-use rede_storage::cache::CachePlacement;
 use rede_storage::{FaultPlan, FileSpec, Partitioning, Pointer, Record, SimCluster};
 
 const KEYS: i64 = 60;
 const NODES: usize = 3;
 
-fn build_cluster(cache: Option<CachePlacement>, fault_seed: Option<u64>) -> SimCluster {
+fn build_cluster(cache: bool, fault_seed: Option<u64>) -> SimCluster {
     let mut b = SimCluster::builder().nodes(NODES);
-    if let Some(placement) = cache {
-        b = b.record_cache(NODES * 8192).cache_placement(placement);
+    if cache {
+        b = b.record_cache(NODES * 8192);
     }
     if let Some(seed) = fault_seed {
         b = b.faults(FaultPlan::transient(seed, 0.3));
@@ -52,14 +52,16 @@ fn resolve_retrying(c: &SimCluster, p: &Pointer, node: usize) -> Record {
     panic!("pointer never resolved within the retry bound");
 }
 
-/// Resolve a chunk through the batch path to success, retrying only the
+/// Resolve a chunk through the submit path to success, retrying only the
 /// transient-failed slots as a sub-batch (the executor's per-item retry).
+/// The model is latency-free, so a submit never owes a round trip.
 fn resolve_batch_retrying(c: &SimCluster, ptrs: &[&Pointer], node: usize) -> Vec<Record> {
     let mut out: Vec<Option<Record>> = vec![None; ptrs.len()];
     let mut pending: Vec<usize> = (0..ptrs.len()).collect();
     for _ in 0..32 {
         let chunk: Vec<&Pointer> = pending.iter().map(|&i| ptrs[i]).collect();
-        let results = c.resolve_batch(&chunk, node);
+        let (results, rtt) = c.resolve_batch_submit(&chunk, node);
+        assert!(rtt.is_zero());
         let mut retry = Vec::new();
         for (pos, result) in results.into_iter().enumerate() {
             let idx = pending[pos];
@@ -95,11 +97,7 @@ proptest! {
     fn batched_resolve_is_byte_identical_and_conserving(
         keys in prop::collection::vec(0i64..KEYS, 1..80),
         from_node in 0usize..NODES,
-        cache in prop_oneof![
-            Just(None),
-            Just(Some(CachePlacement::PerNode)),
-            Just(Some(CachePlacement::Shared)),
-        ],
+        cache in any::<bool>(),
         fault_seed in prop_oneof![Just(None), (0u64..1000).prop_map(Some)],
         batch in (0usize..4).prop_map(|i| [1usize, 2, 7, 64][i]),
     ) {
@@ -136,7 +134,7 @@ proptest! {
             b.local_point_reads + b.remote_point_reads + b.cache_hits,
             "total logical reads must agree"
         );
-        if cache.is_none() {
+        if !cache {
             // Without a cache every logical read is a storage read on both
             // sides (duplicate keys inside one batch only diverge through
             // the cache), so the local/remote split matches exactly.
@@ -150,14 +148,11 @@ proptest! {
             }
         }
         if batch == 1 {
-            // Batch size 1 is the scalar path, counter for counter.
+            // A scalar access is a batch of one: the synchronous entry
+            // point and a one-element submit agree on every counter.
             prop_assert_eq!(b.batches_issued, 0);
             prop_assert_eq!(b.batched_reads, 0);
-            prop_assert_eq!(s.local_point_reads, b.local_point_reads);
-            prop_assert_eq!(s.remote_point_reads, b.remote_point_reads);
-            prop_assert_eq!(s.cache_hits, b.cache_hits);
-            prop_assert_eq!(s.cache_misses, b.cache_misses);
-            prop_assert_eq!(s.remote_rtts, b.remote_rtts);
+            prop_assert_eq!(s, b);
         }
     }
 }

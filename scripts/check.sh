@@ -17,4 +17,11 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+# The benchmark is its own package compiled against these crates' public
+# API: build it and run its contract tests here, so a PR that breaks that
+# API fails locally rather than in the benchmark pipeline.
+echo "==> standalone benchmark package: build + contract tests"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --test contract
+
 echo "OK"

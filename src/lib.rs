@@ -84,8 +84,7 @@ pub mod prelude {
         StageCtx,
     };
     pub use rede_storage::{
-        Brownout, CachePlacement, DownWindow, FabricConfig, FaultInjector, FaultPlan, FileSpec,
-        IoModel, Partitioning, Pointer, PoolStats, Record, SimCluster, SimClusterBuilder,
-        MIN_MEMORY_BUDGET,
+        Brownout, DownWindow, FabricConfig, FaultInjector, FaultPlan, FileSpec, IoModel,
+        Partitioning, Pointer, PoolStats, Record, SimCluster, SimClusterBuilder, MIN_MEMORY_BUDGET,
     };
 }

@@ -1,26 +1,26 @@
-//! Acceptance check for the cache-placement ablation: cluster-wide vs.
-//! per-node record cache × Owner vs. Producer routing on the Q5'
-//! repeated-hot-key workload (suppliers are dereferenced once per
-//! qualifying lineitem, so hot suppliers repeat thousands of times).
+//! Acceptance check for the node-private record cache × Owner vs.
+//! Producer routing on the Q5' repeated-hot-key workload (suppliers are
+//! dereferenced once per qualifying lineitem, so hot suppliers repeat
+//! thousands of times).
 //!
-//! Placement and routing are performance knobs only: all four
-//! configurations must return byte-identical results. And the locality
-//! claim must hold as measured, not asserted: with Owner routing every
-//! resolve of a key lands on the owning node, so the per-node caches see
-//! the same access stream a cluster-wide cache would — their hit rate is
-//! at least the shared cache's.
+//! Routing is a performance knob only: both configurations must return
+//! byte-identical results. And the locality claim must hold as measured,
+//! not asserted: with Owner routing every resolve of a key lands on the
+//! owning node, so the per-node caches see the whole access stream of the
+//! keys they own and a repeated run is served entirely from memory. (The
+//! cluster-wide placement this was once compared against is retired; its
+//! last numbers are frozen in EXPERIMENTS.md.)
 
 use lakeharbor::prelude::*;
 use rede_tpch::{load_tpch, q5_prime_job, LoadOptions, Q5Params, TpchGenerator};
 
 const CACHE_TOTAL: usize = 32 << 20; // 32 MiB: no eviction on this workload
 
-fn load(placement: CachePlacement) -> SimCluster {
+fn load() -> SimCluster {
     let cluster = SimCluster::builder()
         .nodes(2)
         .io_model(IoModel::zero())
         .record_cache(CACHE_TOTAL)
-        .cache_placement(placement)
         .build()
         .unwrap();
     load_tpch(
@@ -43,46 +43,25 @@ fn sorted(records: &[Record]) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn all_placements_agree_and_per_node_owner_matches_shared_hit_rate() {
+fn routings_agree_and_owner_routing_serves_a_repeat_from_memory() {
     let job = q5_prime_job(&Q5Params::with_selectivity(0.2)).unwrap();
     let configs = [
-        (
-            "per-node × owner",
-            CachePlacement::PerNode,
-            RoutingPolicy::Owner,
-        ),
-        (
-            "per-node × producer",
-            CachePlacement::PerNode,
-            RoutingPolicy::Producer,
-        ),
-        (
-            "shared × owner",
-            CachePlacement::Shared,
-            RoutingPolicy::Owner,
-        ),
-        (
-            "shared × producer",
-            CachePlacement::Shared,
-            RoutingPolicy::Producer,
-        ),
+        ("per-node × owner", RoutingPolicy::Owner),
+        ("per-node × producer", RoutingPolicy::Producer),
     ];
 
     let mut reference: Option<Vec<Vec<u8>>> = None;
     let mut warm_hit_rate = std::collections::HashMap::new();
-    for (label, placement, routing) in configs {
+    for (label, routing) in configs {
         let runner = JobRunner::new(
-            load(placement),
+            load(),
             ExecutorConfig::smpe(32).with_routing(routing).collecting(),
         );
         let cold = runner.run(&job).unwrap();
         let rows = sorted(&cold.records);
         match &reference {
             None => reference = Some(rows),
-            Some(want) => assert_eq!(
-                want, &rows,
-                "{label}: cache placement / routing changed the answer"
-            ),
+            Some(want) => assert_eq!(want, &rows, "{label}: routing changed the answer"),
         }
         assert!(
             cold.profile.cache_hits() > 0,
@@ -99,7 +78,7 @@ fn all_placements_agree_and_per_node_owner_matches_shared_hit_rate() {
         }
         // A second, warm run of the same job: with ample capacity every
         // record the job touches is resident, so the warm hit rate is a
-        // deterministic measure of how well the placement captured the
+        // deterministic measure of how well the caches captured the
         // access stream (cold rates can wobble by a few double-misses when
         // concurrent resolves race on a not-yet-inserted key).
         let warm = runner.run(&job).unwrap();
@@ -107,12 +86,6 @@ fn all_placements_agree_and_per_node_owner_matches_shared_hit_rate() {
     }
 
     let per_node_owner = warm_hit_rate["per-node × owner"];
-    let shared_owner = warm_hit_rate["shared × owner"];
-    assert!(
-        per_node_owner >= shared_owner,
-        "per-node cache under owner routing must match the cluster-wide \
-         cache's hit rate ({per_node_owner:.3} vs {shared_owner:.3})"
-    );
     assert!(
         (per_node_owner - 1.0).abs() < 1e-12,
         "owner routing + ample per-node caches must serve a repeated run \
