@@ -28,7 +28,7 @@ pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use json::Json;
 pub use metrics::{
     AccessKind, ExecProfile, IoScope, Metrics, MetricsSnapshot, NodeIoSnapshot, NodeProfile,
-    StageProfile,
+    PermitHold, StageProfile,
 };
 pub use rng::{SplitMix64, Xoshiro256};
 pub use value::{Date, Value, ValueType};

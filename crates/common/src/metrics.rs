@@ -559,21 +559,24 @@ impl IoScope {
         self.permits_held.load(Ordering::SeqCst)
     }
 
-    /// RAII marker for one IOPS permit held under this scope; dropped when
-    /// the permit returns to the limiter.
-    pub fn hold_permit(&self) -> PermitHold<'_> {
+    /// RAII marker for one device-queue slot held under this scope, from
+    /// the moment the slot is granted until the access lands. Owned, so the
+    /// completion side of an event-driven access can carry it.
+    pub fn hold_permit(self: &Arc<Self>) -> PermitHold {
         self.permits_held.fetch_add(1, Ordering::SeqCst);
-        PermitHold { scope: self }
+        PermitHold {
+            scope: self.clone(),
+        }
     }
 }
 
 /// See [`IoScope::hold_permit`].
 #[derive(Debug)]
-pub struct PermitHold<'a> {
-    scope: &'a IoScope,
+pub struct PermitHold {
+    scope: Arc<IoScope>,
 }
 
-impl Drop for PermitHold<'_> {
+impl Drop for PermitHold {
     fn drop(&mut self) {
         self.scope.permits_held.fetch_sub(1, Ordering::SeqCst);
     }
@@ -1329,7 +1332,7 @@ mod tests {
 
     #[test]
     fn io_scope_tracks_permits_and_private_counters() {
-        let scope = IoScope::new(7);
+        let scope = Arc::new(IoScope::new(7));
         assert_eq!(scope.job(), 7);
         assert_eq!(scope.permits_held(), 0);
         {

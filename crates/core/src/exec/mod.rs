@@ -4,8 +4,9 @@
 //!
 //! * [`smpe`] — **Scalable Massively Parallel Execution** (Algorithm 1):
 //!   jobs decompose into per-record tasks at run time; every dereference
-//!   invocation runs on its own pooled thread so thousands of point reads
-//!   overlap ("ReDe (w/ SMPE)").
+//!   invocation is its own dispatch whose reads wait in the device queues,
+//!   not on a thread, so thousands of point reads overlap ("ReDe (w/
+//!   SMPE)").
 //! * [`partitioned`] — the conservative model of existing balanced
 //!   solutions: one worker per node walking the stage list depth-first, so
 //!   parallelism is fixed by the partitioning ("ReDe (w/o SMPE)").
@@ -135,9 +136,12 @@ impl Batching {
 pub struct ExecutorConfig {
     /// Execution model.
     pub mode: ExecMode,
-    /// Total pooled threads for SMPE. The paper's per-node default is 1000;
-    /// in-process we default to 256 total and let benches raise it ("the
-    /// number can be adjusted based on underlying hardware capabilities").
+    /// Pool capacity for SMPE: the denominator of each job's fair share of
+    /// outstanding pooled dispatches (`pool_threads × weight / active
+    /// weight`), and the upper bound on worker threads — the pool runs
+    /// `min(pool_threads, cores)` of them, because no worker waits on
+    /// simulated I/O. The paper's per-node default of 1000 sleeping
+    /// threads bought I/O concurrency; here that is `IoModel::queue_depth`.
     pub pool_threads: usize,
     /// Run referencers inline on the dispatcher instead of switching
     /// threads — the paper's default optimization ("ReDe does not switch
@@ -153,8 +157,7 @@ pub struct ExecutorConfig {
     pub batching: Batching,
     /// Per-node in-flight window of the event-driven completion layer
     /// that carries every remote round trip: a dereference that owes one
-    /// is submitted to the window and frees its pool thread as soon as the
-    /// charged (device-time) half of the access completes — see
+    /// flies it under this window once its device time has landed — see
     /// `rede_storage::fabric` and the smpe module docs.
     pub fabric: FabricConfig,
 }

@@ -18,9 +18,12 @@
 //! queue is a weighted round-robin multi-queue (`wrr`) with one slot per
 //! job, so dispatch interleaves jobs by weight instead of FIFO order — a
 //! scan-heavy job that floods the queues cannot starve a point-lookup job
-//! of dispatch slots. Pool threads are fair-shared the same way: a job may
-//! occupy at most `pool_threads * weight / total_active_weight` pooled
-//! threads at once (min 1), enforced by the dispatcher's eligibility check.
+//! of dispatch slots. The pool is fair-shared the same way: a job may have
+//! at most `pool_threads * weight / total_active_weight` dispatches handed
+//! to the pool and not yet returned (min 1), enforced by the dispatcher's
+//! eligibility check. The pool itself runs `min(pool_threads, cores)`
+//! workers: stage bodies are CPU work, and a dispatch leaves the pool the
+//! moment its accesses are charged.
 //!
 //! **Per-job accounting.** Every submitted job gets an [`IoScope`]; the
 //! job's storage accesses are mirrored into the scope (see
@@ -36,29 +39,33 @@
 //!
 //! **Cancellation.** `cancel` drains the job's queued tasks from every
 //! node; tasks already on pool threads finish their current invocation and
-//! then skip. IOPS permits are released as each in-flight read completes
-//! (permits are only ever held for a device-time window), so a cancelled
-//! job's permit count reaches zero as soon as its last in-flight task
-//! retires.
+//! then skip. Device-queue slots are released as each in-flight read lands
+//! (a slot is only ever held for one access's device time), so a cancelled
+//! job's held-slot count reaches zero within one device time of its last
+//! admitted access.
 //!
-//! **One dereference path.** Every dispatch — a lone task or a coalesced
-//! batch of point dereferences — runs through [`run_stage`], which has a
-//! *submit* half and a *complete* half. The submit half runs on the
-//! dispatch's thread and performs every charged access synchronously —
-//! fault injection, IOPS admission, device time, all counters — buffering
-//! the outputs and returning the network round trip the dereference still
-//! owes. Zero owed (everything was local — what owner routing makes of
-//! nearly every dereference) routes the outputs at once. Otherwise the
-//! outputs ride a [`SimFabric`] flight with a computed completion deadline
-//! and the pool thread is freed. Each node owns a window of at most
-//! `window` flights ([`FabricConfig`]); the fabric's timer thread fires
-//! due completions, which re-enqueue a `FlightDone` continuation on the
-//! submitting node's weighted queue. The dispatcher routes the buffered
-//! outputs inline (pure CPU work), so pool threads never block on
-//! simulated network latency. The continuation carries the dispatch's
-//! in-flight tokens; a job therefore cannot finish — and cancellation
-//! cannot complete — until every one of its flights has landed and
-//! returned its tokens.
+//! **One dereference path, and nobody waits.** Every dispatch — a lone
+//! task or a coalesced batch of point dereferences — runs through
+//! [`run_stage`], which has a *submit* half and a *complete* half. The
+//! submit half runs on the dispatch's thread and performs every charged
+//! access — fault injection, all counters, the reads themselves, retries
+//! included — buffering the outputs and returning the simulated time the
+//! dispatch still [`Owed`]: device slots, page-fault service, retry
+//! backoff, and one network round trip. Nothing owed (a latency-free
+//! model) routes the outputs at once. Otherwise the pool thread is freed
+//! and the outputs wait for events: the cluster's per-node device queues
+//! admit each access to one of its node's `queue_depth` slots and fire
+//! when the last lands (`SimCluster::settle`); if a round trip is owed it
+//! then rides a [`SimFabric`] flight, each node owning a window of at most
+//! `window` of those ([`FabricConfig`]); and the completion re-enqueues a
+//! `FlightDone` continuation on the submitting node's weighted queue. The
+//! dispatcher routes the buffered outputs inline (pure CPU work). No pool
+//! thread ever blocks on simulated time, so the pool is sized to the
+//! machine's cores, not to the I/O concurrency wanted — that is the device
+//! queue's depth. The continuation carries the dispatch's in-flight
+//! tokens; a job therefore cannot finish — and cancellation cannot
+//! complete — until every one of its flights has landed and returned its
+//! tokens.
 //!
 //! **Routing.** A non-broadcast pointer names the partition its target
 //! record lives in, and partition placement is static — so the executor
@@ -78,7 +85,7 @@ use crate::job::{Job, Stage};
 use crate::traits::{DerefInput, StageCtx};
 use parking_lot::{Condvar, Mutex};
 use rede_common::{ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile};
-use rede_storage::{FabricConfig, Pointer, Record, SimCluster, SimFabric};
+use rede_storage::{FabricConfig, Owed, Pointer, Record, SimCluster, SimFabric};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -121,8 +128,8 @@ enum TaskItem {
     Deref(DerefInput),
     /// Input for a reference stage.
     Record(Record),
-    /// Continuation of a fabric flight: the dispatch's buffered outputs,
-    /// ready to route now the simulated round trip has landed. Carries
+    /// Continuation of a dispatch that owed simulated time: its buffered
+    /// outputs, ready to route now its last event has landed. Carries
     /// the `tokens` in-flight tokens of the submitted dispatch (lead +
     /// batchmates), released only after the outputs are routed — the
     /// dispatcher handles it inline (it is pure CPU work) and it is
@@ -325,7 +332,8 @@ struct Shared {
     /// inline referencers never reach the pool at all), so the catch
     /// site feeds this counter directly.
     panics: Arc<AtomicU64>,
-    /// Event-driven completion layer carrying every owed round trip.
+    /// Event-driven completion layer carrying every owed round trip (the
+    /// device time before it is the cluster's own queues').
     fabric: SimFabric,
 }
 
@@ -608,11 +616,12 @@ impl JobState {
     /// invocations retire. Waiters get `RedeError::Cancelled`. Idempotent;
     /// a no-op after the job finished.
     ///
-    /// Fabric flights in the air are *not* (and cannot be) snatched back:
-    /// their in-flight tokens return when each flight's completion fires,
-    /// observes `cancelled`, and releases them without routing — so a
-    /// cancelled job finishes within one round-trip of its slowest
-    /// outstanding flight, with every fabric slot and token accounted.
+    /// Dispatches waiting on events — device slots, a fabric flight — are
+    /// *not* (and cannot be) snatched back: their in-flight tokens return
+    /// when each one's completion fires, observes `cancelled`, and
+    /// releases them without routing — so a cancelled job finishes as soon
+    /// as its slowest outstanding dispatch lands, with every device slot,
+    /// fabric slot and token accounted.
     pub(crate) fn cancel(&self) {
         if self.finished.load(Ordering::SeqCst) || self.cancelled.swap(true, Ordering::SeqCst) {
             return;
@@ -695,30 +704,53 @@ impl JobState {
         }
     }
 
-    /// Fabric completion handler, called on the fabric's timer thread when
-    /// a submitted dispatch's simulated round trip lands: re-enqueue the
-    /// continuation on the submitting node's weighted queue so the
-    /// dispatcher routes the buffered outputs. The dispatch's in-flight
-    /// tokens transfer into the queued task; if the job was cancelled (or
-    /// the substrate is shutting down) the outputs are dropped and the
-    /// tokens released here, which is what lets a cancelled job's last
-    /// outstanding flight complete it.
-    ///
-    /// Deliberately *not* routed through [`JobState::enqueue`]: the
-    /// continuation is the second half of an already-counted dispatch, so
-    /// it must not count a queue hop or a node enqueue of its own — the
-    /// executor counters are the same whether or not a dispatch flew.
-    fn complete_flight(
+    /// The complete half of a dispatch that owed simulated time, called
+    /// when its device phases have landed (on the device queue's thread)
+    /// with the round trip still owed. No round trip — what owner routing
+    /// makes of nearly every dereference — lands the outputs at once;
+    /// otherwise they ride a fabric flight under the submitting node's
+    /// window first. Only that network flight moves the fabric counters.
+    fn devices_landed(
         self: &Arc<Self>,
         node: usize,
         stage: usize,
         outputs: Vec<StageOutput>,
         tokens: u64,
+        rtt: Duration,
     ) {
-        self.tally(|m| {
-            m.record_fabric_completion();
-            m.record_flight_end();
-        });
+        if rtt.is_zero() {
+            return self.land(node, stage, outputs, tokens);
+        }
+        self.tally(|m| m.record_flight_begin());
+        let job = self.clone();
+        let stalled = self.shared.fabric.submit(
+            node,
+            rtt,
+            Box::new(move || {
+                job.tally(|m| {
+                    m.record_fabric_completion();
+                    m.record_flight_end();
+                });
+                job.land(node, stage, outputs, tokens);
+            }),
+        );
+        if stalled {
+            self.tally(|m| m.record_window_stall());
+        }
+    }
+
+    /// A dispatch's last event has landed: re-enqueue the continuation on
+    /// the submitting node's weighted queue so the dispatcher routes the
+    /// buffered outputs. The dispatch's in-flight tokens transfer into the
+    /// queued task; if the job was cancelled (or the substrate is shutting
+    /// down) the outputs are dropped and the tokens released here, which
+    /// is what lets a cancelled job's last outstanding flight complete it.
+    ///
+    /// Deliberately *not* routed through [`JobState::enqueue`]: the
+    /// continuation is the second half of an already-counted dispatch, so
+    /// it must not count a queue hop or a node enqueue of its own — the
+    /// executor counters are the same whatever a dispatch owed.
+    fn land(self: &Arc<Self>, node: usize, stage: usize, outputs: Vec<StageOutput>, tokens: u64) {
         if self.cancelled.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst) {
             self.tasks_done(tokens);
             return;
@@ -990,10 +1022,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// skip the bodies so their backlog drains at queue speed.
 ///
 /// [`run_stage`] is the *submit* half: all charged accesses, outputs
-/// buffered. When it owes no round trip the outputs are routed right here
-/// and every task's token released. Otherwise a flight is armed instead:
-/// the tokens travel with it and return through
-/// [`JobState::complete_flight`] when it lands.
+/// buffered. When it owes nothing the outputs are routed right here and
+/// every task's token released. Otherwise the dispatch is handed to the
+/// event layers instead: the tokens travel with it and return through
+/// [`JobState::land`] when its last event fires.
 fn process_tasks(tasks: Vec<Task>, node: usize) {
     let job = tasks[0].job.clone();
     let stage = tasks[0].stage;
@@ -1001,19 +1033,13 @@ fn process_tasks(tasks: Vec<Task>, node: usize) {
     if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
         job.prof.stage_tasks[stage].fetch_add(tokens, Ordering::Relaxed);
         match catch_unwind(AssertUnwindSafe(|| run_stage(&job, node, &tasks))) {
-            Ok((outputs, delay)) if !delay.is_zero() => {
-                // Remote work is in the air: arm the flight and keep the
-                // dispatch's tokens until the completion lands.
-                job.tally(|m| m.record_flight_begin());
+            Ok((outputs, owed)) if !owed.is_zero() => {
+                // Simulated time is owed: settle it as events and keep the
+                // dispatch's tokens until the last one lands.
                 let flight_job = job.clone();
-                let stalled = job.shared.fabric.submit(
-                    node,
-                    delay,
-                    Box::new(move || flight_job.complete_flight(node, stage, outputs, tokens)),
-                );
-                if stalled {
-                    job.tally(|m| m.record_window_stall());
-                }
+                job.cluster.settle(owed, move |rtt| {
+                    flight_job.devices_landed(node, stage, outputs, tokens, rtt)
+                });
                 return;
             }
             Ok((outputs, _)) => {
@@ -1054,24 +1080,25 @@ fn process_flight_done(task: Task, node: usize) {
 
 /// The *submit* half of a dispatch: run the stage over every task with
 /// per-item transient-fault recovery, buffering the outputs instead of
-/// routing them, and return them together with the round trip the caller
-/// must observe before routing.
+/// routing them, and return them together with the simulated time the
+/// caller must see settled before routing.
 ///
-/// Every charged access happens here, synchronously, in input order — so
-/// seeded chaos runs take identical fault decisions however tasks were
-/// coalesced. Each item's outputs are kept only once that item succeeds,
-/// and only the transient-failed subset is re-executed (up to
-/// [`MAX_RETRIES`] times each, with exponential backoff slept inline), so
-/// a retried item never double-emits — emit counters live in
+/// Every charged access happens here, at once, in input order — so seeded
+/// chaos runs take identical fault decisions however tasks were coalesced
+/// — and nothing here waits. Each item's outputs are kept only once that
+/// item succeeds, and only the transient-failed subset is re-executed (up
+/// to [`MAX_RETRIES`] times each, each round owing an exponential backoff
+/// before it), so a retried item never double-emits — emit counters live in
 /// `handle_output`, at routing time — and its batchmates are never
 /// re-read. Because the injector fails each access site at most once, the
 /// first retry of any given site always passes. Retries stop early when
 /// the job was cancelled or already failed elsewhere — recovering work
 /// nobody will collect just delays the drain. Every other item error
-/// fails the job. Retry rounds model sequential round trips, so the owed
-/// delay is their sum; outputs of items that succeeded in an early round
-/// are held until the whole dispatch routes.
-fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutput>, Duration) {
+/// fails the job. Retry rounds are owed one after the other — device time,
+/// backoff, device time — and model sequential round trips, so the owed
+/// RTT is their sum; outputs of items that succeeded in an early round are
+/// held until the whole dispatch routes.
+fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutput>, Owed) {
     let stage = &job.job.stages()[tasks[0].stage];
     let ctx = StageCtx {
         cluster: job.cluster.clone(),
@@ -1079,7 +1106,7 @@ fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutp
         local_only: tasks[0].local_only,
     };
     let mut outputs: Vec<StageOutput> = Vec::new();
-    let mut owed = Duration::ZERO;
+    let mut owed = Owed::default();
     let mut pending: Vec<usize> = (0..tasks.len()).collect();
     // Every pending item is re-executed every round, so the round number
     // is also each pending item's retry count.
@@ -1088,10 +1115,11 @@ fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutp
         let items: Vec<&TaskItem> = pending.iter().map(|&i| &tasks[i].item).collect();
         // (position in `pending`, output), in emission order.
         let mut buffered: Vec<(usize, StageOutput)> = Vec::new();
-        let (results, delay) = run_attempt(tasks[0].stage, stage, &ctx, &items, &mut |pos, out| {
-            buffered.push((pos, out))
-        });
-        owed += delay;
+        let (results, round_owed) =
+            run_attempt(tasks[0].stage, stage, &ctx, &items, &mut |pos, out| {
+                buffered.push((pos, out))
+            });
+        owed.then(round_owed);
         let mut retry: Vec<usize> = Vec::new();
         let succeeded: Vec<bool> = results
             .into_iter()
@@ -1123,7 +1151,7 @@ fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutp
             return (outputs, owed);
         }
         round += 1;
-        std::thread::sleep(backoff(round));
+        owed.delay(backoff(round));
         pending = retry;
     }
 }
@@ -1133,14 +1161,14 @@ fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutp
 /// Dereference stages make one batched call (a lone input is a batch of
 /// one) and apply the stage filter — the first filter error poisons its
 /// item, records keep streaming past it unemitted; reference stages owe
-/// no round trip.
+/// nothing.
 fn run_attempt(
     stage_idx: usize,
     stage: &Stage,
     ctx: &StageCtx,
     items: &[&TaskItem],
     emit: &mut dyn FnMut(usize, StageOutput),
-) -> (Vec<Result<()>>, Duration) {
+) -> (Vec<Result<()>>, Owed) {
     let mismatched = || {
         Err(RedeError::Exec(format!(
             "stage {} ('{}') received mismatched input",
@@ -1158,10 +1186,13 @@ fn run_attempt(
                 })
                 .collect();
             let Some(inputs) = inputs else {
-                return (items.iter().map(|_| mismatched()).collect(), Duration::ZERO);
+                return (
+                    items.iter().map(|_| mismatched()).collect(),
+                    Owed::default(),
+                );
             };
             let mut filter_errs: Vec<Option<RedeError>> = vec![None; inputs.len()];
-            let (results, delay) = func.dereference_batch(&inputs, ctx, &mut |pos, record| {
+            let (results, owed) = func.dereference_batch(&inputs, ctx, &mut |pos, record| {
                 let keep = match filter {
                     Some(f) => f.matches(&record).unwrap_or_else(|e| {
                         filter_errs[pos].get_or_insert(e);
@@ -1178,7 +1209,7 @@ fn run_attempt(
                 .zip(filter_errs)
                 .map(|(result, filter_err)| result.and(filter_err.map_or(Ok(()), Err)))
                 .collect();
-            (results, delay)
+            (results, owed)
         }
         Stage::Reference { func, .. } => {
             let results = items
@@ -1191,7 +1222,7 @@ fn run_attempt(
                     _ => mismatched(),
                 })
                 .collect();
-            (results, Duration::ZERO)
+            (results, Owed::default())
         }
     }
 }
@@ -1297,9 +1328,9 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
             job.prof.inline_runs.fetch_add(1, Ordering::Relaxed);
             process_tasks(tasks, node);
         } else {
-            // Everything else runs pooled (dereferences do I/O); a
-            // coalesced batch occupies a single pool slot for the whole
-            // batch.
+            // Everything else runs pooled (dereferences read pages and
+            // probe trees); a coalesced batch occupies a single pool slot
+            // until its accesses are charged.
             job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
             job.pool_inflight.fetch_add(1, Ordering::SeqCst);
             job.tally(|m| m.record_task_spawn());
@@ -1331,12 +1362,14 @@ pub(crate) struct Substrate {
 }
 
 impl Substrate {
-    /// Spawn the pool, the per-node dispatchers and the fabric's
-    /// completion-timer thread eagerly so job timings exclude thread
-    /// creation.
+    /// Spawn the pool and the per-node dispatchers eagerly so job timings
+    /// exclude thread creation. `pool_threads` is each job's fair-share
+    /// denominator and the upper bound on workers; no worker ever waits on
+    /// simulated time, so more of them than cores would only add context
+    /// switches.
     pub(crate) fn new(cluster: SimCluster, pool_threads: usize, fabric: FabricConfig) -> Substrate {
         let nodes = cluster.nodes();
-        let pool = Arc::new(ThreadPool::new(pool_threads, "rede-smpe"));
+        let pool = Arc::new(ThreadPool::cpu_bound(pool_threads, "rede-smpe"));
         let shared = Arc::new(Shared {
             queues: (0..nodes)
                 .map(|_| NodeQueue {

@@ -2,9 +2,15 @@
 //!
 //! "ReDe manages threads in a thread pool and reuses them instead of
 //! creating them every time. It manages 1000 threads in the default
-//! setting" (§ III-C). Work items are boxed closures delivered over an
-//! unbounded channel; the pool never blocks a submitter, which is what
-//! makes the executor deadlock-free (tasks only ever *enqueue* more work).
+//! setting" (§ III-C) — a thousand because each of the paper's threads
+//! blocks on its read. Here a dereference charges its accesses and hands
+//! the wait to the event layers (device queues, fabric), so the executor's
+//! workers do CPU work only and [`ThreadPool::cpu_bound`] caps them at the
+//! machine's cores; the I/O concurrency the paper tunes with its thread
+//! count is the device queue depth. Work items are boxed closures
+//! delivered over an unbounded channel; the pool never blocks a submitter,
+//! which is what makes the executor deadlock-free (tasks only ever
+//! *enqueue* more work).
 //!
 //! Workers survive panicking work items: each closure runs under
 //! `catch_unwind`, the panic is counted, and the worker goes back to the
@@ -57,6 +63,13 @@ impl ThreadPool {
             size,
             panics,
         }
+    }
+
+    /// A pool for work that never blocks: `limit` workers, but no more
+    /// than the machine has cores.
+    pub fn cpu_bound(limit: usize, name: &str) -> ThreadPool {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        ThreadPool::new(limit.min(cores), name)
     }
 
     /// Number of workers.
@@ -156,6 +169,13 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_size_rejected() {
         let _ = ThreadPool::new(0, "t");
+    }
+
+    #[test]
+    fn cpu_bound_pool_is_capped_by_cores_and_by_its_limit() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(ThreadPool::cpu_bound(usize::MAX, "t").size(), cores);
+        assert_eq!(ThreadPool::cpu_bound(1, "t").size(), 1);
     }
 
     #[test]

@@ -1,9 +1,28 @@
 //! Pre-built dereference functions.
+//!
+//! Each implements [`Dereferencer::dereference_batch`] as its one real
+//! body — charge every access, emit the records, return the simulated time
+//! still [`Owed`] — so the SMPE executor never waits inside them. The
+//! scalar [`Dereferencer::dereference`] (the partitioned executor, tests)
+//! is that batch of one followed by an inline wait.
 
 use crate::traits::{DerefInput, Dereferencer, StageCtx};
-use rede_common::{RedeError, Result};
-use rede_storage::Record;
-use std::time::Duration;
+use rede_common::{RedeError, Result, Value};
+use rede_storage::{Owed, Record};
+
+/// A synchronous dereference: a batch of one, then what it owes waited
+/// inline on the calling thread.
+fn dereference_one(
+    func: &dyn Dereferencer,
+    input: &DerefInput,
+    ctx: &StageCtx,
+    emit: &mut dyn FnMut(Record),
+) -> Result<()> {
+    let (mut results, owed) =
+        func.dereference_batch(std::slice::from_ref(input), ctx, &mut |_, r| emit(r));
+    ctx.cluster.wait(owed);
+    results.pop().expect("one result per input")
+}
 
 /// Range-probes a B-tree file — the paper's `Dereferencer-0` ("takes a
 /// range of Part.p_retailprice values as arguments and uses the B-tree
@@ -24,6 +43,27 @@ impl BtreeRangeDereferencer {
         let label = format!("btree-range({index})");
         BtreeRangeDereferencer { index, label }
     }
+
+    /// The probe one input asks for: `(lo, hi)` with `hi == None` for an
+    /// exact key.
+    fn bounds<'a>(&self, input: &'a DerefInput) -> Result<(&'a Value, Option<&'a Value>)> {
+        match input {
+            DerefInput::Range(lo, hi) => match (lo.logical_key(), hi.logical_key()) {
+                (Some(lo), Some(hi)) => Ok((lo, Some(hi))),
+                _ => Err(RedeError::InvalidJob(format!(
+                    "{}: range endpoints must be logical pointers",
+                    self.label
+                ))),
+            },
+            DerefInput::Point(p) => match p.logical_key() {
+                Some(key) => Ok((key, None)),
+                None => Err(RedeError::InvalidJob(format!(
+                    "{}: point input must be logical",
+                    self.label
+                ))),
+            },
+        }
+    }
 }
 
 impl Dereferencer for BtreeRangeDereferencer {
@@ -33,39 +73,34 @@ impl Dereferencer for BtreeRangeDereferencer {
         ctx: &StageCtx,
         emit: &mut dyn FnMut(Record),
     ) -> Result<()> {
-        let ix = ctx.cluster.index(&self.index)?;
-        let entries = match input {
-            DerefInput::Range(lo, hi) => {
-                let (lo, hi) = match (lo.logical_key(), hi.logical_key()) {
-                    (Some(lo), Some(hi)) => (lo, hi),
-                    _ => {
-                        return Err(RedeError::InvalidJob(format!(
-                            "{}: range endpoints must be logical pointers",
-                            self.label
-                        )))
-                    }
-                };
-                if ctx.local_only {
-                    ix.range_on_node(ctx.node, lo, hi)?
-                } else {
-                    ix.range(lo, hi, ctx.node)?
+        dereference_one(self, input, ctx, emit)
+    }
+
+    /// One probe per input, one after the other (seeds never coalesce, so
+    /// this is a batch of one in practice).
+    fn dereference_batch(
+        &self,
+        inputs: &[DerefInput],
+        ctx: &StageCtx,
+        emit: &mut dyn FnMut(usize, Record),
+    ) -> (Vec<Result<()>>, Owed) {
+        let mut owed = Owed::default();
+        let results = inputs
+            .iter()
+            .enumerate()
+            .map(|(idx, input)| {
+                let ix = ctx.cluster.index(&self.index)?;
+                let (lo, hi) = self.bounds(input)?;
+                let on_node = ctx.local_only.then_some(ctx.node);
+                let (entries, probe_owed) = ix.probe_submit(lo, hi, ctx.node, on_node);
+                owed.then(probe_owed);
+                for entry in entries? {
+                    emit(idx, entry);
                 }
-            }
-            DerefInput::Point(p) => {
-                let key = p.logical_key().ok_or_else(|| {
-                    RedeError::InvalidJob(format!("{}: point input must be logical", self.label))
-                })?;
-                if ctx.local_only {
-                    ix.lookup_on_node(ctx.node, key)?
-                } else {
-                    ix.lookup(key, ctx.node)?
-                }
-            }
-        };
-        for entry in entries {
-            emit(entry);
-        }
-        Ok(())
+                Ok(())
+            })
+            .collect();
+        (results, owed)
     }
 
     fn name(&self) -> &str {
@@ -99,22 +134,7 @@ impl Dereferencer for IndexLookupDereferencer {
         ctx: &StageCtx,
         emit: &mut dyn FnMut(Record),
     ) -> Result<()> {
-        let ptr = input.as_point().ok_or_else(|| {
-            RedeError::InvalidJob(format!("{}: expected a point input", self.label))
-        })?;
-        let key = ptr.logical_key().ok_or_else(|| {
-            RedeError::InvalidJob(format!("{}: expected a logical pointer", self.label))
-        })?;
-        let ix = ctx.cluster.index(&self.index)?;
-        let entries = if ctx.local_only {
-            ix.lookup_on_node(ctx.node, key)?
-        } else {
-            ix.lookup(key, ctx.node)?
-        };
-        for entry in entries {
-            emit(entry);
-        }
-        Ok(())
+        dereference_one(self, input, ctx, emit)
     }
 
     fn dereference_batch(
@@ -122,22 +142,8 @@ impl Dereferencer for IndexLookupDereferencer {
         inputs: &[DerefInput],
         ctx: &StageCtx,
         emit: &mut dyn FnMut(usize, Record),
-    ) -> (Vec<Result<()>>, Duration) {
-        // Local-only probes are already restricted to node-held partitions
-        // and gain nothing from coalescing; keep the scalar loop, which
-        // owes no round trip. Same if the index is missing — each scalar
-        // call reports the error.
-        let ix = match (ctx.local_only, ctx.cluster.index(&self.index)) {
-            (false, Ok(ix)) => ix,
-            _ => {
-                let results = inputs
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, input)| self.dereference(input, ctx, &mut |r| emit(idx, r)))
-                    .collect();
-                return (results, Duration::ZERO);
-            }
-        };
+    ) -> (Vec<Result<()>>, Owed) {
+        let mut owed = Owed::default();
         let mut out: Vec<Option<Result<()>>> = (0..inputs.len()).map(|_| None).collect();
         let mut probes = Vec::with_capacity(inputs.len());
         for (idx, input) in inputs.iter().enumerate() {
@@ -151,20 +157,42 @@ impl Dereferencer for IndexLookupDereferencer {
                 }
             }
         }
-        let keys: Vec<rede_common::Value> = probes.iter().map(|(_, key)| key.clone()).collect();
-        let (results, deferred) = ix.lookup_batch_submit(&keys, ctx.node);
-        for (&(idx, _), result) in probes.iter().zip(results) {
-            out[idx] = Some(result.map(|entries| {
-                for entry in entries {
-                    emit(idx, entry);
+        let mut emit_entries = |idx: usize, entries: Vec<Record>| {
+            for entry in entries {
+                emit(idx, entry);
+            }
+        };
+        match ctx.cluster.index(&self.index) {
+            Err(e) => {
+                for (idx, _) in probes {
+                    out[idx] = Some(Err(e.clone()));
                 }
-            }));
+            }
+            // Local-only probes are already restricted to node-held
+            // partitions and gain nothing from coalescing: one probe per
+            // key, one after the other.
+            Ok(ix) if ctx.local_only => {
+                for (idx, key) in probes {
+                    let (entries, probe_owed) =
+                        ix.probe_submit(&key, None, ctx.node, Some(ctx.node));
+                    owed.then(probe_owed);
+                    out[idx] = Some(entries.map(|entries| emit_entries(idx, entries)));
+                }
+            }
+            Ok(ix) => {
+                let keys: Vec<Value> = probes.iter().map(|(_, key)| key.clone()).collect();
+                let (results, batch_owed) = ix.lookup_batch_submit(&keys, ctx.node);
+                owed.then(batch_owed);
+                for (&(idx, _), result) in probes.iter().zip(results) {
+                    out[idx] = Some(result.map(|entries| emit_entries(idx, entries)));
+                }
+            }
         }
         let results = out
             .into_iter()
             .map(|slot| slot.expect("every input validated or probed"))
             .collect();
-        (results, deferred)
+        (results, owed)
     }
 
     fn name(&self) -> &str {
@@ -197,19 +225,7 @@ impl Dereferencer for LookupDereferencer {
         ctx: &StageCtx,
         emit: &mut dyn FnMut(Record),
     ) -> Result<()> {
-        let ptr = input.as_point().ok_or_else(|| {
-            RedeError::InvalidJob(format!("{}: expected a point input", self.label))
-        })?;
-        // The pointer names the file it was minted for; the configured file
-        // must agree, otherwise the job is wired incorrectly.
-        if *ptr.file != self.file {
-            return Err(RedeError::InvalidJob(format!(
-                "{}: pointer targets '{}'",
-                self.label, ptr.file
-            )));
-        }
-        emit(ctx.cluster.resolve(ptr, ctx.node)?);
-        Ok(())
+        dereference_one(self, input, ctx, emit)
     }
 
     fn dereference_batch(
@@ -217,11 +233,14 @@ impl Dereferencer for LookupDereferencer {
         inputs: &[DerefInput],
         ctx: &StageCtx,
         emit: &mut dyn FnMut(usize, Record),
-    ) -> (Vec<Result<()>>, Duration) {
+    ) -> (Vec<Result<()>>, Owed) {
         let mut out: Vec<Option<Result<()>>> = (0..inputs.len()).map(|_| None).collect();
         let mut ptrs = Vec::with_capacity(inputs.len());
         for (idx, input) in inputs.iter().enumerate() {
             match input.as_point() {
+                // The pointer names the file it was minted for; the
+                // configured file must agree, otherwise the job is wired
+                // incorrectly.
                 Some(ptr) if *ptr.file == self.file => ptrs.push((idx, ptr)),
                 Some(ptr) => {
                     out[idx] = Some(Err(RedeError::InvalidJob(format!(
@@ -238,7 +257,7 @@ impl Dereferencer for LookupDereferencer {
             }
         }
         let refs: Vec<&rede_storage::Pointer> = ptrs.iter().map(|&(_, ptr)| ptr).collect();
-        let (results, deferred) = ctx.cluster.resolve_batch_submit(&refs, ctx.node);
+        let (results, owed) = ctx.cluster.resolve_batch_submit(&refs, ctx.node);
         for (&(idx, _), result) in ptrs.iter().zip(results) {
             out[idx] = Some(result.map(|record| emit(idx, record)));
         }
@@ -246,7 +265,7 @@ impl Dereferencer for LookupDereferencer {
             .into_iter()
             .map(|slot| slot.expect("every input validated or resolved"))
             .collect();
-        (results, deferred)
+        (results, owed)
     }
 
     fn name(&self) -> &str {
@@ -257,7 +276,6 @@ impl Dereferencer for LookupDereferencer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rede_common::Value;
     use rede_storage::{FileSpec, IndexEntry, IndexSpec, Partitioning, Pointer, SimCluster};
 
     /// Cluster with a heap file of 100 rows and a global index on the

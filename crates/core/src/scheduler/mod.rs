@@ -48,7 +48,8 @@ use std::time::{Duration, Instant};
 /// Per-job knobs (weight, output collection) live in [`SubmitOptions`].
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Total pooled threads shared by all jobs.
+    /// Pool capacity shared by all jobs: the fair-share denominator and
+    /// the upper bound on workers (see `ExecutorConfig::pool_threads`).
     pub pool_threads: usize,
     /// Run referencers inline on dispatchers (the paper's default).
     pub referencer_inline: bool,

@@ -13,8 +13,7 @@
 //! * [`Filter`] — schema-on-read predicate attached to a dereference stage.
 
 use rede_common::{Result, Value};
-use rede_storage::{Pointer, Record, SimCluster};
-use std::time::Duration;
+use rede_storage::{Owed, Pointer, Record, SimCluster};
 
 /// Execution context handed to every function invocation.
 #[derive(Clone)]
@@ -112,30 +111,33 @@ pub trait Dereferencer: Send + Sync {
     /// produced it; the returned vector holds one result per input, in
     /// input order, so items succeed or fail independently.
     ///
-    /// The returned delay is the network round trip the batch still owes:
-    /// all charged work — fault injection, IOPS admission, device time,
-    /// counters — happens inside this call, in input order, but the wait
-    /// for remote groups is handed to the caller, which either arms a
-    /// fabric flight for it or (when zero: everything was local) treats
-    /// the results as final at once.
+    /// The returned [`Owed`] is the simulated time the batch still owes:
+    /// all charged work — fault injection, counters, the reads themselves
+    /// — happens inside this call, in input order, but nothing waits. The
+    /// device slots, page-fault service and network round trip the accesses
+    /// cost are handed to the caller, which settles them as events
+    /// (`SimCluster::settle`) and routes the outputs when the last lands —
+    /// or, when nothing is owed, treats the results as final at once.
     ///
-    /// The default implementation loops the scalar path, which waits any
-    /// round trip inline, and owes nothing. Implementations backed by
-    /// charged storage override it to amortize fixed per-request costs
-    /// (IOPS admission, network RTT, root-to-leaf descents) across the
-    /// batch — see `LookupDereferencer` and `IndexLookupDereferencer`.
+    /// The default implementation loops the scalar path, which waits
+    /// everything inline, and owes nothing: correct, but under the SMPE
+    /// executor each such call occupies one of the pool's workers — there
+    /// are only as many as cores — for as long as it waits. Implementations
+    /// backed by charged storage override it, both to owe instead of wait
+    /// and to amortize fixed per-request costs (network RTT, root-to-leaf
+    /// descents) across the batch — see the prebuilt dereferencers.
     fn dereference_batch(
         &self,
         inputs: &[DerefInput],
         ctx: &StageCtx,
         emit: &mut dyn FnMut(usize, Record),
-    ) -> (Vec<Result<()>>, Duration) {
+    ) -> (Vec<Result<()>>, Owed) {
         let results = inputs
             .iter()
             .enumerate()
             .map(|(idx, input)| self.dereference(input, ctx, &mut |r| emit(idx, r)))
             .collect();
-        (results, Duration::ZERO)
+        (results, Owed::default())
     }
 
     /// Human-readable name for diagnostics.

@@ -7,13 +7,16 @@
 //! invariant `local + remote + cache hits == logical point reads` must hold
 //! exactly, per job and per node.
 
-use rede_common::Value;
+use rede_common::{RedeError, Value};
 use rede_core::exec::{Batching, ExecutorConfig, JobRunner, RoutingPolicy};
 use rede_core::job::{Job, SeedInput};
 use rede_core::maintenance::IndexBuilder;
 use rede_core::prebuilt::*;
-use rede_storage::{FaultPlan, FileSpec, IndexSpec, Partitioning, Record, SimCluster};
+use rede_core::traits::{DerefInput, Dereferencer, StageCtx};
+use rede_storage::{FaultPlan, FileSpec, IndexSpec, IoModel, Partitioning, Record, SimCluster};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const PARTS: i64 = 120;
 const LINES_PER_PART: i64 = 3;
@@ -22,7 +25,17 @@ const LINES_PER_PART: i64 = 3;
 /// joined to `lineitem` (global FK index), with the FK hop crossing
 /// partitions — the access pattern batching is built for.
 fn fixture(nodes: usize, partitions: usize, cache: bool, faults: bool) -> SimCluster {
-    let mut b = SimCluster::builder().nodes(nodes);
+    fixture_with(nodes, partitions, cache, faults, IoModel::zero())
+}
+
+fn fixture_with(
+    nodes: usize,
+    partitions: usize,
+    cache: bool,
+    faults: bool,
+    io: IoModel,
+) -> SimCluster {
+    let mut b = SimCluster::builder().nodes(nodes).io_model(io);
     if cache {
         b = b.record_cache(64 * 1024);
     }
@@ -257,4 +270,107 @@ fn producer_routing_batches_amortize_remote_rtts() {
         off.profile.remote_rtts
     );
     assert_eq!(sorted_texts(&batched.records), sorted_texts(&off.records));
+}
+
+/// No worker waits on simulated time: with a *single* pool worker, a
+/// job's reads still overlap on the device, so it finishes in a fraction
+/// of the device time it was charged.
+#[test]
+fn one_worker_overlaps_a_jobs_reads_on_the_device() {
+    let latency = Duration::from_millis(2);
+    let io = IoModel {
+        local_point_read: latency,
+        remote_point_read: latency,
+        index_lookup: latency,
+        ..IoModel::zero()
+    };
+    let c = fixture_with(1, 4, false, false, io);
+    let config = ExecutorConfig::smpe(1).collecting();
+    let result = JobRunner::new(c.clone(), config).run(&join_job()).unwrap();
+    assert_eq!(result.count, (PARTS * LINES_PER_PART) as u64);
+    let accesses = result.metrics.point_reads() + result.metrics.index_lookups;
+    let device_time = c.device_slot_time()[0];
+    assert_eq!(
+        device_time,
+        latency * accesses as u32,
+        "every access held one slot for its full device time"
+    );
+    // Four dereference stages follow one another, so four device times is
+    // the floor — and on this one-node cluster, finishing in less than the
+    // charged device time means more than one access was in service at
+    // once, which one sleeping worker could never do.
+    assert!(result.wall >= latency * 4, "wall {:?}", result.wall);
+    assert!(
+        result.wall < device_time / 2,
+        "one worker must not serialize {device_time:?} of device time: wall {:?}",
+        result.wall
+    );
+    assert_eq!(c.available_iops_permits(), vec![c.io_model().queue_depth]);
+}
+
+/// Fails transiently the first `failures` times it runs on each node,
+/// then emits one record. Touches no storage, so the only simulated time
+/// its dispatches owe is the retry backoff.
+struct FailsFirst {
+    failures: u32,
+    attempts: Vec<AtomicU32>,
+}
+
+impl Dereferencer for FailsFirst {
+    fn dereference(
+        &self,
+        _input: &DerefInput,
+        ctx: &StageCtx,
+        emit: &mut dyn FnMut(Record),
+    ) -> rede_common::Result<()> {
+        if self.attempts[ctx.node].fetch_add(1, Ordering::SeqCst) < self.failures {
+            return Err(RedeError::Transient("try again".into()));
+        }
+        emit(Record::from_text("ok"));
+        Ok(())
+    }
+}
+
+/// Retry backoff is owed, not slept on a worker: sixteen seed dispatches
+/// that each back off ~4.5 ms share one worker and still finish in about
+/// one backoff, not sixteen.
+#[test]
+fn retry_backoff_does_not_occupy_a_worker() {
+    let nodes = 16;
+    let failures = 8;
+    // 20 µs doubling per retry, capped at 2 ms: the executor's envelope.
+    let backoff: Duration = (0..failures)
+        .map(|n| Duration::from_micros(20 << n).min(Duration::from_millis(2)))
+        .sum();
+    let c = SimCluster::builder().nodes(nodes).build().unwrap();
+    let job = Job::builder("backoff")
+        .seed(SeedInput::Range {
+            file: "nothing".into(),
+            lo: Value::Int(0),
+            hi: Value::Int(0),
+        })
+        .dereference(
+            "flaky",
+            Arc::new(FailsFirst {
+                failures,
+                attempts: (0..nodes).map(|_| AtomicU32::new(0)).collect(),
+            }),
+        )
+        .build()
+        .unwrap();
+    let result = JobRunner::new(c, ExecutorConfig::smpe(1))
+        .run(&job)
+        .unwrap();
+    assert_eq!(result.count, nodes as u64);
+    assert_eq!(result.metrics.retries, u64::from(failures) * nodes as u64);
+    assert!(
+        result.wall >= backoff,
+        "backoff is still owed: {:?}",
+        result.wall
+    );
+    assert!(
+        result.wall < backoff * (nodes as u32) / 2,
+        "{nodes} dispatches backed off {backoff:?} each on one worker: {:?}",
+        result.wall
+    );
 }

@@ -2,12 +2,12 @@
 //! access paths.
 //!
 //! The cluster is the reproduction's stand-in for the paper's 128-node
-//! testbed. It owns the catalog, the I/O model, the per-node admission
-//! limiters, and the metrics registry, and exposes *charged* access
-//! handles: every read pays the configured latency on the calling thread
-//! (so concurrency genuinely overlaps I/O) and increments the matching
-//! access counter (so experiments can be replayed through the deterministic
-//! cost model).
+//! testbed. It owns the catalog, the I/O model, the per-node device
+//! queues, and the metrics registry, and exposes *charged* access handles:
+//! every read increments the matching access counter on the calling thread
+//! (so experiments can be replayed through the deterministic cost model)
+//! and owes the configured latency to its serving node's device queue (so
+//! concurrent accesses genuinely overlap, up to `queue_depth` per node).
 //!
 //! Placement: partition `p` of every file lives on node `p % nodes`, the
 //! round-robin layout the paper uses for its HDFS load.
@@ -18,14 +18,17 @@ use crate::buffer::{
 };
 use crate::cache::{CacheKey, RecordCache};
 use crate::catalog::{Catalog, StorageObject};
+use crate::fabric::{Completion, FabricConfig, SimFabric};
 use crate::faults::{AccessClass, FaultDecision, FaultInjector, FaultPlan};
 use crate::heap_file::HeapFile;
-use crate::io_model::{IoModel, IopsLimiter};
+use crate::io_model::{IoModel, Owed, Phase};
 use crate::partitioner::Partitioning;
 use crate::pointer::{Pointer, PointerKey};
 use crate::record::Record;
+use parking_lot::Mutex;
 use rede_common::{AccessKind, FxHasher, IoScope, Metrics, RedeError, Result, Value};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -131,7 +134,12 @@ struct ClusterInner {
     nodes: usize,
     io: IoModel,
     metrics: Metrics,
-    limiters: Vec<IopsLimiter>,
+    /// The per-node device queues: one fabric whose window is
+    /// `io.queue_depth`. Every charged access is a flight holding one of
+    /// its serving node's slots for its modeled device time. Behind an
+    /// `Arc` because the continuation of a multi-phase [`Owed`] submits its
+    /// next phase from the fabric's own thread.
+    devices: Arc<SimFabric>,
     catalog: Catalog,
     /// Page frames for every heap file and index created on this cluster,
     /// charging the same byte budget as the record cache.
@@ -147,13 +155,14 @@ impl ClusterInner {
     fn node_of_partition(&self, partition: usize) -> usize {
         partition % self.nodes
     }
+}
 
-    /// Network component of a remote access: the difference between remote
-    /// and local point-read latency.
-    fn rtt(&self) -> Duration {
-        self.io
-            .remote_point_read
-            .saturating_sub(self.io.local_point_read)
+impl Drop for ClusterInner {
+    /// Dropping the last handle settles everything still owed at once:
+    /// every outstanding completion fires before the queue's thread is
+    /// joined, so no waiter or in-flight token is stranded.
+    fn drop(&mut self) {
+        self.devices.shutdown();
     }
 }
 
@@ -162,7 +171,7 @@ impl ClusterInner {
 /// A handle optionally carries an [`IoScope`]: scoped handles (created by
 /// [`SimCluster::with_io_scope`]) mirror every charged access into the
 /// scope's private metrics in addition to the cluster-global counters, and
-/// attribute held IOPS permits to the scope. The scheduler hands each job a
+/// attribute held device-queue slots to the scope. The scheduler hands each job a
 /// scoped handle so per-job profiles stay exact under concurrency; clones
 /// (and the file/index handles they mint) inherit the scope.
 #[derive(Clone)]
@@ -268,9 +277,6 @@ impl SimClusterBuilder {
         if self.nodes == 0 {
             return Err(RedeError::Config("cluster needs at least one node".into()));
         }
-        let limiters = (0..self.nodes)
-            .map(|_| IopsLimiter::new(self.io.queue_depth))
-            .collect();
         if let Some(bytes) = self.memory_budget {
             if bytes < MIN_MEMORY_BUDGET {
                 return Err(RedeError::Config(format!(
@@ -326,12 +332,13 @@ impl SimClusterBuilder {
             // cache is the sink of last resort before waiting on pins.
             pool.set_shrinker(cache.clone() as Arc<dyn ShrinkBytes>);
         }
+        let devices = Arc::new(SimFabric::new(FabricConfig::window(self.io.queue_depth)));
         Ok(SimCluster {
             inner: Arc::new(ClusterInner {
                 nodes: self.nodes,
                 io: self.io,
                 metrics: self.metrics.unwrap_or_default(),
-                limiters,
+                devices,
                 catalog: Catalog::new(),
                 pool,
                 cache,
@@ -455,16 +462,14 @@ impl SimCluster {
         }
     }
 
-    /// Tally page I/O and pay the modeled fault latency (one positioned
-    /// read per fault, charged on the accessing thread *outside* any
-    /// device permit — faults hit the buffer manager, not the owner's
-    /// request queue).
+    /// Tally page I/O and owe the modeled fault latency: one positioned
+    /// read per fault, serviced one after the other once the call's device
+    /// accesses have landed and *outside* any device slot — faults hit the
+    /// buffer manager, not the owner's request queue.
     #[inline]
-    fn charge_page_stats(&self, stats: PageStats) {
+    fn owe_page_stats(&self, stats: PageStats, owed: &mut Owed) {
         self.note_page_stats(stats);
-        if stats.faults > 0 {
-            self.inner.io.pay_page_faults(stats.faults);
-        }
+        owed.delay(self.inner.io.page_fault_cost(stats.faults));
     }
 
     /// Point-in-time buffer pool counters (benches, CI gates, tests).
@@ -477,13 +482,25 @@ impl SimCluster {
         &self.inner.pool
     }
 
-    /// Diagnostic: IOPS permits currently available on each node's limiter.
+    /// Diagnostic: free device-queue slots per node — `queue_depth` minus
+    /// the accesses in service there right now. Equals `queue_depth`
+    /// everywhere whenever the cluster is at rest.
     pub fn available_iops_permits(&self) -> Vec<usize> {
-        self.inner
-            .limiters
-            .iter()
-            .map(|l| l.available_permits())
+        let devices = &self.inner.devices;
+        let in_service = devices.in_service();
+        (0..self.inner.nodes)
+            .map(|node| devices.window() - in_service.get(node).copied().unwrap_or(0))
             .collect()
+    }
+
+    /// Diagnostic: cumulative device time granted per node — Σ modeled
+    /// time over every access that ever held one of the node's slots. The
+    /// device model's conservation law: the same accesses cost the same
+    /// slot time however they were grouped into calls.
+    pub fn device_slot_time(&self) -> Vec<Duration> {
+        let mut per_node = self.inner.devices.slot_time();
+        per_node.resize(self.inner.nodes, Duration::ZERO);
+        per_node
     }
 
     /// The fault injector attached at build time, if any. `None` means
@@ -528,20 +545,24 @@ impl SimCluster {
     }
 
     /// The one place an access is charged: every point read and index
-    /// probe, scalar or batched, pays here. `sites` are the accesses as
-    /// `(partition, fault site)` pairs issued from `from_node`.
+    /// probe, scalar or batched, is charged here — and nothing here waits.
+    /// `sites` are the accesses as `(partition, fault site)` pairs issued
+    /// from `from_node`.
     ///
     /// The fault gate runs once per site in input order — injection
     /// decisions depend only on *what* is read, so they are the same
     /// however the accesses were grouped — and an injected failure yields
-    /// that site's `Err(Transient)` before any counter or permit moves for
-    /// it. Survivors are grouped by the device that serves them (the
-    /// owner, or its replica), and each group holds one IOPS permit for
-    /// one summed device sleep. Wire time must not occupy a disk-queue
+    /// that site's `Err(Transient)` before any counter moves for it.
+    /// Survivors are grouped by the device that serves them (the owner, or
+    /// its replica) and counted; what they cost in time is recorded into
+    /// `owed` as one phase: **each access holds one slot of its serving
+    /// device's queue for its own modeled time** (`latency × brown-out
+    /// multiplier`), exactly as a scalar access does, so the accesses of a
+    /// batch overlap up to the device's `queue_depth` like the same reads
+    /// issued concurrently would. Wire time must not occupy a disk-queue
     /// slot, so a group served by another node only *counts* its network
-    /// round trip here; the returned delay is the round trip the caller
-    /// still owes — all remote groups are in the air at once, so it is one
-    /// RTT however many groups were remote, and zero when all were local.
+    /// round trip and owes it after the devices — all remote groups are in
+    /// the air at once, so it is one RTT however many groups were remote.
     ///
     /// `batched` marks a multi-access request: its groups additionally
     /// move `batched_reads` / `batches_issued`, which a scalar access
@@ -552,7 +573,8 @@ impl SimCluster {
         from_node: usize,
         sites: &[(usize, u64)],
         batched: bool,
-    ) -> (Vec<Result<()>>, Duration) {
+        owed: &mut Owed,
+    ) -> Vec<Result<()>> {
         let inner = &*self.inner;
         // Insertion-ordered Vec keeps grouping deterministic; device
         // counts are tiny.
@@ -569,6 +591,11 @@ impl SimCluster {
                 Ok(())
             })
             .collect();
+        let device_time = match class {
+            AccessClass::PointRead => inner.io.local_point_read,
+            AccessClass::IndexProbe => inner.io.index_lookup,
+        };
+        let mut accesses = Vec::new();
         let mut rtt = Duration::ZERO;
         for (device, mults) in groups {
             let local = device == from_node;
@@ -588,14 +615,13 @@ impl SimCluster {
                     }
                 }
             };
-            {
-                let _permit = inner.limiters[device].acquire();
-                let _held = self.scope.as_deref().map(IoScope::hold_permit);
-                self.tally(|m| m.record_accesses(kind, n));
-                match class {
-                    AccessClass::PointRead => inner.io.pay_read_batch(&mults),
-                    AccessClass::IndexProbe => inner.io.pay_index_batch(&mults),
-                }
+            self.tally(|m| m.record_accesses(kind, n));
+            if !device_time.is_zero() {
+                accesses.extend(
+                    mults
+                        .iter()
+                        .map(|&m| (device, device_time.saturating_mul(m))),
+                );
             }
             if batched {
                 self.tally(|m| {
@@ -605,21 +631,69 @@ impl SimCluster {
             }
             if !local {
                 self.tally(|m| m.record_remote_rtt());
-                rtt = inner.rtt();
+                rtt = inner.io.rtt();
             }
         }
-        (admitted, rtt)
+        owed.phase(accesses, rtt);
+        admitted
     }
 
-    /// The complete half of a synchronous access: wait out the round trip
-    /// a submit returned, on the calling thread. The sleep is one flight
-    /// in the air, so the in-flight gauge makes the caller-bound
-    /// concurrency of synchronous access directly comparable to the
-    /// fabric's in-flight peak.
-    fn wait_inline(&self, rtt: Duration) {
-        if !rtt.is_zero() {
+    /// Settle what a submit returned as events, occupying no thread: walk
+    /// `owed`'s phases through the device queues — every access is
+    /// admitted to one of its serving node's `queue_depth` slots (FIFO
+    /// behind whatever is already queued there), holds it for its modeled
+    /// time with this handle's scope gauge up, and the phase's wait starts
+    /// when its last access lands — then call `complete` with the network
+    /// round trip still owed (the caller flies it under its own window, or
+    /// waits it inline). `complete` runs on the device queue's thread, or
+    /// right here when no device time is owed; it must not block.
+    pub fn settle(&self, owed: Owed, complete: impl FnOnce(Duration) + Send + 'static) {
+        let Owed { phases, rtt } = owed;
+        run_phases(
+            self.inner.devices.clone(),
+            self.scope.clone(),
+            phases.into_iter(),
+            Box::new(move || complete(rtt)),
+        );
+    }
+
+    /// The complete half of a synchronous access: the same phases through
+    /// the same device slots as [`SimCluster::settle`], waited on the
+    /// calling thread. A lone access sleeps in its slot right here; the
+    /// accesses of a batch ride the queue's events so they overlap, and
+    /// the caller blocks until the last lands. Then the phase's wait, and
+    /// finally the round trip, are slept inline — the RTT is one flight in
+    /// the air, so the in-flight gauge makes the caller-bound concurrency
+    /// of synchronous access directly comparable to the fabric's
+    /// in-flight peak.
+    pub fn wait(&self, owed: Owed) {
+        let devices = &self.inner.devices;
+        for Phase { accesses, then } in owed.phases {
+            match accesses[..] {
+                [] => {}
+                [(node, time)] => devices.hold(node, time, self.scope.as_ref()),
+                _ => {
+                    let (landed_tx, landed) = std::sync::mpsc::sync_channel(1);
+                    submit_phase(
+                        devices,
+                        self.scope.as_ref(),
+                        accesses,
+                        Box::new(move || {
+                            let _ = landed_tx.send(());
+                        }),
+                    );
+                    landed.recv().expect(
+                        "the device queue fires every completion, at shutdown at the latest",
+                    );
+                }
+            }
+            if !then.is_zero() {
+                std::thread::sleep(then);
+            }
+        }
+        if !owed.rtt.is_zero() {
             self.tally(|m| m.record_flight_begin());
-            std::thread::sleep(rtt);
+            std::thread::sleep(owed.rtt);
             self.tally(|m| m.record_flight_end());
         }
     }
@@ -844,18 +918,19 @@ impl SimCluster {
     }
 
     /// Resolve a batch of pointers issued from `from_node` synchronously:
-    /// [`SimCluster::resolve_batch_submit`], then the returned round trip
-    /// waited inline on the calling thread (under the in-flight gauge).
-    /// Remote groups share that one wait — they are in the air together.
+    /// [`SimCluster::resolve_batch_submit`], then [`SimCluster::wait`] for
+    /// what it owes on the calling thread. The reads overlap on their
+    /// devices and remote groups share one round trip — they are in the
+    /// air together.
     pub fn resolve_batch(&self, ptrs: &[&Pointer], from_node: usize) -> Vec<Result<Record>> {
-        let (results, rtt) = self.resolve_batch_submit(ptrs, from_node);
-        self.wait_inline(rtt);
+        let (results, owed) = self.resolve_batch_submit(ptrs, from_node);
+        self.wait(owed);
         results
     }
 
     /// The dereference path for point reads: resolve `ptrs` issued from
     /// `from_node`, doing everything that is charged on the calling thread
-    /// and returning the network round trip still owed instead of sleeping
+    /// and returning the simulated time still [`Owed`] instead of sleeping
     /// it. Results come back in input order; each item succeeds or fails
     /// independently (a transient fault on one site never poisons its
     /// batchmates). Per item, in order:
@@ -869,12 +944,12 @@ impl SimCluster {
     ///   to the resolves issued) and never consults the fault injector;
     /// * charge the surviving misses through `charge`: fault gate per
     ///   site in input order, keyed off the *original* pointer so
-    ///   injection never depends on which version a snapshot selects, then
-    ///   one IOPS permit and one summed device sleep per serving device;
+    ///   injection never depends on which version a snapshot selects, each
+    ///   survivor owing one slot of its serving device for its device time;
     /// * count the cache miss only after the charge succeeded (an injected
     ///   failure leaves the conservation counters untouched, so every
     ///   recorded miss pairs with exactly one recorded storage read), read
-    ///   the heap, pay any page faults, and insert into the cache.
+    ///   the heap, owe any page faults, and insert into the cache.
     ///
     /// Every conservation counter moves identically however the same
     /// pointers are split into calls (`local + remote + cache_hits ==
@@ -886,15 +961,17 @@ impl SimCluster {
     /// separate calls would serve the repeat from cache — conservation
     /// still holds, the split just shifts from `cache_hits` to reads.
     ///
-    /// A zero return means every group was local (or the model has no
-    /// RTT). Cache inserts land at submit time — before the modeled round
-    /// trip completes — an anachronism visible only to wall-clock
-    /// observers, never to any counter or output byte.
+    /// The results are final when returned; only time is owed. Records and
+    /// cache inserts land at submit time — before the modeled device time
+    /// and round trip complete — an anachronism visible only to wall-clock
+    /// observers, never to any counter or output byte. Whoever takes the
+    /// `Owed` must settle it ([`SimCluster::settle`] / [`SimCluster::wait`])
+    /// before acting on the results, or the access was free.
     pub fn resolve_batch_submit(
         &self,
         ptrs: &[&Pointer],
         from_node: usize,
-    ) -> (Vec<Result<Record>>, Duration) {
+    ) -> (Vec<Result<Record>>, Owed) {
         let cache = self.inner.cache.as_deref();
         let mut out: Vec<Option<Result<Record>>> = (0..ptrs.len()).map(|_| None).collect();
 
@@ -942,8 +1019,14 @@ impl SimCluster {
             });
         }
 
-        let (admitted, rtt) =
-            self.charge(AccessClass::PointRead, from_node, &sites, ptrs.len() > 1);
+        let mut owed = Owed::default();
+        let admitted = self.charge(
+            AccessClass::PointRead,
+            from_node,
+            &sites,
+            ptrs.len() > 1,
+            &mut owed,
+        );
         for (miss, admitted) in misses.into_iter().zip(admitted) {
             let read = admitted.and_then(|()| {
                 if cache.is_some() {
@@ -951,7 +1034,7 @@ impl SimCluster {
                 }
                 let read_key = miss.read_key.as_ref().unwrap_or(&ptrs[miss.idx].key);
                 let (record, pages) = miss.heap.get_traced(miss.partition, read_key)?;
-                self.charge_page_stats(pages);
+                self.owe_page_stats(pages, &mut owed);
                 if let (Some(cache), Some(ck)) = (cache, miss.cache_key) {
                     cache.insert(from_node, ck, record.clone());
                 }
@@ -963,8 +1046,64 @@ impl SimCluster {
             .into_iter()
             .map(|slot| slot.expect("every batch item resolved or failed"))
             .collect();
-        (results, rtt)
+        (results, owed)
     }
+}
+
+/// Walk the remaining `phases` of an [`Owed`] as events: submit the next
+/// phase's accesses, start its wait when the last of them lands, recurse
+/// when the wait is over, and run `done` after the final phase.
+fn run_phases(
+    devices: Arc<SimFabric>,
+    scope: Option<Arc<IoScope>>,
+    mut phases: std::vec::IntoIter<Phase>,
+    done: Completion,
+) {
+    let Some(Phase { accesses, then }) = phases.next() else {
+        return done();
+    };
+    let (queue, flight_scope) = (devices.clone(), scope.clone());
+    let landed: Completion = Box::new(move || {
+        let timer = devices.clone();
+        let rest: Completion = Box::new(move || run_phases(devices, scope, phases, done));
+        if then.is_zero() {
+            rest()
+        } else {
+            timer.after(then, rest)
+        }
+    });
+    submit_phase(&queue, flight_scope.as_ref(), accesses, landed);
+}
+
+/// Submit one phase's accesses to the device queues together — each takes
+/// one slot of its serving node for its own device time — and run `landed`
+/// when the last of them has landed (at once if there are none).
+fn submit_phase(
+    devices: &SimFabric,
+    scope: Option<&Arc<IoScope>>,
+    accesses: Vec<(usize, Duration)>,
+    landed: Completion,
+) {
+    if accesses.is_empty() {
+        return landed();
+    }
+    // (accesses still queued or in service, what the last to land runs)
+    let last = Arc::new((AtomicUsize::new(accesses.len()), Mutex::new(Some(landed))));
+    // Built before the call: `submit_all` iterates under the queue's lock.
+    let flights: Vec<(usize, Duration, Completion)> = accesses
+        .into_iter()
+        .map(|(node, time)| {
+            let last = last.clone();
+            let complete: Completion = Box::new(move || {
+                if last.0.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    let landed = last.1.lock().take().expect("the last access lands once");
+                    landed();
+                }
+            });
+            (node, time, complete)
+        })
+        .collect();
+    devices.submit_all(scope, flights);
 }
 
 impl std::fmt::Debug for SimCluster {
@@ -1121,13 +1260,22 @@ impl FileHandle {
             .file
             .read_slots_traced(partition, start, count)
             .expect("page budget exhausted: raise the memory budget floor");
-        self.cluster.charge_page_stats(pages);
-        if !rows.is_empty() {
-            self.cluster
-                .tally(|m| m.record_accesses(AccessKind::ScannedRecord, rows.len() as u64));
-            self.cluster.inner.io.pay_scan(rows.len());
-        }
+        self.charge_scan(rows.len(), pages);
         rows
+    }
+
+    /// Count and pay one scan batch inline on the scanning thread: the
+    /// page faults it took, then per-record streaming time. A scan is one
+    /// sequential stream, not a queue of requests, so its time never
+    /// enters the device queues.
+    fn charge_scan(&self, rows: usize, pages: PageStats) {
+        self.cluster.note_page_stats(pages);
+        self.cluster.inner.io.pay_page_faults(pages.faults);
+        if rows > 0 {
+            self.cluster
+                .tally(|m| m.record_accesses(AccessKind::ScannedRecord, rows as u64));
+            self.cluster.inner.io.pay_scan(rows);
+        }
     }
 
     /// Charged batch read of a contiguous slot range, filtered to the
@@ -1145,12 +1293,7 @@ impl FileHandle {
             .file
             .read_slots_visible_traced(partition, start, count, snap)
             .expect("page budget exhausted: raise the memory budget floor");
-        self.cluster.charge_page_stats(pages);
-        if !rows.is_empty() {
-            self.cluster
-                .tally(|m| m.record_accesses(AccessKind::ScannedRecord, rows.len() as u64));
-            self.cluster.inner.io.pay_scan(rows.len());
-        }
+        self.charge_scan(rows.len(), pages);
         (rows, visited)
     }
 }
@@ -1233,16 +1376,17 @@ impl IndexHandle {
     /// placement requires — restricted to those placed on `on_node`, when
     /// given — charged one partition at a time from `from_node`. The first
     /// failed partition fails the probe (its successors are not consulted,
-    /// so a retry meets each remaining fault site exactly once). The
-    /// round trip still owed is folded into `rtt`: the partitions' probes
-    /// are in the air together.
+    /// so a retry meets each remaining fault site exactly once). What the
+    /// probe costs in time is appended to `owed`: the partitions are
+    /// visited one after the other (a phase each, with the page faults it
+    /// took), and their round trips are in the air together.
     fn probe(
         &self,
         lo: &Value,
         hi: Option<&Value>,
         from_node: usize,
         on_node: Option<usize>,
-        rtt: &mut Duration,
+        owed: &mut Owed,
     ) -> Result<Vec<Record>> {
         self.index.ensure_fresh()?;
         let partitions = match hi {
@@ -1255,16 +1399,21 @@ impl IndexHandle {
                 continue;
             }
             let site = probe_site(self.index.name(), p, lo, hi.unwrap_or(lo));
-            let (mut admitted, owed) =
-                self.cluster
-                    .charge(AccessClass::IndexProbe, from_node, &[(p, site)], false);
-            *rtt = (*rtt).max(owed);
-            admitted.pop().expect("one result per site")?;
+            self.cluster
+                .charge(
+                    AccessClass::IndexProbe,
+                    from_node,
+                    &[(p, site)],
+                    false,
+                    owed,
+                )
+                .pop()
+                .expect("one result per site")?;
             let (hits, pages) = match hi {
                 None => self.index.lookup_in_traced(p, lo)?,
                 Some(hi) => self.index.range_in_traced(p, lo, hi)?,
             };
-            self.cluster.charge_page_stats(pages);
+            self.cluster.owe_page_stats(pages, owed);
             out.extend(hits);
         }
         let out = self.filter_visible(out);
@@ -1272,7 +1421,26 @@ impl IndexHandle {
         Ok(out)
     }
 
-    /// A synchronous [`IndexHandle::probe`]: the owed round trip is waited
+    /// The submit half of every partition-filtered probe — what
+    /// [`IndexHandle::range`], [`IndexHandle::lookup_on_node`] and
+    /// [`IndexHandle::range_on_node`] wait for inline: an exact-key
+    /// (`hi == None`) or inclusive-range probe from `from_node`, restricted
+    /// to the partitions placed on `on_node` when given, returning the
+    /// postings together with the simulated time still owed (see
+    /// [`SimCluster::resolve_batch_submit`] for the contract).
+    pub fn probe_submit(
+        &self,
+        lo: &Value,
+        hi: Option<&Value>,
+        from_node: usize,
+        on_node: Option<usize>,
+    ) -> (Result<Vec<Record>>, Owed) {
+        let mut owed = Owed::default();
+        let result = self.probe(lo, hi, from_node, on_node, &mut owed);
+        (result, owed)
+    }
+
+    /// A synchronous [`IndexHandle::probe_submit`]: what it owes is waited
     /// inline on the calling thread.
     fn probe_sync(
         &self,
@@ -1281,9 +1449,8 @@ impl IndexHandle {
         from_node: usize,
         on_node: Option<usize>,
     ) -> Result<Vec<Record>> {
-        let mut rtt = Duration::ZERO;
-        let result = self.probe(lo, hi, from_node, on_node, &mut rtt);
-        self.cluster.wait_inline(rtt);
+        let (result, owed) = self.probe_submit(lo, hi, from_node, on_node);
+        self.cluster.wait(owed);
         result
     }
 
@@ -1321,23 +1488,23 @@ impl IndexHandle {
     }
 
     /// Charged exact-key probes of a batch of keys issued from `from_node`
-    /// synchronously: [`IndexHandle::lookup_batch_submit`], then the
-    /// returned round trip waited inline on the calling thread.
+    /// synchronously: [`IndexHandle::lookup_batch_submit`], then what it
+    /// owes waited inline on the calling thread.
     pub fn lookup_batch(&self, keys: &[Value], from_node: usize) -> Vec<Result<Vec<Record>>> {
-        let (results, rtt) = self.lookup_batch_submit(keys, from_node);
-        self.cluster.wait_inline(rtt);
+        let (results, owed) = self.lookup_batch_submit(keys, from_node);
+        self.cluster.wait(owed);
         results
     }
 
     /// The dereference path for index probes: probe `keys` issued from
     /// `from_node`, returning each key's postings in input order together
-    /// with the network round trip still owed (see
+    /// with the simulated time still owed (see
     /// [`SimCluster::resolve_batch_submit`] for the contract).
     ///
     /// Keys whose placement pins them to a single partition (global
     /// indexes) are charged together through `charge` — fault gate once
-    /// per probe site in input order, one IOPS permit and one summed
-    /// device sleep per serving device — and the trees underneath are
+    /// per probe site in input order, each survivor owing one slot of its
+    /// serving device for one traversal — and the trees underneath are
     /// probed with the shared-descent [`BtreeFile::lookup_batch`], one pass
     /// per partition. Keys that must consult every partition (local
     /// indexes) take the per-partition probe loop. Charged `index_lookups`
@@ -1346,12 +1513,12 @@ impl IndexHandle {
         &self,
         keys: &[Value],
         from_node: usize,
-    ) -> (Vec<Result<Vec<Record>>>, Duration) {
+    ) -> (Vec<Result<Vec<Record>>>, Owed) {
+        let mut owed = Owed::default();
         if let Err(e) = self.index.ensure_fresh() {
             let results = keys.iter().map(|_| Err(e.clone())).collect();
-            return (results, Duration::ZERO);
+            return (results, owed);
         }
-        let mut rtt = Duration::ZERO;
         let mut out: Vec<Option<Result<Vec<Record>>>> = (0..keys.len()).map(|_| None).collect();
         // (input index, partition) of every single-partition key.
         let mut singles: Vec<(usize, usize)> = Vec::new();
@@ -1363,14 +1530,17 @@ impl IndexHandle {
                     sites.push((p, probe_site(self.index.name(), p, key, key)));
                 }
                 _ => {
-                    out[idx] = Some(self.probe(key, None, from_node, None, &mut rtt));
+                    out[idx] = Some(self.probe(key, None, from_node, None, &mut owed));
                 }
             }
         }
-        let (admitted, owed) =
-            self.cluster
-                .charge(AccessClass::IndexProbe, from_node, &sites, keys.len() > 1);
-        rtt = rtt.max(owed);
+        let admitted = self.cluster.charge(
+            AccessClass::IndexProbe,
+            from_node,
+            &sites,
+            keys.len() > 1,
+            &mut owed,
+        );
         // One shared-descent pass per partition over the admitted probes.
         let mut by_partition: Vec<(usize, Vec<usize>)> = Vec::new();
         for ((idx, partition), admitted) in singles.into_iter().zip(admitted) {
@@ -1386,7 +1556,7 @@ impl IndexHandle {
             let probe_keys: Vec<Value> = idxs.iter().map(|&i| keys[i].clone()).collect();
             match self.index.lookup_batch_traced(partition, &probe_keys) {
                 Ok((postings, _descents, pages)) => {
-                    self.cluster.charge_page_stats(pages);
+                    self.cluster.owe_page_stats(pages, &mut owed);
                     for (i, hits) in idxs.into_iter().zip(postings) {
                         let hits = self.filter_visible(hits);
                         self.count_entries(hits.len());
@@ -1406,7 +1576,7 @@ impl IndexHandle {
             .into_iter()
             .map(|slot| slot.expect("every batch key probed or failed"))
             .collect();
-        (results, rtt)
+        (results, owed)
     }
 
     /// Charged inclusive range probe across the placement's partitions.
@@ -2071,8 +2241,8 @@ mod tests {
             c.resolve_batch(&[p], 0).pop().unwrap().unwrap();
         });
         let submit_then_wait = run(&|c, p| {
-            let (mut results, rtt) = c.resolve_batch_submit(&[p], 0);
-            c.wait_inline(rtt);
+            let (mut results, owed) = c.resolve_batch_submit(&[p], 0);
+            c.wait(owed);
             results.pop().unwrap().unwrap();
         });
         assert!(scalar.remote_point_reads > 0, "fixture must go remote");

@@ -1,29 +1,40 @@
-//! Injectable I/O latency model and per-node admission control.
+//! Injectable I/O latency model: what each storage access costs in
+//! simulated time, and the [`Owed`] value that carries that cost from the
+//! call that was charged to whoever waits for it.
 //!
 //! This module is the substitution for the paper's physical testbed (24-HDD
 //! RAID-6 arrays per node, `queue_depth = 1008`, 10 GbE fabric). Two
 //! mechanisms together reproduce the behaviour the paper's evaluation
 //! depends on:
 //!
-//! 1. **Latency injection** — every storage access sleeps for a configurable
+//! 1. **Latency injection** — every storage access takes a configurable
 //!    duration depending on its kind (local point read, remote point read,
-//!    per-record sequential scan, index traversal). Because the sleeps are
-//!    real, *concurrent* accesses genuinely overlap: an executor issuing
-//!    1000 point reads from 1000 threads finishes in ~1 latency, while an
-//!    executor issuing them from one thread per partition serializes them.
-//!    That is exactly the SMPE-vs-partitioned-parallelism effect of Fig. 7.
+//!    per-record sequential scan, index traversal). The time is real wall
+//!    time, so *concurrent* accesses genuinely overlap: 1000 point reads in
+//!    flight together finish in ~1 latency, while an executor issuing them
+//!    one at a time per partition serializes them. That is exactly the
+//!    SMPE-vs-partitioned-parallelism effect of Fig. 7.
 //!
-//! 2. **Admission control** — each node owns an [`IopsLimiter`], a counting
-//!    semaphore bounding in-flight point reads (the paper sets the device
-//!    queue depth to 1008). Massive parallelism beyond the device capacity
-//!    queues up rather than speeding up further, bounding the benefit
-//!    exactly as real hardware would.
+//! 2. **Admission control** — each node's device serves at most
+//!    `queue_depth` accesses at once (the paper sets the device queue depth
+//!    to 1008); the rest wait FIFO. Massive parallelism beyond the device
+//!    capacity queues up rather than speeding up further, bounding the
+//!    benefit exactly as real hardware would.
+//!
+//! Where the time is spent: a point read or index probe is *charged* on the
+//! calling thread — fault decision, counters, the actual bytes — and
+//! returns an [`Owed`]: one device slot per access for its modeled time,
+//! then any page-fault service, then one network round trip. The cluster's
+//! per-node device queues (a [`crate::SimFabric`] whose window is
+//! `queue_depth`) turn that into events; synchronous callers block until
+//! their own `Owed` is settled, the SMPE executor never does. Only
+//! sequential scans, WAL fsyncs and shuffle hops still sleep on their
+//! callers (`pay_*` below) — they model a stream, not a queue of requests.
 //!
 //! Latencies default to microseconds rather than the milliseconds of real
 //! HDDs so experiments run in seconds; all *ratios* (random:sequential,
 //! remote:local) follow the hardware the paper describes.
 
-use parking_lot::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Latency model for simulated storage accesses.
@@ -123,37 +134,6 @@ impl IoModel {
         maybe_sleep(self.wal_fsync);
     }
 
-    /// Sleep for one local point read.
-    #[inline]
-    pub fn pay_local_read(&self) {
-        maybe_sleep(self.local_point_read);
-    }
-
-    /// Sleep for one remote point read.
-    #[inline]
-    pub fn pay_remote_read(&self) {
-        maybe_sleep(self.remote_point_read);
-    }
-
-    /// Sleep for one index traversal.
-    #[inline]
-    pub fn pay_index_lookup(&self) {
-        maybe_sleep(self.index_lookup);
-    }
-
-    /// Sleep for one local point read served `mult`× slower than healthy
-    /// (brown-out windows; `mult == 1` is exactly [`IoModel::pay_local_read`]).
-    #[inline]
-    pub fn pay_local_read_times(&self, mult: u32) {
-        maybe_sleep(self.local_point_read.saturating_mul(mult));
-    }
-
-    /// Sleep for one index traversal served `mult`× slower than healthy.
-    #[inline]
-    pub fn pay_index_lookup_times(&self, mult: u32) {
-        maybe_sleep(self.index_lookup.saturating_mul(mult));
-    }
-
     /// Total modeled cost of scanning `n` records. Computed in 128-bit
     /// nanosecond arithmetic: the earlier `saturating_mul(n as u32)`
     /// silently truncated batch sizes above `u32::MAX`, undercharging
@@ -175,21 +155,20 @@ impl IoModel {
         }
     }
 
-    /// Sleep once for servicing `n` buffer-pool page faults (one sleep,
-    /// n × per-fault cost; 128-bit saturating math like `scan_cost`).
-    /// Fault service time is charged on the access path that took the
-    /// fault, *outside* the device permit: the simulated backing store
-    /// stands apart from the point-read device queue the paper saturates.
+    /// Modeled time to service `n` buffer-pool page faults, one after the
+    /// other (128-bit saturating math like `scan_cost`). Fault service is
+    /// owed by the access path that took the faults, *outside* the device
+    /// slots: the simulated backing store stands apart from the point-read
+    /// device queue the paper saturates.
+    pub fn page_fault_cost(&self, n: u64) -> Duration {
+        let ns = self.page_fault.as_nanos().saturating_mul(n as u128);
+        Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
+    }
+
+    /// Sleep once for the page faults a sequential scan took.
     #[inline]
     pub fn pay_page_faults(&self, n: u64) {
-        if n > 0 {
-            let ns = self
-                .page_fault
-                .as_nanos()
-                .saturating_mul(n as u128)
-                .min(u64::MAX as u128) as u64;
-            maybe_sleep(Duration::from_nanos(ns));
-        }
+        maybe_sleep(self.page_fault_cost(n));
     }
 
     /// Network RTT component of a remote access: `remote − local`. The
@@ -206,57 +185,6 @@ impl IoModel {
     pub fn pay_shuffle(&self) {
         maybe_sleep(self.rtt());
     }
-
-    /// Total device time of a batch of point reads, one entry per access
-    /// with its brown-out multiplier (`mult == 1` healthy). 128-bit
-    /// saturating nanosecond math, like [`IoModel::scan_cost`].
-    pub fn batch_read_cost(&self, mults: &[u32]) -> Duration {
-        batch_cost(self.local_point_read, mults)
-    }
-
-    /// Sleep once for a whole batch's point-read device time.
-    #[inline]
-    pub fn pay_read_batch(&self, mults: &[u32]) {
-        maybe_sleep(self.batch_read_cost(mults));
-    }
-
-    /// Total device time of a batch of index traversals.
-    pub fn batch_index_cost(&self, mults: &[u32]) -> Duration {
-        batch_cost(self.index_lookup, mults)
-    }
-
-    /// Sleep once for a whole batch's index-traversal device time.
-    #[inline]
-    pub fn pay_index_batch(&self, mults: &[u32]) {
-        maybe_sleep(self.batch_index_cost(mults));
-    }
-
-    /// Sleep the total cost of a healthy remote batch of `n` point reads:
-    /// one RTT plus `n`× per-record device time. (The cluster's charged
-    /// path splits the same total into device-time-under-permit + RTT
-    /// after release; this one-sleep form is the modeled equivalent.)
-    #[inline]
-    pub fn pay_remote_batch(&self, n: usize) {
-        let ns = self
-            .local_point_read
-            .as_nanos()
-            .saturating_mul(n as u128)
-            .min(u64::MAX as u128) as u64;
-        maybe_sleep(self.rtt().saturating_add(Duration::from_nanos(ns)));
-    }
-}
-
-/// Σ base × mult over a batch, saturating at `u64::MAX` nanoseconds.
-fn batch_cost(base: Duration, mults: &[u32]) -> Duration {
-    let total: u128 = mults
-        .iter()
-        .map(|&m| base.as_nanos().saturating_mul(m as u128))
-        .fold(0u128, u128::saturating_add);
-    if total > u64::MAX as u128 {
-        Duration::from_nanos(u64::MAX)
-    } else {
-        Duration::from_nanos(total as u64)
-    }
 }
 
 #[inline]
@@ -266,85 +194,90 @@ fn maybe_sleep(d: Duration) {
     }
 }
 
-/// A counting semaphore bounding in-flight I/Os on one node.
+/// What a charged storage call still owes in simulated time.
 ///
-/// `std::sync::Semaphore` does not exist; this is a minimal Mutex+Condvar
-/// implementation. Acquisition order is not FIFO-fair, which matches a disk
-/// queue well enough for simulation purposes.
-pub struct IopsLimiter {
-    permits: Mutex<usize>,
-    available: Condvar,
-    capacity: usize,
+/// Charging (fault gate, counters, the read itself) happens at submit, on
+/// the calling thread; the *time* is returned as this value and settled by
+/// the cluster's device queues ([`crate::SimCluster::settle`] as events,
+/// [`crate::SimCluster::wait`] blocking). It is a sequence of **phases**
+/// followed by one network flight:
+///
+/// * a phase is the accesses of one charge — each holds one slot on its
+///   serving node's device for its own modeled time, all of them contending
+///   together — then a serial wait once the last has landed (the page
+///   faults the call took; a retry's backoff);
+/// * phases run one after the other (the partitions of a multi-partition
+///   probe, the rounds of a retried dispatch);
+/// * the round trip, if any phase was served remotely, flies last.
+///
+/// Zero-time accesses and waits are never recorded, so a latency-free
+/// model owes [`Owed::is_zero`] and allocates nothing.
+#[derive(Debug, Default)]
+pub struct Owed {
+    pub(crate) phases: Vec<Phase>,
+    pub(crate) rtt: Duration,
 }
 
-impl IopsLimiter {
-    /// A limiter with `capacity` concurrent permits. A capacity of
-    /// `usize::MAX` never blocks.
-    pub fn new(capacity: usize) -> IopsLimiter {
-        IopsLimiter {
-            permits: Mutex::new(capacity),
-            available: Condvar::new(),
-            capacity,
+/// One step of an [`Owed`]: concurrent device accesses, then a wait.
+#[derive(Debug, Default)]
+pub(crate) struct Phase {
+    /// `(serving node, device time)` per access, in charge order.
+    pub(crate) accesses: Vec<(usize, Duration)>,
+    /// Waited after the last access lands.
+    pub(crate) then: Duration,
+}
+
+impl Owed {
+    /// True when nothing is owed: every result is final now.
+    pub fn is_zero(&self) -> bool {
+        self.phases.is_empty() && self.rtt.is_zero()
+    }
+
+    /// The network round trip flown after the device phases.
+    pub fn rtt(&self) -> Duration {
+        self.rtt
+    }
+
+    /// Sequence `later` after everything owed so far — a retry round
+    /// follows the round before it, round trip included, so the RTTs add.
+    pub fn then(&mut self, later: Owed) {
+        self.phases.extend(later.phases);
+        self.rtt = self.rtt.saturating_add(later.rtt);
+    }
+
+    /// Wait `d` after everything owed so far has landed (and before the
+    /// network flight).
+    pub fn delay(&mut self, d: Duration) {
+        if d.is_zero() {
+            return;
+        }
+        match self.phases.last_mut() {
+            Some(phase) => phase.then = phase.then.saturating_add(d),
+            None => self.phases.push(Phase {
+                accesses: Vec::new(),
+                then: d,
+            }),
         }
     }
 
-    /// Acquire one permit, blocking until available; returns a guard that
-    /// releases on drop.
-    pub fn acquire(&self) -> IopsPermit<'_> {
-        if self.capacity != usize::MAX {
-            let mut permits = self.permits.lock();
-            while *permits == 0 {
-                self.available.wait(&mut permits);
-            }
-            *permits -= 1;
+    /// Record one charge: its accesses contend for device slots together,
+    /// after every earlier phase. `rtt` is the round trip the charge
+    /// incurred; charges of one storage call are in the air together, so
+    /// they share the longest rather than summing.
+    pub(crate) fn phase(&mut self, accesses: Vec<(usize, Duration)>, rtt: Duration) {
+        if !accesses.is_empty() {
+            self.phases.push(Phase {
+                accesses,
+                then: Duration::ZERO,
+            });
         }
-        IopsPermit { limiter: self }
-    }
-
-    /// Permits currently available (diagnostic).
-    pub fn available_permits(&self) -> usize {
-        if self.capacity == usize::MAX {
-            usize::MAX
-        } else {
-            *self.permits.lock()
-        }
-    }
-
-    fn release(&self) {
-        if self.capacity != usize::MAX {
-            let mut permits = self.permits.lock();
-            *permits += 1;
-            drop(permits);
-            self.available.notify_one();
-        }
-    }
-}
-
-impl std::fmt::Debug for IopsLimiter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IopsLimiter")
-            .field("capacity", &self.capacity)
-            .field("available", &self.available_permits())
-            .finish()
-    }
-}
-
-/// RAII guard for one in-flight I/O.
-pub struct IopsPermit<'a> {
-    limiter: &'a IopsLimiter,
-}
-
-impl Drop for IopsPermit<'_> {
-    fn drop(&mut self) {
-        self.limiter.release();
+        self.rtt = self.rtt.max(rtt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn zero_model_is_zero() {
@@ -375,31 +308,6 @@ mod tests {
         m.queue_depth = 4;
         m.scan_batch = 1;
         assert!(m.is_zero());
-    }
-
-    #[test]
-    fn batch_costs_sum_per_access_device_time() {
-        let m = IoModel::hdd_like(1.0);
-        assert_eq!(m.batch_read_cost(&[1, 1, 1]), m.local_point_read * 3);
-        // Brown-out multipliers apply per access.
-        assert_eq!(m.batch_read_cost(&[1, 4]), m.local_point_read * 5);
-        assert_eq!(m.batch_index_cost(&[2, 2]), m.index_lookup * 4);
-        assert_eq!(m.batch_read_cost(&[]), Duration::ZERO);
-        // One remote batch of n pays one RTT + n× device time: strictly
-        // less than n scalar remote reads for n > 1.
-        let batched = m.rtt() + m.batch_read_cost(&[1; 8]);
-        assert!(batched < m.remote_point_read * 8);
-        assert_eq!(m.rtt(), m.remote_point_read - m.local_point_read);
-    }
-
-    #[test]
-    fn batch_cost_saturates_instead_of_overflowing() {
-        let mut m = IoModel::zero();
-        m.local_point_read = Duration::from_secs(u64::MAX / 1_000_000_000);
-        assert_eq!(
-            m.batch_read_cost(&[u32::MAX, u32::MAX]),
-            Duration::from_nanos(u64::MAX)
-        );
     }
 
     #[test]
@@ -476,7 +384,7 @@ mod tests {
             "multiplied latency must not saturate at realistic scales"
         );
         // mult 1 must be indistinguishable from the healthy path (both are
-        // a single sleep of `local_point_read`), so the zero-fault path
+        // one slot held for `local_point_read`), so the zero-fault path
         // pays nothing extra.
         assert_eq!(m.local_point_read.saturating_mul(1), m.local_point_read);
     }
@@ -490,43 +398,46 @@ mod tests {
     }
 
     #[test]
-    fn limiter_caps_concurrency() {
-        let limiter = Arc::new(IopsLimiter::new(4));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let max_seen = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..16 {
-                let (l, inf, max) = (limiter.clone(), in_flight.clone(), max_seen.clone());
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        let _permit = l.acquire();
-                        let now = inf.fetch_add(1, Ordering::SeqCst) + 1;
-                        max.fetch_max(now, Ordering::SeqCst);
-                        std::thread::yield_now();
-                        inf.fetch_sub(1, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert!(max_seen.load(Ordering::SeqCst) <= 4);
-        assert_eq!(limiter.available_permits(), 4);
+    fn page_fault_cost_is_serial_and_saturating() {
+        let m = IoModel::hdd_like(1.0);
+        assert_eq!(m.page_fault_cost(0), Duration::ZERO);
+        assert_eq!(m.page_fault_cost(3), m.page_fault * 3);
+        let mut huge = IoModel::zero();
+        huge.page_fault = Duration::from_secs(u64::MAX / 1_000_000_000);
+        assert_eq!(
+            huge.page_fault_cost(u64::MAX),
+            Duration::from_nanos(u64::MAX)
+        );
     }
 
     #[test]
-    fn unlimited_limiter_never_blocks() {
-        let limiter = IopsLimiter::new(usize::MAX);
-        let _a = limiter.acquire();
-        let _b = limiter.acquire();
-        assert_eq!(limiter.available_permits(), usize::MAX);
-    }
-
-    #[test]
-    fn permits_release_on_drop() {
-        let limiter = IopsLimiter::new(1);
-        {
-            let _p = limiter.acquire();
-            assert_eq!(limiter.available_permits(), 0);
-        }
-        assert_eq!(limiter.available_permits(), 1);
+    fn owed_sequences_phases_and_sums_round_trips_across_rounds() {
+        let l = Duration::from_micros(500);
+        let rtt = Duration::from_micros(150);
+        let mut round = Owed::default();
+        assert!(round.is_zero());
+        // Two charges of one call: phases in order, one shared round trip.
+        round.phase(vec![(0, l), (1, l)], rtt);
+        round.phase(vec![(2, l)], rtt);
+        round.delay(Duration::from_micros(400));
+        assert_eq!(round.phases.len(), 2);
+        assert_eq!(round.phases[1].then, Duration::from_micros(400));
+        assert_eq!(round.rtt(), rtt);
+        // A retry round follows it: backoff, then its own phase and RTT.
+        round.delay(Duration::from_micros(20));
+        let mut retry = Owed::default();
+        retry.phase(vec![(2, l)], rtt);
+        round.then(retry);
+        assert_eq!(round.phases.len(), 3);
+        assert_eq!(round.phases[1].then, Duration::from_micros(420));
+        assert_eq!(round.rtt(), rtt * 2);
+        // A charge with no timed access records no phase, and a bare wait
+        // is a phase of its own.
+        let mut wait_only = Owed::default();
+        wait_only.phase(Vec::new(), Duration::ZERO);
+        assert!(wait_only.is_zero());
+        wait_only.delay(l);
+        assert!(!wait_only.is_zero());
+        assert!(wait_only.phases[0].accesses.is_empty());
     }
 }

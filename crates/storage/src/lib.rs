@@ -53,7 +53,7 @@ pub use cost::{CostModel, CostReport};
 pub use fabric::{FabricConfig, SimFabric};
 pub use faults::{AccessClass, Brownout, DownWindow, FaultDecision, FaultInjector, FaultPlan};
 pub use heap_file::{HeapFile, WriteEvent};
-pub use io_model::{IoModel, IopsLimiter};
+pub use io_model::{IoModel, Owed};
 pub use partitioner::{Partitioner, Partitioning};
 pub use pointer::{Pointer, PointerKey};
 pub use record::Record;
