@@ -153,18 +153,18 @@ impl Metrics {
         f(&per_node[node]);
     }
 
-    /// Record one point read issued *from* `node`, additionally split per
+    /// Record `n` point reads issued *from* `node`, additionally split per
     /// node. Called by the cluster's charged access path alongside
-    /// [`Metrics::record_access`]; feeds [`ExecProfile`]'s per-node
+    /// [`Metrics::record_accesses`]; feeds [`ExecProfile`]'s per-node
     /// local/remote read breakdown.
-    pub fn record_point_read_at(&self, node: usize, local: bool) {
+    pub fn record_point_reads_at(&self, node: usize, local: bool, n: u64) {
         self.with_node_io(node, |c| {
             let ctr = if local {
                 &c.local_point_reads
             } else {
                 &c.remote_point_reads
             };
-            ctr.fetch_add(1, Ordering::Relaxed);
+            ctr.fetch_add(n, Ordering::Relaxed);
         });
     }
 
@@ -212,10 +212,11 @@ impl Metrics {
         self.inner.tasks_spawned.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count an item moving through a stage queue.
+    /// Count `n` items moving through a stage queue (a dispatch's
+    /// hand-off to one node counts all of its items at once).
     #[inline]
-    pub fn record_queue_hop(&self) {
-        self.inner.queue_hops.fetch_add(1, Ordering::Relaxed);
+    pub fn record_queue_hops(&self, n: u64) {
+        self.inner.queue_hops.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count a pointer broadcast to all partitions.
@@ -224,10 +225,10 @@ impl Metrics {
         self.inner.broadcasts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a record emitted by a job as final output.
+    /// Count `n` records emitted by a job as final output.
     #[inline]
-    pub fn record_emit(&self) {
-        self.inner.records_emitted.fetch_add(1, Ordering::Relaxed);
+    pub fn record_emits(&self, n: u64) {
+        self.inner.records_emitted.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count one retried stage invocation (the executor re-ran a stage body
@@ -563,9 +564,17 @@ impl IoScope {
     /// the moment the slot is granted until the access lands. Owned, so the
     /// completion side of an event-driven access can carry it.
     pub fn hold_permit(self: &Arc<Self>) -> PermitHold {
-        self.permits_held.fetch_add(1, Ordering::SeqCst);
+        self.hold_permits(1)
+    }
+
+    /// One marker for `n` slots granted together and returned together (a
+    /// run of equal accesses admitted to one device as one event).
+    pub fn hold_permits(self: &Arc<Self>, n: usize) -> PermitHold {
+        let n = n as i64;
+        self.permits_held.fetch_add(n, Ordering::SeqCst);
         PermitHold {
             scope: self.clone(),
+            n,
         }
     }
 }
@@ -574,11 +583,12 @@ impl IoScope {
 #[derive(Debug)]
 pub struct PermitHold {
     scope: Arc<IoScope>,
+    n: i64,
 }
 
 impl Drop for PermitHold {
     fn drop(&mut self) {
-        self.scope.permits_held.fetch_sub(1, Ordering::SeqCst);
+        self.scope.permits_held.fetch_sub(self.n, Ordering::SeqCst);
     }
 }
 
@@ -1095,9 +1105,8 @@ mod tests {
     #[test]
     fn per_node_split_attributes_to_issuing_node() {
         let m = Metrics::new();
-        m.record_point_read_at(0, true);
-        m.record_point_read_at(2, false);
-        m.record_point_read_at(2, false);
+        m.record_point_reads_at(0, true, 1);
+        m.record_point_reads_at(2, false, 2);
         let nodes = m.node_point_reads();
         assert_eq!(nodes.len(), 3);
         assert_eq!(
@@ -1136,7 +1145,7 @@ mod tests {
         m.record_cache_hit_at(1);
         m.record_cache_hit_at(1);
         m.record_cache_miss_at(0);
-        m.record_point_read_at(0, true); // the miss's storage read
+        m.record_point_reads_at(0, true, 1); // the miss's storage read
         let s = m.snapshot();
         assert_eq!(s.cache_hits, 2);
         assert_eq!(s.cache_misses, 1);

@@ -115,7 +115,7 @@ impl Eval<'_> {
                 .count
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
             for _ in 0..records.len() {
-                self.cluster.metrics().record_emit();
+                self.cluster.metrics().record_emits(1);
             }
             if self.sink.collect {
                 self.sink.records.lock().extend(records);

@@ -5,12 +5,30 @@
 //! stage queue and a dispatcher thread (`EXECUTESTAGES`): items dequeued
 //! with partition information run their stage's function — dereferencers
 //! on a pooled thread ("create a thread for each dereference function
-//! invocation"), referencers inline by default (the paper's
-//! no-thread-switch optimization); items *without* partition information
-//! are broadcast to all nodes' queues with the local flag set
+//! invocation"), referencers by default right where their input record was
+//! produced (the paper's no-thread-switch optimization: no queue, no
+//! thread in between); items *without* partition information are
+//! broadcast to all nodes' queues with the local flag set
 //! (`SETPARTITION(input, LOCAL); BROADCAST(input)`). Function outputs are
 //! re-enqueued tagged `stage + 1`; records emitted by the final stage are
 //! the job output.
+//!
+//! **Hand-off.** What crosses a thread boundary is a *dispatch*, never an
+//! item. [`JobState::route`] walks everything a dispatch produced once:
+//! final records land in the output together, records bound for an inline
+//! referencer run it on the spot and its pointers join the walk, and the
+//! resulting tasks are bucketed by target node. Each non-empty bucket is
+//! one [`JobState::flush`]: the in-flight tokens of all its tasks taken
+//! with one add *before* the push, one cancelled/shutdown check, one queue
+//! lock, one add per counter — and one condvar signal only when that
+//! node's dispatcher is actually parked (`QueueState::parked`), because a
+//! signal is a system call whether or not anyone is listening. So
+//! `queue_hops` and `NodeProfile::enqueued` count exactly the items that
+//! crossed a queue (seeds, dereference inputs, and records only when
+//! `referencer_inline` is off), `inline_runs` counts the referencer
+//! invocations that did not, and the fairness unit is unchanged: one
+//! weighted-round-robin credit per pop, where a continuation and the
+//! referencers fused into it are one service.
 //!
 //! **Sharing.** Unlike the original per-run design, the dispatchers and
 //! the thread pool live in a [`Substrate`] that outlives any single job:
@@ -32,9 +50,9 @@
 //! held IOPS permits are attributable for cancellation.
 //!
 //! **Termination** uses a per-job in-flight task counter: incremented
-//! *before* every enqueue and decremented only after a task has enqueued
-//! all of its outputs, so it can only reach zero when none of the job's
-//! work remains anywhere. The thread that observes zero completes the job
+//! *before* every hand-off (by the number of tasks handed off) and
+//! decremented only after a dispatch has handed off all of its outputs, so
+//! it can only reach zero when none of the job's work remains anywhere. The thread that observes zero completes the job
 //! and wakes its waiters.
 //!
 //! **Cancellation.** `cancel` drains the job's queued tasks from every
@@ -59,7 +77,8 @@
 //! then rides a [`SimFabric`] flight, each node owning a window of at most
 //! `window` of those ([`FabricConfig`]); and the completion re-enqueues a
 //! `FlightDone` continuation on the submitting node's weighted queue. The
-//! dispatcher routes the buffered outputs inline (pure CPU work). No pool
+//! dispatcher routes the buffered outputs inline (pure CPU work: the walk
+//! above, fused referencers included). No pool
 //! thread ever blocks on simulated time, so the pool is sized to the
 //! machine's cores, not to the I/O concurrency wanted — that is the device
 //! queue's depth. The continuation carries the dispatch's in-flight
@@ -83,7 +102,7 @@ use super::wrr::WrrQueue;
 use super::{Batching, ExecutorConfig, JobResult, RoutingPolicy};
 use crate::job::{Job, Stage};
 use crate::traits::{DerefInput, StageCtx};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rede_common::{ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile};
 use rede_storage::{FabricConfig, Owed, Pointer, Record, SimCluster, SimFabric};
 use std::collections::VecDeque;
@@ -126,7 +145,9 @@ struct Task {
 enum TaskItem {
     /// Input for a dereference stage.
     Deref(DerefInput),
-    /// Input for a reference stage.
+    /// Input for a reference stage — queued only when the job switches
+    /// threads for referencers (`referencer_inline` off); inline, the
+    /// record never becomes a task.
     Record(Record),
     /// Continuation of a dispatch that owed simulated time: its buffered
     /// outputs, ready to route now its last event has landed. Carries
@@ -156,12 +177,73 @@ impl Task {
 /// condvar for dispatcher wakeups, and a lock-free depth gauge (read by
 /// the hybrid router and the scheduler's stats without taking the lock).
 struct NodeQueue {
-    state: Mutex<WrrQueue<Task>>,
+    state: Mutex<QueueState>,
     ready: Condvar,
     depth: AtomicU64,
     /// EWMA of this dispatcher's busy inter-service gap; powers the
     /// adaptive hybrid-routing backlog threshold.
     service: ServiceEwma,
+}
+
+struct QueueState {
+    tasks: WrrQueue<Task>,
+    /// The node's dispatcher is waiting on `ready` and nobody has signalled
+    /// it yet. Written and read only under the queue lock: a producer that
+    /// finds it set clears it and owes the one `notify_one`; one that finds
+    /// it clear knows the dispatcher is awake (it re-checks the queue
+    /// before it parks again) or already has a wake-up on its way — so no
+    /// push is ever missed, and a busy dispatcher costs producers no futex
+    /// call at all.
+    parked: bool,
+}
+
+impl NodeQueue {
+    fn new() -> NodeQueue {
+        NodeQueue {
+            state: Mutex::new(QueueState {
+                tasks: WrrQueue::new(),
+                parked: false,
+            }),
+            ready: Condvar::new(),
+            depth: AtomicU64::new(0),
+            service: ServiceEwma::new(),
+        }
+    }
+
+    /// Hand job `key`'s `tasks` to this node: one lock, one depth add, and
+    /// one wake-up only if the dispatcher is parked.
+    fn push_all<I>(&self, key: u64, weight: u32, tasks: I)
+    where
+        I: IntoIterator<Item = Task>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let tasks = tasks.into_iter();
+        let n = tasks.len() as u64;
+        let wake = {
+            let mut state = self.state.lock();
+            state.tasks.push_all(key, weight, tasks);
+            self.depth.fetch_add(n, Ordering::Relaxed);
+            std::mem::take(&mut state.parked)
+        };
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Park the dispatcher on `ready` (until `timeout`, if given) with the
+    /// parked flag up. Returns true on timeout.
+    fn park(&self, state: &mut MutexGuard<'_, QueueState>, timeout: Option<Duration>) -> bool {
+        state.parked = true;
+        let timed_out = match timeout {
+            Some(timeout) => self.ready.wait_for(state, timeout),
+            None => {
+                self.ready.wait(state);
+                false
+            }
+        };
+        state.parked = false;
+        timed_out
+    }
 }
 
 /// How long a task routed to an owner node may acceptably sit in that
@@ -180,9 +262,9 @@ const MAX_ADAPTIVE_BACKLOG: u64 = 4096;
 const DEFAULT_OWNER_BACKLOG: u64 = 64;
 
 /// Exponentially weighted moving average of a dispatcher's inter-service
-/// gap (1/8 smoothing). Only gaps where the dispatcher did *not* sleep are
-/// observed, so an idle node never looks slow — only a genuinely
-/// slow-draining one does.
+/// gap per queue item served (1/8 smoothing). Only gaps where the
+/// dispatcher did *not* sleep are observed, so an idle node never looks
+/// slow — only a genuinely slow-draining one does.
 ///
 /// Single writer (the owning dispatcher thread), lock-free readers (every
 /// producer running the hybrid routing decision).
@@ -229,10 +311,10 @@ impl ServiceEwma {
 /// the buffer holds `capacity` records the job's *pooled* tasks become
 /// ineligible (see [`Shared::eligible`]), so its queued work sits in the
 /// weighted queues consuming no pool threads until a drain takes the
-/// buffer back under the low-water mark. In-flight tasks still land
-/// their outputs, so occupancy can overshoot `capacity` by at most the
-/// job's pool-thread share times its per-task fan-out — bounded, and
-/// small compared to collecting the whole result.
+/// buffer back under the low-water mark. Dispatches already handed to the
+/// pool still land their outputs, so occupancy can overshoot `capacity`
+/// by at most the job's pool-thread share × `max_batch` × its per-task
+/// fan-out — bounded, and small compared to collecting the whole result.
 pub(crate) struct OutputSink {
     buf: Mutex<VecDeque<Record>>,
     /// Signalled on every push and on close; fetchers park here.
@@ -258,11 +340,12 @@ impl OutputSink {
         }
     }
 
-    /// Append one final record. Returns true exactly when this push
-    /// *transitioned* the sink into saturation (feeds `cursor_stalls`).
-    fn push(&self, record: Record) -> bool {
+    /// Append a dispatch's final records: one lock, one wake-up. Returns
+    /// true exactly when this push *transitioned* the sink into saturation
+    /// (feeds `cursor_stalls`).
+    fn push_all(&self, records: Vec<Record>) -> bool {
         let mut buf = self.buf.lock();
-        buf.push_back(record);
+        buf.extend(records);
         let newly_saturated =
             buf.len() >= self.capacity && !self.saturated.swap(true, Ordering::SeqCst);
         drop(buf);
@@ -328,7 +411,7 @@ struct Shared {
     pool_threads: usize,
     shutdown: AtomicBool,
     /// The pool's panic counter. Stage panics are caught by
-    /// `process_task` before the pool's own guard can see them (and
+    /// [`run_guarded`] before the pool's own guard can see them (and
     /// inline referencers never reach the pool at all), so the catch
     /// site feeds this counter directly.
     panics: Arc<AtomicU64>,
@@ -338,10 +421,10 @@ struct Shared {
 }
 
 impl Shared {
-    /// May this task be dispatched right now? Inline referencer tasks
-    /// always may (they cost a dispatcher, not a pool thread). Pooled
-    /// tasks are admitted only while their job is under its fair share of
-    /// pool threads: `pool_threads * weight / active_weight`, min 1.
+    /// May this task be dispatched right now? Flight continuations always
+    /// may (they cost a dispatcher, not a pool thread). Pooled tasks are
+    /// admitted only while their job is under its fair share of pool
+    /// threads: `pool_threads * weight / active_weight`, min 1.
     /// Cancelled/failed jobs' tasks are always admitted — their bodies are
     /// skipped, and draining them fast is what frees the job's resources.
     fn eligible(&self, task: &Task) -> bool {
@@ -349,9 +432,6 @@ impl Shared {
         // Flight continuations cost the dispatcher, never a pool thread,
         // and holding them back would strand their in-flight tokens.
         if matches!(task.item, TaskItem::FlightDone { .. }) {
-            return true;
-        }
-        if job.referencer_inline && matches!(task.item, TaskItem::Record(_)) {
             return true;
         }
         if job.cancelled.load(Ordering::Relaxed) || job.failed.load(Ordering::Relaxed) {
@@ -632,7 +712,7 @@ impl JobState {
             // queued flight continuation can hold many in-flight tokens
             // (so the count alone is not enough), and dropping payloads
             // under the queue lock would stall the dispatcher.
-            let tasks = q.state.lock().drain_key(self.id);
+            let tasks = q.state.lock().tasks.drain_key(self.id);
             if !tasks.is_empty() {
                 q.depth.fetch_sub(tasks.len() as u64, Ordering::Relaxed);
                 drained += tasks.iter().map(Task::held_tokens).sum::<u64>();
@@ -652,56 +732,71 @@ impl JobState {
         f(self.scope.metrics());
     }
 
-    /// Enqueue a task for this job onto `node`, accounting it in-flight
-    /// first. `owner` is the batch key for coalescible point dereferences
-    /// (`None` opts the task out of coalescing).
-    fn enqueue(
+    /// A queued unit of this job's work. `owner` is the batch key for
+    /// coalescible point dereferences (`None` opts the task out of
+    /// coalescing).
+    fn task(
         self: &Arc<Self>,
-        node: usize,
         item: TaskItem,
         stage: usize,
         local_only: bool,
         owner: Option<usize>,
-    ) {
-        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.prof.peak_in_flight.fetch_max(now, Ordering::Relaxed);
-        self.prof.node_enqueued[node].fetch_add(1, Ordering::Relaxed);
-        self.tally(|m| m.record_queue_hop());
-        if self.cancelled.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst) {
-            // Don't grow a cancelled job's backlog; balance the counter.
-            self.task_done();
+    ) -> Task {
+        Task {
+            job: self.clone(),
+            item,
+            stage,
+            local_only,
+            owner,
+        }
+    }
+
+    /// Hand `tasks` to `node`'s queue as one unit: their in-flight tokens
+    /// are taken *before* the push (so the counter can never read zero
+    /// while they sit in the queue), then one cancelled/shutdown check, one
+    /// queue lock, one add per counter, at most one wake-up.
+    fn flush(self: &Arc<Self>, node: usize, tasks: Vec<Task>) {
+        let n = tasks.len() as u64;
+        if n == 0 {
             return;
         }
-        let q = &self.shared.queues[node];
-        {
-            let mut state = q.state.lock();
-            state.push(
-                self.id,
-                self.weight,
-                Task {
-                    job: self.clone(),
-                    item,
-                    stage,
-                    local_only,
-                    owner,
-                },
-            );
+        let now = self.in_flight.fetch_add(n, Ordering::SeqCst) + n;
+        self.prof.peak_in_flight.fetch_max(now, Ordering::Relaxed);
+        self.prof.node_enqueued[node].fetch_add(n, Ordering::Relaxed);
+        self.tally(|m| m.record_queue_hops(n));
+        if self.cancelled.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst) {
+            // Don't grow a cancelled job's backlog: drop the tasks and
+            // give back exactly the tokens just taken.
+            drop(tasks);
+            self.tasks_done(n);
+            return;
         }
-        q.depth.fetch_add(1, Ordering::Relaxed);
-        q.ready.notify_one();
+        self.shared.queues[node].push_all(self.id, self.weight, tasks);
     }
 
-    /// Mark one task finished; the observer of zero completes the job.
-    fn task_done(&self) {
-        self.tasks_done(1);
-    }
-
-    /// Release `n` in-flight tokens at once (a landed fabric flight
-    /// returns its whole batch's tokens together).
+    /// Release `n` in-flight tokens at once (a dispatch returns its whole
+    /// batch's tokens together); the observer of zero completes the job.
     fn tasks_done(&self, n: u64) {
         if n > 0 && self.in_flight.fetch_sub(n, Ordering::SeqCst) == n {
             self.finish();
         }
+    }
+
+    /// Simulated time is owed: settle it as events. The dispatch's `tokens`
+    /// travel with its buffered outputs and return through
+    /// [`JobState::land`] when the last event fires.
+    fn fly(
+        self: &Arc<Self>,
+        node: usize,
+        stage: usize,
+        outputs: Vec<StageOutput>,
+        tokens: u64,
+        owed: Owed,
+    ) {
+        let job = self.clone();
+        self.cluster.settle(owed, move |rtt| {
+            job.devices_landed(node, stage, outputs, tokens, rtt)
+        });
     }
 
     /// The complete half of a dispatch that owed simulated time, called
@@ -746,7 +841,7 @@ impl JobState {
     /// down) the outputs are dropped and the tokens released here, which
     /// is what lets a cancelled job's last outstanding flight complete it.
     ///
-    /// Deliberately *not* routed through [`JobState::enqueue`]: the
+    /// Deliberately *not* routed through [`JobState::flush`]: the
     /// continuation is the second half of an already-counted dispatch, so
     /// it must not count a queue hop or a node enqueue of its own — the
     /// executor counters are the same whatever a dispatch owed.
@@ -755,23 +850,8 @@ impl JobState {
             self.tasks_done(tokens);
             return;
         }
-        let q = &self.shared.queues[node];
-        {
-            let mut state = q.state.lock();
-            state.push(
-                self.id,
-                self.weight,
-                Task {
-                    job: self.clone(),
-                    item: TaskItem::FlightDone { outputs, tokens },
-                    stage,
-                    local_only: false,
-                    owner: None,
-                },
-            );
-        }
-        q.depth.fetch_add(1, Ordering::Relaxed);
-        q.ready.notify_one();
+        let done = self.task(TaskItem::FlightDone { outputs, tokens }, stage, false, None);
+        self.shared.queues[node].push_all(self.id, self.weight, [done]);
     }
 
     fn fail(&self, err: RedeError) {
@@ -789,7 +869,7 @@ impl JobState {
         // cancellation); normally the slots are already empty. Stragglers
         // are dropped outside the queue lock.
         for q in &self.shared.queues {
-            let dropped = q.state.lock().drain_key(self.id);
+            let dropped = q.state.lock().tasks.drain_key(self.id);
             if !dropped.is_empty() {
                 q.depth.fetch_sub(dropped.len() as u64, Ordering::Relaxed);
             }
@@ -845,97 +925,158 @@ impl JobState {
         self.done_cv.notify_all();
     }
 
-    /// Route one stage output produced at `node` while running `stage`.
-    fn handle_output(self: &Arc<Self>, node: usize, stage: usize, output: StageOutput) {
-        self.prof.stage_emits[stage].fetch_add(1, Ordering::Relaxed);
-        let next = stage + 1;
-        match output {
-            StageOutput::Record(record) => {
-                if next >= self.job.stages().len() {
-                    self.out_count.fetch_add(1, Ordering::Relaxed);
-                    self.tally(|m| m.record_emit());
-                    if let Some(sink) = &self.sink {
-                        if self.collect {
-                            self.out_records.lock().push(record.clone());
-                        }
-                        if sink.push(record) {
-                            self.tally(|m| m.record_cursor_stall());
-                        }
-                    } else if self.collect {
-                        self.out_records.lock().push(record);
-                    }
-                } else {
-                    self.enqueue(node, TaskItem::Record(record), next, false, None);
+    /// Route everything a dispatch produced at `node` while running
+    /// `stage` — the dispatch, not the item, is what crosses threads. One
+    /// walk sorts the outputs: final records go to the job's output
+    /// together, records bound for an inline referencer run it right here
+    /// (its pointers join the walk), and everything else becomes a task in
+    /// its target node's bucket; then each non-empty bucket is
+    /// [`JobState::flush`]ed — one lock and at most one wake-up per node
+    /// touched, whatever the fan-out.
+    fn route(self: &Arc<Self>, node: usize, stage: usize, outputs: Vec<StageOutput>) {
+        if outputs.is_empty() {
+            return;
+        }
+        let mut routed = Routed {
+            buckets: self.shared.queues.iter().map(|_| Vec::new()).collect(),
+            finals: Vec::new(),
+        };
+        self.sort(node, stage, outputs, &mut routed);
+        if !routed.finals.is_empty() {
+            self.emit(routed.finals);
+        }
+        for (target, tasks) in routed.buckets.into_iter().enumerate() {
+            self.flush(target, tasks);
+        }
+    }
+
+    /// Land a dispatch's final records in the job's output.
+    fn emit(&self, finals: Vec<Record>) {
+        let n = finals.len() as u64;
+        self.out_count.fetch_add(n, Ordering::Relaxed);
+        self.tally(|m| m.record_emits(n));
+        match &self.sink {
+            Some(sink) => {
+                if self.collect {
+                    self.out_records.lock().extend(finals.iter().cloned());
+                }
+                if sink.push_all(finals) {
+                    self.tally(|m| m.record_cursor_stall());
                 }
             }
-            StageOutput::Pointer(ptr) => {
-                debug_assert!(
-                    next < self.job.stages().len(),
-                    "validated: jobs end in a deref"
-                );
-                if ptr.is_broadcast() {
-                    // Null partition information: replicate to every node's
-                    // queue and have each node cover only its partitions.
-                    self.tally(|m| m.record_broadcast());
-                    for n in 0..self.shared.queues.len() {
-                        self.enqueue(
-                            n,
-                            TaskItem::Deref(DerefInput::Point(ptr.clone())),
-                            next,
-                            true,
-                            None,
-                        );
-                    }
-                } else {
-                    // The locality decision: a pointer with known placement
-                    // runs its dereference on the owning node (a local
-                    // read) instead of wherever it was produced — unless
-                    // the hybrid policy sees the owner's queue overloaded.
-                    // The owner, when known, doubles as the dispatcher's
-                    // batch key whatever node the task lands on.
-                    let owner = self.cluster.owner_of_pointer(&ptr);
-                    let mut target = match self.routing {
-                        RoutingPolicy::Producer => node,
-                        RoutingPolicy::Owner => owner.unwrap_or(node),
-                        RoutingPolicy::Hybrid { max_owner_backlog } => match owner {
-                            Some(owner) => {
-                                let threshold = max_owner_backlog.unwrap_or_else(|| {
-                                    self.shared.queues[owner]
-                                        .service
-                                        .allowed_backlog(HYBRID_TARGET_DELAY)
-                                });
-                                if self.shared.queues[owner].depth.load(Ordering::Relaxed)
-                                    <= threshold
-                                {
-                                    owner
-                                } else {
-                                    node
-                                }
-                            }
-                            None => node,
-                        },
-                    };
-                    // A down owner would only replica-serve the read
-                    // anyway, so routing there buys no locality; keep the
-                    // task at its producer (the hybrid policy's fallback
-                    // path) and let the storage layer pick the replica.
-                    if target != node {
-                        if let Some(inj) = self.cluster.fault_injector() {
-                            if inj.is_node_down(target) {
-                                target = node;
-                            }
-                        }
-                    }
-                    self.enqueue(
-                        target,
-                        TaskItem::Deref(DerefInput::Point(ptr)),
-                        next,
-                        false,
-                        owner,
-                    );
+            None if self.collect => self.out_records.lock().extend(finals),
+            None => {}
+        }
+    }
+
+    /// The walk behind [`JobState::route`]: sort the outputs `stage`
+    /// produced at `node` into `routed`.
+    ///
+    /// A record whose next stage is a referencer does not switch threads
+    /// when `referencer_inline` is set (the paper's default): the stage
+    /// runs here, on the thread that produced the record, through the same
+    /// [`run_guarded`] a queued referencer gets — same counters, same panic
+    /// guard, same retry loop. It charges no access, so it normally owes
+    /// nothing and its pointers are sorted by this same walk (they never
+    /// fuse further: a dereference always crosses a queue). Only a retried
+    /// referencer owes its backoff, and its pointers wait that out as a
+    /// flight of their own.
+    fn sort(
+        self: &Arc<Self>,
+        node: usize,
+        stage: usize,
+        outputs: Vec<StageOutput>,
+        routed: &mut Routed,
+    ) {
+        let stages = self.job.stages();
+        let next = stage + 1;
+        let fuse =
+            self.referencer_inline && matches!(stages.get(next), Some(Stage::Reference { .. }));
+        let mut fused: Vec<TaskItem> = Vec::new();
+        self.prof.stage_emits[stage].fetch_add(outputs.len() as u64, Ordering::Relaxed);
+        for output in outputs {
+            match output {
+                StageOutput::Record(record) if next >= stages.len() => routed.finals.push(record),
+                StageOutput::Record(record) if fuse => fused.push(TaskItem::Record(record)),
+                StageOutput::Record(record) => {
+                    let task = self.task(TaskItem::Record(record), next, false, None);
+                    routed.buckets[node].push(task);
+                }
+                StageOutput::Pointer(ptr) => {
+                    debug_assert!(next < stages.len(), "validated: jobs end in a deref");
+                    self.sort_pointer(node, next, ptr, routed);
                 }
             }
         }
+        if fused.is_empty() {
+            return;
+        }
+        self.prof
+            .inline_runs
+            .fetch_add(fused.len() as u64, Ordering::Relaxed);
+        match run_guarded(self, node, next, false, &fused) {
+            Some((pointers, owed)) if owed.is_zero() => self.sort(node, next, pointers, routed),
+            Some((pointers, owed)) => {
+                self.in_flight.fetch_add(1, Ordering::SeqCst);
+                self.fly(node, next, pointers, 1, owed);
+            }
+            None => {}
+        }
+    }
+
+    /// Pick the node that dereferences `ptr` at stage `next` and add the
+    /// task to its bucket.
+    fn sort_pointer(self: &Arc<Self>, node: usize, next: usize, ptr: Pointer, routed: &mut Routed) {
+        if ptr.is_broadcast() {
+            // Null partition information: replicate to every node's
+            // queue and have each node cover only its partitions.
+            self.tally(|m| m.record_broadcast());
+            for bucket in &mut routed.buckets {
+                let input = TaskItem::Deref(DerefInput::Point(ptr.clone()));
+                bucket.push(self.task(input, next, true, None));
+            }
+            return;
+        }
+        // The locality decision: a pointer with known placement runs its
+        // dereference on the owning node (a local read) instead of
+        // wherever it was produced — unless the hybrid policy sees the
+        // owner's queue overloaded. The owner, when known, doubles as the
+        // dispatcher's batch key whatever node the task lands on.
+        let owner = self.cluster.owner_of_pointer(&ptr);
+        let mut target = match self.routing {
+            RoutingPolicy::Producer => node,
+            RoutingPolicy::Owner => owner.unwrap_or(node),
+            RoutingPolicy::Hybrid { max_owner_backlog } => match owner {
+                Some(owner) => {
+                    let q = &self.shared.queues[owner];
+                    let threshold = max_owner_backlog
+                        .unwrap_or_else(|| q.service.allowed_backlog(HYBRID_TARGET_DELAY));
+                    // What this walk already holds for the owner is
+                    // backlog too, though the gauge has not seen it yet.
+                    let backlog =
+                        q.depth.load(Ordering::Relaxed) + routed.buckets[owner].len() as u64;
+                    if backlog <= threshold {
+                        owner
+                    } else {
+                        node
+                    }
+                }
+                None => node,
+            },
+        };
+        // A down owner would only replica-serve the read anyway, so
+        // routing there buys no locality; keep the task at its producer
+        // (the hybrid policy's fallback path) and let the storage layer
+        // pick the replica.
+        if target != node {
+            if let Some(inj) = self.cluster.fault_injector() {
+                if inj.is_node_down(target) {
+                    target = node;
+                }
+            }
+        }
+        let input = TaskItem::Deref(DerefInput::Point(ptr));
+        routed.buckets[target].push(self.task(input, next, false, owner));
     }
 
     /// Assemble this job's [`ExecProfile`] from its counters and its
@@ -1000,6 +1141,14 @@ enum StageOutput {
     Pointer(Pointer),
 }
 
+/// Where one dispatch's outputs go (see [`JobState::route`]).
+struct Routed {
+    /// Tasks to queue, per target node.
+    buckets: Vec<Vec<Task>>,
+    /// Records the final stage emitted: the job's output.
+    finals: Vec<Record>,
+}
+
 /// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1013,72 +1162,78 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// Execute one dispatch — a lone task, or a coalesced batch of
 /// same-(job, stage, owner) point dereferences — on whatever thread the
-/// dispatcher chose.
+/// dispatcher chose. Cancelled and already-failed jobs skip the bodies so
+/// their backlog drains at queue speed.
 ///
-/// The stage bodies run under `catch_unwind`: a panicking referencer or
-/// dereferencer becomes a job error instead of killing the thread with the
-/// in-flight tokens still held — which would leave the job hanging forever
-/// (the counter could never reach zero). Cancelled and already-failed jobs
-/// skip the bodies so their backlog drains at queue speed.
-///
-/// [`run_stage`] is the *submit* half: all charged accesses, outputs
+/// [`run_guarded`] is the *submit* half: all charged accesses, outputs
 /// buffered. When it owes nothing the outputs are routed right here and
 /// every task's token released. Otherwise the dispatch is handed to the
 /// event layers instead: the tokens travel with it and return through
 /// [`JobState::land`] when its last event fires.
 fn process_tasks(tasks: Vec<Task>, node: usize) {
     let job = tasks[0].job.clone();
-    let stage = tasks[0].stage;
+    let (stage, local_only) = (tasks[0].stage, tasks[0].local_only);
     let tokens = tasks.len() as u64;
     if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
-        job.prof.stage_tasks[stage].fetch_add(tokens, Ordering::Relaxed);
-        match catch_unwind(AssertUnwindSafe(|| run_stage(&job, node, &tasks))) {
-            Ok((outputs, owed)) if !owed.is_zero() => {
-                // Simulated time is owed: settle it as events and keep the
-                // dispatch's tokens until the last one lands.
-                let flight_job = job.clone();
-                job.cluster.settle(owed, move |rtt| {
-                    flight_job.devices_landed(node, stage, outputs, tokens, rtt)
-                });
-                return;
+        let items: Vec<TaskItem> = tasks.into_iter().map(|t| t.item).collect();
+        if let Some((outputs, owed)) = run_guarded(&job, node, stage, local_only, &items) {
+            if !owed.is_zero() {
+                return job.fly(node, stage, outputs, tokens, owed);
             }
-            Ok((outputs, _)) => {
-                for out in outputs {
-                    job.handle_output(node, stage, out);
-                }
-            }
-            Err(payload) => {
-                job.shared.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = panic_message(payload.as_ref());
-                job.fail(RedeError::Exec(format!(
-                    "stage {} ('{}') panicked: {msg}",
-                    stage,
-                    job.job.stages()[stage].label()
-                )));
-            }
+            job.route(node, stage, outputs);
         }
     }
     job.tasks_done(tokens);
 }
 
+/// Run `stage` over `items` — queued tasks' or the records an inline
+/// referencer was fused onto — counting them as the stage's tasks, with
+/// the stage bodies under `catch_unwind`: a panicking referencer or
+/// dereferencer becomes a job error (`None` here) instead of killing the
+/// thread with in-flight tokens still held — which would leave the job
+/// hanging forever (the counter could never reach zero).
+fn run_guarded(
+    job: &Arc<JobState>,
+    node: usize,
+    stage: usize,
+    local_only: bool,
+    items: &[TaskItem],
+) -> Option<(Vec<StageOutput>, Owed)> {
+    job.prof.stage_tasks[stage].fetch_add(items.len() as u64, Ordering::Relaxed);
+    match catch_unwind(AssertUnwindSafe(|| {
+        run_stage(job, node, stage, local_only, items)
+    })) {
+        Ok(ran) => Some(ran),
+        Err(payload) => {
+            job.shared.panics.fetch_add(1, Ordering::Relaxed);
+            let msg = panic_message(payload.as_ref());
+            job.fail(RedeError::Exec(format!(
+                "stage {} ('{}') panicked: {msg}",
+                stage,
+                job.job.stages()[stage].label()
+            )));
+            None
+        }
+    }
+}
+
 /// Route a landed flight's buffered outputs. Runs inline on the
 /// dispatcher — by the time a flight lands, all that remains is pure CPU
-/// routing work. Releases the dispatch's in-flight tokens exactly once;
-/// cancelled and failed jobs skip the routing so their backlog drains.
+/// work: routing, and the referencers fused into it. Releases the
+/// dispatch's in-flight tokens exactly once; cancelled and failed jobs
+/// skip the routing so their backlog drains.
 fn process_flight_done(task: Task, node: usize) {
     let job = task.job.clone();
     let TaskItem::FlightDone { outputs, tokens } = task.item else {
         unreachable!("caller matched FlightDone");
     };
     if !job.failed.load(Ordering::SeqCst) && !job.cancelled.load(Ordering::SeqCst) {
-        for out in outputs {
-            job.handle_output(node, task.stage, out);
-        }
+        job.route(node, task.stage, outputs);
     }
     job.tasks_done(tokens);
 }
 
-/// The *submit* half of a dispatch: run the stage over every task with
+/// The *submit* half of a dispatch: run the stage over every item with
 /// per-item transient-fault recovery, buffering the outputs instead of
 /// routing them, and return them together with the simulated time the
 /// caller must see settled before routing.
@@ -1089,7 +1244,7 @@ fn process_flight_done(task: Task, node: usize) {
 /// item succeeds, and only the transient-failed subset is re-executed (up
 /// to [`MAX_RETRIES`] times each, each round owing an exponential backoff
 /// before it), so a retried item never double-emits — emit counters live in
-/// `handle_output`, at routing time — and its batchmates are never
+/// [`JobState::route`], at routing time — and its batchmates are never
 /// re-read. Because the injector fails each access site at most once, the
 /// first retry of any given site always passes. Retries stop early when
 /// the job was cancelled or already failed elsewhere — recovering work
@@ -1098,27 +1253,32 @@ fn process_flight_done(task: Task, node: usize) {
 /// backoff, device time — and model sequential round trips, so the owed
 /// RTT is their sum; outputs of items that succeeded in an early round are
 /// held until the whole dispatch routes.
-fn run_stage(job: &Arc<JobState>, node: usize, tasks: &[Task]) -> (Vec<StageOutput>, Owed) {
-    let stage = &job.job.stages()[tasks[0].stage];
+fn run_stage(
+    job: &Arc<JobState>,
+    node: usize,
+    stage_idx: usize,
+    local_only: bool,
+    all: &[TaskItem],
+) -> (Vec<StageOutput>, Owed) {
+    let stage = &job.job.stages()[stage_idx];
     let ctx = StageCtx {
         cluster: job.cluster.clone(),
         node,
-        local_only: tasks[0].local_only,
+        local_only,
     };
     let mut outputs: Vec<StageOutput> = Vec::new();
     let mut owed = Owed::default();
-    let mut pending: Vec<usize> = (0..tasks.len()).collect();
+    let mut pending: Vec<usize> = (0..all.len()).collect();
     // Every pending item is re-executed every round, so the round number
     // is also each pending item's retry count.
     let mut round: u32 = 0;
     loop {
-        let items: Vec<&TaskItem> = pending.iter().map(|&i| &tasks[i].item).collect();
+        let items: Vec<&TaskItem> = pending.iter().map(|&i| &all[i]).collect();
         // (position in `pending`, output), in emission order.
         let mut buffered: Vec<(usize, StageOutput)> = Vec::new();
-        let (results, round_owed) =
-            run_attempt(tasks[0].stage, stage, &ctx, &items, &mut |pos, out| {
-                buffered.push((pos, out))
-            });
+        let (results, round_owed) = run_attempt(stage_idx, stage, &ctx, &items, &mut |pos, out| {
+            buffered.push((pos, out))
+        });
         owed.then(round_owed);
         let mut retry: Vec<usize> = Vec::new();
         let succeeded: Vec<bool> = results
@@ -1227,9 +1387,10 @@ fn run_attempt(
     }
 }
 
-/// Per-node dispatcher: serve the weighted multi-queue, spawning
-/// dereference invocations onto the pool and (by default) running
-/// reference invocations inline. Lives for the substrate's lifetime.
+/// Per-node dispatcher: serve the weighted multi-queue, spawning stage
+/// invocations onto the pool and routing landed flights' outputs — with
+/// the referencers fused into them — inline. Lives for the substrate's
+/// lifetime.
 ///
 /// **Coalescing.** When the popped task is a point dereference with a
 /// known owner, the dispatcher pulls up to `max_batch - 1`
@@ -1244,14 +1405,15 @@ fn run_attempt(
 /// other tasks is never stalled behind the clock.
 fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
     let q = &shared.queues[node];
-    let mut last_pop: Option<Instant> = None;
+    // (when, queue items taken) of the previous pop.
+    let mut last_pop: Option<(Instant, u32)> = None;
     loop {
         let mut batch: Vec<Task> = Vec::new();
         let (task, waited) = {
             let mut state = q.state.lock();
             let mut waited = false;
             let task = loop {
-                if let Some((key, task)) = state.pop_where(|t| shared.eligible(t)) {
+                if let Some((key, task)) = state.tasks.pop_where(|t| shared.eligible(t)) {
                     let limit = if task.owner.is_some() {
                         task.job.batching.max_batch.saturating_sub(1)
                     } else {
@@ -1260,7 +1422,7 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
                     if limit > 0 {
                         let (stage, owner) = (task.stage, task.owner);
                         let same_group = |t: &Task| t.stage == stage && t.owner == owner;
-                        batch = state.take_matching(key, limit, same_group);
+                        batch = state.tasks.take_matching(key, limit, same_group);
                         let linger = task.job.batching.linger;
                         // Flush invariant: once a lead task is popped, it
                         // and every batchmate taken so far are *committed*
@@ -1272,20 +1434,20 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
                         // time, bounded by `linger` itself. (Pinned by
                         // `straggler_pointer_flushes_after_linger` in
                         // tests/fabric_equivalence.rs.)
-                        if batch.len() < limit && !linger.is_zero() && state.is_empty() {
+                        if batch.len() < limit && !linger.is_zero() && state.tasks.is_empty() {
                             let deadline = Instant::now() + linger;
                             while batch.len() < limit && !shared.shutdown.load(Ordering::SeqCst) {
                                 let now = Instant::now();
                                 if now >= deadline {
                                     break;
                                 }
-                                let timed_out = q.ready.wait_for(&mut state, deadline - now);
-                                batch.extend(state.take_matching(
+                                let timed_out = q.park(&mut state, Some(deadline - now));
+                                batch.extend(state.tasks.take_matching(
                                     key,
                                     limit - batch.len(),
                                     same_group,
                                 ));
-                                if timed_out || !state.is_empty() {
+                                if timed_out || !state.tasks.is_empty() {
                                     break;
                                 }
                             }
@@ -1297,20 +1459,23 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
                     return;
                 }
                 waited = true;
-                q.ready.wait(&mut state);
+                q.park(&mut state, None);
             };
             (task, waited)
         };
         let now = Instant::now();
-        if let Some(prev) = last_pop {
+        if let Some((prev, served)) = last_pop {
             // Only busy gaps feed the service-rate EWMA: a dispatcher that
-            // slept was idle, not slow.
+            // slept was idle, not slow. The backlog it prices is counted
+            // in queue items, so the gap is per item the previous pop took
+            // off the queue (a coalesced batch drains many at once).
             if !waited {
-                q.service.observe(now.duration_since(prev));
+                q.service.observe(now.duration_since(prev) / served);
             }
         }
-        last_pop = Some(now);
-        q.depth.fetch_sub(1 + batch.len() as u64, Ordering::Relaxed);
+        let served = 1 + batch.len() as u32;
+        last_pop = Some((now, served));
+        q.depth.fetch_sub(u64::from(served), Ordering::Relaxed);
         let job = task.job.clone();
         if matches!(task.item, TaskItem::FlightDone { .. }) {
             // A landed flight's continuation: route its buffered outputs
@@ -1323,30 +1488,25 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
         let mut tasks = Vec::with_capacity(1 + batch.len());
         tasks.push(task);
         tasks.append(&mut batch);
-        let inline = job.referencer_inline && matches!(tasks[0].item, TaskItem::Record(_));
-        if inline {
-            job.prof.inline_runs.fetch_add(1, Ordering::Relaxed);
+        // Every queued stage invocation runs pooled (dereferences read
+        // pages and probe trees; a referencer is only ever queued when the
+        // job asked for the thread switch); a coalesced batch occupies a
+        // single pool slot until its accesses are charged.
+        job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
+        job.pool_inflight.fetch_add(1, Ordering::SeqCst);
+        job.tally(|m| m.record_task_spawn());
+        let shared = shared.clone();
+        pool.execute(move || {
             process_tasks(tasks, node);
-        } else {
-            // Everything else runs pooled (dereferences read pages and
-            // probe trees); a coalesced batch occupies a single pool slot
-            // until its accesses are charged.
-            job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
-            job.pool_inflight.fetch_add(1, Ordering::SeqCst);
-            job.tally(|m| m.record_task_spawn());
-            let shared = shared.clone();
-            pool.execute(move || {
-                process_tasks(tasks, node);
-                let prev = job.pool_inflight.fetch_sub(1, Ordering::SeqCst);
-                // Wake dispatchers only when this job was actually at its
-                // cap — work elsewhere can only have been blocked on *this*
-                // slot in that case, and an unconditional wake per task is
-                // a notify storm that dominates small jobs.
-                if prev >= shared.pool_cap(&job) {
-                    shared.wake_all_dispatchers();
-                }
-            });
-        }
+            let prev = job.pool_inflight.fetch_sub(1, Ordering::SeqCst);
+            // Wake dispatchers only when this job was actually at its
+            // cap — work elsewhere can only have been blocked on *this*
+            // slot in that case, and an unconditional wake per task is
+            // a notify storm that dominates small jobs.
+            if prev >= shared.pool_cap(&job) {
+                shared.wake_all_dispatchers();
+            }
+        });
     }
 }
 
@@ -1371,14 +1531,7 @@ impl Substrate {
         let nodes = cluster.nodes();
         let pool = Arc::new(ThreadPool::cpu_bound(pool_threads, "rede-smpe"));
         let shared = Arc::new(Shared {
-            queues: (0..nodes)
-                .map(|_| NodeQueue {
-                    state: Mutex::new(WrrQueue::new()),
-                    ready: Condvar::new(),
-                    depth: AtomicU64::new(0),
-                    service: ServiceEwma::new(),
-                })
-                .collect(),
+            queues: (0..nodes).map(|_| NodeQueue::new()).collect(),
             active_weight: AtomicU64::new(0),
             pool_threads: pool_threads.max(1),
             shutdown: AtomicBool::new(false),
@@ -1479,13 +1632,17 @@ impl Substrate {
         // Seed every node: the initial stage runs everywhere, each node
         // covering its locally placed partitions (lines 2-5 of Algorithm 1).
         for node in 0..self.shared.queues.len() {
-            for input in job.seed().to_inputs() {
-                state.enqueue(node, TaskItem::Deref(input), 0, true, None);
-            }
+            let seeds = job.seed().to_inputs().into_iter();
+            state.flush(
+                node,
+                seeds
+                    .map(|input| state.task(TaskItem::Deref(input), 0, true, None))
+                    .collect(),
+            );
         }
         // Release the guard. A job with zero seed inputs finishes here,
         // immediately, with an empty result (previously it would hang).
-        state.task_done();
+        state.tasks_done(1);
         state
     }
 }
@@ -1553,6 +1710,87 @@ mod tests {
             e.observe(Duration::from_nanos(1));
         }
         assert_eq!(e.allowed_backlog(HYBRID_TARGET_DELAY), MAX_ADAPTIVE_BACKLOG);
+    }
+
+    /// Holds its dispatch on a pool worker until released, and says when
+    /// it has got there.
+    struct HoldUntil {
+        entered: Arc<AtomicBool>,
+        release: Arc<AtomicBool>,
+    }
+
+    impl crate::traits::Dereferencer for HoldUntil {
+        fn dereference(
+            &self,
+            _input: &DerefInput,
+            _ctx: &StageCtx,
+            _emit: &mut dyn FnMut(Record),
+        ) -> Result<()> {
+            self.entered.store(true, Ordering::SeqCst);
+            while !self.release.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            Ok(())
+        }
+    }
+
+    /// Releases a [`HoldUntil`] when the test ends, however it ends: a
+    /// failed assertion must not leave a worker spinning under the
+    /// substrate's teardown.
+    struct ReleaseOnDrop(Arc<AtomicBool>);
+
+    impl Drop for ReleaseOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Tokens are taken before the push, so a hand-off that then finds the
+    /// job cancelled must give back exactly those — no more (the job would
+    /// finish under its running task), no fewer (it would never finish) —
+    /// and queue nothing.
+    #[test]
+    fn a_flush_that_observes_cancellation_returns_exactly_its_tokens() {
+        let cluster = SimCluster::builder().nodes(1).build().unwrap();
+        let substrate = Substrate::new(cluster, 1, FabricConfig::default());
+        // Declared after the substrate, so dropped before it.
+        let release = ReleaseOnDrop(Arc::new(AtomicBool::new(false)));
+        let entered = Arc::new(AtomicBool::new(false));
+        let pointer = Pointer::logical("nothing", 0i64.into(), 0i64.into());
+        let job = Job::builder("held")
+            .seed(crate::job::SeedInput::Pointers(vec![pointer.clone()]))
+            .dereference(
+                "hold",
+                Arc::new(HoldUntil {
+                    entered: entered.clone(),
+                    release: release.0.clone(),
+                }),
+            )
+            .build()
+            .unwrap();
+        let state = substrate.submit(&job, JobOptions::from_config(&ExecutorConfig::smpe(1)));
+        // The one seed dispatch is inside its stage body, holding its token
+        // (the cancelled check is behind it); nothing else moves the
+        // counter until the release.
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        assert_eq!(state.in_flight.load(Ordering::SeqCst), 1);
+        // The flag alone, not `cancel()`: the flush must meet it itself.
+        state.cancelled.store(true, Ordering::SeqCst);
+        let tasks = (0..5)
+            .map(|_| {
+                let input = TaskItem::Deref(DerefInput::Point(pointer.clone()));
+                state.task(input, 0, false, None)
+            })
+            .collect();
+        state.flush(0, tasks);
+        assert_eq!(state.in_flight.load(Ordering::SeqCst), 1);
+        assert_eq!(substrate.queue_depths(), vec![0]);
+        assert!(!state.is_finished());
+        drop(release);
+        assert!(matches!(state.wait_result(), Err(RedeError::Cancelled(_))));
+        assert_eq!(state.in_flight.load(Ordering::SeqCst), 0);
     }
 
     #[test]

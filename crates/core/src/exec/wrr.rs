@@ -55,18 +55,29 @@ impl<T> WrrQueue<T> {
     /// Append an item to `key`'s slot, creating the slot (with the given
     /// weight and a full credit allowance) on first sight.
     pub fn push(&mut self, key: u64, weight: u32, item: T) {
-        self.len += 1;
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) {
-            slot.items.push_back(item);
-            return;
-        }
-        let weight = weight.max(1);
-        self.slots.push(Slot {
-            key,
-            weight,
-            credits: weight,
-            items: VecDeque::from([item]),
-        });
+        self.push_all(key, weight, [item]);
+    }
+
+    /// Append every item of `items` to `key`'s slot in order — one slot
+    /// lookup for a whole dispatch's hand-off.
+    pub fn push_all(&mut self, key: u64, weight: u32, items: impl IntoIterator<Item = T>) {
+        let idx = match self.slots.iter().position(|s| s.key == key) {
+            Some(idx) => idx,
+            None => {
+                let weight = weight.max(1);
+                self.slots.push(Slot {
+                    key,
+                    weight,
+                    credits: weight,
+                    items: VecDeque::new(),
+                });
+                self.slots.len() - 1
+            }
+        };
+        let queue = &mut self.slots[idx].items;
+        let before = queue.len();
+        queue.extend(items);
+        self.len += queue.len() - before;
     }
 
     /// Serve the next item in weighted round-robin order, considering only
@@ -114,28 +125,49 @@ impl<T> WrrQueue<T> {
     /// just-popped task with its queued batchmates: the extras ride the
     /// credit already spent by `pop_where`, so batching never lets a slot
     /// exceed its weighted share of *dispatches* (a batch is one service).
+    ///
+    /// Only the prefix up to the last batchmate is touched: the scan stops
+    /// at `limit` matches, and the items it passed over go back to the
+    /// front in order — a slot holding a thousand tasks costs a coalescing
+    /// dispatch its batch, not the slot.
     pub fn take_matching(
         &mut self,
         key: u64,
         limit: usize,
         mut matches: impl FnMut(&T) -> bool,
     ) -> Vec<T> {
-        let mut taken = Vec::new();
         if limit == 0 {
-            return taken;
+            return Vec::new();
         }
         let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) else {
-            return taken;
+            return Vec::new();
         };
-        let mut kept = VecDeque::with_capacity(slot.items.len());
-        while let Some(item) = slot.items.pop_front() {
-            if taken.len() < limit && matches(&item) {
-                taken.push(item);
-            } else {
-                kept.push_back(item);
+        // Positions of the batchmates, ascending (`matches` runs once per
+        // scanned item).
+        let mut hits: Vec<usize> = Vec::new();
+        for (i, item) in slot.items.iter().enumerate() {
+            if matches(item) {
+                hits.push(i);
+                if hits.len() == limit {
+                    break;
+                }
             }
         }
-        slot.items = kept;
+        let Some(&last) = hits.last() else {
+            return Vec::new();
+        };
+        let mut taken = Vec::with_capacity(hits.len());
+        let mut passed_over = Vec::with_capacity(last + 1 - hits.len());
+        for (i, item) in slot.items.drain(..=last).enumerate() {
+            if hits[taken.len()..].first() == Some(&i) {
+                taken.push(item);
+            } else {
+                passed_over.push(item);
+            }
+        }
+        for item in passed_over.into_iter().rev() {
+            slot.items.push_front(item);
+        }
         self.len -= taken.len();
         taken
     }

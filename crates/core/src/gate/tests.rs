@@ -78,6 +78,24 @@ fn gate_over(c: &SimCluster, config: GateConfig) -> HarborGate {
     HarborGate::with_config(HarborScheduler::with_defaults(c.clone()), config)
 }
 
+/// Rows of a job that is certain to stall on an undrained cursor under
+/// [`small_pool`]: dispatches already handed to the pool when the sink
+/// saturates still land, so the sink can overshoot by pool share 16 ×
+/// `max_batch` 32 × fan-out 1 = 512 records, and the job must be several
+/// times that — not small enough to fit inside it.
+const STALLING_ROWS: i64 = 4000;
+
+fn stalling_job() -> Job {
+    range_job(0, STALLING_ROWS * 2)
+}
+
+fn small_pool() -> SchedulerConfig {
+    SchedulerConfig {
+        pool_threads: 16,
+        ..SchedulerConfig::default()
+    }
+}
+
 fn sorted_bytes(records: &[Record]) -> Vec<Vec<u8>> {
     let mut v: Vec<Vec<u8>> = records.iter().map(|r| r.bytes().to_vec()).collect();
     v.sort();
@@ -259,16 +277,16 @@ fn empty_result_yields_a_single_done_page() {
 
 #[test]
 fn stalled_cursor_blocks_emits_without_consuming_pool_threads() {
-    let c = cluster(400);
-    let gate = gate_over(
-        &c,
+    let c = cluster(STALLING_ROWS);
+    let gate = HarborGate::with_config(
+        HarborScheduler::new(c.clone(), small_pool()),
         GateConfig {
             cursor_buffer: 4,
             ..GateConfig::default()
         },
     );
     let s = gate.open_session("acme").unwrap();
-    let cur = gate.open_cursor(s, &range_job(0, 800)).unwrap();
+    let cur = gate.open_cursor(s, &stalling_job()).unwrap();
 
     // Never fetch: the sink saturates at 4 records and the job's pooled
     // work parks in the queues.
@@ -298,21 +316,19 @@ fn stalled_cursor_blocks_emits_without_consuming_pool_threads() {
             break;
         }
     }
-    assert_eq!(all.len(), 400, "stall/resume dropped records");
+    assert_eq!(
+        all.len(),
+        STALLING_ROWS as usize,
+        "stall/resume dropped records"
+    );
 }
 
 #[test]
 fn idle_cursor_reap_cancels_job_and_returns_all_resources() {
-    let c = cluster(400);
+    let c = cluster(STALLING_ROWS);
     let permits_at_rest = c.available_iops_permits();
     let gate = HarborGate::with_config(
-        HarborScheduler::new(
-            c.clone(),
-            SchedulerConfig {
-                pool_threads: 16,
-                ..SchedulerConfig::default()
-            },
-        ),
+        HarborScheduler::new(c.clone(), small_pool()),
         GateConfig {
             cursor_buffer: 2,
             cursor_idle_timeout: Duration::from_millis(40),
@@ -320,7 +336,7 @@ fn idle_cursor_reap_cancels_job_and_returns_all_resources() {
         },
     );
     let s = gate.open_session("acme").unwrap();
-    let cur = gate.open_cursor(s, &range_job(0, 800)).unwrap();
+    let cur = gate.open_cursor(s, &stalling_job()).unwrap();
     let handle = gate.state.lock().cursors[&cur.0].handle.clone();
     eventually("sink saturation", || handle.output_stalled());
 

@@ -764,8 +764,13 @@ mod tests {
             },
         );
         let handle = sched.submit(&range_job(0, 6000)).unwrap();
-        // Let it sink its teeth in, then cancel mid-flight.
-        std::thread::sleep(Duration::from_millis(30));
+        // Cancel mid-flight, on an observed condition rather than a sleep
+        // the job might outrun: it holds device slots exactly while it has
+        // reads in service.
+        while handle.permits_held() == 0 {
+            assert!(!handle.is_finished(), "job finished before holding a slot");
+            std::thread::yield_now();
+        }
         handle.cancel();
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, RedeError::Cancelled(_)), "got {err:?}");
@@ -845,7 +850,10 @@ mod tests {
 
     #[test]
     fn deadline_exceeded_job_aborts_and_returns_its_resources() {
-        let c = cluster(3000, IoModel::hdd_like(0.5));
+        // One probe and one read cost 12 ms + 50 ms of device time, so the
+        // job cannot finish inside its 20 ms deadline however fast the
+        // executor is.
+        let c = cluster(3000, IoModel::hdd_like(100.0));
         weight_index_builder(&c).build().unwrap();
         let permits_before = c.available_iops_permits();
         let sched = HarborScheduler::new(

@@ -5,7 +5,10 @@
 //! output to the strict per-pointer run (`Batching::off()`, every batch a
 //! batch of one) and move the same conservation counters, and the
 //! invariant `local + remote + cache hits == logical point reads` must hold
-//! exactly, per job and per node.
+//! exactly, per job and per node. The same grid runs with referencers
+//! inline (fused into the dispatch that produced their records) and
+//! switched (queued to the pool): where a referencer runs may change only
+//! how many items crossed a queue.
 
 use rede_common::{RedeError, Value};
 use rede_core::exec::{Batching, ExecutorConfig, JobRunner, RoutingPolicy};
@@ -120,10 +123,23 @@ fn run_with(
     routing: RoutingPolicy,
     batching: Batching,
 ) -> rede_core::exec::JobResult {
-    let config = ExecutorConfig::smpe(64)
-        .collecting()
-        .with_routing(routing)
-        .with_batching(batching);
+    run_with_referencers(c, job, routing, batching, true)
+}
+
+fn run_with_referencers(
+    c: &SimCluster,
+    job: &Job,
+    routing: RoutingPolicy,
+    batching: Batching,
+    referencer_inline: bool,
+) -> rede_core::exec::JobResult {
+    let config = ExecutorConfig {
+        referencer_inline,
+        ..ExecutorConfig::smpe(64)
+            .collecting()
+            .with_routing(routing)
+            .with_batching(batching)
+    };
     JobRunner::new(c.clone(), config).run(job).unwrap()
 }
 
@@ -161,6 +177,18 @@ fn assert_conservation(result: &rede_core::exec::JobResult, tag: &str) {
             "[{tag}] no batches but batched reads recorded"
         );
     }
+    // A queue hop is an item that crossed a node queue, wherever it went.
+    assert_eq!(
+        result.metrics.queue_hops,
+        result.profile.nodes.iter().map(|n| n.enqueued).sum::<u64>(),
+        "[{tag}] queue hops must equal the tasks the nodes were handed"
+    );
+}
+
+/// The reference stages sit at the odd positions of `join_job`.
+fn reference_stage_tasks(result: &rede_core::exec::JobResult) -> u64 {
+    let stages = &result.profile.stages;
+    stages.iter().skip(1).step_by(2).map(|s| s.tasks).sum()
 }
 
 #[test]
@@ -223,6 +251,39 @@ fn batching_is_invisible_across_routing_cache_and_fault_grid() {
                             off.profile.remote_rtts
                         );
                     }
+                    // The same run with every referencer switched to the
+                    // pool: same bytes, same reads, same faults, the same
+                    // work per stage — only the records' queue crossings
+                    // are added.
+                    let c = fixture(3, 6, cache, faults);
+                    let switched =
+                        run_with_referencers(&c, &job, routing, Batching::max(max_batch), false);
+                    let tag = format!("{tag} batch={max_batch} switched");
+                    assert_eq!(sorted_texts(&switched.records), baseline, "[{tag}]");
+                    assert_conservation(&switched, &tag);
+                    assert_eq!(
+                        switched.metrics.point_reads() + switched.metrics.cache_hits,
+                        b.metrics.point_reads() + b.metrics.cache_hits,
+                        "[{tag}] logical reads"
+                    );
+                    assert_eq!(switched.metrics.index_lookups, b.metrics.index_lookups);
+                    assert_eq!(switched.metrics.faults_injected, b.metrics.faults_injected);
+                    assert_eq!(switched.metrics.retries, switched.metrics.faults_injected);
+                    for (fused, queued) in b.profile.stages.iter().zip(&switched.profile.stages) {
+                        assert_eq!(
+                            (fused.tasks, fused.emits),
+                            (queued.tasks, queued.emits),
+                            "[{tag}] stage '{}' did different work",
+                            fused.label
+                        );
+                    }
+                    assert_eq!(switched.profile.inline_runs, 0, "[{tag}]");
+                    assert_eq!(b.profile.inline_runs, reference_stage_tasks(&b), "[{tag}]");
+                    assert_eq!(
+                        b.metrics.queue_hops,
+                        switched.metrics.queue_hops - reference_stage_tasks(&switched),
+                        "[{tag}] inline referencers must be exactly the hops saved"
+                    );
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Property-based fairness and conservation checks on the weighted
 //! round-robin multi-queue backing every SMPE dispatcher.
 //!
-//! Three properties over arbitrary weight assignments and enqueue
+//! Four properties over arbitrary weight assignments and enqueue
 //! sequences:
 //!
 //! 1. **No starvation**: any slot with queued work is served within a
@@ -11,6 +11,9 @@
 //!    cycle of slack.
 //! 3. **Drain conservation**: `drain` yields every queued item exactly
 //!    once — the multiset out equals the multiset in.
+//! 4. **Coalescing is order-preserving**: `take_matching`, which touches
+//!    only a prefix of the slot, agrees with the whole-slot rebuild it
+//!    replaced (kept here as the reference model).
 
 use proptest::prelude::*;
 use rede_core::exec::WrrQueue;
@@ -39,7 +42,56 @@ fn fill(queue: &mut WrrQueue<(u64, usize)>, slots: &[(u64, u32, usize)]) {
     }
 }
 
+/// Reference model for `take_matching`: the implementation it replaced,
+/// over a plain deque — pop every item, keeping the first `limit` matches
+/// aside. Returns (taken, left behind), both in queue order.
+fn take_matching_model(
+    items: &[u32],
+    limit: usize,
+    matches: impl Fn(&u32) -> bool,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut taken = Vec::new();
+    let mut kept = Vec::new();
+    for &item in items {
+        if taken.len() < limit && matches(&item) {
+            taken.push(item);
+        } else {
+            kept.push(item);
+        }
+    }
+    (taken, kept)
+}
+
 proptest! {
+    /// `take_matching` takes the same items in the same order, leaves the
+    /// same items behind in the same order, and keeps `len` exact — for
+    /// arbitrary slot contents, predicates (items are their own class:
+    /// `item % classes == wanted`) and limits, with a bystander slot that
+    /// must not be touched.
+    #[test]
+    fn take_matching_agrees_with_the_whole_slot_rebuild(
+        items in proptest::collection::vec(0u32..1000, 0..80),
+        classes in 1u32..5,
+        wanted in 0u32..5,
+        limit in 0usize..40,
+    ) {
+        let matches = |item: &u32| item % classes == wanted % classes;
+        let mut q = WrrQueue::new();
+        for &item in &items {
+            q.push(1, 1, item);
+        }
+        let bystanders = [7u32, 8, 9];
+        for &item in &bystanders {
+            q.push(2, 1, item);
+        }
+        let (taken, kept) = take_matching_model(&items, limit, matches);
+        prop_assert_eq!(q.take_matching(1, limit, matches), taken);
+        prop_assert_eq!(q.len(), kept.len() + bystanders.len());
+        prop_assert_eq!(q.drain_key(1), kept);
+        prop_assert_eq!(q.drain_key(2), bystanders.to_vec());
+        prop_assert!(q.is_empty());
+    }
+
     /// Any slot with queued work is served at least once in any window of
     /// `sum(min(weight, backlog)) + slots` consecutive pops — a flooding
     /// heavy slot cannot starve a light one.

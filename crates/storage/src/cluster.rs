@@ -18,7 +18,7 @@ use crate::buffer::{
 };
 use crate::cache::{CacheKey, RecordCache};
 use crate::catalog::{Catalog, StorageObject};
-use crate::fabric::{Completion, FabricConfig, SimFabric};
+use crate::fabric::{Completion, FabricConfig, Run, SimFabric};
 use crate::faults::{AccessClass, FaultDecision, FaultInjector, FaultPlan};
 use crate::heap_file::HeapFile;
 use crate::io_model::{IoModel, Owed, Phase};
@@ -603,11 +603,7 @@ impl SimCluster {
             let kind = match class {
                 AccessClass::IndexProbe => AccessKind::IndexLookup,
                 AccessClass::PointRead => {
-                    self.tally(|m| {
-                        for _ in &mults {
-                            m.record_point_read_at(from_node, local);
-                        }
-                    });
+                    self.tally(|m| m.record_point_reads_at(from_node, local, n));
                     if local {
                         AccessKind::LocalPointRead
                     } else {
@@ -1078,32 +1074,57 @@ fn run_phases(
 /// Submit one phase's accesses to the device queues together — each takes
 /// one slot of its serving node for its own device time — and run `landed`
 /// when the last of them has landed (at once if there are none).
+///
+/// Consecutive accesses of equal `(node, time)` — a charge's reads of one
+/// device at one brown-out multiplier — share a deadline whenever they are
+/// granted slots together, so they travel as one [`Run`]: one queue entry,
+/// one timer event per wave and one completion, where each access still
+/// holds one slot for its own modeled time.
 fn submit_phase(
     devices: &SimFabric,
     scope: Option<&Arc<IoScope>>,
     accesses: Vec<(usize, Duration)>,
     landed: Completion,
 ) {
-    if accesses.is_empty() {
-        return landed();
+    let mut runs: Vec<(usize, Duration, usize)> = Vec::new();
+    for (node, time) in accesses {
+        match runs.last_mut() {
+            Some((n, t, count)) if (*n, *t) == (node, time) => *count += 1,
+            _ => runs.push((node, time, 1)),
+        }
     }
-    // (accesses still queued or in service, what the last to land runs)
-    let last = Arc::new((AtomicUsize::new(accesses.len()), Mutex::new(Some(landed))));
-    // Built before the call: `submit_all` iterates under the queue's lock.
-    let flights: Vec<(usize, Duration, Completion)> = accesses
-        .into_iter()
-        .map(|(node, time)| {
-            let last = last.clone();
-            let complete: Completion = Box::new(move || {
-                if last.0.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    let landed = last.1.lock().take().expect("the last access lands once");
-                    landed();
-                }
-            });
-            (node, time, complete)
-        })
-        .collect();
-    devices.submit_all(scope, flights);
+    let run = |(node, delay, count), complete| Run {
+        node,
+        delay,
+        count,
+        complete,
+    };
+    match runs[..] {
+        [] => landed(),
+        [only] => {
+            devices.submit_all(scope, [run(only, landed)]);
+        }
+        _ => {
+            // (runs still queued or in service, what the last to land runs)
+            let last = Arc::new((AtomicUsize::new(runs.len()), Mutex::new(Some(landed))));
+            // Built before the call: `submit_all` iterates under the
+            // queue's lock.
+            let runs: Vec<Run> = runs
+                .into_iter()
+                .map(|r| {
+                    let last = last.clone();
+                    let complete: Completion = Box::new(move || {
+                        if last.0.fetch_sub(1, Ordering::SeqCst) == 1 {
+                            let landed = last.1.lock().take().expect("the last run lands once");
+                            landed();
+                        }
+                    });
+                    run(r, complete)
+                })
+                .collect();
+            devices.submit_all(scope, runs);
+        }
+    }
 }
 
 impl std::fmt::Debug for SimCluster {

@@ -9,15 +9,27 @@
 //!   trip "lands". Slept on a pool thread, that RTT would cap cross-node
 //!   concurrency by the pool size instead of by the fabric.
 //! * **The devices.** Every `SimCluster` owns a second instance whose
-//!   window is the I/O model's `queue_depth`: each charged access is one
-//!   flight holding one of its serving node's slots for its modeled device
-//!   time. "At most `window` outstanding, FIFO pending, deadline taken at
-//!   promotion" is exactly an IOPS limiter.
+//!   window is the I/O model's `queue_depth`: each charged access holds
+//!   one of its serving node's slots for its modeled device time. "At most
+//!   `window` outstanding, FIFO pending, deadline taken at promotion" is
+//!   exactly an IOPS limiter.
+//!
+//! **Runs.** The unit submitted is a [`Run`]: `count` requests to one node
+//! with one delay and one completion. Requests granted their slots at the
+//! same instant share a deadline, so they are one heap entry and one timer
+//! event — a *wave* — however many they are: a run takes `min(count, free)`
+//! slots at once, the rest queue FIFO (behind anything already waiting on
+//! that node) and follow in waves as slots return, and the completion
+//! fires once, with the last wave. Per request nothing changes: one slot,
+//! held for exactly its own delay, counted in `in_service`, `slot_time`
+//! and the submitter's held-slot gauge. The network flies runs of one; a
+//! device queue receives the equal reads of a batch as one run, so a
+//! batch costs the timer thread an event per wave instead of one per read.
 //!
 //! Two properties make this a pure scheduling transformation:
 //!
 //! * **Per-node in-flight windows.** Each node may keep at most `window`
-//!   flights in the air; further submissions queue behind them (FIFO per
+//!   requests in the air; further submissions queue behind them (FIFO per
 //!   node, counted as window stalls) and take their deadline at
 //!   *promotion* time, exactly as a real initiator with a bounded
 //!   outstanding-request window — or a device with a bounded queue — would.
@@ -31,9 +43,10 @@
 //!
 //! The timer thread is spawned by the first flight armed, so a fabric that
 //! never carries one (a latency-free cluster, an all-local job, a cluster
-//! only ever read one synchronous access at a time) costs no thread. Completions always run outside the fabric lock, and shutdown
-//! fires every remaining completion immediately (a dropped completion
-//! would strand its job's in-flight tokens forever).
+//! only ever read one synchronous access at a time) costs no thread.
+//! Completions always run outside the fabric lock, and shutdown fires
+//! every remaining completion immediately (a dropped completion would
+//! strand its job's in-flight tokens forever).
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rede_common::{IoScope, PermitHold};
@@ -71,17 +84,33 @@ impl Default for FabricConfig {
 /// the submitter during teardown).
 pub type Completion = Box<dyn FnOnce() + Send + 'static>;
 
-/// A flight armed in the completion heap.
+/// One submission: `count` requests to `node`, each holding one of its
+/// window slots for `delay`, and what runs when the last of them has
+/// landed. The network flies runs of one; a device queue receives the
+/// equal accesses of a charge as one run, so a batch of reads costs one
+/// event per wave instead of one per read.
+pub struct Run {
+    pub node: usize,
+    pub delay: Duration,
+    pub count: usize,
+    pub complete: Completion,
+}
+
+/// A flight armed in the completion heap: the part of a run (all of it,
+/// when it fit) granted its slots together, so sharing one deadline.
 struct Flight {
     deadline: Instant,
     /// Submission sequence, the deterministic tie-break for equal deadlines.
     seq: u64,
-    /// The node whose window slot this flight holds; `None` for a bare
-    /// timer ([`SimFabric::after`]).
-    node: Option<usize>,
+    /// The node whose window this flight occupies and how many of its
+    /// slots; `None` for a bare timer ([`SimFabric::after`]).
+    slots: Option<(usize, usize)>,
     /// The submitting job's held-slot gauge, up from grant to landing.
     _hold: Option<PermitHold>,
-    complete: Completion,
+    /// What landing fires. Only the *last-granted* part of a run carries
+    /// the run's completion: parts share one delay and are granted in
+    /// order, so it is also the last to land.
+    complete: Option<Completion>,
 }
 
 impl PartialEq for Flight {
@@ -106,9 +135,11 @@ impl Ord for Flight {
     }
 }
 
-/// A submission waiting for window room on its node.
+/// A run — or what is left of one — waiting for window room on its node.
 struct Pending {
     delay: Duration,
+    /// Requests of the run not yet granted a slot.
+    count: usize,
     scope: Option<Arc<IoScope>>,
     complete: Completion,
 }
@@ -117,7 +148,7 @@ struct Pending {
 struct NodeState {
     inflight: usize,
     pending: VecDeque<Pending>,
-    /// Σ delay of every flight ever granted a slot on this node.
+    /// Σ delay of every request ever granted a slot on this node.
     slot_time: Duration,
 }
 
@@ -132,56 +163,64 @@ struct State {
 }
 
 impl State {
-    /// Grant `node` a slot for `delay`, its deadline starting now, with
-    /// `scope`'s held-slot gauge up until the flight lands.
-    fn arm(
-        &mut self,
-        node: usize,
-        now: Instant,
-        delay: Duration,
-        scope: Option<&Arc<IoScope>>,
-        complete: Completion,
-    ) {
-        let slot = &mut self.nodes[node];
-        slot.inflight += 1;
-        slot.slot_time = slot.slot_time.saturating_add(delay);
-        self.push(
-            Some(node),
-            now + delay,
-            scope.map(IoScope::hold_permit),
-            complete,
-        );
+    fn node(&mut self, node: usize) -> &mut NodeState {
+        if self.nodes.len() <= node {
+            self.nodes.resize_with(node + 1, NodeState::default);
+        }
+        &mut self.nodes[node]
+    }
+
+    /// Hand `node`'s free slots to its queue, oldest first: each queued run
+    /// is granted as many slots as are free — a wave of it — its requests'
+    /// service starting only now, exactly like a bounded initiator window,
+    /// or a device queue. Every grant holds one slot per request for the
+    /// run's delay, with the submitter's held-slot gauge up until landing.
+    fn promote(&mut self, node: usize, now: Instant, window: usize) {
+        loop {
+            let slot = &mut self.nodes[node];
+            let free = window.saturating_sub(slot.inflight);
+            let Some(next) = slot.pending.front_mut() else {
+                return;
+            };
+            if free == 0 {
+                return;
+            }
+            let grant = free.min(next.count);
+            next.count -= grant;
+            let deadline = now + next.delay;
+            let hold = next.scope.as_ref().map(|s| s.hold_permits(grant));
+            slot.inflight += grant;
+            slot.slot_time = slot
+                .slot_time
+                .saturating_add(next.delay.saturating_mul(grant as u32));
+            let complete =
+                (next.count == 0).then(|| slot.pending.pop_front().expect("peeked").complete);
+            self.push(Some((node, grant)), deadline, hold, complete);
+        }
     }
 
     fn push(
         &mut self,
-        node: Option<usize>,
+        slots: Option<(usize, usize)>,
         deadline: Instant,
         hold: Option<PermitHold>,
-        complete: Completion,
+        complete: Option<Completion>,
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Flight {
             deadline,
             seq,
-            node,
+            slots,
             _hold: hold,
             complete,
         });
     }
 
-    /// Return one of `node`'s slots and hand it to the node's oldest
-    /// queued flight, whose service starts only now — exactly like a
-    /// bounded initiator window, or a device queue.
-    fn release(&mut self, node: usize, now: Instant, window: usize) {
-        let slot = &mut self.nodes[node];
-        slot.inflight -= 1;
-        if slot.inflight < window {
-            if let Some(next) = slot.pending.pop_front() {
-                self.arm(node, now, next.delay, next.scope.as_ref(), next.complete);
-            }
-        }
+    /// Return `count` of `node`'s slots and hand them on to its queue.
+    fn release(&mut self, node: usize, count: usize, now: Instant, window: usize) {
+        self.nodes[node].inflight -= count;
+        self.promote(node, now, window);
     }
 
     fn head(&self) -> Option<u64> {
@@ -228,45 +267,57 @@ impl SimFabric {
     /// `true` when the submission stalled on the window (the caller's
     /// stall counter).
     pub fn submit(&self, node: usize, delay: Duration, complete: Completion) -> bool {
-        self.submit_all(None, [(node, delay, complete)]) > 0
+        let run = Run {
+            node,
+            delay,
+            count: 1,
+            complete,
+        };
+        self.submit_all(None, [run]) > 0
     }
 
-    /// Submit `(node, delay, completion)` flights under one lock, in
-    /// order, and return how many stalled on their node's window. A flight
-    /// holds `scope`'s permit gauge from the moment it is granted a slot
-    /// until it lands.
+    /// Submit `runs` under one lock, in order, and return how many of
+    /// their requests stalled on their node's window. A run is granted
+    /// `min(count, free)` slots at once; what is left queues FIFO behind
+    /// anything already waiting on that node and proceeds in waves as
+    /// slots return. Each request holds `scope`'s permit gauge from the
+    /// moment it is granted a slot until it lands, and the run's
+    /// completion fires once, when its last request has landed.
     pub fn submit_all(
         &self,
         scope: Option<&Arc<IoScope>>,
-        flights: impl IntoIterator<Item = (usize, Duration, Completion)>,
+        runs: impl IntoIterator<Item = Run>,
     ) -> usize {
         let mut state = self.shared.state.lock();
         if state.shutdown {
             // Late submission during teardown: fire inline rather than
             // strand the job's in-flight tokens.
             drop(state);
-            for (_, _, complete) in flights {
-                complete();
+            for run in runs {
+                (run.complete)();
             }
             return 0;
         }
         let head = state.head();
         let now = Instant::now();
         let mut stalled = 0;
-        for (node, delay, complete) in flights {
-            if state.nodes.len() <= node {
-                state.nodes.resize_with(node + 1, NodeState::default);
-            }
-            if state.nodes[node].inflight >= self.window {
-                state.nodes[node].pending.push_back(Pending {
-                    delay,
-                    scope: scope.cloned(),
-                    complete,
-                });
-                stalled += 1;
+        for run in runs {
+            debug_assert!(run.count > 0, "a run is at least one request");
+            let slot = state.node(run.node);
+            // A non-empty queue means a full window: nothing overtakes it.
+            let free = if slot.pending.is_empty() {
+                self.window.saturating_sub(slot.inflight)
             } else {
-                state.arm(node, now, delay, scope, complete);
-            }
+                0
+            };
+            stalled += run.count.saturating_sub(free);
+            slot.pending.push_back(Pending {
+                delay: run.delay,
+                count: run.count,
+                scope: scope.cloned(),
+                complete: run.complete,
+            });
+            state.promote(run.node, now, self.window);
         }
         self.armed(state, head);
         stalled
@@ -283,7 +334,7 @@ impl SimFabric {
             return;
         }
         let head = state.head();
-        state.push(None, Instant::now() + delay, None, complete);
+        state.push(None, Instant::now() + delay, None, Some(complete));
         self.armed(state, head);
     }
 
@@ -299,14 +350,12 @@ impl SimFabric {
         if state.shutdown {
             return;
         }
-        if state.nodes.len() <= node {
-            state.nodes.resize_with(node + 1, NodeState::default);
-        }
-        let slot = &mut state.nodes[node];
+        let slot = state.node(node);
         if slot.inflight >= self.window {
             let (landed_tx, landed) = std::sync::mpsc::sync_channel(1);
             slot.pending.push_back(Pending {
                 delay,
+                count: 1,
                 scope: scope.cloned(),
                 complete: Box::new(move || {
                     let _ = landed_tx.send(());
@@ -324,7 +373,7 @@ impl SimFabric {
         drop(held);
         let mut state = self.shared.state.lock();
         let head = state.head();
-        state.release(node, Instant::now(), self.window);
+        state.release(node, 1, Instant::now(), self.window);
         self.armed(state, head);
     }
 
@@ -355,20 +404,21 @@ impl SimFabric {
         );
     }
 
-    /// Flights currently armed or queued (diagnostic; 0 when quiescent).
+    /// Flights currently armed plus runs still queued, whole or in part
+    /// (diagnostic; 0 when quiescent).
     pub fn in_flight(&self) -> usize {
         let state = self.shared.state.lock();
         state.heap.len() + state.nodes.iter().map(|n| n.pending.len()).sum::<usize>()
     }
 
-    /// Flights holding a window slot right now, per node (diagnostic;
+    /// Requests holding a window slot right now, per node (diagnostic;
     /// nodes that never saw a flight are absent).
     pub fn in_service(&self) -> Vec<usize> {
         let state = self.shared.state.lock();
         state.nodes.iter().map(|n| n.inflight).collect()
     }
 
-    /// Cumulative slot time granted per node: Σ delay over every flight
+    /// Cumulative slot time granted per node: Σ delay over every request
     /// that ever held one of the node's slots (diagnostic; nodes that
     /// never saw a flight are absent).
     pub fn slot_time(&self) -> Vec<Duration> {
@@ -381,13 +431,13 @@ impl SimFabric {
         loop {
             let now = Instant::now();
             // Land every due flight: collect its completion and return
-            // its window slot (promoting the node's oldest queued flight).
+            // its window slots (promoting the node's oldest queued runs).
             let mut due: Vec<Completion> = Vec::new();
             while state.heap.peek().is_some_and(|f| f.deadline <= now) {
                 let flight = state.heap.pop().expect("peeked");
-                due.push(flight.complete);
-                if let Some(node) = flight.node {
-                    state.release(node, now, window);
+                due.extend(flight.complete);
+                if let Some((node, count)) = flight.slots {
+                    state.release(node, count, now, window);
                 }
             }
             if !due.is_empty() {
@@ -408,10 +458,10 @@ impl SimFabric {
                 while let Some(f) = heap.pop() {
                     // Slots taken by `hold` stay counted: their holders
                     // give them back themselves.
-                    if let Some(node) = f.node {
-                        state.nodes[node].inflight -= 1;
+                    if let Some((node, count)) = f.slots {
+                        state.nodes[node].inflight -= count;
                     }
-                    rest.push(f.complete);
+                    rest.extend(f.complete);
                 }
                 for node in &mut state.nodes {
                     while let Some(p) = node.pending.pop_front() {
@@ -591,7 +641,12 @@ mod tests {
         let fabric = SimFabric::new(FabricConfig::window(2));
         let scope = Arc::new(IoScope::new(1));
         let hour = Duration::from_secs(3600);
-        let flights = (0..5).map(|_| (1usize, hour, Box::new(|| {}) as Completion));
+        let flights = (0..5).map(|_| Run {
+            node: 1,
+            delay: hour,
+            count: 1,
+            complete: Box::new(|| {}),
+        });
         assert_eq!(fabric.submit_all(Some(&scope), flights), 3);
         // Two granted, three queued: only granted slots are held, counted
         // in service, and charged slot time. A bare timer takes no slot.
@@ -603,6 +658,87 @@ mod tests {
         fabric.shutdown();
         assert_eq!(scope.permits_held(), 0);
         assert_eq!(fabric.in_service(), vec![0, 0]);
+        assert_eq!(fabric.in_flight(), 0);
+    }
+
+    fn run_of(count: usize, delay: Duration, complete: Completion) -> Run {
+        Run {
+            node: 0,
+            delay,
+            count,
+            complete,
+        }
+    }
+
+    #[test]
+    fn a_run_over_the_window_proceeds_in_fifo_waves_and_lands_once() {
+        let fabric = SimFabric::new(FabricConfig::window(4));
+        let d = Duration::from_millis(2);
+        let landed = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let start = Instant::now();
+        let run = run_of(10, d, {
+            let (landed, tx) = (landed.clone(), tx.clone());
+            Box::new(move || {
+                landed.fetch_add(1, Ordering::SeqCst);
+                tx.send(("run", start.elapsed())).unwrap();
+            })
+        });
+        assert_eq!(fabric.submit_all(None, [run]), 6, "4 of 10 fit the window");
+        // A later request queues behind the run's remainder: it shares the
+        // run's last wave and lands after it.
+        let stalled = fabric.submit(
+            0,
+            d,
+            Box::new(move || tx.send(("single", start.elapsed())).unwrap()),
+        );
+        assert!(stalled);
+        let (first, run_took) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (second, single_took) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((first, second), ("run", "single"), "FIFO: no overtaking");
+        assert!(
+            run_took >= d * 3,
+            "10 requests / window 4 = 3 waves: {run_took:?}"
+        );
+        assert!(single_took >= d * 3, "{single_took:?}");
+        assert_eq!(landed.load(Ordering::SeqCst), 1, "one completion per run");
+        assert_eq!(
+            fabric.slot_time(),
+            vec![d * 11],
+            "one slot time per request"
+        );
+        assert_eq!(fabric.in_service(), vec![0]);
+        assert_eq!(fabric.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_run_holds_one_slot_per_request_and_shutdown_mid_run_lands_it_once() {
+        let fabric = SimFabric::new(FabricConfig::window(2));
+        let scope = Arc::new(IoScope::new(1));
+        let hour = Duration::from_secs(3600);
+        let landed = Arc::new(AtomicUsize::new(0));
+        let run = run_of(5, hour, {
+            let landed = landed.clone();
+            Box::new(move || {
+                landed.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        assert_eq!(fabric.submit_all(Some(&scope), [run]), 3);
+        // Two of the five are in service as one flight; the gauge and the
+        // slot time count requests, not flights.
+        assert_eq!(fabric.in_service(), vec![2]);
+        assert_eq!(scope.permits_held(), 2);
+        assert_eq!(fabric.slot_time(), vec![hour * 2]);
+        assert_eq!(fabric.in_flight(), 2, "the armed wave and the remainder");
+        assert_eq!(landed.load(Ordering::SeqCst), 0);
+        fabric.shutdown();
+        assert_eq!(
+            landed.load(Ordering::SeqCst),
+            1,
+            "teardown lands the run once"
+        );
+        assert_eq!(scope.permits_held(), 0);
+        assert_eq!(fabric.in_service(), vec![0]);
         assert_eq!(fabric.in_flight(), 0);
     }
 

@@ -299,3 +299,80 @@ fn dropping_the_cluster_fires_outstanding_completions() {
         Duration::ZERO
     );
 }
+
+/// Pointers whose reads node 0's device serves.
+fn ptrs_on_node_0(c: &SimCluster, n: usize) -> Vec<Pointer> {
+    let on_node_0 = |p: &Pointer| c.owner_of_pointer(p) == Some(0);
+    ptrs(256).into_iter().filter(on_node_0).take(n).collect()
+}
+
+/// (vii) The equal reads of a batch travel through the device queue as
+/// one run, and the run is still `n` accesses: more of them than free
+/// slots proceed in FIFO waves of `queue_depth`, each holding one slot for
+/// its own device time, and the batch lands exactly once.
+#[test]
+fn a_batch_over_capacity_proceeds_in_waves_and_lands_once() {
+    let depth = 4;
+    let c = cluster_with(2, read_model(depth), None);
+    let scope = Arc::new(IoScope::new(1));
+    let scoped = c.with_io_scope(scope.clone());
+    let ptrs = ptrs_on_node_0(&c, 10);
+    let refs: Vec<&Pointer> = ptrs.iter().collect();
+    let stop = AtomicBool::new(false);
+    // Everything that can fail is asserted after the sampler has been
+    // stopped, so a failure reports instead of leaving it spinning.
+    let (first, second) = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                // A slot over capacity would underflow the diagnostic.
+                assert!(c.available_iops_permits().iter().all(|&free| free <= depth));
+                assert!(scope.permits_held() <= depth as i64);
+                std::thread::yield_now();
+            }
+        });
+        let start = Instant::now();
+        let (results, owed) = scoped.resolve_batch_submit(&refs, 0);
+        let (landed_tx, landed_rx) = mpsc::channel();
+        scoped.settle(owed, move |_| {
+            let _ = landed_tx.send((results.iter().all(|r| r.is_ok()), start.elapsed()));
+        });
+        let landings = (
+            landed_rx.recv_timeout(Duration::from_secs(30)),
+            landed_rx.recv_timeout(Duration::from_secs(30)),
+        );
+        stop.store(true, Ordering::SeqCst);
+        landings
+    });
+    let (all_ok, took) = first.expect("the batch lands");
+    assert!(all_ok);
+    assert!(took >= L * 3, "10 reads / depth 4 = 3 waves: {took:?}");
+    assert!(
+        second.is_err(),
+        "the batch lands once (its completion is gone afterwards)"
+    );
+    assert_eq!(c.device_slot_time(), vec![L * 10, Duration::ZERO]);
+    assert_eq!(c.available_iops_permits(), vec![depth; 2]);
+    assert_eq!(scope.permits_held(), 0);
+}
+
+/// (viii) A read issued while a batch's remainder is still waiting for
+/// slots queues behind it: by the time it returns, the batch has landed.
+#[test]
+fn a_later_read_does_not_overtake_a_batch_waiting_for_slots() {
+    let c = cluster_with(2, read_model(2), None);
+    let ptrs = ptrs_on_node_0(&c, 7);
+    let (late, batch) = ptrs.split_last().unwrap();
+    let refs: Vec<&Pointer> = batch.iter().collect();
+    let (results, owed) = c.resolve_batch_submit(&refs, 0);
+    assert!(results.iter().all(|r| r.is_ok()));
+    let (landed_tx, landed_rx) = mpsc::channel();
+    c.settle(owed, move |_| landed_tx.send(()).unwrap());
+    let start = Instant::now();
+    c.resolve(late, 0).unwrap();
+    assert!(start.elapsed() >= L, "never cheaper than one access");
+    assert!(
+        landed_rx.try_recv().is_ok(),
+        "6 reads / depth 2 = 3 waves were ahead of the late read"
+    );
+    assert_eq!(c.device_slot_time(), vec![L * 7, Duration::ZERO]);
+}
