@@ -10,7 +10,7 @@
 use crate::expr::Expr;
 use crate::row::{RowBatch, RowParser};
 use parking_lot::Mutex;
-use rede_common::{RedeError, Result};
+use rede_common::{Counter, RedeError, Result};
 use rede_storage::{FileHandle, SimCluster};
 use std::collections::VecDeque;
 
@@ -109,7 +109,7 @@ pub fn parallel_scan_with_locality(
                     }
                     if remote {
                         // One shuffle hop per pulled batch.
-                        cluster.metrics().record_remote_rtt();
+                        cluster.metrics().add(Counter::remote_rtts, 1);
                         cluster.io_model().pay_shuffle();
                     }
                     start += slots.len();

@@ -213,21 +213,14 @@ fn measure(
         window,
         wall: wall / RUNS,
         count: result.count,
-        pointers: result.profile.local_point_reads()
-            + result.profile.remote_point_reads()
-            + result
-                .profile
-                .nodes
-                .iter()
-                .map(|n| n.cache_hits)
-                .sum::<u64>(),
-        remote_rtts: result.profile.remote_rtts,
-        batches_issued: result.profile.batches_issued,
-        batched_reads: result.profile.batched_reads,
-        mean_batch_size: result.profile.mean_batch_size(),
-        inflight_peak: result.profile.inflight_peak,
-        fabric_completions: result.profile.fabric_completions,
-        window_stalls: result.profile.window_stalls,
+        pointers: result.profile.logical_point_reads(),
+        remote_rtts: result.metrics.remote_rtts,
+        batches_issued: result.metrics.batches_issued,
+        batched_reads: result.metrics.batched_reads,
+        mean_batch_size: result.metrics.mean_batch_size(),
+        inflight_peak: result.metrics.inflight_peak,
+        fabric_completions: result.metrics.fabric_completions,
+        window_stalls: result.metrics.window_stalls,
     }
 }
 

@@ -13,8 +13,9 @@
 //!                  structures + the record cache (default: unbounded)
 //!
 //! Flags:
-//!   --profile      after each selectivity row, print the SMPE run's full
-//!                  execution profile (per-stage and per-node tables)
+//!   --profile      after each selectivity row, print the SMPE run's
+//!                  counters, then its execution profile (per-stage and
+//!                  per-node tables)
 //!
 //! Output: one row per selectivity with wall-clock (threads really sleep
 //! through the injected latencies, so overlap is physical) and the
@@ -98,7 +99,7 @@ fn main() {
             p.rede_locality() * 100.0
         );
         if profile {
-            print!("{}", p.rede_profile);
+            print!("{}\n{}", p.rede_metrics, p.rede_profile);
         }
     }
     println!("# paper shape: ReDe w/ SMPE >> Impala at low/mid selectivity (>10x),");

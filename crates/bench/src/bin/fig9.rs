@@ -9,8 +9,9 @@
 //!   FIG9_SEED    generator seed              (default 42)
 //!
 //! Flags:
-//!   --profile    after each query row, print the ReDe run's full
-//!                execution profile (per-stage and per-node tables)
+//!   --profile    after each query row, print the ReDe run's counters,
+//!                then its execution profile (per-stage and per-node
+//!                tables)
 
 use rede_bench::{run_fig9, Fig9Config};
 
@@ -58,7 +59,7 @@ fn main() {
             row.total_expense
         );
         if profile {
-            print!("{}", row.rede_profile);
+            print!("{}\n{}", row.rede_metrics, row.rede_profile);
         }
     }
     println!("# (the paper omitted the plain-lake scan from Fig. 9 — footnote 3: \"a lot");

@@ -17,7 +17,7 @@ use rede_claims::queries::{
     rede_job as claims_job, run_lake_scan, run_rede as run_claims_rede, run_warehouse, QuerySpec,
 };
 use rede_common::rng::Xoshiro256;
-use rede_common::{ExecProfile, RedeError, Result};
+use rede_common::{ExecProfile, MetricsSnapshot, RedeError, Result};
 use rede_core::exec::{ExecutorConfig, JobRunner};
 use rede_core::gate::{GateConfig, HarborGate, QueryOptions};
 use rede_core::job::Job;
@@ -201,6 +201,7 @@ impl Fig7Fixture {
             rede_accesses: smpe.metrics.record_accesses(),
             rede_local_reads: smpe.profile.local_point_reads(),
             rede_remote_reads: smpe.profile.remote_point_reads(),
+            rede_metrics: smpe.metrics,
             rede_profile: smpe.profile,
         })
     }
@@ -224,8 +225,9 @@ pub struct Fig7Point {
     pub rede_local_reads: u64,
     /// SMPE heap point reads that crossed nodes.
     pub rede_remote_reads: u64,
-    /// Full per-stage / per-node profile of the SMPE run (what `--profile`
-    /// prints).
+    /// The SMPE run's own counters and its per-stage / per-node profile
+    /// (what `--profile` prints, in this order).
+    pub rede_metrics: MetricsSnapshot,
     pub rede_profile: ExecProfile,
 }
 
@@ -287,8 +289,9 @@ pub struct Fig9Row {
     pub total_expense: i64,
     /// Number of qualifying claims.
     pub qualifying_claims: u64,
-    /// Per-stage / per-node profile of the ReDe run (what `--profile`
-    /// prints).
+    /// The ReDe run's own counters and its per-stage / per-node profile
+    /// (what `--profile` prints, in this order).
+    pub rede_metrics: MetricsSnapshot,
     pub rede_profile: ExecProfile,
 }
 
@@ -339,6 +342,7 @@ pub fn run_fig9(config: &Fig9Config) -> Result<Vec<Fig9Row>> {
             lake_scan_accesses: scan.metrics.record_accesses(),
             total_expense: rede.total_expense,
             qualifying_claims: rede.qualifying_claims,
+            rede_metrics: rede.metrics,
             rede_profile: rede.profile,
         });
     }

@@ -32,6 +32,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -156,9 +157,17 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses
+/// once per level and documents come from outside (lake record text), so
+/// without a bound a long run of `[` overflows the stack — an abort, not an
+/// error a caller can handle.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,8 +202,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Parser::object),
+            b'[' => self.nested(Parser::array),
             b'"' => Ok(Json::String(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -202,6 +211,17 @@ impl<'a> Parser<'a> {
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(self.err(&format!("unexpected {:?}", other as char))),
         }
+    }
+
+    /// Parse one array or object, one level further in.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json> {
@@ -404,6 +424,16 @@ mod tests {
         ] {
             assert!(Json::parse(doc).is_err(), "should reject {doc:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Deep enough to abort the process before the bound existed.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub use error::{RedeError, Result};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use json::Json;
 pub use metrics::{
-    AccessKind, ExecProfile, IoScope, Metrics, MetricsSnapshot, NodeIoSnapshot, NodeProfile,
-    PermitHold, StageProfile,
+    AccessKind, Counter, ExecProfile, IoScope, Kind, Metrics, MetricsSnapshot, NodeIoSnapshot,
+    NodeProfile, PermitHold, StageProfile,
 };
 pub use rng::{SplitMix64, Xoshiro256};
 pub use value::{Date, Value, ValueType};

@@ -7,6 +7,15 @@
 //! increments exactly one [`AccessKind`] counter; executors additionally
 //! count spawned tasks and queue hops.
 //!
+//! Every counter is declared **once**, as a `name: kind` row of the
+//! `counter_table!` invocation below, which generates its [`Counter`] index,
+//! its atomic cell, its [`MetricsSnapshot`] field (same name, same doc
+//! comment) and its line in `snapshot()`, `since()`, `reset()` and
+//! `fields()`. To add a counter: one row, plus its write site through the
+//! verb of its [`Kind`] — [`Metrics::add`], [`Metrics::raise`], or
+//! [`Metrics::enter`] / [`Metrics::leave`] — and, if it should be rendered,
+//! its place in `MetricsSnapshot`'s `Display`.
+//!
 //! A [`Metrics`] handle is cheap to clone (`Arc` inside) and is threaded
 //! through cluster, files, and executors so independent experiments never
 //! share counters.
@@ -36,66 +45,228 @@ pub enum AccessKind {
     RecordWrite,
 }
 
-#[derive(Default)]
-struct NodeIo {
-    local_point_reads: AtomicU64,
-    remote_point_reads: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+/// What a table cell holds: picks the cell's write verb and its memory
+/// ordering, and says what `since` and `reset` mean for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Events counted since the last reset, written with [`Metrics::add`]
+    /// (`Relaxed`: a statistic that publishes nothing else). `since` is the
+    /// events in the window; `reset` zeroes it.
+    Count,
+    /// High-water mark, written with [`Metrics::raise`] (`SeqCst`). Monotone
+    /// between resets, so `since` is how far the mark climbed in the
+    /// window; `reset` zeroes it.
+    Peak,
+    /// Things alive right now, written by paired [`Metrics::enter`] /
+    /// [`Metrics::leave`] calls (`SeqCst`); 0 whenever the system is
+    /// quiescent. `since` is how many more were alive at capture time.
+    /// `reset` leaves it alone: a gauge belongs to its RAII pairs, not to
+    /// the experiment, and zeroing a live one would wrap it below zero at
+    /// the next `leave`.
+    Gauge,
+}
+
+/// From one list of `name: kind` rows, generates the row index enum, the
+/// atomic cells (load, reset) and the `Copy` snapshot struct (diff, listing).
+/// A row's doc comment lands on both its index variant and its snapshot field.
+macro_rules! counter_table {
+    (
+        $(#[$index_doc:meta])*
+        index $Index:ident;
+        cells $Cells:ident;
+        $(#[$snapshot_doc:meta])*
+        snapshot $Snapshot:ident;
+        $( $(#[$doc:meta])* $name:ident: $kind:ident, )+
+    ) => {
+        $(#[$index_doc])*
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $Index {
+            $( $(#[$doc])* $name, )+
+        }
+
+        impl $Index {
+            /// Every row, in table order.
+            pub const ALL: &'static [$Index] = &[$( $Index::$name, )+];
+
+            /// The row's declared kind.
+            pub const fn kind(self) -> Kind {
+                match self {
+                    $( $Index::$name => Kind::$kind, )+
+                }
+            }
+        }
+
+        /// One atomic cell per row.
+        struct $Cells([AtomicU64; $Index::ALL.len()]);
+
+        impl Default for $Cells {
+            fn default() -> $Cells {
+                $Cells(std::array::from_fn(|_| AtomicU64::new(0)))
+            }
+        }
+
+        impl $Cells {
+            #[inline]
+            fn cell(&self, row: $Index) -> &AtomicU64 {
+                &self.0[row as usize]
+            }
+
+            fn snapshot(&self) -> $Snapshot {
+                $Snapshot {
+                    $( $name: self.cell($Index::$name).load(Ordering::SeqCst), )+
+                }
+            }
+
+            fn reset(&self) {
+                for &row in $Index::ALL {
+                    if row.kind() != Kind::Gauge {
+                        self.cell(row).store(0, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+
+        $(#[$snapshot_doc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $Snapshot {
+            $( $(#[$doc])* pub $name: u64, )+
+        }
+
+        impl $Snapshot {
+            /// Difference since an earlier snapshot (component-wise
+            /// saturating; [`Kind`] says what it means per row).
+            pub fn since(&self, earlier: &$Snapshot) -> $Snapshot {
+                $Snapshot {
+                    $( $name: self.$name.saturating_sub(earlier.$name), )+
+                }
+            }
+
+            /// Every row as `(name, kind, value)`, in table order.
+            pub fn fields(&self) -> [(&'static str, Kind, u64); $Index::ALL.len()] {
+                [$( (stringify!($name), Kind::$kind, self.$name), )+]
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// One row of the counter table, spelled like the [`MetricsSnapshot`]
+    /// field it fills: names a cell of [`Metrics`] to the write verbs.
+    index Counter;
+    cells Cells;
+    /// A point-in-time copy of all counters.
+    snapshot MetricsSnapshot;
+
+    /// Point reads of a record in a partition on the issuing node.
+    local_point_reads: Count,
+    /// Point reads served by a different node (each adds network RTT).
+    remote_point_reads: Count,
+    /// Records visited by sequential scans.
+    scanned_records: Count,
+    /// B+-tree lookups/range probes (index traversals, not record fetches).
+    index_lookups: Count,
+    /// Entries emitted by index range probes.
+    index_entries_read: Count,
+    /// Records appended/written.
+    record_writes: Count,
+    /// Tasks handed to the executor's thread pool.
+    tasks_spawned: Count,
+    /// Items moved through a stage queue (a dispatch's hand-off to one
+    /// node counts all of its items at once).
+    queue_hops: Count,
+    /// Pointers broadcast to all partitions.
+    broadcasts: Count,
+    /// Records emitted by jobs as final output.
+    records_emitted: Count,
+    /// Resolves served from the record cache.
+    cache_hits: Count,
+    /// Record-cache misses, each falling through to a charged storage read.
+    cache_misses: Count,
+    /// Stage invocations re-run after a transient failure.
+    retries: Count,
+    /// Reads served by a non-owner replica because the owner was down.
+    rerouted_reads: Count,
+    /// Charged accesses the fault injector failed.
+    faults_injected: Count,
+    /// Jobs aborted for exceeding their deadline.
+    deadline_aborts: Count,
+    /// Charged accesses executed through a coalesced batch (the per-access
+    /// counters move too; this tracks how much of the traffic rode the
+    /// vectorized path).
+    batched_reads: Count,
+    /// Batches issued against a serving node (one IOPS acquisition + at
+    /// most one RTT each, however many accesses it carried).
+    batches_issued: Count,
+    /// Network round trips owed by remote device groups (a scalar remote
+    /// access is a group of one; a remote batch pays one for the whole
+    /// group — the amortization this counter makes visible).
+    remote_rtts: Count,
+    /// Dispatches delivered back through the event-driven fabric (a
+    /// dispatch that owed no round trip never flies).
+    fabric_completions: Count,
+    /// Fabric submissions that found their node's in-flight window full
+    /// and queued behind an outstanding flight.
+    window_stalls: Count,
+    /// Remote flights in the air: entered when a remote group starts its
+    /// round trip — whether slept synchronously or parked in the fabric —
+    /// and left at completion.
+    flights_in_flight: Gauge,
+    /// High-water mark of `flights_in_flight` — the quantity the fabric
+    /// exists to raise past the pool size.
+    inflight_peak: Peak,
+    /// Buffer-pool pages faulted in from the simulated backing store (a
+    /// memory-pressure effect, *not* a logical record access —
+    /// conservation invariants over point reads must not move).
+    page_faults: Count,
+    /// Buffer-pool frames evicted to make room under the byte budget.
+    page_evictions: Count,
+    /// High-water mark of simultaneously pinned buffer-pool bytes.
+    pinned_peak: Peak,
+    /// WAL frames appended (one per logged operation).
+    wal_appends: Count,
+    /// Total framed WAL bytes appended (headers + payloads).
+    wal_bytes: Count,
+    /// MVCC snapshot handles alive (0 whenever no reader holds a cut).
+    snapshots_active: Gauge,
+    /// Write-behind index catch-up passes that applied pending base-file
+    /// writes (no-op freshness checks don't count).
+    catchup_builds: Count,
+    /// Gate sessions open (0 whenever no client is connected).
+    sessions_active: Gauge,
+    /// Gate cursors open (0 whenever no result is mid-stream).
+    cursors_active: Gauge,
+    /// Times a producing job's emit path saturated a cursor buffer and
+    /// stalled until the client drained it (the transition into
+    /// saturation, not every blocked record).
+    cursor_stalls: Count,
+    /// Commands the front door refused with `Overloaded` (session caps,
+    /// cursor caps, or tenant admission bounds).
+    shed_commands: Count,
+}
+
+counter_table! {
+    /// One row of the per-node block.
+    index NodeCounter;
+    cells NodeIo;
+    /// Per-node I/O counts (point reads and record-cache accesses), all
+    /// attributed to the *issuing* node.
+    snapshot NodeIoSnapshot;
+
+    /// Point reads this node issued that its own storage served.
+    local: Count,
+    /// Point reads this node issued that another node served.
+    remote: Count,
+    /// Resolves this node issued that its record cache absorbed.
+    cache_hits: Count,
+    /// Resolves that missed the cache. Each pairs with exactly one local or
+    /// remote point read: `local + remote == cache_misses` under a cache.
+    cache_misses: Count,
 }
 
 #[derive(Default)]
 struct Inner {
-    local_point_reads: AtomicU64,
-    remote_point_reads: AtomicU64,
-    scanned_records: AtomicU64,
-    index_lookups: AtomicU64,
-    index_entries_read: AtomicU64,
-    record_writes: AtomicU64,
-    tasks_spawned: AtomicU64,
-    queue_hops: AtomicU64,
-    broadcasts: AtomicU64,
-    records_emitted: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    retries: AtomicU64,
-    rerouted_reads: AtomicU64,
-    faults_injected: AtomicU64,
-    deadline_aborts: AtomicU64,
-    batched_reads: AtomicU64,
-    batches_issued: AtomicU64,
-    remote_rtts: AtomicU64,
-    fabric_completions: AtomicU64,
-    window_stalls: AtomicU64,
-    /// Remote flights currently in the air (gauge, not in the snapshot):
-    /// incremented when a remote group starts its round trip — whether
-    /// slept synchronously or parked in the fabric — and decremented at
-    /// completion. `inflight_peak` is its high-water mark.
-    flights_in_flight: AtomicU64,
-    inflight_peak: AtomicU64,
-    page_faults: AtomicU64,
-    page_evictions: AtomicU64,
-    /// High-water mark of simultaneously pinned buffer-pool bytes
-    /// (monotone between resets, like `inflight_peak`).
-    pinned_peak: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_bytes: AtomicU64,
-    /// Snapshot handles currently alive (gauge: begin/end paired like
-    /// `flights_in_flight`, but captured into the snapshot so ingest-aware
-    /// experiments can report concurrency).
-    snapshots_active: AtomicU64,
-    catchup_builds: AtomicU64,
-    /// Gate sessions currently open (gauge: begin/end paired like
-    /// `snapshots_active`, captured into the snapshot).
-    sessions_active: AtomicU64,
-    /// Gate cursors currently open (gauge, begin/end paired).
-    cursors_active: AtomicU64,
-    /// Times a producing job's emit path saturated a cursor buffer and
-    /// stalled until the client drained it.
-    cursor_stalls: AtomicU64,
-    /// Commands the front door refused with `Overloaded` (session caps,
-    /// cursor caps, or tenant admission bounds).
-    shed_commands: AtomicU64,
+    cells: Cells,
     /// Point reads and record-cache accesses attributed to the node that
     /// *issued* them, grown on demand to the highest node index seen. Kept
     /// outside [`MetricsSnapshot`] (which stays `Copy`); read via
@@ -115,6 +286,42 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// Count `n` more events on a [`Kind::Count`] row.
+    #[inline]
+    pub fn add(&self, row: Counter, n: u64) {
+        debug_assert_eq!(row.kind(), Kind::Count);
+        self.inner.cells.cell(row).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Raise a [`Kind::Peak`] row to at least `v` (never lowers it).
+    #[inline]
+    pub fn raise(&self, row: Counter, v: u64) {
+        debug_assert_eq!(row.kind(), Kind::Peak);
+        self.inner.cells.cell(row).fetch_max(v, Ordering::SeqCst);
+    }
+
+    /// Mark one more thing alive on a [`Kind::Gauge`] row; pairs with
+    /// [`Metrics::leave`]. Returns the level including this one.
+    #[inline]
+    pub fn enter(&self, row: Counter) -> u64 {
+        debug_assert_eq!(row.kind(), Kind::Gauge);
+        self.inner.cells.cell(row).fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Mark one thing on a [`Kind::Gauge`] row gone.
+    #[inline]
+    pub fn leave(&self, row: Counter) {
+        debug_assert_eq!(row.kind(), Kind::Gauge);
+        self.inner.cells.cell(row).fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// One row's value right now. Reads are `SeqCst` for every kind: gauges
+    /// and peaks need it, and a read is never on the hot path.
+    #[inline]
+    pub fn get(&self, row: Counter) -> u64 {
+        self.inner.cells.cell(row).load(Ordering::SeqCst)
+    }
+
     /// Record one storage access of the given kind.
     #[inline]
     pub fn record_access(&self, kind: AccessKind) {
@@ -125,24 +332,24 @@ impl Metrics {
     /// account for a whole batch at once).
     #[inline]
     pub fn record_accesses(&self, kind: AccessKind, n: u64) {
-        let ctr = match kind {
-            AccessKind::LocalPointRead => &self.inner.local_point_reads,
-            AccessKind::RemotePointRead => &self.inner.remote_point_reads,
-            AccessKind::ScannedRecord => &self.inner.scanned_records,
-            AccessKind::IndexLookup => &self.inner.index_lookups,
-            AccessKind::IndexEntryRead => &self.inner.index_entries_read,
-            AccessKind::RecordWrite => &self.inner.record_writes,
+        let row = match kind {
+            AccessKind::LocalPointRead => Counter::local_point_reads,
+            AccessKind::RemotePointRead => Counter::remote_point_reads,
+            AccessKind::ScannedRecord => Counter::scanned_records,
+            AccessKind::IndexLookup => Counter::index_lookups,
+            AccessKind::IndexEntryRead => Counter::index_entries_read,
+            AccessKind::RecordWrite => Counter::record_writes,
         };
-        ctr.fetch_add(n, Ordering::Relaxed);
+        self.add(row, n);
     }
 
-    /// Run `f` against `node`'s counter block, growing the per-node table
-    /// on demand (first touch of the highest node index allocates).
-    fn with_node_io(&self, node: usize, f: impl FnOnce(&NodeIo)) {
+    /// Add `n` to `row` of `node`'s counter block, growing the per-node
+    /// table on demand (first touch of the highest node index allocates).
+    fn add_at(&self, node: usize, row: NodeCounter, n: u64) {
         {
             let per_node = self.inner.per_node.read();
             if let Some(counters) = per_node.get(node) {
-                f(counters);
+                counters.cell(row).fetch_add(n, Ordering::Relaxed);
                 return;
             }
         }
@@ -150,7 +357,7 @@ impl Metrics {
         while per_node.len() <= node {
             per_node.push(Arc::new(NodeIo::default()));
         }
-        f(&per_node[node]);
+        per_node[node].cell(row).fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record `n` point reads issued *from* `node`, additionally split per
@@ -158,14 +365,12 @@ impl Metrics {
     /// [`Metrics::record_accesses`]; feeds [`ExecProfile`]'s per-node
     /// local/remote read breakdown.
     pub fn record_point_reads_at(&self, node: usize, local: bool, n: u64) {
-        self.with_node_io(node, |c| {
-            let ctr = if local {
-                &c.local_point_reads
-            } else {
-                &c.remote_point_reads
-            };
-            ctr.fetch_add(n, Ordering::Relaxed);
-        });
+        let row = if local {
+            NodeCounter::local
+        } else {
+            NodeCounter::remote
+        };
+        self.add_at(node, row, n);
     }
 
     /// Count a record served from the record cache to `node` (the node
@@ -173,342 +378,64 @@ impl Metrics {
     /// per-node counter so `local + remote + cache_hits` always sums to
     /// the logical point reads a node issued.
     pub fn record_cache_hit_at(&self, node: usize) {
-        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.with_node_io(node, |c| {
-            c.cache_hits.fetch_add(1, Ordering::Relaxed);
-        });
+        self.add(Counter::cache_hits, 1);
+        self.add_at(node, NodeCounter::cache_hits, 1);
     }
 
     /// Count a record-cache miss at `node` (the access fell through to a
     /// charged storage read).
     pub fn record_cache_miss_at(&self, node: usize) {
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.with_node_io(node, |c| {
-            c.cache_misses.fetch_add(1, Ordering::Relaxed);
-        });
+        self.add(Counter::cache_misses, 1);
+        self.add_at(node, NodeCounter::cache_misses, 1);
     }
 
     /// Per-node I/O counters captured now. Index = issuing node; nodes
     /// that never issued a read may be absent from the tail.
     pub fn node_point_reads(&self) -> Vec<NodeIoSnapshot> {
-        self.inner
-            .per_node
-            .read()
-            .iter()
-            .enumerate()
-            .map(|(node, c)| NodeIoSnapshot {
-                node,
-                local: c.local_point_reads.load(Ordering::Relaxed),
-                remote: c.remote_point_reads.load(Ordering::Relaxed),
-                cache_hits: c.cache_hits.load(Ordering::Relaxed),
-                cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Count a task handed to the executor's thread pool.
-    #[inline]
-    pub fn record_task_spawn(&self) {
-        self.inner.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `n` items moving through a stage queue (a dispatch's
-    /// hand-off to one node counts all of its items at once).
-    #[inline]
-    pub fn record_queue_hops(&self, n: u64) {
-        self.inner.queue_hops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count a pointer broadcast to all partitions.
-    #[inline]
-    pub fn record_broadcast(&self) {
-        self.inner.broadcasts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `n` records emitted by a job as final output.
-    #[inline]
-    pub fn record_emits(&self, n: u64) {
-        self.inner.records_emitted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count one retried stage invocation (the executor re-ran a stage body
-    /// after a transient failure).
-    #[inline]
-    pub fn record_retry(&self) {
-        self.inner.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one read served by a non-owner replica because the owning
-    /// node was down.
-    #[inline]
-    pub fn record_rerouted_read(&self) {
-        self.inner.rerouted_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one charged access the fault injector failed.
-    #[inline]
-    pub fn record_fault_injected(&self) {
-        self.inner.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one job aborted because it exceeded its deadline.
-    #[inline]
-    pub fn record_deadline_abort(&self) {
-        self.inner.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `n` charged accesses executed through a coalesced batch (the
-    /// per-access counters move too; this tracks how much of the traffic
-    /// rode the vectorized path).
-    #[inline]
-    pub fn record_batched_reads(&self, n: u64) {
-        self.inner.batched_reads.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count one batch issued against a serving node (one IOPS
-    /// acquisition + at most one RTT, however many accesses it carried).
-    #[inline]
-    pub fn record_batch_issued(&self) {
-        self.inner.batches_issued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one network round trip owed by a remote device group (a
-    /// scalar remote access is a group of one; a remote batch pays one for
-    /// the whole group — the amortization this counter makes visible).
-    #[inline]
-    pub fn record_remote_rtt(&self) {
-        self.inner.remote_rtts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one dispatch delivered back through the event-driven fabric
-    /// (a dispatch that owed no round trip never flies).
-    #[inline]
-    pub fn record_fabric_completion(&self) {
-        self.inner
-            .fabric_completions
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one fabric submission that found its node's in-flight window
-    /// full and had to queue behind an outstanding flight.
-    #[inline]
-    pub fn record_window_stall(&self) {
-        self.inner.window_stalls.fetch_add(1, Ordering::Relaxed);
+        let per_node = self.inner.per_node.read();
+        per_node.iter().map(|c| c.snapshot()).collect()
     }
 
     /// Mark one remote round trip entering the air; pairs with
-    /// [`Metrics::record_flight_end`]. Also advances `inflight_peak`, the
-    /// high-water mark of concurrent remote flights — the quantity the
-    /// fabric exists to raise past the pool size.
+    /// [`Metrics::record_flight_end`]. Also advances `inflight_peak`.
     #[inline]
     pub fn record_flight_begin(&self) {
-        let now = self.inner.flights_in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inner.inflight_peak.fetch_max(now, Ordering::SeqCst);
+        let now = self.enter(Counter::flights_in_flight);
+        self.raise(Counter::inflight_peak, now);
     }
 
-    /// Count `n` buffer-pool pages faulted in from the simulated backing
-    /// store (a memory-pressure effect, *not* a logical record access —
-    /// conservation invariants over point reads must not move).
+    /// Mark one remote round trip landing.
     #[inline]
-    pub fn record_page_faults(&self, n: u64) {
-        if n > 0 {
-            self.inner.page_faults.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Count `n` buffer-pool frames evicted to make room.
-    #[inline]
-    pub fn record_page_evictions(&self, n: u64) {
-        if n > 0 {
-            self.inner.page_evictions.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the pinned-bytes high-water mark to at least `bytes`.
-    #[inline]
-    pub fn record_pinned_peak(&self, bytes: u64) {
-        self.inner.pinned_peak.fetch_max(bytes, Ordering::Relaxed);
+    pub fn record_flight_end(&self) {
+        self.leave(Counter::flights_in_flight);
     }
 
     /// Count one WAL frame appended, carrying `bytes` of framed log data
     /// (header + payload).
     #[inline]
     pub fn record_wal_append(&self, bytes: u64) {
-        self.inner.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.inner.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Mark one MVCC snapshot handle coming alive; pairs with
-    /// [`Metrics::record_snapshot_end`].
-    #[inline]
-    pub fn record_snapshot_begin(&self) {
-        self.inner.snapshots_active.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Mark one MVCC snapshot handle released.
-    #[inline]
-    pub fn record_snapshot_end(&self) {
-        self.inner.snapshots_active.fetch_sub(1, Ordering::SeqCst);
+        self.add(Counter::wal_appends, 1);
+        self.add(Counter::wal_bytes, bytes);
     }
 
     /// Snapshot handles currently alive (0 whenever no reader holds a cut).
     pub fn snapshots_active(&self) -> u64 {
-        self.inner.snapshots_active.load(Ordering::SeqCst)
-    }
-
-    /// Count one write-behind index catch-up pass that actually applied
-    /// pending base-file writes (no-op freshness checks don't count).
-    #[inline]
-    pub fn record_catchup_build(&self) {
-        self.inner.catchup_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mark one gate session opening; pairs with
-    /// [`Metrics::record_session_end`].
-    #[inline]
-    pub fn record_session_begin(&self) {
-        self.inner.sessions_active.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Mark one gate session closed or expired.
-    #[inline]
-    pub fn record_session_end(&self) {
-        self.inner.sessions_active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Gate sessions currently open (0 whenever no client is connected).
-    pub fn sessions_active(&self) -> u64 {
-        self.inner.sessions_active.load(Ordering::SeqCst)
-    }
-
-    /// Mark one gate cursor opening; pairs with
-    /// [`Metrics::record_cursor_end`].
-    #[inline]
-    pub fn record_cursor_begin(&self) {
-        self.inner.cursors_active.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Mark one gate cursor closed, exhausted, or reaped.
-    #[inline]
-    pub fn record_cursor_end(&self) {
-        self.inner.cursors_active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Gate cursors currently open (0 whenever no result is mid-stream).
-    pub fn cursors_active(&self) -> u64 {
-        self.inner.cursors_active.load(Ordering::SeqCst)
-    }
-
-    /// Count one emit-path stall on a saturated cursor buffer (the
-    /// transition into saturation, not every blocked record).
-    #[inline]
-    pub fn record_cursor_stall(&self) {
-        self.inner.cursor_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one command the front door refused with `Overloaded`.
-    #[inline]
-    pub fn record_shed_command(&self) {
-        self.inner.shed_commands.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mark one remote round trip landing.
-    #[inline]
-    pub fn record_flight_end(&self) {
-        self.inner.flights_in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Remote flights currently in the air (0 whenever quiescent).
-    pub fn flights_in_flight(&self) -> u64 {
-        self.inner.flights_in_flight.load(Ordering::SeqCst)
+        self.get(Counter::snapshots_active)
     }
 
     /// Capture the current counter values.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let i = &self.inner;
-        MetricsSnapshot {
-            local_point_reads: i.local_point_reads.load(Ordering::Relaxed),
-            remote_point_reads: i.remote_point_reads.load(Ordering::Relaxed),
-            scanned_records: i.scanned_records.load(Ordering::Relaxed),
-            index_lookups: i.index_lookups.load(Ordering::Relaxed),
-            index_entries_read: i.index_entries_read.load(Ordering::Relaxed),
-            record_writes: i.record_writes.load(Ordering::Relaxed),
-            tasks_spawned: i.tasks_spawned.load(Ordering::Relaxed),
-            queue_hops: i.queue_hops.load(Ordering::Relaxed),
-            broadcasts: i.broadcasts.load(Ordering::Relaxed),
-            records_emitted: i.records_emitted.load(Ordering::Relaxed),
-            cache_hits: i.cache_hits.load(Ordering::Relaxed),
-            cache_misses: i.cache_misses.load(Ordering::Relaxed),
-            retries: i.retries.load(Ordering::Relaxed),
-            rerouted_reads: i.rerouted_reads.load(Ordering::Relaxed),
-            faults_injected: i.faults_injected.load(Ordering::Relaxed),
-            deadline_aborts: i.deadline_aborts.load(Ordering::Relaxed),
-            batched_reads: i.batched_reads.load(Ordering::Relaxed),
-            batches_issued: i.batches_issued.load(Ordering::Relaxed),
-            remote_rtts: i.remote_rtts.load(Ordering::Relaxed),
-            fabric_completions: i.fabric_completions.load(Ordering::Relaxed),
-            window_stalls: i.window_stalls.load(Ordering::Relaxed),
-            inflight_peak: i.inflight_peak.load(Ordering::SeqCst),
-            page_faults: i.page_faults.load(Ordering::Relaxed),
-            page_evictions: i.page_evictions.load(Ordering::Relaxed),
-            pinned_peak: i.pinned_peak.load(Ordering::Relaxed),
-            wal_appends: i.wal_appends.load(Ordering::Relaxed),
-            wal_bytes: i.wal_bytes.load(Ordering::Relaxed),
-            snapshots_active: i.snapshots_active.load(Ordering::SeqCst),
-            catchup_builds: i.catchup_builds.load(Ordering::Relaxed),
-            sessions_active: i.sessions_active.load(Ordering::SeqCst),
-            cursors_active: i.cursors_active.load(Ordering::SeqCst),
-            cursor_stalls: i.cursor_stalls.load(Ordering::Relaxed),
-            shed_commands: i.shed_commands.load(Ordering::Relaxed),
-        }
+        self.inner.cells.snapshot()
     }
 
-    /// Reset all counters to zero (experiments reuse loaded clusters).
+    /// Start a new measurement window on a loaded cluster: zero every
+    /// `Count` and `Peak`, global and per node. A `Gauge` is left alone —
+    /// it is owned by its `enter`/`leave` pairs, and zeroing one that is
+    /// live would wrap it to 2⁶⁴−1 at the paired `leave`.
     pub fn reset(&self) {
-        let i = &self.inner;
-        for ctr in [
-            &i.local_point_reads,
-            &i.remote_point_reads,
-            &i.scanned_records,
-            &i.index_lookups,
-            &i.index_entries_read,
-            &i.record_writes,
-            &i.tasks_spawned,
-            &i.queue_hops,
-            &i.broadcasts,
-            &i.records_emitted,
-            &i.cache_hits,
-            &i.cache_misses,
-            &i.retries,
-            &i.rerouted_reads,
-            &i.faults_injected,
-            &i.deadline_aborts,
-            &i.batched_reads,
-            &i.batches_issued,
-            &i.remote_rtts,
-            &i.fabric_completions,
-            &i.window_stalls,
-            &i.flights_in_flight,
-            &i.inflight_peak,
-            &i.page_faults,
-            &i.page_evictions,
-            &i.pinned_peak,
-            &i.wal_appends,
-            &i.wal_bytes,
-            &i.snapshots_active,
-            &i.catchup_builds,
-            &i.sessions_active,
-            &i.cursors_active,
-            &i.cursor_stalls,
-            &i.shed_commands,
-        ] {
-            ctr.store(0, Ordering::Relaxed);
-        }
-        for node in i.per_node.read().iter() {
-            node.local_point_reads.store(0, Ordering::Relaxed);
-            node.remote_point_reads.store(0, Ordering::Relaxed);
-            node.cache_hits.store(0, Ordering::Relaxed);
-            node.cache_misses.store(0, Ordering::Relaxed);
+        self.inner.cells.reset();
+        for node in self.inner.per_node.read().iter() {
+            node.reset();
         }
     }
 }
@@ -524,7 +451,7 @@ impl fmt::Debug for Metrics {
 /// The scheduler attaches one `IoScope` to every job it admits; storage
 /// handles carrying the scope mirror each charged access into the scope's
 /// private [`Metrics`] (in addition to the cluster-global counters), so a
-/// job's `ExecProfile` stays exact even when many jobs share the cluster.
+/// job's `JobResult::metrics` stay exact even when many jobs share the cluster.
 /// The scope also tracks IOPS permits currently held on the job's behalf —
 /// the quantity the cancellation path must drive back to zero.
 #[derive(Debug, Default)]
@@ -592,67 +519,6 @@ impl Drop for PermitHold {
     }
 }
 
-/// A point-in-time copy of all counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    pub local_point_reads: u64,
-    pub remote_point_reads: u64,
-    pub scanned_records: u64,
-    pub index_lookups: u64,
-    pub index_entries_read: u64,
-    pub record_writes: u64,
-    pub tasks_spawned: u64,
-    pub queue_hops: u64,
-    pub broadcasts: u64,
-    pub records_emitted: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Stage invocations re-run after a transient failure.
-    pub retries: u64,
-    /// Reads served by a non-owner replica because the owner was down.
-    pub rerouted_reads: u64,
-    /// Charged accesses the fault injector failed.
-    pub faults_injected: u64,
-    /// Jobs aborted for exceeding their deadline.
-    pub deadline_aborts: u64,
-    /// Charged accesses executed through a coalesced batch.
-    pub batched_reads: u64,
-    /// Batches issued (one IOPS acquisition + at most one RTT each).
-    pub batches_issued: u64,
-    /// Network round-trips actually slept.
-    pub remote_rtts: u64,
-    /// Remote batches delivered through the event-driven fabric.
-    pub fabric_completions: u64,
-    /// Fabric submissions that queued behind a full in-flight window.
-    pub window_stalls: u64,
-    /// High-water mark of concurrent remote flights (monotone until
-    /// [`Metrics::reset`]).
-    pub inflight_peak: u64,
-    /// Buffer-pool pages faulted in from the simulated backing store.
-    pub page_faults: u64,
-    /// Buffer-pool frames evicted to make room under the byte budget.
-    pub page_evictions: u64,
-    /// High-water mark of simultaneously pinned buffer-pool bytes
-    /// (monotone until [`Metrics::reset`]).
-    pub pinned_peak: u64,
-    /// WAL frames appended (one per logged operation).
-    pub wal_appends: u64,
-    /// Total framed WAL bytes appended (headers + payloads).
-    pub wal_bytes: u64,
-    /// Snapshot handles alive at capture time (a gauge, not a count).
-    pub snapshots_active: u64,
-    /// Write-behind index catch-up passes that applied pending writes.
-    pub catchup_builds: u64,
-    /// Gate sessions open at capture time (a gauge, not a count).
-    pub sessions_active: u64,
-    /// Gate cursors open at capture time (a gauge, not a count).
-    pub cursors_active: u64,
-    /// Emit-path stalls on saturated cursor buffers.
-    pub cursor_stalls: u64,
-    /// Commands the front door refused with `Overloaded`.
-    pub shed_commands: u64,
-}
-
 impl MetricsSnapshot {
     /// Total record accesses, the Figure 9 quantity: every record the engine
     /// had to touch, whether by point read or by scan.
@@ -665,59 +531,13 @@ impl MetricsSnapshot {
         self.local_point_reads + self.remote_point_reads
     }
 
-    /// Difference since an earlier snapshot (component-wise saturating).
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            local_point_reads: self
-                .local_point_reads
-                .saturating_sub(earlier.local_point_reads),
-            remote_point_reads: self
-                .remote_point_reads
-                .saturating_sub(earlier.remote_point_reads),
-            scanned_records: self.scanned_records.saturating_sub(earlier.scanned_records),
-            index_lookups: self.index_lookups.saturating_sub(earlier.index_lookups),
-            index_entries_read: self
-                .index_entries_read
-                .saturating_sub(earlier.index_entries_read),
-            record_writes: self.record_writes.saturating_sub(earlier.record_writes),
-            tasks_spawned: self.tasks_spawned.saturating_sub(earlier.tasks_spawned),
-            queue_hops: self.queue_hops.saturating_sub(earlier.queue_hops),
-            broadcasts: self.broadcasts.saturating_sub(earlier.broadcasts),
-            records_emitted: self.records_emitted.saturating_sub(earlier.records_emitted),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            retries: self.retries.saturating_sub(earlier.retries),
-            rerouted_reads: self.rerouted_reads.saturating_sub(earlier.rerouted_reads),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-            deadline_aborts: self.deadline_aborts.saturating_sub(earlier.deadline_aborts),
-            batched_reads: self.batched_reads.saturating_sub(earlier.batched_reads),
-            batches_issued: self.batches_issued.saturating_sub(earlier.batches_issued),
-            remote_rtts: self.remote_rtts.saturating_sub(earlier.remote_rtts),
-            fabric_completions: self
-                .fabric_completions
-                .saturating_sub(earlier.fabric_completions),
-            window_stalls: self.window_stalls.saturating_sub(earlier.window_stalls),
-            // The peak is monotone between resets, so the difference is
-            // how much higher the high-water mark climbed in the window.
-            inflight_peak: self.inflight_peak.saturating_sub(earlier.inflight_peak),
-            page_faults: self.page_faults.saturating_sub(earlier.page_faults),
-            page_evictions: self.page_evictions.saturating_sub(earlier.page_evictions),
-            // Monotone like inflight_peak: the delta is the climb.
-            pinned_peak: self.pinned_peak.saturating_sub(earlier.pinned_peak),
-            wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
-            wal_bytes: self.wal_bytes.saturating_sub(earlier.wal_bytes),
-            // A gauge, not a counter: the delta is how many more handles
-            // were alive at capture time (saturating at zero, like peaks).
-            snapshots_active: self
-                .snapshots_active
-                .saturating_sub(earlier.snapshots_active),
-            catchup_builds: self.catchup_builds.saturating_sub(earlier.catchup_builds),
-            // Gauges like snapshots_active: the delta is how many more
-            // were open at capture time (saturating at zero).
-            sessions_active: self.sessions_active.saturating_sub(earlier.sessions_active),
-            cursors_active: self.cursors_active.saturating_sub(earlier.cursors_active),
-            cursor_stalls: self.cursor_stalls.saturating_sub(earlier.cursor_stalls),
-            shed_commands: self.shed_commands.saturating_sub(earlier.shed_commands),
+    /// Mean accesses per issued batch (0.0 when no batch was issued) —
+    /// the RTT amortization factor for remote-heavy stages.
+    pub fn mean_batch_size(&self) -> f64 {
+        if self.batches_issued == 0 {
+            0.0
+        } else {
+            self.batched_reads as f64 / self.batches_issued as f64
         }
     }
 }
@@ -800,24 +620,10 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Per-node I/O counts (point reads and record-cache accesses), all
-/// attributed to the *issuing* node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeIoSnapshot {
-    pub node: usize,
-    /// Point reads this node issued that its own storage served.
-    pub local: u64,
-    /// Point reads this node issued that another node served.
-    pub remote: u64,
-    /// Resolves this node issued that its record cache absorbed.
-    pub cache_hits: u64,
-    /// Resolves that missed the cache and fell through to a point read.
-    pub cache_misses: u64,
-}
-
 impl NodeIoSnapshot {
     /// Logical point reads this node issued: every resolve, whether the
-    /// cache absorbed it or storage served it.
+    /// cache absorbed it or storage served it (`local + remote +
+    /// cache_hits`; without a cache, just the storage reads).
     pub fn logical_point_reads(&self) -> u64 {
         self.local + self.remote + self.cache_hits
     }
@@ -840,31 +646,14 @@ pub struct NodeProfile {
     pub node: usize,
     /// Tasks enqueued onto this node's stage queue.
     pub enqueued: u64,
-    /// Point reads this node issued that were served locally.
-    pub local_point_reads: u64,
-    /// Point reads this node issued that another node served.
-    pub remote_point_reads: u64,
-    /// Resolves this node issued that its record cache absorbed.
-    pub cache_hits: u64,
-    /// Resolves that missed this node's cache (each pairs with exactly one
-    /// local or remote point read, so `local + remote == cache_misses`
-    /// whenever a cache is configured).
-    pub cache_misses: u64,
-}
-
-impl NodeProfile {
-    /// Logical point reads this node issued: cache hits plus the storage
-    /// reads (`local + remote + cache_hits`). Without a cache this is just
-    /// the storage reads.
-    pub fn logical_point_reads(&self) -> u64 {
-        self.local_point_reads + self.remote_point_reads + self.cache_hits
-    }
+    /// Point reads and record-cache accesses this node issued.
+    pub io: NodeIoSnapshot,
 }
 
 /// Execution profile of one job run: where tasks ran, where their reads
-/// were served, and how the executor scheduled them. Complements
-/// [`MetricsSnapshot`] (aggregate counters) with the per-stage / per-node
-/// structure needed to see *routing* behaviour.
+/// were served, and how the executor scheduled them. It holds only the
+/// per-stage / per-node / scheduling *structure* a [`MetricsSnapshot`]
+/// cannot say; the job's counters themselves are `JobResult::metrics`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecProfile {
     /// One entry per job stage, in stage order.
@@ -877,57 +666,17 @@ pub struct ExecProfile {
     pub inline_runs: u64,
     /// Maximum number of simultaneously in-flight tasks.
     pub peak_in_flight: u64,
-    /// Stage invocations this job re-ran after a transient failure.
-    pub retries: u64,
-    /// Reads this job had served by a replica because the owner was down.
-    pub rerouted_reads: u64,
-    /// Charged accesses of this job the fault injector failed.
-    pub faults_injected: u64,
-    /// Charged accesses this job executed through coalesced batches.
-    pub batched_reads: u64,
-    /// Batches this job issued (one IOPS acquisition + ≤1 RTT each).
-    pub batches_issued: u64,
-    /// Network round trips this job owed, one per remote device group.
-    /// Unbatched this equals the remote accesses; batching drives it down
-    /// by roughly the mean batch size.
-    pub remote_rtts: u64,
-    /// Dispatches of this job whose owed round trip was delivered through
-    /// the event-driven fabric.
-    pub fabric_completions: u64,
-    /// Fabric submissions of this job that queued behind a full per-node
-    /// in-flight window.
-    pub window_stalls: u64,
-    /// High-water mark of this job's outstanding remote flights (armed
-    /// or window-queued). A synchronous `SimCluster` access counts its
-    /// inline wait as one flight.
-    pub inflight_peak: u64,
-    /// Buffer-pool pages this job's accesses faulted back in (zero under
-    /// an unbounded memory budget).
-    pub page_faults: u64,
-    /// Buffer-pool frames evicted while this job's accesses made room.
-    pub page_evictions: u64,
-    /// High-water mark of pinned buffer-pool bytes observed by this job's
-    /// accesses.
-    pub pinned_peak: u64,
-    /// WAL frames this job appended (zero for read-only jobs).
-    pub wal_appends: u64,
-    /// Framed WAL bytes this job appended.
-    pub wal_bytes: u64,
-    /// Snapshot handles alive when this job's profile was captured.
-    pub snapshots_active: u64,
-    /// Write-behind index catch-up passes this job's accesses triggered.
-    pub catchup_builds: u64,
 }
 
 impl ExecProfile {
     /// Total remote point reads across nodes.
     pub fn remote_point_reads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.remote_point_reads).sum()
+        self.nodes.iter().map(|n| n.io.remote).sum()
     }
 
     /// Total local point reads across nodes.
     pub fn local_point_reads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.local_point_reads).sum()
+        self.nodes.iter().map(|n| n.io.local).sum()
     }
 
     /// Fraction of point reads served locally (1.0 when there were none).
@@ -945,12 +694,12 @@ impl ExecProfile {
 
     /// Total record-cache hits across nodes.
     pub fn cache_hits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.cache_hits).sum()
+        self.nodes.iter().map(|n| n.io.cache_hits).sum()
     }
 
     /// Total record-cache misses across nodes.
     pub fn cache_misses(&self) -> u64 {
-        self.nodes.iter().map(|n| n.cache_misses).sum()
+        self.nodes.iter().map(|n| n.io.cache_misses).sum()
     }
 
     /// Logical point reads across nodes: `local + remote + cache_hits`,
@@ -959,7 +708,7 @@ impl ExecProfile {
     /// `cache_hits + cache_misses` when a cache is configured, and the
     /// plain storage read count when not.
     pub fn logical_point_reads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.logical_point_reads()).sum()
+        self.nodes.iter().map(|n| n.io.logical_point_reads()).sum()
     }
 
     /// Fraction of logical point reads the record cache absorbed (0.0
@@ -971,16 +720,6 @@ impl ExecProfile {
             0.0
         } else {
             hits as f64 / total as f64
-        }
-    }
-
-    /// Mean accesses per issued batch (0.0 when no batch was issued) —
-    /// the RTT amortization factor for remote-heavy stages.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches_issued == 0 {
-            0.0
-        } else {
-            self.batched_reads as f64 / self.batches_issued as f64
         }
     }
 }
@@ -995,44 +734,6 @@ impl fmt::Display for ExecProfile {
             self.peak_in_flight,
             self.locality() * 100.0
         )?;
-        if self.retries + self.rerouted_reads + self.faults_injected > 0 {
-            writeln!(
-                f,
-                "  recovery: {} faults injected, {} retries, {} rerouted reads",
-                self.faults_injected, self.retries, self.rerouted_reads
-            )?;
-        }
-        if self.batches_issued > 0 {
-            writeln!(
-                f,
-                "  batching: {} reads in {} batches (mean {:.1}), {} rtts slept",
-                self.batched_reads,
-                self.batches_issued,
-                self.mean_batch_size(),
-                self.remote_rtts
-            )?;
-        }
-        if self.fabric_completions + self.window_stalls > 0 {
-            writeln!(
-                f,
-                "  fabric: {} completions, {} window stalls, peak {} in flight",
-                self.fabric_completions, self.window_stalls, self.inflight_peak
-            )?;
-        }
-        if self.page_faults + self.page_evictions > 0 {
-            writeln!(
-                f,
-                "  memory: {} page faults, {} evictions, pinned peak {} B",
-                self.page_faults, self.page_evictions, self.pinned_peak
-            )?;
-        }
-        if self.wal_appends + self.snapshots_active + self.catchup_builds > 0 {
-            writeln!(
-                f,
-                "  ingest: {} wal appends ({} B), {} snapshots active, {} catch-up builds",
-                self.wal_appends, self.wal_bytes, self.snapshots_active, self.catchup_builds
-            )?;
-        }
         for s in &self.stages {
             writeln!(
                 f,
@@ -1046,10 +747,10 @@ impl fmt::Display for ExecProfile {
                 "  node {}: {} enqueued, point reads {} local / {} remote, cache {}/{}",
                 n.node,
                 n.enqueued,
-                n.local_point_reads,
-                n.remote_point_reads,
-                n.cache_hits,
-                n.cache_hits + n.cache_misses
+                n.io.local,
+                n.io.remote,
+                n.io.cache_hits,
+                n.io.cache_hits + n.io.cache_misses
             )?;
         }
         Ok(())
@@ -1066,7 +767,10 @@ mod tests {
         m.record_access(AccessKind::LocalPointRead);
         m.record_accesses(AccessKind::ScannedRecord, 10);
         m.record_access(AccessKind::RemotePointRead);
+        m.record_wal_append(40);
+        m.record_wal_append(24);
         let s = m.snapshot();
+        assert_eq!((s.wal_appends, s.wal_bytes), (2, 64));
         assert_eq!(s.local_point_reads, 1);
         assert_eq!(s.remote_point_reads, 1);
         assert_eq!(s.scanned_records, 10);
@@ -1082,24 +786,65 @@ mod tests {
         assert_eq!(m.snapshot().index_lookups, 1);
     }
 
+    /// Move `row` up by `n` through the verb of its kind.
+    fn bump(m: &Metrics, row: Counter, n: u64) {
+        let from = m.get(row);
+        match row.kind() {
+            Kind::Count => m.add(row, n),
+            Kind::Peak => m.raise(row, from + n),
+            Kind::Gauge => (1..=n).for_each(|up| assert_eq!(m.enter(row), from + up)),
+        }
+    }
+
+    /// Walks the table, so a row added to it is covered without an edit
+    /// here: written through the verb of its kind, the snapshot field of
+    /// that name — and only it — moves.
     #[test]
-    fn reset_zeroes_everything() {
-        let m = Metrics::new();
-        m.record_access(AccessKind::RecordWrite);
-        m.record_task_spawn();
-        m.record_broadcast();
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+    fn every_row_round_trips_through_the_verb_of_its_kind() {
+        for (i, &row) in Counter::ALL.iter().enumerate() {
+            let m = Metrics::new();
+            bump(&m, row, 3);
+            assert_eq!(m.get(row), 3, "{row:?}");
+            let s = m.snapshot();
+            for (j, (name, kind, value)) in s.fields().into_iter().enumerate() {
+                assert_eq!(name, format!("{:?}", Counter::ALL[j]));
+                assert_eq!(kind, Counter::ALL[j].kind(), "{name}");
+                assert_eq!(value, if i == j { 3 } else { 0 }, "{name} after {row:?}");
+            }
+            assert_eq!(s.since(&s), MetricsSnapshot::default(), "{row:?}");
+            bump(&m, row, 2);
+            assert_eq!(m.snapshot().since(&s).fields()[i].2, 2, "{row:?} since");
+            m.reset();
+            let kept = if row.kind() == Kind::Gauge { 5 } else { 0 };
+            assert_eq!(m.get(row), kept, "{row:?} after reset");
+        }
     }
 
     #[test]
-    fn since_subtracts() {
+    fn reset_leaves_a_live_gauge_to_its_pair() {
+        for &row in Counter::ALL.iter().filter(|r| r.kind() == Kind::Gauge) {
+            let m = Metrics::new();
+            m.enter(row);
+            m.reset();
+            m.leave(row);
+            assert_eq!(m.get(row), 0, "{row:?} wrapped below zero");
+        }
+    }
+
+    #[test]
+    fn raise_never_lowers_a_peak() {
         let m = Metrics::new();
-        m.record_accesses(AccessKind::ScannedRecord, 5);
-        let before = m.snapshot();
-        m.record_accesses(AccessKind::ScannedRecord, 7);
-        let delta = m.snapshot().since(&before);
-        assert_eq!(delta.scanned_records, 7);
+        m.raise(Counter::pinned_peak, 4096);
+        m.raise(Counter::pinned_peak, 1024);
+        assert_eq!(m.snapshot().pinned_peak, 4096);
+        m.record_flight_begin();
+        m.record_flight_begin();
+        assert_eq!(m.get(Counter::flights_in_flight), 2);
+        m.record_flight_end();
+        m.record_flight_end();
+        let s = m.snapshot();
+        assert_eq!(s.flights_in_flight, 0);
+        assert_eq!(s.inflight_peak, 2, "peak survives the flights landing");
     }
 
     #[test]
@@ -1108,35 +853,18 @@ mod tests {
         m.record_point_reads_at(0, true, 1);
         m.record_point_reads_at(2, false, 2);
         let nodes = m.node_point_reads();
-        assert_eq!(nodes.len(), 3);
-        assert_eq!(
-            nodes[0],
-            NodeIoSnapshot {
-                node: 0,
-                local: 1,
-                ..Default::default()
-            }
-        );
-        assert_eq!(
-            nodes[1],
-            NodeIoSnapshot {
-                node: 1,
-                ..Default::default()
-            }
-        );
-        assert_eq!(
-            nodes[2],
-            NodeIoSnapshot {
-                node: 2,
-                remote: 2,
-                ..Default::default()
-            }
-        );
+        let local_1 = NodeIoSnapshot {
+            local: 1,
+            ..Default::default()
+        };
+        let remote_2 = NodeIoSnapshot {
+            remote: 2,
+            ..Default::default()
+        };
+        assert_eq!(nodes, [local_1, NodeIoSnapshot::default(), remote_2]);
+        assert_eq!(nodes[2].since(&nodes[2]), NodeIoSnapshot::default());
         m.reset();
-        assert!(m
-            .node_point_reads()
-            .iter()
-            .all(|n| n.local == 0 && n.remote == 0));
+        assert_eq!(m.node_point_reads(), [NodeIoSnapshot::default(); 3]);
     }
 
     #[test]
@@ -1159,177 +887,60 @@ mod tests {
             nodes[0].cache_hits + nodes[0].cache_misses
         );
         m.reset();
-        assert!(m
-            .node_point_reads()
-            .iter()
-            .all(|n| n.cache_hits == 0 && n.cache_misses == 0));
+        assert_eq!(m.node_point_reads(), [NodeIoSnapshot::default(); 2]);
     }
 
+    /// The rendered text, captured from the commit before the table
+    /// existed: an all-zero snapshot renders no optional group, and a
+    /// snapshot with every field distinct renders every group.
     #[test]
-    fn recovery_counters_round_trip() {
+    fn snapshot_display_is_pinned() {
+        assert_eq!(
+            MetricsSnapshot::default().to_string(),
+            "point reads: 0 local / 0 remote, scanned: 0, index lookups: 0 (0 entries), \
+             writes: 0, tasks: 0, hops: 0, broadcasts: 0, emitted: 0, cache: 0/0"
+        );
         let m = Metrics::new();
-        m.record_retry();
-        m.record_retry();
-        m.record_rerouted_read();
-        m.record_fault_injected();
-        m.record_deadline_abort();
+        for (i, &row) in Counter::ALL.iter().enumerate() {
+            bump(&m, row, i as u64 + 1);
+        }
         let s = m.snapshot();
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.rerouted_reads, 1);
-        assert_eq!(s.faults_injected, 1);
-        assert_eq!(s.deadline_aborts, 1);
-        assert!(s.to_string().contains("faults: 1 injected"));
-        let delta = m.snapshot().since(&s);
-        assert_eq!(delta.retries, 0);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        // A clean snapshot renders without any recovery suffix.
-        assert!(!m.snapshot().to_string().contains("faults:"));
+        assert_eq!((s.local_point_reads, s.shed_commands), (1, 34));
+        assert_eq!(
+            s.to_string(),
+            "point reads: 1 local / 2 remote, scanned: 3, index lookups: 4 (5 entries), \
+             writes: 6, tasks: 7, hops: 8, broadcasts: 9, emitted: 10, cache: 11/23, \
+             faults: 15 injected / 13 retries / 14 rerouted / 16 deadline aborts, \
+             batching: 17 reads in 18 batches (19 rtts), \
+             fabric: 20 completions / 21 window stalls (peak 23 in flight), \
+             memory: 24 page faults / 25 evictions (pinned peak 26 B), \
+             ingest: 27 wal appends (28 B), 29 snapshots active, 30 catch-up builds, \
+             gate: 31 sessions / 32 cursors active, 33 cursor stalls, 34 shed"
+        );
     }
 
     #[test]
-    fn batching_counters_round_trip() {
-        let m = Metrics::new();
-        m.record_batched_reads(7);
-        m.record_batch_issued();
-        m.record_batch_issued();
-        m.record_remote_rtt();
-        let s = m.snapshot();
-        assert_eq!(s.batched_reads, 7);
-        assert_eq!(s.batches_issued, 2);
-        assert_eq!(s.remote_rtts, 1);
-        assert!(s.to_string().contains("batching: 7 reads in 2 batches"));
-        let delta = m.snapshot().since(&s);
-        assert_eq!(delta.batched_reads, 0);
-        assert_eq!(delta.batches_issued, 0);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        // An unbatched snapshot renders without the batching suffix.
-        assert!(!m.snapshot().to_string().contains("batching:"));
+    fn mean_batch_size() {
+        let mut s = MetricsSnapshot::default();
+        assert_eq!(s.mean_batch_size(), 0.0);
+        s.batched_reads = 30;
+        s.batches_issued = 4;
+        assert!((s.mean_batch_size() - 7.5).abs() < 1e-9);
     }
 
     #[test]
-    fn fabric_counters_round_trip() {
-        let m = Metrics::new();
-        m.record_flight_begin();
-        m.record_flight_begin();
-        assert_eq!(m.flights_in_flight(), 2);
-        m.record_flight_end();
-        m.record_fabric_completion();
-        m.record_window_stall();
-        let s = m.snapshot();
-        assert_eq!(s.fabric_completions, 1);
-        assert_eq!(s.window_stalls, 1);
-        assert_eq!(s.inflight_peak, 2, "peak survives the flight landing");
-        assert!(s.to_string().contains("fabric: 1 completions"));
-        m.record_flight_end();
-        assert_eq!(m.flights_in_flight(), 0);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        // A synchronous-path snapshot renders without the fabric suffix.
-        assert!(!m.snapshot().to_string().contains("fabric:"));
-    }
-
-    #[test]
-    fn memory_pressure_counters_round_trip() {
-        let m = Metrics::new();
-        m.record_page_faults(3);
-        m.record_page_evictions(2);
-        m.record_pinned_peak(4096);
-        m.record_pinned_peak(1024); // must not lower the peak
-        let s = m.snapshot();
-        assert_eq!(s.page_faults, 3);
-        assert_eq!(s.page_evictions, 2);
-        assert_eq!(s.pinned_peak, 4096);
-        assert!(s.to_string().contains("memory: 3 page faults"));
-        let delta = m.snapshot().since(&s);
-        assert_eq!(delta.page_faults, 0);
-        assert_eq!(delta.pinned_peak, 0);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        // An unpaged snapshot renders without the memory suffix.
-        assert!(!m.snapshot().to_string().contains("memory:"));
-    }
-
-    #[test]
-    fn ingest_counters_round_trip() {
-        let m = Metrics::new();
-        m.record_wal_append(40);
-        m.record_wal_append(24);
-        m.record_snapshot_begin();
-        m.record_snapshot_begin();
-        m.record_snapshot_end();
-        m.record_catchup_build();
-        assert_eq!(m.snapshots_active(), 1);
-        let s = m.snapshot();
-        assert_eq!(s.wal_appends, 2);
-        assert_eq!(s.wal_bytes, 64);
-        assert_eq!(s.snapshots_active, 1);
-        assert_eq!(s.catchup_builds, 1);
-        assert!(s.to_string().contains("ingest: 2 wal appends (64 B)"));
-        let delta = m.snapshot().since(&s);
-        assert_eq!(delta.wal_appends, 0);
-        assert_eq!(delta.wal_bytes, 0);
-        m.record_snapshot_end();
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        // A read-only snapshot renders without the ingest suffix.
-        assert!(!m.snapshot().to_string().contains("ingest:"));
-    }
-
-    #[test]
-    fn gate_counters_round_trip() {
-        let m = Metrics::new();
-        m.record_session_begin();
-        m.record_session_begin();
-        m.record_session_end();
-        m.record_cursor_begin();
-        m.record_cursor_stall();
-        m.record_shed_command();
-        m.record_shed_command();
-        assert_eq!(m.sessions_active(), 1);
-        assert_eq!(m.cursors_active(), 1);
-        let s = m.snapshot();
-        assert_eq!(s.sessions_active, 1);
-        assert_eq!(s.cursors_active, 1);
-        assert_eq!(s.cursor_stalls, 1);
-        assert_eq!(s.shed_commands, 2);
-        assert!(s
-            .to_string()
-            .contains("gate: 1 sessions / 1 cursors active, 1 cursor stalls, 2 shed"));
-        let delta = m.snapshot().since(&s);
-        assert_eq!(delta.cursor_stalls, 0);
-        assert_eq!(delta.shed_commands, 0);
-        m.record_session_end();
-        m.record_cursor_end();
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
-        // A gate-less snapshot renders without the gate suffix.
-        assert!(!m.snapshot().to_string().contains("gate:"));
-    }
-
-    #[test]
-    fn exec_profile_mean_batch_size() {
-        let mut p = ExecProfile::default();
-        assert_eq!(p.mean_batch_size(), 0.0);
-        p.batched_reads = 30;
-        p.batches_issued = 4;
-        p.remote_rtts = 4;
-        assert!((p.mean_batch_size() - 7.5).abs() < 1e-9);
-        assert!(p.to_string().contains("30 reads in 4 batches"));
-    }
-
-    #[test]
-    fn exec_profile_locality() {
+    fn exec_profile_locality_and_display() {
         let mut p = ExecProfile::default();
         assert_eq!(p.locality(), 1.0);
         p.nodes.push(NodeProfile {
             node: 0,
             enqueued: 4,
-            local_point_reads: 3,
-            remote_point_reads: 1,
-            cache_hits: 4,
-            cache_misses: 4,
+            io: NodeIoSnapshot {
+                local: 3,
+                remote: 1,
+                cache_hits: 4,
+                cache_misses: 4,
+            },
         });
         assert_eq!(p.local_point_reads(), 3);
         assert_eq!(p.remote_point_reads(), 1);
@@ -1337,6 +948,18 @@ mod tests {
         assert_eq!(p.cache_hits(), 4);
         assert_eq!(p.logical_point_reads(), 8);
         assert!((p.cache_hit_rate() - 0.5).abs() < 1e-9);
+        p.stages.push(StageProfile {
+            label: "seed".into(),
+            tasks: 2,
+            emits: 3,
+        });
+        (p.pool_spawns, p.inline_runs, p.peak_in_flight) = (9, 10, 11);
+        assert_eq!(
+            p.to_string(),
+            "exec profile: 9 pool spawns, 10 inline, peak in-flight 11, locality 75.0%\n  \
+             stage 'seed': 2 tasks, 3 emits\n  \
+             node 0: 4 enqueued, point reads 3 local / 1 remote, cache 4/8\n"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use super::{ExecutorConfig, RawOutput};
 use crate::job::{Job, Stage};
 use crate::traits::{DerefInput, StageCtx};
 use parking_lot::Mutex;
-use rede_common::{ExecProfile, NodeProfile, RedeError, Result, StageProfile};
+use rede_common::{Counter, ExecProfile, NodeProfile, RedeError, Result, StageProfile};
 use rede_storage::{Record, SimCluster};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,9 +114,9 @@ impl Eval<'_> {
             self.sink
                 .count
                 .fetch_add(records.len() as u64, Ordering::Relaxed);
-            for _ in 0..records.len() {
-                self.cluster.metrics().record_emits(1);
-            }
+            self.cluster
+                .metrics()
+                .add(Counter::records_emitted, records.len() as u64);
             if self.sink.collect {
                 self.sink.records.lock().extend(records);
             }
@@ -135,7 +135,7 @@ impl Eval<'_> {
             self.prof.count_emits(next, ptrs.len() as u64);
             for ptr in ptrs {
                 if ptr.is_broadcast() {
-                    self.cluster.metrics().record_broadcast();
+                    self.cluster.metrics().add(Counter::broadcasts, 1);
                 }
                 self.deref(node, next + 1, &DerefInput::Point(ptr), false)?;
             }
@@ -203,10 +203,7 @@ pub(crate) fn run(cluster: &SimCluster, job: &Job, config: &ExecutorConfig) -> R
             NodeProfile {
                 node,
                 enqueued: prof.node_tasks[node].load(Ordering::Relaxed),
-                local_point_reads: after.local.saturating_sub(before.local),
-                remote_point_reads: after.remote.saturating_sub(before.remote),
-                cache_hits: after.cache_hits.saturating_sub(before.cache_hits),
-                cache_misses: after.cache_misses.saturating_sub(before.cache_misses),
+                io: after.since(&before),
             }
         })
         .collect();
@@ -222,9 +219,6 @@ pub(crate) fn run(cluster: &SimCluster, job: &Job, config: &ExecutorConfig) -> R
         inline_runs,
         // One worker per node, each running one invocation at a time.
         peak_in_flight: cluster.nodes() as u64,
-        // The partitioned executor has no recovery machinery: a fault
-        // surfaces as a job error instead of a retry.
-        ..ExecProfile::default()
     };
 
     Ok(RawOutput {

@@ -103,7 +103,9 @@ use super::{Batching, ExecutorConfig, JobResult, RoutingPolicy};
 use crate::job::{Job, Stage};
 use crate::traits::{DerefInput, StageCtx};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use rede_common::{ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile};
+use rede_common::{
+    Counter, ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile,
+};
 use rede_storage::{FabricConfig, Owed, Pointer, Record, SimCluster, SimFabric};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -687,7 +689,7 @@ impl JobState {
         {
             return false;
         }
-        self.tally(|m| m.record_deadline_abort());
+        self.tally(|m| m.add(Counter::deadline_aborts, 1));
         self.cancel();
         true
     }
@@ -763,7 +765,7 @@ impl JobState {
         let now = self.in_flight.fetch_add(n, Ordering::SeqCst) + n;
         self.prof.peak_in_flight.fetch_max(now, Ordering::Relaxed);
         self.prof.node_enqueued[node].fetch_add(n, Ordering::Relaxed);
-        self.tally(|m| m.record_queue_hops(n));
+        self.tally(|m| m.add(Counter::queue_hops, n));
         if self.cancelled.load(Ordering::SeqCst) || self.shared.shutdown.load(Ordering::SeqCst) {
             // Don't grow a cancelled job's backlog: drop the tasks and
             // give back exactly the tokens just taken.
@@ -823,14 +825,14 @@ impl JobState {
             rtt,
             Box::new(move || {
                 job.tally(|m| {
-                    m.record_fabric_completion();
+                    m.add(Counter::fabric_completions, 1);
                     m.record_flight_end();
                 });
                 job.land(node, stage, outputs, tokens);
             }),
         );
         if stalled {
-            self.tally(|m| m.record_window_stall());
+            self.tally(|m| m.add(Counter::window_stalls, 1));
         }
     }
 
@@ -954,14 +956,14 @@ impl JobState {
     fn emit(&self, finals: Vec<Record>) {
         let n = finals.len() as u64;
         self.out_count.fetch_add(n, Ordering::Relaxed);
-        self.tally(|m| m.record_emits(n));
+        self.tally(|m| m.add(Counter::records_emitted, n));
         match &self.sink {
             Some(sink) => {
                 if self.collect {
                     self.out_records.lock().extend(finals.iter().cloned());
                 }
                 if sink.push_all(finals) {
-                    self.tally(|m| m.record_cursor_stall());
+                    self.tally(|m| m.add(Counter::cursor_stalls, 1));
                 }
             }
             None if self.collect => self.out_records.lock().extend(finals),
@@ -1030,7 +1032,7 @@ impl JobState {
         if ptr.is_broadcast() {
             // Null partition information: replicate to every node's
             // queue and have each node cover only its partitions.
-            self.tally(|m| m.record_broadcast());
+            self.tally(|m| m.add(Counter::broadcasts, 1));
             for bucket in &mut routed.buckets {
                 let input = TaskItem::Deref(DerefInput::Point(ptr.clone()));
                 bucket.push(self.task(input, next, true, None));
@@ -1097,41 +1099,18 @@ impl JobState {
             .collect();
         let node_reads = self.scope.metrics().node_point_reads();
         let nodes = (0..self.shared.queues.len())
-            .map(|node| {
-                let io = node_reads.get(node).copied().unwrap_or_default();
-                NodeProfile {
-                    node,
-                    enqueued: prof.node_enqueued[node].load(Ordering::Relaxed),
-                    local_point_reads: io.local,
-                    remote_point_reads: io.remote,
-                    cache_hits: io.cache_hits,
-                    cache_misses: io.cache_misses,
-                }
+            .map(|node| NodeProfile {
+                node,
+                enqueued: prof.node_enqueued[node].load(Ordering::Relaxed),
+                io: node_reads.get(node).copied().unwrap_or_default(),
             })
             .collect();
-        let io = self.scope.metrics().snapshot();
         ExecProfile {
             stages,
             nodes,
             pool_spawns: prof.pool_spawns.load(Ordering::Relaxed),
             inline_runs: prof.inline_runs.load(Ordering::Relaxed),
             peak_in_flight: prof.peak_in_flight.load(Ordering::Relaxed),
-            retries: io.retries,
-            rerouted_reads: io.rerouted_reads,
-            faults_injected: io.faults_injected,
-            batched_reads: io.batched_reads,
-            batches_issued: io.batches_issued,
-            remote_rtts: io.remote_rtts,
-            fabric_completions: io.fabric_completions,
-            window_stalls: io.window_stalls,
-            inflight_peak: io.inflight_peak,
-            page_faults: io.page_faults,
-            page_evictions: io.page_evictions,
-            pinned_peak: io.pinned_peak,
-            wal_appends: io.wal_appends,
-            wal_bytes: io.wal_bytes,
-            snapshots_active: io.snapshots_active,
-            catchup_builds: io.catchup_builds,
         }
     }
 }
@@ -1292,7 +1271,7 @@ fn run_stage(
                         && !job.cancelled.load(Ordering::SeqCst)
                         && !job.failed.load(Ordering::SeqCst) =>
                 {
-                    job.tally(|m| m.record_retry());
+                    job.tally(|m| m.add(Counter::retries, 1));
                     retry.push(idx);
                     false
                 }
@@ -1494,7 +1473,7 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
         // single pool slot until its accesses are charged.
         job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
         job.pool_inflight.fetch_add(1, Ordering::SeqCst);
-        job.tally(|m| m.record_task_spawn());
+        job.tally(|m| m.add(Counter::tasks_spawned, 1));
         let shared = shared.clone();
         pool.execute(move || {
             process_tasks(tasks, node);

@@ -37,7 +37,7 @@ use crate::job::Job;
 use crate::scheduler::{HarborScheduler, JobHandle, SchedulerStats, SubmitOptions};
 use crate::txn::Snapshot;
 use parking_lot::Mutex;
-use rede_common::{FxHashMap, Metrics, RedeError, Result};
+use rede_common::{Counter, FxHashMap, Metrics, RedeError, Result};
 use rede_storage::Record;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -227,7 +227,7 @@ impl CursorInner {
             self.handle.cancel();
         }
         drop(self.snapshot.lock().take());
-        metrics.record_cursor_end();
+        metrics.leave(Counter::cursors_active);
     }
 }
 
@@ -315,7 +315,7 @@ impl HarborGate {
 
     fn shed(&self, what: std::fmt::Arguments<'_>) -> RedeError {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.record_shed_command();
+        self.metrics.add(Counter::shed_commands, 1);
         RedeError::Overloaded(what.to_string())
     }
 
@@ -340,7 +340,7 @@ impl HarborGate {
                 last_used: Instant::now(),
             },
         );
-        self.metrics.record_session_begin();
+        self.metrics.enter(Counter::sessions_active);
         Ok(SessionId(id))
     }
 
@@ -361,7 +361,7 @@ impl HarborGate {
         for cursor in entry.cursors.values() {
             cursor.release(&self.metrics);
         }
-        self.metrics.record_session_end();
+        self.metrics.leave(Counter::sessions_active);
         Ok(())
     }
 
@@ -435,7 +435,7 @@ impl HarborGate {
             Some(entry) if entry.cursors.len() < self.config.max_cursors_per_session => {
                 entry.cursors.insert(id, inner.clone());
                 st.cursors.insert(id, inner);
-                self.metrics.record_cursor_begin();
+                self.metrics.enter(Counter::cursors_active);
                 Ok(CursorId(id))
             }
             Some(entry) => {

@@ -10,7 +10,7 @@ use crate::prebuilt::{
     LookupDereferencer,
 };
 use crate::scheduler::SchedulerConfig;
-use rede_common::Value;
+use rede_common::{Counter, Value};
 use rede_storage::{FileSpec, IndexSpec, IoModel, Partitioning, SimCluster};
 
 /// 4-node cluster with a `base` file (key | key%7 | key*2) and its
@@ -129,11 +129,11 @@ fn session_cap_rejects_with_overloaded_and_frees_on_close() {
     assert!(matches!(err, RedeError::Overloaded(_)), "got {err:?}");
     assert_eq!(gate.stats().shed_commands, 1);
     assert_eq!(c.metrics().snapshot().shed_commands, 1);
-    assert_eq!(c.metrics().sessions_active(), 3);
+    assert_eq!(c.metrics().get(Counter::sessions_active), 3);
     // Closing frees the slot immediately.
     gate.close_session(s1).unwrap();
     assert!(gate.open_session("acme").is_ok());
-    assert_eq!(c.metrics().sessions_active(), 3);
+    assert_eq!(c.metrics().get(Counter::sessions_active), 3);
 }
 
 /// Regression: `fetch` used to drain the sink, find it empty, and only
@@ -258,7 +258,7 @@ fn cursor_pages_concatenate_to_the_one_shot_result() {
         RedeError::NotFound(_)
     ));
     assert_eq!(gate.stats().cursors, 0);
-    assert_eq!(c.metrics().cursors_active(), 0);
+    assert_eq!(c.metrics().get(Counter::cursors_active), 0);
 }
 
 #[test]
@@ -344,7 +344,7 @@ fn idle_cursor_reap_cancels_job_and_returns_all_resources() {
     let report = gate.sweep_idle();
     assert_eq!(report.cursors_reaped, 1);
     assert_eq!(gate.stats().cursors, 0);
-    assert_eq!(c.metrics().cursors_active(), 0);
+    assert_eq!(c.metrics().get(Counter::cursors_active), 0);
     assert!(matches!(
         gate.fetch(cur, 4).unwrap_err(),
         RedeError::NotFound(_)
@@ -385,7 +385,7 @@ fn idle_session_expires_and_frees_the_tenant_slot() {
     std::thread::sleep(Duration::from_millis(50));
     let report = gate.sweep_idle();
     assert_eq!(report.sessions_expired, 1);
-    assert_eq!(c.metrics().sessions_active(), 0);
+    assert_eq!(c.metrics().get(Counter::sessions_active), 0);
     // The expired slot is usable again.
     assert!(gate.open_session("acme").is_ok());
 }
@@ -504,9 +504,9 @@ fn gate_drop_closes_everything() {
         );
         let s = gate.open_session("acme").unwrap();
         let _cur = gate.open_cursor(s, &range_job(0, 400)).unwrap();
-        assert_eq!(c.metrics().sessions_active(), 1);
-        assert_eq!(c.metrics().cursors_active(), 1);
+        assert_eq!(c.metrics().get(Counter::sessions_active), 1);
+        assert_eq!(c.metrics().get(Counter::cursors_active), 1);
     }
-    assert_eq!(c.metrics().sessions_active(), 0);
-    assert_eq!(c.metrics().cursors_active(), 0);
+    assert_eq!(c.metrics().get(Counter::sessions_active), 0);
+    assert_eq!(c.metrics().get(Counter::cursors_active), 0);
 }

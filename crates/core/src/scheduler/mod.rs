@@ -629,7 +629,7 @@ mod tests {
                 .profile
                 .nodes
                 .iter()
-                .map(|n| n.local_point_reads + n.remote_point_reads + n.cache_hits)
+                .map(|n| n.io.local + n.io.remote + n.io.cache_hits)
                 .sum();
             assert_eq!(
                 resolved, expect,

@@ -39,7 +39,7 @@
 use crate::scheduler::builds::BuildRegistry;
 use crate::traits::Interpreter;
 use parking_lot::Mutex;
-use rede_common::{Metrics, RedeError, Result, Value};
+use rede_common::{Counter, Metrics, RedeError, Result, Value};
 use rede_storage::{
     FileSpec, IndexEntry, IndexLocality, IndexMaintainer, Partitioning, Record, SimCluster, WalOp,
     WeakCluster, WriteAheadLog,
@@ -66,7 +66,7 @@ impl Snapshot {
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        self.metrics.record_snapshot_end();
+        self.metrics.leave(Counter::snapshots_active);
     }
 }
 
@@ -145,7 +145,7 @@ impl TxnManager {
     /// `snapshots_active` gauge stays raised until the guard drops.
     pub fn pin(&self) -> Snapshot {
         let metrics = self.cluster.metrics().clone();
-        metrics.record_snapshot_begin();
+        metrics.enter(Counter::snapshots_active);
         Snapshot {
             ts: self.current_ts(),
             metrics,
@@ -399,7 +399,7 @@ impl IndexCatchUp {
             }
         }
         self.applied.store(from + events.len(), Ordering::Release);
-        cluster.metrics().record_catchup_build();
+        cluster.metrics().add(Counter::catchup_builds, 1);
         Ok(())
     }
 }

@@ -155,8 +155,8 @@ fn sorted_texts(records: &[Record]) -> Vec<String> {
 fn assert_conservation(result: &rede_core::exec::JobResult, tag: &str) {
     for n in &result.profile.nodes {
         assert_eq!(
-            n.local_point_reads + n.remote_point_reads + n.cache_hits,
-            n.logical_point_reads(),
+            n.io.local + n.io.remote + n.io.cache_hits,
+            n.io.logical_point_reads(),
             "[{tag}] node {} conservation broken: {}",
             n.node,
             result.profile
@@ -165,15 +165,15 @@ fn assert_conservation(result: &rede_core::exec::JobResult, tag: &str) {
     // Batched reads cover both heap lookups and index probes, so they are
     // bounded by the sum of the two access populations.
     assert!(
-        result.profile.batched_reads
+        result.metrics.batched_reads
             <= result.profile.local_point_reads()
                 + result.profile.remote_point_reads()
                 + result.metrics.index_lookups,
         "[{tag}] batched reads exceed the batchable access population"
     );
-    if result.profile.batches_issued == 0 {
+    if result.metrics.batches_issued == 0 {
         assert_eq!(
-            result.profile.batched_reads, 0,
+            result.metrics.batched_reads, 0,
             "[{tag}] no batches but batched reads recorded"
         );
     }
@@ -211,7 +211,7 @@ fn batching_is_invisible_across_routing_cache_and_fault_grid() {
                     run_with(&c, &job, routing, Batching::off())
                 };
                 assert_eq!(
-                    off.profile.batches_issued, 0,
+                    off.metrics.batches_issued, 0,
                     "[{tag}] batching off must never batch"
                 );
                 assert_conservation(&off, &tag);
@@ -245,10 +245,10 @@ fn batching_is_invisible_across_routing_cache_and_fault_grid() {
                     // and retried faults re-pay RTTs.
                     if !matches!(routing, RoutingPolicy::Hybrid { .. }) && !cache && !faults {
                         assert!(
-                            b.profile.remote_rtts <= off.profile.remote_rtts,
+                            b.metrics.remote_rtts <= off.metrics.remote_rtts,
                             "[{tag}] batching may only amortize RTTs, got {} > {}",
-                            b.profile.remote_rtts,
-                            off.profile.remote_rtts
+                            b.metrics.remote_rtts,
+                            off.metrics.remote_rtts
                         );
                     }
                     // The same run with every referencer switched to the
@@ -297,8 +297,8 @@ fn batch_of_one_is_batching_off() {
     let off = run_with(&c, &job, RoutingPolicy::Owner, Batching::off());
     // max_batch == 1 via `max` clamping must behave exactly like `off`.
     let one = run_with(&c, &job, RoutingPolicy::Owner, Batching::max(1));
-    assert_eq!(one.profile.batches_issued, 0);
-    assert_eq!(one.profile.batched_reads, 0);
+    assert_eq!(one.metrics.batches_issued, 0);
+    assert_eq!(one.metrics.batched_reads, 0);
     assert_eq!(sorted_texts(&one.records), sorted_texts(&off.records));
     assert_eq!(
         one.profile.local_point_reads() + one.profile.remote_point_reads(),
@@ -314,21 +314,21 @@ fn producer_routing_batches_amortize_remote_rtts() {
     // an RTT unbatched; coalescing must collapse them to one per batch.
     let off = run_with(&c, &job, RoutingPolicy::Producer, Batching::off());
     let batched = run_with(&c, &job, RoutingPolicy::Producer, Batching::default());
-    assert!(off.profile.remote_rtts > 0, "fixture must read remotely");
+    assert!(off.metrics.remote_rtts > 0, "fixture must read remotely");
     // Unbatched, every remote heap read pays its own RTT (remote index
     // probes pay additional ones on top).
-    assert!(off.profile.remote_rtts >= off.profile.remote_point_reads());
+    assert!(off.metrics.remote_rtts >= off.profile.remote_point_reads());
     assert!(
-        batched.profile.batches_issued > 0,
+        batched.metrics.batches_issued > 0,
         "pointer flood must form batches: {}",
         batched.profile
     );
-    assert!(batched.profile.mean_batch_size() > 1.0);
+    assert!(batched.metrics.mean_batch_size() > 1.0);
     assert!(
-        batched.profile.remote_rtts < off.profile.remote_rtts,
+        batched.metrics.remote_rtts < off.metrics.remote_rtts,
         "batches must amortize RTTs: batched {} vs scalar {}",
-        batched.profile.remote_rtts,
-        off.profile.remote_rtts
+        batched.metrics.remote_rtts,
+        off.metrics.remote_rtts
     );
     assert_eq!(sorted_texts(&batched.records), sorted_texts(&off.records));
 }

@@ -288,10 +288,10 @@ fn read_only_jobs_pay_nothing_for_the_write_path() {
     // No writer attached → not one cycle of the ingest machinery shows
     // up anywhere: no WAL traffic, no pinned snapshots, no catch-up, and
     // the heap never flipped into versioned mode.
-    assert_eq!(result.profile.wal_appends, 0);
-    assert_eq!(result.profile.wal_bytes, 0);
-    assert_eq!(result.profile.snapshots_active, 0);
-    assert_eq!(result.profile.catchup_builds, 0);
+    assert_eq!(result.metrics.wal_appends, 0);
+    assert_eq!(result.metrics.wal_bytes, 0);
+    assert_eq!(result.metrics.snapshots_active, 0);
+    assert_eq!(result.metrics.catchup_builds, 0);
     let global = c.metrics().snapshot();
     assert_eq!(global.wal_appends, 0);
     assert_eq!(global.snapshots_active, 0);

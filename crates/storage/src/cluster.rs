@@ -26,7 +26,7 @@ use crate::partitioner::Partitioning;
 use crate::pointer::{Pointer, PointerKey};
 use crate::record::Record;
 use parking_lot::Mutex;
-use rede_common::{AccessKind, FxHasher, IoScope, Metrics, RedeError, Result, Value};
+use rede_common::{AccessKind, Counter, FxHasher, IoScope, Metrics, RedeError, Result, Value};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -453,12 +453,12 @@ impl SimCluster {
     fn note_page_stats(&self, stats: PageStats) {
         if stats.any() {
             self.tally(|m| {
-                m.record_page_faults(stats.faults);
-                m.record_page_evictions(stats.evictions);
+                m.add(Counter::page_faults, stats.faults);
+                m.add(Counter::page_evictions, stats.evictions);
             });
         }
         if stats.pinned_bytes > 0 {
-            self.tally(|m| m.record_pinned_peak(stats.pinned_bytes as u64));
+            self.tally(|m| m.raise(Counter::pinned_peak, stats.pinned_bytes as u64));
         }
     }
 
@@ -524,18 +524,18 @@ impl SimCluster {
         match inj.consult(class, owner, site) {
             FaultDecision::Pass { latency_mult } => Ok((owner, latency_mult)),
             FaultDecision::Transient => {
-                self.tally(|m| m.record_fault_injected());
+                self.tally(|m| m.add(Counter::faults_injected, 1));
                 Err(RedeError::Transient(format!(
                     "injected {class:?} fault on a partition owned by node {owner}"
                 )))
             }
             FaultDecision::OwnerDown => match inj.live_replica(owner, self.inner.nodes) {
                 Some(node) => {
-                    self.tally(|m| m.record_rerouted_read());
+                    self.tally(|m| m.add(Counter::rerouted_reads, 1));
                     Ok((node, 1))
                 }
                 None => {
-                    self.tally(|m| m.record_fault_injected());
+                    self.tally(|m| m.add(Counter::faults_injected, 1));
                     Err(RedeError::Transient(format!(
                         "node {owner} is down and no live replica holds its partitions"
                     )))
@@ -621,12 +621,12 @@ impl SimCluster {
             }
             if batched {
                 self.tally(|m| {
-                    m.record_batched_reads(n);
-                    m.record_batch_issued();
+                    m.add(Counter::batched_reads, n);
+                    m.add(Counter::batches_issued, 1);
                 });
             }
             if !local {
-                self.tally(|m| m.record_remote_rtt());
+                self.tally(|m| m.add(Counter::remote_rtts, 1));
                 rtt = inner.io.rtt();
             }
         }
@@ -2252,7 +2252,7 @@ mod tests {
                     &Pointer::logical("part", Value::Int(key), Value::Int(key)),
                 );
             }
-            assert_eq!(c.metrics().flights_in_flight(), 0);
+            assert_eq!(c.metrics().get(Counter::flights_in_flight), 0);
             c.metrics().snapshot()
         };
         let scalar = run(&|c, p| {

@@ -80,12 +80,11 @@ fn resolve_batch_retrying(c: &SimCluster, ptrs: &[&Pointer], node: usize) -> Vec
 }
 
 fn assert_conservation(c: &SimCluster, tag: &str) {
-    for io in c.metrics().node_point_reads() {
+    for (node, io) in c.metrics().node_point_reads().iter().enumerate() {
         assert_eq!(
             io.local + io.remote + io.cache_hits,
             io.logical_point_reads(),
-            "[{tag}] node {} conservation broken",
-            io.node
+            "[{tag}] node {node} conservation broken"
         );
     }
 }

@@ -2,11 +2,16 @@
 """CI gates over the sections of BENCH_smpe.json.
 
     python3 scripts/bench_gate.py <section> [<section> ...]
+    python3 scripts/bench_gate.py openloop-bounds
 
 Each bench rewrites its own section of BENCH_smpe.json when it runs; the
 gate for a section re-checks that section's headline invariants from the
 file, so what CI asserts is what was emitted. Exits non-zero on the first
 failed assertion or an unknown section.
+
+`openloop-bounds` asserts nothing: it prints the committed openloop
+ceilings as `fairness_max p99_over_p50_max` for a shell `read -r`, so
+tightening the committed baseline tightens CI's smoke run.
 """
 
 import json
@@ -59,18 +64,42 @@ def ablation_memory(section):
               f"{floor['index_post_build_resident_bytes']} < build {floor['index_build_bytes']}")
 
 
+def htap_ingest(s):
+    assert s["snapshot_equivalent_rounds"] == s["rounds"], s
+    assert s["rows_ingested"] > 0 and s["commits"] > 0, s
+    assert s["wal_appends"] > 0 and s["wal_bytes"] > 0, s
+    # Commit bursts must coalesce into fewer catch-up passes; every
+    # request is either a pass or coalesced into one, never lost.
+    assert s["catchup_passes"] >= 1, s
+    assert s["catchup_passes"] + s["catchup_coalesced"] <= s["catchup_requests"], s
+    print(f"htap smoke ok: {s['rows_ingested']} rows / {s['commits']} commits "
+          f"at {s['ingest_rows_per_sec']:.0f} rows/s, "
+          f"{s['snapshot_equivalent_rounds']}/{s['rounds']} rounds byte-identical, "
+          f"catch-up {s['catchup_passes']} passes + {s['catchup_coalesced']} coalesced "
+          f"of {s['catchup_requests']} requests")
+
+
 GATES = {
     "ablation_batching": ablation_batching,
     "ablation_memory": ablation_memory,
+    "htap_ingest": htap_ingest,
 }
 
 
-def main(sections):
-    if not sections or any(s not in GATES for s in sections):
-        sys.exit(f"usage: bench_gate.py <section> ...   (sections: {', '.join(GATES)})")
+def openloop_bounds(baseline):
+    gates = baseline["openloop"]["ci_gates"]
+    print(gates["fairness_max"], gates["p99_over_p50_max"])
+
+
+def main(args):
+    bounds = args == ["openloop-bounds"]
+    if not bounds and (not args or any(a not in GATES for a in args)):
+        sys.exit(f"usage: bench_gate.py <section> ... | openloop-bounds   (sections: {', '.join(GATES)})")
     with open(BASELINE) as f:
         baseline = json.load(f)
-    for name in sections:
+    if bounds:
+        return openloop_bounds(baseline)
+    for name in args:
         GATES[name](baseline[name])
 
 

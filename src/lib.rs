@@ -64,7 +64,7 @@ pub use rede_tpch as tpch;
 
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {
-    pub use rede_common::{AccessKind, Date, Metrics, RedeError, Result, Value};
+    pub use rede_common::{AccessKind, Counter, Date, Metrics, RedeError, Result, Value};
     pub use rede_core::exec::{
         Batching, ExecMode, ExecutorConfig, JobResult, JobRunner, RoutingPolicy,
     };

@@ -181,8 +181,8 @@ fn assert_nothing_leaked(gate: &HarborGate, cluster: &SimCluster, permits_at_res
     let stats = gate.stats();
     assert_eq!(stats.sessions, 0, "sessions leaked");
     assert_eq!(stats.cursors, 0, "cursors leaked");
-    assert_eq!(cluster.metrics().sessions_active(), 0);
-    assert_eq!(cluster.metrics().cursors_active(), 0);
+    assert_eq!(cluster.metrics().get(Counter::sessions_active), 0);
+    assert_eq!(cluster.metrics().get(Counter::cursors_active), 0);
     // Cancelled jobs retire their in-flight I/O asynchronously; jobs,
     // queued tasks, permits, and snapshots return as those invocations
     // land.

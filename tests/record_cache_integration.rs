@@ -100,19 +100,19 @@ fn per_node_counters_conserve_accesses_under_smpe() {
         // Every miss fell through to exactly one storage read issued by
         // this node; hits never touched storage.
         assert_eq!(
-            n.local_point_reads + n.remote_point_reads,
-            n.cache_misses,
+            n.io.local + n.io.remote,
+            n.io.cache_misses,
             "node {}: misses must match storage reads",
             n.node
         );
         assert_eq!(
-            n.logical_point_reads(),
-            n.cache_hits + n.cache_misses,
+            n.io.logical_point_reads(),
+            n.io.cache_hits + n.io.cache_misses,
             "node {}: hits + misses must cover every resolve",
             n.node
         );
-        hits += n.cache_hits;
-        misses += n.cache_misses;
+        hits += n.io.cache_hits;
+        misses += n.io.cache_misses;
     }
     // The per-node counters agree with the aggregate ones…
     assert_eq!(hits, cached_run.metrics.cache_hits);
