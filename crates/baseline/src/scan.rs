@@ -103,8 +103,14 @@ pub fn parallel_scan_with_locality(
                 let mut rows = Vec::new();
                 let mut start = 0;
                 loop {
-                    let slots = file.read_slots(p, start, SCAN_BATCH);
-                    if slots.is_empty() {
+                    let (slots, visited) = match file.read_slots(p, start, SCAN_BATCH) {
+                        Ok(read) => read,
+                        Err(e) => {
+                            errors.lock().push(e);
+                            return;
+                        }
+                    };
+                    if visited == 0 {
                         break;
                     }
                     if remote {
@@ -112,7 +118,7 @@ pub fn parallel_scan_with_locality(
                         cluster.metrics().add(Counter::remote_rtts, 1);
                         cluster.io_model().pay_shuffle();
                     }
-                    start += slots.len();
+                    start += visited;
                     for (_, record) in &slots {
                         match parser.parse(record) {
                             Ok(row) => {

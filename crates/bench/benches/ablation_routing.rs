@@ -2,12 +2,10 @@
 //!
 //! Runs the same Q5' job with non-broadcast pointer tasks enqueued on the
 //! node owning the target partition (default, `RoutingPolicy::Owner`) vs.
-//! on the node that produced the pointer (`RoutingPolicy::Producer`, the
-//! executor's original behaviour) vs. backlog-aware `RoutingPolicy::Hybrid`
-//! (owner unless the owner's stage queue is deeper than the threshold).
+//! on the node that produced the pointer (`RoutingPolicy::Producer`).
 //! The injected latency model charges cross-node reads extra, so the gap
 //! here is precisely the remote-read penalty the owner policy removes. The
-//! measured runs double as a check that all policies agree on the answer.
+//! measured runs double as a check that both policies agree on the answer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rede_baseline::{Engine, EngineConfig, ShuffleLocality};
@@ -39,40 +37,19 @@ fn bench_routing(c: &mut Criterion) {
         fixture.cluster.clone(),
         ExecutorConfig::smpe(128).with_routing(RoutingPolicy::Producer),
     );
-    let hybrid = JobRunner::new(
-        fixture.cluster.clone(),
-        ExecutorConfig::smpe(128).with_routing(RoutingPolicy::hybrid_with_backlog(64)),
-    );
-    let adaptive = JobRunner::new(
-        fixture.cluster.clone(),
-        ExecutorConfig::smpe(128).with_routing(RoutingPolicy::hybrid()),
-    );
 
     // Sanity outside the timed region: same answer, and the owner policy
-    // actually removes remote reads on this workload. Hybrid sits between
-    // the two extremes by construction.
+    // actually removes remote reads on this workload.
     let a = owner.run(&job).unwrap();
     let b = producer.run(&job).unwrap();
-    let h = hybrid.run(&job).unwrap();
-    let ad = adaptive.run(&job).unwrap();
     assert_eq!(a.count, b.count, "routing changed the answer");
-    assert_eq!(a.count, h.count, "hybrid routing changed the answer");
-    assert_eq!(a.count, ad.count, "adaptive hybrid changed the answer");
     assert!(a.profile.remote_point_reads() < b.profile.remote_point_reads());
-    assert!(
-        h.profile.remote_point_reads() <= b.profile.remote_point_reads(),
-        "hybrid must never be more remote than pure producer routing"
-    );
     eprintln!(
-        "[ablation/routing] owner: {} local / {} remote; producer: {} local / {} remote; hybrid(64): {} local / {} remote; hybrid(adaptive): {} local / {} remote",
+        "[ablation/routing] owner: {} local / {} remote; producer: {} local / {} remote",
         a.profile.local_point_reads(),
         a.profile.remote_point_reads(),
         b.profile.local_point_reads(),
-        b.profile.remote_point_reads(),
-        h.profile.local_point_reads(),
-        h.profile.remote_point_reads(),
-        ad.profile.local_point_reads(),
-        ad.profile.remote_point_reads()
+        b.profile.remote_point_reads()
     );
 
     let mut group = c.benchmark_group("ablation/routing");
@@ -84,12 +61,6 @@ fn bench_routing(c: &mut Criterion) {
     });
     group.bench_function("producer", |bch| {
         bch.iter(|| black_box(producer.run(&job).unwrap().count))
-    });
-    group.bench_function("hybrid_backlog64", |bch| {
-        bch.iter(|| black_box(hybrid.run(&job).unwrap().count))
-    });
-    group.bench_function("hybrid_adaptive", |bch| {
-        bch.iter(|| black_box(adaptive.run(&job).unwrap().count))
     });
     group.finish();
 

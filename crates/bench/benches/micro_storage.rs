@@ -83,7 +83,7 @@ fn bench_heap_file(c: &mut Criterion) {
     group.bench_function("scan_partition", |b| {
         b.iter(|| {
             let mut n = 0usize;
-            file.scan_partition(0, |_, _| n += 1);
+            file.scan_partition(0, |_, _| n += 1).unwrap();
             black_box(n)
         })
     });

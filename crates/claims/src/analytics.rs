@@ -193,7 +193,7 @@ pub fn audit_patient_index(cluster: &SimCluster) -> Result<()> {
         claims.raw().for_each_in_partition(p, |_, record| {
             // Claims are self-describing; the audit just confirms parse.
             let _ = ClaimIdInterpreter.extract(record);
-        });
+        })?;
     }
     Ok(())
 }

@@ -210,7 +210,7 @@ pub fn run_lake_scan(cluster: &rede_storage::SimCluster, spec: &QuerySpec) -> Re
                 use rede_core::traits::Filter;
                 let mut local = (0i64, 0u64);
                 for p in (0..claims.partitions()).filter(|p| p % cluster.nodes() == node) {
-                    claims.scan_partition(p, |_, record| {
+                    let scanned = claims.scan_partition(p, |_, record| {
                         let hit = (|| -> Result<Option<i64>> {
                             if disease_filter.matches(record)? && medicine_filter.matches(record)? {
                                 Ok(Some(Claim::parse(record)?.expense))
@@ -227,6 +227,9 @@ pub fn run_lake_scan(cluster: &rede_storage::SimCluster, spec: &QuerySpec) -> Re
                             Err(e) => errors.lock().expect("lock").push(e),
                         }
                     });
+                    if let Err(e) = scanned {
+                        errors.lock().expect("lock").push(e);
+                    }
                 }
                 let mut t = totals.lock().expect("lock");
                 t.0 += local.0;

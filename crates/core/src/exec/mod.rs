@@ -39,52 +39,19 @@ pub enum ExecMode {
 /// Where SMPE enqueues the follow-up task for a non-broadcast pointer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingPolicy {
-    /// Enqueue on the node that produced the pointer. Cross-partition
-    /// dereferences then pay the remote-read latency from wherever they
-    /// happen to run. Kept for ablation: this was the executor's original
-    /// behaviour.
+    /// Enqueue on the node that produced the pointer, so cross-partition
+    /// dereferences are remote reads. No workload wants this; it is the
+    /// lever tests and benches use to put reads on the wire — under
+    /// [`RoutingPolicy::Owner`] every routable read is local, and the
+    /// round-trip / fabric-window path would be reachable only through
+    /// injected faults.
     Producer,
     /// Enqueue on the node owning the pointer's target partition, so the
     /// dereference is a local read. Pointers whose placement cannot be
-    /// determined (e.g. into local indexes) fall back to producer routing.
+    /// determined (e.g. into local indexes), or whose owner is down, stay
+    /// at their producer.
     #[default]
     Owner,
-    /// Owner routing with backpressure awareness: route to the owner only
-    /// while the owner's stage-queue backlog is below a threshold; beyond
-    /// it, keep the task on the producer so a hot owner node does not
-    /// become a dispatch bottleneck.
-    ///
-    /// By default (`max_owner_backlog: None`) the threshold is *adaptive*:
-    /// each node's dispatcher keeps an EWMA of its observed service rate,
-    /// and the allowed backlog is however many tasks that node can drain
-    /// within a fixed target delay — a deliberately slowed node therefore
-    /// sheds owner-routed work automatically. `Some(n)` overrides the
-    /// adaptation with a static cap: `Some(u64::MAX)` behaves exactly like
-    /// [`Owner`], `Some(0)` degenerates to near-producer routing under
-    /// load.
-    Hybrid {
-        /// Static owner-backlog cap, or `None` to derive it from each
-        /// node's observed service rate.
-        max_owner_backlog: Option<u64>,
-    },
-}
-
-impl RoutingPolicy {
-    /// Hybrid routing with the adaptive (service-rate-derived) backlog
-    /// threshold.
-    pub fn hybrid() -> RoutingPolicy {
-        RoutingPolicy::Hybrid {
-            max_owner_backlog: None,
-        }
-    }
-
-    /// Hybrid routing with a static backlog cap (the pre-adaptive
-    /// behaviour; kept as an override).
-    pub fn hybrid_with_backlog(max_owner_backlog: u64) -> RoutingPolicy {
-        RoutingPolicy::Hybrid {
-            max_owner_backlog: Some(max_owner_backlog),
-        }
-    }
 }
 
 /// Pointer-batching knobs for SMPE's dispatcher (see
@@ -238,7 +205,7 @@ pub struct JobResult {
 
 /// Executes jobs against a cluster under a fixed configuration.
 ///
-/// In SMPE mode the runner owns a [`smpe::Substrate`] — the shared pool,
+/// In SMPE mode the runner owns a `smpe::Substrate` — the shared pool,
 /// per-node dispatchers, and weighted stage queues — and submits each
 /// `run` as a weight-1 job. `run` may be called from many threads
 /// concurrently; the jobs share the substrate fairly. (The scheduler layer

@@ -14,11 +14,11 @@
 //! the job output.
 //!
 //! **Hand-off.** What crosses a thread boundary is a *dispatch*, never an
-//! item. [`JobState::route`] walks everything a dispatch produced once:
+//! item. `JobState::route` walks everything a dispatch produced once:
 //! final records land in the output together, records bound for an inline
 //! referencer run it on the spot and its pointers join the walk, and the
 //! resulting tasks are bucketed by target node. Each non-empty bucket is
-//! one [`JobState::flush`]: the in-flight tokens of all its tasks taken
+//! one `JobState::flush`: the in-flight tokens of all its tasks taken
 //! with one add *before* the push, one cancelled/shutdown check, one queue
 //! lock, one add per counter — and one condvar signal only when that
 //! node's dispatcher is actually parked (`QueueState::parked`), because a
@@ -31,7 +31,7 @@
 //! referencers fused into it are one service.
 //!
 //! **Sharing.** Unlike the original per-run design, the dispatchers and
-//! the thread pool live in a [`Substrate`] that outlives any single job:
+//! the thread pool live in a `Substrate` that outlives any single job:
 //! many jobs run concurrently over the same per-node queues. Each node's
 //! queue is a weighted round-robin multi-queue (`wrr`) with one slot per
 //! job, so dispatch interleaves jobs by weight instead of FIFO order — a
@@ -64,7 +64,7 @@
 //!
 //! **One dereference path, and nobody waits.** Every dispatch — a lone
 //! task or a coalesced batch of point dereferences — runs through
-//! [`run_stage`], which has a *submit* half and a *complete* half. The
+//! `run_stage`, which has a *submit* half and a *complete* half. The
 //! submit half runs on the dispatch's thread and performs every charged
 //! access — fault injection, all counters, the reads themselves, retries
 //! included — buffering the outputs and returning the simulated time the
@@ -90,12 +90,11 @@
 //! record lives in, and partition placement is static — so the executor
 //! can enqueue the follow-up dereference on the *owning* node and turn a
 //! would-be remote read into a local one ([`RoutingPolicy::Owner`], the
-//! default). [`RoutingPolicy::Producer`] keeps the original
-//! enqueue-where-produced behaviour for ablation, and
-//! [`RoutingPolicy::Hybrid`] routes to the owner only while the owner's
-//! queue backlog is at or below a threshold, falling back to the producer
-//! when the owner is overloaded. Pointers whose placement the cluster
-//! cannot determine fall back to producer routing under every policy.
+//! default). [`RoutingPolicy::Producer`] enqueues where the pointer was
+//! produced, which leaves cross-partition reads on the wire: it is how
+//! tests and benches reach the round-trip and fabric-window path without
+//! injecting faults. Pointers whose placement the cluster cannot determine
+//! stay at their producer under either policy.
 
 use super::thread_pool::ThreadPool;
 use super::wrr::WrrQueue;
@@ -177,14 +176,11 @@ impl Task {
 
 /// One node's stage queue: a weighted multi-queue guarded by a mutex, a
 /// condvar for dispatcher wakeups, and a lock-free depth gauge (read by
-/// the hybrid router and the scheduler's stats without taking the lock).
+/// the scheduler's stats without taking the lock).
 struct NodeQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
     depth: AtomicU64,
-    /// EWMA of this dispatcher's busy inter-service gap; powers the
-    /// adaptive hybrid-routing backlog threshold.
-    service: ServiceEwma,
 }
 
 struct QueueState {
@@ -208,7 +204,6 @@ impl NodeQueue {
             }),
             ready: Condvar::new(),
             depth: AtomicU64::new(0),
-            service: ServiceEwma::new(),
         }
     }
 
@@ -245,66 +240,6 @@ impl NodeQueue {
         };
         state.parked = false;
         timed_out
-    }
-}
-
-/// How long a task routed to an owner node may acceptably sit in that
-/// node's queue before hybrid routing prefers the producer. The adaptive
-/// backlog threshold is however many tasks the node drains in this window
-/// at its observed service rate.
-const HYBRID_TARGET_DELAY: Duration = Duration::from_millis(2);
-/// Adaptive threshold clamp: never shed below this backlog (a briefly
-/// idle node must stay owner-routable) …
-const MIN_ADAPTIVE_BACKLOG: u64 = 4;
-/// … and never tolerate more than this (matches the old static ceiling's
-/// order of magnitude).
-const MAX_ADAPTIVE_BACKLOG: u64 = 4096;
-/// Threshold used before a node has any service-rate observations; the
-/// pre-adaptive static default.
-const DEFAULT_OWNER_BACKLOG: u64 = 64;
-
-/// Exponentially weighted moving average of a dispatcher's inter-service
-/// gap per queue item served (1/8 smoothing). Only gaps where the
-/// dispatcher did *not* sleep are observed, so an idle node never looks
-/// slow — only a genuinely slow-draining one does.
-///
-/// Single writer (the owning dispatcher thread), lock-free readers (every
-/// producer running the hybrid routing decision).
-struct ServiceEwma {
-    /// Smoothed gap in nanoseconds; 0 = no observation yet.
-    gap_nanos: AtomicU64,
-}
-
-impl ServiceEwma {
-    fn new() -> ServiceEwma {
-        ServiceEwma {
-            gap_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Fold one observed busy gap into the average.
-    fn observe(&self, gap: Duration) {
-        let gap = gap.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let old = self.gap_nanos.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            gap.max(1)
-        } else {
-            (old - old / 8 + gap / 8).max(1)
-        };
-        self.gap_nanos.store(new, Ordering::Relaxed);
-    }
-
-    /// The backlog this node can drain within `target_delay` at its
-    /// observed service rate, clamped to
-    /// [`MIN_ADAPTIVE_BACKLOG`, `MAX_ADAPTIVE_BACKLOG`];
-    /// [`DEFAULT_OWNER_BACKLOG`] before any observation.
-    fn allowed_backlog(&self, target_delay: Duration) -> u64 {
-        let gap = self.gap_nanos.load(Ordering::Relaxed);
-        if gap == 0 {
-            return DEFAULT_OWNER_BACKLOG;
-        }
-        let delay = target_delay.as_nanos().min(u128::from(u64::MAX)) as u64;
-        (delay / gap).clamp(MIN_ADAPTIVE_BACKLOG, MAX_ADAPTIVE_BACKLOG)
     }
 }
 
@@ -1041,35 +976,16 @@ impl JobState {
         }
         // The locality decision: a pointer with known placement runs its
         // dereference on the owning node (a local read) instead of
-        // wherever it was produced — unless the hybrid policy sees the
-        // owner's queue overloaded. The owner, when known, doubles as the
+        // wherever it was produced. The owner, when known, doubles as the
         // dispatcher's batch key whatever node the task lands on.
         let owner = self.cluster.owner_of_pointer(&ptr);
         let mut target = match self.routing {
             RoutingPolicy::Producer => node,
             RoutingPolicy::Owner => owner.unwrap_or(node),
-            RoutingPolicy::Hybrid { max_owner_backlog } => match owner {
-                Some(owner) => {
-                    let q = &self.shared.queues[owner];
-                    let threshold = max_owner_backlog
-                        .unwrap_or_else(|| q.service.allowed_backlog(HYBRID_TARGET_DELAY));
-                    // What this walk already holds for the owner is
-                    // backlog too, though the gauge has not seen it yet.
-                    let backlog =
-                        q.depth.load(Ordering::Relaxed) + routed.buckets[owner].len() as u64;
-                    if backlog <= threshold {
-                        owner
-                    } else {
-                        node
-                    }
-                }
-                None => node,
-            },
         };
         // A down owner would only replica-serve the read anyway, so
         // routing there buys no locality; keep the task at its producer
-        // (the hybrid policy's fallback path) and let the storage layer
-        // pick the replica.
+        // and let the storage layer pick the replica.
         if target != node {
             if let Some(inj) = self.cluster.fault_injector() {
                 if inj.is_node_down(target) {
@@ -1384,14 +1300,11 @@ fn run_attempt(
 /// other tasks is never stalled behind the clock.
 fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
     let q = &shared.queues[node];
-    // (when, queue items taken) of the previous pop.
-    let mut last_pop: Option<(Instant, u32)> = None;
     loop {
         let mut batch: Vec<Task> = Vec::new();
-        let (task, waited) = {
+        let task = {
             let mut state = q.state.lock();
-            let mut waited = false;
-            let task = loop {
+            loop {
                 if let Some((key, task)) = state.tasks.pop_where(|t| shared.eligible(t)) {
                     let limit = if task.owner.is_some() {
                         task.job.batching.max_batch.saturating_sub(1)
@@ -1437,24 +1350,10 @@ fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                waited = true;
                 q.park(&mut state, None);
-            };
-            (task, waited)
-        };
-        let now = Instant::now();
-        if let Some((prev, served)) = last_pop {
-            // Only busy gaps feed the service-rate EWMA: a dispatcher that
-            // slept was idle, not slow. The backlog it prices is counted
-            // in queue items, so the gap is per item the previous pop took
-            // off the queue (a coalesced batch drains many at once).
-            if !waited {
-                q.service.observe(now.duration_since(prev) / served);
             }
-        }
-        let served = 1 + batch.len() as u32;
-        last_pop = Some((now, served));
-        q.depth.fetch_sub(u64::from(served), Ordering::Relaxed);
+        };
+        q.depth.fetch_sub(1 + batch.len() as u64, Ordering::Relaxed);
         let job = task.job.clone();
         if matches!(task.item, TaskItem::FlightDone { .. }) {
             // A landed flight's continuation: route its buffered outputs
@@ -1644,52 +1543,6 @@ impl Drop for Substrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn adaptive_backlog_tracks_a_deliberately_slowed_node() {
-        let fast = ServiceEwma::new();
-        let slow = ServiceEwma::new();
-        // Before any observation both fall back to the static default.
-        assert_eq!(
-            fast.allowed_backlog(HYBRID_TARGET_DELAY),
-            DEFAULT_OWNER_BACKLOG
-        );
-        for _ in 0..64 {
-            fast.observe(Duration::from_micros(10));
-            slow.observe(Duration::from_millis(1));
-        }
-        let fast_cap = fast.allowed_backlog(HYBRID_TARGET_DELAY);
-        let slow_cap = slow.allowed_backlog(HYBRID_TARGET_DELAY);
-        // 2ms of tolerated delay / 10µs per task ≈ 200 tasks; at 1ms per
-        // task the same delay only covers 2, clamped up to the floor.
-        assert!(
-            slow_cap < fast_cap,
-            "slowed node must shed owner-routed work earlier: slow={slow_cap} fast={fast_cap}"
-        );
-        assert_eq!(slow_cap, MIN_ADAPTIVE_BACKLOG);
-        assert!((150..=250).contains(&fast_cap), "fast cap {fast_cap}");
-
-        // A healthy node that *becomes* slow converges: the threshold
-        // drops as the EWMA absorbs the new gaps.
-        let before = fast.allowed_backlog(HYBRID_TARGET_DELAY);
-        for _ in 0..64 {
-            fast.observe(Duration::from_millis(1));
-        }
-        let after = fast.allowed_backlog(HYBRID_TARGET_DELAY);
-        assert!(
-            after < before / 4,
-            "threshold must track the slowdown: before={before} after={after}"
-        );
-    }
-
-    #[test]
-    fn adaptive_backlog_clamps_to_ceiling() {
-        let e = ServiceEwma::new();
-        for _ in 0..64 {
-            e.observe(Duration::from_nanos(1));
-        }
-        assert_eq!(e.allowed_backlog(HYBRID_TARGET_DELAY), MAX_ADAPTIVE_BACKLOG);
-    }
 
     /// Holds its dispatch on a pool worker until released, and says when
     /// it has got there.

@@ -130,7 +130,7 @@ impl IndexBuilder {
                     Ok(n) => entries += n,
                     Err(e) => failure = Some(e),
                 }
-            });
+            })?;
             if let Some(e) = failure {
                 return Err(e);
             }
@@ -335,6 +335,54 @@ mod tests {
             ),
             other => panic!("expected Exec error, got {other:?}"),
         }
+    }
+
+    /// The build's base scan goes through the fallible reads: with every
+    /// resident frame of a floor-sized budget pinned, faulting partition 0
+    /// back in is refused and the build reports it instead of panicking.
+    #[test]
+    fn build_reports_an_exhausted_page_budget() {
+        use rede_storage::buffer::PageId;
+        let c = SimCluster::builder()
+            .nodes(1)
+            .memory_budget(rede_storage::cluster::MIN_MEMORY_BUDGET)
+            .build()
+            .unwrap();
+        let f = c
+            .create_file(FileSpec::new("base", Partitioning::hash(4)))
+            .unwrap();
+        // Each partition alone is most of the 16-page budget.
+        for i in 0..2000i64 {
+            let row = format!("{i}|{}|{}", i % 7, "x".repeat(60));
+            f.insert(Value::Int(i), Record::from_text(&row)).unwrap();
+        }
+        // Pin from the last partition down until the pool refuses; what is
+        // left unpinned — all of partition 0 — is on disk by then.
+        let pool = c.buffer_pool();
+        let mut guards = Vec::new();
+        'pin: for partition in (1..4).rev() {
+            for page_no in 0.. {
+                let id = PageId {
+                    file: Arc::from("heap:base"),
+                    partition,
+                    page_no,
+                };
+                match pool.fetch(&id) {
+                    Ok((guard, _)) => guards.push(guard),
+                    Err(RedeError::NotFound(_)) => break,
+                    Err(RedeError::Overloaded(_)) => break 'pin,
+                    Err(e) => panic!("unexpected pool error: {e:?}"),
+                }
+            }
+        }
+        assert!(f.raw().resident_bytes() > 0 && !guards.is_empty());
+        let err = IndexBuilder::new(
+            c.clone(),
+            IndexSpec::global("base.group", "base", 4),
+            Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
+        )
+        .build();
+        assert!(matches!(err, Err(RedeError::Overloaded(_))), "{err:?}");
     }
 
     #[test]

@@ -61,7 +61,6 @@ enum Step {
     JoinVia {
         index: String,
         key: Arc<dyn Interpreter>,
-        broadcast: bool,
     },
 }
 
@@ -156,16 +155,8 @@ impl Query {
                             filter.clone(),
                         );
                 }
-                Step::JoinVia {
-                    index,
-                    key,
-                    broadcast,
-                } => {
-                    let referencer = if *broadcast {
-                        InterpretReferencer::broadcast(index.clone(), key.clone())
-                    } else {
-                        InterpretReferencer::new(index.clone(), key.clone())
-                    };
+                Step::JoinVia { index, key } => {
+                    let referencer = InterpretReferencer::new(index.clone(), key.clone());
                     builder = builder
                         .reference(format!("ref-{i}:->{index}"), Arc::new(referencer))
                         .dereference(
@@ -250,17 +241,6 @@ impl QueryBuilder {
         self.steps.push(Step::JoinVia {
             index: index.into(),
             key,
-            broadcast: false,
-        });
-        self
-    }
-
-    /// Join with broadcast pointers (null partition information).
-    pub fn join_broadcast(mut self, index: impl Into<String>, key: Arc<dyn Interpreter>) -> Self {
-        self.steps.push(Step::JoinVia {
-            index: index.into(),
-            key,
-            broadcast: true,
         });
         self
     }

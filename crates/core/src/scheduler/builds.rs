@@ -71,10 +71,6 @@ impl BuildState {
         }
         done.clone()
     }
-
-    fn poll(&self) -> Option<Result<EnsureOutcome>> {
-        self.done.lock().clone()
-    }
 }
 
 /// A claim on a structure: either already resolved, or a place in line
@@ -98,15 +94,6 @@ impl StructureTicket {
     pub(crate) fn pending(state: Arc<BuildState>) -> StructureTicket {
         StructureTicket {
             state: TicketState::Pending(state),
-        }
-    }
-
-    /// True once the structure's fate is decided (build finished, or the
-    /// ticket was ready at issue time).
-    pub fn is_ready(&self) -> bool {
-        match &self.state {
-            TicketState::Ready(_) => true,
-            TicketState::Pending(state) => state.poll().is_some(),
         }
     }
 

@@ -21,7 +21,7 @@
 //! * **Build-once structure coordination.** [`ensure_index`] guarantees
 //!   that N concurrent requests for the same missing index run exactly
 //!   one supervised build; the other N−1 block on its completion
-//!   ([`builds`]).
+//!   (`builds`).
 //! * **Cancellation.** [`JobHandle::cancel`] drains the job's queued
 //!   tasks from every node queue; in-flight invocations retire and the
 //!   job's pool slots and IOPS permits return to the commons.

@@ -17,9 +17,9 @@
 //!   every SMPE job gets one at submit when ingest is attached — sees the
 //!   newest version committed at or before its cut and nothing younger,
 //!   however long it runs and however many transactions land meanwhile.
-//! * [`IndexCatchUp`] implements [`rede_storage::IndexMaintainer`]:
+//! * `IndexCatchUp` implements [`rede_storage::IndexMaintainer`]:
 //!   committed writes enqueue per-index catch-up (coalesced through the
-//!   scheduler's [`BuildRegistry`], so N commits in flight trigger at most
+//!   scheduler's `BuildRegistry`, so N commits in flight trigger at most
 //!   one catch-up pass per structure), and a stale index transparently
 //!   tops itself up before serving any probe.
 //!
@@ -34,7 +34,6 @@
 //! machinery is one relaxed boolean load.
 //!
 //! [`IoModel::wal_fsync`]: rede_storage::IoModel
-//! [`BuildRegistry`]: crate::scheduler::builds::BuildRegistry
 
 use crate::scheduler::builds::BuildRegistry;
 use crate::traits::Interpreter;
@@ -244,25 +243,9 @@ impl IngestSession {
         });
     }
 
-    /// Buffer a write partitioned and keyed by `key` (the common case).
+    /// Buffer a write partitioned and keyed by `key`.
     pub fn write(&mut self, file: impl Into<String>, key: Value, record: Record) {
         let partition_key = key.clone();
-        self.ops.push(WalOp::Write {
-            file: file.into(),
-            partition_key,
-            key,
-            record,
-        });
-    }
-
-    /// Buffer a write with distinct partition key and in-partition key.
-    pub fn write_with_partition_key(
-        &mut self,
-        file: impl Into<String>,
-        partition_key: Value,
-        key: Value,
-        record: Record,
-    ) {
         self.ops.push(WalOp::Write {
             file: file.into(),
             partition_key,
@@ -378,7 +361,8 @@ impl IndexCatchUp {
             }
             // Uncharged base read (the builder's scan is uncharged too);
             // the posting inserts below are charged record writes.
-            let Some((key, record)) = heap.raw().read_slots(ev.partition, ev.slot, 1).pop() else {
+            let (mut rows, _, _) = heap.raw().read_slots(ev.partition, ev.slot, 1, None)?;
+            let Some((key, record)) = rows.pop() else {
                 continue;
             };
             let partition_key = match &self.partition_key {

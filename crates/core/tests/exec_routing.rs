@@ -157,42 +157,6 @@ fn default_config_routes_to_owner() {
 }
 
 #[test]
-fn hybrid_routing_is_owner_when_tolerant_and_always_correct() {
-    let c = fixture(3, 6);
-    let job = join_job(100, 490);
-    let producer = run_with(&c, &job, RoutingPolicy::Producer);
-
-    // Unbounded backlog tolerance: the owner's queue can never look "too
-    // deep", so hybrid degenerates to pure owner routing — all-local reads.
-    let relaxed = run_with(&c, &job, RoutingPolicy::hybrid_with_backlog(u64::MAX));
-    assert_eq!(relaxed.count, producer.count);
-    assert_eq!(
-        sorted_texts(&relaxed.records),
-        sorted_texts(&producer.records)
-    );
-    assert_eq!(
-        relaxed.profile.remote_point_reads(),
-        0,
-        "tolerant hybrid must behave like owner routing: {}",
-        relaxed.profile
-    );
-
-    // Zero tolerance: any backlog at the owner keeps the task on the
-    // producer. The split between local and remote may shift with load,
-    // but the answer is identical and the read total is conserved.
-    let strict = run_with(&c, &job, RoutingPolicy::hybrid_with_backlog(0));
-    assert_eq!(
-        sorted_texts(&strict.records),
-        sorted_texts(&producer.records)
-    );
-    assert_eq!(
-        strict.profile.local_point_reads() + strict.profile.remote_point_reads(),
-        producer.profile.local_point_reads() + producer.profile.remote_point_reads(),
-        "hybrid routing moves reads, never changes their number"
-    );
-}
-
-#[test]
 fn broadcast_pointers_still_replicate_to_all_nodes() {
     let c = fixture(3, 6);
     // The FK hop broadcasts (no partition info): owner routing must not

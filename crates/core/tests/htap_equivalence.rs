@@ -78,7 +78,8 @@ fn analytics(c: &SimCluster) -> Answer {
     for p in 0..PARTITIONS {
         f.scan_partition(p, |k, r| {
             scanned.push((format!("{k:?}"), r.bytes().to_vec()));
-        });
+        })
+        .unwrap();
     }
     scanned.sort();
     for (k, r) in scanned {

@@ -57,7 +57,9 @@ fn fingerprint(c: &SimCluster) -> Fingerprint {
         let heap = f.raw();
         let parts = (0..heap.partitions())
             .map(|p| {
-                heap.read_slots(p, 0, usize::MAX)
+                heap.read_slots(p, 0, usize::MAX, None)
+                    .unwrap()
+                    .0
                     .into_iter()
                     .map(|(k, r)| (format!("{k:?}"), r.bytes().to_vec()))
                     .collect()

@@ -13,8 +13,10 @@
 //! is *evictable* — under memory pressure its pages spill to the simulated
 //! disk and fault back in on the next probe, byte-identically. An index
 //! built with the default constructor uses a private unbounded pool and
-//! never faults. Probe methods come in `_traced` variants returning the
-//! [`PageStats`] the call incurred for the cluster layer to charge.
+//! never faults. Every probe is fallible (an unknown partition is
+//! `Routing`, an exhausted page budget `Overloaded`) and returns the
+//! [`PageStats`] it incurred for the cluster layer to charge;
+//! [`BtreeFile::lookup_in`] is the one shim that does neither.
 //!
 //! Two placements, following the indexing-scheme taxonomy the paper cites:
 //!
@@ -348,10 +350,7 @@ impl BtreeFile {
     }
 
     fn insert_at_inner(&self, partition: usize, key: Value, entry: Record) -> Result<()> {
-        let tp = self.trees.get(partition).ok_or_else(|| {
-            RedeError::Routing(format!("{}: no partition {partition}", self.name))
-        })?;
-        let mut tp = tp.write();
+        let mut tp = self.tree(partition)?.write();
         let cost = SlottedPage::push_cost(None, entry.len());
         let empty = SlottedPage::new().byte_size();
         let roll =
@@ -433,24 +432,29 @@ impl BtreeFile {
         Ok((out, stats))
     }
 
+    /// The tree of one partition, or `Routing` for a partition the index
+    /// does not have.
+    fn tree(&self, partition: usize) -> Result<&RwLock<TreePartition>> {
+        self.trees
+            .get(partition)
+            .ok_or_else(|| RedeError::Routing(format!("{}: no partition {partition}", self.name)))
+    }
+
     /// Exact-key probe of one partition, reporting page I/O. Returns the
     /// postings (empty if the key is absent).
-    pub fn lookup_in_traced(
-        &self,
-        partition: usize,
-        key: &Value,
-    ) -> Result<(Vec<Record>, PageStats)> {
-        let tp = self.trees[partition].read();
+    pub fn probe(&self, partition: usize, key: &Value) -> Result<(Vec<Record>, PageStats)> {
+        let tp = self.tree(partition)?.read();
         match tp.tree.get(key) {
             Some(refs) => self.read_refs(partition, refs),
             None => Ok((Vec::new(), PageStats::default())),
         }
     }
 
-    /// Exact-key probe of one partition. Returns the postings (empty if the
-    /// key is absent).
+    /// [`BtreeFile::probe`] for callers that charge nothing and hold the
+    /// builder-enforced budget floor, under which a single page always
+    /// fits: panics on a misconfigured standalone pool or partition.
     pub fn lookup_in(&self, partition: usize, key: &Value) -> Vec<Record> {
-        self.lookup_in_traced(partition, key)
+        self.probe(partition, key)
             .expect("page budget exhausted: raise the memory budget floor")
             .0
     }
@@ -461,12 +465,12 @@ impl BtreeFile {
     /// landing in the same leaf pays one traversal instead of one per key.
     /// Returns the postings per key in *input* order (empty where absent)
     /// plus the number of root-to-leaf descents actually performed.
-    pub fn lookup_batch_traced(
+    pub fn lookup_batch(
         &self,
         partition: usize,
         keys: &[Value],
     ) -> Result<(Vec<Vec<Record>>, usize, PageStats)> {
-        let tp = self.trees[partition].read();
+        let tp = self.tree(partition)?.read();
         let (hits, descents) = tp.tree.get_many(keys);
         let mut postings = Vec::with_capacity(hits.len());
         let mut stats = PageStats::default();
@@ -483,35 +487,20 @@ impl BtreeFile {
         Ok((postings, descents, stats))
     }
 
-    /// Vectorized exact-key probe of one partition.
-    pub fn lookup_batch(&self, partition: usize, keys: &[Value]) -> (Vec<Vec<Record>>, usize) {
-        let (postings, descents, _) = self
-            .lookup_batch_traced(partition, keys)
-            .expect("page budget exhausted: raise the memory budget floor");
-        (postings, descents)
-    }
-
     /// Inclusive range probe of one partition, in key order, reporting
     /// page I/O.
-    pub fn range_in_traced(
+    pub fn range_in(
         &self,
         partition: usize,
         lo: &Value,
         hi: &Value,
     ) -> Result<(Vec<Record>, PageStats)> {
-        let tp = self.trees[partition].read();
+        let tp = self.tree(partition)?.read();
         let mut refs = Vec::new();
         for (_, postings) in tp.tree.range_inclusive(lo, hi) {
             refs.extend_from_slice(postings);
         }
         self.read_refs(partition, &refs)
-    }
-
-    /// Inclusive range probe of one partition, in key order.
-    pub fn range_in(&self, partition: usize, lo: &Value, hi: &Value) -> Vec<Record> {
-        self.range_in_traced(partition, lo, hi)
-            .expect("page budget exhausted: raise the memory budget floor")
-            .0
     }
 
     /// Partitions a probe for `key` must consult: one for a global index,
@@ -531,9 +520,12 @@ impl BtreeFile {
         }
     }
 
-    /// Number of distinct keys in one partition (diagnostic / tests).
+    /// Number of distinct keys in one partition (diagnostic / tests; 0 for
+    /// a partition the index lacks).
     pub fn distinct_keys_in(&self, partition: usize) -> usize {
-        self.trees[partition].read().tree.len()
+        self.trees
+            .get(partition)
+            .map_or(0, |tp| tp.read().tree.len())
     }
 
     /// Total bytes of this index's entry pages, resident or spilled.
@@ -644,7 +636,7 @@ mod tests {
         }
         // Shuffled probe set with misses and duplicates mixed in.
         let keys: Vec<Value> = (0..128i64).map(|i| Value::Int((i * 37) % 600)).collect();
-        let (batched, descents) = ix.lookup_batch(0, &keys);
+        let (batched, descents, _) = ix.lookup_batch(0, &keys).unwrap();
         assert_eq!(batched.len(), keys.len());
         for (key, postings) in keys.iter().zip(&batched) {
             assert_eq!(postings, &ix.lookup_in(0, key), "key {key:?}");
@@ -667,7 +659,7 @@ mod tests {
             )
             .unwrap();
         }
-        let hits = ix.range_in(0, &Value::Int(10), &Value::Int(15));
+        let (hits, _) = ix.range_in(0, &Value::Int(10), &Value::Int(15)).unwrap();
         let keys: Vec<i64> = hits
             .iter()
             .map(|r| IndexEntry::from_record(r).unwrap().key.as_int().unwrap())
@@ -782,7 +774,7 @@ mod tests {
         let mut faults = 0;
         for i in 0..200i64 {
             let p = paged.partition_of_key(&Value::Int(i));
-            let (hits, s) = paged.lookup_in_traced(p, &Value::Int(i)).unwrap();
+            let (hits, s) = paged.probe(p, &Value::Int(i)).unwrap();
             assert_eq!(hits, resident.lookup_in(p, &Value::Int(i)), "key {i}");
             faults += s.faults;
         }
@@ -792,8 +784,14 @@ mod tests {
         // Ranges survive the churn too.
         for p in 0..2 {
             assert_eq!(
-                paged.range_in(p, &Value::Int(50), &Value::Int(60)),
-                resident.range_in(p, &Value::Int(50), &Value::Int(60))
+                paged
+                    .range_in(p, &Value::Int(50), &Value::Int(60))
+                    .unwrap()
+                    .0,
+                resident
+                    .range_in(p, &Value::Int(50), &Value::Int(60))
+                    .unwrap()
+                    .0
             );
         }
     }

@@ -125,9 +125,8 @@ impl ShrinkBytes for CacheLayer {
 }
 
 /// Smallest allowed [`SimClusterBuilder::memory_budget`]: room for a
-/// handful of pages plus slack, so a single page always fits and the
-/// infallible read paths (`read_slots`, `lookup_in`, …) cannot fail on a
-/// correctly configured cluster.
+/// handful of pages plus slack, so a single page always fits and a read
+/// is `Overloaded` only while every other resident page stays pinned.
 pub const MIN_MEMORY_BUDGET: usize = 16 * DEFAULT_PAGE_BYTES;
 
 struct ClusterInner {
@@ -429,11 +428,6 @@ impl SimCluster {
             }
         }
         max
-    }
-
-    /// The attribution scope this handle carries, if any.
-    pub fn io_scope(&self) -> Option<&Arc<IoScope>> {
-        self.scope.as_ref()
     }
 
     /// Record into the global metrics and, when scoped, the scope's mirror.
@@ -1029,7 +1023,7 @@ impl SimCluster {
                     self.tally(|m| m.record_cache_miss_at(from_node));
                 }
                 let read_key = miss.read_key.as_ref().unwrap_or(&ptrs[miss.idx].key);
-                let (record, pages) = miss.heap.get_traced(miss.partition, read_key)?;
+                let (record, pages) = miss.heap.read(miss.partition, read_key)?;
                 self.owe_page_stats(pages, &mut owed);
                 if let (Some(cache), Some(ck)) = (cache, miss.cache_key) {
                     cache.insert(from_node, ck, record.clone());
@@ -1178,11 +1172,7 @@ impl FileHandle {
     /// primary key is the partition key). Charged as a record write; load
     /// latency is not modeled (the paper measures query time only).
     pub fn insert(&self, key: Value, record: Record) -> Result<(usize, usize)> {
-        self.cluster
-            .tally(|m| m.record_access(AccessKind::RecordWrite));
-        let (partition, slot) = self.file.insert(&key.clone(), key, record)?;
-        self.invalidate_cached(partition, slot);
-        Ok((partition, slot))
+        self.insert_with_partition_key(&key.clone(), key, record)
     }
 
     /// Insert with distinct partition key and in-partition key.
@@ -1232,38 +1222,25 @@ impl FileHandle {
     /// Charged sequential scan of one partition, streaming batches of
     /// `scan_batch` records to `f`. Pays per-record scan latency once per
     /// batch and counts every visited record.
-    pub fn scan_partition(&self, partition: usize, mut f: impl FnMut(&Value, &Record)) {
-        // Snapshot-pinned scans must advance the cursor by slots *visited*,
-        // not rows returned: invisible versions occupy slots but yield no
-        // rows, and a rows-based cursor would stall on an all-filtered
-        // batch. The unpinned path keeps the rows-based loop untouched.
-        if self.cluster.snapshot.is_some() && self.file.is_versioned() {
-            let snap = self.cluster.snapshot.unwrap_or(u64::MAX);
-            let batch = self.cluster.inner.io.scan_batch.max(1);
-            let mut start = 0;
-            loop {
-                let (rows, visited) = self.read_slots_visible(partition, start, batch, snap);
-                if visited == 0 {
-                    break;
-                }
-                for (k, r) in &rows {
-                    f(k, r);
-                }
-                start += visited;
-            }
-            return;
-        }
+    pub fn scan_partition(
+        &self,
+        partition: usize,
+        mut f: impl FnMut(&Value, &Record),
+    ) -> Result<()> {
         let batch = self.cluster.inner.io.scan_batch.max(1);
         let mut start = 0;
         loop {
-            let rows = self.read_slots(partition, start, batch);
-            if rows.is_empty() {
-                break;
+            // Advance by slots *visited*, not rows returned: under a
+            // snapshot invisible versions occupy slots but yield no rows,
+            // and a rows-based cursor would stall on an all-filtered batch.
+            let (rows, visited) = self.read_slots(partition, start, batch)?;
+            if visited == 0 {
+                return Ok(());
             }
             for (k, r) in &rows {
                 f(k, r);
             }
-            start += rows.len();
+            start += visited;
         }
     }
 
@@ -1272,17 +1249,24 @@ impl FileHandle {
         self.file.partition_len(partition)
     }
 
-    /// Charged batch read of a contiguous slot range (pull-based scans).
-    /// Pays per-record scan latency for the batch — plus the fault
-    /// latency for any pages the scan pulled back in — and counts every
-    /// record.
-    pub fn read_slots(&self, partition: usize, start: usize, count: usize) -> Vec<(Value, Record)> {
-        let (rows, pages) = self
-            .file
-            .read_slots_traced(partition, start, count)
-            .expect("page budget exhausted: raise the memory budget floor");
+    /// Charged batch read of a contiguous slot range (pull-based scans),
+    /// filtered to the versions visible at this handle's snapshot when it
+    /// pins one. Returns the rows plus the number of slots *visited* — the
+    /// amount a scan cursor must advance by, since filtered-out versions
+    /// still occupy slots. Pays per-record scan latency for the batch —
+    /// plus the fault latency for any pages the scan pulled back in — and
+    /// counts every record.
+    pub fn read_slots(
+        &self,
+        partition: usize,
+        start: usize,
+        count: usize,
+    ) -> Result<(Vec<(Value, Record)>, usize)> {
+        // Unversioned files skip the visibility filter altogether.
+        let snap = self.cluster.snapshot.filter(|_| self.file.is_versioned());
+        let (rows, visited, pages) = self.file.read_slots(partition, start, count, snap)?;
         self.charge_scan(rows.len(), pages);
-        rows
+        Ok((rows, visited))
     }
 
     /// Count and pay one scan batch inline on the scanning thread: the
@@ -1297,25 +1281,6 @@ impl FileHandle {
                 .tally(|m| m.record_accesses(AccessKind::ScannedRecord, rows as u64));
             self.cluster.inner.io.pay_scan(rows);
         }
-    }
-
-    /// Charged batch read of a contiguous slot range, filtered to the
-    /// versions visible at `snap`. Returns the visible rows plus the
-    /// number of slots *visited* — the amount a scan cursor must advance
-    /// by, since filtered-out versions still occupy slots.
-    fn read_slots_visible(
-        &self,
-        partition: usize,
-        start: usize,
-        count: usize,
-        snap: u64,
-    ) -> (Vec<(Value, Record)>, usize) {
-        let (rows, visited, pages) = self
-            .file
-            .read_slots_visible_traced(partition, start, count, snap)
-            .expect("page budget exhausted: raise the memory budget floor");
-        self.charge_scan(rows.len(), pages);
-        (rows, visited)
     }
 }
 
@@ -1431,8 +1396,8 @@ impl IndexHandle {
                 .pop()
                 .expect("one result per site")?;
             let (hits, pages) = match hi {
-                None => self.index.lookup_in_traced(p, lo)?,
-                Some(hi) => self.index.range_in_traced(p, lo, hi)?,
+                None => self.index.probe(p, lo)?,
+                Some(hi) => self.index.range_in(p, lo, hi)?,
             };
             self.cluster.owe_page_stats(pages, owed);
             out.extend(hits);
@@ -1443,8 +1408,8 @@ impl IndexHandle {
     }
 
     /// The submit half of every partition-filtered probe — what
-    /// [`IndexHandle::range`], [`IndexHandle::lookup_on_node`] and
-    /// [`IndexHandle::range_on_node`] wait for inline: an exact-key
+    /// [`IndexHandle::range`] and [`IndexHandle::range_on_node`] wait for
+    /// inline: an exact-key
     /// (`hi == None`) or inclusive-range probe from `from_node`, restricted
     /// to the partitions placed on `on_node` when given, returning the
     /// postings together with the simulated time still owed (see
@@ -1575,7 +1540,7 @@ impl IndexHandle {
         }
         for (partition, idxs) in by_partition {
             let probe_keys: Vec<Value> = idxs.iter().map(|&i| keys[i].clone()).collect();
-            match self.index.lookup_batch_traced(partition, &probe_keys) {
+            match self.index.lookup_batch(partition, &probe_keys) {
                 Ok((postings, _descents, pages)) => {
                     self.cluster.owe_page_stats(pages, &mut owed);
                     for (i, hits) in idxs.into_iter().zip(postings) {
@@ -1605,14 +1570,6 @@ impl IndexHandle {
         self.probe_sync(lo, Some(hi), from_node, None)
     }
 
-    /// Charged exact-key probe restricted to the partitions placed on
-    /// `node`. Used for broadcast-replicated pointers: each node covers its
-    /// local partitions so the union over nodes probes the index exactly
-    /// once (the paper's `SETPARTITION(input, LOCAL)`).
-    pub fn lookup_on_node(&self, node: usize, key: &Value) -> Result<Vec<Record>> {
-        self.probe_sync(key, None, node, Some(node))
-    }
-
     /// Charged range probe restricted to the partitions placed on `node`.
     ///
     /// This is the SMPE seed pattern: the job is distributed to every node
@@ -1633,7 +1590,7 @@ impl IndexHandle {
         for p in 0..sample {
             // Uncharged in latency, but the pages it pulls in are real:
             // note the faults/evictions without sleeping for them.
-            if let Ok((hits, pages)) = self.index.range_in_traced(p, lo, hi) {
+            if let Ok((hits, pages)) = self.index.range_in(p, lo, hi) {
                 self.cluster.note_page_stats(pages);
                 counted += hits.len();
             }
@@ -1721,7 +1678,7 @@ mod tests {
         let f = loaded(&c, 100);
         let mut seen = 0;
         for p in 0..f.partitions() {
-            f.scan_partition(p, |_, _| seen += 1);
+            f.scan_partition(p, |_, _| seen += 1).unwrap();
         }
         assert_eq!(seen, 100);
         assert_eq!(c.metrics().snapshot().scanned_records, 100);
@@ -2006,7 +1963,7 @@ mod tests {
         assert_eq!(per_node[0].remote, u64::from(!local));
         // File/index handles minted from the scoped handle inherit it.
         let sf = scoped.file("part").unwrap();
-        sf.scan_partition(0, |_, _| {});
+        sf.scan_partition(0, |_, _| {}).unwrap();
         assert_eq!(
             scope.metrics().snapshot().scanned_records,
             c.file("part").unwrap().partition_len(0) as u64

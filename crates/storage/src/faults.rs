@@ -1,4 +1,4 @@
-//! Deterministic, seeded fault injection for [`SimCluster`].
+//! Deterministic, seeded fault injection for [`SimCluster`](crate::SimCluster).
 //!
 //! The paper's SMPE argument rests on massive I/O concurrency across 128
 //! HDD nodes — an environment where transient read failures, stragglers,

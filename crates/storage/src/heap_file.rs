@@ -16,9 +16,11 @@
 //!
 //! This type is purely the data plane: latency injection and access
 //! accounting happen in the [`cluster`](crate::cluster) layer so the same
-//! storage can be replayed under different I/O models. Paged accessors
-//! come in `_traced` variants returning the [`PageStats`] (faults,
-//! evictions, pinned bytes) the call incurred for that layer to charge.
+//! storage can be replayed under different I/O models. Every paged read
+//! is fallible (an unknown partition is `Routing`, an exhausted page budget
+//! `Overloaded`) and returns the [`PageStats`] (faults, evictions, pinned
+//! bytes) it incurred for that layer to charge; [`HeapFile::get`] is the
+//! one shim that drops them.
 
 use crate::btree::BPlusTree;
 use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYTES};
@@ -33,8 +35,9 @@ use std::sync::Arc;
 /// Chain-link sentinel for [`SlotVersion`]: no predecessor/successor.
 const NIL: u32 = u32::MAX;
 
-/// Snapshot-filtered slot read: `(visible rows, slots visited, page I/O)`.
-/// Scan cursors must advance by slots visited, not rows returned.
+/// A slot-range read: `(rows, slots visited, page I/O)`. Under a snapshot
+/// invisible versions are visited but yield no row, so scan cursors must
+/// advance by slots visited, not rows returned.
 pub type VisibleSlots = (Vec<(Value, Record)>, usize, PageStats);
 
 /// Per-slot MVCC metadata: the commit timestamp that created the slot and
@@ -94,6 +97,14 @@ impl PartitionStore {
     fn locate(&self, slot: usize) -> (u32, usize) {
         let idx = self.page_first_slot.partition_point(|&fs| fs <= slot) - 1;
         (idx as u32, slot - self.page_first_slot[idx])
+    }
+
+    /// The physical slot a pointer key addresses, if the record exists.
+    fn slot_of(&self, key: &PointerKey) -> Option<usize> {
+        match key {
+            PointerKey::Logical(k) => self.key_index.get(k).copied(),
+            PointerKey::Physical(slot) => (*slot < self.len).then_some(*slot),
+        }
     }
 
     /// Commit timestamp of a slot (0 for pre-versioning slots).
@@ -209,6 +220,25 @@ impl HeapFile {
             partition: partition as u32,
             page_no,
         }
+    }
+
+    /// The store of one partition, or `Routing` for a partition the file
+    /// does not have.
+    fn store(&self, partition: usize) -> Result<&RwLock<PartitionStore>> {
+        self.partitions
+            .get(partition)
+            .ok_or_else(|| RedeError::Routing(format!("{}: no partition {partition}", self.name)))
+    }
+
+    /// The slot `key` addresses in `store`, or `DanglingPointer`.
+    fn slot_in(&self, store: &PartitionStore, partition: usize, key: &PointerKey) -> Result<usize> {
+        store.slot_of(key).ok_or_else(|| {
+            let what = match key {
+                PointerKey::Logical(k) => format!("key {k}"),
+                PointerKey::Physical(slot) => format!("slot {slot}"),
+            };
+            RedeError::DanglingPointer(format!("{}[{partition}] has no {what}", self.name))
+        })
     }
 
     /// Insert a record keyed by `key`, partitioned by `partition_key`
@@ -350,25 +380,8 @@ impl HeapFile {
     /// Errors if the key has no version visible at `snap` (it was first
     /// inserted after the snapshot was taken).
     pub fn visible_slot(&self, partition: usize, key: &PointerKey, snap: u64) -> Result<usize> {
-        let store = self
-            .partitions
-            .get(partition)
-            .ok_or_else(|| RedeError::Routing(format!("{}: no partition {partition}", self.name)))?
-            .read();
-        let mut slot = match key {
-            PointerKey::Logical(k) => *store.key_index.get(k).ok_or_else(|| {
-                RedeError::DanglingPointer(format!("{}[{partition}] has no key {k}", self.name))
-            })?,
-            PointerKey::Physical(s) => {
-                if *s >= store.len {
-                    return Err(RedeError::DanglingPointer(format!(
-                        "{}[{partition}] has no slot {s}",
-                        self.name
-                    )));
-                }
-                *s
-            }
-        };
+        let store = self.store(partition)?.read();
+        let mut slot = self.slot_in(&store, partition, key)?;
         if store.versions.is_empty() {
             return Ok(slot); // never versioned: everything is ts 0
         }
@@ -396,74 +409,10 @@ impl HeapFile {
         Ok(slot)
     }
 
-    /// Copy out the records of a contiguous slot range of one partition
-    /// that are *visible* at snapshot `snap` (each key's newest version
-    /// with `ts <= snap`; superseded and too-new versions are skipped).
-    /// Returns `(visible rows, slots visited, page I/O)` — callers
-    /// advancing a scan cursor must advance by slots visited, not by rows
-    /// returned.
-    pub fn read_slots_visible_traced(
-        &self,
-        partition: usize,
-        start: usize,
-        count: usize,
-        snap: u64,
-    ) -> Result<VisibleSlots> {
-        let store = self.partitions[partition].read();
-        let end = (start + count).min(store.len);
-        let mut stats = PageStats::default();
-        if start >= end {
-            return Ok((Vec::new(), 0, stats));
-        }
-        let mut out = Vec::new();
-        let mut slot = start;
-        while slot < end {
-            let (page_no, in_page) = store.locate(slot);
-            let id = self.page_id(partition, page_no);
-            let want = end - slot;
-            let (batch, s) = self.pool.with_page(&id, |pg| {
-                let upto = pg.len().min(in_page + want);
-                (in_page..upto)
-                    .map(|i| {
-                        (
-                            pg.key(i).cloned().expect("heap pages are keyed"),
-                            pg.record(i).expect("slot within page"),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })?;
-            stats.absorb(s);
-            for (i, (k, r)) in batch.iter().enumerate() {
-                if store.slot_visible_at(slot + i, snap) {
-                    out.push((k.clone(), r.clone()));
-                }
-            }
-            slot += batch.len();
-        }
-        Ok((out, slot - start, stats))
-    }
-
     /// Resolve an in-partition address to a record, reporting page I/O.
-    pub fn get_traced(&self, partition: usize, key: &PointerKey) -> Result<(Record, PageStats)> {
-        let store = self
-            .partitions
-            .get(partition)
-            .ok_or_else(|| RedeError::Routing(format!("{}: no partition {partition}", self.name)))?
-            .read();
-        let slot = match key {
-            PointerKey::Logical(k) => *store.key_index.get(k).ok_or_else(|| {
-                RedeError::DanglingPointer(format!("{}[{partition}] has no key {k}", self.name))
-            })?,
-            PointerKey::Physical(slot) => {
-                if *slot >= store.len {
-                    return Err(RedeError::DanglingPointer(format!(
-                        "{}[{partition}] has no slot {slot}",
-                        self.name
-                    )));
-                }
-                *slot
-            }
-        };
+    pub fn read(&self, partition: usize, key: &PointerKey) -> Result<(Record, PageStats)> {
+        let store = self.store(partition)?.read();
+        let slot = self.slot_in(&store, partition, key)?;
         let (page_no, in_page) = store.locate(slot);
         let id = self.page_id(partition, page_no);
         let (rec, stats) = self.pool.with_page(&id, |pg| pg.record(in_page))?;
@@ -476,9 +425,10 @@ impl HeapFile {
         Ok((rec, stats))
     }
 
-    /// Resolve an in-partition address to a record.
+    /// [`HeapFile::read`] without the page I/O, for callers that charge
+    /// nothing.
     pub fn get(&self, partition: usize, key: &PointerKey) -> Result<Record> {
-        self.get_traced(partition, key).map(|(r, _)| r)
+        self.read(partition, key).map(|(r, _)| r)
     }
 
     /// The physical slot a pointer key resolves to, if the record exists.
@@ -486,16 +436,14 @@ impl HeapFile {
     /// the cluster uses it to normalize logical and physical aliases of
     /// the same record to one cache key.
     pub fn slot_of(&self, partition: usize, key: &PointerKey) -> Option<usize> {
-        let store = self.partitions.get(partition)?.read();
-        match key {
-            PointerKey::Logical(k) => store.key_index.get(k).copied(),
-            PointerKey::Physical(slot) => (*slot < store.len).then_some(*slot),
-        }
+        self.partitions.get(partition)?.read().slot_of(key)
     }
 
-    /// Number of records in one partition.
+    /// Number of records in one partition (0 for one the file lacks).
     pub fn partition_len(&self, partition: usize) -> usize {
-        self.partitions[partition].read().len
+        self.partitions
+            .get(partition)
+            .map_or(0, |store| store.read().len)
     }
 
     /// Total number of records across partitions.
@@ -508,95 +456,76 @@ impl HeapFile {
         self.len() == 0
     }
 
-    /// Copy out a contiguous slot range of one partition (clamped to the
-    /// partition length), reporting page I/O. The range form lets scans
-    /// stream in page-sized batches; at most one page is pinned at a time.
-    pub fn read_slots_traced(
+    /// The one page walk under every multi-record read: hand `f` the rows
+    /// of slots `start..start + count` (clamped to the partition) in slot
+    /// order, a page's worth at a time, skipping versions invisible at
+    /// `snap` when one is given. Pages are pinned one at a time and `f` runs
+    /// after each page's guard is dropped, so callbacks never hold a pin.
+    /// Returns the slots visited and the page I/O.
+    fn walk(
         &self,
         partition: usize,
         start: usize,
         count: usize,
-    ) -> Result<(Vec<(Value, Record)>, PageStats)> {
-        let store = self.partitions[partition].read();
-        let end = (start + count).min(store.len);
+        snap: Option<u64>,
+        mut f: impl FnMut(Vec<(Value, Record)>),
+    ) -> Result<(usize, PageStats)> {
+        let store = self.store(partition)?.read();
+        let end = start.saturating_add(count).min(store.len);
         let mut stats = PageStats::default();
-        if start >= end {
-            return Ok((Vec::new(), stats));
-        }
-        let mut out = Vec::with_capacity(end - start);
         let mut slot = start;
         while slot < end {
             let (page_no, in_page) = store.locate(slot);
             let id = self.page_id(partition, page_no);
-            let want = end - slot;
-            let (batch, s) = self.pool.with_page(&id, |pg| {
-                let upto = pg.len().min(in_page + want);
-                (in_page..upto)
+            let ((visited, rows), s) = self.pool.with_page(&id, |pg| {
+                let upto = pg.len().min(in_page + (end - slot));
+                let rows = (in_page..upto)
+                    .filter(|i| snap.is_none_or(|at| store.slot_visible_at(slot + i - in_page, at)))
                     .map(|i| {
                         (
                             pg.key(i).cloned().expect("heap pages are keyed"),
                             pg.record(i).expect("slot within page"),
                         )
                     })
-                    .collect::<Vec<_>>()
+                    .collect::<Vec<_>>();
+                (upto - in_page, rows)
             })?;
             stats.absorb(s);
-            slot += batch.len();
-            out.extend(batch);
+            slot += visited;
+            f(rows);
         }
-        Ok((out, stats))
+        Ok((slot - start, stats))
     }
 
-    /// Copy out a contiguous slot range of one partition (clamped).
-    ///
-    /// Infallible convenience wrapper: with the builder-enforced budget
-    /// floor a single page always fits, so the only failure mode is a
-    /// misconfigured standalone pool — which panics loudly here.
-    pub fn read_slots(&self, partition: usize, start: usize, count: usize) -> Vec<(Value, Record)> {
-        self.read_slots_traced(partition, start, count)
-            .expect("page budget exhausted: raise the memory budget floor")
-            .0
+    /// Copy out a contiguous slot range of one partition (clamped to the
+    /// partition length) — with `snap`, only the rows *visible* at that
+    /// snapshot (each key's newest version with `ts <= snap`; superseded
+    /// and too-new versions are skipped). The range form lets scans stream
+    /// in page-sized batches.
+    pub fn read_slots(
+        &self,
+        partition: usize,
+        start: usize,
+        count: usize,
+        snap: Option<u64>,
+    ) -> Result<VisibleSlots> {
+        let mut rows = Vec::new();
+        let (visited, stats) =
+            self.walk(partition, start, count, snap, |page| rows.extend(page))?;
+        Ok((rows, visited, stats))
     }
 
     /// Run `f` over every record of a partition in slot order, reporting
-    /// page I/O. Pages are visited one at a time; `f` runs after each
-    /// page's guard is dropped, so callbacks never hold a pin.
-    pub fn for_each_in_partition_traced(
+    /// page I/O.
+    pub fn for_each_in_partition(
         &self,
         partition: usize,
         mut f: impl FnMut(&Value, &Record),
     ) -> Result<PageStats> {
-        let store = self.partitions[partition].read();
-        let mut stats = PageStats::default();
-        for (idx, &first) in store.page_first_slot.iter().enumerate() {
-            let next_first = store
-                .page_first_slot
-                .get(idx + 1)
-                .copied()
-                .unwrap_or(store.len);
-            let id = self.page_id(partition, idx as u32);
-            let (batch, s) = self.pool.with_page(&id, |pg| {
-                (0..next_first - first)
-                    .map(|i| {
-                        (
-                            pg.key(i).cloned().expect("heap pages are keyed"),
-                            pg.record(i).expect("slot within page"),
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })?;
-            stats.absorb(s);
-            for (k, r) in &batch {
-                f(k, r);
-            }
-        }
+        let (_, stats) = self.walk(partition, 0, usize::MAX, None, |page| {
+            page.iter().for_each(|(k, r)| f(k, r))
+        })?;
         Ok(stats)
-    }
-
-    /// Run `f` over every record of a partition in slot order.
-    pub fn for_each_in_partition(&self, partition: usize, f: impl FnMut(&Value, &Record)) {
-        self.for_each_in_partition_traced(partition, f)
-            .expect("page budget exhausted: raise the memory budget floor");
     }
 
     /// Total bytes of this file's pages, resident or spilled.
@@ -738,7 +667,7 @@ mod tests {
         }
         let mut seen = 0;
         for p in 0..f.partitions() {
-            f.for_each_in_partition(p, |_, _| seen += 1);
+            f.for_each_in_partition(p, |_, _| seen += 1).unwrap();
         }
         assert_eq!(seen, 50);
     }
@@ -754,9 +683,14 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(f.read_slots(0, 0, 4).len(), 4);
-        assert_eq!(f.read_slots(0, 8, 4).len(), 2);
-        assert!(f.read_slots(0, 100, 4).is_empty());
+        let rows = |start, count| f.read_slots(0, start, count, None).unwrap().0;
+        assert_eq!(rows(0, 4).len(), 4);
+        assert_eq!(rows(8, 4).len(), 2);
+        assert!(rows(100, 4).is_empty());
+        // `start + count` past `usize::MAX` clamps like any other overshoot.
+        let (tail, visited, _) = f.read_slots(0, 1, usize::MAX, None).unwrap();
+        assert_eq!((tail.len(), visited), (9, 9));
+        assert_eq!(tail[0].0, Value::Int(1));
     }
 
     #[test]
@@ -795,9 +729,7 @@ mod tests {
         let mut faults = 0;
         for i in 0..200i64 {
             let p = f.partition_of(&Value::Int(i));
-            let (r, s) = f
-                .get_traced(p, &PointerKey::Logical(Value::Int(i)))
-                .unwrap();
+            let (r, s) = f.read(p, &PointerKey::Logical(Value::Int(i))).unwrap();
             assert_eq!(r.text().unwrap(), format!("record-{i}-{}", "y".repeat(20)));
             faults += s.faults;
         }
@@ -806,7 +738,7 @@ mod tests {
         // Scans see every record too, despite the spill.
         let mut seen = 0;
         for p in 0..f.partitions() {
-            f.for_each_in_partition(p, |_, _| seen += 1);
+            f.for_each_in_partition(p, |_, _| seen += 1).unwrap();
         }
         assert_eq!(seen, 200);
         assert!(f.total_bytes() > f.resident_bytes());
@@ -877,16 +809,16 @@ mod tests {
         f.insert_versioned(&Value::Int(9), Value::Int(9), Record::from_text("r9"), 2)
             .unwrap();
         // Snap 1: r1 superseded by r1'; r9 (ts 2) not yet visible.
-        let (rows, visited, _) = f.read_slots_visible_traced(0, 0, 100, 1).unwrap();
+        let (rows, visited, _) = f.read_slots(0, 0, 100, Some(1)).unwrap();
         assert_eq!(visited, 6);
         let texts: Vec<_> = rows.iter().map(|(_, r)| r.text().unwrap()).collect();
         assert_eq!(texts, vec!["r0", "r2", "r3", "r1'"]);
         // Snap 0: the original four only.
-        let (rows, _, _) = f.read_slots_visible_traced(0, 0, 100, 0).unwrap();
+        let (rows, _, _) = f.read_slots(0, 0, 100, Some(0)).unwrap();
         let texts: Vec<_> = rows.iter().map(|(_, r)| r.text().unwrap()).collect();
         assert_eq!(texts, vec!["r0", "r1", "r2", "r3"]);
         // Snap 2: everything current.
-        let (rows, _, _) = f.read_slots_visible_traced(0, 0, 100, 2).unwrap();
+        let (rows, _, _) = f.read_slots(0, 0, 100, Some(2)).unwrap();
         assert_eq!(rows.len(), 5);
     }
 

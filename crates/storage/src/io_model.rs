@@ -28,8 +28,9 @@
 //! per-node device queues (a [`crate::SimFabric`] whose window is
 //! `queue_depth`) turn that into events; synchronous callers block until
 //! their own `Owed` is settled, the SMPE executor never does. Only
-//! sequential scans, WAL fsyncs and shuffle hops still sleep on their
-//! callers (`pay_*` below) — they model a stream, not a queue of requests.
+//! sequential scans and shuffle hops still sleep on their callers (`pay_*`
+//! below) — they model a stream, not a queue of requests — and the WAL
+//! sleeps its own `wal_fsync` per group commit.
 //!
 //! Latencies default to microseconds rather than the milliseconds of real
 //! HDDs so experiments run in seconds; all *ratios* (random:sequential,
@@ -125,13 +126,6 @@ impl IoModel {
             && self.index_lookup.is_zero()
             && self.page_fault.is_zero()
             && self.wal_fsync.is_zero()
-    }
-
-    /// Sleep for one WAL fsync (the group-commit leader pays this once on
-    /// behalf of every committer it flushes).
-    #[inline]
-    pub fn pay_wal_fsync(&self) {
-        maybe_sleep(self.wal_fsync);
     }
 
     /// Total modeled cost of scanning `n` records. Computed in 128-bit

@@ -275,12 +275,14 @@ mod tests {
         let orders = c.file(names::ORDERS).unwrap();
         let mut via_scan = 0;
         for p in 0..orders.partitions() {
-            orders.scan_partition(p, |_, r| {
-                let d = r.field(cols::orders::ORDERDATE, '|').unwrap();
-                if ("1993-01-01"..="1993-12-31").contains(&d) {
-                    via_scan += 1;
-                }
-            });
+            orders
+                .scan_partition(p, |_, r| {
+                    let d = r.field(cols::orders::ORDERDATE, '|').unwrap();
+                    if ("1993-01-01"..="1993-12-31").contains(&d) {
+                        via_scan += 1;
+                    }
+                })
+                .unwrap();
         }
         assert_eq!(via_index, via_scan);
         assert!(via_index > 50, "a year should be ~1/7 of 1500 orders");

@@ -10,6 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, warnings are errors: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "==> data-plane reads are fallible: BtreeFile::lookup_in is the one panicking shim"
+test "$(grep -rn 'page budget exhausted' crates/*/src | wc -l)" -eq 1
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
