@@ -186,14 +186,18 @@ impl Value {
             "s" => Value::str(body),
             "d" => Value::Date(Date(body.parse().map_err(|_| bad())?)),
             "x" => {
-                if body.len() % 2 != 0 {
+                // Decoded over bytes, not `str` slices: a multi-byte char
+                // in the body must be an error, not a char-boundary panic.
+                let hex = body.as_bytes();
+                if hex.len() % 2 != 0 {
                     return Err(bad());
                 }
-                let bytes: std::result::Result<Vec<u8>, _> = (0..body.len())
-                    .step_by(2)
-                    .map(|i| u8::from_str_radix(&body[i..i + 2], 16))
+                let digit = |c: u8| (c as char).to_digit(16);
+                let bytes: Option<Vec<u8>> = hex
+                    .chunks_exact(2)
+                    .map(|pair| Some((digit(pair[0])? << 4 | digit(pair[1])?) as u8))
                     .collect();
-                Value::Bytes(Arc::from(bytes.map_err(|_| bad())?.into_boxed_slice()))
+                Value::Bytes(Arc::from(bytes.ok_or_else(bad)?.into_boxed_slice()))
             }
             _ => return Err(bad()),
         })
@@ -398,6 +402,21 @@ mod tests {
         assert!(Value::from_field("q:3").is_err());
         assert!(Value::from_field("i:abc").is_err());
         assert!(Value::from_field("x:abc").is_err()); // odd hex length
+        assert!(Value::from_field("x:+f").is_err()); // a sign is not a digit
+    }
+
+    #[test]
+    fn field_decoding_rejects_non_ascii_hex_without_panicking() {
+        // "aéb" is four bytes: the old two-byte `str` slicing cut the `é`.
+        for field in ["x:a\u{e9}b", "x:\u{e9}\u{e9}", "x:0\u{1f600}0"] {
+            assert!(
+                matches!(
+                    Value::from_field(field),
+                    Err(crate::RedeError::Interpret(_))
+                ),
+                "{field:?}"
+            );
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use rede_common::{
     Counter, ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile,
 };
-use rede_storage::{FabricConfig, Owed, Pointer, Record, SimCluster, SimFabric};
+use rede_storage::{FabricConfig, Owed, Placement, Pointer, Record, SimCluster, SimFabric};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -877,6 +877,7 @@ impl JobState {
         let mut routed = Routed {
             buckets: self.shared.queues.iter().map(|_| Vec::new()).collect(),
             finals: Vec::new(),
+            placement: self.cluster.placement(),
         };
         self.sort(node, stage, outputs, &mut routed);
         if !routed.finals.is_empty() {
@@ -923,7 +924,7 @@ impl JobState {
         node: usize,
         stage: usize,
         outputs: Vec<StageOutput>,
-        routed: &mut Routed,
+        routed: &mut Routed<'_>,
     ) {
         let stages = self.job.stages();
         let next = stage + 1;
@@ -963,7 +964,13 @@ impl JobState {
 
     /// Pick the node that dereferences `ptr` at stage `next` and add the
     /// task to its bucket.
-    fn sort_pointer(self: &Arc<Self>, node: usize, next: usize, ptr: Pointer, routed: &mut Routed) {
+    fn sort_pointer(
+        self: &Arc<Self>,
+        node: usize,
+        next: usize,
+        ptr: Pointer,
+        routed: &mut Routed<'_>,
+    ) {
         if ptr.is_broadcast() {
             // Null partition information: replicate to every node's
             // queue and have each node cover only its partitions.
@@ -978,7 +985,7 @@ impl JobState {
         // dereference on the owning node (a local read) instead of
         // wherever it was produced. The owner, when known, doubles as the
         // dispatcher's batch key whatever node the task lands on.
-        let owner = self.cluster.owner_of_pointer(&ptr);
+        let owner = routed.placement.owner_of(&ptr);
         let mut target = match self.routing {
             RoutingPolicy::Producer => node,
             RoutingPolicy::Owner => owner.unwrap_or(node),
@@ -1037,11 +1044,14 @@ enum StageOutput {
 }
 
 /// Where one dispatch's outputs go (see [`JobState::route`]).
-struct Routed {
+struct Routed<'a> {
     /// Tasks to queue, per target node.
     buckets: Vec<Vec<Task>>,
     /// Records the final stage emitted: the job's output.
     finals: Vec<Record>,
+    /// The walk's routing oracle: one catalog lookup per run of pointers
+    /// into the same file.
+    placement: Placement<'a>,
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -359,11 +359,12 @@ mod tests {
         // Pin from the last partition down until the pool refuses; what is
         // left unpinned — all of partition 0 — is on disk by then.
         let pool = c.buffer_pool();
+        let ns = pool.namespace("heap:base");
         let mut guards = Vec::new();
         'pin: for partition in (1..4).rev() {
             for page_no in 0.. {
                 let id = PageId {
-                    file: Arc::from("heap:base"),
+                    ns,
                     partition,
                     page_no,
                 };

@@ -1,22 +1,32 @@
 //! Pre-built reference functions.
 
 use crate::traits::{Interpreter, Referencer, StageCtx};
-use rede_common::Result;
-use rede_storage::{IndexEntry, Pointer, Record};
+use rede_common::{Result, Value};
+use rede_storage::{IndexEntry, Pointer, PointerKey, Record};
 use std::sync::Arc;
+
+/// A pointer into `file` whose name is shared, not copied: emitting one
+/// bumps a reference count instead of allocating the name.
+fn pointer(file: &Arc<str>, partition_key: Option<Value>, key: Value) -> Pointer {
+    Pointer {
+        file: file.clone(),
+        partition_key,
+        key: PointerKey::Logical(key),
+    }
+}
 
 /// Decodes an index entry record into a logical pointer to the index's base
 /// file — the paper's `Referencer-1`/`Referencer-3` ("creates a pointer to
 /// a Part record from the interpreted record and emits the pointer").
 pub struct IndexEntryReferencer {
-    target: String,
+    target: Arc<str>,
     label: String,
 }
 
 impl IndexEntryReferencer {
     /// Referencer emitting pointers into `target`.
     pub fn new(target: impl Into<String>) -> IndexEntryReferencer {
-        let target = target.into();
+        let target: Arc<str> = Arc::from(target.into());
         let label = format!("entry->{target}");
         IndexEntryReferencer { target, label }
     }
@@ -30,11 +40,7 @@ impl Referencer for IndexEntryReferencer {
         emit: &mut dyn FnMut(Pointer),
     ) -> Result<()> {
         let entry = IndexEntry::from_record(record)?;
-        emit(Pointer::logical(
-            &self.target,
-            entry.partition_key,
-            entry.key,
-        ));
+        emit(pointer(&self.target, Some(entry.partition_key), entry.key));
         Ok(())
     }
 
@@ -53,7 +59,7 @@ impl Referencer for IndexEntryReferencer {
 /// null instead, making the executor replicate the pointer to every
 /// partition — the paper's broadcast-join encoding.
 pub struct InterpretReferencer {
-    target: String,
+    target: Arc<str>,
     interpreter: Arc<dyn Interpreter>,
     broadcast: bool,
     label: String,
@@ -63,7 +69,7 @@ impl InterpretReferencer {
     /// Referencer into a key-partitioned target (global index or
     /// co-partitioned file).
     pub fn new(target: impl Into<String>, interpreter: Arc<dyn Interpreter>) -> Self {
-        let target = target.into();
+        let target: Arc<str> = Arc::from(target.into());
         let label = format!("{}->{}", interpreter.name(), target);
         InterpretReferencer {
             target,
@@ -75,7 +81,7 @@ impl InterpretReferencer {
 
     /// Referencer emitting broadcast pointers (null partition information).
     pub fn broadcast(target: impl Into<String>, interpreter: Arc<dyn Interpreter>) -> Self {
-        let target = target.into();
+        let target: Arc<str> = Arc::from(target.into());
         let label = format!("{}->{} (broadcast)", interpreter.name(), target);
         InterpretReferencer {
             target,
@@ -94,12 +100,9 @@ impl Referencer for InterpretReferencer {
         emit: &mut dyn FnMut(Pointer),
     ) -> Result<()> {
         for value in self.interpreter.extract(record)? {
-            let ptr = if self.broadcast {
-                Pointer::broadcast(&self.target, value)
-            } else {
-                Pointer::logical(&self.target, value.clone(), value)
-            };
-            emit(ptr);
+            // Broadcast leaves the partition information null.
+            let partition_key = (!self.broadcast).then(|| value.clone());
+            emit(pointer(&self.target, partition_key, value));
         }
         Ok(())
     }
@@ -113,7 +116,6 @@ impl Referencer for InterpretReferencer {
 mod tests {
     use super::*;
     use crate::prebuilt::interpreters::{DelimitedInterpreter, FieldType};
-    use rede_common::Value;
     use rede_storage::SimCluster;
 
     fn ctx() -> StageCtx {
@@ -134,6 +136,14 @@ mod tests {
             ptrs,
             vec![Pointer::logical("part", Value::Int(3), Value::Int(42))]
         );
+    }
+
+    #[test]
+    fn emitted_pointers_share_the_target_name() {
+        let r = IndexEntryReferencer::new("part");
+        let entry = IndexEntry::new(Value::Int(3), Value::Int(42)).to_record();
+        let ptrs = [collect_ptrs(&r, &entry), collect_ptrs(&r, &entry)].concat();
+        assert!(Arc::ptr_eq(&ptrs[0].file, &ptrs[1].file));
     }
 
     #[test]

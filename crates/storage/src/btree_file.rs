@@ -194,8 +194,9 @@ pub struct BtreeFile {
     hints: Option<PlacementHints>,
     pool: Arc<BufferPool>,
     page_bytes: usize,
-    /// Page namespace: `idx:{name}`, disjoint from heap namespaces.
-    page_ns: Arc<str>,
+    /// The pool's id for page namespace `idx:{name}`, disjoint from heap
+    /// namespaces.
+    page_ns: u32,
     /// Write-behind catch-up hook (see [`IndexMaintainer`]). The flag
     /// mirrors `Some`-ness so the read path pays one relaxed load, never
     /// an `RwLock`, while no ingest session is attached.
@@ -229,6 +230,7 @@ impl BtreeFile {
             IndexLocality::Global => None,
         };
         Ok(BtreeFile {
+            page_ns: pool.namespace(&page_ns_name(&spec.name)),
             name: Arc::from(spec.name.as_str()),
             base: Arc::from(spec.base.as_str()),
             locality: spec.locality.clone(),
@@ -237,7 +239,6 @@ impl BtreeFile {
             hints,
             pool,
             page_bytes: page_bytes.max(1),
-            page_ns: Arc::from(format!("idx:{}", spec.name)),
             maintainer: RwLock::new(None),
             has_maintainer: AtomicBool::new(false),
         })
@@ -312,7 +313,7 @@ impl BtreeFile {
 
     fn page_id(&self, partition: usize, page_no: u32) -> PageId {
         PageId {
-            file: self.page_ns.clone(),
+            ns: self.page_ns,
             partition: partition as u32,
             page_no,
         }
@@ -506,9 +507,20 @@ impl BtreeFile {
     /// Partitions a probe for `key` must consult: one for a global index,
     /// all for a local one.
     pub fn probe_partitions_for_key(&self, key: &Value) -> Vec<usize> {
+        match self.probe_partition_for_key(key) {
+            Some(partition) => vec![partition],
+            None => (0..self.trees.len()).collect(),
+        }
+    }
+
+    /// The one partition a probe for `key` must consult, when there is
+    /// one (a global index, or a local index of one partition); `None`
+    /// when the probe must consult every partition.
+    pub fn probe_partition_for_key(&self, key: &Value) -> Option<usize> {
         match self.locality {
-            IndexLocality::Global => vec![self.partitioner.partition_of(key)],
-            IndexLocality::Local => (0..self.trees.len()).collect(),
+            IndexLocality::Global => Some(self.partitioner.partition_of(key)),
+            IndexLocality::Local if self.trees.len() == 1 => Some(0),
+            IndexLocality::Local => None,
         }
     }
 
@@ -530,13 +542,18 @@ impl BtreeFile {
 
     /// Total bytes of this index's entry pages, resident or spilled.
     pub fn total_bytes(&self) -> usize {
-        self.pool.total_bytes_of(&self.page_ns)
+        self.pool.total_bytes_of(&page_ns_name(&self.name))
     }
 
     /// Bytes of this index's entry pages currently resident in the pool.
     pub fn resident_bytes(&self) -> usize {
-        self.pool.resident_bytes_of(&self.page_ns)
+        self.pool.resident_bytes_of(&page_ns_name(&self.name))
     }
+}
+
+/// The page namespace an index named `name` pages under.
+fn page_ns_name(name: &str) -> String {
+    format!("idx:{name}")
 }
 
 impl std::fmt::Debug for BtreeFile {

@@ -8,12 +8,13 @@
 //!
 //! * [`SlottedPage`] — a contiguous byte page with a slot directory; heap
 //!   records and index postings live on these.
-//! * [`LruKReplacer`] — LRU-K victim selection (backward k-distance), so
-//!   one sequential scan cannot flush the hot set the way plain LRU does.
 //! * [`BufferPool`] — pin-counted frames over a simulated disk store.
 //!   Pages are fetched through RAII [`PageGuard`]s; a pinned page is never
 //!   evicted; evicted dirty pages are written back to the disk store and
-//!   re-reads are byte-identical.
+//!   re-reads are byte-identical. Victims are chosen LRU-K (K = 2, the
+//!   largest backward 2-distance first) from a history each frame keeps,
+//!   so one sequential scan cannot flush the hot set the way plain LRU
+//!   does. A resident read takes no pool-wide mutex.
 //! * [`ByteBudget`] — one shared byte meter covering buffer-pool frames
 //!   *and* record-cache entries, so "memory" means one number. Under
 //!   pressure the pool first evicts its own unpinned pages, then asks the
@@ -26,11 +27,9 @@
 
 mod page;
 mod pool;
-mod replacer;
 
 pub use page::{PageId, SlottedPage, DEFAULT_PAGE_BYTES};
 pub use pool::{BufferPool, PageGuard, PageStats, PoolStats, ShrinkBytes};
-pub use replacer::LruKReplacer;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

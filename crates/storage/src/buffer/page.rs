@@ -6,14 +6,20 @@
 //! record)` pairs without consulting resident metadata); index pages store
 //! bare entry records and leave the key column empty.
 //!
-//! Records are stored as their raw payload bytes and read back with
-//! `Bytes::copy_from_slice`, so a page that round-trips through the
-//! simulated disk (evict → write-back → fault) reproduces records
-//! byte-identically — floats, separators and all.
+//! Records are stored as their raw payload bytes and read back with one
+//! `Bytes::copy_from_slice` — the only copy a record makes on its way out
+//! of a page — so a page that round-trips through the simulated disk
+//! (evict → write-back → fault) reproduces records byte-identically —
+//! floats, separators and all.
+//!
+//! A [`PageId`] is three integers: the owning file's namespace (interned
+//! by the pool, see [`BufferPool::namespace`](super::BufferPool::namespace)),
+//! the partition and the page number. It is `Copy`, so hashing and
+//! comparing one on the read path touches no string.
 
 use crate::record::Record;
+use bytes::Bytes;
 use rede_common::Value;
-use std::sync::Arc;
 
 /// Default target page size. A page may exceed this by one oversized
 /// record (records are never split across pages); writers roll to a new
@@ -28,11 +34,13 @@ const SLOT_OVERHEAD: usize = 16;
 const PAGE_OVERHEAD: usize = 64;
 
 /// Address of one page: which file, which partition, which page.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageId {
-    /// Owning file's page namespace (heap files and indexes prefix their
-    /// catalog name so the namespaces cannot collide).
-    pub file: Arc<str>,
+    /// Owning file's page namespace, as interned by
+    /// [`BufferPool::namespace`](super::BufferPool::namespace) (heap files
+    /// and indexes prefix their catalog name so the namespaces cannot
+    /// collide).
+    pub ns: u32,
     /// Partition the page belongs to.
     pub partition: u32,
     /// Page number within the partition, in append order.
@@ -136,13 +144,14 @@ impl SlottedPage {
         }
     }
 
-    /// Copy out the record in `slot`.
+    /// Copy out the record in `slot` (one copy, straight into the
+    /// record's shared buffer).
     pub fn record(&self, slot: usize) -> Option<Record> {
         let &(offset, len) = self.slots.get(slot)?;
         let start = offset as usize;
-        Some(Record::from_bytes(
-            self.data[start..start + len as usize].to_vec(),
-        ))
+        Some(Record::from_bytes(Bytes::copy_from_slice(
+            &self.data[start..start + len as usize],
+        )))
     }
 
     /// The key stored with `slot` (heap pages only).

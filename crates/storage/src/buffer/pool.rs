@@ -8,23 +8,45 @@
 //! pinned it asks the registered [`ShrinkBytes`] sink (the record cache)
 //! to give bytes back before reporting the budget exhausted.
 //!
+//! Two locks, split by how often they are taken:
+//!
+//! * **Hit path.** Resident frames live in their own
+//!   `RwLock<FxHashMap<PageId, Arc<FrameCell>>>`. A fetch of a resident
+//!   page takes only its *read* lock, pins the frame under it, and records
+//!   the access in the frame itself: each frame keeps its two most recent
+//!   access ticks (LRU-K with K = 2) from one pool-wide atomic clock. No
+//!   mutex, no allocation, and no hash lookup but the frame map's.
+//! * **Miss path.** The `Mutex<PoolState>` (the disk store and the
+//!   namespace table) serializes faults, [`BufferPool::create_page`],
+//!   [`BufferPool::with_page_mut`] and eviction. Eviction additionally
+//!   takes the frame map's *write* lock, so a pin (under the read lock)
+//!   and the eviction of the same frame cannot interleave: a victim is
+//!   chosen among frames whose pin count is zero while no pin can start.
+//!   The victim scan reads each candidate's rank straight from its frame.
+//!
+//! Lock order is state → frames; the hit path holds frames alone and
+//! never waits on the state mutex.
+//!
+//! **Pin waiters.** A charge that finds every frame pinned parks on a
+//! condvar for a pin to fall. An unpin signals it only when a waiter has
+//! registered, and then under the state mutex; the waiter registers,
+//! re-scans once, and only then parks (atomically releasing the mutex).
+//! Either the re-scan sees the unpin, or the unpin sees the registration
+//! and its signal cannot arrive before the waiter sleeps — no wake-up is
+//! lost, and an unpin with nobody waiting makes no syscall.
+//!
 //! Latency is *not* injected here — the pool reports what happened per
 //! call ([`PageStats`]) and the cluster layer converts faults into
 //! `IoModel` charges, keeping the data plane replayable under different
 //! I/O models like every other storage type in this crate.
 
 use super::page::{PageId, SlottedPage};
-use super::replacer::LruKReplacer;
 use super::ByteBudget;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rede_common::{FxHashMap, RedeError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How many accesses LRU-K remembers per page. K=2 is the classic sweet
-/// spot: scan-resistant without the bookkeeping of larger K.
-const LRU_K: usize = 2;
 
 /// Total time one charge will wait for pinned frames to unpin before
 /// giving up. Pins are short-lived (guards are dropped without the pool
@@ -90,25 +112,76 @@ pub struct PoolStats {
     pub budget_used: usize,
 }
 
+/// One resident page plus its pin count and LRU-K history.
 struct FrameCell {
     page: RwLock<SlottedPage>,
     bytes: AtomicUsize,
     pin: AtomicU32,
     dirty: AtomicBool,
+    /// Pool tick of the most recent access (0: never accessed).
+    last: AtomicU64,
+    /// Pool tick of the access before that (0: fewer than two).
+    prev: AtomicU64,
+}
+
+impl FrameCell {
+    fn new(page: SlottedPage, dirty: bool) -> Arc<FrameCell> {
+        Arc::new(FrameCell {
+            bytes: AtomicUsize::new(page.byte_size()),
+            page: RwLock::new(page),
+            pin: AtomicU32::new(0),
+            dirty: AtomicBool::new(dirty),
+            last: AtomicU64::new(0),
+            prev: AtomicU64::new(0),
+        })
+    }
+
+    /// Shift `tick` into the two-entry history. Two concurrent accesses
+    /// may leave `prev` one access stale, which only makes the frame look
+    /// colder than it is; single-threaded the history is exact.
+    fn touch(&self, tick: u64) {
+        let last = self.last.swap(tick, Ordering::Relaxed);
+        self.prev.store(last, Ordering::Relaxed);
+    }
+
+    /// Eviction rank, coldest first: a frame with fewer than two accesses
+    /// has infinite backward 2-distance and goes before any frame with a
+    /// full history (class 0 before class 1); within a class the oldest
+    /// timestamp — the last access, or the second-to-last for a full
+    /// history — goes first.
+    fn rank(&self) -> (u8, u64) {
+        match self.prev.load(Ordering::Relaxed) {
+            0 => (0, self.last.load(Ordering::Relaxed)),
+            prev => (1, prev),
+        }
+    }
+
+    fn is_pinned(&self) -> bool {
+        // SeqCst pairs with every unpin's SeqCst decrement and the
+        // waiter count (the waiter protocol in the module docs).
+        self.pin.load(Ordering::SeqCst) > 0
+    }
 }
 
 struct PoolState {
-    frames: FxHashMap<PageId, Arc<FrameCell>>,
-    replacer: LruKReplacer,
     disk: FxHashMap<PageId, SlottedPage>,
+    /// Page namespace per file name (see [`BufferPool::namespace`]).
+    names: FxHashMap<Box<str>, u32>,
 }
 
 /// A byte-budgeted page cache over a simulated disk store.
 pub struct BufferPool {
+    /// Resident frames. Read-locked by hits; write-locked only to insert
+    /// or evict, always under `state`.
+    frames: RwLock<FxHashMap<PageId, Arc<FrameCell>>>,
     state: Mutex<PoolState>,
+    /// The LRU-K clock: one tick per page access.
+    tick: AtomicU64,
     budget: Arc<ByteBudget>,
     shrinker: RwLock<Option<Arc<dyn ShrinkBytes>>>,
     pin_wait: Condvar,
+    /// Charges registered to wait on `pin_wait`.
+    waiters: AtomicUsize,
     faults: AtomicU64,
     evictions: AtomicU64,
     pinned_bytes: AtomicUsize,
@@ -120,14 +193,16 @@ impl BufferPool {
     /// A pool charging the given shared budget.
     pub fn with_budget(budget: Arc<ByteBudget>) -> Arc<BufferPool> {
         Arc::new(BufferPool {
+            frames: RwLock::new(FxHashMap::default()),
             state: Mutex::new(PoolState {
-                frames: FxHashMap::default(),
-                replacer: LruKReplacer::new(LRU_K),
                 disk: FxHashMap::default(),
+                names: FxHashMap::default(),
             }),
+            tick: AtomicU64::new(0),
             budget,
             shrinker: RwLock::new(None),
             pin_wait: Condvar::new(),
+            waiters: AtomicUsize::new(0),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pinned_bytes: AtomicUsize::new(0),
@@ -148,18 +223,62 @@ impl BufferPool {
     }
 
     /// Register the sink asked to give bytes back when the pool cannot
-    /// evict its way out of pressure (the record cache).
+    /// evict its own way out of pressure (the record cache).
     pub fn set_shrinker(&self, sink: Arc<dyn ShrinkBytes>) {
         *self.shrinker.write() = Some(sink);
     }
 
+    /// The page namespace of the file named `name` ([`PageId::ns`]),
+    /// interned on first use: files call this once, at creation, and name
+    /// their pages by the id from then on. The same name always maps to
+    /// the same id on one pool.
+    pub fn namespace(&self, name: &str) -> u32 {
+        let mut st = self.state.lock();
+        if let Some(&ns) = st.names.get(name) {
+            return ns;
+        }
+        let ns = st.names.len() as u32;
+        st.names.insert(name.into(), ns);
+        ns
+    }
+
+    /// Record one access to `cell` at the next tick of the pool clock.
+    fn touch(&self, cell: &FrameCell) {
+        cell.touch(self.tick.fetch_add(1, Ordering::Relaxed) + 1);
+    }
+
+    /// The hit path: pin `id`'s frame under the frame map's read lock, if
+    /// it is resident.
+    fn pin_resident(&self, id: &PageId) -> Option<Arc<FrameCell>> {
+        let frames = self.frames.read();
+        let cell = frames.get(id)?;
+        // Relaxed: eviction checks pins under the write lock, which this
+        // read lock excludes, so the lock orders the two.
+        cell.pin.fetch_add(1, Ordering::Relaxed);
+        Some(cell.clone())
+    }
+
+    /// After an unpin: wake the charges registered to wait for one. Under
+    /// the state lock (taken here unless the caller holds it): a waiter
+    /// holds it from its re-scan until it parks, so the signal cannot fall
+    /// in between. With nobody registered this is one load.
+    fn signal_unpin(&self, locked: bool) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            let _st = (!locked).then(|| self.state.lock());
+            self.pin_wait.notify_all();
+        }
+    }
+
     /// Register a new, empty, resident page. Fails if the id exists.
     pub fn create_page(&self, id: PageId) -> Result<PageStats> {
+        let exists = |st: &PoolState| {
+            (self.frames.read().contains_key(&id) || st.disk.contains_key(&id)).then(|| {
+                RedeError::AlreadyExists(format!("buffer pool: page {id:?} already exists"))
+            })
+        };
         let mut st = self.state.lock();
-        if st.frames.contains_key(&id) || st.disk.contains_key(&id) {
-            return Err(RedeError::AlreadyExists(format!(
-                "buffer pool: page {id:?} already exists"
-            )));
+        if let Some(e) = exists(&st) {
+            return Err(e);
         }
         let page = SlottedPage::new();
         let bytes = page.byte_size();
@@ -167,41 +286,32 @@ impl BufferPool {
             evictions: self.make_room(&mut st, bytes)?,
             ..PageStats::default()
         };
-        if st.frames.contains_key(&id) || st.disk.contains_key(&id) {
+        if let Some(e) = exists(&st) {
             self.budget.release(bytes);
-            return Err(RedeError::AlreadyExists(format!(
-                "buffer pool: page {id:?} already exists"
-            )));
+            return Err(e);
         }
-        let cell = Arc::new(FrameCell {
-            page: RwLock::new(page),
-            bytes: AtomicUsize::new(bytes),
-            pin: AtomicU32::new(0),
-            dirty: AtomicBool::new(true),
-        });
-        st.frames.insert(id.clone(), cell);
-        st.replacer.record_access(&id);
+        let cell = FrameCell::new(page, true);
+        self.touch(&cell);
+        self.frames.write().insert(id, cell);
         Ok(stats)
     }
 
     /// Fetch a page, pinning it for the lifetime of the returned guard.
     pub fn fetch(&self, id: &PageId) -> Result<(PageGuard<'_>, PageStats)> {
         let mut stats = PageStats::default();
-        let mut st = self.state.lock();
-        let cell = match st.frames.get(id) {
-            Some(cell) => cell.clone(),
+        let cell = match self.pin_resident(id) {
+            Some(cell) => cell,
             None => {
-                let cell = self.fault_in(&mut st, id, &mut stats)?;
-                stats.faults = 1;
-                cell
+                let mut st = self.state.lock();
+                self.pin_or_fault(&mut st, id, &mut stats)?
             }
         };
-        st.replacer.record_access(id);
-        cell.pin.fetch_add(1, Ordering::Relaxed);
-        drop(st);
+        self.touch(&cell);
         let bytes = cell.bytes.load(Ordering::Relaxed);
-        let pinned = self.pinned_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.pinned_peak.fetch_max(pinned, Ordering::Relaxed);
+        let pinned = self.pinned_bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
+        if pinned > self.pinned_peak.load(Ordering::Relaxed) {
+            self.pinned_peak.fetch_max(pinned, Ordering::Relaxed);
+        }
         stats.pinned_bytes = pinned;
         Ok((
             PageGuard {
@@ -237,22 +347,14 @@ impl BufferPool {
     ) -> Result<(R, PageStats)> {
         let mut stats = PageStats::default();
         let mut st = self.state.lock();
-        let cell = match st.frames.get(id) {
-            Some(cell) => cell.clone(),
-            None => {
-                let cell = self.fault_in(&mut st, id, &mut stats)?;
-                stats.faults = 1;
-                cell
-            }
-        };
-        // Pin across make_room so the page we are about to grow cannot be
-        // chosen as its own eviction victim.
-        cell.pin.fetch_add(1, Ordering::Relaxed);
+        // Pinned across make_room so the page we are about to grow cannot
+        // be chosen as its own eviction victim.
+        let cell = self.pin_or_fault(&mut st, id, &mut stats)?;
         match self.make_room(&mut st, grow_hint) {
             Ok(ev) => stats.evictions += ev,
             Err(e) => {
-                cell.pin.fetch_sub(1, Ordering::Relaxed);
-                self.pin_wait.notify_all();
+                cell.pin.fetch_sub(1, Ordering::SeqCst);
+                self.signal_unpin(true);
                 return Err(e);
             }
         }
@@ -269,19 +371,24 @@ impl BufferPool {
         self.budget.release(grow_hint - grown.min(grow_hint));
         cell.bytes.store(after, Ordering::Relaxed);
         cell.dirty.store(true, Ordering::Relaxed);
-        st.replacer.record_access(id);
-        cell.pin.fetch_sub(1, Ordering::Relaxed);
-        self.pin_wait.notify_all();
+        self.touch(&cell);
+        cell.pin.fetch_sub(1, Ordering::SeqCst);
+        self.signal_unpin(true);
         Ok((r, stats))
     }
 
-    /// Fault `id` in from the disk store. Caller holds the state lock.
-    fn fault_in(
+    /// The miss path, under the state lock: pin `id`'s frame, faulting it
+    /// in from the disk store if it is (still) not resident.
+    fn pin_or_fault(
         &self,
         st: &mut MutexGuard<'_, PoolState>,
         id: &PageId,
         stats: &mut PageStats,
     ) -> Result<Arc<FrameCell>> {
+        // Another thread may have faulted it in since the caller looked.
+        if let Some(cell) = self.pin_resident(id) {
+            return Ok(cell);
+        }
         let page = st
             .disk
             .get(id)
@@ -291,20 +398,44 @@ impl BufferPool {
         stats.evictions += self.make_room(st, bytes)?;
         // make_room can release the lock while parked on pinned frames:
         // another thread may have faulted this page in meanwhile.
-        if let Some(cell) = st.frames.get(id) {
+        if let Some(cell) = self.pin_resident(id) {
             self.budget.release(bytes);
-            return Ok(cell.clone());
+            return Ok(cell);
         }
-        let cell = Arc::new(FrameCell {
-            page: RwLock::new(page),
-            bytes: AtomicUsize::new(bytes),
-            pin: AtomicU32::new(0),
-            // The disk copy is current until the next mutation.
-            dirty: AtomicBool::new(false),
-        });
-        st.frames.insert(id.clone(), cell.clone());
+        // The disk copy is current until the next mutation.
+        let cell = FrameCell::new(page, false);
+        cell.pin.fetch_add(1, Ordering::Relaxed);
+        self.frames.write().insert(*id, cell.clone());
         self.faults.fetch_add(1, Ordering::Relaxed);
+        stats.faults += 1;
         Ok(cell)
+    }
+
+    /// Evict the coldest unpinned frame, writing it back if dirty. Returns
+    /// false if every resident frame is pinned.
+    fn evict_one(&self, st: &mut PoolState) -> bool {
+        let mut frames = self.frames.write();
+        let victim = frames
+            .iter()
+            .filter(|(_, cell)| !cell.is_pinned())
+            .min_by_key(|(_, cell)| cell.rank())
+            .map(|(&id, _)| id);
+        let Some(id) = victim else {
+            return false;
+        };
+        let cell = frames.remove(&id).expect("victim is resident");
+        // Out of the map and unpinned: nobody else can reach the frame.
+        drop(frames);
+        let bytes = cell.bytes.load(Ordering::Relaxed);
+        if cell.dirty.load(Ordering::Relaxed) {
+            let page = cell.page.read().clone();
+            let old = st.disk.insert(id, page).map_or(0, |p| p.byte_size());
+            self.disk_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.disk_bytes.fetch_sub(old, Ordering::Relaxed);
+        }
+        self.budget.release(bytes);
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Charge `need` bytes, evicting unpinned frames (then shrinking the
@@ -315,28 +446,15 @@ impl BufferPool {
         // Armed lazily on the first pin-wait so eviction work done before
         // any wait never counts against the waiting budget.
         let mut pin_deadline: Option<Instant> = None;
-        loop {
+        let mut registered = false;
+        let result = loop {
             if self.budget.try_charge(need) {
-                return Ok(evictions);
+                break Ok(evictions);
             }
-            let victim = st.replacer.victim(
-                st.frames
-                    .iter()
-                    .filter(|(_, c)| c.pin.load(Ordering::Relaxed) == 0)
-                    .map(|(id, _)| id),
-            );
-            if let Some(vid) = victim {
-                let cell = st.frames.remove(&vid).expect("victim is resident");
-                st.replacer.remove(&vid);
-                let bytes = cell.bytes.load(Ordering::Relaxed);
-                if cell.dirty.load(Ordering::Relaxed) {
-                    let page = cell.page.read().clone();
-                    let old = st.disk.insert(vid, page).map_or(0, |p| p.byte_size());
-                    self.disk_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    self.disk_bytes.fetch_sub(old, Ordering::Relaxed);
-                }
-                self.budget.release(bytes);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+            // Read before the scan: guards unpin before they un-count
+            // their bytes, so zero here means the scan sees every unpin.
+            let pinned = self.pinned_bytes.load(Ordering::SeqCst);
+            if self.evict_one(st) {
                 evictions += 1;
                 continue;
             }
@@ -350,36 +468,46 @@ impl BufferPool {
                 continue;
             }
             // Every resident frame is pinned and the cache has nothing
-            // left. Guards drop without taking the pool lock, so park
-            // briefly for a pin to fall rather than failing a workload
-            // that is merely momentarily pin-heavy. Deadline loop: a
-            // spurious wakeup re-waits only the *remaining* budget (it
-            // used to burn a whole wait slice, failing pin-heavy
-            // workloads early), and repeated waits cannot oversleep.
-            if self.pinned_bytes.load(Ordering::Relaxed) > 0 {
+            // left. Park briefly for a pin to fall rather than failing a
+            // workload that is merely momentarily pin-heavy. Register
+            // first and re-scan once before parking, so an unpin racing
+            // this scan is either seen by the re-scan or signals the park
+            // (module docs). Deadline loop: a spurious wakeup re-waits
+            // only the *remaining* budget, and repeated waits cannot
+            // oversleep.
+            if pinned > 0 {
                 let deadline =
                     *pin_deadline.get_or_insert_with(|| Instant::now() + PIN_WAIT_BUDGET);
                 let now = Instant::now();
                 if now < deadline {
-                    self.pin_wait.wait_for(st, deadline - now);
+                    if !registered {
+                        self.waiters.fetch_add(1, Ordering::SeqCst);
+                        registered = true;
+                    } else {
+                        self.pin_wait.wait_for(st, deadline - now);
+                    }
                     continue;
                 }
             }
-            return Err(RedeError::Overloaded(format!(
+            break Err(RedeError::Overloaded(format!(
                 "buffer pool: byte budget exhausted ({need} B needed, \
                  {} B free, every resident page pinned)",
                 self.budget.available()
             )));
+        };
+        if registered {
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
         }
+        result
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> PoolStats {
         let st = self.state.lock();
+        let frames = self.frames.read();
         PoolStats {
-            resident_pages: st.frames.len(),
-            resident_bytes: st
-                .frames
+            resident_pages: frames.len(),
+            resident_bytes: frames
                 .values()
                 .map(|c| c.bytes.load(Ordering::Relaxed))
                 .sum(),
@@ -396,9 +524,13 @@ impl BufferPool {
     /// Bytes of `file`'s pages currently resident.
     pub fn resident_bytes_of(&self, file: &str) -> usize {
         let st = self.state.lock();
-        st.frames
+        let Some(&ns) = st.names.get(file) else {
+            return 0;
+        };
+        let frames = self.frames.read();
+        frames
             .iter()
-            .filter(|(id, _)| &*id.file == file)
+            .filter(|(id, _)| id.ns == ns)
             .map(|(_, c)| c.bytes.load(Ordering::Relaxed))
             .sum()
     }
@@ -406,16 +538,19 @@ impl BufferPool {
     /// Total bytes of `file`'s pages, resident or on disk.
     pub fn total_bytes_of(&self, file: &str) -> usize {
         let st = self.state.lock();
-        let resident: usize = st
-            .frames
+        let Some(&ns) = st.names.get(file) else {
+            return 0;
+        };
+        let frames = self.frames.read();
+        let resident: usize = frames
             .iter()
-            .filter(|(id, _)| &*id.file == file)
+            .filter(|(id, _)| id.ns == ns)
             .map(|(_, c)| c.bytes.load(Ordering::Relaxed))
             .sum();
         let spilled: usize = st
             .disk
             .iter()
-            .filter(|(id, _)| &*id.file == file && !st.frames.contains_key(id))
+            .filter(|(id, _)| id.ns == ns && !frames.contains_key(id))
             .map(|(_, p)| p.byte_size())
             .sum();
         resident + spilled
@@ -450,11 +585,13 @@ impl PageGuard<'_> {
 
 impl Drop for PageGuard<'_> {
     fn drop(&mut self) {
-        self.cell.pin.fetch_sub(1, Ordering::Relaxed);
+        // Unpin before un-counting the bytes: a charge that reads zero
+        // pinned bytes must find the frame unpinned (`make_room`).
+        self.cell.pin.fetch_sub(1, Ordering::SeqCst);
         self.pool
             .pinned_bytes
-            .fetch_sub(self.bytes, Ordering::Relaxed);
-        self.pool.pin_wait.notify_all();
+            .fetch_sub(self.bytes, Ordering::SeqCst);
+        self.pool.signal_unpin(false);
     }
 }
 
@@ -463,16 +600,18 @@ mod tests {
     use super::*;
     use rede_common::Value;
 
-    fn pid(file: &str, page_no: u32) -> PageId {
+    const F: u32 = 0;
+
+    fn pid(ns: u32, page_no: u32) -> PageId {
         PageId {
-            file: Arc::from(file),
+            ns,
             partition: 0,
             page_no,
         }
     }
 
     fn fill(pool: &BufferPool, id: &PageId, tag: u32, n: usize) {
-        pool.create_page(id.clone()).unwrap();
+        pool.create_page(*id).unwrap();
         for i in 0..n {
             let payload = format!("page-{tag}-rec-{i}-{}", "x".repeat(100));
             pool.with_page_mut(
@@ -488,11 +627,11 @@ mod tests {
     fn unbounded_pool_never_faults() {
         let pool = BufferPool::unbounded();
         for n in 0..10 {
-            fill(&pool, &pid("f", n), n, 5);
+            fill(&pool, &pid(F, n), n, 5);
         }
         for n in 0..10 {
             let ((), stats) = pool
-                .with_page(&pid("f", n), |p| assert_eq!(p.len(), 5))
+                .with_page(&pid(F, n), |p| assert_eq!(p.len(), 5))
                 .unwrap();
             assert_eq!(stats.faults, 0);
         }
@@ -504,7 +643,7 @@ mod tests {
         // Each page ≈ 5 * (~115 + 16) + 64 ≈ 730 B; budget fits ~3 pages.
         let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(2_500)));
         for n in 0..8 {
-            fill(&pool, &pid("f", n), n, 5);
+            fill(&pool, &pid(F, n), n, 5);
         }
         let stats = pool.stats();
         assert!(stats.evictions > 0, "pressure must evict");
@@ -512,7 +651,7 @@ mod tests {
         // Every page — including evicted ones — reads back byte-identical.
         for n in 0..8 {
             let (ok, _) = pool
-                .with_page(&pid("f", n), |p| {
+                .with_page(&pid(F, n), |p| {
                     (0..5).all(|i| {
                         p.record(i).unwrap().bytes()
                             == format!("page-{n}-rec-{i}-{}", "x".repeat(100)).as_bytes()
@@ -527,15 +666,15 @@ mod tests {
     #[test]
     fn pinned_pages_are_never_evicted() {
         let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(2_500)));
-        fill(&pool, &pid("f", 0), 0, 5);
-        let (guard, _) = pool.fetch(&pid("f", 0)).unwrap();
+        fill(&pool, &pid(F, 0), 0, 5);
+        let (guard, _) = pool.fetch(&pid(F, 0)).unwrap();
         // Storm past the budget; page 0 must survive because it is pinned.
         for n in 1..10 {
-            fill(&pool, &pid("f", n), n, 5);
+            fill(&pool, &pid(F, n), n, 5);
         }
         assert_eq!(guard.read().len(), 5);
         let ((), stats) = pool
-            .with_page(&pid("f", 0), |p| assert_eq!(p.len(), 5))
+            .with_page(&pid(F, 0), |p| assert_eq!(p.len(), 5))
             .unwrap();
         assert_eq!(stats.faults, 0, "pinned page faulted: it was evicted");
         drop(guard);
@@ -545,9 +684,9 @@ mod tests {
     #[test]
     fn budget_refusal_leaves_page_untouched() {
         let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(400)));
-        pool.create_page(pid("f", 0)).unwrap();
-        let (guard, _) = pool.fetch(&pid("f", 0)).unwrap();
-        let err = pool.with_page_mut(&pid("f", 0), 100_000, |p| p.push(None, b"x"));
+        pool.create_page(pid(F, 0)).unwrap();
+        let (guard, _) = pool.fetch(&pid(F, 0)).unwrap();
+        let err = pool.with_page_mut(&pid(F, 0), 100_000, |p| p.push(None, b"x"));
         assert!(matches!(err, Err(RedeError::Overloaded(_))));
         assert_eq!(guard.read().len(), 0, "refused write must not mutate");
     }
@@ -556,7 +695,7 @@ mod tests {
     fn missing_page_is_not_found() {
         let pool = BufferPool::unbounded();
         assert!(matches!(
-            pool.fetch(&pid("f", 9)),
+            pool.fetch(&pid(F, 9)),
             Err(RedeError::NotFound(_))
         ));
     }
@@ -564,8 +703,10 @@ mod tests {
     #[test]
     fn per_file_byte_accounting_spans_disk() {
         let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(2_500)));
+        let a = pool.namespace("a");
+        assert_eq!(pool.namespace("a"), a, "a name interns once");
         for n in 0..6 {
-            fill(&pool, &pid("a", n), n, 5);
+            fill(&pool, &pid(a, n), n, 5);
         }
         let total = pool.total_bytes_of("a");
         let resident = pool.resident_bytes_of("a");

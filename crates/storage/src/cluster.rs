@@ -774,55 +774,26 @@ impl SimCluster {
         self.inner.catalog.names()
     }
 
-    /// The partition a non-broadcast pointer will be served from, if it can
-    /// be determined without touching storage.
-    ///
-    /// * Heap targets: the file's partitioner places the partition key
-    ///   (logical) or the key *is* the partition (physical).
-    /// * B-tree targets: the index placement's probe set for the logical
-    ///   key — a single partition for a global index. Local indexes probe
-    ///   every partition, so there is no single serving partition and the
-    ///   answer is `None`.
-    /// * Broadcast pointers and unknown files: `None`.
-    ///
-    /// This is the routing oracle for the executor's `Owner` policy; a
-    /// `None` simply means "no better placement known" and must not fail
-    /// the run.
-    pub fn partition_of_pointer(&self, ptr: &Pointer) -> Option<usize> {
-        let partition_key = ptr.partition_key.as_ref()?;
-        match self.inner.catalog.get(&ptr.file).ok()? {
-            StorageObject::Heap(heap) => match &ptr.key {
-                // A negative or out-of-range physical partition is not
-                // routable; `resolve` rejects it, the oracle just answers
-                // "no placement known" (it must not fail the run).
-                PointerKey::Physical(_) => partition_key
-                    .as_int()
-                    .and_then(|p| usize::try_from(p).ok())
-                    .filter(|&p| p < heap.partitions()),
-                PointerKey::Logical(_) => Some(heap.partition_of(partition_key)),
-            },
-            StorageObject::Btree(index) => {
-                let key = ptr.logical_key()?;
-                let probes = index.probe_partitions_for_key(key);
-                match probes.as_slice() {
-                    [single] => Some(*single),
-                    // Local indexes probe every partition, so the probe set
-                    // pins nothing — but a placement hint recorded at build
-                    // time can still name the one partition holding the
-                    // key. Hints only steer routing; lookups keep probing
-                    // the full placement set, so a stale or missing hint
-                    // can never change an answer.
-                    _ => index.hint_partition_for_key(key),
-                }
-            }
+    /// The routing oracle for a run of pointers (see [`Placement`]): one
+    /// catalog lookup per run of pointers into the same file.
+    pub fn placement(&self) -> Placement<'_> {
+        Placement {
+            cluster: self,
+            last: None,
         }
     }
 
+    /// The partition a non-broadcast pointer will be served from, if it can
+    /// be determined without touching storage
+    /// ([`Placement::partition_of`]).
+    pub fn partition_of_pointer(&self, ptr: &Pointer) -> Option<usize> {
+        self.placement().partition_of(ptr)
+    }
+
     /// The node that owns the partition a pointer resolves to, if
-    /// determinable (see [`SimCluster::partition_of_pointer`]).
+    /// determinable ([`Placement::owner_of`]).
     pub fn owner_of_pointer(&self, ptr: &Pointer) -> Option<usize> {
-        self.partition_of_pointer(ptr)
-            .map(|p| self.inner.node_of_partition(p))
+        self.placement().owner_of(ptr)
     }
 
     /// Resolve a pointer to its record — a charged point read, and
@@ -880,15 +851,15 @@ impl SimCluster {
         }
     }
 
-    /// Routing half of [`SimCluster::resolve`]: pointer → (heap, partition),
-    /// with broadcast and out-of-range physical pointers rejected. Touches
-    /// no counters or latency.
-    fn route_resolve(&self, ptr: &Pointer) -> Result<(Arc<HeapFile>, usize)> {
-        let heap = self.inner.catalog.heap(&ptr.file)?;
+    /// Routing half of [`SimCluster::resolve`]: the partition of `heap`
+    /// (the pointer's file) that `ptr` reads, with broadcast and
+    /// out-of-range physical pointers rejected. Touches no counters or
+    /// latency.
+    fn route_resolve(heap: &HeapFile, ptr: &Pointer) -> Result<usize> {
         let partition_key = ptr.partition_key.as_ref().ok_or_else(|| {
             RedeError::Routing(format!("cannot resolve broadcast pointer {ptr:?}"))
         })?;
-        let partition = match &ptr.key {
+        match &ptr.key {
             // A negative partition must not wrap through `as usize` into a
             // huge index; reject it (and anything past the file's
             // partition count) as a routing error.
@@ -901,10 +872,18 @@ impl SimCluster {
                         "physical partition out of range in {ptr:?} (file has {} partitions)",
                         heap.partitions()
                     ))
-                })?,
-            PointerKey::Logical(_) => heap.partition_of(partition_key),
-        };
-        Ok((heap, partition))
+                }),
+            PointerKey::Logical(_) => Ok(heap.partition_of(partition_key)),
+        }
+    }
+
+    /// A fault site, hashed only when a fault injector will consult it.
+    #[inline]
+    fn site(&self, hash: impl FnOnce() -> u64) -> u64 {
+        match self.inner.faults {
+            Some(_) => hash(),
+            None => 0,
+        }
     }
 
     /// Resolve a batch of pointers issued from `from_node` synchronously:
@@ -967,21 +946,35 @@ impl SimCluster {
 
         struct Miss {
             idx: usize,
-            heap: Arc<HeapFile>,
+            /// Index into `heaps`.
+            heap: usize,
             partition: usize,
             /// Snapshot redirect; `None` reads through the pointer's own key.
             read_key: Option<PointerKey>,
             /// Normalized cache key, present only when the cluster caches.
             cache_key: Option<CacheKey>,
         }
+        // One heap per run of pointers into the same file: the catalog is
+        // consulted once per run, not once per pointer.
+        let mut heaps: Vec<Arc<HeapFile>> = Vec::new();
         let mut misses: Vec<Miss> = Vec::new();
         let mut sites: Vec<(usize, u64)> = Vec::new();
         for (idx, ptr) in ptrs.iter().enumerate() {
-            let routed = self.route_resolve(ptr).and_then(|(heap, partition)| {
-                let read_key = self.visible_read_key(&heap, partition, &ptr.key)?;
-                Ok((heap, partition, read_key))
+            if !heaps.last().is_some_and(|h| same_file(h.name(), &ptr.file)) {
+                match self.inner.catalog.heap(&ptr.file) {
+                    Ok(heap) => heaps.push(heap),
+                    Err(e) => {
+                        out[idx] = Some(Err(e));
+                        continue;
+                    }
+                }
+            }
+            let heap = heaps.len() - 1;
+            let routed = Self::route_resolve(&heaps[heap], ptr).and_then(|partition| {
+                let read_key = self.visible_read_key(&heaps[heap], partition, &ptr.key)?;
+                Ok((partition, read_key))
             });
-            let (heap, partition, read_key) = match routed {
+            let (partition, read_key) = match routed {
                 Ok(routed) => routed,
                 Err(e) => {
                     out[idx] = Some(Err(e));
@@ -991,7 +984,7 @@ impl SimCluster {
             let mut cache_key = None;
             if let Some(cache) = cache {
                 let key = read_key.as_ref().unwrap_or(&ptr.key);
-                let ck = Self::cache_key_for(&heap, partition, &ptr.file, key);
+                let ck = Self::cache_key_for(&heaps[heap], partition, &ptr.file, key);
                 if let Some(record) = cache.get(from_node, &ck) {
                     self.tally(|m| m.record_cache_hit_at(from_node));
                     out[idx] = Some(Ok(record));
@@ -999,7 +992,8 @@ impl SimCluster {
                 }
                 cache_key = Some(ck);
             }
-            sites.push((partition, read_site(&ptr.file, partition, &ptr.key)));
+            let site = self.site(|| read_site(&ptr.file, partition, &ptr.key));
+            sites.push((partition, site));
             misses.push(Miss {
                 idx,
                 heap,
@@ -1023,7 +1017,7 @@ impl SimCluster {
                     self.tally(|m| m.record_cache_miss_at(from_node));
                 }
                 let read_key = miss.read_key.as_ref().unwrap_or(&ptrs[miss.idx].key);
-                let (record, pages) = miss.heap.read(miss.partition, read_key)?;
+                let (record, pages) = heaps[miss.heap].read(miss.partition, read_key)?;
                 self.owe_page_stats(pages, &mut owed);
                 if let (Some(cache), Some(ck)) = (cache, miss.cache_key) {
                     cache.insert(from_node, ck, record.clone());
@@ -1037,6 +1031,82 @@ impl SimCluster {
             .map(|slot| slot.expect("every batch item resolved or failed"))
             .collect();
         (results, owed)
+    }
+}
+
+/// True when two file names are the same name: the pointer comparison
+/// settles every run of pointers minted from one name, the byte comparison
+/// the rest.
+fn same_file(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// The routing oracle: where a pointer will be served, decided without
+/// touching storage. It remembers the last file it looked up, so a run of
+/// pointers into one file — what a dispatch emits — costs one catalog
+/// lookup instead of one per pointer. Minted per walk by
+/// [`SimCluster::placement`]; a catalog change mid-walk can only cost
+/// locality (routing never decides an answer).
+pub struct Placement<'a> {
+    cluster: &'a SimCluster,
+    last: Option<(Arc<str>, StorageObject)>,
+}
+
+impl Placement<'_> {
+    /// The partition a non-broadcast pointer will be served from, if it
+    /// can be determined without touching storage.
+    ///
+    /// * Heap targets: the file's partitioner places the partition key
+    ///   (logical) or the key *is* the partition (physical).
+    /// * B-tree targets: the index placement's probe set for the logical
+    ///   key — a single partition for a global index. Local indexes probe
+    ///   every partition, so there is no single serving partition and the
+    ///   answer is `None`.
+    /// * Broadcast pointers and unknown files: `None`.
+    ///
+    /// This is the routing oracle for the executor's `Owner` policy; a
+    /// `None` simply means "no better placement known" and must not fail
+    /// the run.
+    pub fn partition_of(&mut self, ptr: &Pointer) -> Option<usize> {
+        let partition_key = ptr.partition_key.as_ref()?;
+        let object = match &self.last {
+            Some((name, object)) if same_file(name, &ptr.file) => object,
+            _ => {
+                let object = self.cluster.inner.catalog.get(&ptr.file).ok()?;
+                &self.last.insert((ptr.file.clone(), object)).1
+            }
+        };
+        match object {
+            StorageObject::Heap(heap) => match &ptr.key {
+                // A negative or out-of-range physical partition is not
+                // routable; `resolve` rejects it, the oracle just answers
+                // "no placement known" (it must not fail the run).
+                PointerKey::Physical(_) => partition_key
+                    .as_int()
+                    .and_then(|p| usize::try_from(p).ok())
+                    .filter(|&p| p < heap.partitions()),
+                PointerKey::Logical(_) => Some(heap.partition_of(partition_key)),
+            },
+            StorageObject::Btree(index) => {
+                let key = ptr.logical_key()?;
+                // Local indexes probe every partition, so the probe set
+                // pins nothing — but a placement hint recorded at build
+                // time can still name the one partition holding the key.
+                // Hints only steer routing; lookups keep probing the full
+                // placement set, so a stale or missing hint can never
+                // change an answer.
+                index
+                    .probe_partition_for_key(key)
+                    .or_else(|| index.hint_partition_for_key(key))
+            }
+        }
+    }
+
+    /// The node that owns the partition a pointer resolves to, if
+    /// determinable (see [`Placement::partition_of`]).
+    pub fn owner_of(&mut self, ptr: &Pointer) -> Option<usize> {
+        self.partition_of(ptr)
+            .map(|p| self.cluster.inner.node_of_partition(p))
     }
 }
 
@@ -1384,7 +1454,9 @@ impl IndexHandle {
             if on_node.is_some_and(|node| self.cluster.node_of_partition(p) != node) {
                 continue;
             }
-            let site = probe_site(self.index.name(), p, lo, hi.unwrap_or(lo));
+            let site = self
+                .cluster
+                .site(|| probe_site(self.index.name(), p, lo, hi.unwrap_or(lo)));
             self.cluster
                 .charge(
                     AccessClass::IndexProbe,
@@ -1510,12 +1582,15 @@ impl IndexHandle {
         let mut singles: Vec<(usize, usize)> = Vec::new();
         let mut sites: Vec<(usize, u64)> = Vec::new();
         for (idx, key) in keys.iter().enumerate() {
-            match self.index.probe_partitions_for_key(key)[..] {
-                [p] => {
+            match self.index.probe_partition_for_key(key) {
+                Some(p) => {
                     singles.push((idx, p));
-                    sites.push((p, probe_site(self.index.name(), p, key, key)));
+                    let site = self
+                        .cluster
+                        .site(|| probe_site(self.index.name(), p, key, key));
+                    sites.push((p, site));
                 }
-                _ => {
+                None => {
                     out[idx] = Some(self.probe(key, None, from_node, None, &mut owed));
                 }
             }

@@ -142,9 +142,9 @@ pub struct HeapFile {
     partitions: Vec<RwLock<PartitionStore>>,
     pool: Arc<BufferPool>,
     page_bytes: usize,
-    /// Page namespace: `heap:{name}`, so heap and index pages of the same
-    /// catalog name cannot collide in a shared pool.
-    page_ns: Arc<str>,
+    /// The pool's id for page namespace `heap:{name}`, so heap and index
+    /// pages of the same catalog name cannot collide in a shared pool.
+    page_ns: u32,
     /// Set (once, permanently) by the first versioned insert. Read-only
     /// and legacy write paths check this one relaxed flag and skip every
     /// MVCC branch while it is false — the zero-overhead gate.
@@ -180,7 +180,7 @@ impl HeapFile {
             .collect();
         let name: Arc<str> = Arc::from(name.as_ref());
         Ok(HeapFile {
-            page_ns: Arc::from(format!("heap:{name}")),
+            page_ns: pool.namespace(&page_ns_name(&name)),
             name,
             spec,
             partitioner,
@@ -216,7 +216,7 @@ impl HeapFile {
 
     fn page_id(&self, partition: usize, page_no: u32) -> PageId {
         PageId {
-            file: self.page_ns.clone(),
+            ns: self.page_ns,
             partition: partition as u32,
             page_no,
         }
@@ -530,13 +530,18 @@ impl HeapFile {
 
     /// Total bytes of this file's pages, resident or spilled.
     pub fn total_bytes(&self) -> usize {
-        self.pool.total_bytes_of(&self.page_ns)
+        self.pool.total_bytes_of(&page_ns_name(&self.name))
     }
 
     /// Bytes of this file's pages currently resident in the pool.
     pub fn resident_bytes(&self) -> usize {
-        self.pool.resident_bytes_of(&self.page_ns)
+        self.pool.resident_bytes_of(&page_ns_name(&self.name))
     }
+}
+
+/// The page namespace a heap file named `name` pages under.
+fn page_ns_name(name: &str) -> String {
+    format!("heap:{name}")
 }
 
 impl std::fmt::Debug for HeapFile {

@@ -46,7 +46,7 @@ pub use buffer::{
 };
 pub use cache::{CacheKey, RecordCache};
 pub use cluster::{
-    FileHandle, FileSpec, IndexHandle, SimCluster, SimClusterBuilder, WeakCluster,
+    FileHandle, FileSpec, IndexHandle, Placement, SimCluster, SimClusterBuilder, WeakCluster,
     MIN_MEMORY_BUDGET,
 };
 pub use cost::{CostModel, CostReport};

@@ -29,7 +29,7 @@ const RECORDS_PER_PAGE: usize = 8;
 
 fn pid(file: usize, page_no: u32) -> PageId {
     PageId {
-        file: Arc::from(format!("file-{file}").as_str()),
+        ns: file as u32,
         partition: 0,
         page_no,
     }

@@ -52,7 +52,8 @@ fn ptrs(n: i64) -> Vec<Pointer> {
 }
 
 /// Resolve every pointer as its own scalar call, all released together;
-/// returns how long the slowest took.
+/// returns how long the slowest took, timed from before the release (a
+/// start taken after it could miss reads that were already in service).
 fn resolve_concurrently(c: &SimCluster, ptrs: &[Pointer], from_node: usize) -> Duration {
     let barrier = Barrier::new(ptrs.len() + 1);
     let start = std::thread::scope(|s| {
@@ -63,8 +64,9 @@ fn resolve_concurrently(c: &SimCluster, ptrs: &[Pointer], from_node: usize) -> D
                 c.resolve(p, from_node).unwrap();
             });
         }
+        let start = Instant::now();
         barrier.wait();
-        Instant::now()
+        start
     });
     start.elapsed()
 }

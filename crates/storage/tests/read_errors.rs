@@ -100,10 +100,11 @@ fn every_read_rejects_an_unknown_partition() {
 /// every resident frame is pinned, and page 0 of both files is on disk.
 fn pin_every_resident_frame<'p>(pool: &'p BufferPool, heap: &HeapFile) -> Vec<PageGuard<'p>> {
     let pages = (heap.total_bytes() / PAGE_BYTES) as u32 + 1;
+    let ns = pool.namespace("heap:t");
     let mut guards = Vec::new();
     for page_no in (1..pages).rev() {
         let id = PageId {
-            file: Arc::from("heap:t"),
+            ns,
             partition: 0,
             page_no,
         };

@@ -6,8 +6,11 @@
 
 Each bench rewrites its own section of BENCH_smpe.json when it runs; the
 gate for a section re-checks that section's headline invariants from the
-file, so what CI asserts is what was emitted. Exits non-zero on the first
-failed assertion or an unknown section.
+file, so what CI asserts is what was emitted. Where a bench's counts are
+exact (ablation_memory's paging columns), the gate also holds them equal
+to the section committed at HEAD (`git show HEAD:BENCH_smpe.json`), so a
+change in what the buffer pool evicts cannot pass as noise. Exits non-zero
+on the first failed assertion or an unknown section.
 
 `openloop-bounds` asserts nothing: it prints the committed openloop
 ceilings as `fairness_max p99_over_p50_max` for a shell `read -r`, so
@@ -16,9 +19,25 @@ tightening the committed baseline tightens CI's smoke run.
 
 import json
 import os
+import subprocess
 import sys
 
-BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_smpe.json")
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+BASELINE = os.path.join(REPO, "BENCH_smpe.json")
+
+# ablation_memory columns the bench's single-threaded probe order makes
+# exact: any difference from the committed run is a change in what was
+# evicted, faulted or answered.
+MEMORY_EXACT_COLUMNS = (
+    "page_faults",
+    "page_evictions",
+    "resident_bytes",
+    "spilled_bytes",
+    "index_build_bytes",
+    "index_post_build_resident_bytes",
+    "answer_digest",
+    "records_resolved",
+)
 
 # The pool the fabric_* rows run on: a windowed fabric must hold more round
 # trips in flight than this many threads could by waiting inline.
@@ -43,7 +62,23 @@ def ablation_batching(section):
               f"{row['throughput_pointers_per_sec']:.0f} >= {serial['throughput_pointers_per_sec']:.0f} ptrs/s")
 
 
+def committed_section(name):
+    """`name`'s section of BENCH_smpe.json as committed at HEAD."""
+    text = subprocess.run(
+        ["git", "show", "HEAD:BENCH_smpe.json"], cwd=REPO, capture_output=True, text=True, check=True
+    ).stdout
+    return json.loads(text)[name]
+
+
 def ablation_memory(section):
+    committed = {r["config"]: r for r in committed_section("ablation_memory")["configs"]}
+    assert sorted(committed) == sorted(r["config"] for r in section["configs"]), (committed.keys(), section)
+    for r in section["configs"]:
+        base = committed[r["config"]]
+        for column in MEMORY_EXACT_COLUMNS:
+            assert r[column] == base[column], (r["config"], column, r[column], "committed", base[column])
+    print(f"memory counts ok: {len(committed)} configs equal the committed "
+          f"{', '.join(MEMORY_EXACT_COLUMNS)}")
     by_structures = {}
     for r in section["configs"]:
         by_structures.setdefault(r["structures"], []).append(r)
