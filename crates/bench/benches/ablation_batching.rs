@@ -24,7 +24,7 @@ use rede_core::prebuilt::{
     BtreeRangeDereferencer, DelimitedInterpreter, FieldType, IndexEntryReferencer,
     IndexLookupDereferencer, InterpretReferencer, LookupDereferencer,
 };
-use rede_storage::{FabricConfig, FileSpec, IndexSpec, IoModel, Partitioning, Record, SimCluster};
+use rede_storage::{FileSpec, IndexSpec, IoModel, Partitioning, Record, SimCluster};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,6 +52,7 @@ fn remote_heavy_io() -> IoModel {
         wal_fsync: Duration::ZERO,
         scan_batch: 1024,
         queue_depth: 1008,
+        wire_window: 16,
     }
 }
 
@@ -73,6 +74,7 @@ fn fabric_heavy_io() -> IoModel {
         wal_fsync: Duration::ZERO,
         scan_batch: 1024,
         queue_depth: 1008,
+        wire_window: 16,
     }
 }
 
@@ -309,7 +311,7 @@ fn bench_batching(c: &mut Criterion) {
                 &job,
                 name,
                 batching.max_batch,
-                FabricConfig::default().window,
+                remote_heavy_io().wire_window,
             )
         })
         .collect();
@@ -357,16 +359,19 @@ fn bench_batching(c: &mut Criterion) {
     // pool saturates the whole fabric, so peak in-flight concurrency and
     // throughput both climb with K while every answer stays
     // byte-identical. K = 1 — one outstanding flight per node — is the
-    // serial baseline.
-    let fabric_cluster = fixture_with(FABRIC_NODES, FABRIC_PARTS, FABRIC_NODES, fabric_heavy_io());
+    // serial baseline. The window is the network's, so each K gets its own
+    // cluster.
     let fabric_job = join_job_with(FABRIC_PARTS);
     let fabric_runner = |window: usize| {
+        let io = IoModel {
+            wire_window: window,
+            ..fabric_heavy_io()
+        };
         JobRunner::new(
-            fabric_cluster.clone(),
+            fixture_with(FABRIC_NODES, FABRIC_PARTS, FABRIC_NODES, io),
             ExecutorConfig::smpe(POOL)
                 .with_routing(RoutingPolicy::Producer)
-                .with_batching(Batching::default())
-                .with_fabric(FabricConfig::window(window)),
+                .with_batching(Batching::default()),
         )
     };
     let sweep: Vec<(&'static str, usize)> = vec![

@@ -50,6 +50,7 @@ fn paged_io() -> IoModel {
         wal_fsync: Duration::ZERO,
         scan_batch: 1024,
         queue_depth: 1008,
+        wire_window: 16,
     }
 }
 

@@ -6,7 +6,7 @@
 //! asking again, so the system quietly rate-limits its own load — the
 //! arrival process here never slows down: above saturation the gate must
 //! *shed* (`Overloaded` at the front door) while the admitted work keeps
-//! completing. The sweep reports p50/p99/p99.9 latency (measured from
+//! completing. The sweep reports p50/p99 latency (measured from
 //! each arrival's scheduled time), goodput, shed rate, and per-tenant
 //! fairness at every offered-load point, then rewrites the `openloop`
 //! section of `BENCH_smpe.json`.
@@ -115,7 +115,7 @@ fn render_section(
                     "\"arrivals\": {}, \"completed\": {}, \"completed_in_window\": {}, ",
                     "\"shed\": {}, \"shed_rate\": {:.4}, ",
                     "\"goodput_jobs_per_sec\": {:.2}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, ",
-                    "\"p999_ms\": {:.2}, \"fairness_ratio\": {:.2}, \"per_tenant_completed\": {:?}, ",
+                    "\"fairness_ratio\": {:.2}, \"per_tenant_completed\": {:?}, ",
                     "\"faults_injected\": {}, \"retries\": {}, \"rerouted_reads\": {} }}"
                 ),
                 p.multiplier,
@@ -128,7 +128,6 @@ fn render_section(
                 p.goodput(),
                 p.p50.as_secs_f64() * 1e3,
                 p.p99.as_secs_f64() * 1e3,
-                p.p999.as_secs_f64() * 1e3,
                 p.fairness_ratio(),
                 p.per_tenant_completed,
                 p.faults_injected,
@@ -222,21 +221,12 @@ fn main() {
         report.capacity_estimate
     );
     println!(
-        "{:>6} {:>9} {:>9} {:>6} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9}  per-tenant",
-        "x cap",
-        "offered/s",
-        "arrivals",
-        "done",
-        "shed",
-        "shed%",
-        "goodput/s",
-        "p50",
-        "p99",
-        "p99.9"
+        "{:>6} {:>9} {:>9} {:>6} {:>6} {:>8} {:>9} {:>9} {:>9}  per-tenant",
+        "x cap", "offered/s", "arrivals", "done", "shed", "shed%", "goodput/s", "p50", "p99"
     );
     for p in &report.points {
         println!(
-            "{:>6.2} {:>9.1} {:>9} {:>6} {:>6} {:>7.1}% {:>9.1} {:>9} {:>9} {:>9}  {:?} (ratio {:.2})",
+            "{:>6.2} {:>9.1} {:>9} {:>6} {:>6} {:>7.1}% {:>9.1} {:>9} {:>9}  {:?} (ratio {:.2})",
             p.multiplier,
             p.offered_rate,
             p.arrivals,
@@ -246,7 +236,6 @@ fn main() {
             p.goodput(),
             fmt_duration(p.p50),
             fmt_duration(p.p99),
-            fmt_duration(p.p999),
             p.per_tenant_completed,
             p.fairness_ratio(),
         );

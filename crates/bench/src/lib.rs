@@ -470,7 +470,6 @@ pub struct OpenLoopPoint {
     /// counts as latency, not as reduced load).
     pub p50: Duration,
     pub p99: Duration,
-    pub p999: Duration,
     /// Completed queries per tenant — the fairness signal.
     pub per_tenant_completed: Vec<usize>,
     /// Injected faults survived during this point (0 without a plan).
@@ -772,7 +771,6 @@ fn run_point(
         wall,
         p50: percentile(&latencies, 0.50),
         p99: percentile(&latencies, 0.99),
-        p999: percentile(&latencies, 0.999),
         per_tenant_completed,
         faults_injected: recovery.faults_injected,
         retries: recovery.retries,

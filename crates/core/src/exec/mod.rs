@@ -21,7 +21,7 @@ pub mod wrr;
 
 use crate::job::Job;
 use rede_common::{ExecProfile, MetricsSnapshot, Result};
-use rede_storage::{FabricConfig, Record, SimCluster};
+use rede_storage::{Record, SimCluster};
 use std::time::Duration;
 
 pub use thread_pool::ThreadPool;
@@ -122,11 +122,6 @@ pub struct ExecutorConfig {
     pub routing: RoutingPolicy,
     /// Dispatcher-side pointer coalescing (default on; see [`Batching`]).
     pub batching: Batching,
-    /// Per-node in-flight window of the event-driven completion layer
-    /// that carries every remote round trip: a dereference that owes one
-    /// flies it under this window once its device time has landed — see
-    /// `rede_storage::fabric` and the smpe module docs.
-    pub fabric: FabricConfig,
 }
 
 impl Default for ExecutorConfig {
@@ -138,7 +133,6 @@ impl Default for ExecutorConfig {
             collect_outputs: false,
             routing: RoutingPolicy::default(),
             batching: Batching::default(),
-            fabric: FabricConfig::default(),
         }
     }
 }
@@ -179,12 +173,6 @@ impl ExecutorConfig {
         self.batching = batching;
         self
     }
-
-    /// Use a specific per-node in-flight window for remote round trips.
-    pub fn with_fabric(mut self, fabric: FabricConfig) -> ExecutorConfig {
-        self.fabric = fabric;
-        self
-    }
 }
 
 /// Outcome of one job run.
@@ -222,11 +210,7 @@ impl JobRunner {
     /// so run timings exclude thread creation.
     pub fn new(cluster: SimCluster, config: ExecutorConfig) -> JobRunner {
         let substrate = match config.mode {
-            ExecMode::Smpe => Some(smpe::Substrate::new(
-                cluster.clone(),
-                config.pool_threads,
-                config.fabric,
-            )),
+            ExecMode::Smpe => Some(smpe::Substrate::new(cluster.clone(), config.pool_threads)),
             ExecMode::Partitioned => None,
         };
         JobRunner {

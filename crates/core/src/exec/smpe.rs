@@ -71,20 +71,21 @@
 //! dispatch still [`Owed`]: device slots, page-fault service, retry
 //! backoff, and one network round trip. Nothing owed (a latency-free
 //! model) routes the outputs at once. Otherwise the pool thread is freed
-//! and the outputs wait for events: the cluster's per-node device queues
-//! admit each access to one of its node's `queue_depth` slots and fire
-//! when the last lands (`SimCluster::settle`); if a round trip is owed it
-//! then rides a [`SimFabric`] flight, each node owning a window of at most
-//! `window` of those ([`FabricConfig`]); and the completion re-enqueues a
-//! `FlightDone` continuation on the submitting node's weighted queue. The
-//! dispatcher routes the buffered outputs inline (pure CPU work: the walk
-//! above, fused referencers included). No pool
-//! thread ever blocks on simulated time, so the pool is sized to the
-//! machine's cores, not to the I/O concurrency wanted — that is the device
-//! queue's depth. The continuation carries the dispatch's in-flight
-//! tokens; a job therefore cannot finish — and cancellation cannot
-//! complete — until every one of its flights has landed and returned its
-//! tokens.
+//! and the outputs wait for events on the cluster's one event loop
+//! (`SimCluster::settle`): each access takes one of its serving node's
+//! `queue_depth` device slots; if a round trip is owed it then flies on
+//! the submitting node's wire lane, at most `IoModel::wire_window` of them
+//! in the air per node; and the last landing re-enqueues a `FlightDone`
+//! continuation on the submitting node's weighted queue. The dispatcher
+//! routes the buffered outputs inline (pure CPU work: the walk above,
+//! fused referencers included). No pool thread ever blocks on simulated
+//! time, so the pool is sized to the machine's cores, not to the I/O
+//! concurrency wanted — that is the device queue's depth. The continuation
+//! carries the dispatch's in-flight tokens; a job therefore cannot finish
+//! — and cancellation cannot complete — until every one of its flights has
+//! landed and returned its tokens. A flight still in the air when the
+//! substrate drops lands later on the cluster's thread, sees `shutdown`
+//! and releases its tokens.
 //!
 //! **Routing.** A non-broadcast pointer names the partition its target
 //! record lives in, and partition placement is static — so the executor
@@ -105,7 +106,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use rede_common::{
     Counter, ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile,
 };
-use rede_storage::{FabricConfig, Owed, Placement, Pointer, Record, SimCluster, SimFabric};
+use rede_storage::{Owed, Placement, Pointer, Record, SimCluster};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -352,9 +353,6 @@ struct Shared {
     /// inline referencers never reach the pool at all), so the catch
     /// site feeds this counter directly.
     panics: Arc<AtomicU64>,
-    /// Event-driven completion layer carrying every owed round trip (the
-    /// device time before it is the cluster's own queues').
-    fabric: SimFabric,
 }
 
 impl Shared {
@@ -719,9 +717,10 @@ impl JobState {
         }
     }
 
-    /// Simulated time is owed: settle it as events. The dispatch's `tokens`
-    /// travel with its buffered outputs and return through
-    /// [`JobState::land`] when the last event fires.
+    /// Simulated time is owed: settle it as events on the cluster's loop
+    /// (device phases, then the round trip under `node`'s wire window).
+    /// The dispatch's `tokens` travel with its buffered outputs and return
+    /// through [`JobState::land`] when the last event fires.
     fn fly(
         self: &Arc<Self>,
         node: usize,
@@ -731,44 +730,8 @@ impl JobState {
         owed: Owed,
     ) {
         let job = self.clone();
-        self.cluster.settle(owed, move |rtt| {
-            job.devices_landed(node, stage, outputs, tokens, rtt)
-        });
-    }
-
-    /// The complete half of a dispatch that owed simulated time, called
-    /// when its device phases have landed (on the device queue's thread)
-    /// with the round trip still owed. No round trip — what owner routing
-    /// makes of nearly every dereference — lands the outputs at once;
-    /// otherwise they ride a fabric flight under the submitting node's
-    /// window first. Only that network flight moves the fabric counters.
-    fn devices_landed(
-        self: &Arc<Self>,
-        node: usize,
-        stage: usize,
-        outputs: Vec<StageOutput>,
-        tokens: u64,
-        rtt: Duration,
-    ) {
-        if rtt.is_zero() {
-            return self.land(node, stage, outputs, tokens);
-        }
-        self.tally(|m| m.record_flight_begin());
-        let job = self.clone();
-        let stalled = self.shared.fabric.submit(
-            node,
-            rtt,
-            Box::new(move || {
-                job.tally(|m| {
-                    m.add(Counter::fabric_completions, 1);
-                    m.record_flight_end();
-                });
-                job.land(node, stage, outputs, tokens);
-            }),
-        );
-        if stalled {
-            self.tally(|m| m.add(Counter::window_stalls, 1));
-        }
+        self.cluster
+            .settle(node, owed, move || job.land(node, stage, outputs, tokens));
     }
 
     /// A dispatch's last event has landed: re-enqueue the continuation on
@@ -1415,7 +1378,7 @@ impl Substrate {
     /// denominator and the upper bound on workers; no worker ever waits on
     /// simulated time, so more of them than cores would only add context
     /// switches.
-    pub(crate) fn new(cluster: SimCluster, pool_threads: usize, fabric: FabricConfig) -> Substrate {
+    pub(crate) fn new(cluster: SimCluster, pool_threads: usize) -> Substrate {
         let nodes = cluster.nodes();
         let pool = Arc::new(ThreadPool::cpu_bound(pool_threads, "rede-smpe"));
         let shared = Arc::new(Shared {
@@ -1424,7 +1387,6 @@ impl Substrate {
             pool_threads: pool_threads.max(1),
             shutdown: AtomicBool::new(false),
             panics: pool.panic_counter(),
-            fabric: SimFabric::new(fabric),
         });
         let dispatchers = (0..nodes)
             .map(|node| {
@@ -1462,11 +1424,6 @@ impl Substrate {
     /// errors) since the substrate was created.
     pub(crate) fn pool_panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
-    }
-
-    /// Flights currently armed or window-queued in the fabric; 0 at rest.
-    pub(crate) fn fabric_in_flight(&self) -> usize {
-        self.shared.fabric.in_flight()
     }
 
     /// Admit a job: seed stage 0 on every node and return its state (the
@@ -1537,11 +1494,6 @@ impl Substrate {
 
 impl Drop for Substrate {
     fn drop(&mut self) {
-        // Land every outstanding flight *before* stopping the dispatchers:
-        // fabric shutdown fires all completions, whose continuations (or
-        // token releases) must still find live queues so no job is left
-        // holding tokens a dead fabric can never return.
-        self.shared.fabric.shutdown();
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_all_dispatchers();
         for d in self.dispatchers.drain(..) {
@@ -1594,7 +1546,7 @@ mod tests {
     #[test]
     fn a_flush_that_observes_cancellation_returns_exactly_its_tokens() {
         let cluster = SimCluster::builder().nodes(1).build().unwrap();
-        let substrate = Substrate::new(cluster, 1, FabricConfig::default());
+        let substrate = Substrate::new(cluster, 1);
         // Declared after the substrate, so dropped before it.
         let release = ReleaseOnDrop(Arc::new(AtomicBool::new(false)));
         let entered = Arc::new(AtomicBool::new(false));

@@ -39,7 +39,7 @@ use crate::maintenance::IndexBuilder;
 use crate::JobResult;
 use parking_lot::{Condvar, Mutex};
 use rede_common::{RedeError, Result};
-use rede_storage::{FabricConfig, Record, SimCluster};
+use rede_storage::{Record, SimCluster};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -65,10 +65,6 @@ pub struct SchedulerConfig {
     /// queued — fair-share weights keep admitted jobs honest, this keeps
     /// the *backlog* honest. `None` (the default) admits everything.
     pub max_tenant_queue_depth: Option<usize>,
-    /// Per-node in-flight window of the event-driven completion layer
-    /// that carries every remote round trip, shared by all jobs (see
-    /// `rede_storage::fabric`).
-    pub fabric: FabricConfig,
 }
 
 impl Default for SchedulerConfig {
@@ -79,7 +75,6 @@ impl Default for SchedulerConfig {
             routing: RoutingPolicy::default(),
             batching: Batching::default(),
             max_tenant_queue_depth: None,
-            fabric: FabricConfig::default(),
         }
     }
 }
@@ -245,8 +240,8 @@ pub struct SchedulerStats {
     pub deadline_aborts: u64,
     /// Submissions refused by per-tenant admission control.
     pub rejected_jobs: u64,
-    /// Fabric flights currently armed or window-queued; 0 at rest (every
-    /// flight lands).
+    /// Events armed or queued on the cluster's loop, device and wire
+    /// (`SimCluster::fabric_in_flight`); 0 at rest (every flight lands).
     pub fabric_in_flight: usize,
 }
 
@@ -375,7 +370,7 @@ impl HarborScheduler {
     /// Stand up a scheduler over `cluster`: spawns the shared pool and
     /// per-node dispatchers eagerly.
     pub fn new(cluster: SimCluster, config: SchedulerConfig) -> HarborScheduler {
-        let substrate = Substrate::new(cluster, config.pool_threads, config.fabric);
+        let substrate = Substrate::new(cluster, config.pool_threads);
         let deadline_aborts = Arc::new(AtomicU64::new(0));
         let deadlines = Arc::new(DeadlineWatcher::new(deadline_aborts.clone()));
         let watcher = deadlines.clone();
@@ -540,7 +535,7 @@ impl HarborScheduler {
             pool_panics: self.core.substrate.pool_panics(),
             deadline_aborts: self.core.deadline_aborts.load(Ordering::SeqCst),
             rejected_jobs: self.core.rejected.load(Ordering::SeqCst),
-            fabric_in_flight: self.core.substrate.fabric_in_flight(),
+            fabric_in_flight: self.core.substrate.cluster().fabric_in_flight(),
         }
     }
 }

@@ -18,7 +18,7 @@ use crate::buffer::{
 };
 use crate::cache::{CacheKey, RecordCache};
 use crate::catalog::{Catalog, StorageObject};
-use crate::fabric::{Completion, FabricConfig, Run, SimFabric};
+use crate::fabric::{Completion, Lane, Run, SimFabric};
 use crate::faults::{AccessClass, FaultDecision, FaultInjector, FaultPlan};
 use crate::heap_file::HeapFile;
 use crate::io_model::{IoModel, Owed, Phase};
@@ -133,12 +133,13 @@ struct ClusterInner {
     nodes: usize,
     io: IoModel,
     metrics: Metrics,
-    /// The per-node device queues: one fabric whose window is
-    /// `io.queue_depth`. Every charged access is a flight holding one of
-    /// its serving node's slots for its modeled device time. Behind an
-    /// `Arc` because the continuation of a multi-phase [`Owed`] submits its
-    /// next phase from the fabric's own thread.
-    devices: Arc<SimFabric>,
+    /// The cluster's one event loop, two lanes per node: `io.queue_depth`
+    /// device slots, each charged access holding one of its serving node's
+    /// for its modeled device time, and an `io.wire_window` of round trips
+    /// in the air. Behind an `Arc` because the continuation of a
+    /// multi-phase [`Owed`] submits its next phase from the loop's own
+    /// thread.
+    fabric: Arc<SimFabric>,
     catalog: Catalog,
     /// Page frames for every heap file and index created on this cluster,
     /// charging the same byte budget as the record cache.
@@ -161,7 +162,7 @@ impl Drop for ClusterInner {
     /// every outstanding completion fires before the queue's thread is
     /// joined, so no waiter or in-flight token is stranded.
     fn drop(&mut self) {
-        self.devices.shutdown();
+        self.fabric.shutdown();
     }
 }
 
@@ -331,13 +332,16 @@ impl SimClusterBuilder {
             // cache is the sink of last resort before waiting on pins.
             pool.set_shrinker(cache.clone() as Arc<dyn ShrinkBytes>);
         }
-        let devices = Arc::new(SimFabric::new(FabricConfig::window(self.io.queue_depth)));
+        let fabric = Arc::new(SimFabric::new(
+            self.io.queue_depth.max(1),
+            self.io.wire_window.max(1),
+        ));
         Ok(SimCluster {
             inner: Arc::new(ClusterInner {
                 nodes: self.nodes,
                 io: self.io,
                 metrics: self.metrics.unwrap_or_default(),
-                devices,
+                fabric,
                 catalog: Catalog::new(),
                 pool,
                 cache,
@@ -480,10 +484,10 @@ impl SimCluster {
     /// the accesses in service there right now. Equals `queue_depth`
     /// everywhere whenever the cluster is at rest.
     pub fn available_iops_permits(&self) -> Vec<usize> {
-        let devices = &self.inner.devices;
-        let in_service = devices.in_service();
+        let fabric = &self.inner.fabric;
+        let in_service = fabric.in_service(Lane::Device);
         (0..self.inner.nodes)
-            .map(|node| devices.window() - in_service.get(node).copied().unwrap_or(0))
+            .map(|node| fabric.capacity(Lane::Device) - in_service.get(node).copied().unwrap_or(0))
             .collect()
     }
 
@@ -492,9 +496,15 @@ impl SimCluster {
     /// device model's conservation law: the same accesses cost the same
     /// slot time however they were grouped into calls.
     pub fn device_slot_time(&self) -> Vec<Duration> {
-        let mut per_node = self.inner.devices.slot_time();
+        let mut per_node = self.inner.fabric.slot_time(Lane::Device);
         per_node.resize(self.inner.nodes, Duration::ZERO);
         per_node
+    }
+
+    /// Diagnostic: events armed or queued on the cluster's loop, device
+    /// and wire alike; 0 at rest.
+    pub fn fabric_in_flight(&self) -> usize {
+        self.inner.fabric.in_flight()
     }
 
     /// The fault injector attached at build time, if any. `None` means
@@ -628,53 +638,76 @@ impl SimCluster {
         admitted
     }
 
-    /// Settle what a submit returned as events, occupying no thread: walk
-    /// `owed`'s phases through the device queues — every access is
-    /// admitted to one of its serving node's `queue_depth` slots (FIFO
-    /// behind whatever is already queued there), holds it for its modeled
-    /// time with this handle's scope gauge up, and the phase's wait starts
-    /// when its last access lands — then call `complete` with the network
-    /// round trip still owed (the caller flies it under its own window, or
-    /// waits it inline). `complete` runs on the device queue's thread, or
-    /// right here when no device time is owed; it must not block.
-    pub fn settle(&self, owed: Owed, complete: impl FnOnce(Duration) + Send + 'static) {
+    /// Settle what a submit issued from `node` returned as events,
+    /// occupying no thread: walk `owed`'s phases through the device lanes —
+    /// every access is admitted to one of its serving node's `queue_depth`
+    /// slots (FIFO behind whatever is already queued there), holds it for
+    /// its modeled time with this handle's scope gauge up, and the phase's
+    /// wait starts when its last access lands — then fly the round trip,
+    /// if one is owed, on `node`'s wire lane of the same loop, and call
+    /// `complete` when it lands. `complete` runs on the loop's thread, or
+    /// right here when nothing is owed; it must not block. An owed round
+    /// trip keeps a handle to the cluster until it has landed.
+    pub fn settle(&self, node: usize, owed: Owed, complete: impl FnOnce() + Send + 'static) {
         let Owed { phases, rtt } = owed;
+        let mut done: Completion = Box::new(complete);
+        if !rtt.is_zero() {
+            let cluster = self.clone();
+            done = Box::new(move || cluster.fly(node, rtt, done));
+        }
         run_phases(
-            self.inner.devices.clone(),
+            self.inner.fabric.clone(),
             self.scope.clone(),
             phases.into_iter(),
-            Box::new(move || complete(rtt)),
+            done,
         );
+    }
+
+    /// Fly one round trip of `rtt` under `node`'s wire window, then run
+    /// `complete`. Only this flight moves the fabric counters.
+    fn fly(&self, node: usize, rtt: Duration, complete: Completion) {
+        self.tally(|m| m.record_flight_begin());
+        let cluster = self.clone();
+        let landed = Box::new(move || {
+            cluster.tally(|m| {
+                m.add(Counter::fabric_completions, 1);
+                m.record_flight_end();
+            });
+            complete();
+        });
+        if self.inner.fabric.submit(node, Lane::Wire, rtt, landed) {
+            self.tally(|m| m.add(Counter::window_stalls, 1));
+        }
     }
 
     /// The complete half of a synchronous access: the same phases through
     /// the same device slots as [`SimCluster::settle`], waited on the
     /// calling thread. A lone access sleeps in its slot right here; the
-    /// accesses of a batch ride the queue's events so they overlap, and
+    /// accesses of a batch ride the loop's events so they overlap, and
     /// the caller blocks until the last lands. Then the phase's wait, and
-    /// finally the round trip, are slept inline — the RTT is one flight in
-    /// the air, so the in-flight gauge makes the caller-bound concurrency
-    /// of synchronous access directly comparable to the fabric's
-    /// in-flight peak.
+    /// finally the round trip, are slept inline and unwindowed — the RTT
+    /// is one flight in the air, so the in-flight gauge makes the
+    /// caller-bound concurrency of synchronous access directly comparable
+    /// to the wire's in-flight peak.
     pub fn wait(&self, owed: Owed) {
-        let devices = &self.inner.devices;
+        let fabric = &self.inner.fabric;
         for Phase { accesses, then } in owed.phases {
             match accesses[..] {
                 [] => {}
-                [(node, time)] => devices.hold(node, time, self.scope.as_ref()),
+                [(node, time)] => fabric.hold(node, Lane::Device, time, self.scope.as_ref()),
                 _ => {
                     let (landed_tx, landed) = std::sync::mpsc::sync_channel(1);
                     submit_phase(
-                        devices,
+                        fabric,
                         self.scope.as_ref(),
                         accesses,
                         Box::new(move || {
                             let _ = landed_tx.send(());
                         }),
                     );
-                    landed.recv().expect(
-                        "the device queue fires every completion, at shutdown at the latest",
-                    );
+                    landed
+                        .recv()
+                        .expect("the event loop fires every completion, at shutdown at the latest");
                 }
             }
             if !then.is_zero() {
@@ -1114,7 +1147,7 @@ impl Placement<'_> {
 /// phase's accesses, start its wait when the last of them lands, recurse
 /// when the wait is over, and run `done` after the final phase.
 fn run_phases(
-    devices: Arc<SimFabric>,
+    fabric: Arc<SimFabric>,
     scope: Option<Arc<IoScope>>,
     mut phases: std::vec::IntoIter<Phase>,
     done: Completion,
@@ -1122,10 +1155,10 @@ fn run_phases(
     let Some(Phase { accesses, then }) = phases.next() else {
         return done();
     };
-    let (queue, flight_scope) = (devices.clone(), scope.clone());
+    let (queue, flight_scope) = (fabric.clone(), scope.clone());
     let landed: Completion = Box::new(move || {
-        let timer = devices.clone();
-        let rest: Completion = Box::new(move || run_phases(devices, scope, phases, done));
+        let timer = fabric.clone();
+        let rest: Completion = Box::new(move || run_phases(fabric, scope, phases, done));
         if then.is_zero() {
             rest()
         } else {
@@ -1135,7 +1168,7 @@ fn run_phases(
     submit_phase(&queue, flight_scope.as_ref(), accesses, landed);
 }
 
-/// Submit one phase's accesses to the device queues together — each takes
+/// Submit one phase's accesses to the device lanes together — each takes
 /// one slot of its serving node for its own device time — and run `landed`
 /// when the last of them has landed (at once if there are none).
 ///
@@ -1145,7 +1178,7 @@ fn run_phases(
 /// one timer event per wave and one completion, where each access still
 /// holds one slot for its own modeled time.
 fn submit_phase(
-    devices: &SimFabric,
+    fabric: &SimFabric,
     scope: Option<&Arc<IoScope>>,
     accesses: Vec<(usize, Duration)>,
     landed: Completion,
@@ -1159,6 +1192,7 @@ fn submit_phase(
     }
     let run = |(node, delay, count), complete| Run {
         node,
+        lane: Lane::Device,
         delay,
         count,
         complete,
@@ -1166,7 +1200,7 @@ fn submit_phase(
     match runs[..] {
         [] => landed(),
         [only] => {
-            devices.submit_all(scope, [run(only, landed)]);
+            fabric.submit_all(scope, [run(only, landed)]);
         }
         _ => {
             // (runs still queued or in service, what the last to land runs)
@@ -1186,7 +1220,7 @@ fn submit_phase(
                     run(r, complete)
                 })
                 .collect();
-            devices.submit_all(scope, runs);
+            fabric.submit_all(scope, runs);
         }
     }
 }

@@ -1,39 +1,43 @@
-//! Event-driven completion layer: `SimFabric`.
+//! The cluster's event loop: `SimFabric`.
 //!
-//! One windowed deadline queue serves both places the simulation waits
-//! without occupying a thread (DESIGN.md § 7):
+//! One deadline heap on one timer thread per cluster serves every place the
+//! simulation waits without occupying a thread (DESIGN.md § 7). Each node
+//! owns two **lanes**, each a window of slots with its own capacity,
+//! in-flight count, FIFO queue and slot time:
 //!
-//! * **The network.** A dispatch that owes a remote round trip is
-//!   **submitted** with its completion delay; the issuing thread returns to
-//!   CPU work and the fabric thread fires the continuation when the round
-//!   trip "lands". Slept on a pool thread, that RTT would cap cross-node
-//!   concurrency by the pool size instead of by the fabric.
-//! * **The devices.** Every `SimCluster` owns a second instance whose
-//!   window is the I/O model's `queue_depth`: each charged access holds
-//!   one of its serving node's slots for its modeled device time. "At most
-//!   `window` outstanding, FIFO pending, deadline taken at promotion" is
-//!   exactly an IOPS limiter.
+//! * **[`Lane::Device`]**, `IoModel::queue_depth` slots. Each charged
+//!   access holds one of its serving node's slots for its modeled device
+//!   time. "At most `capacity` outstanding, FIFO pending, deadline taken at
+//!   promotion" is exactly an IOPS limiter.
+//! * **[`Lane::Wire`]**, `IoModel::wire_window` slots. A dispatch that owes
+//!   a network round trip flies it on its submitting node's wire lane once
+//!   its device time has landed; the issuing thread returns to CPU work and
+//!   the timer thread fires the continuation when the round trip lands.
+//!   Slept on a pool thread, that RTT would cap cross-node concurrency by
+//!   the pool size instead of by the window.
 //!
-//! **Runs.** The unit submitted is a [`Run`]: `count` requests to one node
-//! with one delay and one completion. Requests granted their slots at the
-//! same instant share a deadline, so they are one heap entry and one timer
-//! event — a *wave* — however many they are: a run takes `min(count, free)`
-//! slots at once, the rest queue FIFO (behind anything already waiting on
-//! that node) and follow in waves as slots return, and the completion
-//! fires once, with the last wave. Per request nothing changes: one slot,
-//! held for exactly its own delay, counted in `in_service`, `slot_time`
-//! and the submitter's held-slot gauge. The network flies runs of one; a
-//! device queue receives the equal reads of a batch as one run, so a
-//! batch costs the timer thread an event per wave instead of one per read.
+//! **Runs.** The unit submitted is a [`Run`]: `count` requests to one lane
+//! of one node with one delay and one completion. Requests granted their
+//! slots at the same instant share a deadline, so they are one heap entry
+//! and one timer event — a *wave* — however many they are: a run takes
+//! `min(count, free)` slots at once, the rest queue FIFO (behind anything
+//! already waiting on that lane) and follow in waves as slots return, and
+//! the completion fires once, with the last wave. Per request nothing
+//! changes: one slot, held for exactly its own delay, counted in
+//! `in_service`, `slot_time` and the submitter's held-slot gauge. The wire
+//! flies runs of one; a device lane receives the equal reads of a batch as
+//! one run, so a batch costs the timer thread an event per wave instead of
+//! one per read.
 //!
 //! Two properties make this a pure scheduling transformation:
 //!
-//! * **Per-node in-flight windows.** Each node may keep at most `window`
-//!   requests in the air; further submissions queue behind them (FIFO per
-//!   node, counted as window stalls) and take their deadline at
-//!   *promotion* time, exactly as a real initiator with a bounded
+//! * **Per-lane in-flight windows.** Each lane of each node keeps at most
+//!   its capacity of requests in the air; further submissions queue behind
+//!   them (FIFO per lane, counted as window stalls) and take their deadline
+//!   at *promotion* time, exactly as a real initiator with a bounded
 //!   outstanding-request window — or a device with a bounded queue — would.
-//!   `window` is the knob the in-flight sweep in `ablation_batching`
+//!   A full device lane never stalls the same node's wire, nor the reverse.
+//!   The wire window is the knob the in-flight sweep in `ablation_batching`
 //!   measures.
 //! * **Fault-at-submit.** All fault-injector consultation, retry
 //!   accounting, counters, and cache updates happen on the submitting
@@ -41,12 +45,12 @@
 //!   run issues exactly the same injector consults in exactly the same
 //!   order whatever the window, and completions carry only CPU work.
 //!
-//! The timer thread is spawned by the first flight armed, so a fabric that
-//! never carries one (a latency-free cluster, an all-local job, a cluster
-//! only ever read one synchronous access at a time) costs no thread.
-//! Completions always run outside the fabric lock, and shutdown fires
-//! every remaining completion immediately (a dropped completion would
-//! strand its job's in-flight tokens forever).
+//! The timer thread is spawned by the first flight armed, so a loop that
+//! never carries one (a latency-free cluster, a cluster only ever read one
+//! synchronous access at a time) costs no thread. Completions always run
+//! outside the loop's lock, and shutdown fires every remaining completion
+//! immediately (a dropped completion would strand its job's in-flight
+//! tokens forever).
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use rede_common::{IoScope, PermitHold};
@@ -54,46 +58,30 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration for the event-driven fabric.
+/// One of a node's two resources, each a window of slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabricConfig {
-    /// Maximum remote batches one node keeps in flight; submissions over
-    /// the window queue FIFO behind the outstanding ones. Clamped to ≥ 1.
-    pub window: usize,
+pub(crate) enum Lane {
+    /// Device slots: `IoModel::queue_depth` per node.
+    Device,
+    /// Wire window: `IoModel::wire_window` round trips per node.
+    Wire,
 }
 
-impl FabricConfig {
-    /// A fabric window of `window` outstanding batches per node.
-    pub fn window(window: usize) -> FabricConfig {
-        FabricConfig {
-            window: window.max(1),
-        }
-    }
-}
-
-impl Default for FabricConfig {
-    /// Default outstanding-request window (16 per node): deep enough to
-    /// saturate an RTT-dominant fabric from a small pool, shallow enough
-    /// that one node cannot monopolize the completion thread.
-    fn default() -> FabricConfig {
-        FabricConfig { window: 16 }
-    }
-}
-
-/// What a flight runs when it lands (on the fabric thread, or inline on
+/// What a flight runs when it lands (on the timer thread, or inline on
 /// the submitter during teardown).
-pub type Completion = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Completion = Box<dyn FnOnce() + Send + 'static>;
 
-/// One submission: `count` requests to `node`, each holding one of its
-/// window slots for `delay`, and what runs when the last of them has
-/// landed. The network flies runs of one; a device queue receives the
-/// equal accesses of a charge as one run, so a batch of reads costs one
-/// event per wave instead of one per read.
-pub struct Run {
-    pub node: usize,
-    pub delay: Duration,
-    pub count: usize,
-    pub complete: Completion,
+/// One submission: `count` requests to `lane` of `node`, each holding one
+/// of its slots for `delay`, and what runs when the last of them has
+/// landed. The wire flies runs of one; a device lane receives the equal
+/// accesses of a charge as one run, so a batch of reads costs one event
+/// per wave instead of one per read.
+pub(crate) struct Run {
+    pub(crate) node: usize,
+    pub(crate) lane: Lane,
+    pub(crate) delay: Duration,
+    pub(crate) count: usize,
+    pub(crate) complete: Completion,
 }
 
 /// A flight armed in the completion heap: the part of a run (all of it,
@@ -102,9 +90,9 @@ struct Flight {
     deadline: Instant,
     /// Submission sequence, the deterministic tie-break for equal deadlines.
     seq: u64,
-    /// The node whose window this flight occupies and how many of its
+    /// The lane whose window this flight occupies and how many of its
     /// slots; `None` for a bare timer ([`SimFabric::after`]).
-    slots: Option<(usize, usize)>,
+    slots: Option<(usize, Lane, usize)>,
     /// The submitting job's held-slot gauge, up from grant to landing.
     _hold: Option<PermitHold>,
     /// What landing fires. Only the *last-granted* part of a run carries
@@ -135,7 +123,7 @@ impl Ord for Flight {
     }
 }
 
-/// A run — or what is left of one — waiting for window room on its node.
+/// A run — or what is left of one — waiting for room on its lane.
 struct Pending {
     delay: Duration,
     /// Requests of the run not yet granted a slot.
@@ -145,17 +133,18 @@ struct Pending {
 }
 
 #[derive(Default)]
-struct NodeState {
+struct LaneState {
     inflight: usize,
     pending: VecDeque<Pending>,
-    /// Σ delay of every request ever granted a slot on this node.
+    /// Σ delay of every request ever granted a slot on this lane.
     slot_time: Duration,
 }
 
 #[derive(Default)]
 struct State {
     heap: BinaryHeap<Flight>,
-    nodes: Vec<NodeState>,
+    /// Per node, its lanes indexed by `Lane as usize`.
+    nodes: Vec<[LaneState; 2]>,
     next_seq: u64,
     /// The timer thread exists (spawned by the first armed flight).
     running: bool,
@@ -163,22 +152,22 @@ struct State {
 }
 
 impl State {
-    fn node(&mut self, node: usize) -> &mut NodeState {
+    fn lane(&mut self, node: usize, lane: Lane) -> &mut LaneState {
         if self.nodes.len() <= node {
-            self.nodes.resize_with(node + 1, NodeState::default);
+            self.nodes.resize_with(node + 1, Default::default);
         }
-        &mut self.nodes[node]
+        &mut self.nodes[node][lane as usize]
     }
 
-    /// Hand `node`'s free slots to its queue, oldest first: each queued run
+    /// Hand a lane's free slots to its queue, oldest first: each queued run
     /// is granted as many slots as are free — a wave of it — its requests'
     /// service starting only now, exactly like a bounded initiator window,
     /// or a device queue. Every grant holds one slot per request for the
     /// run's delay, with the submitter's held-slot gauge up until landing.
-    fn promote(&mut self, node: usize, now: Instant, window: usize) {
+    fn promote(&mut self, node: usize, lane: Lane, now: Instant, capacity: usize) {
         loop {
-            let slot = &mut self.nodes[node];
-            let free = window.saturating_sub(slot.inflight);
+            let slot = &mut self.nodes[node][lane as usize];
+            let free = capacity.saturating_sub(slot.inflight);
             let Some(next) = slot.pending.front_mut() else {
                 return;
             };
@@ -195,13 +184,13 @@ impl State {
                 .saturating_add(next.delay.saturating_mul(grant as u32));
             let complete =
                 (next.count == 0).then(|| slot.pending.pop_front().expect("peeked").complete);
-            self.push(Some((node, grant)), deadline, hold, complete);
+            self.push(Some((node, lane, grant)), deadline, hold, complete);
         }
     }
 
     fn push(
         &mut self,
-        slots: Option<(usize, usize)>,
+        slots: Option<(usize, Lane, usize)>,
         deadline: Instant,
         hold: Option<PermitHold>,
         complete: Option<Completion>,
@@ -217,10 +206,10 @@ impl State {
         });
     }
 
-    /// Return `count` of `node`'s slots and hand them on to its queue.
-    fn release(&mut self, node: usize, count: usize, now: Instant, window: usize) {
-        self.nodes[node].inflight -= count;
-        self.promote(node, now, window);
+    /// Return `count` of a lane's slots and hand them on to its queue.
+    fn release(&mut self, node: usize, lane: Lane, count: usize, now: Instant, capacity: usize) {
+        self.nodes[node][lane as usize].inflight -= count;
+        self.promote(node, lane, now, capacity);
     }
 
     fn head(&self) -> Option<u64> {
@@ -233,42 +222,51 @@ struct Shared {
     wake: Condvar,
 }
 
-/// The event-driven completion layer. One instance serves a whole
-/// substrate (or a whole cluster's devices); submissions come from any
-/// thread, completions fire on the single fabric thread.
-pub struct SimFabric {
+/// The event loop. One instance serves a whole cluster, both lanes of
+/// every node; submissions come from any thread, completions fire on the
+/// single timer thread.
+pub(crate) struct SimFabric {
     shared: Arc<Shared>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    window: usize,
+    /// Slots per node, indexed by `Lane as usize`.
+    capacity: [usize; 2],
 }
 
 impl SimFabric {
-    /// A fabric with the given per-node window. Its timer thread starts
-    /// with the first flight.
-    pub fn new(config: FabricConfig) -> SimFabric {
+    /// A loop with `queue_depth` device slots and `wire_window` wire slots
+    /// per node (each ≥ 1). Its timer thread starts with the first flight.
+    pub(crate) fn new(queue_depth: usize, wire_window: usize) -> SimFabric {
+        debug_assert!(queue_depth > 0 && wire_window > 0, "a lane needs a slot");
         SimFabric {
             shared: Arc::new(Shared {
                 state: Mutex::new(State::default()),
                 wake: Condvar::new(),
             }),
             thread: Mutex::new(None),
-            window: config.window.max(1),
+            capacity: [queue_depth, wire_window],
         }
     }
 
-    /// The configured per-node window.
-    pub fn window(&self) -> usize {
-        self.window
+    /// The configured slots per node on `lane`.
+    pub(crate) fn capacity(&self, lane: Lane) -> usize {
+        self.capacity[lane as usize]
     }
 
-    /// Submit one flight: after `delay`, `complete` fires on the fabric
-    /// thread. If `node`'s window is full the flight queues behind the
+    /// Submit one flight: after `delay`, `complete` fires on the timer
+    /// thread. If the lane's window is full the flight queues behind the
     /// outstanding ones and its deadline starts at promotion. Returns
     /// `true` when the submission stalled on the window (the caller's
     /// stall counter).
-    pub fn submit(&self, node: usize, delay: Duration, complete: Completion) -> bool {
+    pub(crate) fn submit(
+        &self,
+        node: usize,
+        lane: Lane,
+        delay: Duration,
+        complete: Completion,
+    ) -> bool {
         let run = Run {
             node,
+            lane,
             delay,
             count: 1,
             complete,
@@ -277,13 +275,13 @@ impl SimFabric {
     }
 
     /// Submit `runs` under one lock, in order, and return how many of
-    /// their requests stalled on their node's window. A run is granted
+    /// their requests stalled on their lane's window. A run is granted
     /// `min(count, free)` slots at once; what is left queues FIFO behind
-    /// anything already waiting on that node and proceeds in waves as
+    /// anything already waiting on that lane and proceeds in waves as
     /// slots return. Each request holds `scope`'s permit gauge from the
     /// moment it is granted a slot until it lands, and the run's
     /// completion fires once, when its last request has landed.
-    pub fn submit_all(
+    pub(crate) fn submit_all(
         &self,
         scope: Option<&Arc<IoScope>>,
         runs: impl IntoIterator<Item = Run>,
@@ -303,10 +301,11 @@ impl SimFabric {
         let mut stalled = 0;
         for run in runs {
             debug_assert!(run.count > 0, "a run is at least one request");
-            let slot = state.node(run.node);
+            let capacity = self.capacity(run.lane);
+            let slot = state.lane(run.node, run.lane);
             // A non-empty queue means a full window: nothing overtakes it.
             let free = if slot.pending.is_empty() {
-                self.window.saturating_sub(slot.inflight)
+                capacity.saturating_sub(slot.inflight)
             } else {
                 0
             };
@@ -317,16 +316,16 @@ impl SimFabric {
                 scope: scope.cloned(),
                 complete: run.complete,
             });
-            state.promote(run.node, now, self.window);
+            state.promote(run.node, run.lane, now, capacity);
         }
         self.armed(state, head);
         stalled
     }
 
-    /// A bare timer: `complete` fires after `delay`, holding no window
-    /// slot (waits that are not a request to anything — page-fault
-    /// service, retry backoff).
-    pub fn after(&self, delay: Duration, complete: Completion) {
+    /// A bare timer: `complete` fires after `delay`, holding no slot
+    /// (waits that are not a request to anything — page-fault service,
+    /// retry backoff).
+    pub(crate) fn after(&self, delay: Duration, complete: Completion) {
         let mut state = self.shared.state.lock();
         if state.shutdown {
             drop(state);
@@ -339,19 +338,26 @@ impl SimFabric {
     }
 
     /// The blocking counterpart of [`SimFabric::submit`] for a caller with
-    /// nothing else to do: occupy one of `node`'s slots for `delay` and
-    /// return when the time is up. A free slot is slept in right here on
-    /// the calling thread — no timer hand-off, so a lone synchronous access
-    /// costs its modeled time and nothing more; a full window queues the
-    /// caller FIFO behind the others like any submission. Slot count, slot
-    /// time and `scope`'s gauge move exactly as for a flight.
-    pub fn hold(&self, node: usize, delay: Duration, scope: Option<&Arc<IoScope>>) {
+    /// nothing else to do: occupy one slot of `lane` on `node` for `delay`
+    /// and return when the time is up. A free slot is slept in right here
+    /// on the calling thread — no timer hand-off, so a lone synchronous
+    /// access costs its modeled time and nothing more; a full window queues
+    /// the caller FIFO behind the others like any submission. Slot count,
+    /// slot time and `scope`'s gauge move exactly as for a flight.
+    pub(crate) fn hold(
+        &self,
+        node: usize,
+        lane: Lane,
+        delay: Duration,
+        scope: Option<&Arc<IoScope>>,
+    ) {
+        let capacity = self.capacity(lane);
         let mut state = self.shared.state.lock();
         if state.shutdown {
             return;
         }
-        let slot = state.node(node);
-        if slot.inflight >= self.window {
+        let slot = state.lane(node, lane);
+        if slot.inflight >= capacity {
             let (landed_tx, landed) = std::sync::mpsc::sync_channel(1);
             slot.pending.push_back(Pending {
                 delay,
@@ -373,7 +379,7 @@ impl SimFabric {
         drop(held);
         let mut state = self.shared.state.lock();
         let head = state.head();
-        state.release(node, 1, Instant::now(), self.window);
+        state.release(node, lane, 1, Instant::now(), capacity);
         self.armed(state, head);
     }
 
@@ -392,52 +398,61 @@ impl SimFabric {
         }
         state.running = true;
         let worker = self.shared.clone();
-        let window = self.window;
+        let capacity = self.capacity;
         // Stored under the state lock so a racing `shutdown` (which takes
         // the handle only after setting its flag under this same lock)
         // always finds it.
         *self.thread.lock() = Some(
             std::thread::Builder::new()
                 .name("rede-fabric".into())
-                .spawn(move || Self::run(&worker, window))
+                .spawn(move || Self::run(&worker, capacity))
                 .expect("spawn fabric thread"),
         );
     }
 
-    /// Flights currently armed plus runs still queued, whole or in part
-    /// (diagnostic; 0 when quiescent).
-    pub fn in_flight(&self) -> usize {
+    /// Flights currently armed plus runs still queued, whole or in part,
+    /// on either lane (diagnostic; 0 when quiescent).
+    pub(crate) fn in_flight(&self) -> usize {
         let state = self.shared.state.lock();
-        state.heap.len() + state.nodes.iter().map(|n| n.pending.len()).sum::<usize>()
+        let queued = state.nodes.iter().flatten().map(|l| l.pending.len());
+        state.heap.len() + queued.sum::<usize>()
     }
 
-    /// Requests holding a window slot right now, per node (diagnostic;
+    /// Requests holding a slot of `lane` right now, per node (diagnostic;
     /// nodes that never saw a flight are absent).
-    pub fn in_service(&self) -> Vec<usize> {
+    pub(crate) fn in_service(&self, lane: Lane) -> Vec<usize> {
         let state = self.shared.state.lock();
-        state.nodes.iter().map(|n| n.inflight).collect()
+        state
+            .nodes
+            .iter()
+            .map(|n| n[lane as usize].inflight)
+            .collect()
     }
 
-    /// Cumulative slot time granted per node: Σ delay over every request
-    /// that ever held one of the node's slots (diagnostic; nodes that
+    /// Cumulative slot time granted on `lane` per node: Σ delay over every
+    /// request that ever held one of its slots (diagnostic; nodes that
     /// never saw a flight are absent).
-    pub fn slot_time(&self) -> Vec<Duration> {
+    pub(crate) fn slot_time(&self, lane: Lane) -> Vec<Duration> {
         let state = self.shared.state.lock();
-        state.nodes.iter().map(|n| n.slot_time).collect()
+        state
+            .nodes
+            .iter()
+            .map(|n| n[lane as usize].slot_time)
+            .collect()
     }
 
-    fn run(shared: &Shared, window: usize) {
+    fn run(shared: &Shared, capacity: [usize; 2]) {
         let mut state = shared.state.lock();
         loop {
             let now = Instant::now();
             // Land every due flight: collect its completion and return
-            // its window slots (promoting the node's oldest queued runs).
+            // its slots (promoting the lane's oldest queued runs).
             let mut due: Vec<Completion> = Vec::new();
             while state.heap.peek().is_some_and(|f| f.deadline <= now) {
                 let flight = state.heap.pop().expect("peeked");
                 due.extend(flight.complete);
-                if let Some((node, count)) = flight.slots {
-                    state.release(node, count, now, window);
+                if let Some((node, lane, count)) = flight.slots {
+                    state.release(node, lane, count, now, capacity[lane as usize]);
                 }
             }
             if !due.is_empty() {
@@ -452,19 +467,19 @@ impl SimFabric {
             }
             if state.shutdown {
                 // Teardown: fire everything left immediately, in deadline
-                // order then FIFO per node, so no token is stranded.
+                // order then FIFO per lane, so no token is stranded.
                 let mut rest: Vec<Completion> = Vec::new();
                 let mut heap = std::mem::take(&mut state.heap);
                 while let Some(f) = heap.pop() {
                     // Slots taken by `hold` stay counted: their holders
                     // give them back themselves.
-                    if let Some((node, count)) = f.slots {
-                        state.nodes[node].inflight -= count;
+                    if let Some((node, lane, count)) = f.slots {
+                        state.nodes[node][lane as usize].inflight -= count;
                     }
                     rest.extend(f.complete);
                 }
-                for node in &mut state.nodes {
-                    while let Some(p) = node.pending.pop_front() {
+                for lane in state.nodes.iter_mut().flatten() {
+                    while let Some(p) = lane.pending.pop_front() {
                         rest.push(p.complete);
                     }
                 }
@@ -486,16 +501,14 @@ impl SimFabric {
         }
     }
 
-    /// Stop the fabric thread, firing every outstanding completion first.
-    /// Idempotent; also called by `Drop`. Callers that own both a fabric
-    /// and the dispatchers its completions enqueue onto must call this
-    /// *before* stopping the dispatchers.
-    pub fn shutdown(&self) {
+    /// Stop the timer thread, firing every outstanding completion first.
+    /// Idempotent; also called by `Drop`.
+    pub(crate) fn shutdown(&self) {
         self.shared.state.lock().shutdown = true;
         self.shared.wake.notify_one();
         if let Some(t) = self.thread.lock().take() {
             // A completion may drop the last handle to whatever owns this
-            // fabric, landing here *on* the fabric thread: it cannot join
+            // loop, landing here *on* the timer thread: it cannot join
             // itself, and it exits on the flag as soon as that completion
             // returns.
             if t.thread().id() != std::thread::current().id() {
@@ -511,29 +524,26 @@ impl Drop for SimFabric {
     }
 }
 
-impl std::fmt::Debug for SimFabric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimFabric")
-            .field("window", &self.window)
-            .field("in_flight", &self.in_flight())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
+    /// A loop whose two lanes both have `window` slots per node.
+    fn windowed(window: usize) -> SimFabric {
+        SimFabric::new(window, window)
+    }
+
     #[test]
     fn completions_fire_in_deadline_order() {
-        let fabric = SimFabric::new(FabricConfig::window(8));
+        let fabric = windowed(8);
         let (tx, rx) = mpsc::channel();
         for (i, delay_us) in [(0u32, 3000u64), (1, 1000), (2, 2000)] {
             let tx = tx.clone();
             fabric.submit(
                 0,
+                Lane::Device,
                 Duration::from_micros(delay_us),
                 Box::new(move || tx.send(i).unwrap()),
             );
@@ -547,13 +557,14 @@ mod tests {
 
     #[test]
     fn window_bounds_per_node_inflight_and_stalls_are_reported() {
-        let fabric = SimFabric::new(FabricConfig::window(2));
+        let fabric = windowed(2);
         let (tx, rx) = mpsc::channel();
         let mut stalls = 0;
         for _ in 0..10 {
             let tx = tx.clone();
             let stalled = fabric.submit(
                 3,
+                Lane::Device,
                 Duration::from_micros(500),
                 Box::new(move || tx.send(()).unwrap()),
             );
@@ -570,29 +581,54 @@ mod tests {
 
     #[test]
     fn nodes_have_independent_windows() {
-        let fabric = SimFabric::new(FabricConfig::window(1));
+        let fabric = windowed(1);
         // One long flight occupies node 0's window...
-        fabric.submit(0, Duration::from_millis(50), Box::new(|| {}));
+        fabric.submit(0, Lane::Device, Duration::from_millis(50), Box::new(|| {}));
         let (tx, rx) = mpsc::channel();
         // ...but node 1 is unaffected.
         let stalled = fabric.submit(
             1,
+            Lane::Device,
             Duration::from_micros(100),
             Box::new(move || tx.send(()).unwrap()),
         );
         assert!(!stalled);
         rx.recv_timeout(Duration::from_secs(5)).unwrap();
+
+        // Nor are a node's lanes: a full device lane leaves the wire free,
+        // and a full wire leaves the device lane free.
+        let hour = Duration::from_secs(3600);
+        for (full, other) in [(Lane::Device, Lane::Wire), (Lane::Wire, Lane::Device)] {
+            let fabric = windowed(1);
+            assert!(!fabric.submit(0, full, hour, Box::new(|| {})));
+            assert!(
+                fabric.submit(0, full, hour, Box::new(|| {})),
+                "{full:?} is full"
+            );
+            let (tx, rx) = mpsc::channel();
+            let stalled = fabric.submit(
+                0,
+                other,
+                Duration::from_micros(100),
+                Box::new(move || tx.send(()).unwrap()),
+            );
+            assert!(!stalled, "a full {full:?} lane stalled the {other:?} lane");
+            rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(fabric.in_service(full), vec![1]);
+            assert_eq!(fabric.in_service(other), vec![0]);
+        }
     }
 
     #[test]
     fn shutdown_fires_outstanding_completions() {
         let fired = Arc::new(AtomicUsize::new(0));
-        let fabric = SimFabric::new(FabricConfig::window(1));
+        let fabric = windowed(1);
         for _ in 0..5 {
             let fired = fired.clone();
             // Far-future deadlines: only shutdown can fire these.
             fabric.submit(
                 0,
+                Lane::Device,
                 Duration::from_secs(3600),
                 Box::new(move || {
                     fired.fetch_add(1, Ordering::SeqCst);
@@ -610,15 +646,20 @@ mod tests {
 
     #[test]
     fn zero_delay_flights_complete_promptly() {
-        let fabric = SimFabric::new(FabricConfig::default());
+        let fabric = windowed(16);
         let (tx, rx) = mpsc::channel();
-        fabric.submit(0, Duration::ZERO, Box::new(move || tx.send(()).unwrap()));
+        fabric.submit(
+            0,
+            Lane::Device,
+            Duration::ZERO,
+            Box::new(move || tx.send(()).unwrap()),
+        );
         rx.recv_timeout(Duration::from_secs(5)).unwrap();
     }
 
     #[test]
     fn the_timer_thread_starts_with_the_first_flight() {
-        let fabric = SimFabric::new(FabricConfig::default());
+        let fabric = windowed(16);
         assert!(
             fabric.thread.lock().is_none(),
             "an idle fabric owns no thread"
@@ -626,7 +667,7 @@ mod tests {
         fabric.shutdown();
         assert!(fabric.thread.lock().is_none());
 
-        let fabric = SimFabric::new(FabricConfig::default());
+        let fabric = windowed(16);
         let (tx, rx) = mpsc::channel();
         fabric.after(
             Duration::from_micros(100),
@@ -638,11 +679,12 @@ mod tests {
 
     #[test]
     fn slots_are_counted_and_attributed_from_grant_to_landing() {
-        let fabric = SimFabric::new(FabricConfig::window(2));
+        let fabric = windowed(2);
         let scope = Arc::new(IoScope::new(1));
         let hour = Duration::from_secs(3600);
         let flights = (0..5).map(|_| Run {
             node: 1,
+            lane: Lane::Device,
             delay: hour,
             count: 1,
             complete: Box::new(|| {}),
@@ -651,19 +693,23 @@ mod tests {
         // Two granted, three queued: only granted slots are held, counted
         // in service, and charged slot time. A bare timer takes no slot.
         fabric.after(hour, Box::new(|| {}));
-        assert_eq!(fabric.in_service(), vec![0, 2]);
+        assert_eq!(fabric.in_service(Lane::Device), vec![0, 2]);
         assert_eq!(scope.permits_held(), 2);
-        assert_eq!(fabric.slot_time(), vec![Duration::ZERO, hour * 2]);
+        assert_eq!(
+            fabric.slot_time(Lane::Device),
+            vec![Duration::ZERO, hour * 2]
+        );
         assert_eq!(fabric.in_flight(), 6);
         fabric.shutdown();
         assert_eq!(scope.permits_held(), 0);
-        assert_eq!(fabric.in_service(), vec![0, 0]);
+        assert_eq!(fabric.in_service(Lane::Device), vec![0, 0]);
         assert_eq!(fabric.in_flight(), 0);
     }
 
     fn run_of(count: usize, delay: Duration, complete: Completion) -> Run {
         Run {
             node: 0,
+            lane: Lane::Device,
             delay,
             count,
             complete,
@@ -672,7 +718,7 @@ mod tests {
 
     #[test]
     fn a_run_over_the_window_proceeds_in_fifo_waves_and_lands_once() {
-        let fabric = SimFabric::new(FabricConfig::window(4));
+        let fabric = windowed(4);
         let d = Duration::from_millis(2);
         let landed = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
@@ -689,6 +735,7 @@ mod tests {
         // run's last wave and lands after it.
         let stalled = fabric.submit(
             0,
+            Lane::Device,
             d,
             Box::new(move || tx.send(("single", start.elapsed())).unwrap()),
         );
@@ -703,17 +750,17 @@ mod tests {
         assert!(single_took >= d * 3, "{single_took:?}");
         assert_eq!(landed.load(Ordering::SeqCst), 1, "one completion per run");
         assert_eq!(
-            fabric.slot_time(),
+            fabric.slot_time(Lane::Device),
             vec![d * 11],
             "one slot time per request"
         );
-        assert_eq!(fabric.in_service(), vec![0]);
+        assert_eq!(fabric.in_service(Lane::Device), vec![0]);
         assert_eq!(fabric.in_flight(), 0);
     }
 
     #[test]
     fn a_run_holds_one_slot_per_request_and_shutdown_mid_run_lands_it_once() {
-        let fabric = SimFabric::new(FabricConfig::window(2));
+        let fabric = windowed(2);
         let scope = Arc::new(IoScope::new(1));
         let hour = Duration::from_secs(3600);
         let landed = Arc::new(AtomicUsize::new(0));
@@ -726,9 +773,9 @@ mod tests {
         assert_eq!(fabric.submit_all(Some(&scope), [run]), 3);
         // Two of the five are in service as one flight; the gauge and the
         // slot time count requests, not flights.
-        assert_eq!(fabric.in_service(), vec![2]);
+        assert_eq!(fabric.in_service(Lane::Device), vec![2]);
         assert_eq!(scope.permits_held(), 2);
-        assert_eq!(fabric.slot_time(), vec![hour * 2]);
+        assert_eq!(fabric.slot_time(Lane::Device), vec![hour * 2]);
         assert_eq!(fabric.in_flight(), 2, "the armed wave and the remainder");
         assert_eq!(landed.load(Ordering::SeqCst), 0);
         fabric.shutdown();
@@ -738,30 +785,30 @@ mod tests {
             "teardown lands the run once"
         );
         assert_eq!(scope.permits_held(), 0);
-        assert_eq!(fabric.in_service(), vec![0]);
+        assert_eq!(fabric.in_service(Lane::Device), vec![0]);
         assert_eq!(fabric.in_flight(), 0);
     }
 
     #[test]
     fn queued_flights_take_their_slot_time_at_promotion() {
-        let fabric = SimFabric::new(FabricConfig::window(1));
+        let fabric = windowed(1);
         let (tx, rx) = mpsc::channel();
         let d = Duration::from_millis(2);
         let start = Instant::now();
         for _ in 0..4 {
             let tx = tx.clone();
-            fabric.submit(0, d, Box::new(move || tx.send(()).unwrap()));
+            fabric.submit(0, Lane::Device, d, Box::new(move || tx.send(()).unwrap()));
         }
         for _ in 0..4 {
             rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
         assert!(start.elapsed() >= d * 4, "window 1 serves one at a time");
-        assert_eq!(fabric.slot_time(), vec![d * 4]);
+        assert_eq!(fabric.slot_time(Lane::Device), vec![d * 4]);
     }
 
     #[test]
     fn shutdown_from_a_completion_does_not_join_itself() {
-        let fabric = Arc::new(SimFabric::new(FabricConfig::default()));
+        let fabric = Arc::new(windowed(16));
         let (tx, rx) = mpsc::channel();
         let inner = fabric.clone();
         fabric.after(
@@ -776,11 +823,11 @@ mod tests {
 
     #[test]
     fn hold_sleeps_in_a_free_slot_and_queues_behind_a_full_window() {
-        let fabric = SimFabric::new(FabricConfig::window(1));
+        let fabric = windowed(1);
         let scope = Arc::new(IoScope::new(1));
         let d = Duration::from_millis(2);
         let start = Instant::now();
-        fabric.hold(0, d, Some(&scope));
+        fabric.hold(0, Lane::Device, d, Some(&scope));
         assert!(start.elapsed() >= d);
         assert!(
             fabric.thread.lock().is_none(),
@@ -794,13 +841,13 @@ mod tests {
             for _ in 0..3 {
                 s.spawn(|| {
                     barrier.wait();
-                    fabric.hold(0, d, Some(&scope));
+                    fabric.hold(0, Lane::Device, d, Some(&scope));
                 });
             }
         });
         assert!(start.elapsed() >= d * 3, "window 1 serves one at a time");
-        assert_eq!(fabric.slot_time(), vec![d * 4]);
-        assert_eq!(fabric.in_service(), vec![0]);
+        assert_eq!(fabric.slot_time(Lane::Device), vec![d * 4]);
+        assert_eq!(fabric.in_service(Lane::Device), vec![0]);
         assert_eq!(scope.permits_held(), 0);
     }
 }

@@ -25,12 +25,13 @@
 //! calling thread — fault decision, counters, the actual bytes — and
 //! returns an [`Owed`]: one device slot per access for its modeled time,
 //! then any page-fault service, then one network round trip. The cluster's
-//! per-node device queues (a [`crate::SimFabric`] whose window is
-//! `queue_depth`) turn that into events; synchronous callers block until
-//! their own `Owed` is settled, the SMPE executor never does. Only
-//! sequential scans and shuffle hops still sleep on their callers (`pay_*`
-//! below) — they model a stream, not a queue of requests — and the WAL
-//! sleeps its own `wal_fsync` per group commit.
+//! event loop turns that into events: each node has two lanes on its one
+//! heap, `queue_depth` device slots and a `wire_window` of round trips in
+//! the air. Synchronous callers block until their own `Owed` is settled
+//! (sleeping the round trip inline, unwindowed); the SMPE executor never
+//! blocks. Only sequential scans and shuffle hops still sleep on their
+//! callers (`pay_*` below) — they model a stream, not a queue of requests —
+//! and the WAL sleeps its own `wal_fsync` per group commit.
 //!
 //! Latencies default to microseconds rather than the milliseconds of real
 //! HDDs so experiments run in seconds; all *ratios* (random:sequential,
@@ -64,6 +65,11 @@ pub struct IoModel {
     pub scan_batch: usize,
     /// Maximum in-flight point reads per node (device queue depth).
     pub queue_depth: usize,
+    /// Maximum network round trips one node keeps in the air (the wire
+    /// window); further ones queue FIFO behind them. A property of the
+    /// network as `queue_depth` is of the device; clamped to ≥ 1 when the
+    /// cluster is built.
+    pub wire_window: usize,
 }
 
 impl IoModel {
@@ -79,6 +85,7 @@ impl IoModel {
             wal_fsync: Duration::ZERO,
             scan_batch: 1024,
             queue_depth: usize::MAX,
+            wire_window: 16,
         }
     }
 
@@ -115,6 +122,7 @@ impl IoModel {
             wal_fsync: us(2000.0),
             scan_batch: 1024,
             queue_depth: 1008,
+            wire_window: 16,
         }
     }
 
@@ -192,7 +200,7 @@ fn maybe_sleep(d: Duration) {
 ///
 /// Charging (fault gate, counters, the read itself) happens at submit, on
 /// the calling thread; the *time* is returned as this value and settled by
-/// the cluster's device queues ([`crate::SimCluster::settle`] as events,
+/// the cluster's event loop ([`crate::SimCluster::settle`] as events,
 /// [`crate::SimCluster::wait`] blocking). It is a sequence of **phases**
 /// followed by one network flight:
 ///
@@ -297,9 +305,10 @@ mod tests {
             set(&mut m, Duration::from_micros(1));
             assert!(!m.is_zero(), "field {i} alone must defeat is_zero");
         }
-        // Queue depth and scan batching are not latencies.
+        // Queue depth, wire window and scan batching are not latencies.
         let mut m = IoModel::zero();
         m.queue_depth = 4;
+        m.wire_window = 1;
         m.scan_batch = 1;
         assert!(m.is_zero());
     }
@@ -310,6 +319,7 @@ mod tests {
         let b = IoModel::hdd_like(2.0);
         assert_eq!(b.local_point_read, a.local_point_read * 2);
         assert_eq!(a.queue_depth, 1008);
+        assert_eq!((a.wire_window, IoModel::zero().wire_window), (16, 16));
     }
 
     #[test]

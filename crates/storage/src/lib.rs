@@ -17,8 +17,8 @@
 //! * [`SimCluster`] — N logical nodes, partition→node placement, point-read
 //!   resolution with local/remote cost accounting.
 //! * [`IoModel`] — the injectable latency model and per-node I/O admission
-//!   control that stand in for HDD seek times, RAID queue depth, and the
-//!   10 GbE fabric of the paper's testbed.
+//!   control (device queue depth, wire window) that stand in for HDD seek
+//!   times, RAID queue depth, and the 10 GbE fabric of the paper's testbed.
 //! * [`cost`] — a deterministic cost model replaying collected I/O counters
 //!   into modeled seconds (used by tests; wall-clock is used by benches).
 
@@ -29,7 +29,7 @@ pub mod cache;
 pub mod catalog;
 pub mod cluster;
 pub mod cost;
-pub mod fabric;
+mod fabric;
 pub mod faults;
 pub mod heap_file;
 pub mod io_model;
@@ -50,7 +50,6 @@ pub use cluster::{
     MIN_MEMORY_BUDGET,
 };
 pub use cost::{CostModel, CostReport};
-pub use fabric::{FabricConfig, SimFabric};
 pub use faults::{AccessClass, Brownout, DownWindow, FaultDecision, FaultInjector, FaultPlan};
 pub use heap_file::{HeapFile, WriteEvent};
 pub use io_model::{IoModel, Owed};

@@ -9,6 +9,11 @@
 use rede_common::{fxhash, RedeError, Result, Value};
 use std::sync::Arc;
 
+/// Most partitions a spec may produce. Each is a store of its own, so a
+/// count read from an untrusted image (a WAL frame) must not size an
+/// allocation unchecked.
+pub const MAX_PARTITIONS: usize = 1 << 16;
+
 /// Declarative partitioning spec attached to a file at creation time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Partitioning {
@@ -43,6 +48,12 @@ impl Partitioning {
 
     /// Validate and compile into a runnable [`Partitioner`].
     pub fn build(&self) -> Result<Arc<dyn Partitioner>> {
+        if self.partitions() > MAX_PARTITIONS {
+            return Err(RedeError::Config(format!(
+                "{} partitions exceed the {MAX_PARTITIONS} limit",
+                self.partitions()
+            )));
+        }
         match self {
             Partitioning::Hash { partitions, seed } => {
                 if *partitions == 0 {

@@ -126,7 +126,9 @@ impl WalOp {
                     }
                     PART_RANGE => {
                         let n = cur.u32().ok_or_else(|| bad("range boundary count"))?;
-                        let mut boundaries = Vec::with_capacity(n as usize);
+                        // Grown, never sized from the untrusted count: a
+                        // truncated list fails at its first missing field.
+                        let mut boundaries = Vec::new();
                         for _ in 0..n {
                             let f = cur.str_field().ok_or_else(|| bad("range boundary"))?;
                             boundaries.push(Value::from_field(&f)?);
@@ -516,6 +518,46 @@ mod tests {
         image[target] ^= 0xa5;
         let reopened = WriteAheadLog::from_bytes(image, Duration::ZERO);
         assert!(reopened.frames().unwrap().len() < 5);
+    }
+
+    /// One frame around `payload` with a valid checksum, so it reaches
+    /// `WalOp::decode`.
+    fn framed(payload: &[u8]) -> WriteAheadLog {
+        let mut image = (payload.len() as u32).to_le_bytes().to_vec();
+        image.extend_from_slice(&1u64.to_le_bytes());
+        image.extend_from_slice(&fxhash::hash_bytes(1, payload).to_le_bytes());
+        image.extend_from_slice(payload);
+        WriteAheadLog::from_bytes(image, Duration::ZERO)
+    }
+
+    #[test]
+    fn untrusted_counts_are_errors_not_allocations() {
+        // A range-boundary count of u32::MAX with no boundaries behind it.
+        let mut payload = vec![TAG_CREATE_FILE];
+        put_str(&mut payload, "t");
+        payload.push(PART_RANGE);
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            framed(&payload).frames(),
+            Err(RedeError::Corrupt(_))
+        ));
+
+        // A hash partition count of u64::MAX, committed: replay must refuse
+        // to build it.
+        let wal = WriteAheadLog::new(Duration::ZERO);
+        wal.append(&WalOp::CreateFile {
+            name: "t".into(),
+            partitioning: Partitioning::Hash {
+                partitions: usize::MAX,
+                seed: 0,
+            },
+        });
+        wal.append(&WalOp::Commit { ts: 1 });
+        let cluster = SimCluster::builder().build().unwrap();
+        assert!(matches!(
+            wal.replay_into(&cluster),
+            Err(RedeError::Config(_))
+        ));
     }
 
     #[test]

@@ -26,6 +26,7 @@ fn tight_queue_cluster() -> SimCluster {
         wal_fsync: Duration::ZERO,
         scan_batch: 1024,
         queue_depth: 1,
+        wire_window: 16,
     };
     SimCluster::builder().nodes(2).io_model(io).build().unwrap()
 }

@@ -185,7 +185,7 @@ fn slots_never_exceed_capacity_and_all_return() {
         // Abandon the first round mid-flight: charged, owed, never waited.
         let (results, owed) = scoped.resolve_batch_submit(&pending, 0);
         let (landed_tx, landed_rx) = mpsc::channel();
-        scoped.settle(owed, move |_| landed_tx.send(()).unwrap());
+        scoped.settle(0, owed, move || landed_tx.send(()).unwrap());
         pending.retain({
             let mut results = results.into_iter();
             move |_| results.next().unwrap().is_err()
@@ -293,13 +293,11 @@ fn dropping_the_cluster_fires_outstanding_completions() {
     let (results, owed) = c.resolve_batch_submit(&refs, 0);
     assert!(results.iter().all(|r| r.is_ok()) && !owed.is_zero());
     let (tx, rx) = mpsc::channel();
-    c.settle(owed, move |rtt| tx.send(rtt).unwrap());
+    c.settle(0, owed, move || tx.send(()).unwrap());
     assert_eq!(c.available_iops_permits(), vec![0]);
     drop(c);
-    assert_eq!(
-        rx.recv_timeout(Duration::from_secs(30)).unwrap(),
-        Duration::ZERO
-    );
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("dropping the cluster fires the completion");
 }
 
 /// Pointers whose reads node 0's device serves.
@@ -335,7 +333,7 @@ fn a_batch_over_capacity_proceeds_in_waves_and_lands_once() {
         let start = Instant::now();
         let (results, owed) = scoped.resolve_batch_submit(&refs, 0);
         let (landed_tx, landed_rx) = mpsc::channel();
-        scoped.settle(owed, move |_| {
+        scoped.settle(0, owed, move || {
             let _ = landed_tx.send((results.iter().all(|r| r.is_ok()), start.elapsed()));
         });
         let landings = (
@@ -368,7 +366,7 @@ fn a_later_read_does_not_overtake_a_batch_waiting_for_slots() {
     let (results, owed) = c.resolve_batch_submit(&refs, 0);
     assert!(results.iter().all(|r| r.is_ok()));
     let (landed_tx, landed_rx) = mpsc::channel();
-    c.settle(owed, move |_| landed_tx.send(()).unwrap());
+    c.settle(0, owed, move || landed_tx.send(()).unwrap());
     let start = Instant::now();
     c.resolve(late, 0).unwrap();
     assert!(start.elapsed() >= L, "never cheaper than one access");
@@ -377,4 +375,52 @@ fn a_later_read_does_not_overtake_a_batch_waiting_for_slots() {
         "6 reads / depth 2 = 3 waves were ahead of the late read"
     );
     assert_eq!(c.device_slot_time(), vec![L * 7, Duration::ZERO]);
+}
+
+/// (ix) `settle` flies the round trip itself, on the settling node's wire
+/// lane of the same loop: two remote batches settled together from one
+/// node against a wire window of 1 overlap on the device, then fly one
+/// after the other. The wire holds no device slot.
+#[test]
+fn settle_flies_the_round_trip_under_the_wire_window() {
+    let rtt = Duration::from_millis(20);
+    let c = cluster_with(
+        4,
+        IoModel {
+            remote_point_read: L + rtt,
+            wire_window: 1,
+            ..read_model(64)
+        },
+        None,
+    );
+    let ptrs = ptrs_on_node_0(&c, 8);
+    let (first, second) = ptrs.split_at(4);
+    let (tx, rx) = mpsc::channel();
+    let start = Instant::now();
+    for (i, batch) in [first, second].into_iter().enumerate() {
+        let refs: Vec<&Pointer> = batch.iter().collect();
+        let (results, owed) = c.resolve_batch_submit(&refs, 1);
+        assert!(results.iter().all(|r| r.is_ok()) && owed.rtt() == rtt);
+        let tx = tx.clone();
+        c.settle(1, owed, move || tx.send((i, start.elapsed())).unwrap());
+    }
+    let landed: Vec<(usize, Duration)> = (0..2)
+        .map(|_| rx.recv_timeout(Duration::from_secs(30)).unwrap())
+        .collect();
+    assert_eq!(landed[0].0, 0, "FIFO on the wire: {landed:?}");
+    assert!(
+        landed[0].1 >= L + rtt,
+        "device time, then the RTT: {landed:?}"
+    );
+    assert!(
+        landed[1].1 >= L + rtt * 2,
+        "the second flight waits for the window: {landed:?}"
+    );
+    let s = c.metrics().snapshot();
+    assert_eq!((s.window_stalls, s.fabric_completions), (1, 2));
+    assert_eq!(
+        c.device_slot_time(),
+        vec![L * 8, Duration::ZERO, Duration::ZERO, Duration::ZERO]
+    );
+    assert_eq!(c.fabric_in_flight(), 0);
 }

@@ -84,7 +84,7 @@ pub mod prelude {
         StageCtx,
     };
     pub use rede_storage::{
-        Brownout, DownWindow, FabricConfig, FaultInjector, FaultPlan, FileSpec, IoModel,
-        Partitioning, Pointer, PoolStats, Record, SimCluster, SimClusterBuilder, MIN_MEMORY_BUDGET,
+        Brownout, DownWindow, FaultInjector, FaultPlan, FileSpec, IoModel, Partitioning, Pointer,
+        PoolStats, Record, SimCluster, SimClusterBuilder, MIN_MEMORY_BUDGET,
     };
 }

@@ -33,6 +33,7 @@ fn rtt_heavy_io() -> IoModel {
         wal_fsync: Duration::ZERO,
         scan_batch: 1024,
         queue_depth: 1008,
+        wire_window: 16,
     }
 }
 
@@ -71,16 +72,15 @@ fn jobs() -> [Job; 2] {
     ]
 }
 
-/// Run Q5' and Q6 through a scheduler with the given routing and fabric
-/// window, asserting permit conservation around the whole run.
-fn run_all(cluster: &SimCluster, routing: RoutingPolicy, window: usize) -> Vec<JobResult> {
+/// Run Q5' and Q6 through a scheduler with the given routing, asserting
+/// permit conservation around the whole run.
+fn run_all(cluster: &SimCluster, routing: RoutingPolicy) -> Vec<JobResult> {
     let permits_at_rest = cluster.available_iops_permits();
     let sched = HarborScheduler::new(
         cluster.clone(),
         SchedulerConfig {
             pool_threads: 32,
             routing,
-            fabric: FabricConfig::window(window),
             ..SchedulerConfig::default()
         },
     );
@@ -165,8 +165,12 @@ fn window_grid_matches_the_partitioned_executor() {
             let mut across_k: Option<Vec<(u64, u64)>> = None;
             for window in [1usize, 8, 64] {
                 let label = format!("routing={routing:?} faults={fault_seed:?} K={window}");
-                let cluster = fixture(rtt_heavy_io(), plan.clone());
-                let results = run_all(&cluster, routing, window);
+                let io = IoModel {
+                    wire_window: window,
+                    ..rtt_heavy_io()
+                };
+                let cluster = fixture(io, plan.clone());
+                let results = run_all(&cluster, routing);
                 assert_equivalent(&results, &reference, &label);
                 let counters: Vec<(u64, u64)> = results
                     .iter()
@@ -212,6 +216,7 @@ fn cancellation_mid_flight_returns_every_slot_permit_and_thread() {
     // small window so the submit side also queues behind it.
     let io = IoModel {
         remote_point_read: Duration::from_millis(20),
+        wire_window: 2,
         ..rtt_heavy_io()
     };
     let cluster = fixture(io, None);
@@ -221,7 +226,6 @@ fn cancellation_mid_flight_returns_every_slot_permit_and_thread() {
         SchedulerConfig {
             pool_threads: 32,
             routing: RoutingPolicy::Producer,
-            fabric: FabricConfig::window(2),
             ..SchedulerConfig::default()
         },
     );
@@ -302,12 +306,8 @@ impl Referencer for StragglerRef {
 
 /// Tiny two-node fixture: 8 base records, a global index whose entries
 /// feed a referencer that delays exactly one pointer.
-fn straggler_fixture() -> SimCluster {
-    let c = SimCluster::builder()
-        .nodes(2)
-        .io_model(IoModel::zero())
-        .build()
-        .unwrap();
+fn straggler_fixture(io: IoModel) -> SimCluster {
+    let c = SimCluster::builder().nodes(2).io_model(io).build().unwrap();
     let f = c
         .create_file(FileSpec::new("base", Partitioning::hash(2)))
         .unwrap();
@@ -355,7 +355,7 @@ fn straggler_pointer_flushes_after_linger() {
     // armed batch must flush with it (or right after it; either way all
     // eight records come out).
     let runner = JobRunner::new(
-        straggler_fixture(),
+        straggler_fixture(IoModel::zero()),
         ExecutorConfig::smpe(8)
             .collecting()
             .with_batching(Batching {
@@ -383,7 +383,7 @@ fn straggler_pointer_flushes_after_linger() {
     // batch must flush without it, and the late pointer must still
     // execute on its own. Same answer, one straggler more dispatch.
     let runner = JobRunner::new(
-        straggler_fixture(),
+        straggler_fixture(IoModel::zero()),
         ExecutorConfig::smpe(8)
             .collecting()
             .with_batching(Batching {
@@ -402,14 +402,16 @@ fn straggler_pointer_flushes_after_linger() {
     // Case 3: same shape under a narrow fabric window — the window must
     // not interact with the dispatcher's linger machinery.
     let runner = JobRunner::new(
-        straggler_fixture(),
+        straggler_fixture(IoModel {
+            wire_window: 4,
+            ..IoModel::zero()
+        }),
         ExecutorConfig::smpe(8)
             .collecting()
             .with_batching(Batching {
                 max_batch: 8,
                 linger: Duration::from_millis(40),
-            })
-            .with_fabric(FabricConfig::window(4)),
+            }),
     );
     let result = runner
         .run(&straggler_job(6, Duration::from_millis(80)))

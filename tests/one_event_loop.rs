@@ -1,0 +1,90 @@
+//! One event loop per cluster: device slots and the wire window are two
+//! lanes of the cluster's single timer heap, so a scheduler whose jobs fly
+//! both device time and round trips adds no timer thread of its own.
+//!
+//! Threads are counted by name from `/proc/self/task/*/comm`, so this file
+//! holds this one test: any other test in the same binary could own a
+//! cluster of its own while it runs.
+#![cfg(target_os = "linux")]
+
+use lakeharbor::prelude::*;
+use lakeharbor::storage::{IndexEntry, IndexSpec};
+use rede_core::job::SeedInput;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Live threads of this process named `name`.
+fn threads_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter(|task| {
+            let comm = task.as_ref().unwrap().path().join("comm");
+            std::fs::read_to_string(comm).is_ok_and(|c| c.trim() == name)
+        })
+        .count()
+}
+
+#[test]
+fn a_cluster_and_its_scheduler_share_one_timer_thread() {
+    let cluster = SimCluster::builder()
+        .nodes(4)
+        .io_model(IoModel {
+            local_point_read: Duration::from_micros(200),
+            remote_point_read: Duration::from_micros(1200),
+            index_lookup: Duration::from_micros(100),
+            queue_depth: 8,
+            wire_window: 2,
+            ..IoModel::zero()
+        })
+        .build()
+        .unwrap();
+    let base = cluster
+        .create_file(FileSpec::new("base", Partitioning::hash(8)))
+        .unwrap();
+    let ix = cluster
+        .create_index(IndexSpec::global("ix", "base", 5))
+        .unwrap();
+    for k in 0..64i64 {
+        base.insert(Value::Int(k), Record::from_text(&format!("rec-{k}")))
+            .unwrap();
+        ix.insert(
+            Value::Int(k),
+            IndexEntry::new(Value::Int(k), Value::Int(k)).to_record(),
+        )
+        .unwrap();
+    }
+    let job = Job::builder("index-then-base")
+        .seed(SeedInput::Range {
+            file: "ix".into(),
+            lo: Value::Int(0),
+            hi: Value::Int(63),
+        })
+        .dereference("scan-ix", Arc::new(BtreeRangeDereferencer::new("ix")))
+        .reference("entry->base", Arc::new(IndexEntryReferencer::new("base")))
+        .dereference("fetch", Arc::new(LookupDereferencer::new("base")))
+        .build()
+        .unwrap();
+    let sched = HarborScheduler::new(
+        cluster.clone(),
+        SchedulerConfig {
+            pool_threads: 4,
+            routing: RoutingPolicy::Producer,
+            ..SchedulerConfig::default()
+        },
+    );
+    let result = sched.submit(&job).unwrap().wait().unwrap();
+    assert_eq!(result.count, 64);
+    assert!(
+        result.metrics.fabric_completions > 0,
+        "producer routing must fly round trips"
+    );
+    assert!(
+        cluster.device_slot_time().iter().any(|t| !t.is_zero()),
+        "the job must hold device slots"
+    );
+    assert_eq!(
+        threads_named("rede-fabric"),
+        1,
+        "one timer thread per cluster, none per scheduler"
+    );
+}
