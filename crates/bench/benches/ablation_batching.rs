@@ -6,7 +6,7 @@
 //! at several batch bounds. Unbatched, every remote pointer pays its own
 //! fabric RTT; coalesced, a batch of n pays one RTT + n× device time, so
 //! the wall-clock gap here is precisely the amortized-RTT win the
-//! dispatcher-side coalescing buys.
+//! pop-time coalescing buys.
 //!
 //! Besides the timed criterion runs, the bench measures each config's
 //! throughput and RTT-sleep counts outside the timed region and writes

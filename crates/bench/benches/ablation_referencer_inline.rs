@@ -3,8 +3,9 @@
 //! excessive context switching because Referencers do not usually incur IO
 //! and are lightweight").
 //!
-//! Runs the same SMPE job with referencers inline on the dispatcher
-//! (default) vs. every referencer invocation spawned onto the pool.
+//! Runs the same SMPE job with referencers fused into the dispatch that
+//! produced their record (default) vs. every referencer invocation queued
+//! as a pooled dispatch of its own.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rede_bench::{Fig7Config, Fig7Fixture};

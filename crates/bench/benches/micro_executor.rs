@@ -1,39 +1,16 @@
-//! Microbenchmarks of the execution layer: thread-pool dispatch, and the
-//! pure orchestration overhead of SMPE vs. partitioned execution on a
-//! zero-latency cluster (any gap here is bookkeeping, not I/O).
+//! Microbenchmark of the execution layer: the pure orchestration overhead
+//! of SMPE vs. partitioned execution on a zero-latency cluster (any gap
+//! here is bookkeeping, not I/O).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rede_common::Value;
-use rede_core::exec::{ExecutorConfig, JobRunner, ThreadPool};
+use rede_core::exec::{ExecutorConfig, JobRunner};
 use rede_core::job::{Job, SeedInput};
 use rede_core::maintenance::IndexBuilder;
 use rede_core::prebuilt::*;
 use rede_storage::{FileSpec, IndexSpec, Partitioning, Record, SimCluster};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn bench_thread_pool(c: &mut Criterion) {
-    let pool = ThreadPool::new(8, "bench");
-    let mut group = c.benchmark_group("thread_pool");
-    group.sample_size(20);
-    group.bench_function("dispatch_1k_noops", |b| {
-        b.iter(|| {
-            let counter = Arc::new(AtomicUsize::new(0));
-            for _ in 0..1000 {
-                let c = counter.clone();
-                pool.execute(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            while counter.load(Ordering::Relaxed) < 1000 {
-                std::hint::spin_loop();
-            }
-            black_box(counter.load(Ordering::Relaxed))
-        })
-    });
-    group.finish();
-}
 
 /// A two-hop index join fixture with zero injected latency.
 fn fixture() -> (SimCluster, Job) {
@@ -84,5 +61,5 @@ fn bench_executors(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_thread_pool, bench_executors);
+criterion_group!(benches, bench_executors);
 criterion_main!(benches);

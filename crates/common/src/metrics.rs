@@ -660,9 +660,11 @@ pub struct ExecProfile {
     pub stages: Vec<StageProfile>,
     /// One entry per cluster node, in node order.
     pub nodes: Vec<NodeProfile>,
-    /// Tasks handed to the thread pool.
+    /// Pooled dispatches: queued stage invocations a worker ran against
+    /// the job's pool share (a coalesced batch is one).
     pub pool_spawns: u64,
-    /// Tasks run inline on a dispatcher (referencer fast path).
+    /// Referencer invocations fused into the dispatch that produced their
+    /// record, with no queue hop (referencer fast path).
     pub inline_runs: u64,
     /// Maximum number of simultaneously in-flight tasks.
     pub peak_in_flight: u64,

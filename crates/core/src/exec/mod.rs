@@ -11,12 +11,11 @@
 //!   solutions: one worker per node walking the stage list depth-first, so
 //!   parallelism is fixed by the partitioning ("ReDe (w/o SMPE)").
 //!
-//! [`JobRunner`] is the public entry point; it owns the thread pool so
-//! repeated runs reuse threads.
+//! [`JobRunner`] is the public entry point; it owns the SMPE workers so
+//! repeated runs reuse them.
 
 pub mod partitioned;
 pub mod smpe;
-pub mod thread_pool;
 pub mod wrr;
 
 use crate::job::Job;
@@ -24,7 +23,6 @@ use rede_common::{ExecProfile, MetricsSnapshot, Result};
 use rede_storage::{Record, SimCluster};
 use std::time::Duration;
 
-pub use thread_pool::ThreadPool;
 pub use wrr::WrrQueue;
 
 /// Which execution model to use.
@@ -54,28 +52,22 @@ pub enum RoutingPolicy {
     Owner,
 }
 
-/// Pointer-batching knobs for SMPE's dispatcher (see
-/// [`smpe`]): same-(job, stage, owner) point dereferences are coalesced
-/// into one batched storage call, amortizing dispatch, IOPS admission, and
-/// — for remote owners — the network RTT across the batch.
+/// Pointer-batching knob for SMPE (see [`smpe`]): same-(job, stage,
+/// owner) point dereferences queued together are coalesced into one
+/// batched storage call, amortizing dispatch, IOPS admission, and — for
+/// remote owners — the network RTT across the batch. A batch is whatever
+/// of its group is queued when its lead task is popped; nothing waits for
+/// more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Batching {
     /// Largest number of pointers coalesced into one batch. `1` disables
     /// coalescing entirely (every batch is a batch of one).
     pub max_batch: usize,
-    /// How long an under-full batch may wait for company when the node's
-    /// queues are otherwise empty. A batch never lingers while other work
-    /// is runnable, so a trickle of pointers is never stalled behind the
-    /// clock.
-    pub linger: Duration,
 }
 
 impl Default for Batching {
     fn default() -> Self {
-        Batching {
-            max_batch: 32,
-            linger: Duration::from_micros(100),
-        }
+        Batching { max_batch: 32 }
     }
 }
 
@@ -83,17 +75,13 @@ impl Batching {
     /// Coalescing disabled: every pointer is dereferenced as a batch of
     /// one.
     pub fn off() -> Batching {
-        Batching {
-            max_batch: 1,
-            linger: Duration::ZERO,
-        }
+        Batching { max_batch: 1 }
     }
 
-    /// Batching with a given batch-size bound and the default linger.
+    /// Batching with a given batch-size bound (at least 1).
     pub fn max(max_batch: usize) -> Batching {
         Batching {
             max_batch: max_batch.max(1),
-            ..Batching::default()
         }
     }
 }
@@ -104,23 +92,26 @@ pub struct ExecutorConfig {
     /// Execution model.
     pub mode: ExecMode,
     /// Pool capacity for SMPE: the denominator of each job's fair share of
-    /// outstanding pooled dispatches (`pool_threads × weight / active
-    /// weight`), and the upper bound on worker threads — the pool runs
-    /// `min(pool_threads, cores)` of them, because no worker waits on
-    /// simulated I/O. The paper's per-node default of 1000 sleeping
-    /// threads bought I/O concurrency; here that is `IoModel::queue_depth`.
+    /// running pooled dispatches (`pool_threads × weight / active
+    /// weight`), and the upper bound on worker threads — the substrate
+    /// runs `min(pool_threads, cores)` of them (at least one), because no
+    /// worker waits on simulated I/O. Every worker pops every node's
+    /// queue; there is no thread per node. The paper's per-node default of
+    /// 1000 sleeping threads bought I/O concurrency; here that is
+    /// `IoModel::queue_depth`.
     pub pool_threads: usize,
-    /// Run referencers inline on the dispatcher instead of switching
-    /// threads — the paper's default optimization ("ReDe does not switch
-    /// threads for Referencers by default to avoid excessive context
-    /// switching because Referencers do not usually incur IO").
+    /// Run each referencer inside the dispatch that produced its input
+    /// record instead of queueing it as a dispatch of its own — the
+    /// paper's default optimization ("ReDe does not switch threads for
+    /// Referencers by default to avoid excessive context switching because
+    /// Referencers do not usually incur IO").
     pub referencer_inline: bool,
     /// Collect output records into [`JobResult::records`] (otherwise only
     /// count them).
     pub collect_outputs: bool,
     /// How SMPE routes non-broadcast pointer tasks across nodes.
     pub routing: RoutingPolicy,
-    /// Dispatcher-side pointer coalescing (default on; see [`Batching`]).
+    /// Pointer coalescing at pop time (default on; see [`Batching`]).
     pub batching: Batching,
 }
 
@@ -193,8 +184,8 @@ pub struct JobResult {
 
 /// Executes jobs against a cluster under a fixed configuration.
 ///
-/// In SMPE mode the runner owns a `smpe::Substrate` — the shared pool,
-/// per-node dispatchers, and weighted stage queues — and submits each
+/// In SMPE mode the runner owns a `smpe::Substrate` — the workers and the
+/// per-node weighted stage queues they serve — and submits each
 /// `run` as a weight-1 job. `run` may be called from many threads
 /// concurrently; the jobs share the substrate fairly. (The scheduler layer
 /// builds on the same substrate and adds admission, weights, and lazy
@@ -206,8 +197,8 @@ pub struct JobRunner {
 }
 
 impl JobRunner {
-    /// Create a runner; the SMPE pool and dispatchers are spawned eagerly
-    /// so run timings exclude thread creation.
+    /// Create a runner; the SMPE workers are spawned eagerly so run
+    /// timings exclude thread creation.
     pub fn new(cluster: SimCluster, config: ExecutorConfig) -> JobRunner {
         let substrate = match config.mode {
             ExecMode::Smpe => Some(smpe::Substrate::new(cluster.clone(), config.pool_threads)),

@@ -2,46 +2,70 @@
 //! as a *shared, multi-job substrate*.
 //!
 //! The job is distributed to every node (`EXECUTESMPE`). Each node owns a
-//! stage queue and a dispatcher thread (`EXECUTESTAGES`): items dequeued
-//! with partition information run their stage's function — dereferencers
-//! on a pooled thread ("create a thread for each dereference function
-//! invocation"), referencers by default right where their input record was
-//! produced (the paper's no-thread-switch optimization: no queue, no
-//! thread in between); items *without* partition information are
-//! broadcast to all nodes' queues with the local flag set
-//! (`SETPARTITION(input, LOCAL); BROADCAST(input)`). Function outputs are
-//! re-enqueued tagged `stage + 1`; records emitted by the final stage are
-//! the job output.
+//! stage queue, and `EXECUTESTAGES` is a *role*, not a thread: every
+//! worker of the substrate serves every node's queue. Items dequeued with
+//! partition information run their stage's function — dereferencers as a
+//! dispatch of their own on the worker that popped them (the paper creates
+//! a thread per invocation so that its read can block; here the wait is
+//! the device queue's, so a worker is enough), referencers by default
+//! right where their input record was produced (the paper's
+//! no-thread-switch optimization: no queue, no thread in between); items
+//! *without* partition information are broadcast to all nodes' queues with
+//! the local flag set (`SETPARTITION(input, LOCAL); BROADCAST(input)`).
+//! Function outputs are re-enqueued tagged `stage + 1`; records emitted by
+//! the final stage are the job output.
 //!
-//! **Hand-off.** What crosses a thread boundary is a *dispatch*, never an
-//! item. `JobState::route` walks everything a dispatch produced once:
-//! final records land in the output together, records bound for an inline
+//! **Hand-off.** What crosses a queue is a *dispatch*, never an item.
+//! `JobState::route` walks everything a dispatch produced once: final
+//! records land in the output together, records bound for an inline
 //! referencer run it on the spot and its pointers join the walk, and the
 //! resulting tasks are bucketed by target node. Each non-empty bucket is
 //! one `JobState::flush`: the in-flight tokens of all its tasks taken
 //! with one add *before* the push, one cancelled/shutdown check, one queue
-//! lock, one add per counter — and one condvar signal only when that
-//! node's dispatcher is actually parked (`QueueState::parked`), because a
-//! signal is a system call whether or not anyone is listening. So
-//! `queue_hops` and `NodeProfile::enqueued` count exactly the items that
-//! crossed a queue (seeds, dereference inputs, and records only when
-//! `referencer_inline` is off), `inline_runs` counts the referencer
-//! invocations that did not, and the fairness unit is unchanged: one
-//! weighted-round-robin credit per pop, where a continuation and the
-//! referencers fused into it are one service.
+//! lock, one add per counter — and one condvar signal only when a worker
+//! is actually asleep (see *Idling*), because a signal is a system call
+//! whether or not anyone is listening. So `queue_hops` and
+//! `NodeProfile::enqueued` count exactly the items that crossed a queue
+//! (seeds, dereference inputs, and records only when `referencer_inline`
+//! is off), `inline_runs` counts the referencer invocations that did not,
+//! and the fairness unit is unchanged: one weighted-round-robin credit per
+//! pop, where a continuation and the referencers fused into it are one
+//! service.
 //!
-//! **Sharing.** Unlike the original per-run design, the dispatchers and
-//! the thread pool live in a `Substrate` that outlives any single job:
-//! many jobs run concurrently over the same per-node queues. Each node's
-//! queue is a weighted round-robin multi-queue (`wrr`) with one slot per
-//! job, so dispatch interleaves jobs by weight instead of FIFO order — a
-//! scan-heavy job that floods the queues cannot starve a point-lookup job
-//! of dispatch slots. The pool is fair-shared the same way: a job may have
-//! at most `pool_threads * weight / total_active_weight` dispatches handed
-//! to the pool and not yet returned (min 1), enforced by the dispatcher's
-//! eligibility check. The pool itself runs `min(pool_threads, cores)`
-//! workers: stage bodies are CPU work, and a dispatch leaves the pool the
-//! moment its accesses are charged.
+//! **Sharing.** The workers and the per-node queues live in a `Substrate`
+//! that outlives any single job: many jobs run concurrently over the same
+//! queues. Each node's queue is a weighted round-robin multi-queue (`wrr`)
+//! with one slot per job, so dispatch interleaves jobs by weight instead
+//! of FIFO order — a scan-heavy job that floods the queues cannot starve a
+//! point-lookup job of dispatch slots. The workers are fair-shared the
+//! same way: a job may have at most `pool_threads * weight /
+//! total_active_weight` pooled dispatches running (min 1), enforced by the
+//! eligibility check of every pop. The substrate runs `min(pool_threads,
+//! cores)` workers, at least one: stage bodies are CPU work, and a
+//! dispatch leaves its worker the moment its accesses are charged. Worker
+//! `i` starts its scan at node `i mod nodes` and, after every pop, resumes
+//! at the node after the one it served — so however few workers there
+//! are, no node's queue waits behind another node's backlog.
+//!
+//! **Coalescing.** When the popped task is a point dereference with a
+//! known owner, the same pop — under the same queue lock — takes up to
+//! `max_batch - 1` same-(stage, owner) batchmates out of the job's slot
+//! ([`Batching::off`] is simply `max_batch = 1`: every batch is a batch of
+//! one). The extras ride the WRR credit and pool-share slot the lead
+//! already paid for — a batch is *one* dispatch, so fairness (measured in
+//! dispatches) and the pool-share cap are unaffected. A batch is whatever
+//! of its group is queued when the lead is popped: nothing waits for
+//! company, because on a worker that wait would hold a CPU idle.
+//!
+//! **Idling.** All workers share one idle protocol: an `epoch` bumped
+//! after every push and every eligibility change, a count of sleepers, and
+//! one mutex and condvar. A worker reads the epoch before it scans the
+//! queues and parks only if, once counted as a sleeper under the mutex,
+//! it finds the epoch unchanged — so no push is ever missed. A push wakes
+//! one sleeper, and only if there is one; a worker that pops while tasks
+//! remain queued on that node passes one wake-up on; and every eligibility
+//! change (a drain that clears sink saturation, a pool-share release at
+//! the cap, a job failing or finishing) and shutdown wake them all.
 //!
 //! **Per-job accounting.** Every submitted job gets an [`IoScope`]; the
 //! job's storage accesses are mirrored into the scope (see
@@ -56,7 +80,7 @@
 //! and wakes its waiters.
 //!
 //! **Cancellation.** `cancel` drains the job's queued tasks from every
-//! node; tasks already on pool threads finish their current invocation and
+//! node; tasks already on workers finish their current invocation and
 //! then skip. Device-queue slots are released as each in-flight read lands
 //! (a slot is only ever held for one access's device time), so a cancelled
 //! job's held-slot count reaches zero within one device time of its last
@@ -70,16 +94,16 @@
 //! included — buffering the outputs and returning the simulated time the
 //! dispatch still [`Owed`]: device slots, page-fault service, retry
 //! backoff, and one network round trip. Nothing owed (a latency-free
-//! model) routes the outputs at once. Otherwise the pool thread is freed
-//! and the outputs wait for events on the cluster's one event loop
+//! model) routes the outputs at once. Otherwise the worker is freed and
+//! the outputs wait for events on the cluster's one event loop
 //! (`SimCluster::settle`): each access takes one of its serving node's
 //! `queue_depth` device slots; if a round trip is owed it then flies on
 //! the submitting node's wire lane, at most `IoModel::wire_window` of them
 //! in the air per node; and the last landing re-enqueues a `FlightDone`
-//! continuation on the submitting node's weighted queue. The dispatcher
-//! routes the buffered outputs inline (pure CPU work: the walk above,
-//! fused referencers included). No pool thread ever blocks on simulated
-//! time, so the pool is sized to the machine's cores, not to the I/O
+//! continuation on the submitting node's weighted queue. Whichever worker
+//! pops it routes the buffered outputs inline (pure CPU work: the walk
+//! above, fused referencers included). No worker ever blocks on simulated
+//! time, so the workers are sized to the machine's cores, not to the I/O
 //! concurrency wanted — that is the device queue's depth. The continuation
 //! carries the dispatch's in-flight tokens; a job therefore cannot finish
 //! — and cancellation cannot complete — until every one of its flights has
@@ -97,19 +121,18 @@
 //! injecting faults. Pointers whose placement the cluster cannot determine
 //! stay at their producer under either policy.
 
-use super::thread_pool::ThreadPool;
 use super::wrr::WrrQueue;
 use super::{Batching, ExecutorConfig, JobResult, RoutingPolicy};
 use crate::job::{Job, Stage};
 use crate::traits::{DerefInput, StageCtx};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use rede_common::{
     Counter, ExecProfile, IoScope, Metrics, NodeProfile, RedeError, Result, StageProfile,
 };
 use rede_storage::{Owed, Placement, Pointer, Record, SimCluster};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,7 +160,7 @@ struct Task {
     stage: usize,
     local_only: bool,
     /// The node owning the pointer's target partition, when known at
-    /// enqueue time. This is the dispatcher's batch key: same-(job, stage,
+    /// enqueue time. This is the pop's batch key: same-(job, stage,
     /// owner) point-dereference tasks coalesce into one storage call.
     /// `None` (seeds, broadcasts, records, unroutable pointers) means the
     /// task is never coalesced.
@@ -155,8 +178,8 @@ enum TaskItem {
     /// outputs, ready to route now its last event has landed. Carries
     /// the `tokens` in-flight tokens of the submitted dispatch (lead +
     /// batchmates), released only after the outputs are routed — the
-    /// dispatcher handles it inline (it is pure CPU work) and it is
-    /// always dispatch-eligible (it holds no pool thread).
+    /// worker that pops it routes them inline (it is pure CPU work) and it
+    /// is always dispatch-eligible (it takes no pool share).
     FlightDone {
         outputs: Vec<StageOutput>,
         tokens: u64,
@@ -175,72 +198,44 @@ impl Task {
     }
 }
 
-/// One node's stage queue: a weighted multi-queue guarded by a mutex, a
-/// condvar for dispatcher wakeups, and a lock-free depth gauge (read by
-/// the scheduler's stats without taking the lock).
+/// One node's stage queue: a weighted multi-queue guarded by a mutex, and
+/// a lock-free depth gauge (read by the scheduler's stats without taking
+/// the lock).
 struct NodeQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
+    tasks: Mutex<WrrQueue<Task>>,
     depth: AtomicU64,
-}
-
-struct QueueState {
-    tasks: WrrQueue<Task>,
-    /// The node's dispatcher is waiting on `ready` and nobody has signalled
-    /// it yet. Written and read only under the queue lock: a producer that
-    /// finds it set clears it and owes the one `notify_one`; one that finds
-    /// it clear knows the dispatcher is awake (it re-checks the queue
-    /// before it parks again) or already has a wake-up on its way — so no
-    /// push is ever missed, and a busy dispatcher costs producers no futex
-    /// call at all.
-    parked: bool,
 }
 
 impl NodeQueue {
     fn new() -> NodeQueue {
         NodeQueue {
-            state: Mutex::new(QueueState {
-                tasks: WrrQueue::new(),
-                parked: false,
-            }),
-            ready: Condvar::new(),
+            tasks: Mutex::new(WrrQueue::new()),
             depth: AtomicU64::new(0),
         }
     }
 
-    /// Hand job `key`'s `tasks` to this node: one lock, one depth add, and
-    /// one wake-up only if the dispatcher is parked.
-    fn push_all<I>(&self, key: u64, weight: u32, tasks: I)
-    where
-        I: IntoIterator<Item = Task>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let tasks = tasks.into_iter();
-        let n = tasks.len() as u64;
-        let wake = {
-            let mut state = self.state.lock();
-            state.tasks.push_all(key, weight, tasks);
-            self.depth.fetch_add(n, Ordering::Relaxed);
-            std::mem::take(&mut state.parked)
+    /// Pop this node's next dispatch under one lock: the weighted
+    /// round-robin pick among eligible tasks and, when it is a point
+    /// dereference with a known owner, up to `max_batch - 1` queued
+    /// batchmates of the same (stage, owner), lead first. Also says
+    /// whether tasks remain queued here.
+    fn pop(&self, shared: &Shared) -> Option<(Vec<Task>, bool)> {
+        let mut tasks = self.tasks.lock();
+        let (key, lead) = tasks.pop_where(|t| shared.eligible(t))?;
+        let limit = match lead.owner {
+            Some(_) => lead.job.batching.max_batch.saturating_sub(1),
+            None => 0,
         };
-        if wake {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Park the dispatcher on `ready` (until `timeout`, if given) with the
-    /// parked flag up. Returns true on timeout.
-    fn park(&self, state: &mut MutexGuard<'_, QueueState>, timeout: Option<Duration>) -> bool {
-        state.parked = true;
-        let timed_out = match timeout {
-            Some(timeout) => self.ready.wait_for(state, timeout),
-            None => {
-                self.ready.wait(state);
-                false
-            }
-        };
-        state.parked = false;
-        timed_out
+        let (stage, owner) = (lead.stage, lead.owner);
+        let mates = tasks.take_matching(key, limit, |t| t.stage == stage && t.owner == owner);
+        self.depth
+            .fetch_sub(1 + mates.len() as u64, Ordering::Relaxed);
+        let more = !tasks.is_empty();
+        drop(tasks);
+        let mut batch = Vec::with_capacity(1 + mates.len());
+        batch.push(lead);
+        batch.extend(mates);
+        Some((batch, more))
     }
 }
 
@@ -248,10 +243,10 @@ impl NodeQueue {
 /// cursor. Applies backpressure to the producing job's emit path: once
 /// the buffer holds `capacity` records the job's *pooled* tasks become
 /// ineligible (see [`Shared::eligible`]), so its queued work sits in the
-/// weighted queues consuming no pool threads until a drain takes the
-/// buffer back under the low-water mark. Dispatches already handed to the
-/// pool still land their outputs, so occupancy can overshoot `capacity`
-/// by at most the job's pool-thread share × `max_batch` × its per-task
+/// weighted queues occupying no worker until a drain takes the buffer
+/// back under the low-water mark. Dispatches already running still land
+/// their outputs, so occupancy can overshoot `capacity` by at most
+/// min(the job's pool share, workers) × `max_batch` × its per-task
 /// fan-out — bounded, and small compared to collecting the whole result.
 pub(crate) struct OutputSink {
     buf: Mutex<VecDeque<Record>>,
@@ -293,7 +288,7 @@ impl OutputSink {
 
     /// Take up to `max` records in emission order. Returns the records
     /// and whether this drain cleared saturation (the caller must then
-    /// wake the dispatchers so the job's queued work resumes).
+    /// wake the workers so the job's queued work resumes).
     fn drain(&self, max: usize) -> (Vec<Record>, bool) {
         let mut buf = self.buf.lock();
         let n = max.min(buf.len());
@@ -340,32 +335,38 @@ impl OutputSink {
     }
 }
 
-/// State shared by all dispatchers and jobs of one substrate.
+/// State shared by all workers and jobs of one substrate.
 struct Shared {
     queues: Vec<NodeQueue>,
     /// Sum of the weights of jobs submitted and not yet finished; the
-    /// denominator of every job's pool-thread share.
+    /// denominator of every job's pool share.
     active_weight: AtomicU64,
     pool_threads: usize,
     shutdown: AtomicBool,
-    /// The pool's panic counter. Stage panics are caught by
-    /// [`run_guarded`] before the pool's own guard can see them (and
-    /// inline referencers never reach the pool at all), so the catch
-    /// site feeds this counter directly.
-    panics: Arc<AtomicU64>,
+    /// Stage invocations that panicked, counted where [`run_guarded`]
+    /// catches them.
+    panics: AtomicU64,
+    /// Bumped after every push and every eligibility change. A worker
+    /// parks only if it is unchanged since before the scan that found
+    /// nothing to pop (see [`Shared::sleep`]).
+    epoch: AtomicU64,
+    /// Workers parked on `wakeup`, or about to re-check `epoch` and park.
+    sleepers: AtomicUsize,
+    idle: Mutex<()>,
+    wakeup: Condvar,
 }
 
 impl Shared {
     /// May this task be dispatched right now? Flight continuations always
-    /// may (they cost a dispatcher, not a pool thread). Pooled tasks are
-    /// admitted only while their job is under its fair share of pool
-    /// threads: `pool_threads * weight / active_weight`, min 1.
-    /// Cancelled/failed jobs' tasks are always admitted — their bodies are
-    /// skipped, and draining them fast is what frees the job's resources.
+    /// may (they take no pool share). Pooled tasks are admitted only while
+    /// their job is under its fair share of the workers: `pool_threads *
+    /// weight / active_weight`, min 1. Cancelled/failed jobs' tasks are
+    /// always admitted — their bodies are skipped, and draining them fast
+    /// is what frees the job's resources.
     fn eligible(&self, task: &Task) -> bool {
         let job = &task.job;
-        // Flight continuations cost the dispatcher, never a pool thread,
-        // and holding them back would strand their in-flight tokens.
+        // Holding a flight continuation back would strand its in-flight
+        // tokens, and routing it is all that is left of its dispatch.
         if matches!(task.item, TaskItem::FlightDone { .. }) {
             return true;
         }
@@ -373,9 +374,9 @@ impl Shared {
             return true;
         }
         // A streaming job whose cursor buffer is full parks its pooled
-        // work in the queues — the emit path stalls without a single
-        // pool thread held. The drain that clears saturation wakes every
-        // dispatcher, exactly like a pool-share release.
+        // work in the queues — the emit path stalls without a worker
+        // held. The drain that clears saturation wakes every worker,
+        // exactly like a pool-share release.
         if let Some(sink) = &job.sink {
             if sink.is_saturated() {
                 return false;
@@ -384,7 +385,7 @@ impl Shared {
         job.pool_inflight.load(Ordering::Relaxed) < self.pool_cap(job)
     }
 
-    /// A job's current fair share of pool threads.
+    /// A job's current fair share of pooled dispatches.
     fn pool_cap(&self, job: &JobState) -> u64 {
         let total = self
             .active_weight
@@ -393,13 +394,57 @@ impl Shared {
         (self.pool_threads as u64 * u64::from(job.weight) / total).max(1)
     }
 
-    /// Wake every node's dispatcher. Takes each queue lock so a dispatcher
-    /// between its eligibility check and its wait cannot miss the signal.
-    fn wake_all_dispatchers(&self) {
-        for nq in &self.queues {
-            let _guard = nq.state.lock();
-            nq.ready.notify_all();
+    /// Hand job `key`'s `tasks` to `node`'s queue: one lock, one depth
+    /// add, then one wake-up if a worker is asleep.
+    fn push<I>(&self, node: usize, key: u64, weight: u32, tasks: I)
+    where
+        I: IntoIterator<Item = Task>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let q = &self.queues[node];
+        let tasks = tasks.into_iter();
+        let n = tasks.len() as u64;
+        {
+            let mut queued = q.tasks.lock();
+            queued.push_all(key, weight, tasks);
+            q.depth.fetch_add(n, Ordering::Relaxed);
         }
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.wake_one();
+    }
+
+    /// Signal one parked worker, if any. The signal is sent under `idle`,
+    /// so it cannot fall between a sleeper's epoch check and its wait.
+    fn wake_one(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _idle = self.idle.lock();
+            self.wakeup.notify_one();
+        }
+    }
+
+    /// Something became eligible (or the substrate is shutting down):
+    /// every worker rescans the queues.
+    fn wake_all(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _idle = self.idle.lock();
+            self.wakeup.notify_all();
+        }
+    }
+
+    /// Park the calling worker unless `epoch` has moved since `seen`, read
+    /// before the scan that found nothing to pop. The worker counts itself
+    /// a sleeper *before* that check, and a producer bumps the epoch
+    /// *before* it reads `sleepers`, so either the producer sees the
+    /// sleeper and signals it or the sleeper sees the bump and rescans: no
+    /// push is lost.
+    fn sleep(&self, seen: u64) {
+        let mut idle = self.idle.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.epoch.load(Ordering::SeqCst) == seen {
+            self.wakeup.wait(&mut idle);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -474,8 +519,8 @@ impl JobOptions {
     }
 }
 
-/// All state of one submitted job. Shared by queued tasks, pool threads,
-/// and the `JobHandle` a client waits on.
+/// All state of one submitted job. Shared by queued tasks, workers, and
+/// the `JobHandle` a client waits on.
 pub(crate) struct JobState {
     id: u64,
     label: Option<String>,
@@ -491,7 +536,7 @@ pub(crate) struct JobState {
     batching: Batching,
     started: Instant,
     in_flight: AtomicU64,
-    /// Pooled tasks of this job currently occupying a pool thread.
+    /// Pooled dispatches of this job currently running on a worker.
     pool_inflight: AtomicU64,
     failed: AtomicBool,
     cancelled: AtomicBool,
@@ -531,7 +576,7 @@ impl JobState {
         &self.scope
     }
 
-    /// Pooled tasks of this job currently on a pool thread.
+    /// Pooled dispatches of this job currently running on a worker.
     pub(crate) fn pool_inflight(&self) -> u64 {
         self.pool_inflight.load(Ordering::SeqCst)
     }
@@ -575,15 +620,15 @@ impl JobState {
 
     /// Take up to `max` buffered final records in emission order
     /// (streaming submissions only; empty on the collect path). A drain
-    /// that clears sink saturation wakes every dispatcher so the job's
-    /// parked pooled work resumes.
+    /// that clears sink saturation wakes every worker so the job's parked
+    /// pooled work resumes.
     pub(crate) fn drain_output(&self, max: usize) -> Vec<Record> {
         let Some(sink) = &self.sink else {
             return Vec::new();
         };
         let (records, unsaturated) = sink.drain(max);
         if unsaturated {
-            self.shared.wake_all_dispatchers();
+            self.shared.wake_all();
         }
         records
     }
@@ -646,8 +691,8 @@ impl JobState {
             // Tasks are collected under the lock but dropped outside it: a
             // queued flight continuation can hold many in-flight tokens
             // (so the count alone is not enough), and dropping payloads
-            // under the queue lock would stall the dispatcher.
-            let tasks = q.state.lock().tasks.drain_key(self.id);
+            // under the queue lock would stall every worker popping here.
+            let tasks = q.tasks.lock().drain_key(self.id);
             if !tasks.is_empty() {
                 q.depth.fetch_sub(tasks.len() as u64, Ordering::Relaxed);
                 drained += tasks.iter().map(Task::held_tokens).sum::<u64>();
@@ -706,7 +751,7 @@ impl JobState {
             self.tasks_done(n);
             return;
         }
-        self.shared.queues[node].push_all(self.id, self.weight, tasks);
+        self.shared.push(node, self.id, self.weight, tasks);
     }
 
     /// Release `n` in-flight tokens at once (a dispatch returns its whole
@@ -735,8 +780,8 @@ impl JobState {
     }
 
     /// A dispatch's last event has landed: re-enqueue the continuation on
-    /// the submitting node's weighted queue so the dispatcher routes the
-    /// buffered outputs. The dispatch's in-flight tokens transfer into the
+    /// the submitting node's weighted queue so a worker routes the buffered
+    /// outputs. The dispatch's in-flight tokens transfer into the
     /// queued task; if the job was cancelled (or the substrate is shutting
     /// down) the outputs are dropped and the tokens released here, which
     /// is what lets a cancelled job's last outstanding flight complete it.
@@ -751,12 +796,18 @@ impl JobState {
             return;
         }
         let done = self.task(TaskItem::FlightDone { outputs, tokens }, stage, false, None);
-        self.shared.queues[node].push_all(self.id, self.weight, [done]);
+        self.shared.push(node, self.id, self.weight, [done]);
     }
 
     fn fail(&self, err: RedeError) {
-        self.failed.store(true, Ordering::SeqCst);
+        let first = !self.failed.swap(true, Ordering::SeqCst);
         self.errors.lock().push(err);
+        // A failed job's queued tasks are always eligible: wake any worker
+        // that parked past them (held back by a saturated sink or the
+        // pool cap), so the backlog drains and the job can finish.
+        if first {
+            self.shared.wake_all();
+        }
     }
 
     /// Complete the job exactly once: assemble the result, release the
@@ -769,7 +820,7 @@ impl JobState {
         // cancellation); normally the slots are already empty. Stragglers
         // are dropped outside the queue lock.
         for q in &self.shared.queues {
-            let dropped = q.state.lock().tasks.drain_key(self.id);
+            let dropped = q.tasks.lock().drain_key(self.id);
             if !dropped.is_empty() {
                 q.depth.fetch_sub(dropped.len() as u64, Ordering::Relaxed);
             }
@@ -778,7 +829,7 @@ impl JobState {
             .active_weight
             .fetch_sub(u64::from(self.weight), Ordering::SeqCst);
         // The remaining jobs' pool shares just grew; re-check blocked work.
-        self.shared.wake_all_dispatchers();
+        self.shared.wake_all();
         let result = if self.cancelled.load(Ordering::SeqCst) {
             let reason = if self.deadline_exceeded.load(Ordering::SeqCst) {
                 " exceeded its deadline"
@@ -947,7 +998,7 @@ impl JobState {
         // The locality decision: a pointer with known placement runs its
         // dereference on the owning node (a local read) instead of
         // wherever it was produced. The owner, when known, doubles as the
-        // dispatcher's batch key whatever node the task lands on.
+        // pop's batch key whatever node the task lands on.
         let owner = routed.placement.owner_of(&ptr);
         let mut target = match self.routing {
             RoutingPolicy::Producer => node,
@@ -1029,9 +1080,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Execute one dispatch — a lone task, or a coalesced batch of
-/// same-(job, stage, owner) point dereferences — on whatever thread the
-/// dispatcher chose. Cancelled and already-failed jobs skip the bodies so
-/// their backlog drains at queue speed.
+/// same-(job, stage, owner) point dereferences — on the worker that popped
+/// it. Cancelled and already-failed jobs skip the bodies so their backlog
+/// drains at queue speed.
 ///
 /// [`run_guarded`] is the *submit* half: all charged accesses, outputs
 /// buffered. When it owes nothing the outputs are routed right here and
@@ -1085,9 +1136,9 @@ fn run_guarded(
     }
 }
 
-/// Route a landed flight's buffered outputs. Runs inline on the
-/// dispatcher — by the time a flight lands, all that remains is pure CPU
-/// work: routing, and the referencers fused into it. Releases the
+/// Route a landed flight's buffered outputs. Runs inline on the worker
+/// that popped the continuation — by the time a flight lands, all that
+/// remains is pure CPU work: routing, and the referencers fused into it. Releases the
 /// dispatch's in-flight tokens exactly once; cancelled and failed jobs
 /// skip the routing so their backlog drains.
 fn process_flight_done(task: Task, node: usize) {
@@ -1255,153 +1306,102 @@ fn run_attempt(
     }
 }
 
-/// Per-node dispatcher: serve the weighted multi-queue, spawning stage
-/// invocations onto the pool and routing landed flights' outputs — with
-/// the referencers fused into them — inline. Lives for the substrate's
-/// lifetime.
-///
-/// **Coalescing.** When the popped task is a point dereference with a
-/// known owner, the dispatcher pulls up to `max_batch - 1`
-/// same-(stage, owner) batchmates out of the same job slot
-/// ([`Batching::off`] is simply `max_batch = 1`: every batch is a batch of
-/// one). The extras ride the WRR credit and pool slot the lead task
-/// already paid for — a batch is *one* dispatch and one pooled thread, so
-/// fairness (measured in dispatches) and the pool-share cap are
-/// unaffected. If the queue is otherwise empty and the batch is under
-/// `max_batch`, the dispatcher lingers up to `linger` for stragglers; the
-/// wait aborts as soon as any non-matching work arrives, so a trickle of
-/// other tasks is never stalled behind the clock.
-fn dispatch(shared: Arc<Shared>, node: usize, pool: Arc<ThreadPool>) {
-    let q = &shared.queues[node];
+/// One worker: serve every node's weighted queue, round-robin over the
+/// nodes from node `worker mod nodes`, until the substrate shuts down.
+/// Lives for the substrate's lifetime.
+fn work(shared: &Shared, worker: usize) {
+    let nodes = shared.queues.len();
+    let mut next = worker % nodes;
     loop {
-        let mut batch: Vec<Task> = Vec::new();
-        let task = {
-            let mut state = q.state.lock();
-            loop {
-                if let Some((key, task)) = state.tasks.pop_where(|t| shared.eligible(t)) {
-                    let limit = if task.owner.is_some() {
-                        task.job.batching.max_batch.saturating_sub(1)
-                    } else {
-                        0
-                    };
-                    if limit > 0 {
-                        let (stage, owner) = (task.stage, task.owner);
-                        let same_group = |t: &Task| t.stage == stage && t.owner == owner;
-                        batch = state.tasks.take_matching(key, limit, same_group);
-                        let linger = task.job.batching.linger;
-                        // Flush invariant: once a lead task is popped, it
-                        // and every batchmate taken so far are *committed*
-                        // — all exits from the linger loop below (deadline,
-                        // shutdown flag, straggler arrival, foreign work)
-                        // fall through to dispatch, never back to the
-                        // queue. A deadline-armed batch therefore always
-                        // flushes; the only thing the linger can cost is
-                        // time, bounded by `linger` itself. (Pinned by
-                        // `straggler_pointer_flushes_after_linger` in
-                        // tests/fabric_equivalence.rs.)
-                        if batch.len() < limit && !linger.is_zero() && state.tasks.is_empty() {
-                            let deadline = Instant::now() + linger;
-                            while batch.len() < limit && !shared.shutdown.load(Ordering::SeqCst) {
-                                let now = Instant::now();
-                                if now >= deadline {
-                                    break;
-                                }
-                                let timed_out = q.park(&mut state, Some(deadline - now));
-                                batch.extend(state.tasks.take_matching(
-                                    key,
-                                    limit - batch.len(),
-                                    same_group,
-                                ));
-                                if timed_out || !state.tasks.is_empty() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    break task;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                q.park(&mut state, None);
+        let seen = shared.epoch.load(Ordering::SeqCst);
+        let popped = (0..nodes)
+            .map(|step| (next + step) % nodes)
+            .find_map(|node| shared.queues[node].pop(shared).map(|pop| (node, pop)));
+        let Some((node, (batch, more))) = popped else {
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
             }
-        };
-        q.depth.fetch_sub(1 + batch.len() as u64, Ordering::Relaxed);
-        let job = task.job.clone();
-        if matches!(task.item, TaskItem::FlightDone { .. }) {
-            // A landed flight's continuation: route its buffered outputs
-            // right here. It never coalesces (owner is None), costs no
-            // pool thread, and releases the batch's in-flight tokens.
-            debug_assert!(batch.is_empty(), "flight continuations never batch");
-            process_flight_done(task, node);
+            shared.sleep(seen);
             continue;
+        };
+        if more {
+            shared.wake_one();
         }
-        let mut tasks = Vec::with_capacity(1 + batch.len());
-        tasks.push(task);
-        tasks.append(&mut batch);
-        // Every queued stage invocation runs pooled (dereferences read
-        // pages and probe trees; a referencer is only ever queued when the
-        // job asked for the thread switch); a coalesced batch occupies a
-        // single pool slot until its accesses are charged.
-        job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
-        job.pool_inflight.fetch_add(1, Ordering::SeqCst);
-        job.tally(|m| m.add(Counter::tasks_spawned, 1));
-        let shared = shared.clone();
-        pool.execute(move || {
-            process_tasks(tasks, node);
-            let prev = job.pool_inflight.fetch_sub(1, Ordering::SeqCst);
-            // Wake dispatchers only when this job was actually at its
-            // cap — work elsewhere can only have been blocked on *this*
-            // slot in that case, and an unconditional wake per task is
-            // a notify storm that dominates small jobs.
-            if prev >= shared.pool_cap(&job) {
-                shared.wake_all_dispatchers();
-            }
-        });
+        next = (node + 1) % nodes;
+        run_dispatch(shared, node, batch);
     }
 }
 
-/// The shared SMPE execution substrate: one thread pool plus one
-/// dispatcher and weighted stage queue per node, serving any number of
-/// concurrent jobs. `JobRunner` owns one for sequential use; the
-/// scheduler owns one and multiplexes clients onto it.
+/// Run one popped dispatch on the calling worker. A landed flight's
+/// continuation is routed inline: it never coalesces (its owner is
+/// `None`), takes no pool share, and releases its in-flight tokens. Every
+/// other dispatch — dereferences, and referencers only when the job asked
+/// for the thread switch — holds one slot of its job's pool share until
+/// its accesses are charged, however many tasks it coalesced.
+fn run_dispatch(shared: &Shared, node: usize, mut batch: Vec<Task>) {
+    if matches!(batch[0].item, TaskItem::FlightDone { .. }) {
+        debug_assert_eq!(batch.len(), 1, "flight continuations never batch");
+        let done = batch.pop().expect("a pop yields its lead");
+        return process_flight_done(done, node);
+    }
+    let job = batch[0].job.clone();
+    job.prof.pool_spawns.fetch_add(1, Ordering::Relaxed);
+    job.pool_inflight.fetch_add(1, Ordering::SeqCst);
+    job.tally(|m| m.add(Counter::tasks_spawned, 1));
+    process_tasks(batch, node);
+    let prev = job.pool_inflight.fetch_sub(1, Ordering::SeqCst);
+    // Wake every worker only when this job was actually at its cap — work
+    // can only have been held back by *this* slot in that case, and an
+    // unconditional wake per dispatch is a notify storm that dominates
+    // small jobs.
+    if prev >= shared.pool_cap(&job) {
+        shared.wake_all();
+    }
+}
+
+/// The shared SMPE execution substrate: `min(pool_threads, cores)` workers
+/// serving one weighted stage queue per node, for any number of concurrent
+/// jobs. `JobRunner` owns one for sequential use; the scheduler owns one
+/// and multiplexes clients onto it.
 pub(crate) struct Substrate {
     cluster: SimCluster,
     shared: Arc<Shared>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     next_id: AtomicU64,
 }
 
 impl Substrate {
-    /// Spawn the pool and the per-node dispatchers eagerly so job timings
-    /// exclude thread creation. `pool_threads` is each job's fair-share
-    /// denominator and the upper bound on workers; no worker ever waits on
-    /// simulated time, so more of them than cores would only add context
-    /// switches.
+    /// Spawn the workers eagerly so job timings exclude thread creation.
+    /// `pool_threads` is each job's fair-share denominator and the upper
+    /// bound on workers (0 counts as 1); no worker ever waits on simulated
+    /// time, so more of them than cores would only add context switches.
     pub(crate) fn new(cluster: SimCluster, pool_threads: usize) -> Substrate {
-        let nodes = cluster.nodes();
-        let pool = Arc::new(ThreadPool::cpu_bound(pool_threads, "rede-smpe"));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Arc::new(Shared {
-            queues: (0..nodes).map(|_| NodeQueue::new()).collect(),
+            queues: (0..cluster.nodes()).map(|_| NodeQueue::new()).collect(),
             active_weight: AtomicU64::new(0),
             pool_threads: pool_threads.max(1),
             shutdown: AtomicBool::new(false),
-            panics: pool.panic_counter(),
+            panics: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            idle: Mutex::new(()),
+            wakeup: Condvar::new(),
         });
-        let dispatchers = (0..nodes)
-            .map(|node| {
+        let workers = (0..pool_threads.clamp(1, cores))
+            .map(|i| {
                 let shared = shared.clone();
-                let pool = pool.clone();
                 std::thread::Builder::new()
-                    .name(format!("rede-dispatch-{node}"))
-                    .spawn(move || dispatch(shared, node, pool))
-                    .expect("spawn dispatcher")
+                    .name(format!("rede-smpe-{i}"))
+                    .stack_size(128 * 1024)
+                    .spawn(move || work(&shared, i))
+                    .expect("spawn worker")
             })
             .collect();
         Substrate {
             cluster,
             shared,
-            dispatchers,
+            workers,
             next_id: AtomicU64::new(1),
         }
     }
@@ -1495,9 +1495,9 @@ impl Substrate {
 impl Drop for Substrate {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_all_dispatchers();
-        for d in self.dispatchers.drain(..) {
-            let _ = d.join();
+        self.shared.wake_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -1506,8 +1506,8 @@ impl Drop for Substrate {
 mod tests {
     use super::*;
 
-    /// Holds its dispatch on a pool worker until released, and says when
-    /// it has got there.
+    /// Holds its dispatch on a worker until released, and says when it has
+    /// got there.
     struct HoldUntil {
         entered: Arc<AtomicBool>,
         release: Arc<AtomicBool>,
@@ -1585,6 +1585,132 @@ mod tests {
         drop(release);
         assert!(matches!(state.wait_result(), Err(RedeError::Cancelled(_))));
         assert_eq!(state.in_flight.load(Ordering::SeqCst), 0);
+    }
+
+    /// Logs which job ran each dispatch of key 1, and on which node. The
+    /// seeds (key 0) run on every node and are not logged.
+    struct Recorder {
+        tag: char,
+        log: Arc<Mutex<Vec<(char, usize)>>>,
+    }
+
+    impl crate::traits::Dereferencer for Recorder {
+        fn dereference(
+            &self,
+            input: &DerefInput,
+            ctx: &StageCtx,
+            _emit: &mut dyn FnMut(Record),
+        ) -> Result<()> {
+            let key = input.as_point().and_then(Pointer::logical_key);
+            if key == Some(&rede_common::Value::Int(1)) {
+                self.log.lock().push((self.tag, ctx.node));
+            }
+            Ok(())
+        }
+    }
+
+    /// One worker serves every node: after each pop it moves on to the
+    /// node after the one it served, so a lone task on node 3 runs within
+    /// one round of the nodes however deep node 0's backlog is. A scan
+    /// that always starts at a fixed home node would run all of node 0's
+    /// thousand tasks first.
+    #[test]
+    fn one_worker_serves_every_node() {
+        let nodes = 4;
+        let cluster = SimCluster::builder()
+            .nodes(nodes)
+            .io_model(rede_storage::IoModel::zero())
+            .build()
+            .unwrap();
+        let substrate = Substrate::new(cluster, 1);
+        let release = ReleaseOnDrop(Arc::new(AtomicBool::new(false)));
+        let entered = Arc::new(AtomicBool::new(false));
+        let opts = || JobOptions::from_config(&ExecutorConfig::smpe(1));
+        let pointer = |key: i64| Pointer::logical("nothing", 0i64.into(), key.into());
+        let job = |name: &str, stage: Arc<dyn crate::traits::Dereferencer>| {
+            Job::builder(name)
+                .seed(crate::job::SeedInput::Pointers(vec![pointer(0)]))
+                .dereference(name, stage)
+                .build()
+                .unwrap()
+        };
+        let hold = HoldUntil {
+            entered: entered.clone(),
+            release: release.0.clone(),
+        };
+        let held = substrate.submit(&job("held", Arc::new(hold)), opts());
+        // The one worker is inside the held job's node-0 seed.
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let recorded = |tag: char| {
+            let recorder = Recorder {
+                tag,
+                log: log.clone(),
+            };
+            substrate.submit(&job(&tag.to_string(), Arc::new(recorder)), opts())
+        };
+        let (a, b) = (recorded('A'), recorded('B'));
+        let task = |state: &Arc<JobState>| {
+            let input = TaskItem::Deref(DerefInput::Point(pointer(1)));
+            state.task(input, 0, false, None)
+        };
+        a.flush(0, (0..1000).map(|_| task(&a)).collect());
+        b.flush(nodes - 1, vec![task(&b)]);
+        drop(release);
+        for state in [&held, &a, &b] {
+            state.wait_result().unwrap();
+        }
+        let log = log.lock();
+        assert_eq!(log.len(), 1001);
+        let b_ran = log
+            .iter()
+            .position(|&run| run == ('B', nodes - 1))
+            .expect("B's task ran on its node");
+        let a_before = log[..b_ran].iter().filter(|(tag, _)| *tag == 'A').count();
+        assert!(
+            a_before <= nodes,
+            "B's task waited behind {a_before} of A's node-0 tasks"
+        );
+    }
+
+    /// `pool_threads = 0` runs one worker with a pool share of one, through
+    /// the runner and the scheduler alike.
+    #[test]
+    fn zero_pool_threads_run_one_worker() {
+        let cluster = SimCluster::builder().nodes(1).build().unwrap();
+        let base = cluster
+            .create_file(rede_storage::FileSpec::new(
+                "base",
+                rede_storage::Partitioning::hash(4),
+            ))
+            .unwrap();
+        for k in 0..20i64 {
+            base.insert(k.into(), Record::from_text(&format!("rec-{k}")))
+                .unwrap();
+        }
+        let pointers = (0..20i64)
+            .map(|k| Pointer::logical("base", k.into(), k.into()))
+            .collect();
+        let job = Job::builder("lookup")
+            .seed(crate::job::SeedInput::Pointers(pointers))
+            .dereference(
+                "fetch",
+                Arc::new(crate::prebuilt::LookupDereferencer::new("base")),
+            )
+            .build()
+            .unwrap();
+        let runner = crate::exec::JobRunner::new(cluster.clone(), ExecutorConfig::smpe(0));
+        assert_eq!(runner.run(&job).unwrap().count, 20);
+        let sched = crate::scheduler::HarborScheduler::new(
+            cluster,
+            crate::scheduler::SchedulerConfig {
+                pool_threads: 0,
+                ..Default::default()
+            },
+        );
+        assert_eq!(sched.submit(&job).unwrap().wait().unwrap().count, 20);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Weighted round-robin multi-queue — the fair-share heart of the shared
 //! SMPE substrate.
 //!
-//! One [`WrrQueue`] backs each node's dispatcher. Items are partitioned
+//! One [`WrrQueue`] backs each node's stage queue. Items are partitioned
 //! into per-key slots (one slot per job), and `pop_where` serves slots in
 //! deficit round-robin order: each slot gets `weight` credits per refill
 //! cycle, so over any window where several jobs have queued work, job `a`
@@ -9,8 +9,8 @@
 //! scan-heavy job with thousands of queued tasks cannot starve a
 //! point-lookup job that enqueues one task at a time.
 //!
-//! The structure is not thread-safe by itself; the dispatcher wraps it in
-//! a mutex + condvar (see `smpe`).
+//! The structure is not thread-safe by itself; the substrate wraps it in
+//! a mutex (see `smpe`).
 
 use std::collections::VecDeque;
 
@@ -81,8 +81,8 @@ impl<T> WrrQueue<T> {
     }
 
     /// Serve the next item in weighted round-robin order, considering only
-    /// items for which `eligible` holds (the dispatcher uses this to skip
-    /// jobs at their pool-thread cap). Each served item costs its slot one
+    /// items for which `eligible` holds (a worker's pop uses this to skip
+    /// jobs at their pool-share cap). Each served item costs its slot one
     /// credit; when no creditable slot has eligible work but queued work
     /// remains, every slot's credits refill to its weight and one more
     /// pass runs. Returns the slot key alongside the item.
@@ -121,7 +121,7 @@ impl<T> WrrQueue<T> {
 
     /// Take up to `limit` additional items from `key`'s slot for which
     /// `matches` holds, preserving FIFO order among the taken items and
-    /// among the ones left behind. Used by the dispatcher to coalesce a
+    /// among the ones left behind. Used by a worker's pop to coalesce a
     /// just-popped task with its queued batchmates: the extras ride the
     /// credit already spent by `pop_where`, so batching never lets a slot
     /// exceed its weighted share of *dispatches* (a batch is one service).

@@ -11,7 +11,7 @@ use crate::prebuilt::{
 };
 use crate::scheduler::SchedulerConfig;
 use rede_common::{Counter, Value};
-use rede_storage::{FileSpec, IndexSpec, IoModel, Partitioning, SimCluster};
+use rede_storage::{FileSpec, IndexSpec, IoModel, Partitioning, Pointer, SimCluster};
 
 /// 4-node cluster with a `base` file (key | key%7 | key*2) and its
 /// weight index — the same fixture shape the scheduler tests use.
@@ -79,9 +79,9 @@ fn gate_over(c: &SimCluster, config: GateConfig) -> HarborGate {
 }
 
 /// Rows of a job that is certain to stall on an undrained cursor under
-/// [`small_pool`]: dispatches already handed to the pool when the sink
-/// saturates still land, so the sink can overshoot by pool share 16 ×
-/// `max_batch` 32 × fan-out 1 = 512 records, and the job must be several
+/// [`small_pool`]: dispatches already running when the sink saturates
+/// still land, so the sink can overshoot by min(pool share 16, workers) ×
+/// `max_batch` 32 × fan-out 1 ≤ 512 records, and the job must be several
 /// times that — not small enough to fit inside it.
 const STALLING_ROWS: i64 = 4000;
 
@@ -259,6 +259,93 @@ fn cursor_pages_concatenate_to_the_one_shot_result() {
     ));
     assert_eq!(gate.stats().cursors, 0);
     assert_eq!(c.metrics().get(Counter::cursors_active), 0);
+}
+
+/// A page read the buffer pool refuses — every frame of a floor-sized
+/// budget pinned — fails the cursor's job: `fetch` returns the overload
+/// instead of hanging, and the cursor, its snapshot and its queued work
+/// are all released. Once the pins drop, the same query pages through.
+#[test]
+fn a_refused_page_read_surfaces_through_the_cursor() {
+    use rede_storage::buffer::PageId;
+    let c = SimCluster::builder()
+        .nodes(1)
+        .memory_budget(rede_storage::cluster::MIN_MEMORY_BUDGET)
+        .build()
+        .unwrap();
+    let f = c
+        .create_file(FileSpec::new("base", Partitioning::hash(4)))
+        .unwrap();
+    // Each partition alone is most of the 16-page budget.
+    for i in 0..2000i64 {
+        let row = format!("{i}|{}|{}", i % 7, "x".repeat(60));
+        f.insert(Value::Int(i), Record::from_text(&row)).unwrap();
+    }
+    // Pin from the last partition down until the pool refuses; what is
+    // left unpinned — all of partition 0 — is on disk by then.
+    let pool = c.buffer_pool();
+    let ns = pool.namespace("heap:base");
+    let mut guards = Vec::new();
+    'pin: for partition in (1..4).rev() {
+        for page_no in 0.. {
+            let id = PageId {
+                ns,
+                partition,
+                page_no,
+            };
+            match pool.fetch(&id) {
+                Ok((guard, _)) => guards.push(guard),
+                Err(RedeError::NotFound(_)) => break,
+                Err(RedeError::Overloaded(_)) => break 'pin,
+                Err(e) => panic!("unexpected pool error: {e:?}"),
+            }
+        }
+    }
+    assert!(!guards.is_empty());
+    // The fetch stage reads four records of the on-disk partition.
+    let pointers: Vec<Pointer> = (0..2000i64)
+        .map(|k| Pointer::logical("base", Value::Int(k), Value::Int(k)))
+        .filter(|p| c.partition_of_pointer(p) == Some(0))
+        .take(4)
+        .collect();
+    let job = Job::builder("on-disk")
+        .seed(SeedInput::Pointers(pointers))
+        .dereference("fetch", Arc::new(LookupDereferencer::new("base")))
+        .build()
+        .unwrap();
+    let fetch_timeout = Duration::from_secs(10);
+    let gate = gate_over(
+        &c,
+        GateConfig {
+            fetch_timeout,
+            ..GateConfig::default()
+        },
+    );
+    let s = gate.open_session("acme").unwrap();
+    let cur = gate.open_cursor(s, &job).unwrap();
+    let start = Instant::now();
+    let err = gate.fetch(cur, 16).unwrap_err();
+    assert!(start.elapsed() < fetch_timeout, "the fetch hung: {err}");
+    assert!(err.to_string().contains("overloaded"), "{err}");
+    assert!(matches!(
+        gate.fetch(cur, 16).unwrap_err(),
+        RedeError::NotFound(_)
+    ));
+    assert_eq!(c.metrics().get(Counter::cursors_active), 0);
+    assert_eq!(c.metrics().snapshots_active(), 0);
+    assert!(gate.stats().scheduler.queue_depths.iter().all(|&d| d == 0));
+
+    drop(guards);
+    let cur = gate.open_cursor(s, &job).unwrap();
+    let mut rows = 0;
+    loop {
+        let page = gate.fetch(cur, 16).unwrap();
+        rows += page.records.len();
+        if page.done {
+            break;
+        }
+    }
+    assert_eq!(rows, 4);
 }
 
 #[test]

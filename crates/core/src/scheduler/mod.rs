@@ -2,9 +2,9 @@
 //!
 //! The executor ([`crate::exec`]) answers "how does *one* job run fast";
 //! this module answers "how do *many* tenants share one harbor". A
-//! [`HarborScheduler`] owns a single shared SMPE substrate (one thread
-//! pool, one dispatcher + weighted stage queue per node) and admits jobs
-//! from any number of concurrent clients:
+//! [`HarborScheduler`] owns a single shared SMPE substrate (one weighted
+//! stage queue per node, served by `min(pool_threads, cores)` workers) and
+//! admits jobs from any number of concurrent clients:
 //!
 //! * **Fair-share admission.** Every job is submitted with a weight
 //!   (default 1). Dispatch is weighted round-robin over per-job stage
@@ -51,11 +51,12 @@ pub struct SchedulerConfig {
     /// Pool capacity shared by all jobs: the fair-share denominator and
     /// the upper bound on workers (see `ExecutorConfig::pool_threads`).
     pub pool_threads: usize,
-    /// Run referencers inline on dispatchers (the paper's default).
+    /// Run each referencer inside the dispatch that produced its input
+    /// record (the paper's default).
     pub referencer_inline: bool,
     /// Pointer routing policy for every job.
     pub routing: RoutingPolicy,
-    /// Dispatcher-side pointer coalescing for every job (default on; see
+    /// Pointer coalescing at pop time for every job (default on; see
     /// [`Batching`]).
     pub batching: Batching,
     /// Admission bound: the maximum number of unfinished jobs any single
@@ -234,7 +235,7 @@ pub struct SchedulerStats {
     /// Current stage-queue depth per node.
     pub queue_depths: Vec<u64>,
     /// Stage invocations that panicked (each became a job error, never a
-    /// lost worker or a wedged dispatcher).
+    /// lost worker).
     pub pool_panics: u64,
     /// Jobs aborted by the deadline watcher.
     pub deadline_aborts: u64,
@@ -339,7 +340,7 @@ struct Core {
 impl Drop for Core {
     fn drop(&mut self) {
         // Orderly shutdown: no job left running, no build thread leaked.
-        // The substrate's own Drop then stops the dispatchers.
+        // The substrate's own Drop then stops the workers.
         let active = std::mem::take(&mut *self.active.lock());
         for weak in &active {
             if let Some(job) = weak.upgrade() {
@@ -367,8 +368,8 @@ pub struct HarborScheduler {
 }
 
 impl HarborScheduler {
-    /// Stand up a scheduler over `cluster`: spawns the shared pool and
-    /// per-node dispatchers eagerly.
+    /// Stand up a scheduler over `cluster`: spawns the substrate's workers
+    /// eagerly.
     pub fn new(cluster: SimCluster, config: SchedulerConfig) -> HarborScheduler {
         let substrate = Substrate::new(cluster, config.pool_threads);
         let deadline_aborts = Arc::new(AtomicU64::new(0));
@@ -1020,7 +1021,7 @@ mod tests {
             sched.stats().pool_panics >= 1,
             "a panicking stage must be visible in scheduler stats"
         );
-        // The dispatcher survived: ordinary work still completes.
+        // The worker survived: ordinary work still completes.
         let result = sched.submit(&range_job(0, 20)).unwrap().wait().unwrap();
         assert_eq!(result.count, 11);
     }

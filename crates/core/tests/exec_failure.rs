@@ -242,9 +242,10 @@ impl Referencer for FaultyReferencer {
     }
 }
 
-/// Latency-free, a dispatch routes its outputs on the pool thread that ran
-/// it; with device time owed, the dispatcher routes them when the flight
-/// lands. The inline referencer is fused into both.
+/// Latency-free, a dispatch routes its outputs right away on the worker
+/// that ran it; with device time owed, whichever worker pops the flight's
+/// continuation routes them when it lands. The inline referencer is fused
+/// into both.
 fn both_routing_threads() -> [IoModel; 2] {
     [IoModel::zero(), IoModel::hdd_like(0.05)]
 }

@@ -1,10 +1,11 @@
 //! One event loop per cluster: device slots and the wire window are two
 //! lanes of the cluster's single timer heap, so a scheduler whose jobs fly
-//! both device time and round trips adds no timer thread of its own.
+//! both device time and round trips adds no timer thread of its own — and
+//! no thread per node either: its workers are the dispatchers.
 //!
 //! Threads are counted by name from `/proc/self/task/*/comm`, so this file
 //! holds this one test: any other test in the same binary could own a
-//! cluster of its own while it runs.
+//! cluster or a scheduler of its own while it runs.
 #![cfg(target_os = "linux")]
 
 use lakeharbor::prelude::*;
@@ -13,15 +14,25 @@ use rede_core::job::SeedInput;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Live threads of this process named `name`.
-fn threads_named(name: &str) -> usize {
+/// Live threads of this process whose name satisfies `pred`.
+fn threads_where(pred: impl Fn(&str) -> bool) -> usize {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter(|task| {
             let comm = task.as_ref().unwrap().path().join("comm");
-            std::fs::read_to_string(comm).is_ok_and(|c| c.trim() == name)
+            std::fs::read_to_string(comm).is_ok_and(|c| pred(c.trim()))
         })
         .count()
+}
+
+/// Live threads of this process named `name`.
+fn threads_named(name: &str) -> usize {
+    threads_where(|comm| comm == name)
+}
+
+/// Live threads of this process whose name starts with `prefix`.
+fn threads_prefixed(prefix: &str) -> usize {
+    threads_where(|comm| comm.starts_with(prefix))
 }
 
 #[test]
@@ -86,5 +97,16 @@ fn a_cluster_and_its_scheduler_share_one_timer_thread() {
         threads_named("rede-fabric"),
         1,
         "one timer thread per cluster, none per scheduler"
+    );
+    assert_eq!(
+        threads_prefixed("rede-dispatch"),
+        0,
+        "dispatch is the workers' role, not a thread per node"
+    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(
+        threads_prefixed("rede-smpe-"),
+        4.min(cores),
+        "min(pool_threads, cores) workers"
     );
 }
