@@ -1,6 +1,7 @@
 //! Property-based tests of the claims format: arbitrary well-formed claims
-//! roundtrip through serialization, and the schema-on-read interpreters
-//! agree with the parsed structure.
+//! roundtrip through serialization, the schema-on-read interpreters agree
+//! with the parsed structure, and the parser meets arbitrary or damaged
+//! input with an error, never a panic.
 
 use proptest::prelude::*;
 use rede_claims::format::{Claim, ClaimType, SubRecord};
@@ -72,8 +73,68 @@ fn claim_strategy() -> impl Strategy<Value = Claim> {
         )
 }
 
+/// Bytes that mostly speak the format's alphabet, so a fair share of them
+/// get past the first checks; the rest are arbitrary, UTF-8 or not.
+fn noise_strategy() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: &[u8] = b"IRESHOYDPCMFinout0123456789,+-\n\r";
+    let byte = (any::<u8>(), any::<bool>()).prop_map(|(b, arbitrary)| {
+        if arbitrary {
+            b
+        } else {
+            ALPHABET[b as usize % ALPHABET.len()]
+        }
+    });
+    prop::collection::vec(byte, 0..160)
+}
+
+/// A serialized claim with one line dropped (`how == 0`), duplicated
+/// (`1`), or with one of its bytes XOR-ed with `mask` (`2`).
+fn damaged(claim: &Claim, line: usize, how: u8, at: usize, mask: u8) -> Vec<u8> {
+    let text = claim.to_record().text().unwrap().to_string();
+    let mut lines: Vec<Vec<u8>> = text.split('\n').map(|l| l.as_bytes().to_vec()).collect();
+    let line = line % lines.len();
+    match how {
+        0 => {
+            lines.remove(line);
+        }
+        1 => lines.insert(line, lines[line].clone()),
+        _ => {
+            let bytes = &mut lines[line];
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+        }
+    }
+    lines.join(&b'\n')
+}
+
+/// `Claim::parse` returns (never panics), and whatever it accepts
+/// round-trips through `to_record`.
+fn parses_or_rejects(bytes: Vec<u8>) {
+    if let Ok(claim) = Claim::parse(&rede_storage::Record::from_bytes(bytes)) {
+        assert_eq!(Claim::parse(&claim.to_record()).unwrap(), claim);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn parse_never_panics_on_arbitrary_bytes(bytes in noise_strategy()) {
+        parses_or_rejects(bytes);
+    }
+
+    #[test]
+    fn parse_never_panics_on_damaged_claims(
+        claim in claim_strategy(),
+        line in any::<usize>(),
+        how in 0u8..3,
+        at in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        parses_or_rejects(damaged(&claim, line, how, at, mask));
+    }
 
     #[test]
     fn roundtrip(claim in claim_strategy()) {

@@ -460,14 +460,17 @@ impl SimCluster {
         }
     }
 
-    /// Tally page I/O and owe the modeled fault latency: one positioned
-    /// read per fault, serviced one after the other once the call's device
+    /// Tally one access's page I/O and owe its modeled fault latency: one
+    /// positioned read per fault, serviced once the charge's device
     /// accesses have landed and *outside* any device slot — faults hit the
-    /// buffer manager, not the owner's request queue.
+    /// buffer manager, not the owner's request queue. An access's own
+    /// faults are a chain, one after the other; the accesses of the
+    /// charge being recorded service theirs concurrently
+    /// ([`Owed::fault`]).
     #[inline]
     fn owe_page_stats(&self, stats: PageStats, owed: &mut Owed) {
         self.note_page_stats(stats);
-        owed.delay(self.inner.io.page_fault_cost(stats.faults));
+        owed.fault(self.inner.io.page_fault_cost(stats.faults));
     }
 
     /// Point-in-time buffer pool counters (benches, CI gates, tests).
@@ -649,7 +652,7 @@ impl SimCluster {
     /// right here when nothing is owed; it must not block. An owed round
     /// trip keeps a handle to the cluster until it has landed.
     pub fn settle(&self, node: usize, owed: Owed, complete: impl FnOnce() + Send + 'static) {
-        let Owed { phases, rtt } = owed;
+        let Owed { phases, rtt, .. } = owed;
         let mut done: Completion = Box::new(complete);
         if !rtt.is_zero() {
             let cluster = self.clone();
@@ -951,7 +954,9 @@ impl SimCluster {
     /// * count the cache miss only after the charge succeeded (an injected
     ///   failure leaves the conservation counters untouched, so every
     ///   recorded miss pairs with exactly one recorded storage read), read
-    ///   the heap, owe any page faults, and insert into the cache.
+    ///   the heap, owe any page faults, and insert into the cache. The
+    ///   misses are one charge, so their faults overlap: the call waits
+    ///   for the read that faulted most, not for every fault in turn.
     ///
     /// Every conservation counter moves identically however the same
     /// pointers are split into calls (`local + remote + cache_hits ==
@@ -1598,7 +1603,9 @@ impl IndexHandle {
     /// per probe site in input order, each survivor owing one slot of its
     /// serving device for one traversal — and the trees underneath are
     /// probed with the shared-descent [`BtreeFile::lookup_batch`], one pass
-    /// per partition. Keys that must consult every partition (local
+    /// per partition. The passes are accesses of that one charge: each
+    /// pays its own faults in series, and the charge waits for the pass
+    /// that faulted most. Keys that must consult every partition (local
     /// indexes) take the per-partition probe loop. Charged `index_lookups`
     /// stay one per partition probed however keys are grouped into calls.
     pub fn lookup_batch_submit(

@@ -3,9 +3,9 @@
 //!
 //! A heap file is a set of partitions; each partition stores records in
 //! arrival order (giving stable *physical* slot addresses) plus a per-
-//! partition key index built on our own B+-tree (giving *logical* key
-//! resolution). The file routes records to partitions through its
-//! configured [`Partitioner`].
+//! partition key → slot hash map (giving *logical* key resolution). The
+//! file routes records to partitions through its configured
+//! [`Partitioner`].
 //!
 //! Record payloads live on [`SlottedPage`]s owned by a [`BufferPool`], so
 //! a heap file built with [`HeapFile::with_pool`] competes for the shared
@@ -22,13 +22,12 @@
 //! bytes) it incurred for that layer to charge; [`HeapFile::get`] is the
 //! one shim that drops them.
 
-use crate::btree::BPlusTree;
 use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYTES};
 use crate::partitioner::{Partitioner, Partitioning};
 use crate::pointer::PointerKey;
 use crate::record::Record;
 use parking_lot::{Mutex, RwLock};
-use rede_common::{RedeError, Result, Value};
+use rede_common::{FxHashMap, RedeError, Result, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -67,7 +66,7 @@ pub struct WriteEvent {
 
 struct PartitionStore {
     /// In-partition key → physical slot (always the *newest* version).
-    key_index: BPlusTree<Value, usize>,
+    key_index: FxHashMap<Value, usize>,
     /// First slot number of each page, in page order. Binary-searchable
     /// because slots are assigned in arrival order and never move.
     page_first_slot: Vec<usize>,
@@ -85,7 +84,7 @@ struct PartitionStore {
 impl PartitionStore {
     fn new() -> Self {
         PartitionStore {
-            key_index: BPlusTree::new(),
+            key_index: FxHashMap::default(),
             page_first_slot: Vec::new(),
             len: 0,
             open_bytes: 0,

@@ -24,14 +24,18 @@
 //! Where the time is spent: a point read or index probe is *charged* on the
 //! calling thread — fault decision, counters, the actual bytes — and
 //! returns an [`Owed`]: one device slot per access for its modeled time,
-//! then any page-fault service, then one network round trip. The cluster's
-//! event loop turns that into events: each node has two lanes on its one
-//! heap, `queue_depth` device slots and a `wire_window` of round trips in
-//! the air. Synchronous callers block until their own `Owed` is settled
-//! (sleeping the round trip inline, unwindowed); the SMPE executor never
-//! blocks. Only sequential scans and shuffle hops still sleep on their
-//! callers (`pay_*` below) — they model a stream, not a queue of requests —
-//! and the WAL sleeps its own `wal_fsync` per group commit.
+//! then any page-fault service, then one network round trip. Faults are
+//! serial within one access (a descent is a chain of pages) and overlap
+//! across the accesses of one charge, so a batch waits for its slowest
+//! access's faults, as the same reads from as many threads would. The
+//! cluster's event loop turns that into events: each node has two lanes
+//! on its one heap, `queue_depth` device slots and a `wire_window` of
+//! round trips in the air. Synchronous callers block until their own
+//! `Owed` is settled (sleeping the round trip inline, unwindowed); the
+//! SMPE executor never blocks. Only sequential scans and shuffle hops
+//! still sleep on their callers (`pay_*` below) — they model a stream,
+//! not a queue of requests — and the WAL sleeps its own `wal_fsync` per
+//! group commit.
 //!
 //! Latencies default to microseconds rather than the milliseconds of real
 //! HDDs so experiments run in seconds; all *ratios* (random:sequential,
@@ -53,7 +57,9 @@ pub struct IoModel {
     pub index_lookup: Duration,
     /// Servicing one buffer-pool page fault: reading a ~4 KiB page back
     /// from the backing store. One positioned read, so it costs like a
-    /// local point read rather than a per-record scan.
+    /// local point read rather than a per-record scan. The faults of one
+    /// access are serviced one after the other; those of different
+    /// accesses in one charge concurrently (see [`Owed`]).
     pub page_fault: Duration,
     /// One WAL fsync: forcing buffered log frames to stable storage. A
     /// positioned write plus a device cache flush, so it is the most
@@ -157,11 +163,13 @@ impl IoModel {
         }
     }
 
-    /// Modeled time to service `n` buffer-pool page faults, one after the
-    /// other (128-bit saturating math like `scan_cost`). Fault service is
-    /// owed by the access path that took the faults, *outside* the device
-    /// slots: the simulated backing store stands apart from the point-read
-    /// device queue the paper saturates.
+    /// Modeled time to service `n` buffer-pool page faults taken by one
+    /// access (or one scan), one after the other (128-bit saturating math
+    /// like `scan_cost`). Fault service is owed by the access path that
+    /// took the faults, *outside* the device slots: the simulated backing
+    /// store stands apart from the point-read device queue the paper
+    /// saturates. The accesses of one charge owe theirs through
+    /// `Owed::fault`, which overlaps them.
     pub fn page_fault_cost(&self, n: u64) -> Duration {
         let ns = self.page_fault.as_nanos().saturating_mul(n as u128);
         Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
@@ -206,8 +214,10 @@ fn maybe_sleep(d: Duration) {
 ///
 /// * a phase is the accesses of one charge — each holds one slot on its
 ///   serving node's device for its own modeled time, all of them contending
-///   together — then a serial wait once the last has landed (the page
-///   faults the call took; a retry's backoff);
+///   together — then a wait once the last has landed: the charge's page
+///   faults, serviced concurrently across its accesses so the longest
+///   access's fault chain is what is waited (`Owed::fault`), then any
+///   retry backoff, serially ([`Owed::delay`]);
 /// * phases run one after the other (the partitions of a multi-partition
 ///   probe, the rounds of a retried dispatch);
 /// * the round trip, if any phase was served remotely, flies last.
@@ -218,6 +228,9 @@ fn maybe_sleep(d: Duration) {
 pub struct Owed {
     pub(crate) phases: Vec<Phase>,
     pub(crate) rtt: Duration,
+    /// True while the last phase belongs to the charge being recorded, so
+    /// its faults may fold into it; any other step closes it.
+    open: bool,
 }
 
 /// One step of an [`Owed`]: concurrent device accesses, then a wait.
@@ -225,7 +238,8 @@ pub struct Owed {
 pub(crate) struct Phase {
     /// `(serving node, device time)` per access, in charge order.
     pub(crate) accesses: Vec<(usize, Duration)>,
-    /// Waited after the last access lands.
+    /// Waited after the last access lands: the longest fault chain of
+    /// the charge's accesses, plus any backoff delayed after it.
     pub(crate) then: Duration,
 }
 
@@ -245,14 +259,17 @@ impl Owed {
     pub fn then(&mut self, later: Owed) {
         self.phases.extend(later.phases);
         self.rtt = self.rtt.saturating_add(later.rtt);
+        self.open = false;
     }
 
     /// Wait `d` after everything owed so far has landed (and before the
-    /// network flight).
+    /// network flight), serially: a retry's backoff. Closes the charge,
+    /// so no later fault overlaps the wait.
     pub fn delay(&mut self, d: Duration) {
         if d.is_zero() {
             return;
         }
+        self.open = false;
         match self.phases.last_mut() {
             Some(phase) => phase.then = phase.then.saturating_add(d),
             None => self.phases.push(Phase {
@@ -262,12 +279,35 @@ impl Owed {
         }
     }
 
+    /// Owe `d` of page-fault service for one access of the charge being
+    /// recorded. The accesses of a charge service their faults
+    /// concurrently, so the phase waits for the longest (`max`), never
+    /// the sum; a charge that owed no device time gets a wait-only phase
+    /// of its own rather than folding into an earlier charge's.
+    pub(crate) fn fault(&mut self, d: Duration) {
+        if d.is_zero() {
+            return;
+        }
+        match self.phases.last_mut() {
+            Some(phase) if self.open => phase.then = phase.then.max(d),
+            _ => {
+                self.phases.push(Phase {
+                    accesses: Vec::new(),
+                    then: d,
+                });
+                self.open = true;
+            }
+        }
+    }
+
     /// Record one charge: its accesses contend for device slots together,
     /// after every earlier phase. `rtt` is the round trip the charge
     /// incurred; charges of one storage call are in the air together, so
-    /// they share the longest rather than summing.
+    /// they share the longest rather than summing. Opens the phase the
+    /// charge's faults fold into ([`Owed::fault`]).
     pub(crate) fn phase(&mut self, accesses: Vec<(usize, Duration)>, rtt: Duration) {
-        if !accesses.is_empty() {
+        self.open = !accesses.is_empty();
+        if self.open {
             self.phases.push(Phase {
                 accesses,
                 then: Duration::ZERO,
@@ -443,5 +483,73 @@ mod tests {
         wait_only.delay(l);
         assert!(!wait_only.is_zero());
         assert!(wait_only.phases[0].accesses.is_empty());
+    }
+
+    #[test]
+    fn owed_overlaps_faults_within_a_charge_and_never_across_charges() {
+        let l = Duration::from_micros(500);
+        let f = |n: u64| Duration::from_micros(400 * n);
+        let backoff = Duration::from_micros(20);
+
+        // Two accesses of one charge: the phase waits for the longer chain.
+        let mut owed = Owed::default();
+        owed.phase(vec![(0, l), (0, l)], Duration::ZERO);
+        owed.fault(f(1));
+        owed.fault(f(3));
+        owed.fault(f(2));
+        assert_eq!(owed.phases.len(), 1);
+        assert_eq!(owed.phases[0].then, f(3));
+        // Backoff waits after the faults, serially.
+        owed.delay(backoff);
+        assert_eq!(owed.phases[0].then, f(3) + backoff);
+
+        // A second charge's faults open their own phase, with device time
+        // or without.
+        let mut owed = Owed::default();
+        owed.phase(vec![(0, l)], Duration::ZERO);
+        owed.fault(f(2));
+        owed.phase(vec![(0, l)], Duration::ZERO);
+        owed.fault(f(1));
+        assert_eq!(owed.phases.len(), 2);
+        assert_eq!((owed.phases[0].then, owed.phases[1].then), (f(2), f(1)));
+        owed.phase(Vec::new(), Duration::ZERO);
+        owed.fault(f(1));
+        owed.fault(f(2));
+        assert_eq!(owed.phases.len(), 3);
+        assert!(owed.phases[2].accesses.is_empty());
+        assert_eq!(owed.phases[2].then, f(2));
+        assert_eq!(owed.phases[1].then, f(1), "no leak into the earlier charge");
+
+        // Retry rounds still add: each round's slowest chain, plus backoff.
+        let round = |faults: &[u64]| {
+            let mut r = Owed::default();
+            r.phase(vec![(0, l)], Duration::ZERO);
+            for &n in faults {
+                r.fault(f(n));
+            }
+            r
+        };
+        let mut owed = round(&[1, 2]);
+        owed.delay(backoff);
+        owed.then(round(&[3]));
+        assert_eq!(owed.phases.len(), 2);
+        assert_eq!(
+            owed.phases.iter().map(|p| p.then).sum::<Duration>(),
+            f(2) + backoff + f(3)
+        );
+        // Faults after a delay never fold under the backoff.
+        owed.delay(backoff);
+        owed.fault(f(1));
+        assert_eq!(owed.phases.len(), 3);
+
+        // Zero fault time records nothing, and does not open a phase.
+        let mut owed = Owed::default();
+        owed.phase(Vec::new(), Duration::ZERO);
+        owed.fault(Duration::ZERO);
+        assert!(owed.is_zero());
+        owed.phase(vec![(0, l)], Duration::ZERO);
+        owed.fault(Duration::ZERO);
+        assert_eq!(owed.phases.len(), 1);
+        assert!(owed.phases[0].then.is_zero());
     }
 }

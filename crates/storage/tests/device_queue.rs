@@ -275,6 +275,80 @@ fn synchronous_reads_wait_page_faults_and_the_round_trip() {
     );
 }
 
+/// (vi) A batch's page faults overlap exactly as concurrent scalar reads'
+/// faults do: each read pays its own, and the call waits for the slowest
+/// read rather than for every fault in turn — synchronously, from one
+/// thread per read, or settled as events.
+#[test]
+fn a_batch_waits_its_slowest_fault_like_concurrent_scalar_reads() {
+    let page_fault = Duration::from_millis(2);
+    // The fixture of the serial test above, loaded four times as far so
+    // that the keys read (40 apart, as there) sit on distinct pages the
+    // rest of the load evicted: nearly every read faults.
+    let evicted = || {
+        let c = SimCluster::builder()
+            .nodes(1)
+            .memory_budget(MIN_MEMORY_BUDGET)
+            .io_model(IoModel {
+                page_fault,
+                ..IoModel::zero()
+            })
+            .build()
+            .unwrap();
+        let f = c
+            .create_file(FileSpec::new("wide", Partitioning::hash(2)))
+            .unwrap();
+        for i in 0..2400i64 {
+            f.insert(
+                Value::Int(i),
+                Record::from_text(&format!("row-{i}-{}", "x".repeat(120))),
+            )
+            .unwrap();
+        }
+        assert!(c.buffer_stats().evictions > 0, "the load must overflow");
+        c.metrics().reset();
+        let ptrs: Vec<Pointer> = (0..600i64)
+            .step_by(40)
+            .map(|i| Pointer::logical("wide", Value::Int(i), Value::Int(i)))
+            .collect();
+        (c, ptrs)
+    };
+    let within = |how: &str, c: &SimCluster, wall: Duration| {
+        let faults = c.metrics().snapshot().page_faults;
+        assert!(faults >= 4, "{how}: re-reads must fault pages in: {faults}");
+        assert!(wall >= page_fault, "{how}: one fault is waited: {wall:?}");
+        assert!(
+            wall < page_fault * faults as u32 / 2,
+            "{how}: {faults} faults overlap: {wall:?}"
+        );
+    };
+
+    let (c, ptrs) = evicted();
+    let refs: Vec<&Pointer> = ptrs.iter().collect();
+    let start = Instant::now();
+    for r in c.resolve_batch(&refs, 0) {
+        r.unwrap();
+    }
+    within("batch", &c, start.elapsed());
+
+    let (c, ptrs) = evicted();
+    within("scalars", &c, resolve_concurrently(&c, &ptrs, 0));
+
+    let (c, ptrs) = evicted();
+    let refs: Vec<&Pointer> = ptrs.iter().collect();
+    let (fired, landed) = mpsc::channel();
+    let start = Instant::now();
+    let (results, owed) = c.resolve_batch_submit(&refs, 0);
+    for r in results {
+        r.unwrap();
+    }
+    c.settle(0, owed, move || {
+        let _ = fired.send(start.elapsed());
+    });
+    let wall = landed.recv_timeout(Duration::from_secs(10)).unwrap();
+    within("settled", &c, wall);
+}
+
 /// Dropping the last handle settles everything outstanding at once
 /// instead of stranding whoever waits on it.
 #[test]

@@ -24,10 +24,12 @@ echo "==> full workspace tests"
 cargo test --workspace -q
 
 # The benchmark is its own package compiled against these crates' public
-# API: build it and run its contract tests here, so a PR that breaks that
-# API fails locally rather than in the benchmark pipeline.
-echo "==> standalone benchmark package: build + contract tests"
+# API: build it and run its whole suite here — the contract tests and the
+# unit tests in benchmark/src (workload stratification, stats, span
+# nesting) — so a PR that breaks that API or the harness fails locally
+# rather than in the benchmark pipeline.
+echo "==> standalone benchmark package: build + unit and contract tests"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test --release --offline --manifest-path benchmark/Cargo.toml --test contract
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "OK"
