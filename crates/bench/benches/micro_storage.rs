@@ -1,10 +1,15 @@
 //! Microbenchmarks of the storage substrate: the from-scratch B+-tree,
-//! heap-file point reads, partition routing, and the Fx hasher.
+//! heap-file point reads, the buffer pool's miss path, partition routing,
+//! and the Fx hasher.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rede_common::{fxhash, Value};
-use rede_storage::{BPlusTree, FileSpec, Partitioning, Pointer, Record, SimCluster};
+use rede_storage::{
+    BPlusTree, BufferPool, ByteBudget, FileSpec, PageId, Partitioning, Pointer, Record, SimCluster,
+    SlottedPage,
+};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_btree(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree");
@@ -90,6 +95,49 @@ fn bench_heap_file(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fetch that faults and evicts on a full pool. Twice as many pages as
+/// fit are written in order, which leaves the second half resident with a
+/// full LRU-K history; then the first half is fetched round-robin. Each
+/// fetch misses and evicts the page faulted in before it, the one frame
+/// with a single access. The time per fetch should not grow with the
+/// resident count.
+fn bench_buffer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("buffer");
+    group.sample_size(20);
+    for resident in [256u32, 4_096] {
+        let page = |page_no| PageId {
+            ns: 0,
+            partition: 0,
+            page_no,
+        };
+        let payload = [b'p'; 200];
+        let cost = SlottedPage::push_cost(None, payload.len());
+        let page_bytes = SlottedPage::new().byte_size() + cost;
+        let budget = resident as usize * page_bytes + page_bytes / 2;
+        let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(budget)));
+        for n in 0..2 * resident {
+            pool.create_page(page(n)).unwrap();
+            pool.with_page_mut(&page(n), cost, |p| p.push(None, &payload))
+                .unwrap();
+        }
+        // One lap checks that the pattern misses every time.
+        for n in 0..resident {
+            let (_, stats) = pool.fetch(&page(n)).unwrap();
+            assert_eq!((stats.faults, stats.evictions), (1, 1), "page {n}");
+        }
+        let mut next = 0u32;
+        group.bench_function(format!("fault_evict_{resident}_resident"), |b| {
+            b.iter(|| {
+                let (guard, stats) = pool.fetch(&page(next)).unwrap();
+                next = (next + 1) % resident;
+                let len = guard.read().len();
+                black_box((len, stats))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_partitioner(c: &mut Criterion) {
     let hash = Partitioning::hash(128).build().unwrap();
     let range = Partitioning::range((0..127).map(|i| Value::Int(i * 1000)).collect())
@@ -132,6 +180,7 @@ criterion_group!(
     benches,
     bench_btree,
     bench_heap_file,
+    bench_buffer,
     bench_partitioner,
     bench_hashing
 );

@@ -29,7 +29,7 @@ mod page;
 mod pool;
 
 pub use page::{PageId, SlottedPage, DEFAULT_PAGE_BYTES};
-pub use pool::{BufferPool, PageGuard, PageStats, PoolStats, ShrinkBytes};
+pub use pool::{BufferPool, PageGuard, PageReadGuard, PageStats, PoolStats, ShrinkBytes};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

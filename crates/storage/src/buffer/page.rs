@@ -34,7 +34,7 @@ const SLOT_OVERHEAD: usize = 16;
 const PAGE_OVERHEAD: usize = 64;
 
 /// Address of one page: which file, which partition, which page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId {
     /// Owning file's page namespace, as interned by
     /// [`BufferPool::namespace`](super::BufferPool::namespace) (heap files

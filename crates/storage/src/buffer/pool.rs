@@ -16,24 +16,35 @@
 //!   the access in the frame itself: each frame keeps its two most recent
 //!   access ticks (LRU-K with K = 2) from one pool-wide atomic clock. No
 //!   mutex, no allocation, and no hash lookup but the frame map's.
-//! * **Miss path.** The `Mutex<PoolState>` (the disk store and the
-//!   namespace table) serializes faults, [`BufferPool::create_page`],
-//!   [`BufferPool::with_page_mut`] and eviction. Eviction additionally
-//!   takes the frame map's *write* lock, so a pin (under the read lock)
-//!   and the eviction of the same frame cannot interleave: a victim is
-//!   chosen among frames whose pin count is zero while no pin can start.
-//!   The victim scan reads each candidate's rank straight from its frame.
+//! * **Miss path.** The `Mutex<PoolState>` (the disk store, the
+//!   namespace table and the victim queue) serializes faults,
+//!   [`BufferPool::create_page`], [`BufferPool::with_page_mut`] and
+//!   eviction. A fault costs O(log n) and copies no page:
+//!   - The victim queue is a min-heap of `(rank, PageId)`, one entry per
+//!     resident frame, pushed when the frame is inserted. A frame's rank
+//!     only grows, so its entry's rank is a lower bound. Eviction pops the
+//!     least entry and re-reads the frame's rank: an accessed frame goes
+//!     back at its current rank, a pinned one is set aside until the
+//!     search ends, and the first entry that is current and unpinned is
+//!     exactly the LRU-K victim a scan of every frame would pick.
+//!   - The disk store and a clean frame share one `Arc<SlottedPage>`: a
+//!     fault bumps a refcount, a dirty victim hands its page to the store,
+//!     and [`BufferPool::with_page_mut`] copies the page only while the
+//!     store still shares it.
 //!
-//! Lock order is state → frames; the hit path holds frames alone and
-//! never waits on the state mutex.
+//! Lock order is state → frames. The frame map's *write* lock is taken
+//! only to insert a frame, or to re-check a victim's pin and rank and
+//! remove it: no pin (under the read lock) can pass it, so a pin and the
+//! eviction of the same frame cannot interleave. The hit path holds
+//! frames alone and never waits on the state mutex.
 //!
 //! **Pin waiters.** A charge that finds every frame pinned parks on a
 //! condvar for a pin to fall. An unpin signals it only when a waiter has
 //! registered, and then under the state mutex; the waiter registers,
-//! re-scans once, and only then parks (atomically releasing the mutex).
-//! Either the re-scan sees the unpin, or the unpin sees the registration
-//! and its signal cannot arrive before the waiter sleeps — no wake-up is
-//! lost, and an unpin with nobody waiting makes no syscall.
+//! retries eviction once, and only then parks (atomically releasing the
+//! mutex). Either the retry sees the unpin, or the unpin sees the
+//! registration and its signal cannot arrive before the waiter sleeps — no
+//! wake-up is lost, and an unpin with nobody waiting makes no syscall.
 //!
 //! Latency is *not* injected here — the pool reports what happened per
 //! call ([`PageStats`]) and the cluster layer converts faults into
@@ -44,6 +55,8 @@ use super::page::{PageId, SlottedPage};
 use super::ByteBudget;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rede_common::{FxHashMap, RedeError, Result};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,9 +125,13 @@ pub struct PoolStats {
     pub budget_used: usize,
 }
 
+/// LRU-K eviction rank, coldest first (see [`FrameCell::rank`]).
+type Rank = (u8, u64);
+
 /// One resident page plus its pin count and LRU-K history.
 struct FrameCell {
-    page: RwLock<SlottedPage>,
+    /// Shared with the disk store while the frame is clean.
+    page: RwLock<Arc<SlottedPage>>,
     bytes: AtomicUsize,
     pin: AtomicU32,
     dirty: AtomicBool,
@@ -125,7 +142,7 @@ struct FrameCell {
 }
 
 impl FrameCell {
-    fn new(page: SlottedPage, dirty: bool) -> Arc<FrameCell> {
+    fn new(page: Arc<SlottedPage>, dirty: bool) -> Arc<FrameCell> {
         Arc::new(FrameCell {
             bytes: AtomicUsize::new(page.byte_size()),
             page: RwLock::new(page),
@@ -136,12 +153,14 @@ impl FrameCell {
         })
     }
 
-    /// Shift `tick` into the two-entry history. Two concurrent accesses
-    /// may leave `prev` one access stale, which only makes the frame look
-    /// colder than it is; single-threaded the history is exact.
+    /// Shift `tick` into the two-entry history. Both ticks only grow, so
+    /// the history is exact however accesses race: `last` keeps the
+    /// largest tick and `prev` the second largest (the smaller of a
+    /// touch's tick and the `last` it found). The victim queue relies on
+    /// it: a frame's rank never falls.
     fn touch(&self, tick: u64) {
-        let last = self.last.swap(tick, Ordering::Relaxed);
-        self.prev.store(last, Ordering::Relaxed);
+        let last = self.last.fetch_max(tick, Ordering::Relaxed);
+        self.prev.fetch_max(last.min(tick), Ordering::Relaxed);
     }
 
     /// Eviction rank, coldest first: a frame with fewer than two accesses
@@ -149,7 +168,7 @@ impl FrameCell {
     /// full history (class 0 before class 1); within a class the oldest
     /// timestamp — the last access, or the second-to-last for a full
     /// history — goes first.
-    fn rank(&self) -> (u8, u64) {
+    fn rank(&self) -> Rank {
         match self.prev.load(Ordering::Relaxed) {
             0 => (0, self.last.load(Ordering::Relaxed)),
             prev => (1, prev),
@@ -163,10 +182,65 @@ impl FrameCell {
     }
 }
 
+/// A resident frame in the victim queue, at the rank it had when pushed:
+/// ranks only grow, so that is a lower bound on its rank now.
+struct Queued {
+    rank: Rank,
+    id: PageId,
+    cell: Arc<FrameCell>,
+}
+
+impl Queued {
+    fn new(id: PageId, cell: Arc<FrameCell>) -> Queued {
+        Queued {
+            rank: cell.rank(),
+            id,
+            cell,
+        }
+    }
+
+    /// Reversed: `BinaryHeap` is a max-heap and the coldest frame pops
+    /// first. The id only breaks ties, for a deterministic order.
+    fn key(&self) -> Reverse<(Rank, PageId)> {
+        Reverse((self.rank, self.id))
+    }
+
+    /// Nobody pins the frame and no access has moved its rank since it
+    /// was queued: no frame left in the queue ranks below it.
+    fn is_victim(&self) -> bool {
+        !self.cell.is_pinned() && self.cell.rank() == self.rank
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Queued) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Queued) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Queued) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
 struct PoolState {
-    disk: FxHashMap<PageId, SlottedPage>,
+    /// Written-back pages. A clean resident frame shares its page with
+    /// this store.
+    disk: FxHashMap<PageId, Arc<SlottedPage>>,
     /// Page namespace per file name (see [`BufferPool::namespace`]).
     names: FxHashMap<Box<str>, u32>,
+    /// The LRU-K victim queue: one entry per resident frame (none when
+    /// the budget is unbounded).
+    queue: BinaryHeap<Queued>,
 }
 
 /// A byte-budgeted page cache over a simulated disk store.
@@ -197,6 +271,7 @@ impl BufferPool {
             state: Mutex::new(PoolState {
                 disk: FxHashMap::default(),
                 names: FxHashMap::default(),
+                queue: BinaryHeap::new(),
             }),
             tick: AtomicU64::new(0),
             budget,
@@ -260,7 +335,7 @@ impl BufferPool {
 
     /// After an unpin: wake the charges registered to wait for one. Under
     /// the state lock (taken here unless the caller holds it): a waiter
-    /// holds it from its re-scan until it parks, so the signal cannot fall
+    /// holds it from its retry until it parks, so the signal cannot fall
     /// in between. With nobody registered this is one load.
     fn signal_unpin(&self, locked: bool) {
         if self.waiters.load(Ordering::SeqCst) > 0 {
@@ -280,7 +355,7 @@ impl BufferPool {
         if let Some(e) = exists(&st) {
             return Err(e);
         }
-        let page = SlottedPage::new();
+        let page = Arc::new(SlottedPage::new());
         let bytes = page.byte_size();
         let stats = PageStats {
             evictions: self.make_room(&mut st, bytes)?,
@@ -292,7 +367,7 @@ impl BufferPool {
         }
         let cell = FrameCell::new(page, true);
         self.touch(&cell);
-        self.frames.write().insert(id, cell);
+        self.insert(&mut st, id, cell);
         Ok(stats)
     }
 
@@ -358,11 +433,13 @@ impl BufferPool {
                 return Err(e);
             }
         }
-        let mut page = cell.page.write();
+        let mut shared = cell.page.write();
+        // Copies the page only while the disk store still shares it.
+        let page = Arc::make_mut(&mut shared);
         let before = page.byte_size();
-        let r = f(&mut page);
+        let r = f(page);
         let after = page.byte_size();
-        drop(page);
+        drop(shared);
         let grown = after.saturating_sub(before);
         debug_assert!(
             grown <= grow_hint,
@@ -405,29 +482,59 @@ impl BufferPool {
         // The disk copy is current until the next mutation.
         let cell = FrameCell::new(page, false);
         cell.pin.fetch_add(1, Ordering::Relaxed);
-        self.frames.write().insert(*id, cell.clone());
+        self.insert(st, *id, cell.clone());
         self.faults.fetch_add(1, Ordering::Relaxed);
         stats.faults += 1;
         Ok(cell)
     }
 
+    /// Make `cell` resident as `id`, and queue it for eviction unless the
+    /// budget is unbounded: such a pool never evicts.
+    fn insert(&self, st: &mut PoolState, id: PageId, cell: Arc<FrameCell>) {
+        self.frames.write().insert(id, cell.clone());
+        if !self.budget.is_unbounded() {
+            st.queue.push(Queued::new(id, cell));
+        }
+    }
+
     /// Evict the coldest unpinned frame, writing it back if dirty. Returns
     /// false if every resident frame is pinned.
+    ///
+    /// Pops the victim queue, coldest stored rank first. An entry whose
+    /// frame was accessed since it was pushed goes back at its current
+    /// rank; a pinned one is set aside until the search ends. The first
+    /// entry that is current and unpinned is the unpinned frame of least
+    /// rank — the LRU-K victim.
     fn evict_one(&self, st: &mut PoolState) -> bool {
-        let mut frames = self.frames.write();
-        let victim = frames
-            .iter()
-            .filter(|(_, cell)| !cell.is_pinned())
-            .min_by_key(|(_, cell)| cell.rank())
-            .map(|(&id, _)| id);
-        let Some(id) = victim else {
+        let mut aside = Vec::new();
+        let victim = loop {
+            let Some(mut entry) = st.queue.pop() else {
+                break None;
+            };
+            if entry.is_victim() {
+                // Re-check under the write lock, which no pin can pass: a
+                // pin may have come and gone since.
+                let mut frames = self.frames.write();
+                if entry.is_victim() {
+                    frames.remove(&entry.id);
+                    break Some(entry);
+                }
+            }
+            if entry.cell.is_pinned() {
+                aside.push(entry);
+            } else {
+                entry.rank = entry.cell.rank();
+                st.queue.push(entry);
+            }
+        };
+        st.queue.extend(aside);
+        let Some(Queued { id, cell, .. }) = victim else {
             return false;
         };
-        let cell = frames.remove(&id).expect("victim is resident");
         // Out of the map and unpinned: nobody else can reach the frame.
-        drop(frames);
         let bytes = cell.bytes.load(Ordering::Relaxed);
         if cell.dirty.load(Ordering::Relaxed) {
+            // The disk store takes the frame's page itself, not a copy.
             let page = cell.page.read().clone();
             let old = st.disk.insert(id, page).map_or(0, |p| p.byte_size());
             self.disk_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -451,8 +558,9 @@ impl BufferPool {
             if self.budget.try_charge(need) {
                 break Ok(evictions);
             }
-            // Read before the scan: guards unpin before they un-count
-            // their bytes, so zero here means the scan sees every unpin.
+            // Read before the victim search: guards unpin before they
+            // un-count their bytes, so zero here means the search sees
+            // every unpin.
             let pinned = self.pinned_bytes.load(Ordering::SeqCst);
             if self.evict_one(st) {
                 evictions += 1;
@@ -470,8 +578,8 @@ impl BufferPool {
             // Every resident frame is pinned and the cache has nothing
             // left. Park briefly for a pin to fall rather than failing a
             // workload that is merely momentarily pin-heavy. Register
-            // first and re-scan once before parking, so an unpin racing
-            // this scan is either seen by the re-scan or signals the park
+            // first and retry once before parking, so an unpin racing
+            // this search is either seen by the retry or signals the park
             // (module docs). Deadline loop: a spurious wakeup re-waits
             // only the *remaining* budget, and repeated waits cannot
             // oversleep.
@@ -578,8 +686,19 @@ pub struct PageGuard<'a> {
 
 impl PageGuard<'_> {
     /// Read access to the pinned page.
-    pub fn read(&self) -> parking_lot::RwLockReadGuard<'_, SlottedPage> {
-        self.cell.page.read()
+    pub fn read(&self) -> PageReadGuard<'_> {
+        PageReadGuard(self.cell.page.read())
+    }
+}
+
+/// A read lock on a pinned page ([`PageGuard::read`]); derefs to the page.
+pub struct PageReadGuard<'a>(parking_lot::RwLockReadGuard<'a, Arc<SlottedPage>>);
+
+impl std::ops::Deref for PageReadGuard<'_> {
+    type Target = SlottedPage;
+
+    fn deref(&self) -> &SlottedPage {
+        &self.0
     }
 }
 
@@ -698,6 +817,87 @@ mod tests {
             pool.fetch(&pid(F, 9)),
             Err(RedeError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn racing_touches_never_lower_a_rank_and_keep_the_exact_history() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 10_000;
+        let pool = BufferPool::unbounded();
+        pool.create_page(pid(F, 0)).unwrap();
+        let (guard, _) = pool.fetch(&pid(F, 0)).unwrap();
+        let cell = &guard.cell;
+        let start = std::sync::Barrier::new(THREADS);
+        let end = std::sync::Barrier::new(THREADS);
+        // Counted, not asserted, in the threads: a panic would strand the
+        // others at a barrier.
+        let (fell, stale) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let mut seen = cell.rank();
+                    for _ in 0..ROUNDS {
+                        // Every thread touches at once, then one checks the
+                        // history the round left: the two largest ticks.
+                        start.wait();
+                        pool.touch(cell);
+                        let rank = cell.rank();
+                        if rank < seen {
+                            fell.fetch_add(1, Ordering::Relaxed);
+                        }
+                        seen = rank;
+                        if end.wait().is_leader() {
+                            let issued = pool.tick.load(Ordering::Relaxed);
+                            let history = (
+                                cell.last.load(Ordering::Relaxed),
+                                cell.prev.load(Ordering::Relaxed),
+                            );
+                            if history != (issued, issued - 1) {
+                                stale.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(fell.into_inner(), 0, "a rank fell");
+        assert_eq!(stale.into_inner(), 0, "rounds that left a stale history");
+    }
+
+    #[test]
+    fn the_victim_queue_holds_one_entry_per_resident_frame() {
+        let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(3_000)));
+        let mut held = Vec::new();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..2_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let id = pid(F, (rng % 16) as u32);
+            // Pages stay under 8 records, so two held pages never leave a
+            // charge without a victim.
+            let grow = SlottedPage::push_cost(None, 40);
+            match (rng >> 8) % 5 {
+                0 => _ = pool.create_page(id),
+                1 => _ = pool.fetch(&id),
+                2 => {
+                    _ = pool.with_page_mut(&id, grow, |p| {
+                        if p.len() < 8 {
+                            p.push(None, &[7; 40]);
+                        }
+                    })
+                }
+                3 if held.len() < 2 => held.extend(pool.fetch(&id).ok().map(|(g, _)| g)),
+                _ => drop(held.pop()),
+            }
+        }
+        assert!(pool.stats().evictions > 0, "the sequence must evict");
+        let st = pool.state.lock();
+        let mut queued: Vec<PageId> = st.queue.iter().map(|q| q.id).collect();
+        let mut resident: Vec<PageId> = pool.frames.read().keys().copied().collect();
+        queued.sort();
+        resident.sort();
+        assert_eq!(queued, resident);
     }
 
     #[test]

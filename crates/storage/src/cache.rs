@@ -31,6 +31,7 @@
 use crate::buffer::{ByteBudget, ShrinkBytes};
 use crate::pointer::PointerKey;
 use crate::record::Record;
+use bytes::Bytes;
 use parking_lot::Mutex;
 use rede_common::{fxhash, FxHashMap};
 use std::sync::Arc;
@@ -135,13 +136,12 @@ impl Shard {
             return 0;
         }
         self.unlink(idx);
-        let old_key = self.slots[idx].key.clone();
-        self.map.remove(&old_key);
+        self.map.remove(&self.slots[idx].key);
         let freed = entry_cost(&self.slots[idx].value);
         // Drop the payload now — the slab slot may sit on the free list
         // for a while and must not retain record bytes the meters no
-        // longer charge for.
-        self.slots[idx].value = Record::from_text("");
+        // longer charge for. An empty `Bytes` allocates nothing.
+        self.slots[idx].value = Record::from_bytes(Bytes::new());
         self.free.push(idx);
         self.used -= freed;
         if let Some(b) = budget {

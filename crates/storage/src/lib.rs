@@ -41,7 +41,7 @@ pub mod wal;
 pub use btree::BPlusTree;
 pub use btree_file::{BtreeFile, IndexEntry, IndexLocality, IndexMaintainer, IndexSpec};
 pub use buffer::{
-    BufferPool, ByteBudget, PageGuard, PageId, PageStats, PoolStats, SlottedPage,
+    BufferPool, ByteBudget, PageGuard, PageId, PageReadGuard, PageStats, PoolStats, SlottedPage,
     DEFAULT_PAGE_BYTES,
 };
 pub use cache::{CacheKey, RecordCache};

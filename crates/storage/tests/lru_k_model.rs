@@ -6,10 +6,12 @@
 //! access without any pool-wide lock. This file keeps the replacer as the
 //! executable model of what the pool must still do — its unit tests
 //! pin LRU-K itself, and the property drives random single-threaded
-//! `create_page` / `fetch` / `with_page_mut` sequences under a small budget
-//! through the pool and through a model of the pool built on the replacer,
-//! asserting that the same pages leave residency at every step, with the
-//! same fault and eviction counts.
+//! `create_page` / `fetch` / `with_page_mut` sequences under a small budget,
+//! with up to two pages held pinned across ops, through the pool and
+//! through a model of the pool built on the replacer, asserting that the
+//! same pages leave residency at every step, with the same fault and
+//! eviction counts. Re-accessed and held pages are what make the pool's
+//! victim queue re-push stale entries and set pinned ones aside.
 
 use proptest::prelude::*;
 use rede_common::{FxHashMap, RedeError};
@@ -19,7 +21,7 @@ use std::sync::Arc;
 
 /// Per-page access history: up to `k` most recent logical timestamps,
 /// oldest first.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct History {
     times: Vec<u64>,
 }
@@ -33,7 +35,7 @@ struct History {
 /// reclaimed before a page with a real re-reference history. Classic
 /// tie-breaking: among pages with fewer than `k` recorded accesses, the
 /// one with the *oldest* most-recent access goes first.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LruKReplacer {
     k: usize,
     tick: u64,
@@ -143,8 +145,12 @@ fn empty_candidate_set_has_no_victim() {
 }
 
 /// Pages in the property: each is page 0 of its own namespace, so
-/// `BufferPool::resident_bytes_of` observes one page's residency.
-const PAGES: usize = 10;
+/// `BufferPool::resident_bytes_of` observes one page's residency. More
+/// pages than fit the budget, so the victim queue holds stale entries.
+const PAGES: usize = 24;
+
+/// Guards kept alive across ops: a `Hold` beyond this releases the oldest.
+const MAX_HELD: usize = 2;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -152,6 +158,10 @@ enum Op {
     Fetch(usize),
     /// Append a record of this many bytes.
     Push(usize, usize),
+    /// Fetch the page and keep its guard (its pin) across later ops.
+    Hold(usize),
+    /// Drop the oldest guard held on the page, if any.
+    Release(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -161,18 +171,34 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..PAGES).prop_map(Op::Fetch),
         (0..PAGES, 1usize..240).prop_map(|(p, len)| Op::Push(p, len)),
         (0..PAGES, 1usize..240).prop_map(|(p, len)| Op::Push(p, len)),
+        (0..PAGES).prop_map(Op::Hold),
+        (0..PAGES).prop_map(Op::Release),
     ]
 }
 
-/// The pool, single-threaded and with nothing pinned between calls,
-/// modelled on the replacer: charge until the budget fits, evicting the
-/// replacer's victim among unpinned resident pages.
+/// What the model says an op does.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Done,
+    /// Refused for the data it names (a duplicate page, a missing one).
+    Refused,
+    /// Needs room that only a held page could give: the pool would park
+    /// for its whole pin wait and then refuse. Such ops are skipped.
+    Stuck,
+}
+
+/// The pool, single-threaded, modelled on the replacer: charge until the
+/// budget fits, evicting the replacer's victim among resident pages that
+/// are neither held nor being grown.
+#[derive(Clone)]
 struct Model {
     total: usize,
     used: usize,
     /// Current byte size of every page that exists, resident or not.
     sizes: BTreeMap<usize, usize>,
     resident: BTreeSet<usize>,
+    /// Pages pinned by a held guard, oldest first (a page may repeat).
+    held: Vec<usize>,
     replacer: LruKReplacer,
     faults: u64,
     evictions: u64,
@@ -183,13 +209,14 @@ impl Model {
         pid(page as u32)
     }
 
-    /// Charge `need`, evicting victims in order; `pinned` is never one.
-    fn make_room(&mut self, need: usize, pinned: Option<usize>) -> bool {
+    /// Charge `need`, evicting victims in order; held pages and `growing`
+    /// are never one.
+    fn make_room(&mut self, need: usize, growing: Option<usize>) -> bool {
         while self.used + need > self.total {
             let candidates: Vec<PageId> = self
                 .resident
                 .iter()
-                .filter(|&&p| Some(p) != pinned)
+                .filter(|&&p| Some(p) != growing && !self.held.contains(&p))
                 .map(|&p| Model::id(p))
                 .collect();
             let Some(victim) = self.replacer.victim(candidates.iter()) else {
@@ -205,56 +232,20 @@ impl Model {
         true
     }
 
-    fn fault_in(&mut self, page: usize) {
-        if !self.resident.contains(&page) {
-            assert!(
-                self.make_room(self.sizes[&page], None),
-                "pages fit the budget"
-            );
-            self.resident.insert(page);
-            self.faults += 1;
+    fn fault_in(&mut self, page: usize) -> bool {
+        if self.resident.contains(&page) {
+            return true;
         }
-    }
-
-    /// Apply `op`; false if it is one the pool refuses for the data it
-    /// names (a duplicate page, a missing one).
-    fn apply(&mut self, op: &Op) -> bool {
-        match *op {
-            Op::Create(page) => {
-                if self.sizes.contains_key(&page) {
-                    return false;
-                }
-                let bytes = SlottedPage::new().byte_size();
-                assert!(self.make_room(bytes, None), "an empty page fits");
-                self.sizes.insert(page, bytes);
-                self.resident.insert(page);
-                self.replacer.record_access(&Model::id(page));
-            }
-            Op::Fetch(page) => {
-                if !self.sizes.contains_key(&page) {
-                    return false;
-                }
-                self.fault_in(page);
-                self.replacer.record_access(&Model::id(page));
-            }
-            Op::Push(page, len) => {
-                if !self.sizes.contains_key(&page) {
-                    return false;
-                }
-                self.fault_in(page);
-                let cost = SlottedPage::push_cost(None, len);
-                assert!(self.make_room(cost, Some(page)), "growth was screened");
-                *self.sizes.get_mut(&page).unwrap() += cost;
-                self.replacer.record_access(&Model::id(page));
-            }
+        if !self.make_room(self.sizes[&page], None) {
+            return false;
         }
+        self.resident.insert(page);
+        self.faults += 1;
         true
     }
 
-    /// A push that would grow its page past the whole budget: the pool
-    /// would park on its own pin for the full pin wait, then refuse. Such
-    /// ops are skipped (no page ever outgrows the budget).
-    fn overflows(&self, op: &Op) -> bool {
+    /// A push that would grow its page past the whole budget.
+    fn outgrows(&self, op: &Op) -> bool {
         match *op {
             Op::Push(page, len) => self
                 .sizes
@@ -262,6 +253,59 @@ impl Model {
                 .is_some_and(|&size| size + SlottedPage::push_cost(None, len) > self.total),
             _ => false,
         }
+    }
+
+    fn apply(&mut self, op: &Op) -> Outcome {
+        let exists = |page: usize| self.sizes.contains_key(&page);
+        match *op {
+            Op::Create(page) if exists(page) => return Outcome::Refused,
+            Op::Fetch(page) | Op::Push(page, _) | Op::Hold(page) if !exists(page) => {
+                return Outcome::Refused
+            }
+            Op::Create(page) => {
+                let bytes = SlottedPage::new().byte_size();
+                if !self.make_room(bytes, None) {
+                    return Outcome::Stuck;
+                }
+                self.sizes.insert(page, bytes);
+                self.resident.insert(page);
+            }
+            Op::Fetch(page) => {
+                if !self.fault_in(page) {
+                    return Outcome::Stuck;
+                }
+            }
+            Op::Push(page, len) => {
+                let cost = SlottedPage::push_cost(None, len);
+                if !self.fault_in(page) || !self.make_room(cost, Some(page)) {
+                    return Outcome::Stuck;
+                }
+                *self.sizes.get_mut(&page).unwrap() += cost;
+            }
+            Op::Hold(page) => {
+                if self.held.len() == MAX_HELD {
+                    self.held.remove(0);
+                }
+                if !self.fault_in(page) {
+                    return Outcome::Stuck;
+                }
+                self.held.push(page);
+            }
+            Op::Release(page) => {
+                if let Some(at) = self.held.iter().position(|&h| h == page) {
+                    self.held.remove(at);
+                }
+                return Outcome::Done;
+            }
+        }
+        self.replacer.record_access(&Model::id(op_page(op)));
+        Outcome::Done
+    }
+}
+
+fn op_page(op: &Op) -> usize {
+    match *op {
+        Op::Create(p) | Op::Fetch(p) | Op::Push(p, _) | Op::Hold(p) | Op::Release(p) => p,
     }
 }
 
@@ -284,15 +328,28 @@ proptest! {
             used: 0,
             sizes: BTreeMap::new(),
             resident: BTreeSet::new(),
+            held: Vec::new(),
             replacer: LruKReplacer::new(2),
             faults: 0,
             evictions: 0,
         };
+        // Guards in step with `model.held`: (page, pin).
+        let mut held = Vec::new();
         for (step, op) in ops.iter().enumerate() {
-            if model.overflows(op) {
+            let mut next = model.clone();
+            let outcome = next.apply(op);
+            if outcome == Outcome::Stuck {
+                // With nothing held, only a push past the whole budget
+                // can be stuck: the pool would park on its own pin.
+                prop_assert!(
+                    !model.held.is_empty() || model.outgrows(op),
+                    "step {}: {:?} stuck with nothing held",
+                    step,
+                    op
+                );
                 continue;
             }
-            let accepted = model.apply(op);
+            model = next;
             let result = match *op {
                 Op::Create(p) => pool.create_page(ids[p]).map(drop),
                 Op::Fetch(p) => pool.fetch(&ids[p]).map(drop),
@@ -303,14 +360,28 @@ proptest! {
                     })
                     .map(drop)
                 }
+                Op::Hold(p) => {
+                    if outcome == Outcome::Done && held.len() == MAX_HELD {
+                        held.remove(0);
+                    }
+                    pool.fetch(&ids[p]).map(|(guard, _)| held.push((p, guard)))
+                }
+                Op::Release(p) => {
+                    if let Some(at) = held.iter().position(|(h, _)| *h == p) {
+                        held.remove(at);
+                    }
+                    Ok(())
+                }
             };
             match result {
-                Ok(()) => prop_assert!(accepted, "step {}: {:?} should be refused", step, op),
+                Ok(()) => prop_assert_eq!(outcome, Outcome::Done, "step {}: {:?}", step, op),
                 Err(RedeError::AlreadyExists(_) | RedeError::NotFound(_)) => {
-                    prop_assert!(!accepted, "step {}: {:?} refused", step, op)
+                    prop_assert_eq!(outcome, Outcome::Refused, "step {}: {:?}", step, op)
                 }
                 Err(e) => prop_assert!(false, "step {}: {:?} failed: {:?}", step, op, e),
             }
+            let pinned: Vec<usize> = held.iter().map(|(p, _)| *p).collect();
+            prop_assert_eq!(&pinned, &model.held, "step {}: held pages", step);
             // Residency, page by page: the same pages left the pool.
             for (p, name) in names.iter().enumerate() {
                 let want = if model.resident.contains(&p) { model.sizes[&p] } else { 0 };
@@ -324,6 +395,7 @@ proptest! {
             prop_assert_eq!(stats.evictions, model.evictions, "step {}: evictions", step);
             prop_assert_eq!(stats.budget_used, model.used, "step {}: budget", step);
         }
+        drop(held);
         // The payload bytes never mattered to the order, but must survive.
         for (p, id) in ids.iter().enumerate() {
             if model.sizes.contains_key(&p) {
