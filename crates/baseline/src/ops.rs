@@ -176,8 +176,10 @@ impl HashJoinOp {
         let schema = left.schema().join(&right.schema());
 
         // Grace phase 1: partition both inputs by join-key hash.
-        let bucket_of =
-            |v: &Value| (fxhash::hash_bytes(0x97ace, &v.hash_bytes()) % fanout as u64) as usize;
+        let bucket_of = |v: &Value| {
+            let hash = v.with_hash_bytes(|bytes| fxhash::hash_bytes(0x97ace, bytes));
+            (hash % fanout as u64) as usize
+        };
         let mut left_parts: Vec<Vec<Row>> = vec![Vec::new(); fanout];
         while let Some(batch) = left.next_batch()? {
             for row in batch.rows {

@@ -204,15 +204,28 @@ impl Value {
     }
 
     /// Byte representation fed to hash partitioners. Stable across runs.
+    /// Allocates for the fixed-width variants; [`Value::with_hash_bytes`]
+    /// lends the same bytes without allocating.
     pub fn hash_bytes(&self) -> Cow<'_, [u8]> {
         match self {
-            Value::Null => Cow::Borrowed(&[]),
-            Value::Bool(b) => Cow::Owned(vec![*b as u8]),
-            Value::Int(v) => Cow::Owned(v.to_le_bytes().to_vec()),
-            Value::Float(v) => Cow::Owned(v.to_bits().to_le_bytes().to_vec()),
             Value::Str(s) => Cow::Borrowed(s.as_bytes()),
-            Value::Date(d) => Cow::Owned(d.0.to_le_bytes().to_vec()),
             Value::Bytes(b) => Cow::Borrowed(b),
+            _ => Cow::Owned(self.with_hash_bytes(<[u8]>::to_vec)),
+        }
+    }
+
+    /// Call `f` on exactly the bytes [`Value::hash_bytes`] returns, built
+    /// on the stack: the routing path hashes a key without allocating.
+    #[inline]
+    pub fn with_hash_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        match self {
+            Value::Null => f(&[]),
+            Value::Bool(b) => f(&[*b as u8]),
+            Value::Int(v) => f(&v.to_le_bytes()),
+            Value::Float(v) => f(&v.to_bits().to_le_bytes()),
+            Value::Str(s) => f(s.as_bytes()),
+            Value::Date(d) => f(&d.0.to_le_bytes()),
+            Value::Bytes(b) => f(b),
         }
     }
 }

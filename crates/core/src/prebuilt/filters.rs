@@ -28,8 +28,8 @@ impl FieldRangeFilter {
 
 impl Filter for FieldRangeFilter {
     fn matches(&self, record: &Record) -> Result<bool> {
-        let values = self.interp.extract(record)?;
-        Ok(values.iter().any(|v| *v >= self.lo && *v <= self.hi))
+        let v = self.interp.value(record)?;
+        Ok(v >= self.lo && v <= self.hi)
     }
 
     fn name(&self) -> &str {
@@ -58,8 +58,7 @@ impl FieldEqFilter {
 
 impl Filter for FieldEqFilter {
     fn matches(&self, record: &Record) -> Result<bool> {
-        let values = self.interp.extract(record)?;
-        Ok(values.iter().any(|v| self.allowed.contains(v)))
+        Ok(self.allowed.contains(&self.interp.value(record)?))
     }
 
     fn name(&self) -> &str {

@@ -75,12 +75,21 @@ impl DelimitedInterpreter {
     pub fn pipe(column: usize, ty: FieldType) -> DelimitedInterpreter {
         Self::new('|', column, ty)
     }
+
+    /// The column's one value: [`Interpreter::extract`] without the `Vec`.
+    pub fn value(&self, record: &Record) -> Result<Value> {
+        self.ty.parse(record.field(self.column, self.delim)?)
+    }
 }
 
 impl Interpreter for DelimitedInterpreter {
     fn extract(&self, record: &Record) -> Result<Vec<Value>> {
-        let raw = record.field(self.column, self.delim)?;
-        Ok(vec![self.ty.parse(raw)?])
+        Ok(vec![self.value(record)?])
+    }
+
+    fn extract_each(&self, record: &Record, emit: &mut dyn FnMut(Value)) -> Result<()> {
+        emit(self.value(record)?);
+        Ok(())
     }
 
     fn name(&self) -> &str {

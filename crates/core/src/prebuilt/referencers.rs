@@ -99,12 +99,11 @@ impl Referencer for InterpretReferencer {
         _ctx: &StageCtx,
         emit: &mut dyn FnMut(Pointer),
     ) -> Result<()> {
-        for value in self.interpreter.extract(record)? {
+        self.interpreter.extract_each(record, &mut |value| {
             // Broadcast leaves the partition information null.
             let partition_key = (!self.broadcast).then(|| value.clone());
             emit(pointer(&self.target, partition_key, value));
-        }
-        Ok(())
+        })
     }
 
     fn name(&self) -> &str {

@@ -155,6 +155,14 @@ pub trait Interpreter: Send + Sync {
     /// Extract the attribute values from `record`.
     fn extract(&self, record: &Record) -> Result<Vec<Value>>;
 
+    /// Pass each value [`Interpreter::extract`] yields to `emit`, in order.
+    /// The default collects them first; a one-value interpreter overrides
+    /// it to emit without building a `Vec`.
+    fn extract_each(&self, record: &Record, emit: &mut dyn FnMut(Value)) -> Result<()> {
+        self.extract(record)?.into_iter().for_each(emit);
+        Ok(())
+    }
+
     /// Human-readable name for diagnostics.
     fn name(&self) -> &str {
         "interpreter"

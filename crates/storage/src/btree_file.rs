@@ -420,14 +420,14 @@ impl BtreeFile {
                 j += 1;
             }
             let id = self.page_id(partition, page_no);
-            let (batch, s) = self.pool.with_page(&id, |pg| {
-                refs[i..j]
-                    .iter()
-                    .map(|r| pg.record(r.slot as usize).expect("posting slot in page"))
-                    .collect::<Vec<_>>()
+            let ((), s) = self.pool.with_page(&id, |pg| {
+                out.extend(
+                    refs[i..j]
+                        .iter()
+                        .map(|r| pg.record(r.slot as usize).expect("posting slot in page")),
+                )
             })?;
             stats.absorb(s);
-            out.extend(batch);
             i = j;
         }
         Ok((out, stats))

@@ -6,11 +6,13 @@
 //! record)` pairs without consulting resident metadata); index pages store
 //! bare entry records and leave the key column empty.
 //!
-//! Records are stored as their raw payload bytes and read back with one
-//! `Bytes::copy_from_slice` — the only copy a record makes on its way out
-//! of a page — so a page that round-trips through the simulated disk
-//! (evict → write-back → fault) reproduces records byte-identically —
-//! floats, separators and all.
+//! Records are stored as their raw payload bytes in one shared buffer and
+//! read back as [`Bytes::slice`]s of it: a read neither copies nor
+//! allocates. A page that round-trips through the simulated disk (evict →
+//! write-back → fault) reproduces records byte-identically — floats,
+//! separators and all. Mutation is copy-on-write: while a live record or
+//! another copy of the page shares the buffer, `push` and `replace` copy it
+//! first, so a record already read keeps its bytes.
 //!
 //! A [`PageId`] is three integers: the owning file's namespace (interned
 //! by the pool, see [`BufferPool::namespace`](super::BufferPool::namespace)),
@@ -18,7 +20,7 @@
 //! comparing one on the read path touches no string.
 
 use crate::record::Record;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rede_common::Value;
 
 /// Default target page size. A page may exceed this by one oversized
@@ -56,13 +58,20 @@ fn value_bytes(v: &Value) -> usize {
     }
 }
 
+/// A page offset or length as stored in the slot directory: converted with
+/// a check, never truncated.
+fn slot_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("page offset or length exceeds u32")
+}
+
 /// A slotted page: raw record bytes plus a slot directory.
 #[derive(Debug, Clone, Default)]
 pub struct SlottedPage {
-    /// Concatenated record payloads. Replaced records may leave dead bytes
-    /// behind; those stay charged to the budget until the page is dropped
-    /// (honest fragmentation — a real pager pays for it too).
-    data: Vec<u8>,
+    /// Concatenated record payloads, shared with every record read from
+    /// the page (and with clones of the page). Replaced records may leave
+    /// dead bytes behind; those stay charged to the budget until the page
+    /// is dropped (honest fragmentation — a real pager pays for it too).
+    data: Bytes,
     /// Slot directory: `(offset, len)` into `data`.
     slots: Vec<(u32, u32)>,
     /// Per-slot in-partition key (heap pages). Empty for index pages.
@@ -112,11 +121,27 @@ impl SlottedPage {
         }
     }
 
+    /// Mutate the payload buffer: in place while the page is its only
+    /// holder, on a private copy while records or page clones share it.
+    fn edit_data(&mut self, f: impl FnOnce(&mut BytesMut)) {
+        let mut data = std::mem::take(&mut self.data)
+            .try_into_mut()
+            .unwrap_or_else(|shared| BytesMut::from(&shared[..]));
+        f(&mut data);
+        self.data = data.freeze();
+    }
+
+    /// Append `bytes` to the payload buffer; returns their slot entry.
+    fn append(&mut self, bytes: &[u8]) -> (u32, u32) {
+        let entry = (slot_u32(self.data.len()), slot_u32(bytes.len()));
+        self.edit_data(|data| data.extend_from_slice(bytes));
+        entry
+    }
+
     /// Append a record, returning its slot number.
     pub fn push(&mut self, key: Option<Value>, bytes: &[u8]) -> usize {
-        let offset = self.data.len() as u32;
-        self.data.extend_from_slice(bytes);
-        self.slots.push((offset, bytes.len() as u32));
+        let entry = self.append(bytes);
+        self.slots.push(entry);
         if let Some(k) = key {
             debug_assert_eq!(
                 self.keys.len() + 1,
@@ -133,25 +158,24 @@ impl SlottedPage {
     /// appended at the end of the heap (the old bytes go dead).
     pub fn replace(&mut self, slot: usize, bytes: &[u8]) {
         let (offset, len) = self.slots[slot];
-        if bytes.len() <= len as usize {
+        self.slots[slot] = if bytes.len() <= len as usize {
             let start = offset as usize;
-            self.data[start..start + bytes.len()].copy_from_slice(bytes);
-            self.slots[slot] = (offset, bytes.len() as u32);
+            self.edit_data(|data| data[start..start + bytes.len()].copy_from_slice(bytes));
+            (offset, slot_u32(bytes.len()))
         } else {
-            let offset = self.data.len() as u32;
-            self.data.extend_from_slice(bytes);
-            self.slots[slot] = (offset, bytes.len() as u32);
-        }
+            self.append(bytes)
+        };
     }
 
-    /// Copy out the record in `slot` (one copy, straight into the
-    /// record's shared buffer).
+    /// The record in `slot`: a slice of the page's buffer, so the read
+    /// neither copies nor allocates. It keeps the bytes it was read with
+    /// however the page changes afterwards.
     pub fn record(&self, slot: usize) -> Option<Record> {
         let &(offset, len) = self.slots.get(slot)?;
         let start = offset as usize;
-        Some(Record::from_bytes(Bytes::copy_from_slice(
-            &self.data[start..start + len as usize],
-        )))
+        Some(Record::from_bytes(
+            self.data.slice(start..start + len as usize),
+        ))
     }
 
     /// The key stored with `slot` (heap pages only).
@@ -212,5 +236,56 @@ mod tests {
         let q = p.clone();
         assert_eq!(q.record(0).unwrap().bytes(), p.record(0).unwrap().bytes());
         assert_eq!(q.key(0), p.key(0));
+    }
+
+    #[test]
+    fn records_are_slices_of_the_page() {
+        let mut p = SlottedPage::new();
+        let a = p.push(None, b"alpha");
+        let b = p.push(None, b"bravo");
+        let (ra, rb) = (p.record(a).unwrap(), p.record(b).unwrap());
+        assert_eq!(
+            rb.bytes().as_ptr(),
+            ra.bytes().as_ptr().wrapping_add(5),
+            "both records point into one buffer"
+        );
+        assert_eq!(p.record(a).unwrap().bytes().as_ptr(), ra.bytes().as_ptr());
+    }
+
+    #[test]
+    fn a_record_read_before_a_write_keeps_its_bytes() {
+        let mut p = SlottedPage::new();
+        let s = p.push(Some(Value::Int(1)), b"0123456789");
+        let before = p.record(s).unwrap();
+        p.replace(s, b"abc");
+        assert_eq!(before.bytes(), b"0123456789");
+        assert_eq!(p.record(s).unwrap().bytes(), b"abc");
+
+        let shrunk = p.record(s).unwrap();
+        p.replace(s, &[b'z'; 20]);
+        let t = p.push(Some(Value::Int(2)), b"tail");
+        assert_eq!(shrunk.bytes(), b"abc");
+        assert_eq!(before.bytes(), b"0123456789");
+        assert_eq!(p.record(s).unwrap().bytes(), &[b'z'; 20]);
+        assert_eq!(p.record(t).unwrap().bytes(), b"tail");
+    }
+
+    #[test]
+    fn a_clone_keeps_its_bytes_when_the_original_is_written() {
+        let mut p = SlottedPage::new();
+        let s = p.push(None, b"original");
+        let q = p.clone();
+        p.replace(s, b"new");
+        p.push(None, b"more");
+        assert_eq!(q.record(s).unwrap().bytes(), b"original");
+        assert_eq!(q.len(), 1);
+        assert_eq!(p.record(s).unwrap().bytes(), b"new");
+    }
+
+    #[test]
+    fn slot_entries_are_converted_with_a_check() {
+        assert_eq!(slot_u32(u32::MAX as usize), u32::MAX);
+        let overflow = std::panic::catch_unwind(|| slot_u32(u32::MAX as usize + 1));
+        assert!(overflow.is_err(), "an offset past u32 must not truncate");
     }
 }

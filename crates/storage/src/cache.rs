@@ -185,6 +185,10 @@ impl Shard {
                 self.evict_tail(budget);
             }
         }
+        // A record read from a page is a slice of the whole page buffer:
+        // keep a private copy, so the entry holds exactly the bytes it
+        // charges and never keeps a page alive.
+        let value = Record::from_bytes(Bytes::copy_from_slice(value.bytes()));
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.slots[idx] = Slot {
@@ -292,7 +296,8 @@ impl RecordCache {
         self.shard_of(key).lock().get(key)
     }
 
-    /// Insert (or refresh) a record. Best-effort under a shared budget.
+    /// Insert (or refresh) a copy of a record. Best-effort under a shared
+    /// budget.
     pub fn insert(&self, key: CacheKey, value: Record) {
         self.shard_of(&key)
             .lock()

@@ -995,8 +995,8 @@ impl SimCluster {
         // One heap per run of pointers into the same file: the catalog is
         // consulted once per run, not once per pointer.
         let mut heaps: Vec<Arc<HeapFile>> = Vec::new();
-        let mut misses: Vec<Miss> = Vec::new();
-        let mut sites: Vec<(usize, u64)> = Vec::new();
+        let mut misses: Vec<Miss> = Vec::with_capacity(ptrs.len());
+        let mut sites: Vec<(usize, u64)> = Vec::with_capacity(ptrs.len());
         for (idx, ptr) in ptrs.iter().enumerate() {
             if !heaps.last().is_some_and(|h| same_file(h.name(), &ptr.file)) {
                 match self.inner.catalog.heap(&ptr.file) {

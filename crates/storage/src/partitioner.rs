@@ -105,7 +105,8 @@ pub struct HashPartitioner {
 
 impl Partitioner for HashPartitioner {
     fn partition_of(&self, key: &Value) -> usize {
-        (fxhash::hash_bytes(self.seed, &key.hash_bytes()) % self.partitions as u64) as usize
+        let hash = key.with_hash_bytes(|bytes| fxhash::hash_bytes(self.seed, bytes));
+        (hash % self.partitions as u64) as usize
     }
 
     fn partitions(&self) -> usize {

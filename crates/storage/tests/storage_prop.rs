@@ -2,8 +2,24 @@
 //! randomly generated datasets.
 
 use proptest::prelude::*;
-use rede_common::Value;
+use rede_common::{fxhash, Date, Value};
 use rede_storage::{FileSpec, Partitioning, Pointer, Record, SimCluster};
+use std::sync::Arc;
+
+/// A `Value` of any variant, including the float edge cases.
+fn any_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(-0.0f64)].prop_map(Value::Float),
+        "[ -~]{0,24}".prop_map(|s| Value::str(&s)),
+        any::<i32>().prop_map(|d| Value::Date(Date(d))),
+        prop::collection::vec(any::<u8>(), 0..24)
+            .prop_map(|b| Value::Bytes(Arc::from(b.into_boxed_slice()))),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -47,6 +63,22 @@ proptest! {
             let a = p.partition_of(&Value::Int(k));
             prop_assert!(a < parts);
             prop_assert_eq!(a, p.partition_of(&Value::Int(k)));
+        }
+    }
+
+    /// Hash routing hashes exactly the bytes `Value::hash_bytes` defines,
+    /// for every variant, so no row can move partition when the routing
+    /// path stops materializing them.
+    #[test]
+    fn hash_routing_hashes_the_defined_bytes(
+        values in prop::collection::vec(any_value(), 1..64),
+        parts in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let p = Partitioning::Hash { partitions: parts, seed }.build().unwrap();
+        for v in &values {
+            let defined = fxhash::hash_bytes(seed, &v.hash_bytes()) % parts as u64;
+            prop_assert_eq!(p.partition_of(v) as u64, defined, "{:?}", v);
         }
     }
 

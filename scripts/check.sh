@@ -13,8 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (workspace, warnings are errors: no dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> scripts parse: bash -n scripts/ab.sh"
+echo "==> scripts parse: bash -n scripts/ab.sh scripts/profile.sh"
 bash -n scripts/ab.sh
+bash -n scripts/profile.sh
 
 echo "==> data-plane reads are fallible: BtreeFile::lookup_in is the one panicking shim"
 test "$(grep -rn 'page budget exhausted' crates/*/src | wc -l)" -eq 1

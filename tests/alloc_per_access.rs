@@ -1,0 +1,161 @@
+//! Heap allocations per logical record access on a resident, zero-latency
+//! cluster — an exact, wall-clock-free gate on the engine's per-access CPU
+//! waste.
+//!
+//! A counting `#[global_allocator]` (this test binary only; no other build
+//! pays for it) counts `alloc` and `realloc` calls over three resident
+//! workloads, each run once to warm lazily built state and then once
+//! counted:
+//!
+//! * `resolve_batch` over logical pointers into `orders`,
+//! * one `lookup_batch` against the global `lineitem.l_orderkey` index,
+//! * one small TPC-H Q5' job on the SMPE executor.
+//!
+//! Logical accesses are counted the way the benchmark counts them: point
+//! reads wherever served, plus index lookups. Each budget sits a little
+//! above today's count; a change that puts a per-access allocation back
+//! (say, a record copied out of its page again) breaks it. Tighten the
+//! budgets when a change lowers the counts.
+
+use lakeharbor::prelude::*;
+use rede_tpch::load::names;
+use rede_tpch::{load_tpch, q5_prime_job, LoadOptions, Q5Params, TpchGenerator};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static REALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counters are plain atomics and allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations and reallocations per logical access of one counted run.
+struct PerAccess {
+    accesses: u64,
+    allocs: f64,
+    reallocs: f64,
+}
+
+/// Run `work` twice and count the second run's allocations against the
+/// logical accesses it made.
+fn per_access(cluster: &SimCluster, mut work: impl FnMut()) -> PerAccess {
+    work();
+    let before = cluster.metrics().snapshot();
+    let (a0, r0) = (
+        ALLOCS.load(Ordering::SeqCst),
+        REALLOCS.load(Ordering::SeqCst),
+    );
+    work();
+    let (a1, r1) = (
+        ALLOCS.load(Ordering::SeqCst),
+        REALLOCS.load(Ordering::SeqCst),
+    );
+    let d = cluster.metrics().snapshot().since(&before);
+    let accesses = d.local_point_reads + d.remote_point_reads + d.cache_hits + d.index_lookups;
+    assert!(accesses > 0, "the counted run made no access");
+    PerAccess {
+        accesses,
+        allocs: (a1 - a0) as f64 / accesses as f64,
+        reallocs: (r1 - r0) as f64 / accesses as f64,
+    }
+}
+
+#[test]
+fn resident_accesses_stay_within_their_allocation_budget() {
+    let cluster = SimCluster::builder()
+        .nodes(2)
+        .io_model(IoModel::zero())
+        .build()
+        .unwrap();
+    let loaded = load_tpch(
+        &cluster,
+        TpchGenerator::new(0.002, 7),
+        &LoadOptions {
+            partitions: Some(4),
+            date_indexes: true,
+            fk_indexes: true,
+        },
+    )
+    .unwrap();
+    let order_keys: Vec<i64> = (1..=loaded.orders_rows as i64).step_by(3).collect();
+
+    // Resident point reads, 64 pointers per batch.
+    let pointers: Vec<Pointer> = order_keys
+        .iter()
+        .map(|&k| Pointer::logical(names::ORDERS, Value::Int(k), Value::Int(k)))
+        .collect();
+    let resolve = per_access(&cluster, || {
+        for batch in pointers.chunks(64) {
+            let refs: Vec<&Pointer> = batch.iter().collect();
+            for r in cluster.resolve_batch(&refs, 0) {
+                r.unwrap();
+            }
+        }
+    });
+
+    // One batched probe of a global index.
+    let index = cluster.index(names::LINEITEM_BY_ORDERKEY).unwrap();
+    let keys: Vec<Value> = order_keys.iter().map(|&k| Value::Int(k)).collect();
+    let lookup = per_access(&cluster, || {
+        for postings in index.lookup_batch(&keys, 0) {
+            assert!(!postings.unwrap().is_empty());
+        }
+    });
+
+    // One small Q5' job: referencers, filters, routing and dereferences.
+    let runner = JobRunner::new(cluster.clone(), ExecutorConfig::smpe(1));
+    let job = q5_prime_job(&Q5Params::with_selectivity(0.05)).unwrap();
+    let q5 = per_access(&cluster, || {
+        runner.run(&job).unwrap();
+    });
+
+    for (name, m) in [
+        ("resolve_batch", &resolve),
+        ("lookup_batch", &lookup),
+        ("q5", &q5),
+    ] {
+        println!(
+            "{name}: {} accesses, {:.2} allocs + {:.2} reallocs per access",
+            m.accesses, m.allocs, m.reallocs
+        );
+    }
+    for (name, m, budget) in [
+        // Counts at the introduction of this gate: 0.14, 1.03 and 1.15
+        // (2.14, 7.11 and 5.62 while records were copied out of their
+        // pages and hash routing and one-column interpreters allocated).
+        ("resolve_batch", &resolve, 0.25),
+        ("lookup_batch", &lookup, 1.25),
+        ("q5", &q5, 1.4),
+    ] {
+        assert!(
+            m.allocs <= budget,
+            "{name}: {:.2} allocations per access exceed the budget of {budget}",
+            m.allocs
+        );
+    }
+}
