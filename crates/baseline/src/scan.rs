@@ -11,10 +11,8 @@ use crate::expr::Expr;
 use crate::row::{RowBatch, RowParser};
 use parking_lot::Mutex;
 use rede_common::{Counter, RedeError, Result};
-use rede_storage::{FileHandle, SimCluster};
+use rede_storage::{FileHandle, Owed, SimCluster, SCAN_BATCH};
 use std::collections::VecDeque;
-
-const SCAN_BATCH: usize = 1024;
 
 /// How the engine's scan shuffle relates to partition placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,9 +112,12 @@ pub fn parallel_scan_with_locality(
                         break;
                     }
                     if remote {
-                        // One shuffle hop per pulled batch.
+                        // One shuffle hop per pulled batch: one round trip,
+                        // waited through the cluster like the scan itself.
                         cluster.metrics().add(Counter::remote_rtts, 1);
-                        cluster.io_model().pay_shuffle();
+                        let mut hop = Owed::default();
+                        hop.delay(cluster.io_model().rtt());
+                        cluster.wait(hop);
                     }
                     start += visited;
                     for (_, record) in &slots {
@@ -165,10 +166,15 @@ mod tests {
     use super::*;
     use crate::row::{ColType, Schema};
     use rede_common::Value;
-    use rede_storage::{FileSpec, Partitioning, Record};
+    use rede_storage::{FileSpec, IoModel, Partitioning, Record};
+    use std::time::{Duration, Instant};
 
     fn fixture(n: i64) -> (SimCluster, FileHandle, RowParser) {
-        let c = SimCluster::builder().nodes(2).build().unwrap();
+        fixture_with(n, IoModel::zero())
+    }
+
+    fn fixture_with(n: i64, io: IoModel) -> (SimCluster, FileHandle, RowParser) {
+        let c = SimCluster::builder().nodes(2).io_model(io).build().unwrap();
         let f = c
             .create_file(FileSpec::new("t", Partitioning::hash(4)))
             .unwrap();
@@ -255,6 +261,27 @@ mod tests {
             .count() as u64;
         assert_eq!(remote_partitions, 2);
         assert_eq!(c.metrics().snapshot().remote_rtts, remote_partitions);
+    }
+
+    #[test]
+    fn a_remote_shuffle_waits_one_rtt_per_remote_batch() {
+        let rtt = Duration::from_millis(5);
+        let (c, f, parser) = fixture_with(
+            500,
+            IoModel {
+                remote_point_read: rtt,
+                ..IoModel::zero()
+            },
+        );
+        let start = Instant::now();
+        parallel_scan_with_locality(&c, &f, &parser, None, 1, ShuffleLocality::Remote).unwrap();
+        let wall = start.elapsed();
+        let hops = c.metrics().snapshot().remote_rtts;
+        assert_eq!(hops, 2, "one worker pulls node 1's two partitions");
+        assert!(
+            wall >= rtt * hops as u32,
+            "{hops} shuffle hops on one worker wait one RTT each: {wall:?}"
+        );
     }
 
     #[test]

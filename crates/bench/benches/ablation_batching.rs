@@ -50,7 +50,6 @@ fn remote_heavy_io() -> IoModel {
         index_lookup: Duration::from_micros(10),
         page_fault: Duration::from_micros(20),
         wal_fsync: Duration::ZERO,
-        scan_batch: 1024,
         queue_depth: 1008,
         wire_window: 16,
     }
@@ -72,7 +71,6 @@ fn fabric_heavy_io() -> IoModel {
         index_lookup: Duration::from_micros(2),
         page_fault: Duration::from_micros(5),
         wal_fsync: Duration::ZERO,
-        scan_batch: 1024,
         queue_depth: 1008,
         wire_window: 16,
     }

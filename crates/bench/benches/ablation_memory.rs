@@ -48,7 +48,6 @@ fn paged_io() -> IoModel {
         index_lookup: Duration::from_micros(1),
         page_fault: Duration::from_micros(10),
         wal_fsync: Duration::ZERO,
-        scan_batch: 1024,
         queue_depth: 1008,
         wire_window: 16,
     }

@@ -658,18 +658,20 @@ impl JobState {
     }
 
     /// Abort the job because its deadline passed: counts a deadline
-    /// abort and cancels through the normal path (queued tasks drained,
-    /// permits and pool slots returned as in-flight reads retire).
-    /// Returns whether this call actually initiated the abort.
-    pub(crate) fn deadline_abort(&self) -> bool {
+    /// abort, in the job's metrics and in `aborts`, then cancels through
+    /// the normal path (queued tasks drained, permits and pool slots
+    /// returned as in-flight reads retire). Counted first, so a waiter
+    /// the cancel wakes already sees it. A no-op once the job finished or
+    /// was aborted before.
+    pub(crate) fn deadline_abort(&self, aborts: &AtomicU64) {
         if self.finished.load(Ordering::SeqCst)
             || self.deadline_exceeded.swap(true, Ordering::SeqCst)
         {
-            return false;
+            return;
         }
         self.tally(|m| m.add(Counter::deadline_aborts, 1));
+        aborts.fetch_add(1, Ordering::Relaxed);
         self.cancel();
-        true
     }
 
     /// Cancel the job: drain its queued tasks everywhere and let in-flight

@@ -37,10 +37,10 @@ use crate::exec::{Batching, RoutingPolicy};
 use crate::job::Job;
 use crate::maintenance::IndexBuilder;
 use crate::JobResult;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rede_common::{RedeError, Result};
 use rede_storage::{Record, SimCluster};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -237,86 +237,33 @@ pub struct SchedulerStats {
     /// Stage invocations that panicked (each became a job error, never a
     /// lost worker).
     pub pool_panics: u64,
-    /// Jobs aborted by the deadline watcher.
+    /// Jobs aborted because their [`SubmitOptions::deadline`] passed
+    /// first: the deadline's timer on the cluster's event loop
+    /// (`SimCluster::timer`) fired on the unfinished job.
     pub deadline_aborts: u64,
     /// Submissions refused by per-tenant admission control.
     pub rejected_jobs: u64,
     /// Events armed or queued on the cluster's loop, device and wire
-    /// (`SimCluster::fabric_in_flight`); 0 at rest (every flight lands).
+    /// (`SimCluster::fabric_in_flight`); 0 at rest (every flight lands,
+    /// and a deadline's timer is not a flight).
     pub fabric_in_flight: usize,
 }
 
-/// Watches admitted jobs' deadlines on one background thread and aborts
-/// the ones that blow them. Entries hold the job weakly: a job that
-/// finishes (or loses all interest) before its deadline just ages out of
-/// the list.
-struct DeadlineWatcher {
-    entries: Mutex<Vec<(Instant, Weak<JobState>)>>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    aborts: Arc<AtomicU64>,
-}
-
-impl DeadlineWatcher {
-    fn new(aborts: Arc<AtomicU64>) -> DeadlineWatcher {
-        DeadlineWatcher {
-            entries: Mutex::new(Vec::new()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            aborts,
+/// Arm `job`'s deadline as a timer on `cluster`'s event loop: at `when` an
+/// unfinished job is aborted and counted in `aborts`. The timer holds the
+/// job weakly and no cluster or scheduler, so it keeps none of them alive.
+/// Teardown fires it early, hence the clock check. The abort runs on the loop's thread;
+/// it only takes queue locks briefly and wakes waiters.
+fn arm_deadline(cluster: &SimCluster, when: Instant, job: &Arc<JobState>, aborts: &Arc<AtomicU64>) {
+    let (job, aborts) = (Arc::downgrade(job), aborts.clone());
+    cluster.timer(when.saturating_duration_since(Instant::now()), move || {
+        if Instant::now() < when {
+            return;
         }
-    }
-
-    /// Register a job to be aborted at `when` unless finished first.
-    fn watch(&self, when: Instant, job: &Arc<JobState>) {
-        let mut entries = self.entries.lock();
-        entries.push((when, Arc::downgrade(job)));
-        self.wake.notify_one();
-    }
-
-    fn run(&self) {
-        let mut entries = self.entries.lock();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = Instant::now();
-            let mut next: Option<Instant> = None;
-            entries.retain(|(when, weak)| {
-                let Some(job) = weak.upgrade() else {
-                    return false;
-                };
-                if job.is_finished() {
-                    return false;
-                }
-                if *when <= now {
-                    if job.deadline_abort() {
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return false;
-                }
-                next = Some(next.map_or(*when, |n| n.min(*when)));
-                true
-            });
-            match next {
-                // `wait_for` re-checks on spurious wakes and new entries
-                // alike; the loop recomputes the earliest deadline.
-                Some(when) => {
-                    let pause = when.saturating_duration_since(Instant::now());
-                    if !pause.is_zero() {
-                        self.wake.wait_for(&mut entries, pause);
-                    }
-                }
-                None => self.wake.wait(&mut entries),
-            }
+        if let Some(job) = job.upgrade() {
+            job.deadline_abort(&aborts);
         }
-    }
-
-    fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _guard = self.entries.lock();
-        self.wake.notify_all();
-    }
+    });
 }
 
 struct Core {
@@ -331,8 +278,6 @@ struct Core {
     /// the committed cut at submit time; unattached, submissions read the
     /// live tip through the zero-overhead path.
     txn: Mutex<Option<Arc<crate::txn::TxnManager>>>,
-    deadlines: Arc<DeadlineWatcher>,
-    deadline_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     deadline_aborts: Arc<AtomicU64>,
     rejected: AtomicU64,
 }
@@ -353,10 +298,6 @@ impl Drop for Core {
             }
         }
         self.builds.join_all();
-        self.deadlines.stop();
-        if let Some(t) = self.deadline_thread.lock().take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -372,13 +313,6 @@ impl HarborScheduler {
     /// eagerly.
     pub fn new(cluster: SimCluster, config: SchedulerConfig) -> HarborScheduler {
         let substrate = Substrate::new(cluster, config.pool_threads);
-        let deadline_aborts = Arc::new(AtomicU64::new(0));
-        let deadlines = Arc::new(DeadlineWatcher::new(deadline_aborts.clone()));
-        let watcher = deadlines.clone();
-        let deadline_thread = std::thread::Builder::new()
-            .name("rede-deadline".into())
-            .spawn(move || watcher.run())
-            .expect("spawn deadline watcher");
         HarborScheduler {
             core: Arc::new(Core {
                 substrate,
@@ -387,9 +321,7 @@ impl HarborScheduler {
                 completed: Arc::new(AtomicU64::new(0)),
                 builds: Arc::new(builds::BuildRegistry::new()),
                 txn: Mutex::new(None),
-                deadlines,
-                deadline_thread: Mutex::new(Some(deadline_thread)),
-                deadline_aborts,
+                deadline_aborts: Arc::new(AtomicU64::new(0)),
                 rejected: AtomicU64::new(0),
             }),
         }
@@ -487,7 +419,12 @@ impl HarborScheduler {
         active.push(Arc::downgrade(&state));
         drop(active);
         if let Some(when) = deadline {
-            core.deadlines.watch(when, &state);
+            arm_deadline(
+                core.substrate.cluster(),
+                when,
+                &state,
+                &core.deadline_aborts,
+            );
         }
         Ok(JobHandle { state })
     }
@@ -902,6 +839,130 @@ mod tests {
             .unwrap();
         assert_eq!(ok.wait().unwrap().count, 11);
         assert_eq!(sched.stats().deadline_aborts, 1);
+    }
+
+    /// A deadline is a timer, not a side effect of the job's own events: a
+    /// streaming job parked on a full sink that nobody fetches has nothing
+    /// in flight on the loop, and its deadline still aborts it and hands
+    /// back everything it held.
+    #[test]
+    fn a_deadline_aborts_a_job_with_no_event_in_flight() {
+        let c = cluster(4000, IoModel::zero());
+        weight_index_builder(&c).build().unwrap();
+        let permits_before = c.available_iops_permits();
+        let sched = HarborScheduler::new(
+            c.clone(),
+            SchedulerConfig {
+                pool_threads: 16,
+                ..SchedulerConfig::default()
+            },
+        );
+        let deadline = Duration::from_millis(100);
+        let submitted = Instant::now();
+        let handle = sched
+            .submit_streaming(
+                &range_job(0, 8000),
+                SubmitOptions::new().deadline(deadline),
+                4,
+            )
+            .unwrap();
+        while !handle.output_stalled() {
+            assert!(!handle.is_finished(), "the job must park on its full sink");
+            std::thread::yield_now();
+        }
+        assert_eq!(c.fabric_in_flight(), 0, "a latency-free job flies nothing");
+
+        let err = handle.wait().unwrap_err();
+        let waited = submitted.elapsed();
+        match err {
+            RedeError::Cancelled(msg) => {
+                assert!(msg.contains("exceeded its deadline"), "{msg}")
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        assert!(
+            waited >= deadline,
+            "aborted before its deadline: {waited:?}"
+        );
+        assert!(
+            waited < deadline + Duration::from_secs(5),
+            "aborted long after its deadline: {waited:?}"
+        );
+        let stats = sched.stats();
+        assert_eq!(stats.deadline_aborts, 1);
+        assert_eq!(stats.active_jobs, 0);
+        assert!(stats.queue_depths.iter().all(|&d| d == 0), "{stats:?}");
+        assert_eq!(stats.fabric_in_flight, 0);
+        assert_eq!(handle.pool_threads_held(), 0);
+        assert_eq!(handle.permits_held(), 0);
+        assert_eq!(c.available_iops_permits(), permits_before);
+    }
+
+    /// A deadline that is met leaves nothing in flight, and a deadline
+    /// timer fired early — as teardown fires every timer — aborts nothing:
+    /// the timer checks the clock itself and keeps neither the scheduler
+    /// nor the cluster alive.
+    #[test]
+    fn a_met_deadline_holds_nothing_and_teardown_aborts_nothing() {
+        let c = cluster(4000, IoModel::zero());
+        weight_index_builder(&c).build().unwrap();
+        let sched = HarborScheduler::new(
+            c.clone(),
+            SchedulerConfig {
+                pool_threads: 16,
+                ..SchedulerConfig::default()
+            },
+        );
+        let thirty = Duration::from_secs(30);
+        let done = sched
+            .submit_with(&range_job(0, 20), SubmitOptions::new().deadline(thirty))
+            .unwrap();
+        assert_eq!(done.wait().unwrap().count, 11);
+        let stats = sched.stats();
+        assert_eq!((stats.deadline_aborts, stats.fabric_in_flight), (0, 0));
+
+        // A job still running when a deadline timer fires early: arm one
+        // on a loop that is torn down at once.
+        let parked = sched
+            .submit_streaming(
+                &range_job(0, 8000),
+                SubmitOptions::new().deadline(thirty),
+                4,
+            )
+            .unwrap();
+        while !parked.output_stalled() {
+            std::thread::yield_now();
+        }
+        let doomed = SimCluster::builder().nodes(1).build().unwrap();
+        arm_deadline(
+            &doomed,
+            Instant::now() + thirty,
+            &parked.state,
+            &sched.core.deadline_aborts,
+        );
+        drop(doomed);
+        assert!(!parked.is_finished(), "an early timer aborted a live job");
+        assert_eq!(sched.stats().deadline_aborts, 0);
+        parked.cancel();
+        let err = parked.wait().unwrap_err();
+        assert!(
+            matches!(&err, RedeError::Cancelled(msg) if !msg.contains("deadline")),
+            "{err:?}"
+        );
+
+        // Both jobs' timers are still armed, 30 s out: dropping the
+        // scheduler and the cluster fires them at once and counts nothing.
+        let aborts = sched.core.deadline_aborts.clone();
+        drop((done, parked));
+        let teardown = Instant::now();
+        drop(sched);
+        drop(c);
+        assert!(
+            teardown.elapsed() < Duration::from_secs(5),
+            "teardown waited for a deadline: {:?}",
+            teardown.elapsed()
+        );
+        assert_eq!(aborts.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -18,10 +18,10 @@ use crate::buffer::{
 };
 use crate::cache::{CacheKey, RecordCache};
 use crate::catalog::{Catalog, StorageObject};
-use crate::fabric::{Completion, Lane, Run, SimFabric};
+use crate::fabric::{self, Completion, Lane, Run, SimFabric};
 use crate::faults::{AccessClass, FaultDecision, FaultInjector, FaultPlan};
 use crate::heap_file::HeapFile;
-use crate::io_model::{IoModel, Owed, Phase};
+use crate::io_model::{IoModel, Owed, Phase, SCAN_BATCH};
 use crate::partitioner::Partitioning;
 use crate::pointer::{Pointer, PointerKey};
 use crate::record::Record;
@@ -505,9 +505,20 @@ impl SimCluster {
     }
 
     /// Diagnostic: events armed or queued on the cluster's loop, device
-    /// and wire alike; 0 at rest.
+    /// and wire alike; 0 at rest. Timers ([`SimCluster::timer`]) are not
+    /// counted.
     pub fn fabric_in_flight(&self) -> usize {
         self.inner.fabric.in_flight()
+    }
+
+    /// Run `complete` on the cluster's event loop once `delay` has passed
+    /// (a job's deadline). It holds no slot and is not counted by
+    /// [`SimCluster::fabric_in_flight`]. Dropping the last cluster handle
+    /// fires it early, so `complete` checks the time itself where that
+    /// matters; it must not block, nor hold a handle to this cluster,
+    /// which would keep the loop alive until it fired.
+    pub fn timer(&self, delay: Duration, complete: impl FnOnce() + Send + 'static) {
+        self.inner.fabric.timer(delay, Box::new(complete));
     }
 
     /// The fault injector attached at build time, if any. `None` means
@@ -713,13 +724,11 @@ impl SimCluster {
                         .expect("the event loop fires every completion, at shutdown at the latest");
                 }
             }
-            if !then.is_zero() {
-                std::thread::sleep(then);
-            }
+            fabric::sleep(then);
         }
         if !owed.rtt.is_zero() {
             self.tally(|m| m.record_flight_begin());
-            std::thread::sleep(owed.rtt);
+            fabric::sleep(owed.rtt);
             self.tally(|m| m.record_flight_end());
         }
     }
@@ -1329,20 +1338,19 @@ impl FileHandle {
     }
 
     /// Charged sequential scan of one partition, streaming batches of
-    /// `scan_batch` records to `f`. Pays per-record scan latency once per
-    /// batch and counts every visited record.
+    /// [`SCAN_BATCH`] records to `f`. Waits per-record scan latency once
+    /// per batch and counts every visited record.
     pub fn scan_partition(
         &self,
         partition: usize,
         mut f: impl FnMut(&Value, &Record),
     ) -> Result<()> {
-        let batch = self.cluster.inner.io.scan_batch.max(1);
         let mut start = 0;
         loop {
             // Advance by slots *visited*, not rows returned: under a
             // snapshot invisible versions occupy slots but yield no rows,
             // and a rows-based cursor would stall on an all-filtered batch.
-            let (rows, visited) = self.read_slots(partition, start, batch)?;
+            let (rows, visited) = self.read_slots(partition, start, SCAN_BATCH)?;
             if visited == 0 {
                 return Ok(());
             }
@@ -1362,7 +1370,7 @@ impl FileHandle {
     /// filtered to the versions visible at this handle's snapshot when it
     /// pins one. Returns the rows plus the number of slots *visited* — the
     /// amount a scan cursor must advance by, since filtered-out versions
-    /// still occupy slots. Pays per-record scan latency for the batch —
+    /// still occupy slots. Waits per-record scan latency for the batch —
     /// plus the fault latency for any pages the scan pulled back in — and
     /// counts every record.
     pub fn read_slots(
@@ -1378,18 +1386,23 @@ impl FileHandle {
         Ok((rows, visited))
     }
 
-    /// Count and pay one scan batch inline on the scanning thread: the
-    /// page faults it took, then per-record streaming time. A scan is one
-    /// sequential stream, not a queue of requests, so its time never
-    /// enters the device queues.
+    /// Count one scan batch and wait on the scanning thread for the page
+    /// faults it took plus its per-record streaming time, as one wait-only
+    /// phase. A scan is one sequential stream, not a queue of requests, so
+    /// its time never enters the device queues.
     fn charge_scan(&self, rows: usize, pages: PageStats) {
         self.cluster.note_page_stats(pages);
-        self.cluster.inner.io.pay_page_faults(pages.faults);
         if rows > 0 {
             self.cluster
                 .tally(|m| m.record_accesses(AccessKind::ScannedRecord, rows as u64));
-            self.cluster.inner.io.pay_scan(rows);
         }
+        let io = &self.cluster.inner.io;
+        let mut owed = Owed::default();
+        owed.delay(
+            io.page_fault_cost(pages.faults)
+                .saturating_add(io.scan_cost(rows)),
+        );
+        self.cluster.wait(owed);
     }
 }
 

@@ -29,6 +29,11 @@
 //! one run, so a batch costs the timer thread an event per wave instead of
 //! one per read.
 //!
+//! **Timers** on the same heap hold no slot: a phase's wait
+//! ([`SimFabric::after`]) and a job's deadline ([`SimFabric::timer`]).
+//! Every other simulated wait outside the WAL is [`sleep`], the one inline
+//! sleep of a caller blocked on its own accesses.
+//!
 //! Two properties make this a pure scheduling transformation:
 //!
 //! * **Per-lane in-flight windows.** Each lane of each node keeps at most
@@ -93,6 +98,9 @@ struct Flight {
     /// The lane whose window this flight occupies and how many of its
     /// slots; `None` for a bare timer ([`SimFabric::after`]).
     slots: Option<(usize, Lane, usize)>,
+    /// Armed by [`SimFabric::timer`]: not simulated I/O, so
+    /// [`SimFabric::in_flight`] does not count it.
+    timer: bool,
     /// The submitting job's held-slot gauge, up from grant to landing.
     _hold: Option<PermitHold>,
     /// What landing fires. Only the *last-granted* part of a run carries
@@ -143,6 +151,8 @@ struct LaneState {
 #[derive(Default)]
 struct State {
     heap: BinaryHeap<Flight>,
+    /// How many of `heap`'s flights are [`SimFabric::timer`]s.
+    timers: usize,
     /// Per node, its lanes indexed by `Lane as usize`.
     nodes: Vec<[LaneState; 2]>,
     next_seq: u64,
@@ -184,23 +194,26 @@ impl State {
                 .saturating_add(next.delay.saturating_mul(grant as u32));
             let complete =
                 (next.count == 0).then(|| slot.pending.pop_front().expect("peeked").complete);
-            self.push(Some((node, lane, grant)), deadline, hold, complete);
+            self.push(Some((node, lane, grant)), false, deadline, hold, complete);
         }
     }
 
     fn push(
         &mut self,
         slots: Option<(usize, Lane, usize)>,
+        timer: bool,
         deadline: Instant,
         hold: Option<PermitHold>,
         complete: Option<Completion>,
     ) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.timers += usize::from(timer);
         self.heap.push(Flight {
             deadline,
             seq,
             slots,
+            timer,
             _hold: hold,
             complete,
         });
@@ -326,6 +339,16 @@ impl SimFabric {
     /// (waits that are not a request to anything — page-fault service,
     /// retry backoff).
     pub(crate) fn after(&self, delay: Duration, complete: Completion) {
+        self.arm(delay, false, complete);
+    }
+
+    /// [`SimFabric::after`] for a timer that is no simulated I/O (a job's
+    /// deadline), so [`SimFabric::in_flight`] does not count it.
+    pub(crate) fn timer(&self, delay: Duration, complete: Completion) {
+        self.arm(delay, true, complete);
+    }
+
+    fn arm(&self, delay: Duration, timer: bool, complete: Completion) {
         let mut state = self.shared.state.lock();
         if state.shutdown {
             drop(state);
@@ -333,7 +356,7 @@ impl SimFabric {
             return;
         }
         let head = state.head();
-        state.push(None, Instant::now() + delay, None, Some(complete));
+        state.push(None, timer, Instant::now() + delay, None, Some(complete));
         self.armed(state, head);
     }
 
@@ -375,7 +398,7 @@ impl SimFabric {
         slot.slot_time = slot.slot_time.saturating_add(delay);
         drop(state);
         let held = scope.map(IoScope::hold_permit);
-        std::thread::sleep(delay);
+        sleep(delay);
         drop(held);
         let mut state = self.shared.state.lock();
         let head = state.head();
@@ -411,11 +434,12 @@ impl SimFabric {
     }
 
     /// Flights currently armed plus runs still queued, whole or in part,
-    /// on either lane (diagnostic; 0 when quiescent).
+    /// on either lane (diagnostic; 0 when quiescent). Timers armed by
+    /// [`SimFabric::timer`] are not counted.
     pub(crate) fn in_flight(&self) -> usize {
         let state = self.shared.state.lock();
         let queued = state.nodes.iter().flatten().map(|l| l.pending.len());
-        state.heap.len() + queued.sum::<usize>()
+        state.heap.len() - state.timers + queued.sum::<usize>()
     }
 
     /// Requests holding a slot of `lane` right now, per node (diagnostic;
@@ -450,6 +474,7 @@ impl SimFabric {
             let mut due: Vec<Completion> = Vec::new();
             while state.heap.peek().is_some_and(|f| f.deadline <= now) {
                 let flight = state.heap.pop().expect("peeked");
+                state.timers -= usize::from(flight.timer);
                 due.extend(flight.complete);
                 if let Some((node, lane, count)) = flight.slots {
                     state.release(node, lane, count, now, capacity[lane as usize]);
@@ -470,6 +495,7 @@ impl SimFabric {
                 // order then FIFO per lane, so no token is stranded.
                 let mut rest: Vec<Completion> = Vec::new();
                 let mut heap = std::mem::take(&mut state.heap);
+                state.timers = 0;
                 while let Some(f) = heap.pop() {
                     // Slots taken by `hold` stay counted: their holders
                     // give them back themselves.
@@ -521,6 +547,16 @@ impl SimFabric {
 impl Drop for SimFabric {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Spend `d` of modeled time on the calling thread, the one place outside
+/// the WAL where `rede-storage` sleeps: a synchronous caller's wait, kept
+/// inline because a hand-off to the timer thread adds its wake-up to
+/// every lone access.
+pub(crate) fn sleep(d: Duration) {
+    if !d.is_zero() {
+        std::thread::sleep(d);
     }
 }
 
@@ -691,8 +727,10 @@ mod tests {
         });
         assert_eq!(fabric.submit_all(Some(&scope), flights), 3);
         // Two granted, three queued: only granted slots are held, counted
-        // in service, and charged slot time. A bare timer takes no slot.
+        // in service, and charged slot time. A bare timer takes no slot,
+        // and one that is no simulated I/O is not in flight either.
         fabric.after(hour, Box::new(|| {}));
+        fabric.timer(hour, Box::new(|| {}));
         assert_eq!(fabric.in_service(Lane::Device), vec![0, 2]);
         assert_eq!(scope.permits_held(), 2);
         assert_eq!(

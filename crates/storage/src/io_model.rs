@@ -32,16 +32,26 @@
 //! on its one heap, `queue_depth` device slots and a `wire_window` of
 //! round trips in the air. Synchronous callers block until their own
 //! `Owed` is settled (sleeping the round trip inline, unwindowed); the
-//! SMPE executor never blocks. Only sequential scans and shuffle hops
-//! still sleep on their callers (`pay_*` below) — they model a stream,
-//! not a queue of requests — and the WAL sleeps its own `wal_fsync` per
-//! group commit.
+//! SMPE executor never blocks. Sequential scans and the baseline's shuffle
+//! hops owe their time the same way, as a wait-only phase
+//! ([`Owed::delay`]) their callers wait through the cluster: a scan batch
+//! owes its page faults plus `scan_cost`, a shuffle hop one `rtt`. They model a
+//! stream, not a queue of requests, so they take no device slot. Outside
+//! the WAL, which sleeps its own `wal_fsync` per group commit, every
+//! simulated wait is an event on the loop or the loop's one inline sleep.
 //!
 //! Latencies default to microseconds rather than the milliseconds of real
 //! HDDs so experiments run in seconds; all *ratios* (random:sequential,
 //! remote:local) follow the hardware the paper describes.
 
 use std::time::Duration;
+
+/// How many slots one charged scan batch reads: `scan_partition` and the
+/// baseline engine's scans call [`crate::FileHandle::read_slots`] with
+/// this count, and each batch is one wait (its page faults plus
+/// `scan_cost`), so a scan pays per batch, not per record, at the same
+/// total time.
+pub const SCAN_BATCH: usize = 1024;
 
 /// Latency model for simulated storage accesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,9 +76,6 @@ pub struct IoModel {
     /// expensive single operation in the model; group commit exists to
     /// amortize it across concurrent committers.
     pub wal_fsync: Duration,
-    /// Number of records whose scan cost is charged as one sleep. Batching
-    /// avoids issuing a syscall per record while keeping total time honest.
-    pub scan_batch: usize,
     /// Maximum in-flight point reads per node (device queue depth).
     pub queue_depth: usize,
     /// Maximum network round trips one node keeps in the air (the wire
@@ -89,7 +96,6 @@ impl IoModel {
             index_lookup: Duration::ZERO,
             page_fault: Duration::ZERO,
             wal_fsync: Duration::ZERO,
-            scan_batch: 1024,
             queue_depth: usize::MAX,
             wire_window: 16,
         }
@@ -126,7 +132,6 @@ impl IoModel {
             index_lookup: us(120.0),
             page_fault: us(400.0),
             wal_fsync: us(2000.0),
-            scan_batch: 1024,
             queue_depth: 1008,
             wire_window: 16,
         }
@@ -155,14 +160,6 @@ impl IoModel {
         }
     }
 
-    /// Sleep for scanning `n` records (one sleep, n × per-record cost).
-    #[inline]
-    pub fn pay_scan(&self, n: usize) {
-        if n > 0 {
-            maybe_sleep(self.scan_cost(n));
-        }
-    }
-
     /// Modeled time to service `n` buffer-pool page faults taken by one
     /// access (or one scan), one after the other (128-bit saturating math
     /// like `scan_cost`). Fault service is owed by the access path that
@@ -175,32 +172,11 @@ impl IoModel {
         Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
     }
 
-    /// Sleep once for the page faults a sequential scan took.
-    #[inline]
-    pub fn pay_page_faults(&self, n: u64) {
-        maybe_sleep(self.page_fault_cost(n));
-    }
-
     /// Network RTT component of a remote access: `remote − local`. The
     /// fixed per-request cost batching amortizes.
     #[inline]
     pub fn rtt(&self) -> Duration {
         self.remote_point_read.saturating_sub(self.local_point_read)
-    }
-
-    /// Sleep one network RTT for a shuffle hop: a scan batch pulled across
-    /// nodes by a placement-blind external-table scan (the baseline
-    /// engine's charged shuffle model).
-    #[inline]
-    pub fn pay_shuffle(&self) {
-        maybe_sleep(self.rtt());
-    }
-}
-
-#[inline]
-fn maybe_sleep(d: Duration) {
-    if !d.is_zero() {
-        std::thread::sleep(d);
     }
 }
 
@@ -263,8 +239,9 @@ impl Owed {
     }
 
     /// Wait `d` after everything owed so far has landed (and before the
-    /// network flight), serially: a retry's backoff. Closes the charge,
-    /// so no later fault overlaps the wait.
+    /// network flight), serially: a retry's backoff, or the whole of a
+    /// scan batch's or shuffle hop's time. Closes the charge, so no later
+    /// fault overlaps the wait.
     pub fn delay(&mut self, d: Duration) {
         if d.is_zero() {
             return;
@@ -345,11 +322,10 @@ mod tests {
             set(&mut m, Duration::from_micros(1));
             assert!(!m.is_zero(), "field {i} alone must defeat is_zero");
         }
-        // Queue depth, wire window and scan batching are not latencies.
+        // Queue depth and wire window are not latencies.
         let mut m = IoModel::zero();
         m.queue_depth = 4;
         m.wire_window = 1;
-        m.scan_batch = 1;
         assert!(m.is_zero());
     }
 

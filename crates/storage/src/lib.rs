@@ -52,7 +52,7 @@ pub use cluster::{
 pub use cost::{CostModel, CostReport};
 pub use faults::{AccessClass, Brownout, DownWindow, FaultDecision, FaultInjector, FaultPlan};
 pub use heap_file::{HeapFile, WriteEvent};
-pub use io_model::{IoModel, Owed};
+pub use io_model::{IoModel, Owed, SCAN_BATCH};
 pub use partitioner::{Partitioner, Partitioning};
 pub use pointer::{Pointer, PointerKey};
 pub use record::Record;

@@ -24,7 +24,6 @@ fn tight_queue_cluster() -> SimCluster {
         index_lookup: Duration::from_millis(1),
         page_fault: Duration::ZERO,
         wal_fsync: Duration::ZERO,
-        scan_batch: 1024,
         queue_depth: 1,
         wire_window: 16,
     };

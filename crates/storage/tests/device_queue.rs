@@ -12,6 +12,7 @@
 use rede_common::{IoScope, Value};
 use rede_storage::{
     FaultPlan, FileSpec, IoModel, Partitioning, Pointer, Record, SimCluster, MIN_MEMORY_BUDGET,
+    SCAN_BATCH,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -272,6 +273,47 @@ fn synchronous_reads_wait_page_faults_and_the_round_trip() {
     assert!(
         wall < rtt * 3,
         "remote groups share one round trip: {wall:?}"
+    );
+}
+
+/// (v′) A scan batch waits on the scanning thread for the page faults it
+/// took and then its per-record stream time, one after the other.
+#[test]
+fn a_scan_batch_waits_its_faults_and_its_stream_time() {
+    let page_fault = Duration::from_millis(2);
+    let scan_per_record = Duration::from_micros(20);
+    let c = SimCluster::builder()
+        .nodes(1)
+        .memory_budget(MIN_MEMORY_BUDGET)
+        .io_model(IoModel {
+            page_fault,
+            scan_per_record,
+            ..IoModel::zero()
+        })
+        .build()
+        .unwrap();
+    let f = c
+        .create_file(FileSpec::new("wide", Partitioning::hash(2)))
+        .unwrap();
+    for i in 0..600i64 {
+        f.insert(
+            Value::Int(i),
+            Record::from_text(&format!("row-{i}-{}", "x".repeat(120))),
+        )
+        .unwrap();
+    }
+    assert!(c.buffer_stats().evictions > 0, "the load must overflow");
+    c.metrics().reset();
+    let start = Instant::now();
+    let (rows, _) = f.read_slots(0, 0, SCAN_BATCH).unwrap();
+    let wall = start.elapsed();
+    let faults = c.metrics().snapshot().page_faults;
+    assert!(faults > 0, "the scan must fault evicted pages in");
+    let owed = page_fault * faults as u32 + scan_per_record * rows.len() as u32;
+    assert!(
+        wall >= owed,
+        "{faults} faults and {} rows owe {owed:?}: {wall:?}",
+        rows.len()
     );
 }
 

@@ -20,6 +20,18 @@ bash -n scripts/profile.sh
 echo "==> data-plane reads are fallible: BtreeFile::lookup_in is the one panicking shim"
 test "$(grep -rn 'page budget exhausted' crates/*/src | wc -l)" -eq 1
 
+echo "==> one clock: non-test thread::sleep only in fabric.rs, wal.rs and the openloop pacing"
+# Lines before a file's first #[cfg(test)] are non-test; gate/tests.rs is
+# a test module of its own.
+sleeps="$(find crates/*/src -name '*.rs' ! -path '*/gate/tests.rs' -print0 | sort -z |
+    xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } /thread::sleep/ { print FILENAME }' |
+    uniq -c | awk '{ print $2 ":" $1 }' | paste -sd ' ')"
+allowed="crates/bench/src/lib.rs:1 crates/storage/src/fabric.rs:1 crates/storage/src/wal.rs:1"
+if [ "$sleeps" != "$allowed" ]; then
+    echo "thread::sleep sites: $sleeps (allowed: $allowed)" >&2
+    exit 1
+fi
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -1,6 +1,7 @@
 //! One event loop per cluster: device slots and the wire window are two
-//! lanes of the cluster's single timer heap, so a scheduler whose jobs fly
-//! both device time and round trips adds no timer thread of its own — and
+//! lanes of the cluster's single timer heap, and a job's deadline is a
+//! timer on the same heap, so a scheduler whose jobs fly both device time
+//! and round trips under a deadline adds no timer thread of its own — and
 //! no thread per node either: its workers are the dispatchers.
 //!
 //! Threads are counted by name from `/proc/self/task/*/comm`, so this file
@@ -83,7 +84,11 @@ fn a_cluster_and_its_scheduler_share_one_timer_thread() {
             ..SchedulerConfig::default()
         },
     );
-    let result = sched.submit(&job).unwrap().wait().unwrap();
+    let result = sched
+        .submit_with(&job, SubmitOptions::new().deadline(Duration::from_secs(30)))
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(result.count, 64);
     assert!(
         result.metrics.fabric_completions > 0,
@@ -97,6 +102,16 @@ fn a_cluster_and_its_scheduler_share_one_timer_thread() {
         threads_named("rede-fabric"),
         1,
         "one timer thread per cluster, none per scheduler"
+    );
+    assert_eq!(
+        threads_named("rede-deadline"),
+        0,
+        "deadlines are timers on the cluster's loop, not a thread"
+    );
+    assert_eq!(
+        sched.stats().fabric_in_flight,
+        0,
+        "an armed deadline is not a flight"
     );
     assert_eq!(
         threads_prefixed("rede-dispatch"),
