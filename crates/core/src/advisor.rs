@@ -8,13 +8,13 @@
 //! predicate on (and whether as points or ranges); [`StructureAdvisor`]
 //! turns the counters into ranked [`Recommendation`]s — skipping
 //! already-built structures and weighing the build cost (file size)
-//! against observed demand — and can apply them by building the indexes in
-//! the background through the normal [`IndexBuilder`] path.
+//! against observed demand. The advisor only recommends: a caller builds a
+//! recommended [`IndexSpec`] like any other structure, through
+//! `HarborScheduler::ensure_index` (background, build-once) or
+//! `IndexBuilder::build` (synchronous).
 
-use crate::maintenance::{IndexBuildReport, IndexBuilder};
-use crate::traits::Interpreter;
 use parking_lot::Mutex;
-use rede_common::{FxHashMap, Result};
+use rede_common::FxHashMap;
 use rede_storage::{IndexSpec, SimCluster};
 use std::sync::Arc;
 
@@ -192,27 +192,14 @@ impl StructureAdvisor {
         out.truncate(self.config.max_recommendations);
         out
     }
-
-    /// Apply a recommendation: build the index in the background through
-    /// the registered interpreter for the attribute.
-    pub fn apply(
-        &self,
-        recommendation: &Recommendation,
-        interpreter: Arc<dyn Interpreter>,
-    ) -> std::thread::JoinHandle<Result<IndexBuildReport>> {
-        IndexBuilder::new(
-            self.cluster.clone(),
-            recommendation.spec.clone(),
-            interpreter,
-        )
-        .spawn_build()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maintenance::IndexBuilder;
     use crate::prebuilt::{DelimitedInterpreter, FieldType};
+    use crate::scheduler::{EnsureOutcome, HarborScheduler};
     use rede_common::Value;
     use rede_storage::{FileSpec, Partitioning, Record};
 
@@ -303,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_builds_a_working_index() {
+    fn a_recommendation_builds_through_ensure_index() {
         let c = cluster();
         let t = WorkloadTracker::new();
         for _ in 0..10 {
@@ -311,14 +298,15 @@ mod tests {
         }
         let advisor = StructureAdvisor::new(c.clone(), t, AdvisorConfig::default());
         let recs = advisor.recommend();
-        let report = advisor
-            .apply(
-                &recs[0],
-                Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
-            )
-            .join()
-            .unwrap()
-            .unwrap();
+        let builder = IndexBuilder::new(
+            c.clone(),
+            recs[0].spec.clone(),
+            Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
+        );
+        let sched = HarborScheduler::with_defaults(c.clone());
+        let Ok(EnsureOutcome::Built(report)) = sched.ensure_index(builder).wait() else {
+            panic!("a recommended index must build");
+        };
         assert_eq!(report.entries, 1_000);
         let ix = c.index("orders.grp").unwrap();
         let expected = (0..1_000).filter(|i| i % 9 == 3).count();

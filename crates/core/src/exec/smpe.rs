@@ -133,7 +133,7 @@ use rede_storage::{Owed, Placement, Pointer, Record, SimCluster};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Bounded-retry envelope for transient storage faults (a perfect cluster
@@ -519,6 +519,9 @@ impl JobOptions {
     }
 }
 
+/// A deadline timer's handle on its job: emptied when the job finishes.
+pub(crate) type DeadlineToken = Arc<Mutex<Option<Weak<JobState>>>>;
+
 /// All state of one submitted job. Shared by queued tasks, workers, and
 /// the `JobHandle` a client waits on.
 pub(crate) struct JobState {
@@ -555,6 +558,8 @@ pub(crate) struct JobState {
     /// Snapshot guard pinned at submit, released exactly when the job
     /// finishes (see [`JobOptions::snapshot`]).
     snapshot_guard: Mutex<Option<crate::txn::Snapshot>>,
+    /// Tokens handed to deadline timers (see [`JobState::deadline_token`]).
+    deadline_tokens: Mutex<Vec<DeadlineToken>>,
     /// Bounded streaming buffer for final records (gate cursors); `None`
     /// on the one-shot collect path (see [`JobOptions::stream_buffer`]).
     sink: Option<OutputSink>,
@@ -584,6 +589,19 @@ impl JobState {
     /// True once a result (success, failure, or cancellation) is set.
     pub(crate) fn is_finished(&self) -> bool {
         self.finished.load(Ordering::SeqCst)
+    }
+
+    /// A token through which a deadline timer reaches this job until it
+    /// finishes: `finish` empties it, so the timer pins nothing after.
+    pub(crate) fn deadline_token(self: &Arc<Self>) -> DeadlineToken {
+        let token = Arc::new(Mutex::new(Some(Arc::downgrade(self))));
+        let mut held = self.deadline_tokens.lock();
+        if self.is_finished() {
+            token.lock().take();
+        } else {
+            held.push(token.clone());
+        }
+        token
     }
 
     /// Block until the job finishes and return its result. Clones the
@@ -865,6 +883,9 @@ impl JobState {
         // Release the pinned snapshot (drops the `snapshots_active`
         // gauge) — the job's last read is behind us.
         drop(self.snapshot_guard.lock().take());
+        for token in self.deadline_tokens.lock().drain(..) {
+            token.lock().take();
+        }
         // Wake any cursor parked on the streaming buffer: no more
         // records are coming, and the fetcher must see `done` (or the
         // error) instead of blocking for its full timeout.
@@ -1474,6 +1495,7 @@ impl Substrate {
             done_cv: Condvar::new(),
             on_finish: opts.on_finish,
             snapshot_guard: Mutex::new(opts.snapshot),
+            deadline_tokens: Mutex::new(Vec::new()),
             sink: opts.stream_buffer.map(OutputSink::new),
         });
         // Seed every node: the initial stage runs everywhere, each node

@@ -9,17 +9,19 @@
 //! [`IndexBuilder`] replays a base file through two interpreters — one
 //! extracting the indexed attribute (possibly multi-valued for nested
 //! schemas), one extracting the base record's partition key — and folds the
-//! resulting `(index key, pointer)` pairs into a [`BtreeFile`]. Builds can
-//! run synchronously or on a background thread; a query arriving before the
-//! build finishes simply does not find the index in the catalog and falls
-//! back to whatever access path it was defined with.
+//! resulting `(index key, pointer)` pairs into a [`BtreeFile`]. A record
+//! becomes postings in one place, `Postings::insert`, which write-behind
+//! catch-up (`txn.rs`) calls too. A build runs on its caller's thread:
+//! loaders call [`IndexBuilder::build`], background builds go through
+//! `HarborScheduler::ensure_index`. A query arriving before the build
+//! finishes simply does not find the index in the catalog and falls back to
+//! whatever access path it was defined with.
 //!
 //! [`BtreeFile`]: rede_storage::BtreeFile
 
 use crate::traits::Interpreter;
 use rede_common::{IoScope, RedeError, Result, Value};
-use rede_storage::{IndexEntry, IndexSpec, SimCluster};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use rede_storage::{IndexEntry, IndexHandle, IndexLocality, IndexSpec, Record, SimCluster};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,16 +47,65 @@ pub struct IndexBuildReport {
     pub resident_bytes: usize,
 }
 
+/// How a base record becomes index postings: the pair of interpreters a
+/// build scans with and write-behind catch-up replays with.
+pub(crate) struct Postings {
+    /// Extracts the indexed attribute's value(s) from a raw base record.
+    pub(crate) index_key: Arc<dyn Interpreter>,
+    /// Extracts the base record's partition key. `None` means the base
+    /// file is partitioned by its in-partition key (the common primary-key
+    /// layout), so the record key itself is used.
+    pub(crate) partition_key: Option<Arc<dyn Interpreter>>,
+}
+
+impl Postings {
+    /// Post `record` (key `record_key`, stored in base partition
+    /// `base_partition`) into `index`: one entry per index key, each
+    /// pointing back at the record. Returns the entries inserted. A
+    /// partition-key interpreter must yield exactly one value.
+    pub(crate) fn insert(
+        &self,
+        index: &IndexHandle,
+        base_partition: usize,
+        record_key: &Value,
+        record: &Record,
+    ) -> Result<u64> {
+        let partition_key = match &self.partition_key {
+            Some(interp) => match <[Value; 1]>::try_from(interp.extract(record)?) {
+                Ok([key]) => key,
+                Err(vals) => {
+                    return Err(RedeError::Interpret(format!(
+                        "partition-key interpreter produced {} values (want 1)",
+                        vals.len()
+                    )))
+                }
+            },
+            None => record_key.clone(),
+        };
+        let is_local = matches!(index.raw().locality(), IndexLocality::Local);
+        let mut inserted = 0;
+        for ik in self.index_key.extract(record)? {
+            let entry = IndexEntry::new(partition_key.clone(), record_key.clone()).to_record();
+            if is_local {
+                // Hinted insert: the poster *knows* which partition each
+                // key lands in, so record a placement hint alongside the
+                // entry. Hints make pointers into this local index
+                // owner-routable (see `SimCluster::partition_of_pointer`).
+                index.insert_at_hinted(base_partition, ik, entry)?;
+            } else {
+                index.insert(ik, entry)?;
+            }
+            inserted += 1;
+        }
+        Ok(inserted)
+    }
+}
+
 /// Builds one index over one base file from registered interpreters.
 pub struct IndexBuilder {
     cluster: SimCluster,
     spec: IndexSpec,
-    /// Extracts the indexed attribute's value(s) from a raw base record.
-    index_key: Arc<dyn Interpreter>,
-    /// Extracts the base record's partition key. `None` means the base
-    /// file is partitioned by its in-partition key (the common primary-key
-    /// layout), so the scan key itself is used.
-    partition_key: Option<Arc<dyn Interpreter>>,
+    postings: Postings,
 }
 
 impl IndexBuilder {
@@ -63,8 +114,10 @@ impl IndexBuilder {
         IndexBuilder {
             cluster,
             spec,
-            index_key,
-            partition_key: None,
+            postings: Postings {
+                index_key,
+                partition_key: None,
+            },
         }
     }
 
@@ -72,7 +125,7 @@ impl IndexBuilder {
     /// partition key differs from the record key, e.g. Lineitem partitioned
     /// by `l_orderkey` with composite record keys).
     pub fn with_partition_key(mut self, interp: Arc<dyn Interpreter>) -> Self {
-        self.partition_key = Some(interp);
+        self.postings.partition_key = Some(interp);
         self
     }
 
@@ -103,10 +156,7 @@ impl IndexBuilder {
         let start = std::time::Instant::now();
         let base = self.cluster.file(&self.spec.base)?;
         let index = self.cluster.create_index(self.spec.clone())?;
-        let is_local = matches!(
-            self.spec.locality,
-            rede_storage::btree_file::IndexLocality::Local
-        );
+        let is_local = matches!(self.spec.locality, IndexLocality::Local);
         if is_local && index.partitions() != base.partitions() {
             return Err(RedeError::Config(format!(
                 "local index '{}' must match base partition count {} (got {})",
@@ -125,8 +175,7 @@ impl IndexBuilder {
                     return;
                 }
                 scanned += 1;
-                let result = self.insert_postings(&index, p, is_local, key, record);
-                match result {
+                match self.postings.insert(&index, p, key, record) {
                     Ok(n) => entries += n,
                     Err(e) => failure = Some(e),
                 }
@@ -143,62 +192,6 @@ impl IndexBuilder {
             structure_bytes: index.raw().total_bytes(),
             resident_bytes: index.raw().resident_bytes(),
         })
-    }
-
-    fn insert_postings(
-        &self,
-        index: &rede_storage::cluster::IndexHandle,
-        base_partition: usize,
-        is_local: bool,
-        record_key: &Value,
-        record: &rede_storage::Record,
-    ) -> Result<u64> {
-        let partition_key = match &self.partition_key {
-            Some(interp) => {
-                let mut vals = interp.extract(record)?;
-                match vals.len() {
-                    1 => vals.pop().expect("len checked"),
-                    n => {
-                        return Err(RedeError::Interpret(format!(
-                            "partition-key interpreter produced {n} values (want 1)"
-                        )))
-                    }
-                }
-            }
-            None => record_key.clone(),
-        };
-        let mut inserted = 0;
-        for ik in self.index_key.extract(record)? {
-            let entry = IndexEntry::new(partition_key.clone(), record_key.clone()).to_record();
-            if is_local {
-                // Hinted insert: the builder *knows* which partition each
-                // key lands in, so record a placement hint alongside the
-                // entry. Hints make pointers into this local index
-                // owner-routable (see `SimCluster::partition_of_pointer`).
-                index.insert_at_hinted(base_partition, ik, entry)?;
-            } else {
-                index.insert(ik, entry)?;
-            }
-            inserted += 1;
-        }
-        Ok(inserted)
-    }
-
-    /// Spawn the build on a named thread with panic containment — a
-    /// panicking interpreter surfaces as `RedeError::Exec` through the join
-    /// handle instead of an opaque panic payload (the advisor's `apply`).
-    pub(crate) fn spawn_build(self) -> std::thread::JoinHandle<Result<IndexBuildReport>> {
-        std::thread::Builder::new()
-            .name(format!("rede-ixbuild-{}", self.spec.name))
-            .spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| self.build())).unwrap_or_else(|payload| {
-                    Err(RedeError::Exec(format!(
-                        "index build panicked: {}",
-                        crate::exec::smpe::panic_message(payload.as_ref())
-                    )))
-                })
-            })
-            .expect("spawn index builder")
     }
 }
 
@@ -298,43 +291,6 @@ mod tests {
         )
         .build();
         assert!(matches!(err, Err(RedeError::Interpret(_))));
-    }
-
-    #[test]
-    fn background_build_completes() {
-        let c = cluster_with_base();
-        let handle = IndexBuilder::new(
-            c.clone(),
-            IndexSpec::global("bg", "base", 4),
-            Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
-        )
-        .spawn_build();
-        let report = handle.join().unwrap().unwrap();
-        assert_eq!(report.entries, 200);
-        assert!(c.index("bg").is_ok());
-    }
-
-    /// A panicking interpreter must not poison the background-build join
-    /// handle: the panic is contained and surfaces as a `RedeError`.
-    #[test]
-    fn background_build_contains_panics() {
-        struct Bomb;
-        impl Interpreter for Bomb {
-            fn extract(&self, _record: &rede_storage::Record) -> Result<Vec<Value>> {
-                panic!("interpreter exploded");
-            }
-        }
-        let c = cluster_with_base();
-        let handle = IndexBuilder::new(c, IndexSpec::global("boom", "base", 4), Arc::new(Bomb))
-            .spawn_build();
-        let result = handle.join().expect("thread must not die of the panic");
-        match result {
-            Err(RedeError::Exec(msg)) => assert!(
-                msg.contains("interpreter exploded"),
-                "panic message lost: {msg}"
-            ),
-            other => panic!("expected Exec error, got {other:?}"),
-        }
     }
 
     /// The build's base scan goes through the fallible reads: with every

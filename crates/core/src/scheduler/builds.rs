@@ -9,6 +9,10 @@
 //! onto the same [`BuildState`] and blocks (or polls) until the one build
 //! finishes. A failed build deregisters its partially built index and
 //! leaves the registry, so a later request can retry from scratch.
+//!
+//! Write-behind index catch-up passes run through the same supervised
+//! spawn, keyed apart from builds. The registry joins the threads that
+//! have finished each time it starts one, so it holds only running ones.
 
 use crate::maintenance::{IndexBuildReport, IndexBuilder};
 use parking_lot::{Condvar, Mutex};
@@ -16,6 +20,7 @@ use rede_common::{FxHashMap, IoScope, RedeError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// What `ensure_index` resolved to.
@@ -125,7 +130,7 @@ pub(crate) struct BuildRegistry {
     started: AtomicU64,
     coalesced: AtomicU64,
     next_scope: AtomicU64,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl BuildRegistry {
@@ -150,78 +155,41 @@ impl BuildRegistry {
         self.coalesced.load(Ordering::SeqCst)
     }
 
-    /// The build-once decision point. Exactly one of three things happens,
-    /// atomically under the registry lock:
+    /// The build-once decision point for an index. Exactly one of three
+    /// things happens, atomically under the registry lock:
     ///
     /// 1. a build of this index is in flight → coalesce onto it;
     /// 2. the index already exists in the catalog → ready ticket, no work
     ///    (checked *after* 1, because a running build registers its index
     ///    in the catalog before populating it — the catalog alone cannot
     ///    distinguish "built" from "building");
-    /// 3. neither → this request starts the one build.
+    /// 3. neither → this request starts the one build. If it fails, its
+    ///    partial index is dropped, so queries keep their scan path and a
+    ///    retry registers the index afresh.
     pub(crate) fn ensure(self: &Arc<Self>, builder: IndexBuilder) -> StructureTicket {
         let name = builder.spec().name.clone();
         let cluster = builder.cluster().clone();
-        let state = {
-            let mut inflight = self.inflight.lock();
-            if let Some(existing) = inflight.get(&name) {
-                self.coalesced.fetch_add(1, Ordering::SeqCst);
-                return StructureTicket::pending(existing.clone());
-            }
-            if cluster.index(&name).is_ok() {
-                return StructureTicket::ready(Ok(EnsureOutcome::AlreadyPresent));
-            }
-            let state = Arc::new(BuildState::new());
-            inflight.insert(name.clone(), state.clone());
-            self.started.fetch_add(1, Ordering::SeqCst);
-            state
-        };
-
         // Attribute the build's scan + insert I/O to its own scope so it
         // shows up in accounting like any other scheduled job would.
         let scope = Arc::new(IoScope::new(
             self.next_scope.fetch_add(1, Ordering::Relaxed),
         ));
         let builder = builder.with_io_scope(scope);
-        let registry = self.clone();
-        let thread_state = state.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("rede-ixbuild-{name}"))
-            .spawn(move || {
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| builder.build())).unwrap_or_else(|payload| {
-                        Err(RedeError::Exec(format!(
-                            "index build panicked: {}",
-                            crate::exec::smpe::panic_message(payload.as_ref())
-                        )))
-                    });
-                if result.is_err() {
-                    // Leave no half-built structure behind: queries must
-                    // keep falling back to their scan path, and a retry
-                    // must be able to register the index afresh.
-                    let _ = cluster.drop_index(&name);
-                }
-                // Leave the registry BEFORE fulfilling. The catalog is
-                // already consistent (success → index registered, failure
-                // → index dropped), so a request arriving now resolves
-                // correctly on its own: AlreadyPresent, or a fresh retry
-                // build. Fulfilling first would leave a window where a new
-                // request coalesces onto this finished state and, on
-                // failure, inherits a stale error instead of retrying.
-                registry.inflight.lock().remove(&name);
-                thread_state.fulfill(result.map(EnsureOutcome::Built));
-            })
-            .expect("spawn coordinated index build");
-        self.threads.lock().push(handle);
-        StructureTicket::pending(state)
+        let (undo_cluster, undo_name) = (cluster.clone(), name.clone());
+        self.supervise(
+            format!("ixbuild:{name}"),
+            || cluster.index(&name).is_ok(),
+            move || builder.build().map(EnsureOutcome::Built),
+            move || drop(undo_cluster.drop_index(&undo_name)),
+        )
     }
 
-    /// Write-behind coalescing for index catch-up. Same decision point as
-    /// [`BuildRegistry::ensure`], keyed `"catchup:{index}"` so catch-up
-    /// passes and full builds of the same structure never collide: if a
-    /// catch-up of `index` is already in flight the request coalesces
-    /// onto it and `task` is dropped — N commits landing while one pass
-    /// runs trigger at most one follow-up pass, never N.
+    /// Write-behind coalescing for index catch-up, keyed
+    /// `"catchup:{index}"` so catch-up passes and full builds of the same
+    /// structure never collide: if a catch-up of `index` is already in
+    /// flight the request coalesces onto it and `task` is dropped — N
+    /// commits landing while one pass runs trigger at most one follow-up
+    /// pass, never N.
     ///
     /// `task` is the whole pass (typically `IndexCatchUp::ensure_fresh`,
     /// which re-reads the event horizon itself, so a coalesced-away
@@ -231,12 +199,39 @@ impl BuildRegistry {
         index: &str,
         task: impl FnOnce() + Send + 'static,
     ) {
-        let key = format!("catchup:{index}");
+        self.supervise(
+            format!("catchup:{index}"),
+            || false,
+            move || {
+                task();
+                Ok(EnsureOutcome::AlreadyPresent)
+            },
+            || {},
+        );
+    }
+
+    /// The one supervised spawn. Under the registry lock: a run of `key`
+    /// in flight → coalesce onto it; `present()` → ready, no work; else
+    /// register `key` and run `work` on a thread named `rede-{key}`. A
+    /// panic becomes `RedeError::Exec` with its message; a failure runs
+    /// `undo`. The run leaves the registry BEFORE fulfilling, so a request
+    /// arriving then starts afresh instead of inheriting a stale result.
+    /// Finished threads are joined before the new handle is stored.
+    fn supervise(
+        self: &Arc<Self>,
+        key: String,
+        present: impl FnOnce() -> bool,
+        work: impl FnOnce() -> Result<EnsureOutcome> + Send + 'static,
+        undo: impl FnOnce() + Send + 'static,
+    ) -> StructureTicket {
         let state = {
             let mut inflight = self.inflight.lock();
-            if inflight.contains_key(&key) {
+            if let Some(existing) = inflight.get(&key) {
                 self.coalesced.fetch_add(1, Ordering::SeqCst);
-                return;
+                return StructureTicket::pending(existing.clone());
+            }
+            if present() {
+                return StructureTicket::ready(Ok(EnsureOutcome::AlreadyPresent));
             }
             let state = Arc::new(BuildState::new());
             inflight.insert(key.clone(), state.clone());
@@ -244,30 +239,54 @@ impl BuildRegistry {
             state
         };
         let registry = self.clone();
+        let thread_state = state.clone();
         let handle = std::thread::Builder::new()
             .name(format!("rede-{key}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
-                    RedeError::Exec(format!(
-                        "index catch-up panicked: {}",
+                let result = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+                    Err(RedeError::Exec(format!(
+                        "{key} panicked: {}",
                         crate::exec::smpe::panic_message(payload.as_ref())
-                    ))
+                    )))
                 });
-                // Same ordering discipline as `ensure`: leave the registry
-                // before fulfilling, so a commit landing now starts a fresh
-                // pass instead of coalescing onto a finished one.
+                if result.is_err() {
+                    undo();
+                }
                 registry.inflight.lock().remove(&key);
-                state.fulfill(result.map(|()| EnsureOutcome::AlreadyPresent));
+                thread_state.fulfill(result);
             })
-            .expect("spawn coordinated index catch-up");
-        self.threads.lock().push(handle);
+            .expect("spawn supervised structure maintenance");
+        let mut threads = self.threads.lock();
+        join_finished(&mut threads);
+        threads.push(handle);
+        StructureTicket::pending(state)
     }
 
-    /// Join every build thread ever started (scheduler shutdown).
+    /// Join every thread still held (scheduler shutdown).
     pub(crate) fn join_all(&self) {
         let threads = std::mem::take(&mut *self.threads.lock());
         for t in threads {
             let _ = t.join();
         }
+    }
+}
+
+/// Join and drop the handles of threads that have finished, so a
+/// long-lived registry holds only the threads still running.
+fn join_finished(threads: &mut Vec<JoinHandle<()>>) {
+    for t in threads.extract_if(.., |t| t.is_finished()) {
+        let _ = t.join();
+    }
+}
+
+#[cfg(test)]
+impl BuildRegistry {
+    /// Whether each thread still held has finished.
+    pub(crate) fn held_finished(&self) -> Vec<bool> {
+        self.threads
+            .lock()
+            .iter()
+            .map(|t| t.is_finished())
+            .collect()
     }
 }

@@ -250,17 +250,19 @@ pub struct SchedulerStats {
 }
 
 /// Arm `job`'s deadline as a timer on `cluster`'s event loop: at `when` an
-/// unfinished job is aborted and counted in `aborts`. The timer holds the
-/// job weakly and no cluster or scheduler, so it keeps none of them alive.
-/// Teardown fires it early, hence the clock check. The abort runs on the loop's thread;
-/// it only takes queue locks briefly and wakes waiters.
+/// unfinished job is aborted and counted in `aborts`. The timer reaches
+/// the job only through a token the job empties when it finishes, and
+/// holds no cluster or scheduler, so it keeps none of them alive. Teardown
+/// fires it early, hence the clock check. The abort runs on the loop's
+/// thread; it only takes queue locks briefly and wakes waiters.
 fn arm_deadline(cluster: &SimCluster, when: Instant, job: &Arc<JobState>, aborts: &Arc<AtomicU64>) {
-    let (job, aborts) = (Arc::downgrade(job), aborts.clone());
+    let (token, aborts) = (job.deadline_token(), aborts.clone());
     cluster.timer(when.saturating_duration_since(Instant::now()), move || {
         if Instant::now() < when {
             return;
         }
-        if let Some(job) = job.upgrade() {
+        let job = token.lock().as_ref().and_then(Weak::upgrade);
+        if let Some(job) = job {
             job.deadline_abort(&aborts);
         }
     });
@@ -670,7 +672,13 @@ mod tests {
             Arc::new(Bomb),
         );
         let err = sched.ensure_index(bad).wait().unwrap_err();
-        assert!(matches!(err, RedeError::Exec(_)), "got {err:?}");
+        match &err {
+            RedeError::Exec(msg) => assert!(
+                msg.contains("interpreter exploded"),
+                "panic message lost: {msg}"
+            ),
+            other => panic!("expected Exec error, got {other:?}"),
+        }
         assert!(
             c.index("base.weight").is_err(),
             "failed build must deregister its partial index"
@@ -965,6 +973,29 @@ mod tests {
         assert_eq!(aborts.load(Ordering::SeqCst), 0);
     }
 
+    /// A met deadline's timer, still 30 s out, no longer reaches the job:
+    /// the job emptied the timer's token when it finished, so nothing but
+    /// the test's own weak reference points at its state.
+    #[test]
+    fn a_finished_job_is_not_pinned_by_its_deadline_timer() {
+        let c = cluster(100, IoModel::zero());
+        weight_index_builder(&c).build().unwrap();
+        let sched = HarborScheduler::with_defaults(c.clone());
+        let handle = sched
+            .submit_with(
+                &range_job(0, 20),
+                SubmitOptions::new().deadline(Duration::from_secs(30)),
+            )
+            .unwrap();
+        assert_eq!(handle.wait().unwrap().count, 11);
+        let state = handle.state.clone();
+        drop(handle);
+        // A submission prunes finished jobs from the scheduler's list.
+        sched.submit(&range_job(0, 20)).unwrap().wait().unwrap();
+        let weak = Arc::downgrade(&state);
+        assert_eq!(Weak::weak_count(&weak), 1);
+    }
+
     #[test]
     fn wait_timeout_reports_running_then_finished() {
         let c = cluster(2000, IoModel::hdd_like(0.5));
@@ -1121,6 +1152,29 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 2, "one pass per structure");
         assert_eq!(registry.started() - started_before, 2);
         assert_eq!(registry.coalesced(), 4);
+    }
+
+    /// A finished pass's thread is joined when the next one starts, not
+    /// held until the scheduler drops: one pass per commit must not leave
+    /// one dead thread per commit behind.
+    #[test]
+    fn finished_catchup_threads_are_joined() {
+        let sched = HarborScheduler::with_defaults(cluster(0, IoModel::zero()));
+        let registry = sched.core.builds.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..50 {
+            let tx = tx.clone();
+            registry.ensure_catchup("ix", move || tx.send(()).unwrap());
+            rx.recv().unwrap();
+            // Waited out: the pass's thread has exited too.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !registry.held_finished().iter().all(|&finished| finished) {
+                assert!(Instant::now() < deadline, "a finished pass never exited");
+                std::thread::yield_now();
+            }
+        }
+        let held = registry.held_finished().len();
+        assert!(held <= 1, "{held} thread handles held after 50 passes");
     }
 
     /// Resolves its point input, but only after the test releases the

@@ -35,13 +35,13 @@
 //!
 //! [`IoModel::wal_fsync`]: rede_storage::IoModel
 
+use crate::maintenance::Postings;
 use crate::scheduler::builds::BuildRegistry;
 use crate::traits::Interpreter;
 use parking_lot::Mutex;
 use rede_common::{Counter, Metrics, RedeError, Result, Value};
 use rede_storage::{
-    FileSpec, IndexEntry, IndexLocality, IndexMaintainer, Partitioning, Record, SimCluster, WalOp,
-    WeakCluster, WriteAheadLog,
+    FileSpec, IndexMaintainer, Partitioning, Record, SimCluster, WalOp, WeakCluster, WriteAheadLog,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -183,8 +183,10 @@ impl TxnManager {
             cluster: self.cluster.downgrade(),
             index: index.to_string(),
             base,
-            index_key,
-            partition_key,
+            postings: Postings {
+                index_key,
+                partition_key,
+            },
             applied: AtomicUsize::new(horizon),
             pass_lock: Mutex::new(()),
         });
@@ -336,8 +338,9 @@ struct IndexCatchUp {
     cluster: WeakCluster,
     index: String,
     base: String,
-    index_key: Arc<dyn Interpreter>,
-    partition_key: Option<Arc<dyn Interpreter>>,
+    /// The build's posting routine, so a caught-up index holds exactly
+    /// the entries a rebuild would.
+    postings: Postings,
     /// Write events already reflected in the index's postings.
     applied: AtomicUsize,
     /// Serializes catch-up passes so concurrent probes of a stale index
@@ -365,22 +368,7 @@ impl IndexCatchUp {
             let Some((key, record)) = rows.pop() else {
                 continue;
             };
-            let partition_key = match &self.partition_key {
-                Some(interp) => interp.extract(&record)?.into_iter().next().ok_or_else(|| {
-                    RedeError::Interpret(format!(
-                        "partition key interpreter produced nothing for '{}'",
-                        self.index
-                    ))
-                })?,
-                None => key.clone(),
-            };
-            for ik in self.index_key.extract(&record)? {
-                let entry = IndexEntry::new(partition_key.clone(), key.clone()).to_record();
-                match index.raw().locality() {
-                    IndexLocality::Local => index.insert_at_hinted(ev.partition, ik, entry)?,
-                    IndexLocality::Global => index.insert(ik, entry)?,
-                }
-            }
+            self.postings.insert(&index, ev.partition, &key, &record)?;
         }
         self.applied.store(from + events.len(), Ordering::Release);
         cluster.metrics().add(Counter::catchup_builds, 1);
@@ -408,7 +396,7 @@ mod tests {
     use super::*;
     use crate::maintenance::IndexBuilder;
     use crate::prebuilt::{DelimitedInterpreter, FieldType};
-    use rede_storage::{IndexSpec, Pointer};
+    use rede_storage::{IndexEntry, IndexSpec, Pointer};
 
     fn cluster() -> SimCluster {
         SimCluster::builder().nodes(2).build().unwrap()
@@ -536,6 +524,42 @@ mod tests {
         s.write("base", Value::Int(12), row(12));
         s.commit().unwrap();
         assert_eq!(ix.lookup(&Value::Int(12 * 7), 0).unwrap().len(), 1);
+    }
+
+    /// Catch-up posts through the build's routine, so it takes a
+    /// partition key exactly as a build does: a record whose partition-key
+    /// interpreter yields two values fails both the same way.
+    #[test]
+    fn catchup_and_build_reject_the_same_ambiguous_partition_key() {
+        struct TwoKeys;
+        impl Interpreter for TwoKeys {
+            fn extract(&self, _record: &Record) -> Result<Vec<Value>> {
+                Ok(vec![Value::Int(0), Value::Int(1)])
+            }
+        }
+        let c = cluster();
+        let mgr = TxnManager::new(c.clone());
+        let mut s = mgr.begin();
+        s.create_file("base", Partitioning::hash(4));
+        s.commit().unwrap();
+        let interp = || Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int));
+        IndexBuilder::new(c.clone(), IndexSpec::global("base.v", "base", 4), interp())
+            .build()
+            .unwrap();
+        mgr.maintain_index("base.v", interp(), Some(Arc::new(TwoKeys)))
+            .unwrap();
+
+        let mut s = mgr.begin();
+        s.write("base", Value::Int(1), row(1));
+        s.commit().unwrap();
+        let probe = c.index("base.v").unwrap().lookup(&Value::Int(7), 0);
+        let build = IndexBuilder::new(c.clone(), IndexSpec::global("base.w", "base", 4), interp())
+            .with_partition_key(Arc::new(TwoKeys))
+            .build();
+        match (probe, build) {
+            (Err(RedeError::Interpret(a)), Err(RedeError::Interpret(b))) => assert_eq!(a, b),
+            other => panic!("expected the same Interpret error twice, got {other:?}"),
+        }
     }
 
     #[test]

@@ -13,22 +13,36 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (workspace, warnings are errors: no dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> scripts parse: bash -n scripts/ab.sh scripts/profile.sh"
+echo "==> scripts parse: bash -n scripts/ab.sh scripts/loc.sh scripts/profile.sh"
 bash -n scripts/ab.sh
+bash -n scripts/loc.sh
 bash -n scripts/profile.sh
 
 echo "==> data-plane reads are fallible: BtreeFile::lookup_in is the one panicking shim"
 test "$(grep -rn 'page budget exhausted' crates/*/src | wc -l)" -eq 1
 
-echo "==> one clock: non-test thread::sleep only in fabric.rs, wal.rs and the openloop pacing"
+# Files (file:count, sorted) whose non-test lines contain the literal $1.
 # Lines before a file's first #[cfg(test)] are non-test; gate/tests.rs is
 # a test module of its own.
-sleeps="$(find crates/*/src -name '*.rs' ! -path '*/gate/tests.rs' -print0 | sort -z |
-    xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } /thread::sleep/ { print FILENAME }' |
-    uniq -c | awk '{ print $2 ":" $1 }' | paste -sd ' ')"
+nontest_sites() {
+    find crates/*/src -name '*.rs' ! -path '*/gate/tests.rs' -print0 | sort -z |
+        xargs -0 awk -v lit="$1" '/#\[cfg\(test\)\]/ { nextfile } index($0, lit) { print FILENAME }' |
+        uniq -c | awk '{ print $2 ":" $1 }' | paste -sd ' '
+}
+
+echo "==> one clock: non-test thread::sleep only in fabric.rs, wal.rs and the openloop pacing"
+sleeps="$(nontest_sites 'thread::sleep')"
 allowed="crates/bench/src/lib.rs:1 crates/storage/src/fabric.rs:1 crates/storage/src/wal.rs:1"
 if [ "$sleeps" != "$allowed" ]; then
     echo "thread::sleep sites: $sleeps (allowed: $allowed)" >&2
+    exit 1
+fi
+
+echo "==> named threads: non-test thread::Builder::new() only in smpe.rs, builds.rs and fabric.rs"
+spawns="$(nontest_sites 'thread::Builder::new()')"
+allowed="crates/core/src/exec/smpe.rs:1 crates/core/src/scheduler/builds.rs:1 crates/storage/src/fabric.rs:1"
+if [ "$spawns" != "$allowed" ]; then
+    echo "thread::Builder::new() sites: $spawns (allowed: $allowed)" >&2
     exit 1
 fi
 
