@@ -969,17 +969,22 @@ impl JobState {
             self.referencer_inline && matches!(stages.get(next), Some(Stage::Reference { .. }));
         let mut fused: Vec<TaskItem> = Vec::new();
         self.prof.stage_emits[stage].fetch_add(outputs.len() as u64, Ordering::Relaxed);
+        let walk = outputs.len();
         for output in outputs {
             match output {
-                StageOutput::Record(record) if next >= stages.len() => routed.finals.push(record),
-                StageOutput::Record(record) if fuse => fused.push(TaskItem::Record(record)),
+                StageOutput::Record(record) if next >= stages.len() => {
+                    push_sized(&mut routed.finals, record, walk)
+                }
+                StageOutput::Record(record) if fuse => {
+                    push_sized(&mut fused, TaskItem::Record(record), walk)
+                }
                 StageOutput::Record(record) => {
                     let task = self.task(TaskItem::Record(record), next, false, None);
-                    routed.buckets[node].push(task);
+                    push_sized(&mut routed.buckets[node], task, walk);
                 }
                 StageOutput::Pointer(ptr) => {
                     debug_assert!(next < stages.len(), "validated: jobs end in a deref");
-                    self.sort_pointer(node, next, ptr, routed);
+                    self.sort_pointer(node, next, ptr, walk, routed);
                 }
             }
         }
@@ -1000,12 +1005,13 @@ impl JobState {
     }
 
     /// Pick the node that dereferences `ptr` at stage `next` and add the
-    /// task to its bucket.
+    /// task to its bucket, sized for the `walk` outputs being sorted.
     fn sort_pointer(
         self: &Arc<Self>,
         node: usize,
         next: usize,
         ptr: Pointer,
+        walk: usize,
         routed: &mut Routed<'_>,
     ) {
         if ptr.is_broadcast() {
@@ -1014,7 +1020,7 @@ impl JobState {
             self.tally(|m| m.add(Counter::broadcasts, 1));
             for bucket in &mut routed.buckets {
                 let input = TaskItem::Deref(DerefInput::Point(ptr.clone()));
-                bucket.push(self.task(input, next, true, None));
+                push_sized(bucket, self.task(input, next, true, None), walk);
             }
             return;
         }
@@ -1038,7 +1044,11 @@ impl JobState {
             }
         }
         let input = TaskItem::Deref(DerefInput::Point(ptr));
-        routed.buckets[target].push(self.task(input, next, false, owner));
+        push_sized(
+            &mut routed.buckets[target],
+            self.task(input, next, false, owner),
+            walk,
+        );
     }
 
     /// Assemble this job's [`ExecProfile`] from its counters and its
@@ -1089,6 +1099,16 @@ struct Routed<'a> {
     /// The walk's routing oracle: one catalog lookup per run of pointers
     /// into the same file.
     placement: Placement<'a>,
+}
+
+/// Push `item` onto one of a walk's buckets, sizing the bucket for all
+/// `walk` outputs on its first push: a bucket the walk fills never grows
+/// again, and one it leaves empty never allocates.
+fn push_sized<T>(bucket: &mut Vec<T>, item: T, walk: usize) {
+    if bucket.capacity() == 0 {
+        bucket.reserve_exact(walk);
+    }
+    bucket.push(item);
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1219,7 +1239,7 @@ fn run_stage(
         // (position in `pending`, output), in emission order.
         let mut buffered: Vec<(usize, StageOutput)> = Vec::new();
         let (results, round_owed) = run_attempt(stage_idx, stage, &ctx, &items, &mut |pos, out| {
-            buffered.push((pos, out))
+            push_sized(&mut buffered, (pos, out), items.len())
         });
         owed.then(round_owed);
         let mut retry: Vec<usize> = Vec::new();
@@ -1244,6 +1264,7 @@ fn run_stage(
                 }
             })
             .collect();
+        outputs.reserve(buffered.len());
         outputs.extend(
             buffered
                 .into_iter()
@@ -1280,19 +1301,16 @@ fn run_attempt(
     };
     match stage {
         Stage::Dereference { func, filter, .. } => {
-            let inputs: Option<Vec<DerefInput>> = items
-                .iter()
-                .map(|item| match item {
-                    TaskItem::Deref(input) => Some(input.clone()),
-                    _ => None,
-                })
-                .collect();
-            let Some(inputs) = inputs else {
-                return (
-                    items.iter().map(|_| mismatched()).collect(),
-                    Owed::default(),
-                );
-            };
+            let mut inputs: Vec<DerefInput> = Vec::with_capacity(items.len());
+            for item in items {
+                let TaskItem::Deref(input) = item else {
+                    return (
+                        items.iter().map(|_| mismatched()).collect(),
+                        Owed::default(),
+                    );
+                };
+                inputs.push(input.clone());
+            }
             let mut filter_errs: Vec<Option<RedeError>> = vec![None; inputs.len()];
             let (results, owed) = func.dereference_batch(&inputs, ctx, &mut |pos, record| {
                 let keep = match filter {

@@ -143,10 +143,13 @@ impl<T> WrrQueue<T> {
             return Vec::new();
         };
         // Positions of the batchmates, ascending (`matches` runs once per
-        // scanned item).
+        // scanned item), sized for the most the scan can find at its first.
         let mut hits: Vec<usize> = Vec::new();
         for (i, item) in slot.items.iter().enumerate() {
             if matches(item) {
+                if hits.is_empty() {
+                    hits.reserve_exact(limit.min(slot.items.len() - i));
+                }
                 hits.push(i);
                 if hits.len() == limit {
                     break;

@@ -16,6 +16,11 @@
 //!   the access in the frame itself: each frame keeps its two most recent
 //!   access ticks (LRU-K with K = 2) from one pool-wide atomic clock. No
 //!   mutex, no allocation, and no hash lookup but the frame map's.
+//! * **Runs.** [`BufferPool::with_page_run`] serves k reads of one page
+//!   under one pin. It reserves k ticks with one `fetch_add(k)` and
+//!   touches the frame as k back-to-back reads would: `last` is the run's
+//!   last tick and `prev` the tick before it (or the old `last` when
+//!   k = 1). Eviction ranks stay what k separate pins produce.
 //! * **Miss path.** The `Mutex<PoolState>` (the disk store, the
 //!   namespace table and the victim queue) serializes faults,
 //!   [`BufferPool::create_page`], [`BufferPool::with_page_mut`] and
@@ -153,14 +158,17 @@ impl FrameCell {
         })
     }
 
-    /// Shift `tick` into the two-entry history. Both ticks only grow, so
-    /// the history is exact however accesses race: `last` keeps the
-    /// largest tick and `prev` the second largest (the smaller of a
-    /// touch's tick and the `last` it found). The victim queue relies on
-    /// it: a frame's rank never falls.
-    fn touch(&self, tick: u64) {
-        let last = self.last.fetch_max(tick, Ordering::Relaxed);
-        self.prev.fetch_max(last.min(tick), Ordering::Relaxed);
+    /// Shift the ticks of `reads` back-to-back accesses ending at `end`
+    /// into the two-entry history. Both ticks only grow, so the history is
+    /// exact however accesses race: `last` keeps the largest tick and
+    /// `prev` the second largest (the larger of `end - 1` when the run has
+    /// two accesses or more, and the smaller of `end` and the `last` it
+    /// found). The victim queue relies on it: a frame's rank never falls.
+    fn touch(&self, end: u64, reads: u64) {
+        let last = self.last.fetch_max(end, Ordering::Relaxed);
+        let run_prev = if reads > 1 { end - 1 } else { 0 };
+        self.prev
+            .fetch_max(last.min(end).max(run_prev), Ordering::Relaxed);
     }
 
     /// Eviction rank, coldest first: a frame with fewer than two accesses
@@ -263,6 +271,12 @@ pub struct BufferPool {
     disk_bytes: AtomicUsize,
 }
 
+thread_local! {
+    /// Pins this thread took, counted in unit tests only (`cfg!(test)`):
+    /// the tests of batched reads count pins per batch.
+    static PINS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl BufferPool {
     /// A pool charging the given shared budget.
     pub fn with_budget(budget: Arc<ByteBudget>) -> Arc<BufferPool> {
@@ -317,9 +331,11 @@ impl BufferPool {
         ns
     }
 
-    /// Record one access to `cell` at the next tick of the pool clock.
-    fn touch(&self, cell: &FrameCell) {
-        cell.touch(self.tick.fetch_add(1, Ordering::Relaxed) + 1);
+    /// Record `reads` back-to-back accesses to `cell` at the next `reads`
+    /// ticks of the pool clock, reserved with one `fetch_add`: the frame's
+    /// history ends as `reads` separate touches would leave it.
+    fn touch(&self, cell: &FrameCell, reads: u64) {
+        cell.touch(self.tick.fetch_add(reads, Ordering::Relaxed) + reads, reads);
     }
 
     /// The hit path: pin `id`'s frame under the frame map's read lock, if
@@ -366,13 +382,22 @@ impl BufferPool {
             return Err(e);
         }
         let cell = FrameCell::new(page, true);
-        self.touch(&cell);
+        self.touch(&cell, 1);
         self.insert(&mut st, id, cell);
         Ok(stats)
     }
 
     /// Fetch a page, pinning it for the lifetime of the returned guard.
     pub fn fetch(&self, id: &PageId) -> Result<(PageGuard<'_>, PageStats)> {
+        self.pin(id, 1)
+    }
+
+    /// [`BufferPool::fetch`] on behalf of `reads` back-to-back reads of the
+    /// page: one pin, and the page's LRU-K history touched `reads` times.
+    fn pin(&self, id: &PageId, reads: u64) -> Result<(PageGuard<'_>, PageStats)> {
+        if cfg!(test) {
+            PINS.with(|pins| pins.set(pins.get() + 1));
+        }
         let mut stats = PageStats::default();
         let cell = match self.pin_resident(id) {
             Some(cell) => cell,
@@ -381,7 +406,7 @@ impl BufferPool {
                 self.pin_or_fault(&mut st, id, &mut stats)?
             }
         };
-        self.touch(&cell);
+        self.touch(&cell, reads);
         let bytes = cell.bytes.load(Ordering::Relaxed);
         let pinned = self.pinned_bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
         if pinned > self.pinned_peak.load(Ordering::Relaxed) {
@@ -404,7 +429,19 @@ impl BufferPool {
         id: &PageId,
         f: impl FnOnce(&SlottedPage) -> R,
     ) -> Result<(R, PageStats)> {
-        let (guard, stats) = self.fetch(id)?;
+        self.with_page_run(id, 1, f)
+    }
+
+    /// Run `f` over a read-pinned page for a run of `reads` (≥ 1) reads of
+    /// it: one pin where `reads` [`BufferPool::with_page`] calls would pin
+    /// the page `reads` times, with the same LRU-K history afterwards.
+    pub fn with_page_run<R>(
+        &self,
+        id: &PageId,
+        reads: u64,
+        f: impl FnOnce(&SlottedPage) -> R,
+    ) -> Result<(R, PageStats)> {
+        let (guard, stats) = self.pin(id, reads)?;
         let r = f(&guard.read());
         Ok((r, stats))
     }
@@ -448,7 +485,7 @@ impl BufferPool {
         self.budget.release(grow_hint - grown.min(grow_hint));
         cell.bytes.store(after, Ordering::Relaxed);
         cell.dirty.store(true, Ordering::Relaxed);
-        self.touch(&cell);
+        self.touch(&cell, 1);
         cell.pin.fetch_sub(1, Ordering::SeqCst);
         self.signal_unpin(true);
         Ok((r, stats))
@@ -719,6 +756,23 @@ mod tests {
     use super::*;
     use rede_common::Value;
 
+    impl BufferPool {
+        /// Pins the calling thread has taken, on any pool.
+        pub(crate) fn thread_pins() -> u64 {
+            PINS.with(|pins| pins.get())
+        }
+
+        /// The LRU-K history `(last, prev)` of a resident page.
+        pub(crate) fn history(&self, id: &PageId) -> Option<(u64, u64)> {
+            let frames = self.frames.read();
+            let cell = frames.get(id)?;
+            Some((
+                cell.last.load(Ordering::Relaxed),
+                cell.prev.load(Ordering::Relaxed),
+            ))
+        }
+    }
+
     const F: u32 = 0;
 
     fn pid(ns: u32, page_no: u32) -> PageId {
@@ -840,7 +894,7 @@ mod tests {
                         // Every thread touches at once, then one checks the
                         // history the round left: the two largest ticks.
                         start.wait();
-                        pool.touch(cell);
+                        pool.touch(cell, 1);
                         let rank = cell.rank();
                         if rank < seen {
                             fell.fetch_add(1, Ordering::Relaxed);

@@ -599,12 +599,18 @@ impl SimCluster {
         let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
         let admitted = sites
             .iter()
-            .map(|&(partition, site)| {
+            .enumerate()
+            .map(|(i, &(partition, site))| {
                 let owner = inner.node_of_partition(partition);
                 let (device, mult) = self.fault_gate(class, owner, site)?;
                 match groups.iter_mut().find(|(d, _)| *d == device) {
                     Some((_, mults)) => mults.push(mult),
-                    None => groups.push((device, vec![mult])),
+                    None => {
+                        // Sized for every site left: a group never grows.
+                        let mut mults = Vec::with_capacity(sites.len() - i);
+                        mults.push(mult);
+                        groups.push((device, mults));
+                    }
                 }
                 Ok(())
             })
@@ -613,7 +619,11 @@ impl SimCluster {
             AccessClass::PointRead => inner.io.local_point_read,
             AccessClass::IndexProbe => inner.io.index_lookup,
         };
-        let mut accesses = Vec::new();
+        let mut accesses = Vec::with_capacity(if device_time.is_zero() {
+            0
+        } else {
+            sites.len()
+        });
         let mut rtt = Duration::ZERO;
         for (device, mults) in groups {
             let local = device == from_node;
@@ -963,7 +973,9 @@ impl SimCluster {
     /// * count the cache miss only after the charge succeeded (an injected
     ///   failure leaves the conservation counters untouched, so every
     ///   recorded miss pairs with exactly one recorded storage read), read
-    ///   the heap, owe any page faults, and insert into the cache. The
+    ///   the heap — one [`HeapFile::read_batch`] per run of misses into
+    ///   one file, through the physical slot the cache key already
+    ///   resolved — owe any page faults, and insert into the cache. The
     ///   misses are one charge, so their faults overlap: the call waits
     ///   for the read that faulted most, not for every fault in turn.
     ///
@@ -1000,6 +1012,18 @@ impl SimCluster {
             read_key: Option<PointerKey>,
             /// Normalized cache key, present only when the cluster caches.
             cache_key: Option<CacheKey>,
+        }
+        impl Miss {
+            /// The address the read goes through: the physical slot the
+            /// cache key already resolved, else the snapshot redirect,
+            /// else the pointer's own key.
+            fn read_key<'a>(&'a self, ptr: &'a Pointer) -> &'a PointerKey {
+                match (&self.cache_key, &self.read_key) {
+                    (Some(ck), _) => &ck.key,
+                    (None, Some(key)) => key,
+                    (None, None) => &ptr.key,
+                }
+            }
         }
         // One heap per run of pointers into the same file: the catalog is
         // consulted once per run, not once per pointer.
@@ -1058,20 +1082,40 @@ impl SimCluster {
             ptrs.len() > 1,
             &mut owed,
         );
-        for (miss, admitted) in misses.into_iter().zip(admitted) {
-            let read = admitted.and_then(|()| {
-                if cache.is_some() {
-                    self.tally(|m| m.record_cache_miss_at(from_node));
+        let mut admitted = admitted.into_iter();
+        misses.retain(
+            |miss| match admitted.next().expect("one verdict per miss") {
+                Ok(()) => {
+                    if cache.is_some() {
+                        self.tally(|m| m.record_cache_miss_at(from_node));
+                    }
+                    true
                 }
-                let read_key = miss.read_key.as_ref().unwrap_or(&ptrs[miss.idx].key);
-                let (record, pages) = heaps[miss.heap].read(miss.partition, read_key)?;
-                self.owe_page_stats(pages, &mut owed);
-                if let (Some(cache), Some(ck)) = (cache, miss.cache_key) {
+                Err(e) => {
+                    out[miss.idx] = Some(Err(e));
+                    false
+                }
+            },
+        );
+        // One batched heap read per run of misses into one file. A page run
+        // faults at most its one page and the runs overlap like the reads
+        // of one charge, so the call owes one fault if any run faulted.
+        for run in misses.chunk_by_mut(|a, b| a.heap == b.heap) {
+            let (records, pages) = {
+                let reads: Vec<(usize, &PointerKey)> = run
+                    .iter()
+                    .map(|miss| (miss.partition, miss.read_key(ptrs[miss.idx])))
+                    .collect();
+                heaps[run[0].heap].read_batch(&reads)
+            };
+            self.note_page_stats(pages);
+            owed.fault(self.inner.io.page_fault_cost(pages.faults.min(1)));
+            for (miss, read) in run.iter_mut().zip(records) {
+                if let (Some(cache), Some(ck), Ok(record)) = (cache, miss.cache_key.take(), &read) {
                     cache.insert(from_node, ck, record.clone());
                 }
-                Ok(record)
-            });
-            out[miss.idx] = Some(read);
+                out[miss.idx] = Some(read);
+            }
         }
         let results = out
             .into_iter()

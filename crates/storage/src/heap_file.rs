@@ -21,6 +21,13 @@
 //! `Overloaded`) and returns the [`PageStats`] (faults, evictions, pinned
 //! bytes) it incurred for that layer to charge; [`HeapFile::get`] is the
 //! one shim that drops them.
+//!
+//! Point reads have one body, [`HeapFile::read_batch`]; a lone
+//! [`HeapFile::read`] is a batch of one. A batch takes each partition's
+//! store lock once and reads each run of k records on one page under one
+//! pin, touching the frame k ticks at once
+//! ([`BufferPool::with_page_run`]): eviction ranks come out as k separate
+//! reads would leave them, at a pin per page instead of per record.
 
 use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYTES};
 use crate::partitioner::{Partitioner, Partitioning};
@@ -408,20 +415,105 @@ impl HeapFile {
         Ok(slot)
     }
 
-    /// Resolve an in-partition address to a record, reporting page I/O.
+    /// Resolve an in-partition address to a record, reporting page I/O:
+    /// a [`HeapFile::read_batch`] of one.
     pub fn read(&self, partition: usize, key: &PointerKey) -> Result<(Record, PageStats)> {
-        let store = self.store(partition)?.read();
-        let slot = self.slot_in(&store, partition, key)?;
-        let (page_no, in_page) = store.locate(slot);
-        let id = self.page_id(partition, page_no);
-        let (rec, stats) = self.pool.with_page(&id, |pg| pg.record(in_page))?;
-        let rec = rec.ok_or_else(|| {
-            RedeError::Corrupt(format!(
-                "{}[{partition}] slot {slot} missing from page {page_no}",
-                self.name
-            ))
-        })?;
-        Ok((rec, stats))
+        let (mut records, stats) = self.read_batch(&[(partition, key)]);
+        let record = records.pop().expect("one result per read")?;
+        Ok((record, stats))
+    }
+
+    /// Resolve a batch of in-partition addresses `(partition, key)` to
+    /// records, in input order, reporting the page I/O of the whole batch.
+    ///
+    /// Each partition's store lock is taken once, for all of its reads;
+    /// under it each read becomes a `(page, slot in page)`, and each run of
+    /// reads on one page is served under one pin
+    /// ([`BufferPool::with_page_run`]), as index postings are. One page is
+    /// pinned at a time. A read fails alone: an address with no record is
+    /// its own `DanglingPointer`, and its page-mates still read. A page run
+    /// faults at most its one page.
+    pub fn read_batch(&self, reads: &[(usize, &PointerKey)]) -> (Vec<Result<Record>>, PageStats) {
+        /// One read, located: `page` and `in_page` are set once its
+        /// partition's store has resolved it.
+        #[derive(Clone, Copy)]
+        struct Located {
+            read: usize,
+            partition: usize,
+            slot: usize,
+            page: u32,
+            in_page: usize,
+        }
+        let mut out: Vec<Option<Result<Record>>> = (0..reads.len()).map(|_| None).collect();
+        let mut order: Vec<Located> = reads
+            .iter()
+            .enumerate()
+            .map(|(read, &(partition, _))| Located {
+                read,
+                partition,
+                slot: 0,
+                page: 0,
+                in_page: 0,
+            })
+            .collect();
+        // Stable by partition without the scratch buffer a stable sort
+        // allocates: the input position breaks ties.
+        order.sort_unstable_by_key(|l| (l.partition, l.read));
+        let mut stats = PageStats::default();
+        for group in order.chunk_by_mut(|a, b| a.partition == b.partition) {
+            let partition = group[0].partition;
+            let store = match self.store(partition) {
+                Ok(store) => store.read(),
+                Err(e) => {
+                    group
+                        .iter()
+                        .for_each(|l| out[l.read] = Some(Err(e.clone())));
+                    continue;
+                }
+            };
+            // The located reads move to the front, in input order.
+            let mut located = 0;
+            for i in 0..group.len() {
+                let l = group[i];
+                match self.slot_in(&store, partition, reads[l.read].1) {
+                    Ok(slot) => {
+                        let (page, in_page) = store.locate(slot);
+                        group[located] = Located {
+                            slot,
+                            page,
+                            in_page,
+                            ..l
+                        };
+                        located += 1;
+                    }
+                    Err(e) => out[l.read] = Some(Err(e)),
+                }
+            }
+            let located = &mut group[..located];
+            located.sort_unstable_by_key(|l| (l.page, l.in_page, l.read));
+            for run in located.chunk_by(|a, b| a.page == b.page) {
+                let id = self.page_id(partition, run[0].page);
+                let read = self.pool.with_page_run(&id, run.len() as u64, |pg| {
+                    for l in run {
+                        out[l.read] = Some(pg.record(l.in_page).ok_or_else(|| {
+                            RedeError::Corrupt(format!(
+                                "{}[{partition}] slot {} missing from page {}",
+                                self.name, l.slot, l.page
+                            ))
+                        }));
+                    }
+                });
+                match read {
+                    Ok(((), s)) => stats.absorb(s),
+                    Err(e) => run.iter().for_each(|l| out[l.read] = Some(Err(e.clone()))),
+                }
+            }
+        }
+        let records = out
+            .into_iter()
+            .map(|r| r.expect("every read resolved or failed"))
+            .collect();
+        (records, stats)
     }
 
     /// [`HeapFile::read`] without the page I/O, for callers that charge
@@ -843,6 +935,62 @@ mod tests {
         assert!(!ev[1].first, "overwrite is not a first version");
         assert!(ev[2].first);
         assert_eq!(f.events_since(3), vec![]);
+    }
+
+    #[test]
+    fn a_batch_pins_a_page_once_and_touches_it_once_per_record() {
+        let load = || {
+            let pool = BufferPool::unbounded();
+            let f =
+                HeapFile::with_pool("t", Partitioning::hash(1), pool.clone(), DEFAULT_PAGE_BYTES)
+                    .unwrap();
+            for i in 0..8i64 {
+                f.insert(
+                    &Value::Int(0),
+                    Value::Int(i),
+                    Record::from_text(&format!("r{i}")),
+                )
+                .unwrap();
+            }
+            (pool, f)
+        };
+        // Eight records of one resident page, out of order, with a key the
+        // file lacks among them.
+        let keys: Vec<PointerKey> = [5, 2, 7, 99, 0, 3, 6, 1, 4]
+            .map(|k| PointerKey::Logical(Value::Int(k)))
+            .into();
+
+        let (pool, f) = load();
+        let pins = BufferPool::thread_pins();
+        let reads: Vec<(usize, &PointerKey)> = keys.iter().map(|k| (0, k)).collect();
+        let (records, stats) = f.read_batch(&reads);
+        assert_eq!(
+            BufferPool::thread_pins() - pins,
+            1,
+            "one pin for the page's run"
+        );
+        assert_eq!(stats.faults, 0);
+        for (key, record) in keys.iter().zip(&records) {
+            match (key, record) {
+                (PointerKey::Logical(Value::Int(99)), Err(RedeError::DanglingPointer(msg))) => {
+                    assert_eq!(msg, "t[0] has no key 99")
+                }
+                (PointerKey::Logical(Value::Int(k)), Ok(r)) => {
+                    assert_eq!(r.text().unwrap(), format!("r{k}"))
+                }
+                other => panic!("unexpected read {other:?}"),
+            }
+        }
+        let batched = pool.history(&f.page_id(0, 0)).unwrap();
+
+        // The same eight reads one at a time leave the same LRU-K history.
+        let (pool, f) = load();
+        let pins = BufferPool::thread_pins();
+        for key in keys.iter().filter(|k| f.slot_of(0, k).is_some()) {
+            f.read(0, key).unwrap();
+        }
+        assert_eq!(BufferPool::thread_pins() - pins, 8);
+        assert_eq!(batched, pool.history(&f.page_id(0, 0)).unwrap());
     }
 
     #[test]

@@ -7,10 +7,18 @@
 //! conservation invariant `local + remote + cache hits == logical point
 //! reads` exact on every node. At batch size 1 the synchronous scalar entry
 //! point and a one-element submit must move *every* counter identically.
+//!
+//! The same holds over a paged heap under a bounded memory budget, where a
+//! batch reads each run of records on one page under one pin: arbitrary
+//! orders, duplicates, logical and physical aliases and interleaved
+//! partitions read back byte-identical, and a dangling pointer among its
+//! page-mates fails alone.
 
 use proptest::prelude::*;
-use rede_common::Value;
-use rede_storage::{FaultPlan, FileSpec, Partitioning, Pointer, Record, SimCluster};
+use rede_common::{RedeError, Value};
+use rede_storage::{
+    FaultPlan, FileSpec, Partitioning, Pointer, Record, SimCluster, MIN_MEMORY_BUDGET,
+};
 
 const KEYS: i64 = 60;
 const NODES: usize = 3;
@@ -89,8 +97,109 @@ fn assert_conservation(c: &SimCluster, tag: &str) {
     }
 }
 
+/// Records of the paged fixture: about 30 to a 4 KiB page, 40 pages in
+/// all against a 16-page budget.
+const PAGED_KEYS: i64 = 1200;
+const PAGED_PARTITIONS: usize = 8;
+
+fn paged_record(k: i64) -> Record {
+    Record::from_text(&format!("r{k}-{}", "p".repeat(96)))
+}
+
+/// The paged fixture, with each key's `(partition, slot)`.
+fn build_paged_cluster(cache: bool) -> (SimCluster, Vec<(usize, usize)>) {
+    let mut b = SimCluster::builder()
+        .nodes(NODES)
+        .memory_budget(MIN_MEMORY_BUDGET);
+    if cache {
+        b = b.record_cache(NODES * 4096);
+    }
+    let cluster = b.build().unwrap();
+    let file = cluster
+        .create_file(FileSpec::new("t", Partitioning::hash(PAGED_PARTITIONS)))
+        .unwrap();
+    let slots = (0..PAGED_KEYS)
+        .map(|k| file.insert(Value::Int(k), paged_record(k)).unwrap())
+        .collect();
+    assert!(
+        cluster.buffer_stats().evictions > 0,
+        "the load must overflow the budget"
+    );
+    cluster.metrics().reset();
+    (cluster, slots)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn paged_batches_read_like_scalar_resolves(
+        // Keys from a window, so pages repeat and keys duplicate.
+        window in 0i64..PAGED_KEYS - 200,
+        picks in prop::collection::vec((0i64..200, any::<bool>()), 1..120),
+        dangle_at in 0usize..1000,
+        from_node in 0usize..NODES,
+        cache in any::<bool>(),
+        batch in (0usize..3).prop_map(|i| [7usize, 64, 200][i]),
+    ) {
+        let (scalar, slots) = build_paged_cluster(cache);
+        let (batched, _) = build_paged_cluster(cache);
+        let mut ptrs: Vec<Pointer> = picks
+            .iter()
+            .map(|&(offset, physical)| {
+                let k = window + offset;
+                match physical {
+                    true => Pointer::physical("t", slots[k as usize].0, slots[k as usize].1),
+                    false => ptr(k),
+                }
+            })
+            .collect();
+        // A slot past the end of a partition the batch reads.
+        let dangle = dangle_at % ptrs.len();
+        let partition = slots[(window + picks[dangle].0) as usize].0;
+        let len = scalar.file("t").unwrap().partition_len(partition);
+        ptrs.insert(dangle, Pointer::physical("t", partition, len + 1));
+
+        let scalar_reads: Vec<_> = ptrs.iter().map(|p| scalar.resolve(p, from_node)).collect();
+        let mut batched_reads = Vec::with_capacity(ptrs.len());
+        for chunk in ptrs.chunks(batch) {
+            let refs: Vec<&Pointer> = chunk.iter().collect();
+            batched_reads.extend(batched.resolve_batch(&refs, from_node));
+        }
+
+        for (i, (s, b)) in scalar_reads.iter().zip(&batched_reads).enumerate() {
+            match (s, b) {
+                (Ok(s), Ok(b)) => prop_assert_eq!(s.bytes(), b.bytes(), "record {} diverged", i),
+                (Err(s), Err(b)) => {
+                    prop_assert_eq!(i, dangle, "only the dangling pointer fails");
+                    prop_assert_eq!(s.to_string(), b.to_string());
+                    prop_assert!(matches!(b, RedeError::DanglingPointer(_)));
+                }
+                _ => prop_assert!(false, "read {} diverged: {:?} vs {:?}", i, s, b),
+            }
+        }
+        let mut want = picks.iter().map(|&(offset, _)| paged_record(window + offset));
+        for (i, read) in batched_reads.iter().enumerate().filter(|&(i, _)| i != dangle) {
+            prop_assert_eq!(
+                read.as_ref().unwrap().bytes(),
+                want.next().unwrap().bytes(),
+                "read {} is the wrong record", i
+            );
+        }
+
+        assert_conservation(&scalar, "scalar");
+        assert_conservation(&batched, "batched");
+        let (s, b) = (scalar.metrics().snapshot(), batched.metrics().snapshot());
+        prop_assert_eq!(
+            s.local_point_reads + s.remote_point_reads + s.cache_hits,
+            b.local_point_reads + b.remote_point_reads + b.cache_hits,
+            "total logical reads must agree"
+        );
+        prop_assert_eq!(
+            b.local_point_reads + b.remote_point_reads + b.cache_hits,
+            ptrs.len() as u64
+        );
+    }
 
     #[test]
     fn batched_resolve_is_byte_identical_and_conserving(

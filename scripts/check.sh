@@ -53,6 +53,15 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+# Release builds run fast enough to break tests that only assume a slow
+# box; CI runs these in release, so this gate does too.
+echo "==> release tests CI runs: chaos, gate_sim, cursor_prop, htap, wal, scheduler_stress"
+cargo test --release -q --test chaos_recovery
+cargo test --release -q --test gate_sim
+cargo test --release -q -p rede-core --test cursor_prop
+cargo test --release -q -p rede-core --test htap_equivalence --test wal_recovery
+cargo test --release -q --test scheduler_stress
+
 # The benchmark is its own package compiled against these crates' public
 # API: build it and run its whole suite here — the contract tests and the
 # unit tests in benchmark/src (workload stratification, stats, span

@@ -17,6 +17,7 @@
 //! * inert plans: dropped at build time, all counters zero.
 
 use lakeharbor::prelude::*;
+use lakeharbor::storage::CostModel;
 use rede_tpch::{load_tpch, q5_prime_job, q6_job, LoadOptions, Q5Params, Q6Params, TpchGenerator};
 use std::time::{Duration, Instant};
 
@@ -223,12 +224,38 @@ fn an_inert_plan_is_dropped_and_costs_nothing() {
     }
 }
 
+/// The modeled floor of `job` on a fixture under `io`: the [`CostModel`]
+/// over the access counts of its run on a zero-latency twin, with every
+/// device-queue slot of every node busy. No executor, however fast,
+/// finishes the job sooner.
+fn modeled_floor(job: &Job, io: &IoModel) -> Duration {
+    let twin = JobRunner::new(fixture(IoModel::zero(), None), ExecutorConfig::smpe(32));
+    let counts = twin.run(job).unwrap().metrics;
+    CostModel {
+        nodes: 4,
+        point_concurrency_per_node: io.queue_depth,
+        scan_streams_per_node: io.queue_depth,
+    }
+    .model(io, &counts)
+    .total()
+}
+
 #[test]
 fn deadline_abort_under_chaos_returns_every_permit_and_pool_slot() {
     // Real latency plus a fault plan: the abort lands while retries and
-    // reroutes are genuinely in flight.
+    // reroutes are genuinely in flight. The job's modeled floor is ten
+    // times its deadline, so it is still running when the deadline fires
+    // however fast the box is.
+    let deadline = Duration::from_millis(20);
+    let job = q5_prime_job(&Q5Params::with_selectivity(3e-1)).unwrap();
+    let io = IoModel::hdd_like(400.0);
+    let floor = modeled_floor(&job, &io);
+    assert!(
+        floor >= deadline * 10,
+        "the job's modeled floor {floor:?} must be at least ten deadlines"
+    );
     let plan = FaultPlan::transient(7, 0.1).with_node_down(2, 0..u64::MAX);
-    let cluster = fixture(IoModel::hdd_like(0.3), Some(plan));
+    let cluster = fixture(io, Some(plan));
     let permits_at_rest = cluster.available_iops_permits();
     let sched = HarborScheduler::new(
         cluster.clone(),
@@ -238,10 +265,7 @@ fn deadline_abort_under_chaos_returns_every_permit_and_pool_slot() {
         },
     );
     let handle = sched
-        .submit_with(
-            &q5_prime_job(&Q5Params::with_selectivity(3e-1)).unwrap(),
-            SubmitOptions::new().deadline(Duration::from_millis(20)),
-        )
+        .submit_with(&job, SubmitOptions::new().deadline(deadline))
         .unwrap();
     match handle.wait().unwrap_err() {
         RedeError::Cancelled(msg) => {

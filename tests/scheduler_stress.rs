@@ -5,6 +5,7 @@
 //! cursor-close path.
 
 use lakeharbor::prelude::*;
+use lakeharbor::storage::CostModel;
 use rede_tpch::{load_tpch, q5_prime_job, q6_job, LoadOptions, Q5Params, Q6Params, TpchGenerator};
 use std::time::{Duration, Instant};
 
@@ -85,10 +86,36 @@ fn twelve_concurrent_jobs_match_serial_runs_byte_for_byte() {
     );
 }
 
+/// The modeled floor of `job` on a fixture under `io`: the [`CostModel`]
+/// over the access counts of its run on a zero-latency twin, with every
+/// device-queue slot of every node busy. No executor, however fast,
+/// finishes the job sooner.
+fn modeled_floor(job: &Job, io: &IoModel) -> Duration {
+    let twin = JobRunner::new(fixture(IoModel::zero()), ExecutorConfig::smpe(32));
+    let counts = twin.run(job).unwrap().metrics;
+    CostModel {
+        nodes: 4,
+        point_concurrency_per_node: io.queue_depth,
+        scan_streams_per_node: io.queue_depth,
+    }
+    .model(io, &counts)
+    .total()
+}
+
 #[test]
 fn cancelled_tenant_returns_its_iops_permits_and_pool_slots() {
-    // Real injected latency so the victim job is mid-I/O when cancelled.
-    let cluster = fixture(IoModel::hdd_like(0.3));
+    // Real injected latency so the victim job is mid-I/O when cancelled:
+    // the cancel waits until the victim holds device slots, and the job's
+    // modeled floor is far longer than any stall between that and the
+    // cancel.
+    let victim_job = q5_prime_job(&Q5Params::with_selectivity(3e-1)).unwrap();
+    let io = IoModel::hdd_like(400.0);
+    let floor = modeled_floor(&victim_job, &io);
+    assert!(
+        floor >= Duration::from_millis(200),
+        "the victim's modeled floor {floor:?} must be at least 200 ms"
+    );
+    let cluster = fixture(io);
     let permits_at_rest = cluster.available_iops_permits();
     let scheduler = HarborScheduler::new(
         cluster.clone(),
@@ -99,10 +126,7 @@ fn cancelled_tenant_returns_its_iops_permits_and_pool_slots() {
     );
 
     let victim = scheduler
-        .submit_with(
-            &q5_prime_job(&Q5Params::with_selectivity(3e-1)).unwrap(),
-            SubmitOptions::new().tenant("victim"),
-        )
+        .submit_with(&victim_job, SubmitOptions::new().tenant("victim"))
         .unwrap();
     let survivor = scheduler
         .submit_with(
@@ -111,7 +135,14 @@ fn cancelled_tenant_returns_its_iops_permits_and_pool_slots() {
         )
         .unwrap();
 
-    std::thread::sleep(Duration::from_millis(25));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while victim.permits_held() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the victim never took a device slot"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     victim.cancel();
     assert!(matches!(
         victim.wait().unwrap_err(),
