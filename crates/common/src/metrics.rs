@@ -219,6 +219,9 @@ counter_table! {
     /// memory-pressure effect, *not* a logical record access —
     /// conservation invariants over point reads must not move).
     page_faults: Count,
+    /// The `page_faults` that index probes took, faulting postings pages
+    /// back in (a subset: every one is also a page fault).
+    index_page_faults: Count,
     /// Buffer-pool frames evicted to make room under the byte budget.
     page_evictions: Count,
     /// High-water mark of simultaneously pinned buffer-pool bytes.
@@ -593,8 +596,8 @@ impl fmt::Display for MetricsSnapshot {
         if self.page_faults + self.page_evictions > 0 {
             write!(
                 f,
-                ", memory: {} page faults / {} evictions (pinned peak {} B)",
-                self.page_faults, self.page_evictions, self.pinned_peak,
+                ", memory: {} page faults ({} index) / {} evictions (pinned peak {} B)",
+                self.page_faults, self.index_page_faults, self.page_evictions, self.pinned_peak,
             )?;
         }
         // Ingest counters render only when a write path ran, so read-only
@@ -893,8 +896,9 @@ mod tests {
     }
 
     /// The rendered text, captured from the commit before the table
-    /// existed: an all-zero snapshot renders no optional group, and a
-    /// snapshot with every field distinct renders every group.
+    /// existed (the memory group has since gained its index faults): an
+    /// all-zero snapshot renders no optional group, and a snapshot with
+    /// every field distinct renders every group.
     #[test]
     fn snapshot_display_is_pinned() {
         assert_eq!(
@@ -907,7 +911,7 @@ mod tests {
             bump(&m, row, i as u64 + 1);
         }
         let s = m.snapshot();
-        assert_eq!((s.local_point_reads, s.shed_commands), (1, 34));
+        assert_eq!((s.local_point_reads, s.shed_commands), (1, 35));
         assert_eq!(
             s.to_string(),
             "point reads: 1 local / 2 remote, scanned: 3, index lookups: 4 (5 entries), \
@@ -915,9 +919,9 @@ mod tests {
              faults: 15 injected / 13 retries / 14 rerouted / 16 deadline aborts, \
              batching: 17 reads in 18 batches (19 rtts), \
              fabric: 20 completions / 21 window stalls (peak 23 in flight), \
-             memory: 24 page faults / 25 evictions (pinned peak 26 B), \
-             ingest: 27 wal appends (28 B), 29 snapshots active, 30 catch-up builds, \
-             gate: 31 sessions / 32 cursors active, 33 cursor stalls, 34 shed"
+             memory: 24 page faults (25 index) / 26 evictions (pinned peak 27 B), \
+             ingest: 28 wal appends (29 B), 30 snapshots active, 31 catch-up builds, \
+             gate: 32 sessions / 33 cursors active, 34 cursor stalls, 35 shed"
         );
     }
 

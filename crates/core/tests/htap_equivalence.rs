@@ -15,6 +15,7 @@ use rede_core::IndexBuilder;
 use rede_storage::{IndexSpec, Partitioning, Record, SimCluster};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const PARTITIONS: usize = 8;
 const CUSTOMERS: i64 = 10;
@@ -92,6 +93,16 @@ fn analytics(c: &SimCluster) -> Answer {
     (per_customer, digest, n)
 }
 
+/// Wait until a commit lands past `ts`, for at most 30 s: a writer that
+/// never commits then fails the caller's asserts instead of hanging its
+/// thread scope.
+fn await_commit_past(mgr: &TxnManager, ts: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while mgr.current_ts() <= ts && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn pinned_analytics_match_a_frozen_clone_under_concurrent_ingest() {
     let c = fresh();
@@ -151,13 +162,18 @@ fn pinned_analytics_match_a_frozen_clone_under_concurrent_ingest() {
                 }
             });
         }
-        for round in 0..10 {
+        let check = |round: usize| {
             let got = analytics(&pinned);
             assert_eq!(
                 got, reference,
                 "round {round}: pinned analytics drifted from the frozen clone"
             );
-        }
+        };
+        (0..10).for_each(check);
+        // A last round once a commit has landed past the cut, so at least
+        // one round reads beside a moved tip however fast the rounds ran.
+        await_commit_past(&mgr, pin.ts());
+        check(10);
         stop.store(true, Ordering::Relaxed);
     });
 
@@ -204,6 +220,7 @@ fn scheduler_jobs_read_atomic_cuts_while_ingest_streams() {
         .build()
         .unwrap();
 
+    let seeded = mgr.current_ts();
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
         let (mgr2, stop2) = (mgr.clone(), stop.clone());
@@ -221,16 +238,20 @@ fn scheduler_jobs_read_atomic_cuts_while_ingest_streams() {
                 gen += 1;
             }
         });
-        let mut counts = Vec::new();
-        for t in 0..12 {
-            let count = sched
+        let run = |t: usize| {
+            sched
                 .submit_with(&job, SubmitOptions::new().tenant(format!("olap-{t}")))
                 .unwrap()
                 .wait()
                 .unwrap()
-                .count;
-            counts.push(count);
-        }
+                .count
+        };
+        let mut counts: Vec<u64> = (0..12).map(run).collect();
+        // A last job once a commit has landed, so some job's cut holds
+        // streamed rows (and its index caught up) however fast the jobs
+        // ran.
+        await_commit_past(&mgr, seeded);
+        counts.push(run(12));
         stop.store(true, Ordering::Relaxed);
         for (t, &count) in counts.iter().enumerate() {
             assert!(

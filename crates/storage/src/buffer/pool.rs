@@ -15,12 +15,12 @@
 //!   page takes only its *read* lock, pins the frame under it, and records
 //!   the access in the frame itself: each frame keeps its two most recent
 //!   access ticks (LRU-K with K = 2) from one pool-wide atomic clock. No
-//!   mutex, no allocation, and no hash lookup but the frame map's.
-//! * **Runs.** [`BufferPool::with_page_run`] serves k reads of one page
-//!   under one pin. It reserves k ticks with one `fetch_add(k)` and
-//!   touches the frame as k back-to-back reads would: `last` is the run's
-//!   last tick and `prev` the tick before it (or the old `last` when
-//!   k = 1). Eviction ranks stay what k separate pins produce.
+//!   mutex, no allocation, and no hash lookup but the frame map's. One
+//!   pin is one reference, however many records the caller reads under
+//!   it: a run of reads of one page is LRU-K's *correlated reference
+//!   period* (O'Neil, O'Neil & Weikum, 1993), so a page read by one batch
+//!   keeps a one-access history and ranks below pages re-referenced
+//!   across batches.
 //! * **Miss path.** The `Mutex<PoolState>` (the disk store, the
 //!   namespace table and the victim queue) serializes faults,
 //!   [`BufferPool::create_page`], [`BufferPool::with_page_mut`] and
@@ -158,17 +158,14 @@ impl FrameCell {
         })
     }
 
-    /// Shift the ticks of `reads` back-to-back accesses ending at `end`
-    /// into the two-entry history. Both ticks only grow, so the history is
-    /// exact however accesses race: `last` keeps the largest tick and
-    /// `prev` the second largest (the larger of `end - 1` when the run has
-    /// two accesses or more, and the smaller of `end` and the `last` it
-    /// found). The victim queue relies on it: a frame's rank never falls.
-    fn touch(&self, end: u64, reads: u64) {
-        let last = self.last.fetch_max(end, Ordering::Relaxed);
-        let run_prev = if reads > 1 { end - 1 } else { 0 };
-        self.prev
-            .fetch_max(last.min(end).max(run_prev), Ordering::Relaxed);
+    /// Shift an access at tick `at` into the two-entry history. Both ticks
+    /// only grow, so the history is exact however accesses race: `last`
+    /// keeps the largest tick and `prev` the second largest (the smaller
+    /// of `at` and the `last` it found). The victim queue relies on it: a
+    /// frame's rank never falls.
+    fn touch(&self, at: u64) {
+        let last = self.last.fetch_max(at, Ordering::Relaxed);
+        self.prev.fetch_max(last.min(at), Ordering::Relaxed);
     }
 
     /// Eviction rank, coldest first: a frame with fewer than two accesses
@@ -331,11 +328,9 @@ impl BufferPool {
         ns
     }
 
-    /// Record `reads` back-to-back accesses to `cell` at the next `reads`
-    /// ticks of the pool clock, reserved with one `fetch_add`: the frame's
-    /// history ends as `reads` separate touches would leave it.
-    fn touch(&self, cell: &FrameCell, reads: u64) {
-        cell.touch(self.tick.fetch_add(reads, Ordering::Relaxed) + reads, reads);
+    /// Record one access to `cell` at the next tick of the pool clock.
+    fn touch(&self, cell: &FrameCell) {
+        cell.touch(self.tick.fetch_add(1, Ordering::Relaxed) + 1);
     }
 
     /// The hit path: pin `id`'s frame under the frame map's read lock, if
@@ -382,19 +377,14 @@ impl BufferPool {
             return Err(e);
         }
         let cell = FrameCell::new(page, true);
-        self.touch(&cell, 1);
+        self.touch(&cell);
         self.insert(&mut st, id, cell);
         Ok(stats)
     }
 
-    /// Fetch a page, pinning it for the lifetime of the returned guard.
+    /// Fetch a page, pinning it for the lifetime of the returned guard. The
+    /// pin is one LRU-K reference, whatever the caller reads under it.
     pub fn fetch(&self, id: &PageId) -> Result<(PageGuard<'_>, PageStats)> {
-        self.pin(id, 1)
-    }
-
-    /// [`BufferPool::fetch`] on behalf of `reads` back-to-back reads of the
-    /// page: one pin, and the page's LRU-K history touched `reads` times.
-    fn pin(&self, id: &PageId, reads: u64) -> Result<(PageGuard<'_>, PageStats)> {
         if cfg!(test) {
             PINS.with(|pins| pins.set(pins.get() + 1));
         }
@@ -406,7 +396,7 @@ impl BufferPool {
                 self.pin_or_fault(&mut st, id, &mut stats)?
             }
         };
-        self.touch(&cell, reads);
+        self.touch(&cell);
         let bytes = cell.bytes.load(Ordering::Relaxed);
         let pinned = self.pinned_bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
         if pinned > self.pinned_peak.load(Ordering::Relaxed) {
@@ -423,25 +413,14 @@ impl BufferPool {
         ))
     }
 
-    /// Run `f` over a read-pinned page.
+    /// Run `f` over a read-pinned page: one pin and one LRU-K reference,
+    /// however many of the page's records `f` reads.
     pub fn with_page<R>(
         &self,
         id: &PageId,
         f: impl FnOnce(&SlottedPage) -> R,
     ) -> Result<(R, PageStats)> {
-        self.with_page_run(id, 1, f)
-    }
-
-    /// Run `f` over a read-pinned page for a run of `reads` (≥ 1) reads of
-    /// it: one pin where `reads` [`BufferPool::with_page`] calls would pin
-    /// the page `reads` times, with the same LRU-K history afterwards.
-    pub fn with_page_run<R>(
-        &self,
-        id: &PageId,
-        reads: u64,
-        f: impl FnOnce(&SlottedPage) -> R,
-    ) -> Result<(R, PageStats)> {
-        let (guard, stats) = self.pin(id, reads)?;
+        let (guard, stats) = self.fetch(id)?;
         let r = f(&guard.read());
         Ok((r, stats))
     }
@@ -485,7 +464,7 @@ impl BufferPool {
         self.budget.release(grow_hint - grown.min(grow_hint));
         cell.bytes.store(after, Ordering::Relaxed);
         cell.dirty.store(true, Ordering::Relaxed);
-        self.touch(&cell, 1);
+        self.touch(&cell);
         cell.pin.fetch_sub(1, Ordering::SeqCst);
         self.signal_unpin(true);
         Ok((r, stats))
@@ -894,7 +873,7 @@ mod tests {
                         // Every thread touches at once, then one checks the
                         // history the round left: the two largest ticks.
                         start.wait();
-                        pool.touch(cell, 1);
+                        pool.touch(cell);
                         let rank = cell.rank();
                         if rank < seen {
                             fell.fetch_add(1, Ordering::Relaxed);

@@ -460,16 +460,19 @@ impl SimCluster {
         }
     }
 
-    /// Tally one access's page I/O and owe its modeled fault latency: one
-    /// positioned read per fault, serviced once the charge's device
-    /// accesses have landed and *outside* any device slot — faults hit the
-    /// buffer manager, not the owner's request queue. An access's own
-    /// faults are a chain, one after the other; the accesses of the
-    /// charge being recorded service theirs concurrently
-    /// ([`Owed::fault`]).
+    /// Tally one index probe's page I/O (its faults count as index page
+    /// faults too) and owe its modeled fault latency: one positioned read
+    /// per fault, serviced once the charge's device accesses have landed
+    /// and *outside* any device slot — faults hit the buffer manager, not
+    /// the owner's request queue. An access's own faults are a chain, one
+    /// after the other; the accesses of the charge being recorded service
+    /// theirs concurrently ([`Owed::fault`]).
     #[inline]
-    fn owe_page_stats(&self, stats: PageStats, owed: &mut Owed) {
+    fn owe_index_pages(&self, stats: PageStats, owed: &mut Owed) {
         self.note_page_stats(stats);
+        if stats.faults > 0 {
+            self.tally(|m| m.add(Counter::index_page_faults, stats.faults));
+        }
         owed.fault(self.inner.io.page_fault_cost(stats.faults));
     }
 
@@ -1567,7 +1570,7 @@ impl IndexHandle {
                 None => self.index.probe(p, lo)?,
                 Some(hi) => self.index.range_in(p, lo, hi)?,
             };
-            self.cluster.owe_page_stats(pages, owed);
+            self.cluster.owe_index_pages(pages, owed);
             out.extend(hits);
         }
         let out = self.filter_visible(out);
@@ -1715,7 +1718,7 @@ impl IndexHandle {
             let probe_keys: Vec<Value> = idxs.iter().map(|&i| keys[i].clone()).collect();
             match self.index.lookup_batch(partition, &probe_keys) {
                 Ok((postings, _descents, pages)) => {
-                    self.cluster.owe_page_stats(pages, &mut owed);
+                    self.cluster.owe_index_pages(pages, &mut owed);
                     for (i, hits) in idxs.into_iter().zip(postings) {
                         let hits = self.filter_visible(hits);
                         self.count_entries(hits.len());
@@ -2634,6 +2637,54 @@ mod tests {
         assert_eq!(wide.metrics().snapshot().page_faults, 0);
         let ps = tiny.buffer_stats();
         assert!(ps.budget_used <= ps.budget_total, "budget is a hard cap");
+    }
+
+    #[test]
+    fn an_index_probe_that_faults_counts_its_faults_as_index_faults() {
+        let c = SimCluster::builder()
+            .nodes(2)
+            .memory_budget(MIN_MEMORY_BUDGET)
+            .build()
+            .unwrap();
+        let f = loaded(&c, 0);
+        for i in 0..600i64 {
+            f.insert(
+                Value::Int(i),
+                Record::from_text(&format!("row-{i}-{}", "x".repeat(120))),
+            )
+            .unwrap();
+        }
+        // More postings than the budget holds, so probes fault.
+        let ix = c.create_index(IndexSpec::global("ix", "part", 8)).unwrap();
+        for i in 0..6_000i64 {
+            ix.insert(
+                Value::Int(i),
+                IndexEntry::new(Value::Int(i % 600), Value::Int(i % 600)).to_record(),
+            )
+            .unwrap();
+        }
+        // Heap reads fault pages too, but count no index fault.
+        let before = c.metrics().snapshot();
+        for i in 0..600i64 {
+            c.resolve(&Pointer::logical("part", Value::Int(i), Value::Int(i)), 0)
+                .unwrap();
+        }
+        let heap = c.metrics().snapshot().since(&before);
+        assert!(heap.page_faults > 0, "the sweep must page");
+        assert_eq!(heap.index_page_faults, 0);
+        // Scalar and batched probes: every fault they take is both.
+        let before = c.metrics().snapshot();
+        for i in (0..6_000i64).step_by(37) {
+            assert_eq!(ix.lookup(&Value::Int(i), 0).unwrap().len(), 1);
+        }
+        let keys: Vec<Value> = (0..6_000i64).step_by(29).map(Value::Int).collect();
+        assert!(ix.lookup_batch(&keys, 1).iter().all(|r| r.is_ok()));
+        let probes = c.metrics().snapshot().since(&before);
+        assert!(
+            probes.page_faults > 0,
+            "evicted postings must fault back in"
+        );
+        assert_eq!(probes.index_page_faults, probes.page_faults);
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! Point reads have one body, [`HeapFile::read_batch`]; a lone
 //! [`HeapFile::read`] is a batch of one. A batch takes each partition's
 //! store lock once and reads each run of k records on one page under one
-//! pin, touching the frame k ticks at once
-//! ([`BufferPool::with_page_run`]): eviction ranks come out as k separate
-//! reads would leave them, at a pin per page instead of per record.
+//! pin ([`BufferPool::with_page`]), as index postings are. The pin is one
+//! LRU-K reference: a run is one correlated reference period, so a page a
+//! batch reads once stays a one-access page and is evicted before pages
+//! re-referenced across batches.
 
 use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYTES};
 use crate::partitioner::{Partitioner, Partitioning};
@@ -428,11 +429,11 @@ impl HeapFile {
     ///
     /// Each partition's store lock is taken once, for all of its reads;
     /// under it each read becomes a `(page, slot in page)`, and each run of
-    /// reads on one page is served under one pin
-    /// ([`BufferPool::with_page_run`]), as index postings are. One page is
-    /// pinned at a time. A read fails alone: an address with no record is
-    /// its own `DanglingPointer`, and its page-mates still read. A page run
-    /// faults at most its one page.
+    /// reads on one page is served under one pin, which is one LRU-K
+    /// reference however long the run ([`BufferPool::with_page`]), as index
+    /// postings are. One page is pinned at a time. A read fails alone: an
+    /// address with no record is its own `DanglingPointer`, and its
+    /// page-mates still read. A page run faults at most its one page.
     pub fn read_batch(&self, reads: &[(usize, &PointerKey)]) -> (Vec<Result<Record>>, PageStats) {
         /// One read, located: `page` and `in_page` are set once its
         /// partition's store has resolved it.
@@ -493,7 +494,7 @@ impl HeapFile {
             located.sort_unstable_by_key(|l| (l.page, l.in_page, l.read));
             for run in located.chunk_by(|a, b| a.page == b.page) {
                 let id = self.page_id(partition, run[0].page);
-                let read = self.pool.with_page_run(&id, run.len() as u64, |pg| {
+                let read = self.pool.with_page(&id, |pg| {
                     for l in run {
                         out[l.read] = Some(pg.record(l.in_page).ok_or_else(|| {
                             RedeError::Corrupt(format!(
@@ -938,7 +939,7 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_pins_a_page_once_and_touches_it_once_per_record() {
+    fn a_batch_pins_a_page_once_and_references_it_once() {
         let load = || {
             let pool = BufferPool::unbounded();
             let f =
@@ -983,14 +984,74 @@ mod tests {
         }
         let batched = pool.history(&f.page_id(0, 0)).unwrap();
 
-        // The same eight reads one at a time leave the same LRU-K history.
+        // The run is one correlated reference: it leaves the LRU-K history
+        // of one scalar read, not of eight.
         let (pool, f) = load();
+        let before = pool.history(&f.page_id(0, 0)).unwrap();
         let pins = BufferPool::thread_pins();
-        for key in keys.iter().filter(|k| f.slot_of(0, k).is_some()) {
-            f.read(0, key).unwrap();
+        f.read(0, &keys[0]).unwrap();
+        assert_eq!(BufferPool::thread_pins() - pins, 1);
+        let scalar = pool.history(&f.page_id(0, 0)).unwrap();
+        assert_eq!(batched, scalar);
+        assert_eq!(scalar, (before.0 + 1, before.0), "one tick past the load");
+    }
+
+    #[test]
+    fn once_read_heap_pages_are_evicted_before_reprobed_postings() {
+        use crate::btree_file::{BtreeFile, IndexEntry, IndexSpec};
+        const PAGE: usize = 1024;
+        // Room for about four heap pages beside the one postings page.
+        let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(4 * PAGE + 512)));
+        let heap = HeapFile::with_pool("h", Partitioning::hash(1), pool.clone(), PAGE).unwrap();
+        for i in 0..200i64 {
+            let text = format!("r{i}-{}", "x".repeat(80));
+            heap.insert(&Value::Int(0), Value::Int(i), Record::from_text(&text))
+                .unwrap();
         }
-        assert_eq!(BufferPool::thread_pins() - pins, 8);
-        assert_eq!(batched, pool.history(&f.page_id(0, 0)).unwrap());
+        let ix =
+            BtreeFile::with_pool(&IndexSpec::global("ix", "h", 1), pool.clone(), PAGE).unwrap();
+        let entry = IndexEntry::new(Value::Int(0), Value::Int(0)).to_record();
+        ix.insert(Value::Int(0), entry).unwrap();
+        // Every heap page's keys, in page order.
+        let pages: Vec<Vec<PointerKey>> = {
+            let store = heap.partitions[0].read();
+            let mut pages = vec![Vec::new(); store.page_first_slot.len()];
+            for slot in 0..store.len {
+                pages[store.locate(slot).0 as usize].push(PointerKey::Physical(slot));
+            }
+            pages
+        };
+        assert!(pages.len() >= 12 && pages[..8].iter().all(|keys| keys.len() >= 8));
+        let batch = |keys: &[PointerKey]| {
+            let reads: Vec<(usize, &PointerKey)> = keys.iter().map(|k| (0, k)).collect();
+            let (records, _) = heap.read_batch(&reads);
+            assert!(records.iter().all(|r| r.is_ok()));
+        };
+
+        // The postings page is referenced at two separate times.
+        ix.probe(0, &Value::Int(0)).unwrap();
+        batch(&pages[7]);
+        ix.probe(0, &Value::Int(0)).unwrap();
+        // Then a batch reads each of six heap pages once, eight records
+        // apiece: more pages than the pool holds.
+        let evictions = pool.stats().evictions;
+        let once: Vec<PointerKey> = pages[..6].iter().flat_map(|p| p[..8].to_vec()).collect();
+        batch(&once);
+        assert!(pool.stats().evictions > evictions, "the batch must evict");
+
+        // The once-read pages went first, oldest first; the postings page
+        // stayed, and its next probe does not fault.
+        let resident: Vec<bool> = (0..6)
+            .map(|n| pool.history(&heap.page_id(0, n)).is_some())
+            .collect();
+        assert!(!resident[0], "the first once-read page was evicted");
+        assert!(
+            resident.is_sorted(),
+            "evicted out of read order: {resident:?}"
+        );
+        assert_eq!(ix.resident_bytes(), ix.total_bytes(), "postings evicted");
+        let (hits, stats) = ix.probe(0, &Value::Int(0)).unwrap();
+        assert_eq!((hits.len(), stats.faults), (1, 0));
     }
 
     #[test]

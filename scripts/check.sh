@@ -62,6 +62,12 @@ cargo test --release -q -p rede-core --test cursor_prop
 cargo test --release -q -p rede-core --test htap_equivalence --test wal_recovery
 cargo test --release -q --test scheduler_stress
 
+# The pool's touch and pin protocols are lock-free on the hit path, and
+# release builds interleave their atomics differently from debug.
+echo "==> release buffer-pool race tests: buffer:: unit tests, buffer_concurrency"
+cargo test --release -q -p rede-storage --lib buffer::
+cargo test --release -q -p rede-storage --test buffer_concurrency
+
 # The benchmark is its own package compiled against these crates' public
 # API: build it and run its whole suite here — the contract tests and the
 # unit tests in benchmark/src (workload stratification, stats, span
