@@ -12,14 +12,14 @@
 //!   cluster recovered from the WAL image of the pinned cut;
 //! * **Q5' stability** — the TPC-H tables are not written, so Q5' returns
 //!   the same rows in every round;
-//! * **catch-up coalescing** — committed writes request one catch-up per
-//!   commit, but the registry runs strictly fewer passes than requests
-//!   (concurrent commits coalesce; never duplicate builds per structure);
+//! * **write-through postings** — every commit posts its new claims into
+//!   the patient index itself; each streamed claim is a new key with one
+//!   patient, so the index grows by exactly one entry per ingested row;
 //! * **clean shutdown** — every job's snapshot guard is released.
 //!
 //! The measured points land in the `htap_ingest` section of
 //! `BENCH_smpe.json`; CI regenerates the section and checks the
-//! coalescing and equivalence witnesses from the committed file.
+//! posting and equivalence witnesses from the committed file.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rede_claims::analytics::{build_patient_index, names::CLAIMS_BY_PATIENT, PatientIdInterpreter};
@@ -112,9 +112,7 @@ struct HtapPoint {
     wal_appends: u64,
     wal_bytes: u64,
     wal_fsyncs: u64,
-    catchup_requests: u64,
-    catchup_passes: u64,
-    catchup_coalesced: u64,
+    entries_posted: u64,
 }
 
 fn measure() -> HtapPoint {
@@ -182,8 +180,8 @@ fn measure() -> HtapPoint {
 
     let sched = HarborScheduler::with_defaults(cluster.clone());
     sched.attach_ingest(&mgr);
-    let builds_before = sched.stats().builds_started;
-    let coalesced_before = sched.stats().builds_coalesced;
+    let index_len = || cluster.index(CLAIMS_BY_PATIENT).unwrap().len() as u64;
+    let entries_before = index_len();
     let io_before = cluster.metrics().snapshot();
     let fsyncs_before = mgr.wal().fsyncs();
 
@@ -234,19 +232,16 @@ fn measure() -> HtapPoint {
     assert_eq!(cluster.metrics().snapshots_active(), 0, "leaked a guard");
 
     let io = cluster.metrics().snapshot().since(&io_before);
-    let stats = sched.stats();
-    let catchup_requests = commits.load(Ordering::Relaxed);
-    let catchup_passes = stats.builds_started - builds_before;
-    let catchup_coalesced = stats.builds_coalesced - coalesced_before;
-    assert!(catchup_passes >= 1, "write-behind maintenance never ran");
-    assert!(
-        catchup_passes + catchup_coalesced <= catchup_requests,
-        "more passes than commits: {catchup_passes} + {catchup_coalesced} > {catchup_requests}"
+    let rows_ingested = rows.load(Ordering::Relaxed);
+    let entries_posted = index_len() - entries_before;
+    assert_eq!(
+        entries_posted, rows_ingested,
+        "the commits did not post one entry per ingested claim"
     );
 
     HtapPoint {
-        rows_ingested: rows.load(Ordering::Relaxed),
-        commits: catchup_requests,
+        rows_ingested,
+        commits: commits.load(Ordering::Relaxed),
         ingest_wall,
         analytics_wall,
         equivalent_rounds,
@@ -254,9 +249,7 @@ fn measure() -> HtapPoint {
         wal_appends: io.wal_appends,
         wal_bytes: io.wal_bytes,
         wal_fsyncs: mgr.wal().fsyncs() - fsyncs_before,
-        catchup_requests,
-        catchup_passes,
-        catchup_coalesced,
+        entries_posted,
     }
 }
 
@@ -277,9 +270,7 @@ fn write_baseline(p: &HtapPoint) {
             "    \"wal_appends\": {},\n",
             "    \"wal_bytes\": {},\n",
             "    \"wal_fsyncs\": {},\n",
-            "    \"catchup_requests\": {},\n",
-            "    \"catchup_passes\": {},\n",
-            "    \"catchup_coalesced\": {}\n",
+            "    \"entries_posted\": {}\n",
             "  }}"
         ),
         SAMPLE_PATIENTS,
@@ -296,9 +287,7 @@ fn write_baseline(p: &HtapPoint) {
         p.wal_appends,
         p.wal_bytes,
         p.wal_fsyncs,
-        p.catchup_requests,
-        p.catchup_passes,
-        p.catchup_coalesced,
+        p.entries_posted,
     );
     rede_bench::write_baseline_section("htap_ingest", &body);
 }
@@ -307,7 +296,7 @@ fn bench_htap(c: &mut Criterion) {
     let point = measure();
     eprintln!(
         "[htap] ingested {} rows in {} commits ({:.0} rows/s), analytics {:?} across {} rounds, \
-         {} WAL appends / {} B / {} fsyncs, catch-up {}/{} passes ({} coalesced)",
+         {} WAL appends / {} B / {} fsyncs, {} index entries posted",
         point.rows_ingested,
         point.commits,
         point.rows_ingested as f64 / point.ingest_wall.as_secs_f64().max(1e-9),
@@ -316,15 +305,13 @@ fn bench_htap(c: &mut Criterion) {
         point.wal_appends,
         point.wal_bytes,
         point.wal_fsyncs,
-        point.catchup_passes,
-        point.catchup_requests,
-        point.catchup_coalesced,
+        point.entries_posted,
     );
     write_baseline(&point);
 
     // Timed region: one ingest commit against the versioned claims heap
-    // (WAL append + group-commit fsync + versioned apply + catch-up
-    // enqueue) — the write path's steady-state unit of work.
+    // (WAL append + group-commit fsync + versioned apply) — the write
+    // path's steady-state unit of work.
     let cluster = SimCluster::builder()
         .nodes(NODES)
         .io_model(htap_io())

@@ -232,9 +232,6 @@ counter_table! {
     wal_bytes: Count,
     /// MVCC snapshot handles alive (0 whenever no reader holds a cut).
     snapshots_active: Gauge,
-    /// Write-behind index catch-up passes that applied pending base-file
-    /// writes (no-op freshness checks don't count).
-    catchup_builds: Count,
     /// Gate sessions open (0 whenever no client is connected).
     sessions_active: Gauge,
     /// Gate cursors open (0 whenever no result is mid-stream).
@@ -602,11 +599,11 @@ impl fmt::Display for MetricsSnapshot {
         }
         // Ingest counters render only when a write path ran, so read-only
         // runs keep their exact prior form.
-        if self.wal_appends + self.snapshots_active + self.catchup_builds > 0 {
+        if self.wal_appends + self.snapshots_active > 0 {
             write!(
                 f,
-                ", ingest: {} wal appends ({} B), {} snapshots active, {} catch-up builds",
-                self.wal_appends, self.wal_bytes, self.snapshots_active, self.catchup_builds,
+                ", ingest: {} wal appends ({} B), {} snapshots active",
+                self.wal_appends, self.wal_bytes, self.snapshots_active,
             )?;
         }
         // Gate counters render only when a front door served commands, so
@@ -896,7 +893,8 @@ mod tests {
     }
 
     /// The rendered text, captured from the commit before the table
-    /// existed (the memory group has since gained its index faults): an
+    /// existed (the memory group has since gained its index faults, and
+    /// the ingest group lost its catch-up passes): an
     /// all-zero snapshot renders no optional group, and a snapshot with
     /// every field distinct renders every group.
     #[test]
@@ -911,7 +909,7 @@ mod tests {
             bump(&m, row, i as u64 + 1);
         }
         let s = m.snapshot();
-        assert_eq!((s.local_point_reads, s.shed_commands), (1, 35));
+        assert_eq!((s.local_point_reads, s.shed_commands), (1, 34));
         assert_eq!(
             s.to_string(),
             "point reads: 1 local / 2 remote, scanned: 3, index lookups: 4 (5 entries), \
@@ -920,8 +918,8 @@ mod tests {
              batching: 17 reads in 18 batches (19 rtts), \
              fabric: 20 completions / 21 window stalls (peak 23 in flight), \
              memory: 24 page faults (25 index) / 26 evictions (pinned peak 27 B), \
-             ingest: 28 wal appends (29 B), 30 snapshots active, 31 catch-up builds, \
-             gate: 32 sessions / 33 cursors active, 34 cursor stalls, 35 shed"
+             ingest: 28 wal appends (29 B), 30 snapshots active, \
+             gate: 31 sessions / 32 cursors active, 33 cursor stalls, 34 shed"
         );
     }
 

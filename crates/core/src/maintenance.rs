@@ -10,8 +10,13 @@
 //! extracting the indexed attribute (possibly multi-valued for nested
 //! schemas), one extracting the base record's partition key — and folds the
 //! resulting `(index key, pointer)` pairs into a [`BtreeFile`]. A record
-//! becomes postings in one place, `Postings::insert`, which write-behind
-//! catch-up (`txn.rs`) calls too. A build runs on its caller's thread:
+//! becomes postings in one place, `Postings`, in two halves: `interpret`
+//! runs the interpreters and may fail, `Posting::insert` writes the
+//! entries. A build calls one right after the other; a commit
+//! (`txn.rs`) interprets every write before it logs anything, and
+//! inserts the postings of each key's first version as it applies the
+//! write, so an index under ingest is current at every published cut.
+//! A build runs on its caller's thread:
 //! loaders call [`IndexBuilder::build`], background builds go through
 //! `HarborScheduler::ensure_index`. A query arriving before the build
 //! finishes simply does not find the index in the catalog and falls back to
@@ -48,7 +53,7 @@ pub struct IndexBuildReport {
 }
 
 /// How a base record becomes index postings: the pair of interpreters a
-/// build scans with and write-behind catch-up replays with.
+/// build scans with and a commit posts its writes with.
 pub(crate) struct Postings {
     /// Extracts the indexed attribute's value(s) from a raw base record.
     pub(crate) index_key: Arc<dyn Interpreter>,
@@ -58,18 +63,17 @@ pub(crate) struct Postings {
     pub(crate) partition_key: Option<Arc<dyn Interpreter>>,
 }
 
+/// One base record's postings, interpreted but not yet inserted: the
+/// entry pointing back at the record, under each of its index keys.
+pub(crate) struct Posting {
+    entry: Record,
+    index_keys: Vec<Value>,
+}
+
 impl Postings {
-    /// Post `record` (key `record_key`, stored in base partition
-    /// `base_partition`) into `index`: one entry per index key, each
-    /// pointing back at the record. Returns the entries inserted. A
+    /// Interpret `record` (key `record_key`) into its postings. A
     /// partition-key interpreter must yield exactly one value.
-    pub(crate) fn insert(
-        &self,
-        index: &IndexHandle,
-        base_partition: usize,
-        record_key: &Value,
-        record: &Record,
-    ) -> Result<u64> {
+    pub(crate) fn interpret(&self, record_key: &Value, record: &Record) -> Result<Posting> {
         let partition_key = match &self.partition_key {
             Some(interp) => match <[Value; 1]>::try_from(interp.extract(record)?) {
                 Ok([key]) => key,
@@ -82,20 +86,30 @@ impl Postings {
             },
             None => record_key.clone(),
         };
+        Ok(Posting {
+            index_keys: self.index_key.extract(record)?,
+            entry: IndexEntry::new(partition_key, record_key.clone()).to_record(),
+        })
+    }
+}
+
+impl Posting {
+    /// Insert these postings of a record stored in base partition
+    /// `base_partition` into `index`: one entry per index key. Returns
+    /// the entries inserted.
+    pub(crate) fn insert(self, index: &IndexHandle, base_partition: usize) -> Result<u64> {
         let is_local = matches!(index.raw().locality(), IndexLocality::Local);
-        let mut inserted = 0;
-        for ik in self.index_key.extract(record)? {
-            let entry = IndexEntry::new(partition_key.clone(), record_key.clone()).to_record();
+        let inserted = self.index_keys.len() as u64;
+        for ik in self.index_keys {
             if is_local {
                 // Hinted insert: the poster *knows* which partition each
                 // key lands in, so record a placement hint alongside the
                 // entry. Hints make pointers into this local index
                 // owner-routable (see `SimCluster::partition_of_pointer`).
-                index.insert_at_hinted(base_partition, ik, entry)?;
+                index.insert_at_hinted(base_partition, ik, self.entry.clone())?;
             } else {
-                index.insert(ik, entry)?;
+                index.insert(ik, self.entry.clone())?;
             }
-            inserted += 1;
         }
         Ok(inserted)
     }
@@ -175,7 +189,8 @@ impl IndexBuilder {
                     return;
                 }
                 scanned += 1;
-                match self.postings.insert(&index, p, key, record) {
+                let posted = self.postings.interpret(key, record);
+                match posted.and_then(|posting| posting.insert(&index, p)) {
                     Ok(n) => entries += n,
                     Err(e) => failure = Some(e),
                 }

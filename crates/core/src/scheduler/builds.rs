@@ -8,11 +8,12 @@
 //! starts a supervised build thread, every duplicate request coalesces
 //! onto the same [`BuildState`] and blocks (or polls) until the one build
 //! finishes. A failed build deregisters its partially built index and
-//! leaves the registry, so a later request can retry from scratch.
+//! leaves the registry, so a later request can retry from scratch. The
+//! registry joins the threads that have finished each time it starts
+//! one, so it holds only running ones.
 //!
-//! Write-behind index catch-up passes run through the same supervised
-//! spawn, keyed apart from builds. The registry joins the threads that
-//! have finished each time it starts one, so it holds only running ones.
+//! Builds are all the registry runs: under ingest, the commit that
+//! writes a row posts its index entries (`crate::txn`).
 
 use crate::maintenance::{IndexBuildReport, IndexBuilder};
 use parking_lot::{Condvar, Mutex};
@@ -166,96 +167,53 @@ impl BuildRegistry {
     /// 3. neither → this request starts the one build. If it fails, its
     ///    partial index is dropped, so queries keep their scan path and a
     ///    retry registers the index afresh.
+    ///
+    /// The build runs on a thread named `rede-ixbuild:{index}`. A panic
+    /// becomes `RedeError::Exec` with its message. The build leaves the
+    /// registry BEFORE fulfilling, so a request arriving then starts
+    /// afresh instead of inheriting a stale result.
     pub(crate) fn ensure(self: &Arc<Self>, builder: IndexBuilder) -> StructureTicket {
         let name = builder.spec().name.clone();
         let cluster = builder.cluster().clone();
+        let state = {
+            let mut inflight = self.inflight.lock();
+            if let Some(existing) = inflight.get(&name) {
+                self.coalesced.fetch_add(1, Ordering::SeqCst);
+                return StructureTicket::pending(existing.clone());
+            }
+            if cluster.index(&name).is_ok() {
+                return StructureTicket::ready(Ok(EnsureOutcome::AlreadyPresent));
+            }
+            let state = Arc::new(BuildState::new());
+            inflight.insert(name.clone(), state.clone());
+            self.started.fetch_add(1, Ordering::SeqCst);
+            state
+        };
         // Attribute the build's scan + insert I/O to its own scope so it
         // shows up in accounting like any other scheduled job would.
         let scope = Arc::new(IoScope::new(
             self.next_scope.fetch_add(1, Ordering::Relaxed),
         ));
         let builder = builder.with_io_scope(scope);
-        let (undo_cluster, undo_name) = (cluster.clone(), name.clone());
-        self.supervise(
-            format!("ixbuild:{name}"),
-            || cluster.index(&name).is_ok(),
-            move || builder.build().map(EnsureOutcome::Built),
-            move || drop(undo_cluster.drop_index(&undo_name)),
-        )
-    }
-
-    /// Write-behind coalescing for index catch-up, keyed
-    /// `"catchup:{index}"` so catch-up passes and full builds of the same
-    /// structure never collide: if a catch-up of `index` is already in
-    /// flight the request coalesces onto it and `task` is dropped — N
-    /// commits landing while one pass runs trigger at most one follow-up
-    /// pass, never N.
-    ///
-    /// `task` is the whole pass (typically `IndexCatchUp::ensure_fresh`,
-    /// which re-reads the event horizon itself, so a coalesced-away
-    /// request's events are still applied by whichever pass runs next).
-    pub(crate) fn ensure_catchup(
-        self: &Arc<Self>,
-        index: &str,
-        task: impl FnOnce() + Send + 'static,
-    ) {
-        self.supervise(
-            format!("catchup:{index}"),
-            || false,
-            move || {
-                task();
-                Ok(EnsureOutcome::AlreadyPresent)
-            },
-            || {},
-        );
-    }
-
-    /// The one supervised spawn. Under the registry lock: a run of `key`
-    /// in flight → coalesce onto it; `present()` → ready, no work; else
-    /// register `key` and run `work` on a thread named `rede-{key}`. A
-    /// panic becomes `RedeError::Exec` with its message; a failure runs
-    /// `undo`. The run leaves the registry BEFORE fulfilling, so a request
-    /// arriving then starts afresh instead of inheriting a stale result.
-    /// Finished threads are joined before the new handle is stored.
-    fn supervise(
-        self: &Arc<Self>,
-        key: String,
-        present: impl FnOnce() -> bool,
-        work: impl FnOnce() -> Result<EnsureOutcome> + Send + 'static,
-        undo: impl FnOnce() + Send + 'static,
-    ) -> StructureTicket {
-        let state = {
-            let mut inflight = self.inflight.lock();
-            if let Some(existing) = inflight.get(&key) {
-                self.coalesced.fetch_add(1, Ordering::SeqCst);
-                return StructureTicket::pending(existing.clone());
-            }
-            if present() {
-                return StructureTicket::ready(Ok(EnsureOutcome::AlreadyPresent));
-            }
-            let state = Arc::new(BuildState::new());
-            inflight.insert(key.clone(), state.clone());
-            self.started.fetch_add(1, Ordering::SeqCst);
-            state
-        };
         let registry = self.clone();
         let thread_state = state.clone();
         let handle = std::thread::Builder::new()
-            .name(format!("rede-{key}"))
+            .name(format!("rede-ixbuild:{name}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+                let build = || builder.build().map(EnsureOutcome::Built);
+                let result = catch_unwind(AssertUnwindSafe(build)).unwrap_or_else(|payload| {
                     Err(RedeError::Exec(format!(
-                        "{key} panicked: {}",
+                        "ixbuild:{name} panicked: {}",
                         crate::exec::smpe::panic_message(payload.as_ref())
                     )))
                 });
                 if result.is_err() {
-                    undo();
+                    let _ = cluster.drop_index(&name);
                 }
-                registry.inflight.lock().remove(&key);
+                registry.inflight.lock().remove(&name);
                 thread_state.fulfill(result);
             })
-            .expect("spawn supervised structure maintenance");
+            .expect("spawn supervised index build");
         let mut threads = self.threads.lock();
         join_finished(&mut threads);
         threads.push(handle);

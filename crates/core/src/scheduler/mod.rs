@@ -228,9 +228,11 @@ pub struct SchedulerStats {
     pub active_jobs: usize,
     /// Jobs finished (completed, failed, or cancelled) since creation.
     pub completed_jobs: u64,
-    /// Coordinated index builds actually started.
+    /// Coordinated index builds actually started (`ensure_index`
+    /// requests that found neither the index nor a build of it). Builds
+    /// are all it counts: commits maintain indexes without the registry.
     pub builds_started: u64,
-    /// Index requests that coalesced onto an in-flight build.
+    /// `ensure_index` requests that coalesced onto an in-flight build.
     pub builds_coalesced: u64,
     /// Current stage-queue depth per node.
     pub queue_depths: Vec<u64>,
@@ -440,14 +442,11 @@ impl HarborScheduler {
         self.core.builds.ensure(builder)
     }
 
-    /// Attach an online write path. From this call on, (1) every job
-    /// submission pins the committed cut at submit time — analytics read
-    /// one consistent snapshot while ingest keeps appending — and (2)
-    /// committed writes enqueue write-behind index catch-up through this
-    /// scheduler's build registry, coalesced so concurrent commits
-    /// trigger at most one catch-up pass per structure.
+    /// Attach an online write path. From this call on every job
+    /// submission pins the committed cut at submit time, so analytics
+    /// read one consistent snapshot while ingest keeps appending. The
+    /// manager's commits keep its indexes current themselves.
     pub fn attach_ingest(&self, manager: &Arc<crate::txn::TxnManager>) {
-        manager.attach_registry(self.core.builds.clone());
         *self.core.txn.lock() = Some(manager.clone());
     }
 
@@ -1118,63 +1117,68 @@ mod tests {
         assert_eq!(result.count, 11);
     }
 
+    /// A finished build's thread is joined when the next one starts, not
+    /// held until the scheduler drops: a long-lived scheduler must not
+    /// keep one dead thread per build behind.
     #[test]
-    fn catchup_requests_coalesce_to_one_pass_per_structure() {
-        let sched = HarborScheduler::with_defaults(cluster(0, IoModel::zero()));
+    fn finished_build_threads_are_joined() {
+        let c = cluster(20, IoModel::zero());
+        let sched = HarborScheduler::with_defaults(c.clone());
         let registry = sched.core.builds.clone();
-        let started_before = registry.started();
-        // Gate the first pass open so the four requests behind it have a
-        // deterministic in-flight pass to coalesce onto.
-        let gate = Arc::new(Barrier::new(2));
-        let ran = Arc::new(AtomicU64::new(0));
-        {
-            let (gate, ran) = (gate.clone(), ran.clone());
-            registry.ensure_catchup("ix", move || {
-                gate.wait();
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        for _ in 0..4 {
-            let ran = ran.clone();
-            registry.ensure_catchup("ix", move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // A different structure is not coalesced with "ix".
-        {
-            let ran = ran.clone();
-            registry.ensure_catchup("other", move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        gate.wait();
-        registry.join_all();
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "one pass per structure");
-        assert_eq!(registry.started() - started_before, 2);
-        assert_eq!(registry.coalesced(), 4);
-    }
-
-    /// A finished pass's thread is joined when the next one starts, not
-    /// held until the scheduler drops: one pass per commit must not leave
-    /// one dead thread per commit behind.
-    #[test]
-    fn finished_catchup_threads_are_joined() {
-        let sched = HarborScheduler::with_defaults(cluster(0, IoModel::zero()));
-        let registry = sched.core.builds.clone();
-        let (tx, rx) = std::sync::mpsc::channel();
-        for _ in 0..50 {
-            let tx = tx.clone();
-            registry.ensure_catchup("ix", move || tx.send(()).unwrap());
-            rx.recv().unwrap();
-            // Waited out: the pass's thread has exited too.
+        for i in 0..50 {
+            let builder = IndexBuilder::new(
+                c.clone(),
+                IndexSpec::global(format!("base.w{i}"), "base", 2),
+                Arc::new(DelimitedInterpreter::pipe(2, FieldType::Int)),
+            );
+            let outcome = sched.ensure_index(builder).wait().unwrap();
+            assert!(matches!(outcome, EnsureOutcome::Built(_)), "{outcome:?}");
+            // Waited out: the build's thread has exited too.
             let deadline = Instant::now() + Duration::from_secs(10);
             while !registry.held_finished().iter().all(|&finished| finished) {
-                assert!(Instant::now() < deadline, "a finished pass never exited");
+                assert!(Instant::now() < deadline, "a finished build never exited");
                 std::thread::yield_now();
             }
         }
+        assert_eq!(sched.stats().builds_started, 50);
         let held = registry.held_finished().len();
-        assert!(held <= 1, "{held} thread handles held after 50 passes");
+        assert!(held <= 1, "{held} thread handles held after 50 builds");
+    }
+
+    /// A commit posts its own index entries: with ingest attached and an
+    /// index maintained, commits start no build and no thread.
+    #[test]
+    fn commits_start_no_build() {
+        let c = SimCluster::builder().nodes(2).build().unwrap();
+        let mgr = crate::txn::TxnManager::new(c.clone());
+        let mut s = mgr.begin();
+        s.create_file("base", Partitioning::hash(4));
+        s.commit().unwrap();
+        let weight = || Arc::new(DelimitedInterpreter::pipe(2, FieldType::Int));
+        let sched = HarborScheduler::with_defaults(c.clone());
+        let builder = IndexBuilder::new(
+            c.clone(),
+            IndexSpec::global("base.weight", "base", 4),
+            weight(),
+        );
+        sched.ensure_index(builder).wait().unwrap();
+        mgr.maintain_index("base.weight", weight(), None).unwrap();
+        sched.attach_ingest(&mgr);
+
+        let before = sched.stats();
+        for i in 0..200i64 {
+            let mut s = mgr.begin();
+            s.write(
+                "base",
+                Value::Int(i),
+                Record::from_text(&format!("{i}|0|{}", i * 2)),
+            );
+            s.commit().unwrap();
+        }
+        let after = sched.stats();
+        assert_eq!(after.builds_started, before.builds_started);
+        assert_eq!(after.builds_coalesced, before.builds_coalesced);
+        assert_eq!(c.index("base.weight").unwrap().len(), 200);
     }
 
     /// Resolves its point input, but only after the test releases the

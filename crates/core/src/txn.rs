@@ -7,21 +7,26 @@
 //!
 //! * [`TxnManager`] owns the write path for one cluster: a
 //!   [`WriteAheadLog`] (durability), a monotonic commit clock (ordering),
-//!   and the registry of write-behind index maintainers (freshness).
+//!   and the indexes every commit posts into (freshness).
 //! * [`IngestSession`] buffers one transaction's operations and commits
-//!   them atomically: WAL frames first, then versioned heap application,
-//!   then the clock advance that makes the transaction visible. Durability
-//!   is a group-committed fsync *after* the commit lock is released, so
-//!   concurrent committers share one [`IoModel::wal_fsync`] sleep.
+//!   them atomically: interpretation of every write for every maintained
+//!   index first, then WAL frames, then versioned heap application with
+//!   each new key's index postings, then the clock advance that makes the
+//!   transaction visible. Durability is a group-committed fsync *after*
+//!   the commit lock is released, so concurrent committers share one
+//!   [`IoModel::wal_fsync`] sleep.
 //! * [`Snapshot`] pins a commit timestamp. A reader holding a snapshot —
 //!   every SMPE job gets one at submit when ingest is attached — sees the
 //!   newest version committed at or before its cut and nothing younger,
 //!   however long it runs and however many transactions land meanwhile.
-//! * `IndexCatchUp` implements [`rede_storage::IndexMaintainer`]:
-//!   committed writes enqueue per-index catch-up (coalesced through the
-//!   scheduler's `BuildRegistry`, so N commits in flight trigger at most
-//!   one catch-up pass per structure), and a stale index transparently
-//!   tops itself up before serving any probe.
+//!
+//! Index maintenance is write-through: a commit posts the entries of
+//! each key it writes first through the build's own routine
+//! ([`crate::maintenance`]), before it publishes its timestamp. An index
+//! is therefore current at every published cut, probes never check for
+//! freshness, and no thread runs on a commit's behalf. Postings address
+//! keys, not versions, so an overwrite posts nothing and the snapshot
+//! filter on the probe side picks the visible version.
 //!
 //! Visibility rule, enforced in `SimCluster::resolve`/`resolve_batch` and
 //! the scan/index paths: a version with commit timestamp `t` is visible
@@ -36,14 +41,11 @@
 //! [`IoModel::wal_fsync`]: rede_storage::IoModel
 
 use crate::maintenance::Postings;
-use crate::scheduler::builds::BuildRegistry;
 use crate::traits::Interpreter;
 use parking_lot::Mutex;
 use rede_common::{Counter, Metrics, RedeError, Result, Value};
-use rede_storage::{
-    FileSpec, IndexMaintainer, Partitioning, Record, SimCluster, WalOp, WeakCluster, WriteAheadLog,
-};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use rede_storage::{FileSpec, IndexHandle, Partitioning, Record, SimCluster, WalOp, WriteAheadLog};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A pinned commit timestamp. Reads issued through a cluster handle
@@ -69,22 +71,33 @@ impl Drop for Snapshot {
     }
 }
 
-/// The write path of one cluster: WAL + commit clock + write-behind index
-/// maintenance. Cheap to share via `Arc`; all methods take `&self`.
+/// An index every commit posts into, with the routine that posts.
+struct MaintainedIndex {
+    index: IndexHandle,
+    postings: Postings,
+}
+
+impl MaintainedIndex {
+    fn covers(&self, file: &str) -> bool {
+        **self.index.base() == *file
+    }
+}
+
+/// The write path of one cluster: WAL + commit clock + write-through
+/// index maintenance. Cheap to share via `Arc`; all methods take `&self`.
 pub struct TxnManager {
     cluster: SimCluster,
     wal: Arc<WriteAheadLog>,
     /// Timestamp of the newest committed transaction. Advanced *after*
-    /// the transaction's writes are fully applied, so a snapshot pinned
-    /// at the current clock never observes a half-applied transaction.
+    /// the transaction's writes and postings are fully applied, so a
+    /// snapshot pinned at the current clock never observes a half-applied
+    /// transaction.
     clock: AtomicU64,
-    /// Serializes committers: one transaction stamps, logs, and applies
-    /// at a time. The group-commit fsync happens outside this lock.
-    commit_lock: Mutex<()>,
-    maintained: Mutex<Vec<Arc<IndexCatchUp>>>,
-    /// Write-behind coalescing registry, attached by the scheduler. Until
-    /// attached, catch-up happens lazily at the next probe instead.
-    registry: Mutex<Option<Arc<BuildRegistry>>>,
+    /// Serializes committers: one transaction stamps, logs, applies and
+    /// posts at a time. It guards the indexes commits post into, so an
+    /// index registers between two commits, never inside one. The
+    /// group-commit fsync happens outside this lock.
+    commit_lock: Mutex<Vec<MaintainedIndex>>,
 }
 
 impl TxnManager {
@@ -97,9 +110,7 @@ impl TxnManager {
             cluster,
             wal: Arc::new(WriteAheadLog::new(fsync)),
             clock: AtomicU64::new(clock),
-            commit_lock: Mutex::new(()),
-            maintained: Mutex::new(Vec::new()),
-            registry: Mutex::new(None),
+            commit_lock: Mutex::new(Vec::new()),
         })
     }
 
@@ -117,9 +128,7 @@ impl TxnManager {
             cluster,
             wal: Arc::new(wal),
             clock: AtomicU64::new(clock),
-            commit_lock: Mutex::new(()),
-            maintained: Mutex::new(Vec::new()),
-            registry: Mutex::new(None),
+            commit_lock: Mutex::new(Vec::new()),
         }))
     }
 
@@ -159,62 +168,31 @@ impl TxnManager {
         }
     }
 
-    /// Register write-behind maintenance for an existing index: committed
-    /// base-file writes enqueue a coalesced catch-up pass, and any probe
-    /// that arrives before the pass lands tops the index up synchronously
-    /// first. Must be called while the index is in sync with its base
-    /// (typically right after it was built); the maintainer then covers
-    /// every write event from that point on.
+    /// Keep an existing index current under ingest: every later commit
+    /// posts the entries of each key it writes first to the index's base
+    /// file. Must be called while the index is in sync with its base
+    /// (typically right after it was built). Registration takes the
+    /// commit lock, so it falls between two commits.
     ///
     /// `index_key` extracts the indexed key(s) from a base record;
     /// `partition_key` extracts the entry's partition key (the record key
     /// itself when `None`) — the same contract as
     /// [`crate::maintenance::IndexBuilder`].
     pub fn maintain_index(
-        self: &Arc<Self>,
+        &self,
         index: &str,
         index_key: Arc<dyn Interpreter>,
         partition_key: Option<Arc<dyn Interpreter>>,
     ) -> Result<()> {
-        let handle = self.cluster.index(index)?;
-        let base = handle.raw().base().to_string();
-        let horizon = self.cluster.file(&base)?.raw().events_len();
-        let catchup = Arc::new(IndexCatchUp {
-            cluster: self.cluster.downgrade(),
-            index: index.to_string(),
-            base,
+        let index = self.cluster.index(index)?;
+        self.commit_lock.lock().push(MaintainedIndex {
+            index,
             postings: Postings {
                 index_key,
                 partition_key,
             },
-            applied: AtomicUsize::new(horizon),
-            pass_lock: Mutex::new(()),
         });
-        handle.raw().set_maintainer(catchup.clone());
-        self.maintained.lock().push(catchup);
         Ok(())
-    }
-
-    /// Attach the scheduler's build registry so committed writes enqueue
-    /// background catch-up instead of leaving all maintenance to the
-    /// next probe.
-    pub(crate) fn attach_registry(&self, registry: Arc<BuildRegistry>) {
-        *self.registry.lock() = Some(registry);
-    }
-
-    /// Write-behind: after a commit, enqueue one coalesced catch-up pass
-    /// per maintained index. Errors are dropped — the next probe's
-    /// synchronous top-up retries and surfaces them.
-    fn enqueue_catchup(&self) {
-        let registry = self.registry.lock().clone();
-        let Some(registry) = registry else { return };
-        let maintained = self.maintained.lock().clone();
-        for m in maintained {
-            let name = m.index.clone();
-            registry.ensure_catchup(&name, move || {
-                let _ = m.ensure_fresh();
-            });
-        }
     }
 }
 
@@ -223,7 +201,6 @@ impl std::fmt::Debug for TxnManager {
         f.debug_struct("TxnManager")
             .field("current_ts", &self.current_ts())
             .field("durable_lsn", &self.wal.durable_lsn())
-            .field("maintained", &self.maintained.lock().len())
             .finish()
     }
 }
@@ -269,26 +246,42 @@ impl IngestSession {
     /// Commit the transaction; returns its commit timestamp (the current
     /// clock unchanged for an empty session). The sequence:
     ///
-    /// 1. under the commit lock: stamp `ts = clock + 1`, append every
-    ///    operation plus a commit frame to the WAL, apply the writes as
-    ///    versions stamped `ts`, then advance the clock — so the
-    ///    transaction becomes visible all-at-once and only when complete;
-    /// 2. after releasing the lock: force the log ([`WriteAheadLog::flush`]
-    ///    group-commits, so concurrent committers share one fsync sleep);
-    /// 3. enqueue write-behind catch-up for every maintained index.
+    /// 1. under the commit lock: interpret every write for every index
+    ///    maintained on its file — a record an index cannot post fails
+    ///    the commit here, with nothing logged, applied or published;
+    /// 2. stamp `ts = clock + 1`, append every operation plus a commit
+    ///    frame to the WAL, apply the writes as versions stamped `ts`,
+    ///    posting each key's first version into those indexes, then
+    ///    advance the clock — so the transaction and its postings become
+    ///    visible all-at-once and only when complete;
+    /// 3. after releasing the lock: force the log ([`WriteAheadLog::flush`]
+    ///    group-commits, so concurrent committers share one fsync sleep).
     ///
     /// An application error (e.g. a write naming a missing file) aborts
     /// mid-apply: the clock never advances, so pinned snapshots stay
     /// consistent, but the transaction's frames remain in the log and its
-    /// applied prefix in the heaps — recover from a fresh cluster rather
-    /// than continuing on one that returned an error here.
+    /// applied prefix in the heaps and indexes — recover from a fresh
+    /// cluster rather than continuing on one that returned an error here.
     pub fn commit(self) -> Result<u64> {
         let IngestSession { mgr, ops } = self;
         if ops.is_empty() {
             return Ok(mgr.current_ts());
         }
         let metrics = mgr.cluster.metrics();
-        let guard = mgr.commit_lock.lock();
+        let maintained = mgr.commit_lock.lock();
+        let interpreted = ops
+            .iter()
+            .map(|op| match op {
+                WalOp::Write {
+                    file, key, record, ..
+                } => maintained
+                    .iter()
+                    .filter(|m| m.covers(file))
+                    .map(|m| m.postings.interpret(key, record))
+                    .collect(),
+                _ => Ok(Vec::new()),
+            })
+            .collect::<Result<Vec<_>>>()?;
         let ts = mgr.clock.load(Ordering::Acquire) + 1;
         for op in &ops {
             let (_, bytes) = mgr.wal.append(op);
@@ -296,7 +289,7 @@ impl IngestSession {
         }
         let (last_lsn, bytes) = mgr.wal.append(&WalOp::Commit { ts });
         metrics.record_wal_append(bytes);
-        for op in ops {
+        for (op, postings) in ops.into_iter().zip(interpreted) {
             match op {
                 WalOp::CreateFile { name, partitioning } => {
                     match mgr.cluster.create_file(FileSpec::new(name, partitioning)) {
@@ -310,84 +303,26 @@ impl IngestSession {
                     key,
                     record,
                 } => {
-                    mgr.cluster
-                        .file(&file)?
-                        .insert_versioned(&partition_key, key, record, ts)?;
+                    let (partition, first) = mgr.cluster.file(&file)?.insert_versioned(
+                        &partition_key,
+                        key,
+                        record,
+                        ts,
+                    )?;
+                    if first {
+                        let indexes = maintained.iter().filter(|m| m.covers(&file));
+                        for (m, posting) in indexes.zip(postings) {
+                            posting.insert(&m.index, partition)?;
+                        }
+                    }
                 }
                 WalOp::Commit { .. } => unreachable!("sessions never buffer commit frames"),
             }
         }
         mgr.clock.store(ts, Ordering::Release);
-        drop(guard);
+        drop(maintained);
         mgr.wal.flush(last_lsn);
-        mgr.enqueue_catchup();
         Ok(ts)
-    }
-}
-
-/// Write-behind maintainer for one index (see
-/// [`rede_storage::IndexMaintainer`]): tracks how far into its base
-/// heap's write-event log the index's postings reach, and replays the
-/// missing suffix on demand. Only *first* versions of a key post new
-/// entries — postings address keys, not versions, so an overwrite keeps
-/// its existing entry and the snapshot filter on the probe side picks
-/// the visible version.
-struct IndexCatchUp {
-    /// Held weakly: the cluster's catalog owns the index that owns this
-    /// maintainer, so a strong handle would keep the cluster alive forever.
-    cluster: WeakCluster,
-    index: String,
-    base: String,
-    /// The build's posting routine, so a caught-up index holds exactly
-    /// the entries a rebuild would.
-    postings: Postings,
-    /// Write events already reflected in the index's postings.
-    applied: AtomicUsize,
-    /// Serializes catch-up passes so concurrent probes of a stale index
-    /// replay each event exactly once.
-    pass_lock: Mutex<()>,
-}
-
-impl IndexCatchUp {
-    fn run(&self, cluster: &SimCluster) -> Result<()> {
-        let heap = cluster.file(&self.base)?;
-        let _pass = self.pass_lock.lock();
-        let from = self.applied.load(Ordering::Acquire);
-        let events = heap.raw().events_since(from);
-        if events.is_empty() {
-            return Ok(());
-        }
-        let index = cluster.index(&self.index)?;
-        for ev in &events {
-            if !ev.first {
-                continue;
-            }
-            // Uncharged base read (the builder's scan is uncharged too);
-            // the posting inserts below are charged record writes.
-            let (mut rows, _, _) = heap.raw().read_slots(ev.partition, ev.slot, 1, None)?;
-            let Some((key, record)) = rows.pop() else {
-                continue;
-            };
-            self.postings.insert(&index, ev.partition, &key, &record)?;
-        }
-        self.applied.store(from + events.len(), Ordering::Release);
-        cluster.metrics().add(Counter::catchup_builds, 1);
-        Ok(())
-    }
-}
-
-impl IndexMaintainer for IndexCatchUp {
-    fn ensure_fresh(&self) -> Result<()> {
-        // A dropped cluster has nothing left to serve.
-        let Some(cluster) = self.cluster.upgrade() else {
-            return Ok(());
-        };
-        // Fast path: one acquire load against the heap's event horizon.
-        let heap = cluster.file(&self.base)?;
-        if self.applied.load(Ordering::Acquire) >= heap.raw().events_len() {
-            return Ok(());
-        }
-        self.run(&cluster)
     }
 }
 
@@ -397,6 +332,7 @@ mod tests {
     use crate::maintenance::IndexBuilder;
     use crate::prebuilt::{DelimitedInterpreter, FieldType};
     use rede_storage::{IndexEntry, IndexSpec, Pointer};
+    use std::sync::atomic::AtomicBool;
 
     fn cluster() -> SimCluster {
         SimCluster::builder().nodes(2).build().unwrap()
@@ -475,62 +411,137 @@ mod tests {
         assert_eq!(c.metrics().snapshots_active(), 0);
     }
 
-    #[test]
-    fn stale_index_tops_itself_up_before_serving() {
-        let c = cluster();
-        let mgr = TxnManager::new(c.clone());
+    /// Base file `base` (4 partitions) holding rows `0..rows`, with the
+    /// global index `base.v` over column 1 built and maintained by `mgr`.
+    fn maintained_base(c: &SimCluster, mgr: &Arc<TxnManager>, rows: i64) {
         let mut s = mgr.begin();
         s.create_file("base", Partitioning::hash(4));
-        for k in 0..10 {
+        for k in 0..rows {
             s.write("base", Value::Int(k), row(k));
         }
         s.commit().unwrap();
+        let interp = || Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int));
+        IndexBuilder::new(c.clone(), IndexSpec::global("base.v", "base", 4), interp())
+            .build()
+            .unwrap();
+        mgr.maintain_index("base.v", interp(), None).unwrap();
+    }
 
-        IndexBuilder::new(
-            c.clone(),
-            IndexSpec::global("base.v", "base", 4),
-            Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
-        )
-        .build()
-        .unwrap();
-        mgr.maintain_index(
-            "base.v",
-            Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int)),
-            None,
-        )
-        .unwrap();
+    /// Entries under index key `k * 7` (row `k`'s column 1), read straight
+    /// from the index: uncharged, unfiltered, immediate.
+    fn posted(index: &IndexHandle, k: i64) -> Vec<Value> {
+        let ik = Value::Int(k * 7);
+        let p = index.raw().probe_partition_for_key(&ik).unwrap();
+        let entries = index.raw().lookup_in(p, &ik);
+        let entries = entries.iter().map(|e| IndexEntry::from_record(e).unwrap());
+        entries.map(|e| e.key).collect()
+    }
 
-        // Fresh at registration: a probe does no catch-up work.
-        let before = c.metrics().snapshot();
+    /// Write-through maintenance: a cut is published only once its
+    /// postings are in. A reader beside the writer checks the last key of
+    /// whatever commit it sees published; publishing the clock before
+    /// posting fails it.
+    #[test]
+    fn a_commit_posts_its_first_versions_before_it_publishes() {
+        const ROWS: i64 = 50;
+        const COMMITS: i64 = 50;
+        let c = cluster();
+        let mgr = TxnManager::new(c.clone());
+        maintained_base(&c, &mgr, 10);
+        let early = mgr.pin();
         let ix = c.index("base.v").unwrap();
-        assert_eq!(ix.lookup(&Value::Int(3 * 7), 0).unwrap().len(), 1);
-        assert_eq!(c.metrics().snapshot().since(&before).catchup_builds, 0);
+        // Commit `ts` (2, 3, …) writes rows 10 + (ts - 2) * ROWS onward.
+        let last_key = |ts: u64| 10 + (ts as i64 - 1) * ROWS - 1;
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    let ts = mgr.current_ts();
+                    if ts > early.ts() {
+                        let k = last_key(ts);
+                        assert_eq!(
+                            posted(&ix, k),
+                            [Value::Int(k)],
+                            "cut {ts} published unposted"
+                        );
+                    }
+                }
+            });
+            start.wait();
+            for g in 0..COMMITS {
+                let mut s = mgr.begin();
+                for k in 10 + g * ROWS..10 + (g + 1) * ROWS {
+                    s.write("base", Value::Int(k), row(k));
+                }
+                s.commit().unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let last = mgr.current_ts();
+        assert_eq!(last_key(last), 10 + COMMITS * ROWS - 1);
+        assert_eq!(ix.len() as i64, 10 + COMMITS * ROWS);
 
-        // Commit behind the index's back (no registry attached), then
-        // probe: the index must transparently top itself up first.
-        let mut s = mgr.begin();
-        for k in 10..15 {
-            s.write("base", Value::Int(k), row(k));
+        // A snapshot at the last commit finds its rows through the index;
+        // one pinned before the stream filters every streamed row out.
+        let at_last = c.with_snapshot(last).index("base.v").unwrap();
+        let at_early = c.with_snapshot(early.ts()).index("base.v").unwrap();
+        for k in [3, 10, 500, last_key(last)] {
+            let hits = at_last.lookup(&Value::Int(k * 7), 0).unwrap();
+            assert_eq!(hits.len(), 1, "row {k} at the last cut");
+            assert_eq!(
+                IndexEntry::from_record(&hits[0]).unwrap().key,
+                Value::Int(k)
+            );
+            let early_hits = at_early.lookup(&Value::Int(k * 7), 0).unwrap().len();
+            assert_eq!(early_hits, usize::from(k < 10), "row {k} at the early cut");
         }
-        s.commit().unwrap();
-        let hits = ix.lookup(&Value::Int(12 * 7), 0).unwrap();
-        assert_eq!(hits.len(), 1);
-        let entry = IndexEntry::from_record(&hits[0]).unwrap();
-        assert_eq!(entry.key, Value::Int(12));
-        assert_eq!(c.metrics().snapshot().since(&before).catchup_builds, 1);
 
         // Overwrites post no duplicate entries: postings address keys.
         let mut s = mgr.begin();
         s.write("base", Value::Int(12), row(12));
         s.commit().unwrap();
-        assert_eq!(ix.lookup(&Value::Int(12 * 7), 0).unwrap().len(), 1);
+        assert_eq!(posted(&ix, 12), [Value::Int(12)]);
+        assert_eq!(ix.len() as i64, 10 + COMMITS * ROWS);
     }
 
-    /// Catch-up posts through the build's routine, so it takes a
-    /// partition key exactly as a build does: a record whose partition-key
-    /// interpreter yields two values fails both the same way.
+    /// A posting that fails after the write was logged and applied is an
+    /// application error: the commit fails and its cut is never
+    /// published, so no snapshot sees its rows without their postings.
+    /// A local index with fewer partitions than its base cannot post a
+    /// record from a base partition it lacks.
     #[test]
-    fn catchup_and_build_reject_the_same_ambiguous_partition_key() {
+    fn a_failed_posting_publishes_nothing() {
+        let c = cluster();
+        let mgr = TxnManager::new(c.clone());
+        maintained_base(&c, &mgr, 0);
+        c.create_index(IndexSpec::local("base.l", "base", 1))
+            .unwrap();
+        let interp = Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int));
+        mgr.maintain_index("base.l", interp, None).unwrap();
+
+        let ts = mgr.current_ts();
+        let mut s = mgr.begin();
+        for k in 0..8 {
+            s.write("base", Value::Int(k), row(k));
+        }
+        assert!(matches!(s.commit(), Err(RedeError::Routing(_))));
+        assert_eq!(mgr.current_ts(), ts, "a cut published without its postings");
+        let pinned = c.with_snapshot(mgr.pin().ts());
+        for k in 0..8 {
+            let ptr = Pointer::logical("base", Value::Int(k), Value::Int(k));
+            assert!(pinned.resolve(&ptr, 0).is_err(), "row {k} visible");
+        }
+    }
+
+    /// A commit posts through the build's routine, so it takes a
+    /// partition key exactly as a build does: a record whose partition-key
+    /// interpreter yields two values fails both the same way. The commit
+    /// fails before it logs anything, so nothing is applied and the index
+    /// keeps serving.
+    #[test]
+    fn commit_and_build_reject_the_same_ambiguous_partition_key() {
         struct TwoKeys;
         impl Interpreter for TwoKeys {
             fn extract(&self, _record: &Record) -> Result<Vec<Value>> {
@@ -549,46 +560,42 @@ mod tests {
         mgr.maintain_index("base.v", interp(), Some(Arc::new(TwoKeys)))
             .unwrap();
 
+        let (log_len, ts) = (mgr.wal().bytes().len(), mgr.current_ts());
         let mut s = mgr.begin();
         s.write("base", Value::Int(1), row(1));
-        s.commit().unwrap();
-        let probe = c.index("base.v").unwrap().lookup(&Value::Int(7), 0);
-        let build = IndexBuilder::new(c.clone(), IndexSpec::global("base.w", "base", 4), interp())
+        let commit = s.commit();
+        // The same record, loaded outside the write path, for the build.
+        c.create_file(FileSpec::new("copy", Partitioning::hash(4)))
+            .unwrap()
+            .insert(Value::Int(1), row(1))
+            .unwrap();
+        let build = IndexBuilder::new(c.clone(), IndexSpec::global("copy.v", "copy", 4), interp())
             .with_partition_key(Arc::new(TwoKeys))
             .build();
-        match (probe, build) {
+        match (commit, build) {
             (Err(RedeError::Interpret(a)), Err(RedeError::Interpret(b))) => assert_eq!(a, b),
             other => panic!("expected the same Interpret error twice, got {other:?}"),
         }
+        assert_eq!(mgr.wal().bytes().len(), log_len, "nothing logged");
+        assert_eq!(mgr.current_ts(), ts, "nothing published");
+        assert_eq!(c.file("base").unwrap().len(), 0, "nothing applied");
+        let ix = c.index("base.v").unwrap();
+        assert_eq!(ix.len(), 0);
+        assert_eq!(ix.lookup(&Value::Int(7), 0).unwrap().len(), 0);
     }
 
     #[test]
     fn maintained_cluster_is_freed_with_its_last_outside_handle() {
         let c = cluster();
         let mgr = TxnManager::new(c.clone());
-        let mut s = mgr.begin();
-        s.create_file("base", Partitioning::hash(4));
-        s.write("base", Value::Int(1), row(1));
-        s.commit().unwrap();
-        let interp = || Arc::new(DelimitedInterpreter::pipe(1, FieldType::Int));
-        IndexBuilder::new(c.clone(), IndexSpec::global("base.v", "base", 4), interp())
-            .build()
-            .unwrap();
-        mgr.maintain_index("base.v", interp(), None).unwrap();
-
-        // The index (and the maintainer it holds) outlives the cluster
-        // here only because the test keeps it; the maintainer must not
-        // keep the cluster alive in turn.
-        let index = c.index("base.v").unwrap().raw().clone();
-        let weak = c.downgrade();
+        maintained_base(&c, &mgr, 1);
+        let pool = Arc::downgrade(c.buffer_pool());
         drop(mgr);
         drop(c);
         assert!(
-            weak.upgrade().is_none(),
-            "cluster -> index -> maintainer -> cluster cycle leaks the cluster"
+            pool.upgrade().is_none(),
+            "a maintained index keeps its cluster's pages alive"
         );
-        // A catch-up pass on the dropped cluster is a clean no-op.
-        index.ensure_fresh().unwrap();
     }
 
     #[test]
@@ -630,10 +637,10 @@ mod tests {
 
         // Idempotence: replaying the same image into the recovered
         // cluster applies nothing new.
-        let events_before = c2.file("t").unwrap().raw().events_len();
+        let len_before = c2.file("t").unwrap().len();
         let mgr3 = TxnManager::recover(c2.clone(), image).unwrap();
         assert_eq!(mgr3.current_ts(), 2);
-        assert_eq!(c2.file("t").unwrap().raw().events_len(), events_before);
+        assert_eq!(c2.file("t").unwrap().len(), len_before);
     }
 
     #[test]
@@ -651,7 +658,6 @@ mod tests {
         assert_eq!(snap.wal_appends, 0);
         assert_eq!(snap.wal_bytes, 0);
         assert_eq!(snap.snapshots_active, 0);
-        assert_eq!(snap.catchup_builds, 0);
         assert!(!f.raw().is_versioned());
     }
 }

@@ -26,6 +26,12 @@
 //!   each node probe only its locally-held partitions.
 //! * **global** — partitioned by the *indexed key* itself. A key probe
 //!   routes to exactly one (possibly remote) partition.
+//!
+//! Under ingest an index is kept current by its writer: a commit posts
+//! the entries of every key it writes first, before it publishes its
+//! timestamp (`rede_core::txn`), so probes never check for freshness.
+//! Entries address keys, not versions; which version of a key a snapshot
+//! reads is decided when the entry is dereferenced.
 
 use crate::btree::BPlusTree;
 use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYTES};
@@ -170,20 +176,6 @@ impl TreePartition {
     }
 }
 
-/// Write-behind freshness hook for an index over a mutating base file.
-///
-/// The storage layer knows *that* an index can fall behind its base heap's
-/// write horizon, but not *how* to derive postings from records (that
-/// needs the executor's key interpreters). A maintainer — installed by the
-/// ingest layer — closes the loop: the cluster's probe paths call
-/// [`IndexMaintainer::ensure_fresh`] before serving, and the maintainer
-/// tops the index up from the heap's write-event log if it is stale.
-pub trait IndexMaintainer: Send + Sync {
-    /// Bring the index up to its base heap's current write horizon.
-    /// Must be cheap when nothing is stale (one atomic compare).
-    fn ensure_fresh(&self) -> Result<()>;
-}
-
 /// A partitioned B+-tree secondary index over slotted pages.
 pub struct BtreeFile {
     name: Arc<str>,
@@ -197,11 +189,6 @@ pub struct BtreeFile {
     /// The pool's id for page namespace `idx:{name}`, disjoint from heap
     /// namespaces.
     page_ns: u32,
-    /// Write-behind catch-up hook (see [`IndexMaintainer`]). The flag
-    /// mirrors `Some`-ness so the read path pays one relaxed load, never
-    /// an `RwLock`, while no ingest session is attached.
-    maintainer: RwLock<Option<Arc<dyn IndexMaintainer>>>,
-    has_maintainer: AtomicBool,
 }
 
 impl BtreeFile {
@@ -239,37 +226,13 @@ impl BtreeFile {
             hints,
             pool,
             page_bytes: page_bytes.max(1),
-            maintainer: RwLock::new(None),
-            has_maintainer: AtomicBool::new(false),
         })
     }
 
-    /// Install (or replace) the write-behind maintainer for this index.
-    /// Until this is called the freshness check on the probe paths is a
-    /// single relaxed load that always says "fresh".
-    pub fn set_maintainer(&self, maintainer: Arc<dyn IndexMaintainer>) {
-        *self.maintainer.write() = Some(maintainer);
-        self.has_maintainer.store(true, Ordering::Release);
-    }
-
-    /// Detach the maintainer (ingest session closed; the index is final).
-    pub fn clear_maintainer(&self) {
-        self.has_maintainer.store(false, Ordering::Release);
-        *self.maintainer.write() = None;
-    }
-
-    /// Top the index up to its base heap's write horizon if a maintainer
-    /// is attached; a no-op costing one relaxed load otherwise.
-    pub fn ensure_fresh(&self) -> Result<()> {
-        if !self.has_maintainer.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let maintainer = self.maintainer.read().clone();
-        match maintainer {
-            Some(m) => m.ensure_fresh(),
-            None => Ok(()),
-        }
-    }
+    /// Does nothing. An index holds no maintainer: the commit that writes
+    /// a row posts its entries (`rede_core::txn`). Kept for callers that
+    /// detached the write-behind maintainer this index once held.
+    pub fn clear_maintainer(&self) {}
 
     /// The index's catalog name.
     pub fn name(&self) -> &Arc<str> {

@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 use rede_common::{AccessKind, Counter, FxHasher, IoScope, Metrics, RedeError, Result, Value};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Deterministic identity of a point-read access for fault decisions:
@@ -183,24 +183,6 @@ pub struct SimCluster {
     /// cut and nothing younger. `None` (the default) reads the live tip
     /// with zero versioning overhead.
     snapshot: Option<u64>,
-}
-
-/// A handle that does not keep the cluster alive, for structures the
-/// cluster itself owns (an index's maintainer must not hold its own
-/// catalog in memory). Upgrades to an unscoped, unpinned [`SimCluster`]
-/// while any owning handle survives.
-#[derive(Clone)]
-pub struct WeakCluster(Weak<ClusterInner>);
-
-impl WeakCluster {
-    /// A full handle, or `None` once the cluster has been dropped.
-    pub fn upgrade(&self) -> Option<SimCluster> {
-        self.0.upgrade().map(|inner| SimCluster {
-            inner,
-            scope: None,
-            snapshot: None,
-        })
-    }
 }
 
 /// Builder for [`SimCluster`].
@@ -408,11 +390,6 @@ impl SimCluster {
             scope: self.scope.clone(),
             snapshot: Some(ts),
         }
-    }
-
-    /// A non-owning handle to this cluster (see [`WeakCluster`]).
-    pub fn downgrade(&self) -> WeakCluster {
-        WeakCluster(Arc::downgrade(&self.inner))
     }
 
     /// The snapshot timestamp pinned on this handle, if any.
@@ -1358,14 +1335,15 @@ impl FileHandle {
     /// (see [`HeapFile::insert_versioned`]): the record lands in a fresh
     /// slot, so no cached entry ever goes stale — snapshot readers keep
     /// hitting the old version's slot, pinned-to-`ts` readers find the
-    /// new one. Charged as a record write.
+    /// new one. Charged as a record write. Returns `(partition, first)`,
+    /// `first` telling a key's first version from an overwrite.
     pub fn insert_versioned(
         &self,
         partition_key: &Value,
         key: Value,
         record: Record,
         ts: u64,
-    ) -> Result<(usize, usize)> {
+    ) -> Result<(usize, bool)> {
         self.cluster
             .tally(|m| m.record_access(AccessKind::RecordWrite));
         self.file.insert_versioned(partition_key, key, record, ts)
@@ -1543,7 +1521,6 @@ impl IndexHandle {
         on_node: Option<usize>,
         owed: &mut Owed,
     ) -> Result<Vec<Record>> {
-        self.index.ensure_fresh()?;
         let partitions = match hi {
             None => self.index.probe_partitions_for_key(lo),
             Some(hi) => self.index.probe_partitions_for_range(lo, hi),
@@ -1613,8 +1590,8 @@ impl IndexHandle {
 
     /// Snapshot filter for postings: drop entries whose base record has no
     /// version visible at this handle's pinned cut (keys born after the
-    /// snapshot, reachable only because write-behind catch-up posts them
-    /// eagerly). A pass-through — no decode, no catalog touch — unless a
+    /// snapshot, reachable because every commit posts its keys' entries
+    /// as it writes them). A pass-through — no decode, no catalog touch — unless a
     /// snapshot is pinned *and* the base heap is versioned, so the
     /// read-only path pays nothing. Uncharged: visibility consults the
     /// in-memory version table, never entry pages.
@@ -1674,10 +1651,6 @@ impl IndexHandle {
         from_node: usize,
     ) -> (Vec<Result<Vec<Record>>>, Owed) {
         let mut owed = Owed::default();
-        if let Err(e) = self.index.ensure_fresh() {
-            let results = keys.iter().map(|_| Err(e.clone())).collect();
-            return (results, owed);
-        }
         let mut out: Vec<Option<Result<Vec<Record>>>> = (0..keys.len()).map(|_| None).collect();
         // (input index, partition) of every single-partition key.
         let mut singles: Vec<(usize, usize)> = Vec::new();

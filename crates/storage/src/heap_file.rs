@@ -29,14 +29,19 @@
 //! LRU-K reference: a run is one correlated reference period, so a page a
 //! batch reads once stays a one-access page and is evicted before pages
 //! re-referenced across batches.
+//!
+//! Under ingest, [`HeapFile::insert_versioned`] gives every version of a
+//! key its own slot and says whether it wrote the key's first version.
+//! The commit that wrote it posts index entries for first versions only
+//! (`rede_core::txn`); the heap keeps no log of its writes.
 
 use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYTES};
 use crate::partitioner::{Partitioner, Partitioning};
 use crate::pointer::PointerKey;
 use crate::record::Record;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rede_common::{FxHashMap, RedeError, Result, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Chain-link sentinel for [`SlotVersion`]: no predecessor/successor.
@@ -56,20 +61,6 @@ struct SlotVersion {
     ts: u64,
     prev: u32,
     next: u32,
-}
-
-/// One committed versioned write, in commit order — the feed write-behind
-/// index maintenance consumes to top indexes up to the heap's high water.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteEvent {
-    /// Partition the new version landed in.
-    pub partition: usize,
-    /// Physical slot of the new version.
-    pub slot: usize,
-    /// True when this is the first version of its key (a logical insert,
-    /// which needs index postings) rather than an overwrite (whose key is
-    /// already posted; postings address keys, not versions).
-    pub first: bool,
 }
 
 struct PartitionStore {
@@ -159,11 +150,6 @@ pub struct HeapFile {
     /// Highest commit timestamp any versioned insert carried (0 until the
     /// first): WAL replay's idempotence watermark.
     max_version_ts: AtomicU64,
-    /// Committed versioned writes in commit order, consumed by
-    /// write-behind index maintenance via [`HeapFile::events_since`].
-    events: Mutex<Vec<WriteEvent>>,
-    /// `events.len()`, mirrored so freshness checks are one relaxed load.
-    events_len: AtomicUsize,
 }
 
 impl HeapFile {
@@ -196,8 +182,6 @@ impl HeapFile {
             page_bytes: page_bytes.max(1),
             versioned: AtomicBool::new(false),
             max_version_ts: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-            events_len: AtomicUsize::new(0),
         })
     }
 
@@ -317,14 +301,17 @@ impl HeapFile {
     /// old slot keeps its bytes (older snapshots still read them), and the
     /// two are chained so visibility walks can pick the right one. The key
     /// index always points at the newest version. Returns `(partition,
-    /// new slot)`.
+    /// first)`: `first` is true when this is the key's first version (a
+    /// logical insert, which needs index postings) rather than an
+    /// overwrite (whose key is already posted; postings address keys, not
+    /// versions).
     pub fn insert_versioned(
         &self,
         partition_key: &Value,
         key: Value,
         record: Record,
         ts: u64,
-    ) -> Result<(usize, usize)> {
+    ) -> Result<(usize, bool)> {
         let p = self.partition_of(partition_key);
         let mut store = self.partitions[p].write();
         store.materialize_versions();
@@ -344,16 +331,7 @@ impl HeapFile {
         // Publish the flag last: a reader that sees `versioned == true`
         // must find the version table already consistent.
         self.versioned.store(true, Ordering::Release);
-        let mut events = self.events.lock();
-        events.push(WriteEvent {
-            partition: p,
-            slot,
-            first: prev.is_none(),
-        });
-        let len = events.len();
-        drop(events);
-        self.events_len.store(len, Ordering::Release);
-        Ok((p, slot))
+        Ok((p, prev.is_none()))
     }
 
     /// True once any versioned insert has landed. One relaxed load — the
@@ -366,19 +344,6 @@ impl HeapFile {
     /// Highest commit timestamp any version of this file carries.
     pub fn max_version_ts(&self) -> u64 {
         self.max_version_ts.load(Ordering::SeqCst)
-    }
-
-    /// Number of committed write events so far (the per-structure high
-    /// water index maintenance compares against).
-    #[inline]
-    pub fn events_len(&self) -> usize {
-        self.events_len.load(Ordering::Acquire)
-    }
-
-    /// Copy out the committed write events from `pos` onward.
-    pub fn events_since(&self, pos: usize) -> Vec<WriteEvent> {
-        let events = self.events.lock();
-        events.get(pos..).map(|s| s.to_vec()).unwrap_or_default()
     }
 
     /// Resolve a pointer key to the physical slot holding the version of
@@ -847,14 +812,15 @@ mod tests {
         assert!(!f.is_versioned());
         f.insert(&Value::Int(1), Value::Int(1), Record::from_text("base"))
             .unwrap();
-        let (_, s1) = f
-            .insert_versioned(&Value::Int(1), Value::Int(1), Record::from_text("v1"), 1)
-            .unwrap();
-        let (_, s2) = f
-            .insert_versioned(&Value::Int(1), Value::Int(1), Record::from_text("v2"), 2)
-            .unwrap();
+        for (ts, text) in [(1, "v1"), (2, "v2")] {
+            let (_, first) = f
+                .insert_versioned(&Value::Int(1), Value::Int(1), Record::from_text(text), ts)
+                .unwrap();
+            assert!(!first, "a key written before is overwritten");
+        }
         assert!(f.is_versioned());
-        assert_ne!(s1, s2, "versions must get fresh slots");
+        // Versions get fresh slots, in arrival order: base 0, v1 1, v2 2.
+        assert_eq!(f.len(), 3, "versions must get fresh slots");
         assert_eq!(f.max_version_ts(), 2);
         // Snapshot 0 sees the pre-versioning base record; 1 sees v1; 2+ v2.
         for (snap, want) in [(0, "base"), (1, "v1"), (2, "v2"), (9, "v2")] {
@@ -865,7 +831,7 @@ mod tests {
             assert_eq!(r.text().unwrap(), want, "snap {snap}");
         }
         // A physical pointer at an old version forwards to the visible one.
-        assert_eq!(f.visible_slot(0, &PointerKey::Physical(0), 2).unwrap(), s2);
+        assert_eq!(f.visible_slot(0, &PointerKey::Physical(0), 2).unwrap(), 2);
         // Logical read through the key index still sees the newest.
         assert_eq!(
             f.get(0, &PointerKey::Logical(Value::Int(1)))
@@ -920,22 +886,22 @@ mod tests {
     }
 
     #[test]
-    fn write_events_feed_catchup_in_commit_order() {
+    fn insert_versioned_reports_first_versions() {
         let f = HeapFile::new("v", Partitioning::hash(2)).unwrap();
-        assert_eq!(f.events_len(), 0);
-        f.insert_versioned(&Value::Int(1), Value::Int(1), Record::from_text("a"), 1)
-            .unwrap();
-        f.insert_versioned(&Value::Int(1), Value::Int(1), Record::from_text("b"), 2)
-            .unwrap();
-        f.insert_versioned(&Value::Int(2), Value::Int(2), Record::from_text("c"), 2)
-            .unwrap();
-        assert_eq!(f.events_len(), 3);
-        let ev = f.events_since(0);
-        assert_eq!(ev.len(), 3);
-        assert!(ev[0].first);
-        assert!(!ev[1].first, "overwrite is not a first version");
-        assert!(ev[2].first);
-        assert_eq!(f.events_since(3), vec![]);
+        let put = |k: i64, text: &str, ts| {
+            f.insert_versioned(&Value::Int(k), Value::Int(k), Record::from_text(text), ts)
+                .unwrap()
+        };
+        let (p1, first) = put(1, "a", 1);
+        assert!(first);
+        assert_eq!(p1, f.partition_of(&Value::Int(1)));
+        assert_eq!(
+            put(1, "b", 2),
+            (p1, false),
+            "overwrite is not a first version"
+        );
+        assert!(put(2, "c", 2).1);
+        assert_eq!(f.len(), 3);
     }
 
     #[test]

@@ -39,19 +39,18 @@ pub mod record;
 pub mod wal;
 
 pub use btree::BPlusTree;
-pub use btree_file::{BtreeFile, IndexEntry, IndexLocality, IndexMaintainer, IndexSpec};
+pub use btree_file::{BtreeFile, IndexEntry, IndexLocality, IndexSpec};
 pub use buffer::{
     BufferPool, ByteBudget, PageGuard, PageId, PageReadGuard, PageStats, PoolStats, SlottedPage,
     DEFAULT_PAGE_BYTES,
 };
 pub use cache::{CacheKey, RecordCache};
 pub use cluster::{
-    FileHandle, FileSpec, IndexHandle, Placement, SimCluster, SimClusterBuilder, WeakCluster,
-    MIN_MEMORY_BUDGET,
+    FileHandle, FileSpec, IndexHandle, Placement, SimCluster, SimClusterBuilder, MIN_MEMORY_BUDGET,
 };
 pub use cost::{CostModel, CostReport};
 pub use faults::{AccessClass, Brownout, DownWindow, FaultDecision, FaultInjector, FaultPlan};
-pub use heap_file::{HeapFile, WriteEvent};
+pub use heap_file::HeapFile;
 pub use io_model::{IoModel, Owed, SCAN_BATCH};
 pub use partitioner::{Partitioner, Partitioning};
 pub use pointer::{Pointer, PointerKey};

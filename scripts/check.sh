@@ -77,4 +77,15 @@ echo "==> standalone benchmark package: build + unit and contract tests"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# What CI's htap job runs after its tests: the ingest bench regenerates
+# the htap_ingest section of BENCH_smpe.json and the gate re-checks it.
+# The committed file is restored afterwards, so a local gate leaves the
+# tree as it found it.
+echo "==> htap_ingest bench + gate (BENCH_smpe.json restored afterwards)"
+saved="$(mktemp)"
+cp BENCH_smpe.json "$saved"
+trap 'cp "$saved" BENCH_smpe.json; rm -f "$saved"' EXIT
+cargo bench -p rede-bench --bench htap_ingest
+python3 scripts/bench_gate.py htap_ingest
+
 echo "OK"
