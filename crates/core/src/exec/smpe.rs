@@ -395,8 +395,8 @@ impl Shared {
     }
 
     /// Hand job `key`'s `tasks` to `node`'s queue: one lock, one depth
-    /// add, then one wake-up if a worker is asleep.
-    fn push<I>(&self, node: usize, key: u64, weight: u32, tasks: I)
+    /// add. A parked worker finds them only after [`Shared::publish`].
+    fn enqueue<I>(&self, node: usize, key: u64, weight: u32, tasks: I)
     where
         I: IntoIterator<Item = Task>,
         I::IntoIter: ExactSizeIterator,
@@ -404,13 +404,21 @@ impl Shared {
         let q = &self.queues[node];
         let tasks = tasks.into_iter();
         let n = tasks.len() as u64;
-        {
-            let mut queued = q.tasks.lock();
-            queued.push_all(key, weight, tasks);
-            q.depth.fetch_add(n, Ordering::Relaxed);
+        let mut queued = q.tasks.lock();
+        queued.push_all(key, weight, tasks);
+        q.depth.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `pushes` queues just gained work: move the epoch once, so no worker
+    /// parks past it, and wake up to one parked worker per push.
+    fn publish(&self, pushes: usize) {
+        if pushes == 0 {
+            return;
         }
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.wake_one();
+        for _ in 0..pushes {
+            self.wake_one();
+        }
     }
 
     /// Signal one parked worker, if any. The signal is sent under `idle`,
@@ -756,9 +764,16 @@ impl JobState {
     /// while they sit in the queue), then one cancelled/shutdown check, one
     /// queue lock, one add per counter, at most one wake-up.
     fn flush(self: &Arc<Self>, node: usize, tasks: Vec<Task>) {
+        if self.enqueue(node, tasks) {
+            self.shared.publish(1);
+        }
+    }
+
+    /// [`JobState::flush`] without the wake-up; true if it queued tasks.
+    fn enqueue(self: &Arc<Self>, node: usize, tasks: Vec<Task>) -> bool {
         let n = tasks.len() as u64;
         if n == 0 {
-            return;
+            return false;
         }
         let now = self.in_flight.fetch_add(n, Ordering::SeqCst) + n;
         self.prof.peak_in_flight.fetch_max(now, Ordering::Relaxed);
@@ -769,9 +784,10 @@ impl JobState {
             // give back exactly the tokens just taken.
             drop(tasks);
             self.tasks_done(n);
-            return;
+            return false;
         }
-        self.shared.push(node, self.id, self.weight, tasks);
+        self.shared.enqueue(node, self.id, self.weight, tasks);
+        true
     }
 
     /// Release `n` in-flight tokens at once (a dispatch returns its whole
@@ -816,7 +832,8 @@ impl JobState {
             return;
         }
         let done = self.task(TaskItem::FlightDone { outputs, tokens }, stage, false, None);
-        self.shared.push(node, self.id, self.weight, [done]);
+        self.shared.enqueue(node, self.id, self.weight, [done]);
+        self.shared.publish(1);
     }
 
     fn fail(&self, err: RedeError) {
@@ -1518,15 +1535,18 @@ impl Substrate {
         });
         // Seed every node: the initial stage runs everywhere, each node
         // covering its locally placed partitions (lines 2-5 of Algorithm 1).
+        // Every node is seeded before any worker is woken, so the first
+        // worker to run finds the whole seed and batches it the same way
+        // however the threads are scheduled.
+        let mut seeded = 0;
         for node in 0..self.shared.queues.len() {
             let seeds = job.seed().to_inputs().into_iter();
-            state.flush(
-                node,
-                seeds
-                    .map(|input| state.task(TaskItem::Deref(input), 0, true, None))
-                    .collect(),
-            );
+            let tasks = seeds
+                .map(|input| state.task(TaskItem::Deref(input), 0, true, None))
+                .collect();
+            seeded += usize::from(state.enqueue(node, tasks));
         }
+        self.shared.publish(seeded);
         // Release the guard. A job with zero seed inputs finishes here,
         // immediately, with an empty result (previously it would hang).
         state.tasks_done(1);

@@ -25,7 +25,7 @@
 //! [`BtreeFile`]: rede_storage::BtreeFile
 
 use crate::traits::Interpreter;
-use rede_common::{IoScope, RedeError, Result, Value};
+use rede_common::{RedeError, Result, Value};
 use rede_storage::{IndexEntry, IndexHandle, IndexLocality, IndexSpec, Record, SimCluster};
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,11 +102,7 @@ impl Posting {
         let inserted = self.index_keys.len() as u64;
         for ik in self.index_keys {
             if is_local {
-                // Hinted insert: the poster *knows* which partition each
-                // key lands in, so record a placement hint alongside the
-                // entry. Hints make pointers into this local index
-                // owner-routable (see `SimCluster::partition_of_pointer`).
-                index.insert_at_hinted(base_partition, ik, self.entry.clone())?;
+                index.insert_at(base_partition, ik, self.entry.clone())?;
             } else {
                 index.insert(ik, self.entry.clone())?;
             }
@@ -140,14 +136,6 @@ impl IndexBuilder {
     /// by `l_orderkey` with composite record keys).
     pub fn with_partition_key(mut self, interp: Arc<dyn Interpreter>) -> Self {
         self.postings.partition_key = Some(interp);
-        self
-    }
-
-    /// Attribute this build's storage accesses to `scope` (the scheduler
-    /// gives every coordinated build its own scope, so build I/O shows up
-    /// in per-job accounting rather than vanishing into the global pool).
-    pub fn with_io_scope(mut self, scope: Arc<IoScope>) -> Self {
-        self.cluster = self.cluster.with_io_scope(scope);
         self
     }
 
@@ -214,7 +202,7 @@ impl IndexBuilder {
 mod tests {
     use super::*;
     use crate::prebuilt::{DelimitedInterpreter, FieldType};
-    use rede_storage::{FileSpec, Partitioning, Record};
+    use rede_storage::{FileSpec, Partitioning, Pointer, Record};
 
     fn cluster_with_base() -> SimCluster {
         let c = SimCluster::builder().nodes(2).build().unwrap();
@@ -282,6 +270,52 @@ mod tests {
         let base_partition = base.partition_of(&Value::Int(42));
         // Probe only that partition directly to confirm co-location.
         assert_eq!(ix.raw().lookup_in(base_partition, &Value::Int(84)).len(), 1);
+    }
+
+    /// A pointer into a local index routes to the one partition whose
+    /// tree holds its key, and nowhere (`None`) when several do or none
+    /// does: the key's set of base partitions decides, as read off the
+    /// base file here.
+    #[test]
+    fn local_index_pointers_route_by_the_partitions_their_key_was_posted_to() {
+        /// Record `i`'s own key below 100 (one base partition each), one of
+        /// seven shared keys above (spread over the base's partitions).
+        struct Mixed;
+        impl Interpreter for Mixed {
+            fn extract(&self, record: &Record) -> Result<Vec<Value>> {
+                let i: i64 = record.field(0, '|')?.parse().expect("int key");
+                Ok(vec![Value::Int(if i < 100 { i } else { 1000 + i % 7 })])
+            }
+        }
+        let c = cluster_with_base();
+        IndexBuilder::new(
+            c.clone(),
+            IndexSpec::local("base.mixed", "base", 4),
+            Arc::new(Mixed),
+        )
+        .build()
+        .unwrap();
+        let base = c.file("base").unwrap();
+        let mut holders: std::collections::BTreeMap<i64, std::collections::BTreeSet<usize>> =
+            Default::default();
+        for i in 0..200i64 {
+            let key = if i < 100 { i } else { 1000 + i % 7 };
+            holders
+                .entry(key)
+                .or_default()
+                .insert(base.partition_of(&Value::Int(i)));
+        }
+        let (mut unique, mut spread) = (0, 0);
+        for (key, parts) in &holders {
+            let expected = parts.first().filter(|_| parts.len() == 1).copied();
+            unique += usize::from(expected.is_some());
+            spread += usize::from(parts.len() > 1);
+            let ptr = Pointer::logical("base.mixed", Value::Int(*key), Value::Int(*key));
+            assert_eq!(c.partition_of_pointer(&ptr), expected, "key {key}");
+        }
+        assert_eq!((unique, spread), (100, 7), "both kinds of key are covered");
+        let unseen = Pointer::logical("base.mixed", Value::Int(-1), Value::Int(-1));
+        assert_eq!(c.partition_of_pointer(&unseen), None);
     }
 
     #[test]

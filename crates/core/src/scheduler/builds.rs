@@ -17,7 +17,7 @@
 
 use crate::maintenance::{IndexBuildReport, IndexBuilder};
 use parking_lot::{Condvar, Mutex};
-use rede_common::{FxHashMap, IoScope, RedeError, Result};
+use rede_common::{FxHashMap, RedeError, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,7 +130,6 @@ pub(crate) struct BuildRegistry {
     inflight: Mutex<FxHashMap<String, Arc<BuildState>>>,
     started: AtomicU64,
     coalesced: AtomicU64,
-    next_scope: AtomicU64,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -140,7 +139,6 @@ impl BuildRegistry {
             inflight: Mutex::new(FxHashMap::default()),
             started: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            next_scope: AtomicU64::new(1),
             threads: Mutex::new(Vec::new()),
         }
     }
@@ -189,12 +187,6 @@ impl BuildRegistry {
             self.started.fetch_add(1, Ordering::SeqCst);
             state
         };
-        // Attribute the build's scan + insert I/O to its own scope so it
-        // shows up in accounting like any other scheduled job would.
-        let scope = Arc::new(IoScope::new(
-            self.next_scope.fetch_add(1, Ordering::Relaxed),
-        ));
-        let builder = builder.with_io_scope(scope);
         let registry = self.clone();
         let thread_state = state.clone();
         let handle = std::thread::Builder::new()

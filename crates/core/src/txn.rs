@@ -40,13 +40,13 @@
 //!
 //! [`IoModel::wal_fsync`]: rede_storage::IoModel
 
-use crate::maintenance::Postings;
+use crate::maintenance::{Posting, Postings};
 use crate::traits::Interpreter;
 use parking_lot::Mutex;
 use rede_common::{Counter, Metrics, RedeError, Result, Value};
 use rede_storage::{FileSpec, IndexHandle, Partitioning, Record, SimCluster, WalOp, WriteAheadLog};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A pinned commit timestamp. Reads issued through a cluster handle
 /// carrying this snapshot's timestamp see the cut committed at `ts()` and
@@ -98,6 +98,11 @@ pub struct TxnManager {
     /// index registers between two commits, never inside one. The
     /// group-commit fsync happens outside this lock.
     commit_lock: Mutex<Vec<MaintainedIndex>>,
+    /// The error of the first commit that failed after logging: its
+    /// applied prefix sits unpublished in the heaps, where the next
+    /// commit's timestamp would publish it, so every later commit is
+    /// refused with this error.
+    failed: OnceLock<RedeError>,
 }
 
 impl TxnManager {
@@ -111,6 +116,7 @@ impl TxnManager {
             wal: Arc::new(WriteAheadLog::new(fsync)),
             clock: AtomicU64::new(clock),
             commit_lock: Mutex::new(Vec::new()),
+            failed: OnceLock::new(),
         })
     }
 
@@ -129,6 +135,7 @@ impl TxnManager {
             wal: Arc::new(wal),
             clock: AtomicU64::new(clock),
             commit_lock: Mutex::new(Vec::new()),
+            failed: OnceLock::new(),
         }))
     }
 
@@ -192,6 +199,49 @@ impl TxnManager {
                 partition_key,
             },
         });
+        Ok(())
+    }
+
+    /// Apply a logged transaction's operations as versions stamped `ts`,
+    /// posting each key's first version into the indexes maintained on
+    /// its file. Called under the commit lock (`maintained`).
+    fn apply(
+        &self,
+        maintained: &[MaintainedIndex],
+        ops: Vec<WalOp>,
+        interpreted: Vec<Vec<Posting>>,
+        ts: u64,
+    ) -> Result<()> {
+        for (op, postings) in ops.into_iter().zip(interpreted) {
+            match op {
+                WalOp::CreateFile { name, partitioning } => {
+                    match self.cluster.create_file(FileSpec::new(name, partitioning)) {
+                        Ok(_) | Err(RedeError::AlreadyExists(_)) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                WalOp::Write {
+                    file,
+                    partition_key,
+                    key,
+                    record,
+                } => {
+                    let (partition, first) = self.cluster.file(&file)?.insert_versioned(
+                        &partition_key,
+                        key,
+                        record,
+                        ts,
+                    )?;
+                    if first {
+                        let indexes = maintained.iter().filter(|m| m.covers(&file));
+                        for (m, posting) in indexes.zip(postings) {
+                            posting.insert(&m.index, partition)?;
+                        }
+                    }
+                }
+                WalOp::Commit { .. } => unreachable!("sessions never buffer commit frames"),
+            }
+        }
         Ok(())
     }
 }
@@ -260,15 +310,19 @@ impl IngestSession {
     /// An application error (e.g. a write naming a missing file) aborts
     /// mid-apply: the clock never advances, so pinned snapshots stay
     /// consistent, but the transaction's frames remain in the log and its
-    /// applied prefix in the heaps and indexes — recover from a fresh
-    /// cluster rather than continuing on one that returned an error here.
+    /// applied prefix in the heaps and indexes. The manager then refuses
+    /// every later commit with the same error (the next timestamp would
+    /// publish that prefix): recover from a fresh cluster.
     pub fn commit(self) -> Result<u64> {
         let IngestSession { mgr, ops } = self;
+        let maintained = mgr.commit_lock.lock();
+        if let Some(e) = mgr.failed.get() {
+            return Err(e.clone());
+        }
         if ops.is_empty() {
             return Ok(mgr.current_ts());
         }
         let metrics = mgr.cluster.metrics();
-        let maintained = mgr.commit_lock.lock();
         let interpreted = ops
             .iter()
             .map(|op| match op {
@@ -289,35 +343,8 @@ impl IngestSession {
         }
         let (last_lsn, bytes) = mgr.wal.append(&WalOp::Commit { ts });
         metrics.record_wal_append(bytes);
-        for (op, postings) in ops.into_iter().zip(interpreted) {
-            match op {
-                WalOp::CreateFile { name, partitioning } => {
-                    match mgr.cluster.create_file(FileSpec::new(name, partitioning)) {
-                        Ok(_) | Err(RedeError::AlreadyExists(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                WalOp::Write {
-                    file,
-                    partition_key,
-                    key,
-                    record,
-                } => {
-                    let (partition, first) = mgr.cluster.file(&file)?.insert_versioned(
-                        &partition_key,
-                        key,
-                        record,
-                        ts,
-                    )?;
-                    if first {
-                        let indexes = maintained.iter().filter(|m| m.covers(&file));
-                        for (m, posting) in indexes.zip(postings) {
-                            posting.insert(&m.index, partition)?;
-                        }
-                    }
-                }
-                WalOp::Commit { .. } => unreachable!("sessions never buffer commit frames"),
-            }
+        if let Err(e) = mgr.apply(&maintained, ops, interpreted, ts) {
+            return Err(mgr.failed.get_or_init(|| e).clone());
         }
         mgr.clock.store(ts, Ordering::Release);
         drop(maintained);
@@ -510,7 +537,9 @@ mod tests {
     /// application error: the commit fails and its cut is never
     /// published, so no snapshot sees its rows without their postings.
     /// A local index with fewer partitions than its base cannot post a
-    /// record from a base partition it lacks.
+    /// record from a base partition it lacks. The next commit would stamp
+    /// the failed one's timestamp and publish its applied prefix, so the
+    /// manager refuses it, and every later one, with the same error.
     #[test]
     fn a_failed_posting_publishes_nothing() {
         let c = cluster();
@@ -526,12 +555,22 @@ mod tests {
         for k in 0..8 {
             s.write("base", Value::Int(k), row(k));
         }
-        assert!(matches!(s.commit(), Err(RedeError::Routing(_))));
+        let failed = s.commit();
+        assert!(matches!(failed, Err(RedeError::Routing(_))));
         assert_eq!(mgr.current_ts(), ts, "a cut published without its postings");
-        let pinned = c.with_snapshot(mgr.pin().ts());
-        for k in 0..8 {
-            let ptr = Pointer::logical("base", Value::Int(k), Value::Int(k));
-            assert!(pinned.resolve(&ptr, 0).is_err(), "row {k} visible");
+
+        let mut s = mgr.begin();
+        s.create_file("other", Partitioning::hash(2));
+        s.write("other", Value::Int(1), row(1));
+        assert_eq!(s.commit(), failed, "a commit after a failed one");
+        assert_eq!(mgr.begin().commit(), failed, "an empty commit");
+        assert_eq!(mgr.current_ts(), ts);
+        for cut in 0..=mgr.current_ts() {
+            let at = c.with_snapshot(cut);
+            for k in 0..8 {
+                let ptr = Pointer::logical("base", Value::Int(k), Value::Int(k));
+                assert!(at.resolve(&ptr, 0).is_err(), "row {k} visible at cut {cut}");
+            }
         }
     }
 

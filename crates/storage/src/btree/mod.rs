@@ -5,9 +5,13 @@
 //! queries walk the leaf level. It is implemented from first principles
 //! (rather than wrapping `std::collections::BTreeMap`) because the paper's
 //! whole premise is that structures are *built by the system from registered
-//! access methods* — the tree, its split/merge maintenance, and its range
+//! access methods* — the tree, its splits, and its point, batched and range
 //! probes are part of the reproduction surface and are benchmarked and
 //! property-tested on their own.
+//!
+//! The tree only grows. Structures are built lazily and then appended to
+//! (§ III-D); no operation deletes an index entry (dropping an index drops
+//! the whole structure), so there is no remove, borrow or merge path.
 //!
 //! Concurrency is provided one level up (each partition's tree sits behind a
 //! `parking_lot::RwLock`); the tree itself is single-writer.
@@ -15,14 +19,14 @@
 mod node;
 
 pub use node::MIN_ORDER;
-use node::{InsertOutcome, Node, RemoveOutcome};
+use node::{InsertOutcome, Node};
 use std::fmt::Debug;
 use std::ops::Bound;
 
 /// An in-memory B+-tree with unique keys.
 ///
-/// `order` is the maximum number of keys per node; nodes split above it and
-/// (except the root) rebalance below `order / 2`. Duplicate index keys are
+/// `order` is the maximum number of keys per node; nodes split above it
+/// into halves of at least `order / 2` keys each. Duplicate index keys are
 /// handled by the layer above, which stores a postings `Vec` per key.
 pub struct BPlusTree<K: Ord + Clone, V> {
     root: Node<K, V>,
@@ -41,7 +45,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     ///
     /// # Panics
     /// Panics if `order < MIN_ORDER` (4): smaller nodes cannot satisfy the
-    /// rebalancing invariants.
+    /// occupancy invariants.
     pub fn with_order(order: usize) -> Self {
         assert!(order >= MIN_ORDER, "order must be >= {MIN_ORDER}");
         BPlusTree {
@@ -59,11 +63,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// True if the tree holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The configured order.
-    pub fn order(&self) -> usize {
-        self.order
     }
 
     /// Insert `key → value`; returns the previous value if the key existed.
@@ -160,19 +159,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         self.get(key).is_some()
     }
 
-    /// Remove a key, returning its value if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let removed = match self.root.remove(key, self.order) {
-            RemoveOutcome::NotFound => None,
-            RemoveOutcome::Removed(v) => Some(v),
-        };
-        if removed.is_some() {
-            self.len -= 1;
-            self.root.collapse_root();
-        }
-        removed
-    }
-
     /// Iterate over `(key, value)` pairs within bounds, in key order.
     pub fn range<'a>(&'a self, lo: Bound<&'a K>, hi: Bound<&'a K>) -> RangeIter<'a, K, V> {
         RangeIter::new(&self.root, lo, hi)
@@ -186,16 +172,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Iterate over all pairs in key order.
     pub fn iter(&self) -> RangeIter<'_, K, V> {
         self.range(Bound::Unbounded, Bound::Unbounded)
-    }
-
-    /// First key, if any.
-    pub fn first_key(&self) -> Option<&K> {
-        self.iter().next().map(|(k, _)| k)
-    }
-
-    /// Last key, if any.
-    pub fn last_key(&self) -> Option<&K> {
-        self.root.last_key()
     }
 
     /// Height of the tree (1 for a lone leaf). Diagnostic.
@@ -221,16 +197,6 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
 impl<K: Ord + Clone, V> Default for BPlusTree<K, V> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Ord + Clone + Debug, V: Debug> Debug for BPlusTree<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BPlusTree")
-            .field("len", &self.len)
-            .field("order", &self.order)
-            .field("height", &self.height())
-            .finish()
     }
 }
 
@@ -469,76 +435,6 @@ mod tests {
         assert_eq!(t.range_inclusive(&-10, &-1).count(), 0);
         // Inverted bounds yield nothing.
         assert_eq!(t.range_inclusive(&50, &40).count(), 0);
-    }
-
-    #[test]
-    fn remove_simple() {
-        let mut t = BPlusTree::new();
-        t.insert(1, "a");
-        t.insert(2, "b");
-        assert_eq!(t.remove(&1), Some("a"));
-        assert_eq!(t.remove(&1), None);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&2), Some(&"b"));
-        t.check_invariants();
-    }
-
-    #[test]
-    fn remove_everything_rebalances() {
-        for order in [4, 5, 8] {
-            let mut t = tree_with(2000, order);
-            // Remove in an order that exercises both siblings: evens first.
-            for i in (0..2000i64).step_by(2) {
-                assert_eq!(t.remove(&i), Some(i * 10), "order {order}, key {i}");
-                if i % 512 == 0 {
-                    t.check_invariants();
-                }
-            }
-            let mut odds: Vec<i64> = (1..2000).step_by(2).collect();
-            odds.reverse();
-            for i in odds {
-                assert_eq!(t.remove(&i), Some(i * 10));
-            }
-            assert!(t.is_empty());
-            t.check_invariants();
-            assert_eq!(t.height(), 1, "empty tree must collapse to a single leaf");
-        }
-    }
-
-    #[test]
-    fn interleaved_insert_remove() {
-        let mut t = BPlusTree::with_order(4);
-        let mut rng = rede_common::Xoshiro256::new(99);
-        let mut shadow = std::collections::BTreeMap::new();
-        for _ in 0..20_000 {
-            let k = rng.gen_range(500) as i64;
-            if rng.gen_bool(0.5) {
-                assert_eq!(t.insert(k, k), shadow.insert(k, k));
-            } else {
-                assert_eq!(t.remove(&k), shadow.remove(&k));
-            }
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), shadow.len());
-        let ours: Vec<_> = t.iter().map(|(k, v)| (*k, *v)).collect();
-        let theirs: Vec<_> = shadow.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(ours, theirs);
-    }
-
-    #[test]
-    fn first_last_keys() {
-        let t = tree_with(1000, 7);
-        assert_eq!(t.first_key(), Some(&0));
-        assert_eq!(t.last_key(), Some(&999));
-        let empty: BPlusTree<i64, ()> = BPlusTree::new();
-        assert_eq!(empty.first_key(), None);
-        assert_eq!(empty.last_key(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "order must be")]
-    fn tiny_order_rejected() {
-        let _: BPlusTree<i64, ()> = BPlusTree::with_order(2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! B+-tree node representation and the split/borrow/merge algorithms.
+//! B+-tree node representation and the split algorithms.
 //!
 //! Routing invariant: in an internal node, separator `keys[i]` is a lower
 //! bound (inclusive) for everything under `children[i + 1]` and a strict
@@ -34,13 +34,6 @@ pub enum InsertOutcome<K, V> {
     Split(K, Node<K, V>),
 }
 
-/// Result of a removal from a subtree. Underflow is *not* signalled here;
-/// the parent inspects the child's occupancy after the call and rebalances.
-pub enum RemoveOutcome<V> {
-    NotFound,
-    Removed(V),
-}
-
 impl<K: Ord + Clone, V> Node<K, V> {
     /// A fresh empty leaf (the initial root).
     pub fn empty_leaf() -> Self {
@@ -56,19 +49,6 @@ impl<K: Ord + Clone, V> Node<K, V> {
             keys: vec![sep],
             children: vec![left, right],
         }
-    }
-
-    /// Number of keys stored directly in this node.
-    pub fn key_count(&self) -> usize {
-        match self {
-            Node::Internal { keys, .. } => keys.len(),
-            Node::Leaf { keys, .. } => keys.len(),
-        }
-    }
-
-    #[cfg(test)]
-    fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
     }
 
     /// Child index that `key` routes to.
@@ -101,13 +81,6 @@ impl<K: Ord + Clone, V> Node<K, V> {
                     return keys.binary_search(key).ok().map(|i| &mut values[i]);
                 }
             }
-        }
-    }
-
-    pub fn last_key(&self) -> Option<&K> {
-        match self {
-            Node::Internal { children, .. } => children.last().and_then(|c| c.last_key()),
-            Node::Leaf { keys, .. } => keys.last(),
         }
     }
 
@@ -187,166 +160,6 @@ impl<K: Ord + Clone, V> Node<K, V> {
                 children: right_children,
             },
         )
-    }
-
-    pub fn remove(&mut self, key: &K, order: usize) -> RemoveOutcome<V> {
-        match self {
-            Node::Leaf { keys, values } => match keys.binary_search(key) {
-                Ok(i) => {
-                    keys.remove(i);
-                    RemoveOutcome::Removed(values.remove(i))
-                }
-                Err(_) => RemoveOutcome::NotFound,
-            },
-            Node::Internal { keys, children } => {
-                let idx = Self::route(keys, key);
-                let outcome = children[idx].remove(key, order);
-                if matches!(outcome, RemoveOutcome::Removed(_))
-                    && children[idx].key_count() < order / 2
-                {
-                    Self::rebalance_child(keys, children, idx, order);
-                }
-                outcome
-            }
-        }
-    }
-
-    /// Restore minimum occupancy of `children[idx]` by borrowing from a
-    /// sibling with spare keys, or merging with one otherwise.
-    fn rebalance_child(
-        keys: &mut Vec<K>,
-        children: &mut Vec<Node<K, V>>,
-        idx: usize,
-        order: usize,
-    ) {
-        let min = order / 2;
-        // Try borrowing from the left sibling.
-        if idx > 0 && children[idx - 1].key_count() > min {
-            let (left_slice, right_slice) = children.split_at_mut(idx);
-            let left = &mut left_slice[idx - 1];
-            let child = &mut right_slice[0];
-            match (left, child) {
-                (
-                    Node::Leaf {
-                        keys: lk,
-                        values: lv,
-                    },
-                    Node::Leaf {
-                        keys: ck,
-                        values: cv,
-                    },
-                ) => {
-                    let k = lk.pop().expect("left leaf has spare key");
-                    let v = lv.pop().expect("left leaf has spare value");
-                    ck.insert(0, k.clone());
-                    cv.insert(0, v);
-                    keys[idx - 1] = k;
-                }
-                (
-                    Node::Internal {
-                        keys: lk,
-                        children: lc,
-                    },
-                    Node::Internal {
-                        keys: ck,
-                        children: cc,
-                    },
-                ) => {
-                    let sep = std::mem::replace(&mut keys[idx - 1], lk.pop().expect("spare sep"));
-                    ck.insert(0, sep);
-                    cc.insert(0, lc.pop().expect("spare child"));
-                }
-                _ => unreachable!("siblings at the same depth share node kind"),
-            }
-            return;
-        }
-        // Try borrowing from the right sibling.
-        if idx + 1 < children.len() && children[idx + 1].key_count() > min {
-            let (left_slice, right_slice) = children.split_at_mut(idx + 1);
-            let child = &mut left_slice[idx];
-            let right = &mut right_slice[0];
-            match (child, right) {
-                (
-                    Node::Leaf {
-                        keys: ck,
-                        values: cv,
-                    },
-                    Node::Leaf {
-                        keys: rk,
-                        values: rv,
-                    },
-                ) => {
-                    ck.push(rk.remove(0));
-                    cv.push(rv.remove(0));
-                    keys[idx] = rk[0].clone();
-                }
-                (
-                    Node::Internal {
-                        keys: ck,
-                        children: cc,
-                    },
-                    Node::Internal {
-                        keys: rk,
-                        children: rc,
-                    },
-                ) => {
-                    let sep = std::mem::replace(&mut keys[idx], rk.remove(0));
-                    ck.push(sep);
-                    cc.push(rc.remove(0));
-                }
-                _ => unreachable!("siblings at the same depth share node kind"),
-            }
-            return;
-        }
-        // Merge with a sibling (both at minimum).
-        let left_idx = if idx > 0 { idx - 1 } else { idx };
-        let sep = keys.remove(left_idx);
-        let right = children.remove(left_idx + 1);
-        let left = &mut children[left_idx];
-        match (left, right) {
-            (
-                Node::Leaf {
-                    keys: lk,
-                    values: lv,
-                },
-                Node::Leaf {
-                    keys: rk,
-                    values: rv,
-                },
-            ) => {
-                lk.extend(rk);
-                lv.extend(rv);
-            }
-            (
-                Node::Internal {
-                    keys: lk,
-                    children: lc,
-                },
-                Node::Internal {
-                    keys: rk,
-                    children: rc,
-                },
-            ) => {
-                lk.push(sep);
-                lk.extend(rk);
-                lc.extend(rc);
-            }
-            _ => unreachable!("siblings at the same depth share node kind"),
-        }
-    }
-
-    /// If the root is an internal node with a single child, pull that child
-    /// up (possibly repeatedly). Called only on the root after removals.
-    pub fn collapse_root(&mut self) {
-        while let Node::Internal { keys, children } = self {
-            if keys.is_empty() {
-                debug_assert_eq!(children.len(), 1);
-                let child = children.pop().expect("lone child");
-                *self = child;
-            } else {
-                break;
-            }
-        }
     }
 
     /// Recursively validate occupancy, ordering, routing bounds, and uniform
@@ -455,21 +268,11 @@ mod tests {
         };
         let (sep, right) = leaf.split_leaf();
         assert_eq!(sep, 3);
-        assert_eq!(leaf.key_count(), 2);
-        assert_eq!(right.key_count(), 3);
-    }
-
-    #[test]
-    fn collapse_root_unwraps_single_chains() {
-        let mut root: Node<i32, i32> = Node::Internal {
-            keys: vec![],
-            children: vec![Node::Leaf {
-                keys: vec![1],
-                values: vec![1],
-            }],
+        let keys = |node: &Node<i32, i32>| match node {
+            Node::Leaf { keys, .. } => keys.clone(),
+            Node::Internal { .. } => unreachable!("a leaf splits into leaves"),
         };
-        root.collapse_root();
-        assert!(root.is_leaf());
-        assert_eq!(root.key_count(), 1);
+        assert_eq!(keys(&leaf), [1, 2]);
+        assert_eq!(keys(&right), [3, 4, 5]);
     }
 }

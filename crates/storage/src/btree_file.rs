@@ -23,7 +23,10 @@
 //! * **local** — partitioned identically to the base file, entries
 //!   co-located with their base records. A key probe must consult *every*
 //!   partition (the key gives no placement information); SMPE instead has
-//!   each node probe only its locally-held partitions.
+//!   each node probe only its locally-held partitions. A pointer into a
+//!   local index still routes when one partition's tree alone holds its
+//!   key ([`BtreeFile::partition_holding`]): entries are only ever
+//!   appended, so the trees themselves are the record of placement.
 //! * **global** — partitioned by the *indexed key* itself. A key probe
 //!   routes to exactly one (possibly remote) partition.
 //!
@@ -38,8 +41,7 @@ use crate::buffer::{BufferPool, PageId, PageStats, SlottedPage, DEFAULT_PAGE_BYT
 use crate::partitioner::{Partitioner, Partitioning};
 use crate::record::Record;
 use parking_lot::RwLock;
-use rede_common::{FxHashMap, RedeError, Result, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
+use rede_common::{RedeError, Result, Value};
 use std::sync::Arc;
 
 /// Placement of an index relative to its base file.
@@ -135,17 +137,6 @@ impl IndexEntry {
     }
 }
 
-/// Placement hints for a *local* index: the partition each key's postings
-/// were placed in at build time. `None` in the map marks a key seen in more
-/// than one partition (no single serving partition). Any insert that
-/// bypasses the hinted path taints the whole table — hints may then be
-/// stale, so the router stops trusting them. Hints never affect probe
-/// sets, only routing, so staleness can cost locality but never answers.
-struct PlacementHints {
-    map: RwLock<FxHashMap<Value, Option<usize>>>,
-    tainted: AtomicBool,
-}
-
 /// Where one posting's entry record lives: `(page, slot)` within the
 /// partition's page run. Slim enough to keep whole postings lists resident
 /// while the payload bytes stay evictable.
@@ -183,7 +174,6 @@ pub struct BtreeFile {
     locality: IndexLocality,
     partitioner: Arc<dyn Partitioner>,
     trees: Vec<RwLock<TreePartition>>,
-    hints: Option<PlacementHints>,
     pool: Arc<BufferPool>,
     page_bytes: usize,
     /// The pool's id for page namespace `idx:{name}`, disjoint from heap
@@ -209,13 +199,6 @@ impl BtreeFile {
         let trees = (0..partitioner.partitions())
             .map(|_| RwLock::new(TreePartition::new()))
             .collect();
-        let hints = match spec.locality {
-            IndexLocality::Local => Some(PlacementHints {
-                map: RwLock::new(FxHashMap::default()),
-                tainted: AtomicBool::new(false),
-            }),
-            IndexLocality::Global => None,
-        };
         Ok(BtreeFile {
             page_ns: pool.namespace(&page_ns_name(&spec.name)),
             name: Arc::from(spec.name.as_str()),
@@ -223,7 +206,6 @@ impl BtreeFile {
             locality: spec.locality.clone(),
             partitioner,
             trees,
-            hints,
             pool,
             page_bytes: page_bytes.max(1),
         })
@@ -284,36 +266,7 @@ impl BtreeFile {
 
     /// Insert an entry record under `key` into an explicit partition (used
     /// for local indexes, where placement follows the base record).
-    ///
-    /// For a local index this is the *unhinted* path: it taints any
-    /// placement hints, since the hint table can no longer claim to cover
-    /// every posting. Builders use [`BtreeFile::insert_at_hinted`].
     pub fn insert_at(&self, partition: usize, key: Value, entry: Record) -> Result<()> {
-        if let Some(hints) = &self.hints {
-            hints.tainted.store(true, Ordering::Relaxed);
-        }
-        self.insert_at_inner(partition, key, entry)
-    }
-
-    /// Insert an entry into an explicit partition *and* record where the
-    /// key's postings live, so pointers into this (local) index become
-    /// owner-routable. A key later seen in a second partition demotes its
-    /// hint to "ambiguous". No-op hint-wise for global indexes.
-    pub fn insert_at_hinted(&self, partition: usize, key: Value, entry: Record) -> Result<()> {
-        if let Some(hints) = &self.hints {
-            let mut map = hints.map.write();
-            map.entry(key.clone())
-                .and_modify(|hint| {
-                    if *hint != Some(partition) {
-                        *hint = None;
-                    }
-                })
-                .or_insert(Some(partition));
-        }
-        self.insert_at_inner(partition, key, entry)
-    }
-
-    fn insert_at_inner(&self, partition: usize, key: Value, entry: Record) -> Result<()> {
         let mut tp = self.tree(partition)?.write();
         let cost = SlottedPage::push_cost(None, entry.len());
         let empty = SlottedPage::new().byte_size();
@@ -343,24 +296,15 @@ impl BtreeFile {
         Ok(())
     }
 
-    /// The single partition known (from build-time placement hints) to hold
-    /// every posting for `key`, if the hint table is trusted. `None` when
-    /// the index is global (the partitioner already routes), the key is
-    /// unseen or ambiguous, or any unhinted insert tainted the table.
-    pub fn hint_partition_for_key(&self, key: &Value) -> Option<usize> {
-        let hints = self.hints.as_ref()?;
-        if hints.tainted.load(Ordering::Relaxed) {
-            return None;
-        }
-        hints.map.read().get(key).copied().flatten()
-    }
-
-    /// True when this (local) index has a hint table no unhinted insert
-    /// has invalidated. Always false for global indexes.
-    pub fn placement_hints_trusted(&self) -> bool {
-        self.hints
-            .as_ref()
-            .is_some_and(|h| !h.tainted.load(Ordering::Relaxed))
+    /// The one partition whose tree holds `key`, for a *local* index:
+    /// `None` when no tree or several trees hold it. Entries are never
+    /// removed, so this is the partition every posting of `key` went to.
+    /// A read of the trees only, never of entry pages.
+    pub fn partition_holding(&self, key: &Value) -> Option<usize> {
+        let mut holders =
+            (0..self.trees.len()).filter(|&p| self.trees[p].read().tree.contains_key(key));
+        let first = holders.next()?;
+        holders.next().is_none().then_some(first)
     }
 
     /// Insert an entry record under `key`, routing by the index's own
@@ -656,64 +600,25 @@ mod tests {
     }
 
     #[test]
-    fn hinted_inserts_make_local_keys_routable() {
+    fn a_local_key_is_held_by_the_one_partition_it_was_posted_to() {
         let ix = BtreeFile::new(&IndexSpec::local("ix", "base", 4)).unwrap();
-        ix.insert_at_hinted(
-            2,
-            Value::Int(7),
-            IndexEntry::new(Value::Int(7), Value::Int(7)).to_record(),
-        )
-        .unwrap();
-        assert!(ix.placement_hints_trusted());
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(7)), Some(2));
-        // Unseen key: no hint, but the table stays trusted.
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(8)), None);
-        // Probe sets are unchanged: hints steer routing, not lookups.
+        let entry = IndexEntry::new(Value::Int(7), Value::Int(7)).to_record();
+        ix.insert_at(2, Value::Int(7), entry.clone()).unwrap();
+        assert_eq!(ix.partition_holding(&Value::Int(7)), Some(2));
+        // Posting the key again into the same partition keeps it there.
+        ix.insert_at(2, Value::Int(7), entry.clone()).unwrap();
+        assert_eq!(ix.partition_holding(&Value::Int(7)), Some(2));
+        // An unseen key is held nowhere.
+        assert_eq!(ix.partition_holding(&Value::Int(8)), None);
+        // A key posted to a second partition has no single holder.
+        ix.insert_at(0, Value::Int(1), entry.clone()).unwrap();
+        ix.insert_at(3, Value::Int(1), entry).unwrap();
+        assert_eq!(ix.partition_holding(&Value::Int(1)), None);
+        // Probe sets are unchanged: holders steer routing, not lookups.
         assert_eq!(
             ix.probe_partitions_for_key(&Value::Int(7)),
             vec![0, 1, 2, 3]
         );
-    }
-
-    #[test]
-    fn ambiguous_keys_lose_their_hint() {
-        let ix = BtreeFile::new(&IndexSpec::local("ix", "base", 4)).unwrap();
-        let entry = IndexEntry::new(Value::Int(1), Value::Int(1)).to_record();
-        ix.insert_at_hinted(0, Value::Int(1), entry.clone())
-            .unwrap();
-        ix.insert_at_hinted(3, Value::Int(1), entry.clone())
-            .unwrap();
-        assert!(ix.placement_hints_trusted());
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(1)), None);
-        // Re-inserting into an already-hinted partition keeps the hint.
-        ix.insert_at_hinted(2, Value::Int(5), entry.clone())
-            .unwrap();
-        ix.insert_at_hinted(2, Value::Int(5), entry).unwrap();
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(5)), Some(2));
-    }
-
-    #[test]
-    fn unhinted_insert_taints_the_table() {
-        let ix = BtreeFile::new(&IndexSpec::local("ix", "base", 4)).unwrap();
-        let entry = IndexEntry::new(Value::Int(1), Value::Int(1)).to_record();
-        ix.insert_at_hinted(0, Value::Int(1), entry.clone())
-            .unwrap();
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(1)), Some(0));
-        ix.insert_at(1, Value::Int(2), entry).unwrap();
-        assert!(!ix.placement_hints_trusted());
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(1)), None);
-    }
-
-    #[test]
-    fn global_indexes_never_carry_hints() {
-        let ix = global_index();
-        ix.insert(
-            Value::Int(1),
-            IndexEntry::new(Value::Int(1), Value::Int(1)).to_record(),
-        )
-        .unwrap();
-        assert!(!ix.placement_hints_trusted());
-        assert_eq!(ix.hint_partition_for_key(&Value::Int(1)), None);
     }
 
     #[test]

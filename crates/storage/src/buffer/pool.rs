@@ -128,6 +128,9 @@ pub struct PoolStats {
     pub budget_total: usize,
     /// Shared budget bytes in use (pool frames + record cache).
     pub budget_used: usize,
+    /// Pin waits that ran to their deadline: the charge woke because its
+    /// wait budget ran out, not because an unpin signalled it.
+    pub pin_wait_timeouts: u64,
 }
 
 /// LRU-K eviction rank, coldest first (see [`FrameCell::rank`]).
@@ -261,6 +264,7 @@ pub struct BufferPool {
     pin_wait: Condvar,
     /// Charges registered to wait on `pin_wait`.
     waiters: AtomicUsize,
+    pin_wait_timeouts: AtomicU64,
     faults: AtomicU64,
     evictions: AtomicU64,
     pinned_bytes: AtomicUsize,
@@ -289,6 +293,7 @@ impl BufferPool {
             shrinker: RwLock::new(None),
             pin_wait: Condvar::new(),
             waiters: AtomicUsize::new(0),
+            pin_wait_timeouts: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pinned_bytes: AtomicUsize::new(0),
@@ -608,7 +613,10 @@ impl BufferPool {
                         self.waiters.fetch_add(1, Ordering::SeqCst);
                         registered = true;
                     } else {
-                        self.pin_wait.wait_for(st, deadline - now);
+                        let timed_out = self.pin_wait.wait_for(st, deadline - now);
+                        if timed_out {
+                            self.pin_wait_timeouts.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     continue;
                 }
@@ -642,6 +650,7 @@ impl BufferPool {
             pinned_peak_bytes: self.pinned_peak.load(Ordering::Relaxed),
             budget_total: self.budget.total(),
             budget_used: self.budget.used(),
+            pin_wait_timeouts: self.pin_wait_timeouts.load(Ordering::Relaxed),
         }
     }
 

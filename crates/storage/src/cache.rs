@@ -307,7 +307,7 @@ impl RecordCache {
     /// Drop one entry if present, releasing its bytes. Returns whether an
     /// entry was removed. Writers call this so a stale record can never be
     /// served after its slot is overwritten in place.
-    pub fn remove(&self, key: &CacheKey) -> bool {
+    pub fn purge(&self, key: &CacheKey) -> bool {
         let mut shard = self.shard_of(key).lock();
         match shard.map.get(key).copied() {
             Some(idx) => {
@@ -471,12 +471,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_bytes_and_misses_afterwards() {
+    fn purge_frees_bytes_and_misses_afterwards() {
         let cache = RecordCache::with_byte_capacity(8 * COST, 2);
         cache.insert(key(1), rec(1));
         cache.insert(key(2), rec(2));
-        assert!(cache.remove(&key(1)));
-        assert!(!cache.remove(&key(1)), "second remove finds nothing");
+        assert!(cache.purge(&key(1)));
+        assert!(!cache.purge(&key(1)), "second purge finds nothing");
         assert!(cache.get(&key(1)).is_none());
         assert!(cache.get(&key(2)).is_some());
         assert_eq!(cache.used_bytes(), COST);
@@ -485,7 +485,7 @@ mod tests {
         let shared = RecordCache::with_shared_budget(4 * COST, 1, budget.clone());
         shared.insert(key(1), rec(1));
         assert_eq!(budget.used(), COST);
-        assert!(shared.remove(&key(1)));
+        assert!(shared.purge(&key(1)));
         assert_eq!(budget.used(), 0);
     }
 

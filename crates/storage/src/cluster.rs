@@ -93,7 +93,7 @@ impl CacheLayer {
     /// (misses are O(1) per shard probe).
     fn purge(&self, key: &CacheKey) {
         for cache in &self.0 {
-            cache.remove(key);
+            cache.purge(key);
         }
     }
 }
@@ -1129,10 +1129,11 @@ impl Placement<'_> {
     ///
     /// * Heap targets: the file's partitioner places the partition key
     ///   (logical) or the key *is* the partition (physical).
-    /// * B-tree targets: the index placement's probe set for the logical
-    ///   key — a single partition for a global index. Local indexes probe
-    ///   every partition, so there is no single serving partition and the
-    ///   answer is `None`.
+    /// * B-tree targets: a global index's partitioner places the logical
+    ///   key. A local index probes every partition, so its answer is the
+    ///   one partition whose tree holds the key
+    ///   ([`BtreeFile::partition_holding`]), and `None` when no tree or
+    ///   several trees hold it.
     /// * Broadcast pointers and unknown files: `None`.
     ///
     /// This is the routing oracle for the executor's `Owner` policy; a
@@ -1160,15 +1161,11 @@ impl Placement<'_> {
             },
             StorageObject::Btree(index) => {
                 let key = ptr.logical_key()?;
-                // Local indexes probe every partition, so the probe set
-                // pins nothing — but a placement hint recorded at build
-                // time can still name the one partition holding the key.
-                // Hints only steer routing; lookups keep probing the full
-                // placement set, so a stale or missing hint can never
-                // change an answer.
+                // Only routing reads the holder; lookups keep probing the
+                // full placement set, so it can never change an answer.
                 index
                     .probe_partition_for_key(key)
-                    .or_else(|| index.hint_partition_for_key(key))
+                    .or_else(|| index.partition_holding(key))
             }
         }
     }
@@ -1483,15 +1480,6 @@ impl IndexHandle {
         self.cluster
             .tally(|m| m.record_access(AccessKind::RecordWrite));
         self.index.insert_at(partition, key, entry)
-    }
-
-    /// Insert an entry for a *local* index, recording a placement hint so
-    /// pointers into the index become owner-routable (builders' path; see
-    /// [`BtreeFile::insert_at_hinted`]). Charged as a record write.
-    pub fn insert_at_hinted(&self, partition: usize, key: Value, entry: Record) -> Result<()> {
-        self.cluster
-            .tally(|m| m.record_access(AccessKind::RecordWrite));
-        self.index.insert_at_hinted(partition, key, entry)
     }
 
     /// Charged exact-key probe — exactly a [`IndexHandle::lookup_batch`]
@@ -1953,10 +1941,12 @@ mod tests {
         let gpart = c.partition_of_pointer(&gptr).expect("global is routable");
         assert_eq!(global.raw().probe_partitions_for_key(&key), vec![gpart]);
 
-        // Local index: every partition may hold the key — not routable.
-        let lptr = Pointer::logical("lix", key.clone(), key);
-        assert_eq!(c.partition_of_pointer(&lptr), None);
-        assert_eq!(c.owner_of_pointer(&lptr), None);
+        // Local index: probes consult every partition, but only
+        // partition 0's tree holds the key, so the pointer routes there.
+        let lptr = Pointer::logical("lix", key.clone(), key.clone());
+        assert_eq!(local.raw().probe_partitions_for_key(&key).len(), 8);
+        assert_eq!(c.partition_of_pointer(&lptr), Some(0));
+        assert_eq!(c.owner_of_pointer(&lptr), Some(c.node_of_partition(0)));
     }
 
     #[test]
@@ -2127,28 +2117,20 @@ mod tests {
     }
 
     #[test]
-    fn hinted_local_index_pointers_become_routable() {
+    fn local_index_pointers_route_to_the_one_partition_holding_their_key() {
         let c = cluster();
         loaded(&c, 0);
         let ix = c.create_index(IndexSpec::local("lix", "part", 8)).unwrap();
         let key = Value::Int(7);
-        ix.insert_at_hinted(
-            5,
-            key.clone(),
-            IndexEntry::new(key.clone(), key.clone()).to_record(),
-        )
-        .unwrap();
+        let entry = IndexEntry::new(key.clone(), key.clone()).to_record();
+        ix.insert_at(5, key.clone(), entry.clone()).unwrap();
         let ptr = Pointer::logical("lix", key.clone(), key.clone());
         assert_eq!(c.partition_of_pointer(&ptr), Some(5));
         assert_eq!(c.owner_of_pointer(&ptr), Some(c.node_of_partition(5)));
-        // Unhinted writes invalidate the table: back to producer routing.
-        ix.insert_at(
-            2,
-            Value::Int(9),
-            IndexEntry::new(Value::Int(9), Value::Int(9)).to_record(),
-        )
-        .unwrap();
+        // A second partition holding the key: no single serving partition.
+        ix.insert_at(2, key, entry).unwrap();
         assert_eq!(c.partition_of_pointer(&ptr), None);
+        assert_eq!(c.owner_of_pointer(&ptr), None);
     }
 
     #[test]
@@ -2518,7 +2500,7 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_batch_falls_back_for_unhinted_local_keys() {
+    fn index_lookup_batch_probes_local_keys_partition_by_partition() {
         let c = cluster();
         loaded(&c, 0);
         let ix = c.create_index(IndexSpec::local("lix", "part", 8)).unwrap();

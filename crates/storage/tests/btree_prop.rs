@@ -11,7 +11,6 @@ use std::ops::Bound;
 #[derive(Debug, Clone)]
 enum Op {
     Insert(i64, i64),
-    Remove(i64),
     Get(i64),
     Range(i64, i64),
 }
@@ -19,7 +18,6 @@ enum Op {
 fn op_strategy(key_space: i64) -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0..key_space, any::<i64>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        2 => (0..key_space).prop_map(Op::Remove),
         1 => (0..key_space).prop_map(Op::Get),
         1 => (0..key_space, 0..key_space).prop_map(|(a, b)| Op::Range(a.min(b), a.max(b))),
     ]
@@ -38,7 +36,6 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Insert(k, v) => prop_assert_eq!(tree.insert(k, v), model.insert(k, v)),
-                Op::Remove(k) => prop_assert_eq!(tree.remove(&k), model.remove(&k)),
                 Op::Get(k) => prop_assert_eq!(tree.get(&k), model.get(&k)),
                 Op::Range(lo, hi) => {
                     let ours: Vec<(i64, i64)> =
@@ -91,22 +88,5 @@ proptest! {
         // order-8 tree: each level multiplies capacity by >= 4.
         let bound = ((n as f64).log2() / 2.0).ceil() as usize + 2;
         prop_assert!(tree.height() <= bound, "height {} > bound {bound} for n={n}", tree.height());
-    }
-
-    #[test]
-    fn remove_inverse_of_insert(keys in prop::collection::vec(0i64..1000, 1..300)) {
-        let mut tree: BPlusTree<i64, i64> = BPlusTree::with_order(4);
-        for &k in &keys {
-            tree.insert(k, k);
-        }
-        let mut unique: Vec<i64> = keys.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        prop_assert_eq!(tree.len(), unique.len());
-        for &k in &unique {
-            prop_assert_eq!(tree.remove(&k), Some(k));
-        }
-        prop_assert!(tree.is_empty());
-        tree.check_invariants();
     }
 }

@@ -22,11 +22,12 @@ echo "==> data-plane reads are fallible: BtreeFile::lookup_in is the one panicki
 test "$(grep -rn 'page budget exhausted' crates/*/src | wc -l)" -eq 1
 
 # Files (file:count, sorted) whose non-test lines contain the literal $1.
-# Lines before a file's first #[cfg(test)] are non-test; gate/tests.rs is
-# a test module of its own.
+# Lines before a file's first top-level (column 0) #[cfg(test)] are
+# non-test, as in scripts/loc.sh: an indented one is a test hook inside
+# non-test code. gate/tests.rs is a test module of its own.
 nontest_sites() {
     find crates/*/src -name '*.rs' ! -path '*/gate/tests.rs' -print0 | sort -z |
-        xargs -0 awk -v lit="$1" '/#\[cfg\(test\)\]/ { nextfile } index($0, lit) { print FILENAME }' |
+        xargs -0 awk -v lit="$1" '/^#\[cfg\(test\)\]/ { nextfile } index($0, lit) { print FILENAME }' |
         uniq -c | awk '{ print $2 ":" $1 }' | paste -sd ' '
 }
 
@@ -67,6 +68,31 @@ cargo test --release -q --test scheduler_stress
 echo "==> release buffer-pool race tests: buffer:: unit tests, buffer_concurrency"
 cargo test --release -q -p rede-storage --lib buffer::
 cargo test --release -q -p rede-storage --test buffer_concurrency
+
+# Two tests read scheduling-sensitive events: the Q5' job's allocation
+# count (it moved with which node's seeds a worker saw first) and the
+# pool's wake test (a charge must be woken by the unpin, not by its pin-wait
+# deadline). Run each 10 times beside one busy loop per core, so a count
+# that depends on how threads are scheduled fails here rather than passing
+# by luck on an idle box.
+echo "==> scheduling-sensitive tests on a busy box, 10x each: alloc_per_access, buffer wake"
+test_bin() {
+    cargo test --release --no-run "$@" 2>&1 | sed -n 's/^ *Executable .*(\(.*\))$/\1/p'
+}
+alloc_bin="$(test_bin --test alloc_per_access)"
+wake_bin="$(test_bin -p rede-storage --test buffer_concurrency)"
+hogs=()
+trap 'kill "${hogs[@]}" 2>/dev/null' EXIT
+for _ in $(seq "$(nproc)"); do
+    (while :; do :; done) &
+    hogs+=($!)
+done
+for _ in $(seq 10); do
+    "$alloc_bin" -q
+    "$wake_bin" -q --exact an_unpin_wakes_a_parked_charge_at_once
+done
+kill "${hogs[@]}"
+trap - EXIT
 
 # The benchmark is its own package compiled against these crates' public
 # API: build it and run its whole suite here — the contract tests and the
