@@ -118,23 +118,6 @@ fn bench_index_schemes(c: &mut Criterion) {
         counts.windows(2).all(|w| w[0] == w[1]),
         "schemes disagree: {counts:?}"
     );
-    // Where each scheme's point reads landed (local/remote per node) and
-    // how many items hopped queues: the routing, outside the timed region.
-    for (label, job) in &cases {
-        let run = runner.run(job).unwrap();
-        let split: Vec<String> = run
-            .profile
-            .nodes
-            .iter()
-            .map(|n| format!("{}/{}", n.io.local, n.io.remote))
-            .collect();
-        eprintln!(
-            "[ablation/index_scheme] {label}: {} rows; point reads local/remote per node {}; {} queue hops",
-            run.count,
-            split.join(" "),
-            run.metrics.queue_hops
-        );
-    }
 
     let mut group = c.benchmark_group("ablation/index_scheme");
     group

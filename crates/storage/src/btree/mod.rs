@@ -438,6 +438,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "order must be")]
+    fn tiny_order_rejected() {
+        let _: BPlusTree<i64, ()> = BPlusTree::with_order(2);
+    }
+
+    #[test]
     fn get_many_matches_get_in_input_order() {
         let t = tree_with(5000, 8);
         let mut rng = rede_common::Xoshiro256::new(7);

@@ -299,7 +299,8 @@ impl BtreeFile {
     /// The one partition whose tree holds `key`, for a *local* index:
     /// `None` when no tree or several trees hold it. Entries are never
     /// removed, so this is the partition every posting of `key` went to.
-    /// A read of the trees only, never of entry pages.
+    /// A read of the trees only, never of entry pages: one read lock and
+    /// one descent per partition.
     pub fn partition_holding(&self, key: &Value) -> Option<usize> {
         let mut holders =
             (0..self.trees.len()).filter(|&p| self.trees[p].read().tree.contains_key(key));

@@ -137,11 +137,16 @@ fn readers_and_a_growing_writer_share_a_floor_budget_pool() {
 /// its re-scan, or after it parked. An unpin that skips the signal, or
 /// signals without the state lock, leaves some round asleep until its pin
 /// wait runs out, which the pool counts (`pin_wait_timeouts`); how late a
-/// woken charge is scheduled on a busy box does not count.
+/// woken charge is scheduled on a busy box does not count. A round whose
+/// unpin returns later than the charge's start plus the pin wait (the
+/// test thread descheduled for that long) may legitimately time out, so
+/// it asserts nothing; at least half the rounds must be decisive.
 #[test]
 fn an_unpin_wakes_a_parked_charge_at_once() {
     const FRAMES: u32 = 4_096;
     const ROUNDS: u32 = 200;
+    // The pool's pin wait budget (`PIN_WAIT_BUDGET` in `buffer/pool.rs`).
+    const PIN_WAIT: Duration = Duration::from_millis(250);
     let empty = SlottedPage::new().byte_size();
     let pool = BufferPool::with_budget(Arc::new(ByteBudget::new(FRAMES as usize * empty)));
     let ns = pool.namespace("pinned");
@@ -183,28 +188,44 @@ fn an_unpin_wakes_a_parked_charge_at_once() {
     let span = (spawn + 3 * scan).as_nanos() as u64 + 1;
 
     let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut decisive = 0;
     for round in 0..ROUNDS {
         // Each round's new page evicts the previous round's, and is then
         // pinned as the next round's `last`.
         let new = id(page_no + round);
         let delay = Duration::from_nanos(next(&mut rng) % span);
-        std::thread::scope(|s| {
-            let creator = s.spawn(|| pool.create_page(new).unwrap());
+        let timeouts = pool.stats().pin_wait_timeouts;
+        let (started, created, unpinned) = std::thread::scope(|s| {
+            let creator = s.spawn(|| (Instant::now(), pool.create_page(new)));
             let start = Instant::now();
             while start.elapsed() < delay {
                 std::hint::spin_loop();
             }
             drop(last);
-            creator.join().unwrap();
+            let unpinned = Instant::now();
+            let (started, created) = creator.join().unwrap();
+            (started, created, unpinned)
         });
-        assert_eq!(
-            pool.stats().pin_wait_timeouts,
-            0,
-            "round {round}: the charge slept through the unpin \
-             (delay {delay:?} of {span} ns)"
-        );
+        // The charge arms its deadline after `started`, so an unpin that
+        // returned before `started + PIN_WAIT` signalled it in time.
+        if unpinned < started + PIN_WAIT {
+            decisive += 1;
+            created.unwrap();
+            assert_eq!(
+                pool.stats().pin_wait_timeouts,
+                timeouts,
+                "round {round}: the charge slept through the unpin \
+                 (delay {delay:?} of {span} ns)"
+            );
+        } else if created.is_err() {
+            pool.create_page(new).unwrap();
+        }
         last = pool.fetch(&new).unwrap().0;
     }
+    assert!(
+        decisive >= ROUNDS / 2,
+        "only {decisive} of {ROUNDS} rounds unpinned within the pin wait"
+    );
     drop((last, held));
     assert_eq!(pool.stats().evictions, (page_no - FRAMES + ROUNDS) as u64);
 }
